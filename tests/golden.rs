@@ -42,8 +42,8 @@ fn regenerate_with(bin_name: &str, out_name: &str, envs: &[(&str, &str)]) -> Opt
         eprintln!("golden: skipping {bin_name} — build it with `cargo build --release`");
         return None;
     }
-    // Unique per call: the serial and parallel variants of one figure run
-    // concurrently and would otherwise race on a shared scratch dir.
+    // Unique per call: cases run concurrently and must not share a
+    // scratch dir.
     static SCRATCH_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SCRATCH_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let scratch = std::env::temp_dir().join(format!(
@@ -85,11 +85,11 @@ fn first_diff(a: &[u8], b: &[u8]) -> String {
     let (a, b) = (String::from_utf8_lossy(a), String::from_utf8_lossy(b));
     for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
         if la != lb {
-            return format!("line {}: committed {la:?} vs regenerated {lb:?}", i + 1);
+            return format!("line {}: expected {la:?} vs got {lb:?}", i + 1);
         }
     }
     format!(
-        "line counts differ: committed {} vs regenerated {}",
+        "line counts differ: expected {} vs got {}",
         a.lines().count(),
         b.lines().count()
     )
@@ -99,16 +99,11 @@ fn check(name: &str) {
     let Some(fresh) = regenerate(name) else {
         return;
     };
-    check_bytes(name, fresh, true);
+    check_bytes(name, fresh);
 }
 
-fn check_bytes(name: &str, fresh: Vec<u8>, bless_allowed: bool) {
+fn check_bytes(name: &str, fresh: Vec<u8>) {
     let golden = committed_path(name);
-    if blessing() && !bless_allowed {
-        // Another case owns this golden file; skip to avoid racing its
-        // bless write under the parallel test harness.
-        return;
-    }
     if blessing() {
         std::fs::write(&golden, &fresh).expect("bless golden");
         eprintln!("golden: blessed {}", golden.display());
@@ -156,185 +151,117 @@ fn maturation_matches_golden() {
     check("maturation");
 }
 
-/// Shortened deterministic macro24 (2-minute window), run serially.
-/// Guards the indexed eviction sweep: any behavioral drift from the old
-/// full-scan janitor shows up as a diff against the committed smoke
-/// golden.
-#[test]
-fn macro24_smoke_serial_matches_golden() {
-    let Some(fresh) = regenerate_with(
-        "macro24",
-        "macro24_smoke",
-        &[("OFC_MACRO_SMOKE", "1"), ("OFC_BENCH_THREADS", "1")],
-    ) else {
-        return;
-    };
-    check_bytes("macro24_smoke", fresh, true);
+/// One caller of the scenario runners (`ofc_bench::par` fan-out over
+/// `run_macro` / `run_mega` sims): the binary, the JSON file it writes,
+/// the committed golden that file must equal, and the environment that
+/// shrinks it to a smoke window.
+struct RunnerGolden {
+    bin: &'static str,
+    output: &'static str,
+    golden: &'static str,
+    env: &'static [(&'static str, &'static str)],
 }
 
-/// The same smoke run fanned out over four workers must be byte-identical
-/// to the serial golden: the parallel replay runner collects results in
-/// submission order, so thread count can never change figure JSON.
-#[test]
-fn macro24_smoke_parallel_matches_serial_golden() {
-    let Some(fresh) = regenerate_with(
-        "macro24",
-        "macro24_smoke",
-        &[
-            ("OFC_MACRO_SMOKE", "1"),
-            ("OFC_BENCH_THREADS", "4"),
-            // Defeat the small-bin serial fallback: this variant exists
-            // to drive the parallel runner.
-            ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("macro24_smoke", fresh, false);
-}
+/// Every runner caller, pinned. Each row runs twice — serially and over
+/// four workers — and both passes must equal the committed golden, so any
+/// behavioral drift in the simulation *and* any dependence of figure JSON
+/// on thread count land here.
+const RUNNER_GOLDENS: &[RunnerGolden] = &[
+    // 24-tenant variant: 14 macro sims, cost-ordered claiming.
+    RunnerGolden {
+        bin: "macro24",
+        output: "macro24_smoke",
+        golden: "macro24_smoke",
+        env: &[("OFC_MACRO_SMOKE", "1")],
+    },
+    // Default-policy probe: Swift vs OFC over the three tenant profiles.
+    RunnerGolden {
+        bin: "fig9",
+        output: "fig9_smoke",
+        golden: "fig9_smoke",
+        env: &[("OFC_MACRO_SMOKE", "1")],
+    },
+    // OFC, Faa$T and InfiniCache on the Fig 9 mix: admission, eviction,
+    // prefetch, cold-tier parking and the rent model.
+    RunnerGolden {
+        bin: "bakeoff",
+        output: "bakeoff_smoke",
+        golden: "bakeoff_smoke",
+        env: &[("OFC_MACRO_SMOKE", "1")],
+    },
+    // All six million-user variants at CI size (DESIGN.md §18): the mega
+    // generator, the quota plane, per-decile accounting, the crash drill.
+    RunnerGolden {
+        bin: "macro_mega",
+        output: "macro_mega_smoke",
+        golden: "macro_mega_smoke",
+        env: &[("OFC_MEGA_SMOKE", "1")],
+    },
+    // Control-plane failover drill (5-minute window): Raft coordinator +
+    // gossip membership under crash/partition faults, via the pre-run hook.
+    RunnerGolden {
+        bin: "chaos",
+        output: "failover_smoke",
+        golden: "failover_smoke",
+        env: &[("OFC_MACRO_SMOKE", "1"), ("OFC_CHAOS_FAILOVER", "1")],
+    },
+    // The remaining runner callers write their full-run file name at any
+    // window, so their 2-minute goldens live under a `_smoke` name.
+    // Ablation: non-default `OfcConfig`s through both the macro runner and
+    // the bare testbed.
+    RunnerGolden {
+        bin: "ablation",
+        output: "ablation",
+        golden: "ablation_smoke",
+        env: &[("OFC_MACRO_MINS", "2")],
+    },
+    // Figure 10: the cache-size series of the macro result.
+    RunnerGolden {
+        bin: "fig10",
+        output: "fig10",
+        golden: "fig10_smoke",
+        env: &[("OFC_MACRO_MINS", "2")],
+    },
+    // Table 2: every agent/ML counter of the macro result.
+    RunnerGolden {
+        bin: "table2",
+        output: "table2",
+        golden: "table2_smoke",
+        env: &[("OFC_MACRO_MINS", "2")],
+    },
+];
 
-/// Shortened deterministic fig9 (2-minute window), run serially: the
-/// default-policy byte-identity probe for the policy-plane refactor
-/// (DESIGN.md §15).
 #[test]
-fn fig9_smoke_serial_matches_golden() {
-    let Some(fresh) = regenerate_with(
-        "fig9",
-        "fig9_smoke",
-        &[("OFC_MACRO_SMOKE", "1"), ("OFC_BENCH_THREADS", "1")],
-    ) else {
-        return;
-    };
-    check_bytes("fig9_smoke", fresh, true);
-}
-
-#[test]
-fn fig9_smoke_parallel_matches_serial_golden() {
-    let Some(fresh) = regenerate_with(
-        "fig9",
-        "fig9_smoke",
-        &[
-            ("OFC_MACRO_SMOKE", "1"),
-            ("OFC_BENCH_THREADS", "4"),
-            // Defeat the small-bin serial fallback: this variant exists
-            // to drive the parallel runner.
-            ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("fig9_smoke", fresh, false);
-}
-
-/// Shortened three-policy bake-off (2-minute window), run serially. Any
-/// drift in OFC, Faa$T, or InfiniCache policy behavior — admission,
-/// eviction, prefetch, cold-tier parking, or the rent model — lands here.
-#[test]
-fn bakeoff_smoke_serial_matches_golden() {
-    let Some(fresh) = regenerate_with(
-        "bakeoff",
-        "bakeoff_smoke",
-        &[("OFC_MACRO_SMOKE", "1"), ("OFC_BENCH_THREADS", "1")],
-    ) else {
-        return;
-    };
-    check_bytes("bakeoff_smoke", fresh, true);
-}
-
-#[test]
-fn bakeoff_smoke_parallel_matches_serial_golden() {
-    let Some(fresh) = regenerate_with(
-        "bakeoff",
-        "bakeoff_smoke",
-        &[
-            ("OFC_MACRO_SMOKE", "1"),
-            ("OFC_BENCH_THREADS", "4"),
-            // Defeat the small-bin serial fallback: this variant exists
-            // to drive the parallel runner.
-            ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("bakeoff_smoke", fresh, false);
-}
-
-/// Bounded mega-scale window (DESIGN.md §18): all six million-user
-/// variants — headline, noisy neighbor and occupancy attack with and
-/// without quotas, and the replicated-coordinator crash drill — at CI
-/// size, run serially. Any drift in the mega generator, the quota
-/// plane, or the per-decile accounting lands here.
-#[test]
-fn mega_smoke_serial_matches_golden() {
-    let Some(fresh) = regenerate_with(
-        "macro_mega",
-        "macro_mega_smoke",
-        &[("OFC_MEGA_SMOKE", "1"), ("OFC_BENCH_THREADS", "1")],
-    ) else {
-        return;
-    };
-    check_bytes("macro_mega_smoke", fresh, true);
-}
-
-/// The same six sims fanned out over four workers with cost-ordered
-/// claiming must be byte-identical to the serial golden.
-#[test]
-fn mega_smoke_parallel_matches_serial_golden() {
-    let Some(fresh) = regenerate_with(
-        "macro_mega",
-        "macro_mega_smoke",
-        &[
-            ("OFC_MEGA_SMOKE", "1"),
-            ("OFC_BENCH_THREADS", "4"),
-            // Defeat the small-bin serial fallback: this variant exists
-            // to drive the parallel runner.
-            ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("macro_mega_smoke", fresh, false);
-}
-
-/// Shortened control-plane failover drill (5-minute window, Raft
-/// coordinator + gossip membership under crash/partition faults), run
-/// serially. Any drift in consensus, membership, degraded-mode writes,
-/// or the durability ledger lands here.
-#[test]
-fn failover_smoke_serial_matches_golden() {
-    let Some(fresh) = regenerate_with(
-        "chaos",
-        "failover_smoke",
-        &[
-            ("OFC_MACRO_SMOKE", "1"),
-            ("OFC_CHAOS_FAILOVER", "1"),
-            ("OFC_BENCH_THREADS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("failover_smoke", fresh, true);
-}
-
-/// The drill's baseline and chaos sims fan out over the parallel runner;
-/// thread count must never change the report bytes.
-#[test]
-fn failover_smoke_parallel_matches_serial_golden() {
-    let Some(fresh) = regenerate_with(
-        "chaos",
-        "failover_smoke",
-        &[
-            ("OFC_MACRO_SMOKE", "1"),
-            ("OFC_CHAOS_FAILOVER", "1"),
-            ("OFC_BENCH_THREADS", "4"),
-            // Defeat the small-bin serial fallback: this variant exists
-            // to drive the parallel runner.
-            ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-        ],
-    ) else {
-        return;
-    };
-    check_bytes("failover_smoke", fresh, false);
+fn runner_callers_match_goldens_serial_and_parallel() {
+    // Rows are independent processes with private scratch dirs; running
+    // them side by side keeps the suite's wall time at the slowest row.
+    std::thread::scope(|scope| {
+        for row in RUNNER_GOLDENS {
+            scope.spawn(move || {
+                let run = |threading: &[(&str, &str)]| {
+                    let envs: Vec<_> = row.env.iter().chain(threading).copied().collect();
+                    regenerate_with(row.bin, row.output, &envs)
+                };
+                let Some(serial) = run(&[("OFC_BENCH_THREADS", "1")]) else {
+                    return;
+                };
+                // `MIN_PAR_SIMS=1` defeats the small-bin serial fallback:
+                // this pass exists to drive the parallel runner.
+                let parallel = run(&[
+                    ("OFC_BENCH_THREADS", "4"),
+                    ("OFC_BENCH_MIN_PAR_SIMS", "1"),
+                ])
+                .expect("binary present a moment ago");
+                assert!(
+                    serial == parallel,
+                    "golden: {} output depends on thread count — {}",
+                    row.bin,
+                    first_diff(&serial, &parallel)
+                );
+                check_bytes(row.golden, serial);
+            });
+        }
+    });
 }
 
 #[test]
@@ -343,15 +270,9 @@ fn golden_set_is_complete() {
     if blessing() {
         return;
     }
-    for name in GOLDEN_FIGURES.iter().chain(&[
-        "macro24_smoke",
-        "fig9_smoke",
-        "bakeoff_smoke",
-        "bakeoff",
-        "failover_smoke",
-        "macro_mega_smoke",
-        "macro_mega",
-    ]) {
+    let runner = RUNNER_GOLDENS.iter().map(|row| row.golden);
+    let full_runs = ["bakeoff", "macro_mega"];
+    for name in GOLDEN_FIGURES.iter().copied().chain(runner).chain(full_runs) {
         assert!(
             committed_path(name).exists(),
             "results/{name}.json missing — run OFC_GOLDEN_BLESS=1 cargo test --test golden"
