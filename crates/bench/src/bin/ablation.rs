@@ -11,10 +11,10 @@
 //!
 //! Set `OFC_MACRO_MINS` to shorten the macro-based ablations (default 10).
 
-use ofc_bench::cachex::{pin, run_macro_with, stage_input, Scenario};
+use ofc_bench::cachex::{pin, run_macro, stage_input, MacroResult, MacroSpec, Scenario};
 use ofc_bench::par;
 use ofc_bench::report;
-use ofc_bench::scenario::{register_single, testbed_with, PlaneKind, WORKER_NODES};
+use ofc_bench::scenario::{register_single, PlaneKind, Testbed, TestbedSpec};
 use ofc_core::cache::WritePolicy;
 use ofc_core::ofc::OfcConfig;
 use ofc_workloads::catalog::gen_image_with_bytes;
@@ -45,11 +45,21 @@ enum Row {
 /// Objects staged by the reclamation ablation.
 const RECLAIM_OBJECTS: u64 = 64;
 
-fn macro_mins() -> u64 {
-    std::env::var("OFC_MACRO_MINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(10)
+/// One OFC macro run (Normal profile, 8 tenants) under `ofc`.
+fn ofc_macro(ofc: OfcConfig, dur: Duration, seed: u64) -> MacroResult {
+    run_macro(MacroSpec {
+        ofc,
+        ..MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, seed)
+    })
+    .0
+}
+
+/// A bare OFC testbed under `ofc`.
+fn ofc_testbed(ofc: OfcConfig, seed: u64) -> Testbed {
+    Testbed::build(TestbedSpec {
+        ofc,
+        ..TestbedSpec::new(PlaneKind::Ofc, seed)
+    })
 }
 
 /// 1. Safety margin: without the next-greater interval, raw
@@ -57,7 +67,7 @@ fn macro_mins() -> u64 {
 fn margin_case(label: &str, margin: u64, dur: Duration) -> Row {
     let mut cfg = OfcConfig::default();
     cfg.ml.safety_margin_intervals = margin;
-    let r = run_macro_with(PlaneKind::Ofc, TenantProfile::Normal, 1, dur, 31, cfg);
+    let r = ofc_macro(cfg, dur, 31);
     Row::Margin(
         label.into(),
         r.table2.bad_predictions,
@@ -72,7 +82,7 @@ fn reclamation_case(label: &str, hot_threshold: u64) -> Row {
     use ofc_faas::MemoryBroker;
     let mut cfg = OfcConfig::default();
     cfg.agent.hot_access_threshold = hot_threshold;
-    let tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 32, cfg);
+    let tb = ofc_testbed(cfg, 32);
     let ofc = tb.ofc.as_ref().expect("ofc");
     let mut sim = ofc_simtime::Sim::new(32);
     // Fill node 0 with hot 8 MB objects, then shrink its pool hard.
@@ -134,7 +144,7 @@ fn gate_case(label: &str, disable: bool, dur: Duration) -> Row {
         disable_benefit_gate: disable,
         ..OfcConfig::default()
     };
-    let r = run_macro_with(PlaneKind::Ofc, TenantProfile::Normal, 1, dur, 33, cfg);
+    let r = ofc_macro(cfg, dur, 33);
     let total: f64 = r.per_function_total_s.values().sum();
     Row::Gate(label.into(), total, r.table2.hit_ratio_pct)
 }
@@ -146,7 +156,7 @@ fn locality_case(label: &str, disable: bool) -> Row {
         disable_locality_routing: disable,
         ..OfcConfig::default()
     };
-    let mut tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 34, cfg);
+    let mut tb = ofc_testbed(cfg, 34);
     let tenant = ofc_faas::TenantId::from("abl");
     for name in ["wand_edge", "wand_sepia", "wand_rotate", "wand_crop"] {
         let p = ofc_workloads::multimedia::profile(name).expect("known");
@@ -199,7 +209,7 @@ fn locality_case(label: &str, disable: bool) -> Row {
 fn write_policy_case(label: &str, policy: WritePolicy) -> Row {
     let mut cfg = OfcConfig::default();
     cfg.plane.write_policy = policy;
-    let mut tb = testbed_with(PlaneKind::Ofc, WORKER_NODES, 35, cfg);
+    let mut tb = ofc_testbed(cfg, 35);
     let tenant = ofc_faas::TenantId::from("abl");
     let p = ofc_workloads::multimedia::profile("wand_edge").expect("known");
     register_single(&tb, &tenant, p, 512 << 20);
@@ -227,7 +237,8 @@ fn write_policy_case(label: &str, policy: WritePolicy) -> Row {
 }
 
 fn main() {
-    let dur = Duration::from_secs(60 * macro_mins());
+    let window = ofc_bench::window(10);
+    let dur = window.duration();
     let jobs: Vec<Box<dyn FnOnce() -> Row + Send>> = vec![
         Box::new(move || margin_case("with margin", 1, dur)),
         Box::new(move || margin_case("no margin", 0, dur)),
@@ -294,5 +305,5 @@ fn main() {
         println!("  {label:18} L-phase {l_ms:7.2} ms");
     }
 
-    report::save_json("ablation", &out);
+    report::save_json(&window.file("ablation"), &out);
 }

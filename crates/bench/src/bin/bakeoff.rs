@@ -22,15 +22,16 @@
 //! or dead-lettered) at the end of the window: rival policies may trade
 //! hit ratio for memory or rent, but never durability.
 
-use ofc_bench::cachex::{run_macro_bakeoff, MacroExtras, MacroResult};
+use ofc_bench::cachex::{run_macro, MacroExtras, MacroResult, MacroSpec};
 use ofc_bench::megarun::{run_mega, tail_hit_pct, MegaOpts, MegaReport};
 use ofc_bench::par;
 use ofc_bench::report;
+use ofc_bench::scenario::PlaneKind;
+use ofc_core::ofc::OfcConfig;
 use ofc_core::policy::PolicyKind;
 use ofc_workloads::faasload::TenantProfile;
 use ofc_workloads::mega::MegaConfig;
 use serde::Serialize;
-use std::time::Duration;
 
 const POLICIES: [(PolicyKind, &str); 3] = [
     (PolicyKind::Ofc, "ofc"),
@@ -38,9 +39,8 @@ const POLICIES: [(PolicyKind, &str); 3] = [
     (PolicyKind::InfiniCache, "infinicache"),
 ];
 
-/// One comparison row of `results/bakeoff.json`. Wall-clock times are
-/// deliberately absent — they go to the BENCH record, never into golden
-/// JSON.
+/// One comparison row of `results/bakeoff.json`: simulated quantities
+/// only, so the JSON is golden-stable.
 #[derive(Debug, Clone, Serialize, PartialEq)]
 struct Row {
     policy: String,
@@ -55,8 +55,7 @@ struct Row {
     failed_invocations: u64,
 }
 
-/// One mega-mix comparison row (full mode only). Wall times stay out for
-/// the same reason as [`Row`].
+/// One mega-mix comparison row (full mode only).
 #[derive(Debug, Clone, Serialize, PartialEq)]
 struct MegaRow {
     policy: String,
@@ -104,34 +103,26 @@ fn row(name: &str, result: &MacroResult, extras: &MacroExtras) -> Row {
 }
 
 fn main() {
-    let smoke = std::env::var("OFC_MACRO_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let check = std::env::var("OFC_BAKEOFF_CHECK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let mins: u64 = if smoke {
-        2
-    } else {
-        std::env::var("OFC_MACRO_MINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30)
-    };
-    let dur = Duration::from_secs(60 * mins);
+    let window = ofc_bench::window(30);
+    let (mins, dur) = (window.mins, window.duration());
+    let check = std::env::var("OFC_BAKEOFF_CHECK").is_ok_and(|v| v == "1");
     let passes = if check { 2 } else { 1 };
 
-    // Each (pass, policy) pair is an independent sim; the bench harness is
-    // exempt from the wall-clock ban, so per-policy wall time rides along
-    // for the BENCH record (stderr only).
-    type Job = Box<dyn FnOnce() -> (MacroResult, MacroExtras, f64) + Send>;
+    // Each (pass, policy) pair is an independent sim.
+    type Job = Box<dyn FnOnce() -> (MacroResult, MacroExtras) + Send>;
     let mut jobs: Vec<Job> = Vec::new();
     for _pass in 0..passes {
         for (kind, _) in POLICIES {
             jobs.push(Box::new(move || {
-                let t0 = std::time::Instant::now();
-                let (result, extras) = run_macro_bakeoff(kind, TenantProfile::Normal, 1, dur, 17);
-                (result, extras, t0.elapsed().as_secs_f64())
+                // Every policy drives the OFC plane through the same
+                // assembly; only the brain differs.
+                run_macro(MacroSpec {
+                    ofc: OfcConfig {
+                        policy: kind,
+                        ..OfcConfig::default()
+                    },
+                    ..MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, 17)
+                })
             }));
         }
     }
@@ -139,10 +130,9 @@ fn main() {
 
     let mut failures: Vec<String> = Vec::new();
     let mut pass_rows: Vec<Vec<Row>> = Vec::new();
-    for (pass, chunk) in results.chunks_exact(POLICIES.len()).enumerate() {
+    for chunk in results.chunks_exact(POLICIES.len()) {
         let mut rows = Vec::new();
-        for ((_, name), (result, extras, wall_s)) in POLICIES.iter().zip(chunk) {
-            eprintln!("[bakeoff wall] pass {pass} {name} {wall_s:.3}s");
+        for ((_, name), (result, extras)) in POLICIES.iter().zip(chunk) {
             if extras.persist_pending != 0 || extras.persist_dead_letters != 0 {
                 failures.push(format!(
                     "{name}: durability violation — {} pending, {} dead-lettered write-backs",
@@ -206,27 +196,25 @@ fn main() {
          cold tier instead of RAM."
     );
 
-    if smoke {
+    if window.smoke {
         report::save_json("bakeoff_smoke", rows);
     } else {
         // The mega-mix re-fight: one heavy-tailed 200-tenant window per
         // policy, fanned out like the macro rows.
-        type MegaJob = Box<dyn FnOnce() -> (MegaReport, f64) + Send>;
+        type MegaJob = Box<dyn FnOnce() -> MegaReport + Send>;
         let mega_jobs: Vec<MegaJob> = POLICIES
             .iter()
             .map(|&(kind, name)| {
                 Box::new(move || {
                     let mut opts = MegaOpts::new(format!("mix-{name}"), MegaConfig::mix());
                     opts.ofc.policy = kind;
-                    let t0 = std::time::Instant::now();
-                    (run_mega(opts), t0.elapsed().as_secs_f64())
+                    run_mega(opts)
                 }) as MegaJob
             })
             .collect();
         let mega_results = par::run_jobs(mega_jobs);
         let mut mega_rows = Vec::new();
-        for ((_, name), (r, wall_s)) in POLICIES.iter().zip(&mega_results) {
-            eprintln!("[bakeoff wall] mega {name} {wall_s:.3}s");
+        for ((_, name), r) in POLICIES.iter().zip(&mega_results) {
             if r.persist_pending != 0 || r.persist_dead_letters != 0 {
                 failures.push(format!(
                     "{name} (mega): durability violation — {} pending, {} dead-lettered write-backs",

@@ -24,7 +24,7 @@
 //! installs the schedule, and extracts every durability metric inside the
 //! worker, so only plain data crosses the thread boundary.
 
-use ofc_bench::cachex::{run_macro, run_macro_hooked, MacroResult};
+use ofc_bench::cachex::{run_macro, MacroResult, MacroSpec};
 use ofc_bench::par;
 use ofc_bench::report;
 use ofc_bench::scenario::{PlaneKind, Testbed, WORKER_NODES};
@@ -39,13 +39,6 @@ use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
 
 /// Handles stashed by the pre-run hook for post-run durability checks.
 /// They never leave the worker thread that built the testbed.
@@ -98,15 +91,9 @@ fn chaos_run(
 ) -> ChaosOutcome {
     let handles: Rc<RefCell<Option<Handles>>> = Rc::new(RefCell::new(None));
     let stash = Rc::clone(&handles);
-    let chaos = run_macro_hooked(
-        PlaneKind::Ofc,
-        TenantProfile::Normal,
-        1,
-        dur,
-        seed,
-        cfg,
-        64 << 30,
-        move |tb: &mut Testbed| {
+    let (chaos, _) = run_macro(MacroSpec {
+        ofc: cfg,
+        hook: Box::new(move |tb: &mut Testbed| {
             let ofc = tb.ofc.as_ref().expect("ofc testbed");
             let cluster = Rc::clone(&ofc.cluster);
             let persistence = Rc::clone(&ofc.persistence);
@@ -151,8 +138,9 @@ fn chaos_run(
                 }
             });
             ofc_chaos::install(&mut tb.sim, events, &telemetry, sink);
-        },
-    );
+        }),
+        ..MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, seed)
+    });
 
     let handles = handles.borrow_mut().take().expect("hook ran");
     let m = handles.telemetry.metrics();
@@ -230,18 +218,20 @@ fn total_s(m: &MacroResult) -> f64 {
 }
 
 fn main() {
-    let seed = env_u64("OFC_CHAOS_SEED", 42);
-    // Smoke mode pins a 5-minute window — long enough for the crash/restart
-    // one-shots and at least one recurring fault to fire — and saves under a
-    // `_smoke` name, mirroring the macro24/fig9/bakeoff golden convention.
-    let smoke = env_u64("OFC_MACRO_SMOKE", 0) == 1;
-    let minutes = if smoke {
-        5
-    } else {
-        env_u64("OFC_MACRO_MINS", 10)
-    };
-    let failover = env_u64("OFC_CHAOS_FAILOVER", 0) == 1;
-    let dur = Duration::from_secs(60 * minutes);
+    let seed = std::env::var("OFC_CHAOS_SEED")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(42);
+    let mut window = ofc_bench::window(10);
+    if window.smoke {
+        // The shared 2-minute smoke window ends before the node restart at
+        // 240 s; 5 minutes fits the crash/restart one-shots and at least
+        // one recurring fault.
+        window.mins = 5;
+    }
+    let minutes = window.mins;
+    let failover = std::env::var("OFC_CHAOS_FAILOVER").is_ok_and(|v| v == "1");
+    let dur = window.duration();
 
     // Fault window: [60 s, dur - 60 s] so every fault ceases well before
     // the 600 s settle phase — durability is judged on a quiet system.
@@ -320,13 +310,8 @@ fn main() {
     };
     let jobs: Vec<Box<dyn FnOnce() -> RunOut + Send>> = vec![
         Box::new(move || {
-            RunOut::Baseline(Box::new(run_macro(
-                PlaneKind::Ofc,
-                TenantProfile::Normal,
-                1,
-                dur,
-                seed,
-            )))
+            let spec = MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, seed);
+            RunOut::Baseline(Box::new(run_macro(spec).0))
         }),
         Box::new(move || RunOut::Chaos(Box::new(chaos_run(seed, dur, events, chaos_cfg)))),
     ];
@@ -428,13 +413,8 @@ fn main() {
             report.gossip_confirms
         );
     }
-    let out_name = match (failover, smoke) {
-        (true, true) => "failover_smoke",
-        (true, false) => "failover",
-        (false, true) => "chaos_smoke",
-        (false, false) => "chaos",
-    };
-    report::save_json(out_name, &report);
+    let out_name = window.file(if failover { "failover" } else { "chaos" });
+    report::save_json(&out_name, &report);
 
     let mut failures = Vec::new();
     if report.objects_lost != 0 {

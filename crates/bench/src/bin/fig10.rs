@@ -4,20 +4,19 @@
 //!
 //! Set `OFC_MACRO_MINS` to shorten the observation window.
 
-use ofc_bench::cachex::run_macro;
+use ofc_bench::cachex::{run_macro, MacroSpec};
 use ofc_bench::par;
 use ofc_bench::report;
 use ofc_bench::scenario::PlaneKind;
 use ofc_workloads::faasload::TenantProfile;
-use std::time::Duration;
 
 fn main() {
-    let mins: u64 = std::env::var("OFC_MACRO_MINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let dur = Duration::from_secs(60 * mins);
-    println!("Figure 10 — OFC cache size over time ({mins} min window)\n");
+    let window = ofc_bench::window(30);
+    let dur = window.duration();
+    println!(
+        "Figure 10 — OFC cache size over time ({} min window)\n",
+        window.mins
+    );
     let profiles = [
         TenantProfile::Normal,
         TenantProfile::Naive,
@@ -25,7 +24,7 @@ fn main() {
     ];
     let jobs: Vec<_> = profiles
         .into_iter()
-        .map(|profile| move || run_macro(PlaneKind::Ofc, profile, 1, dur, 17))
+        .map(|profile| move || run_macro(MacroSpec::new(PlaneKind::Ofc, profile, dur, 17)).0)
         .collect();
     let out = par::run_jobs(jobs);
     for (profile, r) in profiles.iter().zip(&out) {
@@ -50,5 +49,5 @@ fn main() {
          advanced the least; the pool dips when sandboxes claim memory and\n\
          recovers as keep-alive reclaims them."
     );
-    report::save_json("fig10", &out);
+    report::save_json(&window.file("fig10"), &out);
 }

@@ -8,31 +8,15 @@
 //! `fig9_smoke.json` instead — the golden suite's serial-vs-parallel
 //! determinism probe for the default policy path.
 
-use ofc_bench::cachex::{run_macro, MacroResult};
+use ofc_bench::cachex::{run_macro, MacroResult, MacroSpec};
 use ofc_bench::par;
 use ofc_bench::report;
 use ofc_bench::scenario::PlaneKind;
 use ofc_workloads::faasload::TenantProfile;
-use std::time::Duration;
-
-fn smoke() -> bool {
-    std::env::var("OFC_MACRO_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false)
-}
-
-fn macro_minutes() -> u64 {
-    if smoke() {
-        return 2;
-    }
-    std::env::var("OFC_MACRO_MINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30)
-}
 
 fn main() {
-    let dur = Duration::from_secs(60 * macro_minutes());
+    let window = ofc_bench::window(30);
+    let dur = window.duration();
     let profiles = [
         TenantProfile::Normal,
         TenantProfile::Naive,
@@ -41,7 +25,9 @@ fn main() {
     let mut jobs: Vec<Box<dyn FnOnce() -> MacroResult + Send>> = Vec::new();
     for profile in profiles {
         for kind in [PlaneKind::Swift, PlaneKind::Ofc] {
-            jobs.push(Box::new(move || run_macro(kind, profile, 1, dur, 17)));
+            jobs.push(Box::new(move || {
+                run_macro(MacroSpec::new(kind, profile, dur, 17)).0
+            }));
         }
     }
     let results = par::run_jobs(jobs);
@@ -68,7 +54,7 @@ fn main() {
     }
     println!(
         "Figure 9 — total execution time per function ({} min window)\n",
-        macro_minutes()
+        window.mins
     );
     println!(
         "{}",
@@ -78,5 +64,5 @@ fn main() {
         )
     );
     println!("Paper reference: OFC improves on OWK-Swift by 23.9-79.8% (54.6% average).");
-    report::save_json(if smoke() { "fig9_smoke" } else { "fig9" }, &results);
+    report::save_json(&window.file("fig9"), &results);
 }

@@ -11,14 +11,13 @@
 //! `macro24_smoke.json` instead — the golden suite's serial-vs-parallel
 //! determinism probe.
 
-use ofc_bench::cachex::{run_macro, run_macro_full, MacroResult};
+use ofc_bench::cachex::{run_macro, MacroResult, MacroSpec};
 use ofc_bench::par;
 use ofc_bench::report;
 use ofc_bench::scenario::PlaneKind;
 use ofc_core::ofc::OfcConfig;
 use ofc_workloads::faasload::TenantProfile;
 use serde::Serialize;
-use std::time::Duration;
 
 #[derive(Serialize)]
 struct Out {
@@ -31,18 +30,8 @@ struct Out {
 }
 
 fn main() {
-    let smoke = std::env::var("OFC_MACRO_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    let mins: u64 = if smoke {
-        2
-    } else {
-        std::env::var("OFC_MACRO_MINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(30)
-    };
-    let dur = Duration::from_secs(60 * mins);
+    let window = ofc_bench::window(30);
+    let (mins, dur) = (window.mins, window.duration());
     let profiles = [
         TenantProfile::Normal,
         TenantProfile::Naive,
@@ -65,41 +54,40 @@ fn main() {
         ] {
             jobs.push((
                 tenants as f64,
-                Box::new(move || run_macro(kind, profile, tenants, dur, 23)),
+                Box::new(move || {
+                    run_macro(MacroSpec {
+                        tenants_per_function: tenants,
+                        ..MacroSpec::new(kind, profile, dur, 23)
+                    })
+                    .0
+                }),
             ));
         }
     }
     // Contended variant: the paper's 24-tenant working set (300 GB of
     // ephemeral data) dwarfed its cache; we reproduce the same pressure by
     // capping the cache pool at 6 MB per worker.
+    let contended = move |kind, ofc| {
+        run_macro(MacroSpec {
+            tenants_per_function: 3,
+            ofc,
+            ..MacroSpec::new(kind, TenantProfile::Normal, dur, 29)
+        })
+        .0
+    };
     jobs.push((
         3.0,
-        Box::new(move || {
-            run_macro_full(
-                PlaneKind::Swift,
-                TenantProfile::Normal,
-                3,
-                dur,
-                29,
-                OfcConfig::default(),
-                64 << 30,
-            )
-        }),
+        Box::new(move || contended(PlaneKind::Swift, OfcConfig::default())),
     ));
     jobs.push((
         3.5,
         Box::new(move || {
-            run_macro_full(
+            contended(
                 PlaneKind::Ofc,
-                TenantProfile::Normal,
-                3,
-                dur,
-                29,
                 OfcConfig {
                     cache_pool_override: Some(6 << 20),
                     ..OfcConfig::default()
                 },
-                64 << 30,
             )
         }),
     ));
@@ -161,5 +149,5 @@ fn main() {
         "\nPaper reference: hit ratio drops by up to 32.3 points with 24 tenants;\n\
          gains fall from 23.9-79.8% to 4.5-44.9%; still zero failed invocations."
     );
-    report::save_json(if smoke { "macro24_smoke" } else { "macro24" }, &out);
+    report::save_json(&window.file("macro24"), &out);
 }

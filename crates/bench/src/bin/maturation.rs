@@ -1,5 +1,5 @@
 //! §7.1.3: maturation quickness — invocations needed per function before
-//! the §5.3 criterion (90% EO, 50% of unders within one interval) holds.
+//! the §5.3 rule (90% EO, 50% of unders within one interval) holds.
 
 use ofc_bench::mlx::maturation;
 use ofc_bench::report;

@@ -3,18 +3,14 @@
 //!
 //! Set `OFC_MACRO_MINS` to shorten the observation window.
 
-use ofc_bench::cachex::run_macro;
+use ofc_bench::cachex::{run_macro, MacroSpec};
 use ofc_bench::report;
 use ofc_bench::scenario::PlaneKind;
 use ofc_workloads::faasload::TenantProfile;
-use std::time::Duration;
 
 fn main() {
-    let mins: u64 = std::env::var("OFC_MACRO_MINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(30);
-    let dur = Duration::from_secs(60 * mins);
+    let window = ofc_bench::window(30);
+    let (mins, dur) = (window.mins, window.duration());
     let profiles = [
         TenantProfile::Normal,
         TenantProfile::Advanced,
@@ -22,7 +18,7 @@ fn main() {
     ];
     let results: Vec<_> = profiles
         .iter()
-        .map(|&p| run_macro(PlaneKind::Ofc, p, 1, dur, 17))
+        .map(|&p| run_macro(MacroSpec::new(PlaneKind::Ofc, p, dur, 17)).0)
         .collect();
 
     println!("Table 2 — OFC internal metrics ({mins} min window, 8 tenants)\n");
@@ -71,5 +67,5 @@ fn main() {
          4-7 migrations, 0 evictions, 7 bad / ~231 good predictions, 0 failed\n\
          invocations, hit ratio 93.1-98.9%."
     );
-    report::save_json("table2", &results);
+    report::save_json(&window.file("table2"), &results);
 }

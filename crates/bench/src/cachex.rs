@@ -2,8 +2,8 @@
 //! migration sweep, and the 24-tenant variant.
 
 use crate::scenario::{
-    feature_fn, pretrain_single, register_single, register_stages, testbed, testbed_full,
-    PinnedScheduler, PlaneKind, SpreadScheduler, Testbed, WORKER_NODES,
+    feature_fn, pretrain_single, register_single, register_stages, PinnedScheduler, PlaneKind,
+    SpreadScheduler, Testbed, TestbedSpec, WORKER_NODES,
 };
 use ofc_core::cache::rc_key;
 use ofc_core::ofc::OfcConfig;
@@ -159,7 +159,7 @@ pub fn pin(tb: &Testbed, mem: u64) {
 pub fn single_stage(fn_name: &str, input_bytes: u64, scenario: Scenario, seed: u64) -> Phases {
     let p = profile(fn_name).unwrap_or_else(|| panic!("unknown function {fn_name}"));
     let tenant = TenantId::from("micro");
-    let mut tb = testbed(scenario.plane(), WORKER_NODES, seed);
+    let mut tb = Testbed::build(TestbedSpec::new(scenario.plane(), seed));
     register_single(&tb, &tenant, p, 2 << 30);
     pin(&tb, 2 << 30);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -229,7 +229,7 @@ pub fn pipeline(
     seed: u64,
 ) -> PipelineRun {
     let tenant = TenantId::from("micro");
-    let mut tb = testbed(scenario.plane(), WORKER_NODES, seed);
+    let mut tb = Testbed::build(TestbedSpec::new(scenario.plane(), seed));
     // 512 MB covers every stage's peak; wide fan-outs spread over the
     // cluster (the first stage deterministically lands on node 0, where
     // the LH preload lives).
@@ -508,144 +508,64 @@ pub struct MacroExtras {
     pub persist_dead_letters: u64,
 }
 
-/// Runs the §7.2.2 macro workload.
-///
-/// `tenants_per_function = 1` reproduces the 8-tenant experiment;
-/// `3` reproduces the 24-tenant variant.
-pub fn run_macro(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-) -> MacroResult {
-    run_macro_with(
-        kind,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        OfcConfig::default(),
-    )
+/// One §7.2.2 macro run: which plane serves which tenant mix, for how
+/// long, under which OFC configuration.
+pub struct MacroSpec {
+    /// The data-plane configuration under test (Swift or OFC).
+    pub plane: PlaneKind,
+    /// Tenant booking profile of the FaaSLoad mix.
+    pub profile: TenantProfile,
+    /// `1` reproduces the 8-tenant experiment; `3` the 24-tenant variant.
+    pub tenants_per_function: usize,
+    /// Observation window (arrivals stop here; the run settles 600 s more).
+    pub window: Duration,
+    /// Seed of the simulator and the load generator.
+    pub seed: u64,
+    /// OFC configuration: ablations, the cache policy of the bake-off,
+    /// the contended pool, the replicated control plane.
+    pub ofc: OfcConfig,
+    /// Invoked on the assembled testbed after setup, just before the
+    /// simulation runs. The chaos bench installs its fault schedule here
+    /// (and stashes handles for post-run durability checks).
+    pub hook: Box<dyn FnOnce(&mut Testbed)>,
 }
 
-/// [`run_macro`] with an explicit OFC configuration (ablations).
-pub fn run_macro_with(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-) -> MacroResult {
-    run_macro_full(
-        kind,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        ofc_cfg,
-        64 << 30,
-    )
+impl MacroSpec {
+    /// The 8-tenant experiment under the default OFC configuration.
+    pub fn new(plane: PlaneKind, profile: TenantProfile, window: Duration, seed: u64) -> Self {
+        MacroSpec {
+            plane,
+            profile,
+            tenants_per_function: 1,
+            window,
+            seed,
+            ofc: OfcConfig::default(),
+            hook: Box::new(|_| {}),
+        }
+    }
 }
 
-/// [`run_macro_with`] with explicit per-node memory (contention studies:
-/// the 24-tenant hit-ratio drop only appears when the working set
-/// pressures the cache).
-#[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
-pub fn run_macro_full(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-    node_mem: u64,
-) -> MacroResult {
-    run_macro_hooked(
-        kind,
-        profile_kind,
+/// Runs the §7.2.2 macro workload and returns the figure result plus the
+/// [`MacroExtras`] side channel. The extras never feed figure JSON
+/// directly, so extending them cannot drift the committed goldens.
+pub fn run_macro(spec: MacroSpec) -> (MacroResult, MacroExtras) {
+    let MacroSpec {
+        plane: kind,
+        profile: profile_kind,
         tenants_per_function,
-        duration,
+        window: duration,
         seed,
-        ofc_cfg,
-        node_mem,
-        |_| {},
-    )
-}
-
-/// [`run_macro_full`] with a hook invoked after setup, just before the
-/// simulation runs. The chaos bench uses it to install a fault schedule
-/// against the assembled testbed (and to stash handles for post-run
-/// durability checks); everything else passes a no-op.
-#[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
-pub fn run_macro_hooked(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-    node_mem: u64,
-    hook: impl FnOnce(&mut Testbed),
-) -> MacroResult {
-    run_macro_extended(
-        kind,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        ofc_cfg,
-        node_mem,
+        ofc,
         hook,
-    )
-    .0
-}
-
-/// Runs the Fig 9-shaped macro mix under one cache policy and returns
-/// both the figure result and the bake-off extras. Always drives the OFC
-/// plane; `policy` selects the brain (see `ofc-bench --bin bakeoff`).
-pub fn run_macro_bakeoff(
-    policy: ofc_core::policy::PolicyKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-) -> (MacroResult, MacroExtras) {
-    run_macro_extended(
-        PlaneKind::Ofc,
-        profile_kind,
-        tenants_per_function,
-        duration,
-        seed,
-        OfcConfig {
-            policy,
-            ..OfcConfig::default()
-        },
-        64 << 30,
-        |_| {},
-    )
-}
-
-/// [`run_macro_hooked`] plus the [`MacroExtras`] side channel. The extras
-/// never feed figure JSON directly, so extending them cannot drift the
-/// committed goldens.
-#[allow(clippy::too_many_arguments)] // The full knob set of one experiment.
-fn run_macro_extended(
-    kind: PlaneKind,
-    profile_kind: TenantProfile,
-    tenants_per_function: usize,
-    duration: Duration,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-    node_mem: u64,
-    hook: impl FnOnce(&mut Testbed),
-) -> (MacroResult, MacroExtras) {
+    } = spec;
     assert!(
         kind != PlaneKind::Redis,
         "the macro experiment compares Swift and OFC"
     );
-    let mut tb = testbed_full(kind, WORKER_NODES, node_mem, seed, ofc_cfg);
+    let mut tb = Testbed::build(TestbedSpec {
+        ofc,
+        ..TestbedSpec::new(kind, seed)
+    });
 
     // Assemble the tenant set (8 × multiplier).
     let base = FaasLoad::paper_macro(profile_kind);
@@ -1120,8 +1040,8 @@ mod tests {
     #[test]
     fn macro_run_produces_fig9_table2() {
         let dur = Duration::from_secs(300);
-        let swift = run_macro(PlaneKind::Swift, TenantProfile::Normal, 1, dur, 11);
-        let ofc = run_macro(PlaneKind::Ofc, TenantProfile::Normal, 1, dur, 11);
+        let run = |plane| run_macro(MacroSpec::new(plane, TenantProfile::Normal, dur, 11)).0;
+        let (swift, ofc) = (run(PlaneKind::Swift), run(PlaneKind::Ofc));
         assert_eq!(swift.per_function_total_s.len(), 8);
         assert_eq!(ofc.per_function_total_s.len(), 8);
         // OFC outperforms OWK-Swift in aggregate.

@@ -10,14 +10,10 @@
 //! byte-identical across thread counts and is safe for the golden
 //! serial-vs-parallel compare.
 
-use crate::scenario::WORKER_NODES;
-use ofc_core::ofc::{Ofc, OfcConfig};
+use crate::scenario::{PlaneKind, Testbed, TestbedSpec, WORKER_NODES};
+use ofc_core::ofc::OfcConfig;
 use ofc_core::scheduler::FeatureFn;
-use ofc_faas::platform::Platform;
-use ofc_faas::registry::Registry;
-use ofc_faas::{Completion, PlatformConfig, Served};
-use ofc_objstore::latency::LatencyModel;
-use ofc_objstore::store::ObjectStore;
+use ofc_faas::{Completion, Served};
 use ofc_simtime::{Sim, SimTime};
 use ofc_workloads::catalog::Catalog;
 use ofc_workloads::mega::{self, MegaConfig, MegaLoad};
@@ -197,8 +193,6 @@ pub struct MegaOpts {
     pub ofc: OfcConfig,
     /// Worker nodes.
     pub nodes: usize,
-    /// Memory per worker node.
-    pub node_mem: u64,
     /// Crash worker 1 mid-window and restart it 60 s later (the failover
     /// drill at mega scale).
     pub crash_drill: bool,
@@ -212,20 +206,8 @@ impl MegaOpts {
             mega,
             ofc: OfcConfig::default(),
             nodes: WORKER_NODES,
-            node_mem: 64 << 30,
             crash_drill: false,
         }
-    }
-
-    /// The full-scale headline run (≥100k functions, ≥1k tenants): 64 MB
-    /// per-tenant quotas on a 24-worker cluster — a million-user platform
-    /// does not fit the paper's 4 workers. Shared by the `macro_mega` bin
-    /// and perfrec's events/sec measurement so the two agree.
-    pub fn headline() -> Self {
-        let mut o = MegaOpts::new("headline", MegaConfig::default());
-        o.ofc.plane.tenant_quota_bytes = Some(64 << 20);
-        o.nodes = 24;
-        o
     }
 }
 
@@ -280,27 +262,23 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
         mega: mega_cfg,
         ofc: ofc_cfg,
         nodes,
-        node_mem,
         crash_drill,
     } = opts;
-    let catalog = Catalog::new();
-    let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
-    let platform = Platform::build(
-        PlatformConfig {
-            nodes,
-            node_mem,
-            ..PlatformConfig::default()
-        },
-        Registry::new(),
-        Box::new(ofc_faas::baselines::NoopPlane),
-    );
-    let ofc = Ofc::builder(&platform)
-        .store(Rc::clone(&store))
-        .features(mega_feature_fn(catalog.clone()))
-        .config(ofc_cfg)
-        .build();
-    let mut sim = Sim::new(mega_cfg.seed);
-    ofc.start(&mut sim);
+    let Testbed {
+        mut sim,
+        platform,
+        store,
+        catalog,
+        ofc,
+        ..
+    } = Testbed::build(TestbedSpec {
+        plane: PlaneKind::Ofc,
+        nodes,
+        seed: mega_cfg.seed,
+        ofc: ofc_cfg,
+        features: mega_feature_fn,
+    });
+    let ofc = ofc.expect("an OFC testbed carries its handles");
 
     let load = MegaLoad::new(mega_cfg.clone());
     let prepared = load.install(&mut sim, &platform, &store, &catalog);

@@ -313,7 +313,7 @@ pub struct MaturationResult {
 }
 
 /// Runs the maturation experiment: online learning per function until the
-/// §5.3 criterion holds.
+/// §5.3 maturation rule holds.
 pub fn maturation(cap: usize, seed: u64) -> MaturationResult {
     use ofc_core::ml::{MlConfig, MlEngine, Observation};
     use ofc_faas::{FunctionId, TenantId};

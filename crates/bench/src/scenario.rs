@@ -51,90 +51,84 @@ pub struct Testbed {
 /// The paper's testbed: 6 machines — 1 controller, 1 storage, 4 workers.
 pub const WORKER_NODES: usize = 4;
 
-/// Builds a testbed with `nodes` workers and default OFC configuration.
-pub fn testbed(kind: PlaneKind, nodes: usize, seed: u64) -> Testbed {
-    testbed_with(kind, nodes, seed, OfcConfig::default())
+/// Invoker memory per worker node. The paper's workers are 512 GB
+/// machines; 64 GB of invoker capacity per node absorbs naive 2 GB
+/// bookings without admission failures (the paper reports zero failed
+/// invocations).
+pub const NODE_MEM: u64 = 64 << 30;
+
+/// What [`Testbed::build`] assembles.
+pub struct TestbedSpec {
+    /// The data-plane configuration under test.
+    pub plane: PlaneKind,
+    /// Worker nodes.
+    pub nodes: usize,
+    /// Simulator seed.
+    pub seed: u64,
+    /// OFC configuration (read for [`PlaneKind::Ofc`] only).
+    pub ofc: OfcConfig,
+    /// Builds the Predictor's feature extractor over the testbed's
+    /// catalog (read for [`PlaneKind::Ofc`] only).
+    pub features: fn(Catalog) -> FeatureFn,
 }
 
-/// Builds a testbed with an explicit OFC configuration (ablations).
-pub fn testbed_with(kind: PlaneKind, nodes: usize, seed: u64, ofc_cfg: OfcConfig) -> Testbed {
-    // The paper's workers are 512 GB machines; 32 GB of invoker capacity
-    // per node absorbs naive 2 GB bookings without admission failures
-    // (the paper reports zero failed invocations).
-    testbed_full(kind, nodes, 64 << 30, seed, ofc_cfg)
+impl TestbedSpec {
+    /// The paper's cluster under `plane`: [`WORKER_NODES`] workers, the
+    /// default OFC configuration, and [`feature_fn`].
+    pub fn new(plane: PlaneKind, seed: u64) -> Self {
+        TestbedSpec {
+            plane,
+            nodes: WORKER_NODES,
+            seed,
+            ofc: OfcConfig::default(),
+            features: feature_fn,
+        }
+    }
 }
 
-/// Builds a testbed with explicit per-node memory (contention studies).
-pub fn testbed_full(
-    kind: PlaneKind,
-    nodes: usize,
-    node_mem: u64,
-    seed: u64,
-    ofc_cfg: OfcConfig,
-) -> Testbed {
-    let catalog = Catalog::new();
-    let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
-    let cfg = PlatformConfig {
-        nodes,
-        node_mem,
-        ..PlatformConfig::default()
-    };
-    match kind {
-        PlaneKind::Swift => {
-            let platform = Platform::build(
-                cfg,
-                Registry::new(),
-                Box::new(DirectPlane::new(Rc::clone(&store))),
-            );
-            Testbed {
-                sim: Sim::new(seed),
-                platform,
-                store,
-                catalog,
-                ofc: None,
-                imoc: None,
+impl Testbed {
+    /// Assembles the stack `spec` describes; an OFC stack comes back with
+    /// its recurring activities already started.
+    pub fn build(spec: TestbedSpec) -> Testbed {
+        let catalog = Catalog::new();
+        let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
+        let cfg = PlatformConfig {
+            nodes: spec.nodes,
+            node_mem: NODE_MEM,
+            ..PlatformConfig::default()
+        };
+        let mut sim = Sim::new(spec.seed);
+        let (platform, ofc, imoc) = match spec.plane {
+            PlaneKind::Swift => {
+                let plane = DirectPlane::new(Rc::clone(&store));
+                let platform = Platform::build(cfg, Registry::new(), Box::new(plane));
+                (platform, None, None)
             }
-        }
-        PlaneKind::Redis => {
-            let imoc = Rc::new(RefCell::new(Imoc::redis(64 << 30)));
-            let platform = Platform::build(
-                cfg,
-                Registry::new(),
-                Box::new(ImocPlane::new(Rc::clone(&imoc), Rc::clone(&store))),
-            );
-            Testbed {
-                sim: Sim::new(seed),
-                platform,
-                store,
-                catalog,
-                ofc: None,
-                imoc: Some(imoc),
+            PlaneKind::Redis => {
+                let imoc = Rc::new(RefCell::new(Imoc::redis(64 << 30)));
+                let plane = ImocPlane::new(Rc::clone(&imoc), Rc::clone(&store));
+                let platform = Platform::build(cfg, Registry::new(), Box::new(plane));
+                (platform, None, Some(imoc))
             }
-        }
-        PlaneKind::Ofc => {
-            let platform = Platform::build(
-                cfg,
-                Registry::new(),
-                Box::new(ofc_faas::baselines::NoopPlane),
-            );
-            let features = feature_fn(catalog.clone());
-            let ofc = Ofc::builder(&platform)
-                .store(Rc::clone(&store))
-                .features(features)
-                .config(ofc_cfg)
-                .build();
-            let mut tb = Testbed {
-                sim: Sim::new(seed),
-                platform,
-                store,
-                catalog,
-                ofc: Some(ofc),
-                imoc: None,
-            };
-            if let Some(ofc) = &tb.ofc {
-                ofc.start(&mut tb.sim);
+            PlaneKind::Ofc => {
+                let plane = ofc_faas::baselines::NoopPlane;
+                let platform = Platform::build(cfg, Registry::new(), Box::new(plane));
+                let ofc = Ofc::builder(&platform)
+                    .store(Rc::clone(&store))
+                    .features((spec.features)(catalog.clone()))
+                    .config(spec.ofc)
+                    .build();
+                ofc.start(&mut sim);
+                (platform, Some(ofc), None)
             }
-            tb
+        };
+        Testbed {
+            sim,
+            platform,
+            store,
+            catalog,
+            ofc,
+            imoc,
         }
     }
 }
@@ -320,7 +314,7 @@ mod tests {
         let tenant = TenantId::from("t");
         let mut totals = Vec::new();
         for kind in [PlaneKind::Swift, PlaneKind::Redis, PlaneKind::Ofc] {
-            let mut tb = testbed(kind, WORKER_NODES, 0);
+            let mut tb = Testbed::build(TestbedSpec::new(kind, 0));
             register_single(&tb, &tenant, profile, 512 << 20);
             submit_one(&mut tb, &tenant, profile);
             tb.sim.run_until(SimTime::from_secs(30));
@@ -343,7 +337,7 @@ mod tests {
     fn pretraining_matures_models() {
         let profile = ofc_workloads::multimedia::profile("wand_resize").unwrap();
         let tenant = TenantId::from("t");
-        let tb = testbed(PlaneKind::Ofc, WORKER_NODES, 0);
+        let tb = Testbed::build(TestbedSpec::new(PlaneKind::Ofc, 0));
         register_single(&tb, &tenant, profile, 2 << 30);
         pretrain_single(&tb, &tenant, profile, 1500);
         let ofc = tb.ofc.as_ref().unwrap();

@@ -41,9 +41,9 @@ pub struct AgentConfig {
     pub slack_factor: f64,
     /// Periodic eviction period (300 s).
     pub evict_every: Duration,
-    /// Eviction criterion: fewer reads than this (`n_access < 5`).
+    /// Eviction rule: fewer reads than this (`n_access < 5`).
     pub evict_min_access: u64,
-    /// Eviction criterion: idle longer than this (30 min).
+    /// Eviction rule: idle longer than this (30 min).
     pub evict_idle: Duration,
     /// Grace period before the `n_access` rule applies to young objects.
     pub evict_grace: Duration,
@@ -52,16 +52,6 @@ pub struct AgentConfig {
     pub hot_access_threshold: u64,
     /// Cadence of the cache-size telemetry series (Figure 10).
     pub telemetry_every: Duration,
-    /// Deprecated: sweep every master per eviction tick instead of the
-    /// store's eviction-candidate index. The full scan is now a policy
-    /// concern — prefer installing
-    /// [`crate::policy::PolicyKind::OfcFullScan`] (or wrapping any policy
-    /// in [`crate::policy::FullScanPolicy`]). The knob is honored for
-    /// backwards compatibility: when set, the agent's *default* policy is
-    /// the full-scan wrapper; an explicitly installed policy wins. Selects
-    /// the same victims at O(all-objects) cost; kept for A/B measurement
-    /// (`perfrec`).
-    pub evict_full_scan: bool,
     /// Hard cap on the per-node cache pool. The agent normally regrows
     /// the pool into every released byte of node memory; contention
     /// studies (`macro_mega`'s noisy-neighbor and occupancy-attack
@@ -87,7 +77,6 @@ impl Default for AgentConfig {
             evict_grace: Duration::from_secs(300),
             hot_access_threshold: 5,
             telemetry_every: Duration::from_secs(30),
-            evict_full_scan: false,
             pool_cap: None,
         }
     }
@@ -178,14 +167,8 @@ impl CacheAgent {
         cluster
             .borrow_mut()
             .set_cold_access_threshold(cfg.evict_min_access);
-        // Default policy; the deprecated full-scan knob still selects the
-        // wrapper until callers migrate to `OfcBuilder::policy(...)`.
-        let kind = if cfg.evict_full_scan {
-            PolicyKind::OfcFullScan
-        } else {
-            PolicyKind::Ofc
-        };
-        let policy = build_policy(kind, telemetry);
+        // Default policy until `set_policy` installs the shared one.
+        let policy = build_policy(PolicyKind::Ofc, telemetry);
         AgentHandle(Rc::new(RefCell::new(CacheAgent {
             slack: vec![cfg.slack_initial; n],
             committed: vec![0; n],
@@ -412,13 +395,7 @@ impl CacheAgent {
     fn periodic_evict(&mut self, now: SimTime) {
         let keys = {
             let c = self.cluster.borrow();
-            let view = EvictView::new(
-                &c,
-                now,
-                self.cfg.evict_grace,
-                self.cfg.evict_idle,
-                self.cfg.evict_min_access,
-            );
+            let view = EvictView::new(&c, now, self.cfg.evict_grace, self.cfg.evict_idle);
             let keys = self.policy.borrow_mut().select_victims(&view, 0);
             self.metrics.evict_scan_visited.add(view.visited());
             keys

@@ -355,10 +355,13 @@ impl OfcPlane {
             dead_letters: telemetry.counter("persist.dead_letters"),
         }));
         // Webhook interposition (§6.2): a write by an external client
-        // synchronously invalidates the cached copy.
+        // synchronously invalidates the cached copy. The store owns the
+        // observer and `Persistence` owns the store, so the observer holds
+        // weak handles: strong ones would close a cycle that keeps store,
+        // cluster and persistence alive after every handle is dropped.
         {
-            let cluster = Rc::clone(&cluster);
-            let persistence = Rc::clone(&persistence);
+            let cluster = Rc::downgrade(&cluster);
+            let persistence = Rc::downgrade(&persistence);
             let invalidations = metrics.invalidations.clone();
             store
                 .borrow_mut()
@@ -366,6 +369,11 @@ impl OfcPlane {
                     if !external {
                         return;
                     }
+                    let (Some(cluster), Some(persistence)) =
+                        (cluster.upgrade(), persistence.upgrade())
+                    else {
+                        return;
+                    };
                     let key = rc_key(id);
                     persistence.borrow_mut().pending.remove(&key);
                     if cluster.borrow_mut().delete(&key).result.is_ok() {

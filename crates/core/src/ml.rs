@@ -1,5 +1,5 @@
 //! The Predictor and ModelTrainer (§5): per-function J48 models for memory
-//! intervals and cache benefit, the maturation criterion, and the
+//! intervals and cache benefit, the maturation rule, and the
 //! retraining policy.
 //!
 //! One [`MlEngine`] serves the whole platform. For each function it keeps:
@@ -42,7 +42,7 @@ pub struct MlConfig {
     /// Maturation: required fraction of underpredictions within one
     /// interval (0.50).
     pub under_one_threshold: f64,
-    /// Sliding evaluation window for the maturation criterion.
+    /// Sliding evaluation window for the maturation rule.
     pub eval_window: usize,
     /// Retrain after this many new training samples.
     pub retrain_every: usize,

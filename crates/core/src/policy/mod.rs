@@ -37,7 +37,7 @@ mod ofc;
 
 pub use faast::FaastPolicy;
 pub use infinicache::InfiniCachePolicy;
-pub use ofc::{FullScanPolicy, OfcPolicy};
+pub use ofc::OfcPolicy;
 
 use crate::ml::Prediction;
 pub use ofc_faas::Admission;
@@ -164,8 +164,7 @@ pub struct PrefetchRequest {
 /// The view wraps a shared borrow of the cluster, so a policy can inspect
 /// candidates and sizes but never mutate placement mid-selection; the
 /// agent applies the returned victims afterwards. `visited` accounting
-/// feeds `agent.evict_scan_visited` regardless of which scan the policy
-/// chose.
+/// feeds `agent.evict_scan_visited`.
 pub struct EvictView<'a> {
     cluster: &'a Cluster,
     /// Current simulated time.
@@ -174,26 +173,17 @@ pub struct EvictView<'a> {
     pub grace: Duration,
     /// Idle bound beyond which any object expires (§6.3).
     pub idle: Duration,
-    /// Access-count bound of the cold rule (`n_access < min_access`).
-    pub min_access: u64,
     visited: Cell<u64>,
 }
 
 impl<'a> EvictView<'a> {
     /// Builds a view for one janitor pass.
-    pub fn new(
-        cluster: &'a Cluster,
-        now: SimTime,
-        grace: Duration,
-        idle: Duration,
-        min_access: u64,
-    ) -> Self {
+    pub fn new(cluster: &'a Cluster, now: SimTime, grace: Duration, idle: Duration) -> Self {
         EvictView {
             cluster,
             now,
             grace,
             idle,
-            min_access,
             visited: Cell::new(0),
         }
     }
@@ -207,29 +197,6 @@ impl<'a> EvictView<'a> {
             .evict_candidates(self.now, self.grace, self.idle);
         self.visited.set(self.visited.get() + visited);
         pairs.into_iter().map(|(key, _dirty)| key).collect()
-    }
-
-    /// Reference full sweep over every master, applying the same §6.3
-    /// cold/stale rules without the index: O(all objects), key-sorted.
-    /// [`FullScanPolicy`] uses this for A/B measurement.
-    pub fn scan_all(&self) -> Vec<Key> {
-        let mut victims = Vec::new();
-        let mut visited = 0u64;
-        for node in 0..self.cluster.n_nodes() {
-            for (key, obj) in self.cluster.node(node).masters() {
-                visited += 1;
-                let idle = self.now.saturating_since(obj.stats.t_access);
-                let age = self.now.saturating_since(obj.stats.created);
-                let cold = obj.stats.n_access < self.min_access && age >= self.grace;
-                let stale = idle >= self.idle;
-                if cold || stale {
-                    victims.push(*key);
-                }
-            }
-        }
-        victims.sort();
-        self.visited.set(self.visited.get() + visited);
-        victims
     }
 
     /// Size of a cached object's master copy, if present.
@@ -331,9 +298,6 @@ pub enum PolicyKind {
     /// §6.4 slack sizing, §6.5 locality placement.
     #[default]
     Ofc,
-    /// [`PolicyKind::Ofc`] with the reference full-scan janitor (the old
-    /// `evict_full_scan` debug knob, kept for A/B measurement).
-    OfcFullScan,
     /// Faa$T-style per-application caching with frequency prefetch.
     Faast,
     /// InfiniCache-style erasure-coded cold tier in idle sandboxes.
@@ -345,7 +309,6 @@ pub enum PolicyKind {
 pub fn build_policy(kind: PolicyKind, telemetry: &Telemetry) -> PolicyHandle {
     match kind {
         PolicyKind::Ofc => Rc::new(RefCell::new(OfcPolicy::new())),
-        PolicyKind::OfcFullScan => Rc::new(RefCell::new(FullScanPolicy::new(OfcPolicy::new()))),
         PolicyKind::Faast => Rc::new(RefCell::new(FaastPolicy::new(telemetry))),
         PolicyKind::InfiniCache => Rc::new(RefCell::new(InfiniCachePolicy::new(telemetry))),
     }
@@ -413,7 +376,6 @@ mod tests {
         let t = Telemetry::standalone();
         for (kind, name) in [
             (PolicyKind::Ofc, "ofc"),
-            (PolicyKind::OfcFullScan, "ofc-fullscan"),
             (PolicyKind::Faast, "faast"),
             (PolicyKind::InfiniCache, "infinicache"),
         ] {

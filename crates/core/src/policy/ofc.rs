@@ -55,45 +55,6 @@ impl CachePolicy for OfcPolicy {
     }
 }
 
-/// Debug wrapper replacing the deprecated `AgentConfig::evict_full_scan`
-/// knob: identical decisions to the wrapped policy, but the janitor pass
-/// sweeps every master (O(all objects)) instead of the candidate index.
-/// Kept for A/B measurement (`perfrec`); selects the same victims in the
-/// same order.
-#[derive(Debug)]
-pub struct FullScanPolicy<P> {
-    inner: P,
-}
-
-impl<P: CachePolicy> FullScanPolicy<P> {
-    /// Wraps a policy with the reference full-scan janitor.
-    pub fn new(inner: P) -> Self {
-        FullScanPolicy { inner }
-    }
-}
-
-impl<P: CachePolicy> CachePolicy for FullScanPolicy<P> {
-    fn name(&self) -> &'static str {
-        "ofc-fullscan"
-    }
-
-    fn admit(&mut self, ctx: &PredictionCtx<'_>) -> Admission {
-        self.inner.admit(ctx)
-    }
-
-    fn select_victims(&mut self, view: &EvictView<'_>, _need: u64) -> Vec<Key> {
-        view.scan_all()
-    }
-
-    fn target_capacity(&mut self, telemetry: &CapacityTelemetry) -> u64 {
-        self.inner.target_capacity(telemetry)
-    }
-
-    fn place(&mut self, input: Option<&Key>, view: &ShardView<'_>) -> Placement {
-        self.inner.place(input, view)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

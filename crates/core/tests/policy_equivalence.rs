@@ -128,7 +128,7 @@ proptest! {
         }
 
         let now = SimTime::from_secs(3600 + extra_s);
-        let view = EvictView::new(&cluster, now, GRACE, IDLE, MIN_ACCESS);
+        let view = EvictView::new(&cluster, now, GRACE, IDLE);
         let got = OfcPolicy::new().select_victims(&view, 0);
 
         // Reference: the pre-refactor janitor's exhaustive sweep.

@@ -5,7 +5,7 @@
 //! latter only makes sense for ordinal classes (memory intervals ordered by
 //! size), so [`Evaluation`] exposes both the usual nominal metrics
 //! (precision / recall / F-measure, §7.1.1) and the ordinal ones
-//! (EO rate, underprediction margins, §5.3 maturation criterion).
+//! (EO rate, underprediction margins, §5.3 maturation rule).
 
 use crate::data::Dataset;
 use crate::{Classifier, Learner};

@@ -16,8 +16,8 @@
 //! Recording is allocation-free on the hot path: instrumentation sites
 //! pre-register handles once (cold path) and then bump shared cells. With
 //! [`TelemetryConfig::Off`] every record call reduces to a single branch
-//! on a pre-computed `bool` — near-zero cost, proved by the
-//! `telemetry_overhead` criterion bench in `ofc-bench`.
+//! on a pre-computed `bool` — near-zero cost, timed by the repo
+//! benchmark's `telemetry.drv_*` metrics (`benchmark/README.md`).
 //!
 //! Snapshots ([`MetricsSnapshot`], [`TraceHandle`]) are assembled on the
 //! cold path by walking the registry, and export to JSON without external

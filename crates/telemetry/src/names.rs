@@ -242,10 +242,9 @@ pub const RCSTORE_RECOVERY_NANOS: &str = "rcstore.recovery_nanos";
 
 // ---- benchmark harness -------------------------------------------------
 
-/// Synthetic ticks recorded by the telemetry overhead bench.
+/// Synthetic ticks recorded by the telemetry overhead driver
+/// (`benchmark/src/drivers.rs`).
 pub const BENCH_TICKS: &str = "bench.ticks";
-/// Simulations executed through the parallel replay runner.
-pub const BENCH_PAR_RUNS: &str = "bench.par_runs";
 
 /// Every registered metric name, sorted ascending.
 ///
@@ -262,7 +261,6 @@ pub const ALL: &[&str] = &[
     AGENT_SCALE_UP_NANOS,
     AGENT_SCALE_UPS,
     AGENT_WRITEBACKS,
-    BENCH_PAR_RUNS,
     BENCH_TICKS,
     CHAOS_COORDINATOR_CRASHES,
     CHAOS_COORDINATOR_RESTARTS,

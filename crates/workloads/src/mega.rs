@@ -129,9 +129,9 @@ impl MegaConfig {
         }
     }
 
-    /// The mid-scale "mega mix" shared by the policy bake-off and the
-    /// perfrec policy section: heavy-tailed enough that rival policies
-    /// differentiate, bounded enough to run once per policy per pass.
+    /// The mid-scale "mega mix" of the policy bake-off: heavy-tailed
+    /// enough that rival policies differentiate, bounded enough to run
+    /// once per policy per pass.
     pub fn mix() -> Self {
         MegaConfig {
             tenants: 200,

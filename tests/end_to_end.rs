@@ -322,3 +322,28 @@ fn memory_conservation_on_every_node() {
         );
     }
 }
+
+#[test]
+fn dropping_every_handle_frees_the_whole_stack() {
+    // The RSDS write observer installed by the data plane must not keep
+    // the stack alive: store -> observer -> persistence -> store was a
+    // strong cycle that leaked every assembled stack.
+    let p = profile("wand_sepia").unwrap();
+    let mut s = stack(true, 5);
+    register(&s, p, 512 << 20);
+    let input = upload(&s, "a", 64 << 10, 5);
+    for i in 0..3 {
+        submit(&mut s, p, &input, 50 + i);
+        s.sim.run_until(SimTime::from_secs((i + 1) * 30));
+    }
+    assert_eq!(s.platform.drain_records().len(), 3);
+
+    let ofc = s.ofc.as_ref().expect("ofc stack");
+    let store = Rc::downgrade(&s.store);
+    let cluster = Rc::downgrade(&ofc.cluster);
+    let persistence = Rc::downgrade(&ofc.persistence);
+    drop(s);
+    assert!(store.upgrade().is_none(), "ObjectStore leaked");
+    assert!(cluster.upgrade().is_none(), "Cluster leaked");
+    assert!(persistence.upgrade().is_none(), "Persistence leaked");
+}

@@ -247,11 +247,8 @@ fn runner_callers_match_goldens_serial_and_parallel() {
                 };
                 // `MIN_PAR_SIMS=1` defeats the small-bin serial fallback:
                 // this pass exists to drive the parallel runner.
-                let parallel = run(&[
-                    ("OFC_BENCH_THREADS", "4"),
-                    ("OFC_BENCH_MIN_PAR_SIMS", "1"),
-                ])
-                .expect("binary present a moment ago");
+                let parallel = run(&[("OFC_BENCH_THREADS", "4"), ("OFC_BENCH_MIN_PAR_SIMS", "1")])
+                    .expect("binary present a moment ago");
                 assert!(
                     serial == parallel,
                     "golden: {} output depends on thread count — {}",
@@ -272,7 +269,12 @@ fn golden_set_is_complete() {
     }
     let runner = RUNNER_GOLDENS.iter().map(|row| row.golden);
     let full_runs = ["bakeoff", "macro_mega"];
-    for name in GOLDEN_FIGURES.iter().copied().chain(runner).chain(full_runs) {
+    for name in GOLDEN_FIGURES
+        .iter()
+        .copied()
+        .chain(runner)
+        .chain(full_runs)
+    {
         assert!(
             committed_path(name).exists(),
             "results/{name}.json missing — run OFC_GOLDEN_BLESS=1 cargo test --test golden"
