@@ -437,7 +437,7 @@ pub fn cache_scaling(scenario: ScalingScenario, input_bytes: u64, seed: u64) -> 
     ScalingRun {
         input_bytes,
         scaling_ms: scaling.as_secs_f64() * 1e3,
-        cgroup_ms: tb.platform.config().resize_cost.as_secs_f64() * 1e3,
+        cgroup_ms: ofc_faas::RESIZE_COST.as_secs_f64() * 1e3,
         exec_ms: records[0].total().as_secs_f64() * 1e3,
     }
 }
@@ -876,7 +876,6 @@ pub fn shard_throughput(shards: usize, seed: u64) -> ShardThroughput {
         shard: ShardConfig {
             shards,
             batch_max_entries: if shards > 1 { 8 } else { 1 },
-            ..ShardConfig::default()
         },
         ..ClusterConfig::default()
     });

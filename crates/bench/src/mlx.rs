@@ -135,7 +135,7 @@ pub struct Fig5Result {
 /// Runs Figure 5: error distribution of J48 with 16 MB intervals, all
 /// functions combined, on held-out halves.
 pub fn fig5(params: &MlxParams) -> Fig5Result {
-    let interval = 16 << 20;
+    let interval = ofc_core::ml::INTERVAL_BYTES;
     let mut hist = Histogram::new(-160.0, 160.0, 20);
     let (mut exact, mut over, mut under) = (0u64, 0u64, 0u64);
     let mut over_within3 = 0u64;
@@ -231,7 +231,7 @@ pub fn fig6(params: &MlxParams) -> Vec<Fig6Row> {
 /// RandomForest prediction latency at 16 MB intervals (§7.1.2's contrast:
 /// ~106 µs median vs J48's ~3 µs).
 pub fn fig6_forest(params: &MlxParams) -> Fig6Row {
-    let interval = 16 << 20;
+    let interval = ofc_core::ml::INTERVAL_BYTES;
     let mut times = Summary::new();
     for (i, p) in PROFILES.iter().enumerate().take(6) {
         let ds = memory_dataset(p, params.samples_per_fn, interval, params.seed + i as u64);

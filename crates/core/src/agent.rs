@@ -22,27 +22,39 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::time::Duration;
 
+/// Initial per-node slack pool (§6.4: 100 MB).
+pub const SLACK_INITIAL: u64 = 100 << 20;
+
+/// Lower bound of the adapted slack pool.
+pub const SLACK_MIN: u64 = 64 << 20;
+
+/// Upper bound of the adapted slack pool.
+pub const SLACK_MAX: u64 = 512 << 20;
+
+/// Slack adjustment period (§6.4: 120 s).
+pub const SLACK_ADJUST_EVERY: Duration = Duration::from_secs(120);
+
+/// Memory-churn sampling period (§6.4: 60 s).
+pub const CHURN_SAMPLE_EVERY: Duration = Duration::from_secs(60);
+
+/// Sliding-window length of churn samples.
+pub const CHURN_WINDOW: usize = 5;
+
+/// Safety factor over mean churn.
+pub const SLACK_FACTOR: f64 = 1.5;
+
+/// Periodic eviction period (§6.3: 300 s).
+pub const EVICT_EVERY: Duration = Duration::from_secs(300);
+
+/// Eviction rule (§6.3): fewer reads than this (`n_access < 5`).
+pub const EVICT_MIN_ACCESS: u64 = 5;
+
+/// Cadence of the cache-size telemetry series (Figure 10).
+pub const TELEMETRY_EVERY: Duration = Duration::from_secs(30);
+
 /// Agent tunables (paper defaults, §6.3–6.4).
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
-    /// Initial per-node slack pool (100 MB).
-    pub slack_initial: u64,
-    /// Lower bound of the adapted slack pool.
-    pub slack_min: u64,
-    /// Upper bound of the adapted slack pool.
-    pub slack_max: u64,
-    /// Slack adjustment period (120 s).
-    pub slack_adjust_every: Duration,
-    /// Memory-churn sampling period (60 s).
-    pub churn_sample_every: Duration,
-    /// Sliding-window length of churn samples.
-    pub churn_window: usize,
-    /// Safety factor over mean churn.
-    pub slack_factor: f64,
-    /// Periodic eviction period (300 s).
-    pub evict_every: Duration,
-    /// Eviction rule: fewer reads than this (`n_access < 5`).
-    pub evict_min_access: u64,
     /// Eviction rule: idle longer than this (30 min).
     pub evict_idle: Duration,
     /// Grace period before the `n_access` rule applies to young objects.
@@ -50,8 +62,6 @@ pub struct AgentConfig {
     /// Objects at or above this access count are migrated (promotion)
     /// rather than dropped during reclamation.
     pub hot_access_threshold: u64,
-    /// Cadence of the cache-size telemetry series (Figure 10).
-    pub telemetry_every: Duration,
     /// Hard cap on the per-node cache pool. The agent normally regrows
     /// the pool into every released byte of node memory; contention
     /// studies (`macro_mega`'s noisy-neighbor and occupancy-attack
@@ -64,19 +74,9 @@ pub struct AgentConfig {
 impl Default for AgentConfig {
     fn default() -> Self {
         AgentConfig {
-            slack_initial: 100 << 20,
-            slack_min: 64 << 20,
-            slack_max: 512 << 20,
-            slack_adjust_every: Duration::from_secs(120),
-            churn_sample_every: Duration::from_secs(60),
-            churn_window: 5,
-            slack_factor: 1.5,
-            evict_every: Duration::from_secs(300),
-            evict_min_access: 5,
             evict_idle: Duration::from_secs(30 * 60),
             evict_grace: Duration::from_secs(300),
             hot_access_threshold: 5,
-            telemetry_every: Duration::from_secs(30),
             pool_cap: None,
         }
     }
@@ -166,11 +166,11 @@ impl CacheAgent {
         // access bound before the periodic sweeps start.
         cluster
             .borrow_mut()
-            .set_cold_access_threshold(cfg.evict_min_access);
+            .set_cold_access_threshold(EVICT_MIN_ACCESS);
         // Default policy until `set_policy` installs the shared one.
         let policy = build_policy(PolicyKind::Ofc, telemetry);
         AgentHandle(Rc::new(RefCell::new(CacheAgent {
-            slack: vec![cfg.slack_initial; n],
+            slack: vec![SLACK_INITIAL; n],
             committed: vec![0; n],
             totals: vec![0; n],
             churn: vec![VecDeque::new(); n],
@@ -344,7 +344,7 @@ impl CacheAgent {
             let delta = self.committed[node].abs_diff(self.churn_prev[node]);
             self.churn_prev[node] = self.committed[node];
             let w = self.churn[node].len();
-            if w >= self.cfg.churn_window {
+            if w >= CHURN_WINDOW {
                 self.churn[node].pop_front();
             }
             self.churn[node].push_back(delta);
@@ -374,9 +374,9 @@ impl CacheAgent {
                     node,
                     churn_mean,
                     current_slack: self.slack[node],
-                    slack_min: self.cfg.slack_min,
-                    slack_max: self.cfg.slack_max,
-                    slack_factor: self.cfg.slack_factor,
+                    slack_min: SLACK_MIN,
+                    slack_max: SLACK_MAX,
+                    slack_factor: SLACK_FACTOR,
                     local_hits,
                     remote_hits,
                     misses,
@@ -429,28 +429,27 @@ impl AgentHandle {
                 every(sim, period, agent, f);
             });
         }
-        let cfg = self.0.borrow().cfg.clone();
         every(
             sim,
-            cfg.churn_sample_every,
+            CHURN_SAMPLE_EVERY,
             self.clone(),
             Rc::new(|a, _| a.sample_churn()),
         );
         every(
             sim,
-            cfg.slack_adjust_every,
+            SLACK_ADJUST_EVERY,
             self.clone(),
             Rc::new(|a, _| a.adjust_slack()),
         );
         every(
             sim,
-            cfg.evict_every,
+            EVICT_EVERY,
             self.clone(),
             Rc::new(|a, now| a.periodic_evict(now)),
         );
         every(
             sim,
-            cfg.telemetry_every,
+            TELEMETRY_EVERY,
             self.clone(),
             Rc::new(|a, now| a.record_size(now)),
         );
@@ -719,12 +718,12 @@ mod tests {
         sim.run_until(SimTime::from_secs(11 * 60));
         let slack = agent.0.borrow().slack(0);
         assert!(
-            slack > AgentConfig::default().slack_initial,
+            slack > SLACK_INITIAL,
             "slack should grow under churn: {slack}"
         );
         // Node 1 saw no churn: slack shrinks to the floor.
         let slack1 = agent.0.borrow().slack(1);
-        assert_eq!(slack1, AgentConfig::default().slack_min);
+        assert_eq!(slack1, SLACK_MIN);
     }
 
     #[test]

@@ -49,51 +49,40 @@ pub enum WritePolicy {
     Lazy,
 }
 
+/// Scheduling overhead of injecting a persistor function.
+pub const PERSISTOR_OVERHEAD: Duration = Duration::from_millis(10);
+
+/// Dead-letter sweeper period (see [`start_sweeper`]).
+pub const SWEEP_EVERY: Duration = Duration::from_secs(60);
+
+/// Free-pool headroom below which over-quota admissions stop winning
+/// slack and quota enforcement kicks in.
+pub const QUOTA_HEADROOM_BYTES: u64 = 64 << 20;
+
 /// Plane configuration (§6.2–6.3 defaults).
 #[derive(Debug, Clone)]
 pub struct PlaneConfig {
-    /// Maximum cached object size (10 MB).
+    /// Maximum cached object size ([`ofc_rcstore::MAX_OBJECT_BYTES`]);
+    /// larger objects bypass the cache unless the admission stripes them.
     pub max_cached_object: u64,
-    /// Scheduling overhead of injecting a persistor function.
-    pub persistor_overhead: Duration,
     /// Write policy for cached final outputs.
     pub write_policy: WritePolicy,
-    /// Extension beyond the paper (its stated future work, §6.1): objects
-    /// larger than `max_cached_object` are striped into chunks spread over
-    /// the cluster instead of bypassing the cache.
-    pub chunk_large_objects: bool,
-    /// Circuit breaker guarding cache-store access (DESIGN.md §10).
-    pub breaker: BreakerConfig,
-    /// Retry/backoff schedule of the asynchronous persistor; exhausted
-    /// retries dead-letter the write-back for the periodic sweeper.
-    pub persist_retry: RetryPolicy,
-    /// Dead-letter sweeper period (see [`start_sweeper`]).
-    pub sweep_every: Duration,
     /// Per-tenant cache quota in bytes (DESIGN.md §18). `None` (the
     /// default) disables partitioning entirely — admission behaves byte
     /// for byte as before. With a quota set, a tenant over its budget may
     /// still win **slack** memory while the cluster keeps
-    /// [`PlaneConfig::quota_headroom_bytes`] free; under contention the
-    /// tenant first reclaims its own clean LRU objects, and only bypasses
-    /// to the RSDS when that cannot make room.
+    /// [`QUOTA_HEADROOM_BYTES`] free; under contention the tenant first
+    /// reclaims its own clean LRU objects, and only bypasses to the RSDS
+    /// when that cannot make room.
     pub tenant_quota_bytes: Option<u64>,
-    /// Free-pool headroom below which over-quota admissions stop winning
-    /// slack and quota enforcement kicks in.
-    pub quota_headroom_bytes: u64,
 }
 
 impl Default for PlaneConfig {
     fn default() -> Self {
         PlaneConfig {
-            max_cached_object: 10 << 20,
-            persistor_overhead: Duration::from_millis(10),
+            max_cached_object: ofc_rcstore::MAX_OBJECT_BYTES,
             write_policy: WritePolicy::WriteBackShadow,
-            chunk_large_objects: false,
-            breaker: BreakerConfig::default(),
-            persist_retry: RetryPolicy::default(),
-            sweep_every: Duration::from_secs(60),
             tenant_quota_bytes: None,
-            quota_headroom_bytes: 64 << 20,
         }
     }
 }
@@ -164,10 +153,9 @@ pub struct Persistence {
     /// Write-backs whose persistor exhausted its retries; the pending
     /// entry is kept (nothing is lost) and the sweeper re-drives them.
     dead: BTreeSet<Key>,
-    /// Retry/backoff schedule of persistor attempts.
+    /// Retry/backoff schedule of persistor attempts; exhausted retries
+    /// dead-letter the write-back for the periodic sweeper.
     retry: RetryPolicy,
-    /// Sweeper period (consumed by [`start_sweeper`]).
-    sweep_every: Duration,
     /// Injected fault budget: the next `n` persistor attempts fail.
     fail_budget: u32,
     persists: Counter,
@@ -296,12 +284,11 @@ fn schedule_persistor(
     });
 }
 
-/// Starts the periodic dead-letter sweeper: every `sweep_every` (from the
-/// plane config) it re-drives write-backs whose persistor gave up, so
-/// every accepted write eventually lands in the RSDS once faults cease.
+/// Starts the periodic dead-letter sweeper: every [`SWEEP_EVERY`] it
+/// re-drives write-backs whose persistor gave up, so every accepted write
+/// eventually lands in the RSDS once faults cease.
 pub fn start_sweeper(sim: &mut Sim, persistence: Rc<RefCell<Persistence>>) {
-    let every = persistence.borrow().sweep_every;
-    sim.schedule_in(every, move |sim| {
+    sim.schedule_in(SWEEP_EVERY, move |sim| {
         persistence.borrow_mut().sweep();
         start_sweeper(sim, persistence);
     });
@@ -324,7 +311,7 @@ pub struct OfcPlane {
     /// Monotonic id tagging persistor spans in the trace stream.
     persist_seq: u64,
     /// Chunk manifests of striped large objects: key → chunk count
-    /// (extension; see [`PlaneConfig::chunk_large_objects`]).
+    /// (extension; see [`Admission::chunk_large`]).
     chunks: IdHashMap<Key, u32>,
     /// The installed cache policy: access notifications and the cold-tier
     /// lookup on RAM misses go here (DESIGN.md §15). `None` keeps the
@@ -347,8 +334,7 @@ impl OfcPlane {
             cluster: Rc::clone(&cluster),
             pending: IdHashMap::default(),
             dead: BTreeSet::new(),
-            retry: cfg.persist_retry.clone(),
-            sweep_every: cfg.sweep_every,
+            retry: RetryPolicy::default(),
             fail_budget: 0,
             persists: telemetry.counter("plane.persists"),
             retries: telemetry.counter("persist.retries"),
@@ -382,7 +368,7 @@ impl OfcPlane {
                 }));
         }
         let breaker = Rc::new(RefCell::new(ShardBreakers::new(
-            cfg.breaker.clone(),
+            BreakerConfig::default(),
             cluster.borrow().shards(),
             telemetry,
         )));
@@ -431,7 +417,7 @@ impl OfcPlane {
     /// B-tree probes — no scans. Decision ladder:
     ///
     /// 1. under quota → admit;
-    /// 2. over quota but the pool keeps `quota_headroom_bytes` free →
+    /// 2. over quota but the pool keeps [`QUOTA_HEADROOM_BYTES`] free →
     ///    admit as a slack win (`plane.quota_overshoots`);
     /// 3. contended → evict the tenant's own clean LRU objects
     ///    (`plane.quota_evictions`) until the object fits its quota;
@@ -451,7 +437,7 @@ impl OfcPlane {
         if used < quota {
             return true;
         }
-        if cluster.free_bytes() >= self.cfg.quota_headroom_bytes {
+        if cluster.free_bytes() >= QUOTA_HEADROOM_BYTES {
             self.metrics.quota_overshoots.inc();
             return true;
         }
@@ -637,7 +623,6 @@ impl DataPlane for OfcPlane {
         // The admission's byte ceiling composes with the plane's: a policy
         // may only tighten, never widen, the configured object-size bound.
         let limit = admission.byte_limit.min(self.cfg.max_cached_object);
-        let chunking = admission.chunk_large || self.cfg.chunk_large_objects;
         let shard = self.cluster.borrow().shard_of(&key);
         // Degraded operation: an open breaker bypasses the cache for this
         // key's shard — OFC must never be worse than the vanilla platform.
@@ -718,7 +703,7 @@ impl DataPlane for OfcPlane {
             }
         }
         // Striped large object (extension)?
-        if admission.cache && chunking && obj.size > limit {
+        if admission.cache && admission.chunk_large && obj.size > limit {
             if let Some(latency) = self.read_chunked(node, &key, now) {
                 self.metrics.local_hits.inc();
                 return ReadOutcome {
@@ -786,7 +771,7 @@ impl DataPlane for OfcPlane {
         if !cacheable {
             // Striped large output (extension): cache the stripe, then keep
             // the normal shadow/persistor path for the whole object.
-            if admission.cache && (admission.chunk_large || self.cfg.chunk_large_objects) {
+            if admission.cache && admission.chunk_large {
                 if let Some(mut latency) = self.write_chunked(node, &key, obj.size, now) {
                     let (version, shadow_latency) =
                         self.store.borrow_mut().put_shadow(&obj.id, obj.size);
@@ -797,7 +782,7 @@ impl DataPlane for OfcPlane {
                         .pending
                         .insert(key, (obj.id, version, obj.size, false));
                     let upload = self.store.borrow().latency().write(obj.size.max(1));
-                    let delay = self.cfg.persistor_overhead + upload;
+                    let delay = PERSISTOR_OVERHEAD + upload;
                     self.persist_seq += 1;
                     self.telemetry
                         .span_at(self.persist_seq, Phase::Persist, now, delay);
@@ -886,7 +871,7 @@ impl DataPlane for OfcPlane {
                     .insert(key, (obj.id, version, obj.size, true));
                 // Inject the persistor: it uploads the payload asynchronously.
                 let upload = self.store.borrow().latency().write(obj.size.max(1));
-                let delay = self.cfg.persistor_overhead + upload;
+                let delay = PERSISTOR_OVERHEAD + upload;
                 self.persist_seq += 1;
                 self.telemetry
                     .span_at(self.persist_seq, Phase::Persist, now, delay);
@@ -1139,25 +1124,23 @@ mod tests {
         assert!(cluster.borrow().contains(&rc_key(&w.id)));
     }
 
+    /// What the Faa$T rival's admission asks for: stripe oversized objects.
+    const STRIPING: Admission = Admission {
+        cache: true,
+        byte_limit: u64::MAX,
+        chunk_large: true,
+    };
+
     #[test]
     fn chunked_write_stripes_large_objects() {
-        let (_, cluster, store) = setup();
-        let mut plane = OfcPlane::new(
-            PlaneConfig {
-                chunk_large_objects: true,
-                ..PlaneConfig::default()
-            },
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::standalone(),
-        );
+        let (mut plane, cluster, store) = setup();
         let mut sim = Sim::new(0);
         let w = ObjectWrite {
             id: ObjectId::new("out", "big"),
             size: 25 * MB, // 3 chunks of <=10 MB
             is_final: true,
         };
-        let out = plane.write(&mut sim, 0, &w, Admission::admit(), None);
+        let out = plane.write(&mut sim, 0, &w, STRIPING, None);
         // Far cheaper than a ~660 ms direct Swift PUT of 25 MB.
         assert!(out.latency < Duration::from_millis(60), "{:?}", out.latency);
         assert_eq!(
@@ -1182,23 +1165,14 @@ mod tests {
 
     #[test]
     fn chunked_read_reassembles_fast() {
-        let (_, cluster, store) = setup();
-        let mut plane = OfcPlane::new(
-            PlaneConfig {
-                chunk_large_objects: true,
-                ..PlaneConfig::default()
-            },
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::standalone(),
-        );
+        let (mut plane, _cluster, _store) = setup();
         let mut sim = Sim::new(0);
         let w = ObjectWrite {
             id: ObjectId::new("out", "big"),
             size: 25 * MB,
             is_final: true,
         };
-        plane.write(&mut sim, 0, &w, Admission::admit(), None);
+        plane.write(&mut sim, 0, &w, STRIPING, None);
         sim.run();
         let hit = plane.read(
             &mut sim,
@@ -1207,7 +1181,7 @@ mod tests {
                 id: w.id,
                 size: w.size,
             },
-            Admission::admit(),
+            STRIPING,
         );
         assert_eq!(hit.served, Served::LocalHit);
         // Parallel stripes: far faster than the ~670 ms RSDS read.
@@ -1215,25 +1189,42 @@ mod tests {
         assert_eq!(plane.telemetry().metrics().counter("plane.chunked_hits"), 1);
     }
 
+    /// Striping's production caller: the Faa$T rival's admission is what
+    /// asks for it, through the same policy seam the scheduler uses.
+    #[test]
+    fn faast_policy_stripes_oversized_reads() {
+        use crate::policy::{build_policy, PolicyKind, PredictionCtx};
+        let (mut plane, _cluster, store) = setup();
+        let policy = build_policy(PolicyKind::Faast, plane.telemetry());
+        plane.set_policy(Rc::clone(&policy));
+        let (tenant, function) = ("t".into(), "f".into());
+        let admission = policy.borrow_mut().admit(&PredictionCtx {
+            tenant: &tenant,
+            function: &function,
+            booked_mem: 512 * MB,
+            prediction: None,
+        });
+        let mut sim = Sim::new(0);
+        let obj = put_input(&store, "big", 25 * MB);
+        // First read misses and stripes the object; the second reassembles it.
+        let miss = plane.read(&mut sim, 0, &obj, admission);
+        assert_eq!(miss.served, Served::Miss);
+        assert!(plane.telemetry().metrics().counter("plane.chunked_objects") >= 1);
+        let hit = plane.read(&mut sim, 0, &obj, admission);
+        assert_eq!(hit.served, Served::LocalHit);
+        assert!(plane.telemetry().metrics().counter("plane.chunked_hits") >= 1);
+    }
+
     #[test]
     fn broken_stripe_falls_back_and_restripes() {
-        let (_, cluster, store) = setup();
-        let mut plane = OfcPlane::new(
-            PlaneConfig {
-                chunk_large_objects: true,
-                ..PlaneConfig::default()
-            },
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::standalone(),
-        );
+        let (mut plane, cluster, _store) = setup();
         let mut sim = Sim::new(0);
         let w = ObjectWrite {
             id: ObjectId::new("out", "big"),
             size: 25 * MB,
             is_final: true,
         };
-        plane.write(&mut sim, 0, &w, Admission::admit(), None);
+        plane.write(&mut sim, 0, &w, STRIPING, None);
         sim.run();
         // Evict one chunk behind the plane's back.
         let key = rc_key(&w.id);
@@ -1249,7 +1240,7 @@ mod tests {
                 id: w.id,
                 size: w.size,
             },
-            Admission::admit(),
+            STRIPING,
         );
         assert_eq!(miss.served, Served::Miss, "broken stripe is a miss");
         // The object was re-striped; the next read hits again.
@@ -1260,7 +1251,7 @@ mod tests {
                 id: w.id,
                 size: w.size,
             },
-            Admission::admit(),
+            STRIPING,
         );
         assert_eq!(hit.served, Served::LocalHit);
     }

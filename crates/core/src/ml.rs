@@ -28,29 +28,46 @@ use std::collections::VecDeque;
 /// Key identifying a function's models.
 pub type FnKey = (TenantId, FunctionId);
 
+/// Classification interval size (§5.1.1: 16 MB). The Monitor raises caps
+/// to the same granularity.
+pub const INTERVAL_BYTES: u64 = 16 << 20;
+
+/// Covered memory range: OWK's permitted allocations, up to 2 GB.
+pub const RANGE_BYTES: u64 = ofc_faas::MAX_SANDBOX_MEM;
+
+/// Number of classification intervals.
+pub const N_INTERVALS: usize = (RANGE_BYTES / INTERVAL_BYTES) as usize;
+
+/// Maturation (§5.3.1): required exact-or-over rate.
+pub const EO_THRESHOLD: f64 = 0.90;
+
+/// Maturation (§5.3.1): required fraction of underpredictions within one
+/// interval.
+pub const UNDER_ONE_THRESHOLD: f64 = 0.50;
+
+/// Sliding evaluation window for the maturation rule.
+pub const EVAL_WINDOW: usize = 100;
+
+/// Retrain after this many new training samples.
+pub const RETRAIN_EVERY: usize = 25;
+
+/// Weight applied to underprediction samples on retraining.
+pub const UNDER_WEIGHT: f64 = 5.0;
+
+/// Overpredictions farther than this many intervals are retained for
+/// retraining (§5.3.3's `k − k* > 6`).
+pub const EXTREME_OVER_K: u32 = 6;
+
+/// Interval index of a memory amount (clamped to the top class).
+pub fn interval_of(mem_bytes: u64) -> u32 {
+    ((mem_bytes / INTERVAL_BYTES) as u32).min(N_INTERVALS as u32 - 1)
+}
+
 /// Engine configuration (§5 defaults).
 #[derive(Debug, Clone)]
 pub struct MlConfig {
-    /// Classification interval size (16 MB).
-    pub interval_bytes: u64,
-    /// Covered memory range (2 GB — OWK's permitted allocations).
-    pub range_bytes: u64,
     /// Minimum observations before maturity is even checked (100).
     pub min_invocations: u64,
-    /// Maturation: required exact-or-over rate (0.90).
-    pub eo_threshold: f64,
-    /// Maturation: required fraction of underpredictions within one
-    /// interval (0.50).
-    pub under_one_threshold: f64,
-    /// Sliding evaluation window for the maturation rule.
-    pub eval_window: usize,
-    /// Retrain after this many new training samples.
-    pub retrain_every: usize,
-    /// Weight applied to underprediction samples on retraining.
-    pub under_weight: f64,
-    /// Overpredictions farther than this many intervals are retained for
-    /// retraining (§5.3.3's `k − k* > 6`).
-    pub extreme_over_k: u32,
     /// Cap on the retained training set ("small but valuable").
     pub max_training_set: usize,
     /// Safety margin in intervals added above the raw prediction (§5.3.1's
@@ -61,15 +78,7 @@ pub struct MlConfig {
 impl Default for MlConfig {
     fn default() -> Self {
         MlConfig {
-            interval_bytes: 16 << 20,
-            range_bytes: 2 << 30,
             min_invocations: 100,
-            eo_threshold: 0.90,
-            under_one_threshold: 0.50,
-            eval_window: 100,
-            retrain_every: 25,
-            under_weight: 5.0,
-            extreme_over_k: 6,
             max_training_set: 2000,
             safety_margin_intervals: 1,
         }
@@ -77,23 +86,13 @@ impl Default for MlConfig {
 }
 
 impl MlConfig {
-    /// Number of classification intervals.
-    pub fn n_intervals(&self) -> usize {
-        (self.range_bytes / self.interval_bytes) as usize
-    }
-
-    /// Interval index of a memory amount (clamped to the top class).
-    pub fn interval_of(&self, mem_bytes: u64) -> u32 {
-        ((mem_bytes / self.interval_bytes) as u32).min(self.n_intervals() as u32 - 1)
-    }
-
     /// Memory allocated for a *raw* predicted interval: the upper bound of
     /// the interval `safety_margin_intervals` above it (§5.3.1: the "next
     /// greater interval" by default).
     pub fn allocation_for(&self, raw_interval: u32) -> u64 {
-        let next = (u64::from(raw_interval) + 1 + self.safety_margin_intervals)
-            .min(self.n_intervals() as u64);
-        next * self.interval_bytes
+        let next =
+            (u64::from(raw_interval) + 1 + self.safety_margin_intervals).min(N_INTERVALS as u64);
+        next * INTERVAL_BYTES
     }
 }
 
@@ -192,9 +191,7 @@ impl MlEngine {
 
     /// Registers a function's feature schema. Models start blank (§5.1.1).
     pub fn register(&mut self, key: FnKey, schema: Vec<Attribute>) {
-        let classes: Vec<String> = (0..self.cfg.n_intervals())
-            .map(|k| format!("I{k}"))
-            .collect();
+        let classes: Vec<String> = (0..N_INTERVALS).map(|k| format!("I{k}")).collect();
         let mut mem_builder = Dataset::builder();
         let mut ben_builder = Dataset::builder();
         for attr in schema {
@@ -270,14 +267,14 @@ impl MlEngine {
             return;
         };
         f.observations += 1;
-        let truth = cfg.interval_of(obs.actual_mem);
+        let truth = interval_of(obs.actual_mem);
 
         // Evaluate the current model on this observation (whether or not
         // its prediction was used) for the maturation window and counters.
         let raw_pred = f.mem_model.as_ref().map(|m| m.predict(&obs.features));
         if let Some(raw) = raw_pred {
             f.window.push_back((raw, truth));
-            if f.window.len() > cfg.eval_window {
+            if f.window.len() > EVAL_WINDOW {
                 f.window.pop_front();
             }
             if cfg.allocation_for(raw) >= obs.actual_mem {
@@ -292,9 +289,9 @@ impl MlEngine {
         // samples always carry a higher weight "in order to better avoid
         // them".
         let keep = match raw_pred {
-            Some(raw) if raw < truth => Some(cfg.under_weight),
+            Some(raw) if raw < truth => Some(UNDER_WEIGHT),
             _ if !f.mature => Some(1.0),
-            Some(raw) if raw > truth + cfg.extreme_over_k => Some(1.0),
+            Some(raw) if raw > truth + EXTREME_OVER_K => Some(1.0),
             None => Some(1.0),
             _ => None,
         };
@@ -309,7 +306,7 @@ impl MlEngine {
         }
 
         // Periodic full retraining (J48 is not incremental, §5.3.3).
-        let due = f.mem_model.is_none() || f.new_since_retrain >= cfg.retrain_every;
+        let due = f.mem_model.is_none() || f.new_since_retrain >= RETRAIN_EVERY;
         if due && f.mem_dataset.len() >= 10 {
             f.mem_model = Some(C45::train(&f.mem_dataset, &C45Params::default()));
             if f.benefit_dataset
@@ -333,7 +330,7 @@ impl MlEngine {
             } else {
                 unders.iter().filter(|&&&(p, t)| p + 1 == t).count() as f64 / unders.len() as f64
             };
-            if eo >= cfg.eo_threshold && under_one >= cfg.under_one_threshold {
+            if eo >= EO_THRESHOLD && under_one >= UNDER_ONE_THRESHOLD {
                 f.mature = true;
                 f.matured_at = Some(f.observations);
             }
@@ -394,9 +391,9 @@ mod tests {
     #[test]
     fn interval_math_matches_paper() {
         let cfg = MlConfig::default();
-        assert_eq!(cfg.n_intervals(), 128);
-        assert_eq!(cfg.interval_of(0), 0);
-        assert_eq!(cfg.interval_of(16 << 20), 1);
+        assert_eq!(N_INTERVALS, 128);
+        assert_eq!(interval_of(0), 0);
+        assert_eq!(interval_of(16 << 20), 1);
         // Next-greater interval: raw interval k allocates (k+2)*16 MB.
         assert_eq!(cfg.allocation_for(0), 32 << 20);
         assert_eq!(cfg.allocation_for(3), 80 << 20);

@@ -8,7 +8,7 @@
 //! the booked size. After every invocation it reports the measured peak to
 //! the trainer.
 
-use crate::ml::{FnKey, MlEngine, Observation};
+use crate::ml::{FnKey, MlEngine, Observation, INTERVAL_BYTES};
 use crate::scheduler::FeatureFn;
 use ofc_faas::{Completion, ExecutionMonitor, InvocationRecord, PressureAction};
 use ofc_simtime::Sim;
@@ -22,15 +22,12 @@ use std::time::Duration;
 pub struct MonitorConfig {
     /// Only invocations running at least this long are monitored (3 s).
     pub min_runtime: Duration,
-    /// Interval granularity used when raising a cap.
-    pub interval_bytes: u64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
             min_runtime: Duration::from_secs(3),
-            interval_bytes: 16 << 20,
         }
     }
 }
@@ -94,8 +91,8 @@ impl ExecutionMonitor for OfcMonitor {
         // Raise to the next interval boundary above the need, bounded by
         // what the tenant booked.
         let target = needed
-            .div_ceil(self.cfg.interval_bytes)
-            .saturating_mul(self.cfg.interval_bytes)
+            .div_ceil(INTERVAL_BYTES)
+            .saturating_mul(INTERVAL_BYTES)
             .max(record.mem_limit)
             .min(record.mem_booked.max(needed));
         self.raises.inc();

@@ -15,14 +15,17 @@
 //! snapshot methods of earlier revisions:
 //!
 //! ```no_run
-//! # use ofc_core::ofc::Ofc;
+//! # use ofc_core::ofc::{Ofc, OfcConfig};
 //! # let (platform, store, features): (ofc_faas::platform::PlatformHandle,
 //! #     std::rc::Rc<std::cell::RefCell<ofc_objstore::store::ObjectStore>>,
 //! #     ofc_core::scheduler::FeatureFn) = unimplemented!();
 //! let ofc = Ofc::builder(&platform)
 //!     .store(store)
 //!     .features(features)
-//!     .replication(2)
+//!     .config(OfcConfig {
+//!         coordinator_replicas: 3,
+//!         ..OfcConfig::default()
+//!     })
 //!     .build();
 //! // ... run the simulation ...
 //! let m = ofc.metrics();
@@ -30,7 +33,7 @@
 //! println!("{}", ofc.trace().to_json());
 //! ```
 
-use crate::agent::{AgentConfig, AgentHandle, CacheAgent};
+use crate::agent::{AgentConfig, AgentHandle, CacheAgent, SLACK_INITIAL};
 use crate::cache::{rc_key, OfcPlane, Persistence, PlaneConfig};
 use crate::ml::{FnKey, MlConfig, MlEngine};
 use crate::monitor::{MonitorConfig, OfcMonitor};
@@ -41,12 +44,17 @@ use ofc_faas::platform::PlatformHandle;
 use ofc_faas::{FunctionId, TenantId};
 use ofc_objstore::store::ObjectStore;
 use ofc_rcstore::cluster::Cluster;
-use ofc_rcstore::shard::ShardConfig;
+use ofc_rcstore::gossip::{GossipConfig, PROBE_PERIOD};
+use ofc_rcstore::raft::{RaftConfig, HEARTBEAT_INTERVAL};
 use ofc_rcstore::ClusterConfig;
 use ofc_simtime::Sim;
-use ofc_telemetry::{MetricsSnapshot, Telemetry, TelemetryConfig, TraceHandle};
+use ofc_telemetry::{MetricsSnapshot, Telemetry, TraceHandle};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+/// Backup replicas per cached object (paper testbed: 2), clamped to the
+/// nodes the platform has.
+pub const REPLICATION_FACTOR: usize = 2;
 
 /// Top-level OFC configuration.
 #[derive(Debug, Clone, Default)]
@@ -59,16 +67,6 @@ pub struct OfcConfig {
     pub plane: PlaneConfig,
     /// Monitor tunables.
     pub monitor: MonitorConfig,
-    /// Replication factor of the cache store (paper testbed: 2).
-    pub replication_factor: usize,
-    /// Data-plane shards of the cache store (DESIGN.md §11); `0` or `1`
-    /// keeps the unsharded single-coordinator layout.
-    pub shards: usize,
-    /// Replica-batching threshold: backup writes coalesce per
-    /// (shard, backup) pair and flush at this many entries (or on the
-    /// periodic flush tick). `0` or `1` keeps unbatched synchronous
-    /// replication.
-    pub replication_batch: usize,
     /// Coordinator replicas of the cache store's control plane
     /// (DESIGN.md §16); `0` or `1` keeps the single omniscient
     /// coordinator and is byte-identical to earlier revisions.
@@ -88,14 +86,13 @@ pub struct OfcConfig {
     /// Overrides the initial per-node cache pool (contention studies);
     /// `None` uses all node memory beyond the slack pool.
     pub cache_pool_override: Option<u64>,
-    /// Recording level of the shared observability plane.
-    pub telemetry: TelemetryConfig,
 }
 
 /// Fluent assembly of an [`Ofc`] instance onto a platform.
 ///
-/// Obtained from [`Ofc::builder`]; every knob defaults sensibly, and only
-/// [`OfcBuilder::store`] and [`OfcBuilder::features`] are mandatory.
+/// Obtained from [`Ofc::builder`]; [`OfcBuilder::store`] and
+/// [`OfcBuilder::features`] are mandatory, and every knob travels in the
+/// one [`OfcConfig`] passed to [`OfcBuilder::config`].
 #[must_use = "an OfcBuilder does nothing until .build() is called"]
 pub struct OfcBuilder {
     platform: PlatformHandle,
@@ -117,107 +114,9 @@ impl OfcBuilder {
         self
     }
 
-    /// Replaces the whole configuration at once.
+    /// The configuration (defaults reproduce the paper's settings).
     pub fn config(mut self, cfg: OfcConfig) -> Self {
         self.cfg = cfg;
-        self
-    }
-
-    /// ML engine tunables.
-    pub fn ml(mut self, ml: MlConfig) -> Self {
-        self.cfg.ml = ml;
-        self
-    }
-
-    /// Cache-agent tunables.
-    pub fn agent(mut self, agent: AgentConfig) -> Self {
-        self.cfg.agent = agent;
-        self
-    }
-
-    /// Data-plane tunables.
-    pub fn plane(mut self, plane: PlaneConfig) -> Self {
-        self.cfg.plane = plane;
-        self
-    }
-
-    /// Monitor tunables.
-    pub fn monitor(mut self, monitor: MonitorConfig) -> Self {
-        self.cfg.monitor = monitor;
-        self
-    }
-
-    /// Replication factor of the cache store (paper testbed: 2).
-    pub fn replication(mut self, factor: usize) -> Self {
-        self.cfg.replication_factor = factor;
-        self
-    }
-
-    /// Shards the cache store's data plane (DESIGN.md §11).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
-    /// Batches backup replication, flushing every `entries` per
-    /// (shard, backup) pair (DESIGN.md §11).
-    pub fn replication_batch(mut self, entries: usize) -> Self {
-        self.cfg.replication_batch = entries;
-        self
-    }
-
-    /// Replicates the control plane across `replicas` coordinator
-    /// processes (DESIGN.md §16).
-    pub fn coordinator_replicas(mut self, replicas: usize) -> Self {
-        self.cfg.coordinator_replicas = replicas;
-        self
-    }
-
-    /// Enables gossip-based membership (DESIGN.md §16).
-    pub fn gossip(mut self, enabled: bool) -> Self {
-        self.cfg.gossip = enabled;
-        self
-    }
-
-    /// Recording level of the shared observability plane.
-    pub fn telemetry(mut self, level: TelemetryConfig) -> Self {
-        self.cfg.telemetry = level;
-        self
-    }
-
-    /// Selects the cache policy (DESIGN.md §15): one shared instance
-    /// serves the scheduler (admission + placement), the agent (eviction
-    /// victims + slack sizing) and the data plane (access notifications +
-    /// cold-tier lookups).
-    pub fn policy(mut self, kind: PolicyKind) -> Self {
-        self.cfg.policy = kind;
-        self
-    }
-
-    /// Ablation: disable the cache-benefit gate (cache everything).
-    pub fn disable_benefit_gate(mut self) -> Self {
-        self.cfg.disable_benefit_gate = true;
-        self
-    }
-
-    /// Ablation: disable locality-aware routing (§6.5).
-    pub fn disable_locality_routing(mut self) -> Self {
-        self.cfg.disable_locality_routing = true;
-        self
-    }
-
-    /// Overrides the initial per-node cache pool (contention studies).
-    pub fn cache_pool(mut self, bytes: u64) -> Self {
-        self.cfg.cache_pool_override = Some(bytes);
-        self
-    }
-
-    /// Enables per-tenant cache quotas (DESIGN.md §18): each tenant may
-    /// hold up to `bytes` of cache, plus slack while the pool keeps
-    /// headroom free. Also starts the periodic fairness sample
-    /// (`plane.quota_fairness_bps`).
-    pub fn tenant_quota(mut self, bytes: u64) -> Self {
-        self.cfg.plane.tenant_quota_bytes = Some(bytes);
         self
     }
 
@@ -240,36 +139,25 @@ impl OfcBuilder {
         let store = store.expect("OfcBuilder: .store(..) is mandatory");
         let features = features.expect("OfcBuilder: .features(..) is mandatory");
 
-        let telemetry = Telemetry::new(cfg.telemetry);
+        let telemetry = Telemetry::default();
         platform.bind_telemetry(&telemetry);
 
         let pcfg = platform.config();
         let nodes = pcfg.nodes;
-        let replication = if cfg.replication_factor == 0 {
-            2.min(nodes.saturating_sub(1))
-        } else {
-            cfg.replication_factor.min(nodes.saturating_sub(1))
-        };
         let mut cluster = Cluster::new(ClusterConfig {
             nodes,
-            replication_factor: replication,
+            replication_factor: REPLICATION_FACTOR.min(nodes.saturating_sub(1)),
             node_pool_bytes: cfg
                 .cache_pool_override
-                .unwrap_or_else(|| pcfg.node_mem.saturating_sub(cfg.agent.slack_initial)),
+                .unwrap_or_else(|| pcfg.node_mem.saturating_sub(SLACK_INITIAL)),
             max_object_bytes: cfg.plane.max_cached_object,
             segment_bytes: (cfg.plane.max_cached_object * 2).max(16 << 20),
-            shard: ShardConfig {
-                shards: cfg.shards.max(1),
-                batch_max_entries: cfg.replication_batch.max(1),
-                ..ShardConfig::default()
-            },
-            raft: ofc_rcstore::raft::RaftConfig {
+            raft: RaftConfig {
                 replicas: cfg.coordinator_replicas.max(1),
-                ..ofc_rcstore::raft::RaftConfig::default()
+                ..RaftConfig::default()
             },
-            gossip: ofc_rcstore::gossip::GossipConfig {
+            gossip: GossipConfig {
                 enabled: cfg.gossip,
-                ..ofc_rcstore::gossip::GossipConfig::default()
             },
             ..ClusterConfig::default()
         });
@@ -347,31 +235,13 @@ impl OfcBuilder {
     }
 }
 
-/// Period of the replication flush tick: batched backup writes sit at
-/// most this long before they reach their backups (DESIGN.md §11).
-const REPLICATION_FLUSH_TICK: std::time::Duration = std::time::Duration::from_millis(5);
-
-/// Recurring replication flush: drains the cluster's coalescing buffers
-/// every [`REPLICATION_FLUSH_TICK`] so batched backup writes cannot go
-/// stale under a trickle workload that never hits the batch threshold.
-fn start_flush_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
-    sim.schedule_in(REPLICATION_FLUSH_TICK, move |sim| {
-        cluster.borrow_mut().flush_replication();
-        start_flush_tick(sim, cluster);
-    });
-}
-
 /// Recurring coordinator heartbeat (DESIGN.md §16): ticks the replicated
 /// control plane — elections fire on heartbeat loss, deferred recoveries
 /// drain once quorum returns — at the Raft heartbeat cadence.
-fn start_coordinator_tick(
-    sim: &mut Sim,
-    period: std::time::Duration,
-    cluster: Rc<RefCell<Cluster>>,
-) {
-    sim.schedule_in(period, move |sim| {
+fn start_coordinator_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
+    sim.schedule_in(HEARTBEAT_INTERVAL, move |sim| {
         cluster.borrow_mut().coordinator_pump(sim.now());
-        start_coordinator_tick(sim, period, cluster);
+        start_coordinator_tick(sim, cluster);
     });
 }
 
@@ -382,11 +252,10 @@ fn start_coordinator_tick(
 /// `failure_threshold` more timeouts while recovery runs.
 fn start_gossip_tick(
     sim: &mut Sim,
-    period: std::time::Duration,
     cluster: Rc<RefCell<Cluster>>,
     breakers: Rc<RefCell<crate::health::ShardBreakers>>,
 ) {
-    sim.schedule_in(period, move |sim| {
+    sim.schedule_in(PROBE_PERIOD, move |sim| {
         let now = sim.now();
         let (events, anchors) = {
             let mut c = cluster.borrow_mut();
@@ -406,7 +275,7 @@ fn start_gossip_tick(
                 }
             }
         }
-        start_gossip_tick(sim, period, cluster, breakers);
+        start_gossip_tick(sim, cluster, breakers);
     });
 }
 
@@ -496,36 +365,21 @@ impl Ofc {
     }
 
     /// Starts the recurring activities (slack adaptation, periodic
-    /// eviction, telemetry sampling, dead-letter sweeping, and — when
-    /// replica batching is on — the periodic replication flush tick that
-    /// bounds how long an acked write can sit in a coalescing buffer).
+    /// eviction, telemetry sampling, dead-letter sweeping).
     pub fn start(&self, sim: &mut Sim) {
         self.agent.start(sim);
         crate::cache::start_sweeper(sim, Rc::clone(&self.persistence));
-        let batching = self.cluster.borrow().batching();
-        if batching {
-            start_flush_tick(sim, Rc::clone(&self.cluster));
-        }
         // Control-plane loops (DESIGN.md §16): only scheduled when the
         // knobs are on, so default runs stay event-for-event identical.
-        let (replicated, heartbeat, gossip_period) = {
+        let (replicated, gossip) = {
             let c = self.cluster.borrow();
-            (
-                c.coordinator().is_replicated(),
-                c.config().raft.heartbeat_interval,
-                c.gossip_enabled().then(|| c.gossip_period()),
-            )
+            (c.coordinator().is_replicated(), c.gossip_enabled())
         };
         if replicated {
-            start_coordinator_tick(sim, heartbeat, Rc::clone(&self.cluster));
+            start_coordinator_tick(sim, Rc::clone(&self.cluster));
         }
-        if let Some(period) = gossip_period {
-            start_gossip_tick(
-                sim,
-                period,
-                Rc::clone(&self.cluster),
-                Rc::clone(&self.breakers),
-            );
+        if gossip {
+            start_gossip_tick(sim, Rc::clone(&self.cluster), Rc::clone(&self.breakers));
         }
         // Policy tick (DESIGN.md §15): periodic policy work — prefetch
         // selection, cold-tier expiry, cost accrual. Returned prefetch

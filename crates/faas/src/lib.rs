@@ -173,13 +173,13 @@ pub struct Admission {
     /// `u64::MAX` means "defer to the plane's config".
     pub byte_limit: u64,
     /// Stripe objects above the size ceiling into chunks instead of
-    /// bypassing them (OR-ed with the plane's `chunk_large_objects`).
+    /// bypassing them.
     pub chunk_large: bool,
 }
 
 impl Admission {
-    /// Admit everything, deferring size and chunking policy to the plane's
-    /// configuration. Equivalent to the old `should_cache = true`.
+    /// Admit everything up to the plane's size ceiling, without striping.
+    /// Equivalent to the old `should_cache = true`.
     pub fn admit() -> Self {
         Admission {
             cache: true,
@@ -538,6 +538,28 @@ impl InvocationRecord {
     }
 }
 
+/// Sandbox idle keep-alive before reclamation (OWK: 600 s).
+pub const KEEP_ALIVE: Duration = Duration::from_secs(600);
+
+/// Minimum sandbox memory (OWK: 64 MB).
+pub const MIN_SANDBOX_MEM: u64 = 64 << 20;
+
+/// Maximum sandbox memory (OWK default range top: 2 GB).
+pub const MAX_SANDBOX_MEM: u64 = 2 << 30;
+
+/// Platform path overhead for a warm invocation (§6.4: ~8 ms end to end
+/// for an empty function).
+pub const WARM_OVERHEAD: Duration = Duration::from_millis(8);
+
+/// Additional overhead of a cold start (container creation; ~100 ms
+/// median per \[44\]).
+pub const COLD_START: Duration = Duration::from_millis(100);
+
+/// Cost of updating a sandbox's memory limit (cgroup + docker update:
+/// 23.8 ms, §6.4). OFC resizes asynchronously, off the critical path, so
+/// the platform never charges it to an invocation; Figure 8 reports it.
+pub const RESIZE_COST: Duration = Duration::from_micros(23_800);
+
 /// Platform-level configuration (defaults follow OWK and the paper).
 #[derive(Debug, Clone)]
 pub struct PlatformConfig {
@@ -545,24 +567,6 @@ pub struct PlatformConfig {
     pub nodes: usize,
     /// Memory per worker node, bytes.
     pub node_mem: u64,
-    /// Sandbox idle keep-alive before reclamation (OWK: 600 s).
-    pub keep_alive: Duration,
-    /// Minimum sandbox memory (OWK: 64 MB).
-    pub min_sandbox_mem: u64,
-    /// Maximum sandbox memory (OWK default range top: 2 GB).
-    pub max_sandbox_mem: u64,
-    /// Platform path overhead for a warm invocation (§6.4: ~8 ms end to
-    /// end for an empty function).
-    pub warm_overhead: Duration,
-    /// Additional overhead of a cold start (container creation; ~100 ms
-    /// median per \[44\]).
-    pub cold_start: Duration,
-    /// Cost of updating a sandbox's memory limit (cgroup + docker update:
-    /// 23.8 ms, §6.4).
-    pub resize_cost: Duration,
-    /// Whether resizes run asynchronously off the critical path (OFC) or
-    /// synchronously before execution.
-    pub async_resize: bool,
     /// Maximum OOM retries per invocation (OFC: retry once at booked size).
     pub max_retries: u32,
     /// Backoff schedule between OOM retries. The default is immediate
@@ -578,13 +582,6 @@ impl Default for PlatformConfig {
         PlatformConfig {
             nodes: 4,
             node_mem: 16 << 30,
-            keep_alive: Duration::from_secs(600),
-            min_sandbox_mem: 64 << 20,
-            max_sandbox_mem: 2 << 30,
-            warm_overhead: Duration::from_millis(8),
-            cold_start: Duration::from_millis(100),
-            resize_cost: Duration::from_micros(23_800),
-            async_resize: true,
             max_retries: 1,
             oom_retry: RetryPolicy::immediate(2),
         }

@@ -440,11 +440,11 @@ impl PlatformHandle {
         }
         decision.mem_limit = decision
             .mem_limit
-            .clamp(p.cfg.min_sandbox_mem, p.cfg.max_sandbox_mem);
+            .clamp(crate::MIN_SANDBOX_MEM, crate::MAX_SANDBOX_MEM);
 
         let node = decision.node;
         let total = p.invokers[node].total_mem();
-        let mut setup = p.cfg.warm_overhead + decision.overhead;
+        let mut setup = crate::WARM_OVERHEAD + decision.overhead;
         let mut cold = false;
         let mut resized = false;
 
@@ -482,11 +482,6 @@ impl PlatformHandle {
                 if resized {
                     p.counters.resizes += 1;
                     p.metrics.resizes.inc();
-                    if !p.cfg.async_resize {
-                        setup += p.cfg.resize_cost;
-                        p.telemetry
-                            .span_at(inv_id, Phase::Resize, now, p.cfg.resize_cost);
-                    }
                 }
                 p.counters.warm_starts += 1;
                 p.metrics.warm_starts.inc();
@@ -531,7 +526,7 @@ impl PlatformHandle {
                 cold = true;
                 p.counters.cold_starts += 1;
                 p.metrics.cold_starts.inc();
-                setup += p.cfg.cold_start;
+                setup += crate::COLD_START;
                 p.invokers[node].create_sandbox(
                     req.function,
                     req.tenant,
@@ -798,9 +793,8 @@ impl PlatformHandle {
                 .map(|s| s.uses)
                 .unwrap_or(0);
             let (node, sandbox) = (fl.node, fl.sandbox);
-            let keep_alive = p.cfg.keep_alive;
             let handle = self.clone();
-            sim.schedule_in(keep_alive, move |sim| {
+            sim.schedule_in(crate::KEEP_ALIVE, move |sim| {
                 handle.keep_alive_check(sim, node, sandbox, uses)
             });
 

@@ -2,6 +2,7 @@
 //! operations, migration-by-promotion, and crash recovery.
 
 use crate::gossip::{GossipEvent, GossipPlane, MemberState};
+use crate::latency::RcLatency;
 use crate::node::StorageNode;
 use crate::raft::{Command, ReplicaId, ReplicatedCoordinator};
 use crate::shard::{ReplicationBatcher, ShardId, ShardRouter};
@@ -57,14 +58,13 @@ impl ClusterMetrics {
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
+    /// The store's latency model (§7.2.1 calibration; no caller varies it).
+    latency: RcLatency,
     nodes: Vec<StorageNode>,
     /// Key → master node.
     tablet: IdHashMap<Key, NodeId>,
     /// Key → backup nodes (in ring order).
     replicas: IdHashMap<Key, Vec<NodeId>>,
-    /// Coordinator-side version counters: bumped by every committed write,
-    /// delete, or eviction of a key (transaction validation, [`crate::txn`]).
-    versions: IdHashMap<Key, u64>,
     telemetry: Telemetry,
     metrics: ClusterMetrics,
     /// Injected fault state (see [`Cluster::inject_transient_errors`] and
@@ -141,15 +141,15 @@ impl Cluster {
         let telemetry = Telemetry::standalone();
         let metrics = ClusterMetrics::new(&telemetry);
         let slowdown = vec![1.0; cfg.nodes];
-        let router = ShardRouter::new(cfg.shard.shards.max(1), cfg.shard.router_seed);
+        let router = ShardRouter::new(cfg.shard.shards.max(1), crate::shard::DEFAULT_ROUTER_SEED);
         let coord = ReplicatedCoordinator::new(cfg.raft.clone(), &telemetry);
         let gossip = GossipPlane::new(cfg.gossip.clone(), cfg.nodes, &telemetry);
         Cluster {
             cfg,
+            latency: RcLatency::default(),
             nodes,
             tablet: IdHashMap::default(),
             replicas: IdHashMap::default(),
-            versions: IdHashMap::default(),
             telemetry,
             metrics,
             transient_budget: 0,
@@ -413,12 +413,11 @@ impl Cluster {
         let commit = self.commit_assignment(key, master, &backups);
         self.tablet.insert(*key, master);
         self.replicas.insert(*key, backups);
-        *self.versions.entry(*key).or_insert(0) += 1;
         self.metrics.writes.inc();
         let base = if batching {
-            self.cfg.latency.write_batched(size, master != home)
+            self.latency.write_batched(size, master != home)
         } else {
-            self.cfg.latency.write(size, master != home)
+            self.latency.write(size, master != home)
         };
         let latency = self.inflate(master, base) + commit;
         // Deterministic crash hook: the victim goes down after this write
@@ -468,8 +467,7 @@ impl Cluster {
         };
         let latency = self.inflate(
             master,
-            self.cfg
-                .latency
+            self.latency
                 .read(value.size(), locality == ReadLocality::RemoteHit),
         );
         Timed::new(Ok((value, locality)), latency)
@@ -498,7 +496,7 @@ impl Cluster {
         self.commit_retirement(key);
         let size = self.remove_entry(key);
         self.metrics.evictions.inc();
-        Timed::new(Ok(size), self.cfg.latency.delete_base)
+        Timed::new(Ok(size), self.latency.delete_base)
     }
 
     /// Deletes an object unconditionally (pipeline intermediates are dropped
@@ -512,7 +510,7 @@ impl Cluster {
         }
         self.commit_retirement(key);
         let size = self.remove_entry(key);
-        Timed::new(Ok(size), self.cfg.latency.delete_base)
+        Timed::new(Ok(size), self.latency.delete_base)
     }
 
     /// Moves the mastership of `key` off its current node by promoting a
@@ -567,7 +565,7 @@ impl Cluster {
         let commit = self.commit_assignment(key, new_master, &new_backups);
         self.replicas.insert(*key, new_backups);
         self.metrics.promotions.inc();
-        let latency = self.cfg.latency.promote(size) + commit;
+        let latency = self.latency.promote(size) + commit;
         self.metrics.migrate_nanos.record_duration(latency);
         self.telemetry
             .span_at(new_master as u64, Phase::Migrate, now, latency);
@@ -600,7 +598,7 @@ impl Cluster {
         } else {
             self.metrics.scale_downs.inc();
         }
-        Timed::new(Ok(()), self.cfg.latency.rescale(false))
+        Timed::new(Ok(()), self.latency.rescale(false))
     }
 
     /// Crashes a node and recovers its data: every object it mastered is
@@ -728,7 +726,7 @@ impl Cluster {
                 lost += 1;
                 continue;
             }
-            latency += self.cfg.latency.promote(size.max(1));
+            latency += self.latency.promote(size.max(1));
             if node_alive && !node_reachable && self.nodes[node].has_master(&key) {
                 // Fence the unreachable-but-alive old master: its stale
                 // copy stays physical until the partition heals.
@@ -863,122 +861,12 @@ impl Cluster {
         }
     }
 
-    /// Adds a storage node to the cluster (horizontal scale-out, §6.4).
-    ///
-    /// The new node joins empty with the given memory pool and immediately
-    /// becomes a placement candidate for masters and backups; returns its
-    /// id. Existing placements are untouched — load drains towards the new
-    /// node through normal writes, reclamation migrations, and recovery.
-    pub fn add_node(&mut self, pool_bytes: u64) -> NodeId {
-        let id = self.nodes.len();
-        self.nodes
-            .push(StorageNode::new(id, self.cfg.segment_bytes, pool_bytes));
-        self.slowdown.push(1.0);
-        self.cfg.nodes = self.nodes.len();
-        self.gossip.grow_to(self.nodes.len());
-        if let Some(groups) = &mut self.partition {
-            // A node added mid-partition joins as its own island until the
-            // network heals.
-            let next = groups.iter().copied().max().map_or(0, |g| g + 1);
-            groups.push(next);
-        }
-        id
-    }
-
-    /// Drains and removes a node from service (horizontal scale-in, §6.4):
-    /// every master it holds migrates away by promotion where a backup
-    /// exists (falling back to a copy through the coordinator otherwise),
-    /// backups it held are re-created elsewhere, and the node goes down.
-    ///
-    /// Returns the number of objects that could not be preserved (only
-    /// possible when the remaining nodes lack memory).
-    pub fn drain_node(&mut self, node: NodeId, now: SimTime) -> Timed<usize> {
-        if node >= self.nodes.len() || !self.nodes[node].is_up() {
-            return Timed::new(0, Duration::ZERO);
-        }
-        // A planned drain is one long control-plane mutation; refuse to
-        // start it headless rather than bypass consensus per key.
-        if self.coord_gate(self.coord_origin(), now).is_err() {
-            return Timed::new(0, Duration::ZERO);
-        }
-        self.flush_replication();
-        let mut latency = Duration::ZERO;
-        let mut lost = 0usize;
-        let masters: Vec<Key> = self
-            .tablet
-            .iter()
-            .filter(|&(_, &m)| m == node)
-            .map(|(k, _)| *k)
-            .collect();
-        for key in masters {
-            let t = self.migrate_by_promotion(&key, now);
-            match t.result {
-                Ok(_) => latency += t.latency,
-                Err(_) => {
-                    // No eligible backup: fall back to a coordinator-driven
-                    // copy onto the roomiest other live node.
-                    let (value, dirty) = match self.nodes[node].peek_master(&key) {
-                        // ofc-lint: allow(hotloop) reason=drained master's value feeds the fallback copy as an owned payload
-                        Some(o) => (o.value.clone(), o.dirty),
-                        None => continue,
-                    };
-                    let target = self
-                        .nodes
-                        .iter()
-                        .filter(|n| {
-                            n.id() != node
-                                && n.is_up()
-                                && n.available_bytes() >= value.size().max(1)
-                        })
-                        .max_by_key(|n| n.available_bytes())
-                        .map(StorageNode::id);
-                    match target {
-                        Some(target) => {
-                            let size = value.size();
-                            if self.nodes[target]
-                                .insert_master(key, value, now, dirty)
-                                .is_ok()
-                            {
-                                self.nodes[node].remove_master(&key);
-                                self.tablet.insert(key, target);
-                                // Full copy over the network, unlike promotion.
-                                latency += self.cfg.latency.write(size, true);
-                            } else {
-                                lost += 1;
-                                self.remove_entry(&key);
-                            }
-                        }
-                        None => {
-                            lost += 1;
-                            self.remove_entry(&key);
-                        }
-                    }
-                }
-            }
-        }
-        // Re-home the backups it held, then take it out of service; the
-        // crash-recovery walk restores replication. This is a planned
-        // removal the coordinator itself drives, so it runs inline even
-        // when failure *detection* is gossip's job.
-        self.flush_replication();
-        self.nodes[node].set_up(false);
-        let t = self.recover_crashed(node, now);
-        latency += t.latency;
-        self.metrics.objects_lost.add(lost as u64);
-        Timed::new(lost + t.result, latency)
-    }
-
     /// Current replication factor of `key` (backup copies actually present).
     pub fn live_replicas(&self, key: &Key) -> usize {
         self.backups_of(key)
             .iter()
             .filter(|&&b| self.nodes[b].is_up() && self.nodes[b].has_backup(key))
             .count()
-    }
-
-    /// Current version of `key` (0 when never written).
-    pub fn version_of(&self, key: &Key) -> u64 {
-        self.versions.get(key).copied().unwrap_or(0)
     }
 
     /// Clone of the cached value of `key`, without touching access stats.
@@ -1014,7 +902,7 @@ impl Cluster {
 
     /// Fault injection: after `n` more successful writes anywhere in the
     /// cluster, `node` crashes inline — a deterministic way to model a
-    /// crash landing between the writes of one transaction commit.
+    /// crash landing between two writes of one multi-object update.
     pub fn crash_after_writes(&mut self, n: u64, node: NodeId) {
         self.crash_after = if n == 0 { None } else { Some((n, node)) };
     }
@@ -1185,11 +1073,6 @@ impl Cluster {
     /// Whether gossip membership is active.
     pub fn gossip_enabled(&self) -> bool {
         self.gossip.enabled()
-    }
-
-    /// The gossip probe cadence (for the runtime's tick scheduling).
-    pub fn gossip_period(&self) -> Duration {
-        self.gossip.period()
     }
 
     /// Observed membership state of `node` (always `Alive` when gossip is
@@ -1369,7 +1252,6 @@ impl Cluster {
     fn remove_entry(&mut self, key: &Key) -> u64 {
         // A later flush must not resurrect a retired placement.
         self.batcher.purge_key(key);
-        *self.versions.entry(*key).or_insert(0) += 1;
         let mut size = 0;
         if let Some(master) = self.tablet.remove(key) {
             if let Some(obj) = self.nodes[master].remove_master(key) {
@@ -1437,7 +1319,7 @@ impl Cluster {
 
     /// Walks the ring from `master`, storing backup copies of `key` on
     /// live nodes until `backups` reaches the replication factor. Shared
-    /// tail of the crash/restart/drain re-replication paths.
+    /// tail of the crash/restart re-replication paths.
     fn top_up_replication(
         &mut self,
         key: &Key,
@@ -1484,20 +1366,15 @@ impl Cluster {
             .unwrap_or(shard % self.nodes.len())
     }
 
-    /// Whether replica batching is enabled (batch threshold above one).
-    pub fn batching(&self) -> bool {
-        self.cfg.shard.batching()
-    }
-
     /// Replica writes buffered and not yet flushed to their backup nodes.
     pub fn pending_replication(&self) -> usize {
         self.batcher.pending_entries()
     }
 
     /// Flushes every pending replication buffer to its backup node (the
-    /// sim-clock flush tick, and the prelude to every structural
-    /// operation). Returns the number of buffers flushed; a no-op without
-    /// batching.
+    /// prelude to every structural operation, and the caller's own
+    /// end-of-run flush). Returns the number of buffers flushed; a no-op
+    /// without batching.
     pub fn flush_replication(&mut self) -> usize {
         let mut flushed = 0;
         for ((_, backup), entries) in self.batcher.drain() {
@@ -1853,142 +1730,6 @@ mod tests {
 }
 
 #[cfg(test)]
-mod elasticity_tests {
-    use super::*;
-
-    fn key(s: &str) -> Key {
-        Key::from(s)
-    }
-
-    fn small_cluster() -> Cluster {
-        Cluster::new(ClusterConfig {
-            nodes: 3,
-            replication_factor: 1,
-            node_pool_bytes: 8 << 20,
-            max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
-            ..ClusterConfig::default()
-        })
-    }
-
-    #[test]
-    fn add_node_expands_capacity_and_receives_writes() {
-        let mut c = small_cluster();
-        // Fill the original nodes.
-        let mut written = 0;
-        for i in 0..100 {
-            if c.write(
-                0,
-                &key(&format!("k{i}")),
-                Value::synthetic(1 << 20),
-                SimTime::ZERO,
-            )
-            .result
-            .is_ok()
-            {
-                written += 1;
-            } else {
-                break;
-            }
-        }
-        assert!(written < 30, "original capacity should be ~24 objects");
-        // Scale out: the new node absorbs further writes.
-        let new = c.add_node(8 << 20);
-        assert_eq!(new, 3);
-        assert_eq!(c.n_nodes(), 4);
-        let t = c.write(0, &key("fresh"), Value::synthetic(1 << 20), SimTime::ZERO);
-        assert_eq!(t.result.unwrap(), new, "spill lands on the new node");
-    }
-
-    #[test]
-    fn added_node_participates_in_replication() {
-        let mut c = small_cluster();
-        let new = c.add_node(8 << 20);
-        c.write(new, &key("a"), Value::synthetic(1000), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert_eq!(c.master_of(&key("a")), Some(new));
-        assert_eq!(c.live_replicas(&key("a")), 1);
-    }
-
-    #[test]
-    fn drain_node_preserves_data_and_takes_node_down() {
-        let mut c = small_cluster();
-        for i in 0..5 {
-            c.write_with_dirty(
-                0,
-                &key(&format!("k{i}")),
-                Value::synthetic(1 << 20),
-                SimTime::ZERO,
-                false,
-            )
-            .result
-            .unwrap();
-        }
-        let victim = c.master_of(&key("k0")).unwrap();
-        let t = c.drain_node(victim, SimTime::ZERO);
-        assert_eq!(t.result, 0, "nothing may be lost on a planned drain");
-        assert!(!c.node(victim).is_up());
-        for i in 0..5 {
-            let k = key(&format!("k{i}"));
-            assert!(c.contains(&k), "k{i} lost");
-            let master = c.master_of(&k).unwrap();
-            assert_ne!(master, victim);
-            assert!(c.read(0, &k, SimTime::ZERO).result.is_ok());
-        }
-    }
-
-    #[test]
-    fn drain_without_backups_copies_instead() {
-        // Replication factor 0: promotion is impossible, the drain must
-        // fall back to full copies.
-        let mut c = Cluster::new(ClusterConfig {
-            nodes: 2,
-            replication_factor: 0,
-            node_pool_bytes: 8 << 20,
-            max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
-            ..ClusterConfig::default()
-        });
-        c.write_with_dirty(
-            0,
-            &key("a"),
-            Value::synthetic(1 << 20),
-            SimTime::ZERO,
-            false,
-        )
-        .result
-        .unwrap();
-        let t = c.drain_node(0, SimTime::ZERO);
-        assert_eq!(t.result, 0);
-        assert_eq!(c.master_of(&key("a")), Some(1));
-        assert!(c.read(1, &key("a"), SimTime::ZERO).result.is_ok());
-    }
-
-    #[test]
-    fn drain_then_add_back_round_trips() {
-        let mut c = small_cluster();
-        c.write_with_dirty(0, &key("a"), Value::synthetic(1000), SimTime::ZERO, false)
-            .result
-            .unwrap();
-        c.drain_node(0, SimTime::ZERO);
-        let replacement = c.add_node(8 << 20);
-        assert_eq!(replacement, 3);
-        // The cluster keeps serving, including placements on the new node.
-        c.write(
-            replacement,
-            &key("b"),
-            Value::synthetic(1000),
-            SimTime::ZERO,
-        )
-        .result
-        .unwrap();
-        assert!(c.contains(&key("a")));
-        assert!(c.contains(&key("b")));
-    }
-}
-
-#[cfg(test)]
 mod shard_tests {
     use super::*;
     use crate::shard::ShardConfig;
@@ -2007,7 +1748,6 @@ mod shard_tests {
             shard: ShardConfig {
                 shards,
                 batch_max_entries: batch,
-                ..ShardConfig::default()
             },
             ..ClusterConfig::default()
         })
@@ -2095,7 +1835,7 @@ mod shard_tests {
         let slow = sync
             .write(0, &key("a"), Value::synthetic(64 << 10), SimTime::ZERO)
             .latency;
-        assert_eq!(slow - fast, batched.config().latency.replication_ack);
+        assert_eq!(slow - fast, RcLatency::default().replication_ack);
     }
 
     #[test]
@@ -2215,10 +1955,7 @@ mod failover_tests {
 
     fn gossiped() -> Cluster {
         Cluster::new(ClusterConfig {
-            gossip: GossipConfig {
-                enabled: true,
-                ..GossipConfig::default()
-            },
+            gossip: GossipConfig { enabled: true },
             ..base_config()
         })
     }
@@ -2235,7 +1972,7 @@ mod failover_tests {
     }
 
     #[test]
-    fn crash_restart_drain_sequence_keeps_every_acked_write() {
+    fn crash_restart_sequence_keeps_every_acked_write() {
         let mut c = Cluster::new(base_config());
         for i in 0..8 {
             c.write(
@@ -2249,12 +1986,9 @@ mod failover_tests {
         }
         c.crash_node(1, SimTime::from_secs(1));
         c.restart_node(1, SimTime::from_secs(2));
-        let drained = c.drain_node(2, SimTime::from_secs(3));
-        assert_eq!(drained.result, 0, "planned drain preserves every object");
-        assert!(!c.node(2).is_up(), "drained node left service");
         for i in 0..8 {
-            let r = c.read(0, &key(&format!("k{i}")), SimTime::from_secs(4));
-            assert!(r.result.is_ok(), "k{i} lost across crash/restart/drain");
+            let r = c.read(0, &key(&format!("k{i}")), SimTime::from_secs(3));
+            assert!(r.result.is_ok(), "k{i} lost across crash/restart");
         }
         assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
     }
@@ -2409,7 +2143,7 @@ mod failover_tests {
         let mut t = SimTime::from_secs(1);
         let mut confirmed = false;
         for _ in 0..20 {
-            t += c.gossip_period();
+            t += crate::gossip::PROBE_PERIOD;
             let events = c.gossip_round(t);
             if events
                 .iter()
@@ -2429,7 +2163,7 @@ mod failover_tests {
         c.restart_node(1, t);
         let mut rejoined = false;
         for _ in 0..20 {
-            t += c.gossip_period();
+            t += crate::gossip::PROBE_PERIOD;
             let events = c.gossip_round(t);
             if events
                 .iter()
@@ -2459,7 +2193,7 @@ mod failover_tests {
         let mut t = SimTime::from_secs(1);
         let mut confirmed = false;
         for _ in 0..20 {
-            t += c.gossip_period();
+            t += crate::gossip::PROBE_PERIOD;
             let events = c.gossip_round(t);
             if events
                 .iter()

@@ -32,29 +32,21 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::time::Duration;
 
+/// Seed of the probe-target stream.
+pub const PROBE_SEED: u64 = 0x905_51b;
+
+/// Probe round cadence (drives the tick the runtime schedules).
+pub const PROBE_PERIOD: Duration = Duration::from_secs(1);
+
+/// How long a suspicion must survive unrefuted before the member is
+/// confirmed dead.
+pub const CONFIRM_AFTER: Duration = Duration::from_secs(3);
+
 /// Gossip-membership configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GossipConfig {
     /// Whether observed membership replaces coordinator omniscience.
     pub enabled: bool,
-    /// Seed of the probe-target stream.
-    pub seed: u64,
-    /// Probe round cadence (drives the tick the runtime schedules).
-    pub period: Duration,
-    /// How long a suspicion must survive unrefuted before the member is
-    /// confirmed dead.
-    pub confirm_after: Duration,
-}
-
-impl Default for GossipConfig {
-    fn default() -> Self {
-        GossipConfig {
-            enabled: false,
-            seed: 0x905_51b,
-            period: Duration::from_secs(1),
-            confirm_after: Duration::from_secs(3),
-        }
-    }
 }
 
 /// Observed liveness of a member.
@@ -143,7 +135,7 @@ pub struct GossipPlane {
 impl GossipPlane {
     /// Builds the membership plane for `nodes` members.
     pub fn new(cfg: GossipConfig, nodes: usize, telemetry: &Telemetry) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+        let rng = ChaCha8Rng::seed_from_u64(PROBE_SEED);
         let metrics = cfg.enabled.then(|| GossipMetrics::new(telemetry));
         GossipPlane {
             cfg,
@@ -172,27 +164,12 @@ impl GossipPlane {
         self.cfg.enabled
     }
 
-    /// The probe cadence (for the runtime's tick scheduling).
-    pub fn period(&self) -> Duration {
-        self.cfg.period
-    }
-
     /// Observed state of a member.
     pub fn state(&self, node: NodeId) -> MemberState {
         self.members
             .get(node)
             .map(|m| m.state)
             .unwrap_or(MemberState::Alive)
-    }
-
-    /// Grows the table when the cluster adds a node.
-    pub fn grow_to(&mut self, nodes: usize) {
-        while self.members.len() < nodes {
-            self.members.push(Member {
-                state: MemberState::Alive,
-                suspected_at: SimTime::ZERO,
-            });
-        }
     }
 
     /// Runs one probe round: each physically-up node probes one seeded-
@@ -257,7 +234,7 @@ impl GossipPlane {
                         });
                     }
                     MemberState::Suspect => {
-                        if now >= member.suspected_at + self.cfg.confirm_after {
+                        if now >= member.suspected_at + CONFIRM_AFTER {
                             member.state = MemberState::Dead;
                             if let Some(m) = &self.metrics {
                                 m.confirms.inc();
@@ -282,14 +259,7 @@ mod tests {
 
     fn plane(nodes: usize) -> GossipPlane {
         let t = Telemetry::standalone();
-        GossipPlane::new(
-            GossipConfig {
-                enabled: true,
-                ..GossipConfig::default()
-            },
-            nodes,
-            &t,
-        )
+        GossipPlane::new(GossipConfig { enabled: true }, nodes, &t)
     }
 
     /// Drives rounds at the configured period until `node` reaches
@@ -302,7 +272,7 @@ mod tests {
         want: MemberState,
         max_rounds: usize,
     ) -> usize {
-        let period = g.period();
+        let period = PROBE_PERIOD;
         for i in 0..max_rounds {
             let now = start + period * (i as u32);
             g.round(now, up, |_, _| true);
@@ -328,7 +298,7 @@ mod tests {
         let mut g = plane(5);
         let up = |n: NodeId| n != 2;
         let took = rounds_until(&mut g, SimTime::ZERO, &up, 2, MemberState::Suspect, 32);
-        let resume = SimTime::ZERO + g.period() * (took as u32);
+        let resume = SimTime::ZERO + PROBE_PERIOD * (took as u32);
         let confirm_round = rounds_until(&mut g, resume, &up, 2, MemberState::Dead, 64);
         // Confirmation cannot beat the configured window (3 s at 1 s
         // rounds = at least 3 rounds after the suspicion).
@@ -342,11 +312,11 @@ mod tests {
         let mut now = SimTime::ZERO;
         while g.state(1) != MemberState::Suspect {
             g.round(now, |n| n != 1, |_, _| true);
-            now += g.period();
+            now += PROBE_PERIOD;
         }
         while g.state(1) == MemberState::Suspect {
             g.round(now, |_| true, |_, _| true);
-            now += g.period();
+            now += PROBE_PERIOD;
         }
         assert_eq!(g.state(1), MemberState::Alive, "suspicion refuted");
     }
@@ -357,12 +327,12 @@ mod tests {
         let mut now = SimTime::ZERO;
         while g.state(3) != MemberState::Dead {
             g.round(now, |n| n != 3, |_, _| true);
-            now += g.period();
+            now += PROBE_PERIOD;
         }
         let mut rejoined = false;
         for _ in 0..32 {
             let events = g.round(now, |_| true, |_, _| true);
-            now += g.period();
+            now += PROBE_PERIOD;
             if events
                 .iter()
                 .any(|e| matches!(e, GossipEvent::Rejoined { node: 3, .. }))
@@ -393,7 +363,7 @@ mod tests {
                     }
                 }
             }
-            now += g.period();
+            now += PROBE_PERIOD;
         }
         assert!(cross > 0, "cross-group probes must fail under partition");
         assert_eq!(same, 0, "same-group members stay trusted");
@@ -401,25 +371,16 @@ mod tests {
 
     #[test]
     fn rounds_are_deterministic_per_seed() {
-        let run = |seed: u64| {
-            let t = Telemetry::standalone();
-            let mut g = GossipPlane::new(
-                GossipConfig {
-                    enabled: true,
-                    seed,
-                    ..GossipConfig::default()
-                },
-                5,
-                &t,
-            );
+        let run = || {
+            let mut g = plane(5);
             let mut log = Vec::new();
             let mut now = SimTime::ZERO;
             for _ in 0..32 {
                 log.extend(g.round(now, |n| n != 4, |_, _| true));
-                now += g.period();
+                now += PROBE_PERIOD;
             }
             log
         };
-        assert_eq!(run(3), run(3));
+        assert_eq!(run(), run());
     }
 }

@@ -50,7 +50,6 @@ pub mod log;
 pub mod node;
 pub mod raft;
 pub mod shard;
-pub mod txn;
 
 use bytes::Bytes;
 use ofc_simtime::SimTime;
@@ -217,6 +216,11 @@ impl<T> Timed<T> {
     }
 }
 
+/// Largest object the cache stores whole (§6.1: OFC raises RAMCloud's
+/// 1 MB default to 10 MB). The one statement of the paper's limit: the
+/// cluster default below and the data plane's admission bound both read it.
+pub const MAX_OBJECT_BYTES: u64 = 10 << 20;
+
 /// Cluster-level configuration.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
@@ -227,12 +231,10 @@ pub struct ClusterConfig {
     pub replication_factor: usize,
     /// Initial memory pool per node, in bytes.
     pub node_pool_bytes: u64,
-    /// Maximum object size (OFC raises RAMCloud's 1 MB default to 10 MB).
+    /// Maximum object size ([`MAX_OBJECT_BYTES`] unless a test shrinks it).
     pub max_object_bytes: u64,
     /// Log segment size for the master's log-structured memory.
     pub segment_bytes: u64,
-    /// Latency model.
-    pub latency: latency::RcLatency,
     /// Sharding and batched-replication knobs (defaults keep both off,
     /// preserving the unsharded data plane byte for byte).
     pub shard: shard::ShardConfig,
@@ -250,9 +252,8 @@ impl Default for ClusterConfig {
             nodes: 4,
             replication_factor: 2,
             node_pool_bytes: 256 << 20,
-            max_object_bytes: 10 << 20,
+            max_object_bytes: MAX_OBJECT_BYTES,
             segment_bytes: 16 << 20,
-            latency: latency::RcLatency::default(),
             shard: shard::ShardConfig::default(),
             raft: raft::RaftConfig::default(),
             gossip: gossip::GossipConfig::default(),

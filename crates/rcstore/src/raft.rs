@@ -40,6 +40,27 @@ use std::time::Duration;
 /// coordinator group the same way.
 pub type ReplicaId = usize;
 
+/// Lower bound of the randomized election timeout.
+pub const ELECTION_TIMEOUT_MIN: Duration = Duration::from_millis(150);
+
+/// Upper bound of the randomized election timeout.
+pub const ELECTION_TIMEOUT_MAX: Duration = Duration::from_millis(300);
+
+/// Leader heartbeat / follower catch-up cadence (drives the coordinator
+/// tick the runtime schedules).
+pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
+
+/// Latency charged to a client operation for the majority-ack round trip
+/// of each committed command (only when `replicas > 1`).
+pub const COMMIT_LATENCY: Duration = Duration::from_micros(120);
+
+/// A rejoining replica lagging more than this many log entries behind the
+/// commit index catches up by snapshot install instead of replay.
+pub const SNAPSHOT_LAG: u64 = 256;
+
+/// Retained log suffix; older entries are folded into the snapshot.
+pub const LOG_RETAIN: usize = 1024;
+
 /// Replicated-coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
@@ -48,21 +69,6 @@ pub struct RaftConfig {
     pub replicas: usize,
     /// Seed of the election-timeout randomization stream.
     pub seed: u64,
-    /// Lower bound of the randomized election timeout.
-    pub election_timeout_min: Duration,
-    /// Upper bound of the randomized election timeout.
-    pub election_timeout_max: Duration,
-    /// Leader heartbeat / follower catch-up cadence (drives the
-    /// coordinator tick the runtime schedules).
-    pub heartbeat_interval: Duration,
-    /// Latency charged to a client operation for the majority-ack round
-    /// trip of each committed command (only when `replicas > 1`).
-    pub commit_latency: Duration,
-    /// A rejoining replica lagging more than this many log entries behind
-    /// the commit index catches up by snapshot install instead of replay.
-    pub snapshot_lag: u64,
-    /// Retained log suffix; older entries are folded into the snapshot.
-    pub log_retain: usize,
 }
 
 impl Default for RaftConfig {
@@ -70,12 +76,6 @@ impl Default for RaftConfig {
         RaftConfig {
             replicas: 1,
             seed: 0x0fc_c09d,
-            election_timeout_min: Duration::from_millis(150),
-            election_timeout_max: Duration::from_millis(300),
-            heartbeat_interval: Duration::from_millis(50),
-            commit_latency: Duration::from_micros(120),
-            snapshot_lag: 256,
-            log_retain: 1024,
         }
     }
 }
@@ -164,7 +164,6 @@ struct Replica {
 /// The replicated coordinator group. See the module docs.
 #[derive(Debug)]
 pub struct ReplicatedCoordinator {
-    cfg: RaftConfig,
     replicas: Vec<Replica>,
     term: u64,
     leader: Option<ReplicaId>,
@@ -193,12 +192,11 @@ impl ReplicatedCoordinator {
                 up: true,
                 match_index: 0,
                 snapshot_index: 0,
-                timeout: cfg.election_timeout_min,
+                timeout: ELECTION_TIMEOUT_MIN,
             };
             n
         ];
         let mut coord = ReplicatedCoordinator {
-            cfg,
             replicas,
             term: 1,
             leader: Some(0),
@@ -389,7 +387,7 @@ impl ReplicatedCoordinator {
             return;
         };
         let commit = self.commit_index;
-        let lag_horizon = self.cfg.snapshot_lag;
+        let lag_horizon = SNAPSHOT_LAG;
         let mut installs = 0u64;
         for (i, rep) in self.replicas.iter_mut().enumerate() {
             if !rep.up || !Self::reachable(partition, leader, i) || rep.match_index >= commit {
@@ -460,22 +458,22 @@ impl ReplicatedCoordinator {
             }
         }
         self.commit_index = self.last_index;
-        while self.log.len() > self.cfg.log_retain {
+        while self.log.len() > LOG_RETAIN {
             self.log.pop_front();
         }
         if let Some(m) = &self.metrics {
             m.commits.inc();
             m.log_len.set(now, self.last_index as f64);
         }
-        Ok(self.cfg.commit_latency)
+        Ok(COMMIT_LATENCY)
     }
 
     /// Draws a fresh randomized election timeout for every replica. The
     /// only RNG consumer in the module — and it runs only in replicated
     /// mode, so default-path runs never touch the stream.
     fn randomize_timeouts(&mut self) {
-        let lo = self.cfg.election_timeout_min.as_nanos() as u64;
-        let hi = (self.cfg.election_timeout_max.as_nanos() as u64).max(lo + 1);
+        let lo = ELECTION_TIMEOUT_MIN.as_nanos() as u64;
+        let hi = (ELECTION_TIMEOUT_MAX.as_nanos() as u64).max(lo + 1);
         for rep in &mut self.replicas {
             rep.timeout = Duration::from_nanos(self.rng.gen_range(lo..hi));
         }
@@ -533,7 +531,7 @@ mod tests {
     fn replicated_commit_charges_latency_and_appends() {
         let mut c = replicated(3);
         let lat = c.propose(cmd(0), 0, SimTime::ZERO, None).unwrap();
-        assert_eq!(lat, RaftConfig::default().commit_latency);
+        assert_eq!(lat, COMMIT_LATENCY);
         assert_eq!(c.last_index(), 1);
         assert_eq!(c.commit_index(), 1);
         assert!(matches!(
@@ -551,7 +549,7 @@ mod tests {
         // Immediately after the crash: inside the election window.
         assert!(c.propose(cmd(0), 1, t0, None).is_err());
         // Past the maximum timeout a new leader must exist.
-        let t1 = t0 + RaftConfig::default().election_timeout_max;
+        let t1 = t0 + ELECTION_TIMEOUT_MAX;
         c.tick(t1, None);
         let leader = c.leader().expect("election completed");
         assert_ne!(leader, 0);
@@ -580,7 +578,7 @@ mod tests {
         let t0 = SimTime::from_millis(1);
         c.tick(t0, Some(&partition));
         assert_eq!(c.leader(), None, "leader lost its majority");
-        let t1 = t0 + RaftConfig::default().election_timeout_max;
+        let t1 = t0 + ELECTION_TIMEOUT_MAX;
         c.tick(t1, Some(&partition));
         let leader = c.leader().expect("majority side elects");
         assert!(leader == 1 || leader == 2);
@@ -623,7 +621,7 @@ mod tests {
         assert_eq!(c.snapshot_index(2), 0, "short lag replays the log");
         // Large lag: snapshot install.
         c.crash_replica(2, t0);
-        for i in 0..(RaftConfig::default().snapshot_lag + 5) {
+        for i in 0..(SNAPSHOT_LAG + 5) {
             c.propose(cmd(100 + i), 0, t0, None).unwrap();
         }
         c.restart_replica(2, t0);
@@ -638,7 +636,7 @@ mod tests {
     #[test]
     fn log_compaction_bounds_memory() {
         let mut c = replicated(3);
-        let retain = RaftConfig::default().log_retain;
+        let retain = LOG_RETAIN;
         for i in 0..(retain as u64 + 100) {
             c.propose(cmd(i), 0, SimTime::ZERO, None).unwrap();
         }
@@ -651,14 +649,7 @@ mod tests {
     fn elections_are_deterministic_per_seed() {
         let run = |seed: u64| -> (u64, Vec<Option<ReplicaId>>) {
             let t = Telemetry::standalone();
-            let mut c = ReplicatedCoordinator::new(
-                RaftConfig {
-                    replicas: 5,
-                    seed,
-                    ..RaftConfig::default()
-                },
-                &t,
-            );
+            let mut c = ReplicatedCoordinator::new(RaftConfig { replicas: 5, seed }, &t);
             let mut leaders = Vec::new();
             let mut now = SimTime::ZERO;
             for step in 0..6 {

@@ -11,10 +11,10 @@
 //! Replication traffic is coalesced per `(shard, backup)` pair by the
 //! [`ReplicationBatcher`]: instead of one synchronous backup RPC per write,
 //! pending replica payloads accumulate in a buffer that is flushed either
-//! when it reaches `batch_max_entries` or on the periodic sim-clock flush
-//! tick ([`crate::cluster::Cluster::flush_replication`]). Acked writes are
+//! when it reaches `batch_max_entries` or when the caller asks
+//! ([`crate::cluster::Cluster::flush_replication`]). Acked writes are
 //! never lost to batching: the coordinator owns the buffers (they survive
-//! node crashes) and every structural operation — crash, drain, restart,
+//! node crashes) and every structural operation — crash, restart,
 //! migration — flushes before mutating placement.
 //!
 //! With `shards == 1` and `batch_max_entries == 1` (the defaults) both
@@ -27,7 +27,7 @@ use std::collections::BTreeMap;
 /// Identifier of a shard (a contiguous slice of the key space).
 pub type ShardId = usize;
 
-/// Default seed of the router's key→shard mapping ("OFC1").
+/// Seed of the router's stable key→shard mapping ("OFC1").
 pub const DEFAULT_ROUTER_SEED: u64 = 0x4f46_4331;
 
 /// Sharding and replication-batching knobs of the data plane.
@@ -35,8 +35,6 @@ pub const DEFAULT_ROUTER_SEED: u64 = 0x4f46_4331;
 pub struct ShardConfig {
     /// Number of shards the key space is split into. 1 disables sharding.
     pub shards: usize,
-    /// Seed of the stable key→shard mapping.
-    pub router_seed: u64,
     /// Replica writes buffered per `(shard, backup)` pair before an
     /// automatic flush. 1 disables batching (every write replicates
     /// synchronously, as without this module).
@@ -47,7 +45,6 @@ impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
             shards: 1,
-            router_seed: DEFAULT_ROUTER_SEED,
             batch_max_entries: 1,
         }
     }

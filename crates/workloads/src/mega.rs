@@ -16,11 +16,11 @@
 //! * **Zipf/Pareto rates** — tenant at popularity rank `r` has mean
 //!   inter-arrival `base_mean · (r+1)^zipf_s` (capped), so a handful of
 //!   head tenants dominate while a long tail trickles; within a tenant,
-//!   function popularity is skewed the same way (`fn_skew`),
+//!   function popularity is skewed the same way ([`FN_SKEW`]),
 //! * **diurnal waves** — arrival intensity is modulated by a sinusoid
 //!   with a per-tenant phase, giving the 24-hour swell of real traces,
 //! * **COCOA-style bursts** — each arrival may open a burst episode: a
-//!   back-to-back volley at `burst_gap` spacing, the bursty, cold-start
+//!   back-to-back volley at [`BURST_GAP`] spacing, the bursty, cold-start
 //!   hostile pattern of the COCOA traces (PAPERS.md).
 //!
 //! Object naming feeds the per-tenant quota plane: every tenant's inputs
@@ -49,6 +49,15 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
+/// Within-tenant function popularity skew (u^skew concentration).
+pub const FN_SKEW: f64 = 2.0;
+
+/// Diurnal modulation amplitude, in (0, 1): intensity swings ±60 %.
+pub const DIURNAL_AMPLITUDE: f64 = 0.6;
+
+/// Intra-burst spacing.
+pub const BURST_GAP: Duration = Duration::from_millis(50);
+
 /// Mega-scenario configuration. The defaults are the full ≥100k-function
 /// run; smoke windows shrink `tenants`/`duration` only.
 #[derive(Debug, Clone)]
@@ -74,10 +83,6 @@ pub struct MegaConfig {
     pub base_mean: Duration,
     /// Cap on any tenant's mean inter-arrival (tail tenants still fire).
     pub max_mean: Duration,
-    /// Within-tenant function popularity skew (u^skew concentration).
-    pub fn_skew: f64,
-    /// Diurnal modulation amplitude in [0, 1) (0 disables the wave).
-    pub diurnal_amplitude: f64,
     /// Diurnal period (24 h in the full run; shorter in smoke windows so
     /// the wave still shows).
     pub diurnal_period: Duration,
@@ -85,8 +90,6 @@ pub struct MegaConfig {
     pub burst_prob: f64,
     /// Invocations per burst episode (beyond the triggering arrival).
     pub burst_len: usize,
-    /// Intra-burst spacing.
-    pub burst_gap: Duration,
 }
 
 impl Default for MegaConfig {
@@ -101,12 +104,9 @@ impl Default for MegaConfig {
             zipf_s: 1.0,
             base_mean: Duration::from_millis(300),
             max_mean: Duration::from_secs(2 * 3600),
-            fn_skew: 2.0,
-            diurnal_amplitude: 0.6,
             diurnal_period: Duration::from_secs(24 * 3600),
             burst_prob: 0.02,
             burst_len: 8,
-            burst_gap: Duration::from_millis(50),
         }
     }
 }
@@ -268,14 +268,11 @@ struct MegaShared {
 
 impl MegaShared {
     /// Diurnal intensity multiplier at virtual instant `t` for a tenant
-    /// with phase `phase` (in [0,1) turns): ≥ `1 - amplitude` > 0.
+    /// with phase `phase` (in [0,1) turns): ≥ `1 - DIURNAL_AMPLITUDE` > 0.
     fn wave(&self, t: SimTime, phase: f64) -> f64 {
-        if self.cfg.diurnal_amplitude <= 0.0 {
-            return 1.0;
-        }
         let period = self.cfg.diurnal_period.as_secs_f64().max(1.0);
         let x = t.as_duration().as_secs_f64() / period + phase;
-        1.0 + self.cfg.diurnal_amplitude * (x * std::f64::consts::TAU).sin()
+        1.0 + DIURNAL_AMPLITUDE * (x * std::f64::consts::TAU).sin()
     }
 }
 
@@ -294,7 +291,7 @@ impl TenantStream {
     fn sample_request(&mut self) -> InvocationRequest {
         let n = self.shared.cfg.fns_per_tenant;
         let u: f64 = self.rng.gen();
-        let k = ((u.powf(self.shared.cfg.fn_skew) * n as f64) as usize).min(n - 1);
+        let k = ((u.powf(FN_SKEW) * n as f64) as usize).min(n - 1);
         let pool = &self.shared.inputs[self.index][kind_idx(self.shared.profiles[k].kind)];
         let input = pool[self.rng.gen_range(0..pool.len())].clone();
         let args = self.shared.profiles[k].sample_args(&input.id, &mut self.rng);
@@ -318,7 +315,7 @@ impl TenantStream {
             // COCOA-style episode: a back-to-back volley, synthesized now
             // (burst_len is a small constant — state stays O(1)).
             for j in 1..=self.shared.cfg.burst_len {
-                let at = sim.now() + self.shared.cfg.burst_gap * j as u32;
+                let at = sim.now() + BURST_GAP * j as u32;
                 if at > self.shared.end {
                     break;
                 }

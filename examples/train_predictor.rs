@@ -62,7 +62,7 @@ fn main() {
     //    path on a worker thread; the Predictor reads published models
     //    lock-free.
     let trainer = BackgroundTrainer::spawn(C45Params::default());
-    let dataset = memory_dataset(p, 800, 16 << 20, 9);
+    let dataset = memory_dataset(p, 800, ofc::core::ml::INTERVAL_BYTES, 9);
     trainer.submit("demo/wand_resize", dataset.clone());
     // ... the invocation path keeps serving predictions meanwhile ...
     let model = loop {

@@ -190,7 +190,6 @@ proptest! {
             shard: ofc::rcstore::shard::ShardConfig {
                 shards,
                 batch_max_entries: batch,
-                ..ofc::rcstore::shard::ShardConfig::default()
             },
             ..ClusterConfig::default()
         });
@@ -483,11 +482,7 @@ fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCa
         node_pool_bytes: 256 * MB,
         max_object_bytes: 10 * MB,
         segment_bytes: 16 * MB,
-        raft: ofc::rcstore::raft::RaftConfig {
-            replicas: 3,
-            seed,
-            ..ofc::rcstore::raft::RaftConfig::default()
-        },
+        raft: ofc::rcstore::raft::RaftConfig { replicas: 3, seed },
         ..ClusterConfig::default()
     });
     cluster.bind_telemetry(&telemetry);

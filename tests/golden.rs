@@ -182,12 +182,14 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
         env: &[("OFC_MACRO_SMOKE", "1")],
     },
     // OFC, Faa$T and InfiniCache on the Fig 9 mix: admission, eviction,
-    // prefetch, cold-tier parking and the rent model.
+    // prefetch, cold-tier parking and the rent model. `BAKEOFF_CHECK` runs
+    // every policy twice in one process and exits non-zero when the passes
+    // disagree — the in-process determinism the two passes here cannot see.
     RunnerGolden {
         bin: "bakeoff",
         output: "bakeoff_smoke",
         golden: "bakeoff_smoke",
-        env: &[("OFC_MACRO_SMOKE", "1")],
+        env: &[("OFC_MACRO_SMOKE", "1"), ("OFC_BAKEOFF_CHECK", "1")],
     },
     // All six million-user variants at CI size (DESIGN.md §18): the mega
     // generator, the quota plane, per-decile accounting, the crash drill.

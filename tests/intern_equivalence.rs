@@ -12,7 +12,7 @@
 //! state. After every op:
 //!
 //! * the twin clusters must agree on every observable — lengths, byte
-//!   accounting, per-key version/dirty/master placement, loss counters,
+//!   accounting, per-key dirty/master placement, loss counters,
 //!   and the full eviction-victim list;
 //! * the string-keyed model must agree with the cluster on presence and
 //!   size of every acknowledged object, and eviction victims must come
@@ -147,7 +147,6 @@ fn check_state(
             b.master_of(&key),
             "master placement diverged"
         );
-        prop_assert_eq!(a.version_of(&key), b.version_of(&key), "version diverged");
         prop_assert_eq!(a.is_dirty(&key), b.is_dirty(&key), "dirty flag diverged");
         // A tablet entry can outlive its master copy while a recovery is
         // parked behind a partition; peek then yields None on both twins.

@@ -246,13 +246,14 @@ proptest! {
     /// raw predicted interval, never exceed the range, and are monotone.
     #[test]
     fn interval_allocation_sound(raw in 0u32..128, mem in 0u64..(3 << 30)) {
+        use ofc::core::ml::{interval_of, INTERVAL_BYTES, RANGE_BYTES};
         let cfg = ofc::core::ml::MlConfig::default();
-        let label = cfg.interval_of(mem);
-        prop_assert!(u64::from(label) * cfg.interval_bytes <= mem || label == 127);
+        let label = interval_of(mem);
+        prop_assert!(u64::from(label) * INTERVAL_BYTES <= mem || label == 127);
         let alloc = cfg.allocation_for(raw);
-        prop_assert!(alloc <= cfg.range_bytes);
+        prop_assert!(alloc <= RANGE_BYTES);
         // The allocation covers the upper bound of the raw interval.
-        prop_assert!(alloc >= (u64::from(raw) + 1).min(128) * cfg.interval_bytes);
+        prop_assert!(alloc >= (u64::from(raw) + 1).min(128) * INTERVAL_BYTES);
         if raw < 127 {
             prop_assert!(cfg.allocation_for(raw + 1) >= alloc);
         }
