@@ -122,12 +122,6 @@ fn chaos_run(
                     FaultKind::PersistorFailure { count } => {
                         persistence.borrow_mut().inject_persist_failures(*count)
                     }
-                    FaultKind::ShardCrash(s) => {
-                        let node = c.shard_master(*s);
-                        if c.live_nodes() > 1 {
-                            c.crash_node(node, now);
-                        }
-                    }
                     FaultKind::CoordinatorCrash(r) => c.crash_coordinator(*r, now),
                     FaultKind::CoordinatorRestart(r) => c.restart_coordinator(*r, now),
                     FaultKind::LeaderIsolate => {

@@ -841,94 +841,6 @@ pub fn migration_sweep() -> Vec<MigrationPoint> {
         .collect()
 }
 
-/// One point of the shard-scaling study (DESIGN.md §11): the same
-/// deterministic store-op trace replayed against an `N`-shard cluster.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct ShardThroughput {
-    /// Data-plane shards.
-    pub shards: usize,
-    /// Operations replayed.
-    pub ops: u64,
-    /// Summed store-op latency (s).
-    pub total_latency_s: f64,
-    /// Store operations per second of summed latency.
-    pub ops_per_sec: f64,
-}
-
-/// Replays the Fig 9-shaped macro store mix — 70% reads / 30% writes,
-/// sizes skewed small (1 KB – 256 KB), keys drawn Zipf-ish from a 512-key
-/// population — against a raw cluster with `shards` data-plane shards.
-/// Multi-shard runs batch replication (8 entries per buffer, periodic
-/// flush every 64 ops); a single shard replays the exact unsharded,
-/// unbatched seed path. Deterministic per seed.
-pub fn shard_throughput(shards: usize, seed: u64) -> ShardThroughput {
-    use ofc_rcstore::cluster::Cluster;
-    use ofc_rcstore::shard::ShardConfig;
-    use ofc_rcstore::{ClusterConfig, Key};
-    use rand::Rng;
-
-    let mut cluster = Cluster::new(ClusterConfig {
-        nodes: 4,
-        replication_factor: 2,
-        node_pool_bytes: 2 << 30,
-        max_object_bytes: 10 << 20,
-        segment_bytes: 16 << 20,
-        shard: ShardConfig {
-            shards,
-            batch_max_entries: if shards > 1 { 8 } else { 1 },
-        },
-        ..ClusterConfig::default()
-    });
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    const OPS: u64 = 20_000;
-    const KEYS: u64 = 512;
-    let mut total = Duration::ZERO;
-    let now = SimTime::ZERO;
-    for op in 0..OPS {
-        // Zipf-ish skew: square a uniform draw so low key ids dominate.
-        let u: f64 = rng.gen();
-        let k = ((u * u) * KEYS as f64) as u64;
-        let key = Key::from(format!("obj/{k}"));
-        // Locality-aware routing, as OFC's scheduler does via the
-        // coordinator oracle: run each op on the key's master node so
-        // both configurations compare local-path latency.
-        let node = if shards > 1 {
-            cluster.shard_master(cluster.shard_of(&key))
-        } else {
-            (k % 4) as usize
-        };
-        let size = match rng.gen_range(0..10) {
-            0..=5 => 1 << 10,
-            6..=8 => 64 << 10,
-            _ => 256 << 10,
-        };
-        let write = rng.gen_range(0..10) < 3;
-        let (ok, latency) = if write {
-            let t = cluster.write(node, &key, RcValue::synthetic(size), now);
-            (t.result.is_ok(), t.latency)
-        } else {
-            let t = cluster.read(node, &key, now);
-            (t.result.is_ok(), t.latency)
-        };
-        // Cold reads miss; only count latency of successful ops so every
-        // shard count sums over the same op population.
-        if ok {
-            total += latency;
-        }
-        if op % 64 == 0 {
-            cluster.flush_replication();
-        }
-    }
-    cluster.flush_replication();
-    let secs = total.as_secs_f64();
-    ShardThroughput {
-        shards,
-        ops: OPS,
-        total_latency_s: secs,
-        ops_per_sec: OPS as f64 / secs.max(1e-12),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1013,27 +925,6 @@ mod tests {
         assert!(at(8) < 1.0, "8 MB: {} ms", at(8));
         assert!(at(1024) > at(8) * 10.0);
         assert!(at(1024) < 40.0, "1 GB: {} ms", at(1024));
-    }
-
-    #[test]
-    fn sharded_batched_store_beats_single_shard_by_a_quarter() {
-        let one = shard_throughput(1, 17);
-        let four = shard_throughput(4, 17);
-        assert_eq!(one.ops, four.ops, "identical traces");
-        let gain = four.ops_per_sec / one.ops_per_sec;
-        assert!(
-            gain >= 1.25,
-            "4-shard gain only {gain:.2}x ({:.0} vs {:.0} ops/s)",
-            four.ops_per_sec,
-            one.ops_per_sec
-        );
-    }
-
-    #[test]
-    fn shard_throughput_is_deterministic_per_seed() {
-        let a = shard_throughput(4, 23);
-        let b = shard_throughput(4, 23);
-        assert_eq!(a.total_latency_s.to_bits(), b.total_latency_s.to_bits());
     }
 
     #[test]

@@ -131,12 +131,6 @@ pub enum FaultKind {
         /// Number of persistor runs to fail.
         count: u32,
     },
-    /// Fail-stop crash aimed at a data-plane shard (DESIGN.md §11): the
-    /// sink resolves the shard to its anchor node (the cluster's
-    /// `shard_master`) and crashes that. With batched replication the
-    /// cluster must flush pending buffers first, so no acked write on the
-    /// shard is lost.
-    ShardCrash(usize),
     /// Fail-stop crash of a coordinator replica (the control-plane
     /// process, independent of the co-located storage node). A crashed
     /// leader forces a timed re-election.
@@ -193,9 +187,6 @@ pub enum FaultTemplate {
         /// Number of persistor runs to fail.
         count: u32,
     },
-    /// Crash the master of a uniformly drawn shard (requires
-    /// [`ChaosSchedule::shards`]).
-    ShardCrash,
     /// Crash a uniformly drawn coordinator replica (requires
     /// [`ChaosSchedule::coordinators`]); a matching restart is emitted
     /// `heal_after` later so the group never drifts headless forever.
@@ -241,7 +232,6 @@ pub struct Recurring {
 #[derive(Debug, Clone, Default)]
 pub struct ChaosSchedule {
     nodes: usize,
-    shards: usize,
     coordinators: usize,
     one_shots: Vec<FaultEvent>,
     recurring: Vec<Recurring>,
@@ -252,19 +242,10 @@ impl ChaosSchedule {
     pub fn new(nodes: usize) -> Self {
         ChaosSchedule {
             nodes,
-            shards: 0,
             coordinators: 0,
             one_shots: Vec::new(),
             recurring: Vec::new(),
         }
-    }
-
-    /// Declares the cluster's shard count so [`FaultTemplate::ShardCrash`]
-    /// sources can draw targets. Schedules without shard-targeted sources
-    /// are unaffected: each recurring source has its own RNG stream.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
     }
 
     /// Declares the coordinator-replica count so
@@ -346,13 +327,6 @@ impl ChaosSchedule {
                             kind: FaultKind::PersistorFailure { count: *count },
                         });
                     }
-                    FaultTemplate::ShardCrash => {
-                        let shard = rng.gen_range(0..self.shards.max(1));
-                        events.push(FaultEvent {
-                            at,
-                            kind: FaultKind::ShardCrash(shard),
-                        });
-                    }
                     FaultTemplate::CoordinatorCrash { heal_after } => {
                         let replica = rng.gen_range(0..self.coordinators.max(1));
                         events.push(FaultEvent {
@@ -419,7 +393,6 @@ struct ChaosMetrics {
     slowdowns: Counter,
     transient_bursts: Counter,
     persistor_failures: Counter,
-    shard_crashes: Counter,
     coordinator_crashes: Counter,
     coordinator_restarts: Counter,
     leader_isolations: Counter,
@@ -435,7 +408,6 @@ impl ChaosMetrics {
             slowdowns: t.counter("chaos.slowdowns"),
             transient_bursts: t.counter("chaos.transient_bursts"),
             persistor_failures: t.counter("chaos.persistor_failures"),
-            shard_crashes: t.counter("chaos.shard_crashes"),
             coordinator_crashes: t.counter("chaos.coordinator_crashes"),
             coordinator_restarts: t.counter("chaos.coordinator_restarts"),
             leader_isolations: t.counter("chaos.leader_isolations"),
@@ -466,10 +438,6 @@ impl ChaosMetrics {
             FaultKind::PersistorFailure { .. } => {
                 self.injected.inc();
                 self.persistor_failures.inc();
-            }
-            FaultKind::ShardCrash(_) => {
-                self.injected.inc();
-                self.shard_crashes.inc();
             }
             FaultKind::CoordinatorCrash(_) => {
                 self.injected.inc();
@@ -588,43 +556,6 @@ mod tests {
             .count();
         assert_eq!(slows, restores, "every slowdown pairs with a restore");
         assert!(slows > 0);
-    }
-
-    #[test]
-    fn shard_crash_sources_draw_in_range_and_leave_others_untouched() {
-        let base = ChaosSchedule::new(4).recurring(Recurring {
-            template: FaultTemplate::Crash,
-            mean_interval: Duration::from_secs(60),
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(600),
-        });
-        let with_shards = base.clone().shards(8).recurring(Recurring {
-            template: FaultTemplate::ShardCrash,
-            mean_interval: Duration::from_secs(45),
-            from: SimTime::ZERO,
-            until: SimTime::from_secs(600),
-        });
-        let a = base.generate(11);
-        let b = with_shards.generate(11);
-        // Per-source RNG streams: the node-crash arrivals are byte-identical
-        // with or without the shard source riding along.
-        let node_crashes = |evs: &[FaultEvent]| {
-            evs.iter()
-                .filter(|e| matches!(e.kind, FaultKind::NodeCrash(_)))
-                .cloned()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(node_crashes(&a), node_crashes(&b));
-        let shard_crashes: Vec<usize> = b
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::ShardCrash(s) => Some(s),
-                _ => None,
-            })
-            .collect();
-        assert!(!shard_crashes.is_empty(), "shard source fired");
-        assert!(shard_crashes.iter().all(|&s| s < 8), "targets in range");
-        assert_eq!(with_shards.generate(11), b, "deterministic per seed");
     }
 
     #[test]
@@ -792,29 +723,6 @@ mod tests {
         assert_eq!(m.counter("chaos.partitions"), 1);
         // The heal ends an episode; it is not itself a fault.
         assert_eq!(m.counter("chaos.faults_injected"), 4);
-    }
-
-    #[test]
-    fn shard_crash_events_count_on_their_own_counter() {
-        let telemetry = Telemetry::standalone();
-        let mut sim = Sim::new(0);
-        let events = vec![FaultEvent {
-            at: SimTime::from_secs(1),
-            kind: FaultKind::ShardCrash(3),
-        }];
-        let seen: Rc<RefCell<Vec<FaultKind>>> = Rc::default();
-        let sink = Rc::clone(&seen);
-        install(
-            &mut sim,
-            events,
-            &telemetry,
-            Rc::new(move |_, kind| sink.borrow_mut().push(kind.clone())),
-        );
-        sim.run();
-        assert_eq!(seen.borrow().as_slice(), &[FaultKind::ShardCrash(3)]);
-        let m = telemetry.metrics();
-        assert_eq!(m.counter("chaos.shard_crashes"), 1);
-        assert_eq!(m.counter("chaos.faults_injected"), 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! persistor functions, pipeline intermediate-data lifecycle, and the
 //! webhook paths for external clients.
 
-use crate::health::{BreakerConfig, ShardBreakers};
+use crate::health::{BreakerConfig, CircuitBreaker};
 use crate::policy::PolicyHandle;
 use ofc_chaos::RetryPolicy;
 use ofc_faas::{
@@ -302,12 +302,10 @@ pub struct OfcPlane {
     persistence: Rc<RefCell<Persistence>>,
     telemetry: Telemetry,
     metrics: PlaneMetrics,
-    /// Health monitor: per-shard breakers that trip open after consecutive
-    /// transient store failures; reads/writes for a tripped shard then
-    /// bypass to the RSDS while healthy shards keep serving (DESIGN.md
-    /// §10, §11). Shared so the gossip loop can trip a shard's breaker the
-    /// moment membership confirms its anchor dead (DESIGN.md §16).
-    breaker: Rc<RefCell<ShardBreakers>>,
+    /// Health monitor: trips open after consecutive transient store
+    /// failures; reads/writes then bypass to the RSDS until a probe
+    /// succeeds (DESIGN.md §10).
+    breaker: CircuitBreaker,
     /// Monotonic id tagging persistor spans in the trace stream.
     persist_seq: u64,
     /// Chunk manifests of striped large objects: key → chunk count
@@ -367,11 +365,7 @@ impl OfcPlane {
                     }
                 }));
         }
-        let breaker = Rc::new(RefCell::new(ShardBreakers::new(
-            BreakerConfig::default(),
-            cluster.borrow().shards(),
-            telemetry,
-        )));
+        let breaker = CircuitBreaker::new(BreakerConfig::default(), telemetry);
         OfcPlane {
             cfg,
             cluster,
@@ -391,21 +385,9 @@ impl OfcPlane {
         self.policy = Some(policy);
     }
 
-    /// Current worst breaker state across shards (tests and the chaos
-    /// bench); with one shard this is exactly the old plane-wide breaker.
+    /// Current breaker state (tests and the chaos bench).
     pub fn breaker_state(&self) -> crate::health::BreakerState {
-        self.breaker.borrow().max_state()
-    }
-
-    /// Breaker state of one shard (shard-targeted chaos assertions).
-    pub fn shard_breaker_state(&self, shard: usize) -> crate::health::BreakerState {
-        self.breaker.borrow().state(shard)
-    }
-
-    /// Shared handle to the per-shard breakers, for out-of-band trips
-    /// (the gossip membership loop; DESIGN.md §16).
-    pub fn breakers(&self) -> Rc<RefCell<ShardBreakers>> {
-        Rc::clone(&self.breaker)
+        self.breaker.state()
     }
 
     /// Per-tenant quota gate (DESIGN.md §18), consulted before any
@@ -623,10 +605,9 @@ impl DataPlane for OfcPlane {
         // The admission's byte ceiling composes with the plane's: a policy
         // may only tighten, never widen, the configured object-size bound.
         let limit = admission.byte_limit.min(self.cfg.max_cached_object);
-        let shard = self.cluster.borrow().shard_of(&key);
-        // Degraded operation: an open breaker bypasses the cache for this
-        // key's shard — OFC must never be worse than the vanilla platform.
-        if !self.breaker.borrow_mut().allow(shard, now) {
+        // Degraded operation: an open breaker bypasses the cache — OFC
+        // must never be worse than the vanilla platform.
+        if !self.breaker.allow(now) {
             self.metrics.degraded_bypasses.inc();
             let (_, latency) = self.store.borrow_mut().get(&obj.id);
             return ReadOutcome {
@@ -638,7 +619,7 @@ impl DataPlane for OfcPlane {
         let hit = self.cluster.borrow_mut().read(node, &key, now);
         match hit.result {
             Ok((_value, locality)) => {
-                self.breaker.borrow_mut().record_success(shard, now);
+                self.breaker.record_success(now);
                 if let Some(p) = &self.policy {
                     p.borrow_mut().on_access(&key, obj.size, node, true);
                 }
@@ -660,7 +641,7 @@ impl DataPlane for OfcPlane {
             Err(e) if e.is_transient() => {
                 // A sick store is not a miss: record the failure, bypass
                 // to the RSDS, and do not fill the cache.
-                self.breaker.borrow_mut().record_failure(shard, now);
+                self.breaker.record_failure(now);
                 self.metrics.degraded_bypasses.inc();
                 let (_, latency) = self.store.borrow_mut().get(&obj.id);
                 return ReadOutcome {
@@ -669,7 +650,7 @@ impl DataPlane for OfcPlane {
                 };
             }
             // NotFound is a healthy response — the normal miss path below.
-            Err(_) => self.breaker.borrow_mut().record_success(shard, now),
+            Err(_) => self.breaker.record_success(now),
         }
         // A policy-private cold tier (e.g. InfiniCache's parked objects)
         // may still hold the object: restore it into RAM and serve the
@@ -801,8 +782,7 @@ impl DataPlane for OfcPlane {
         }
 
         // Degraded operation: an open breaker writes straight to the RSDS.
-        let shard = self.cluster.borrow().shard_of(&key);
-        if !self.breaker.borrow_mut().allow(shard, now) {
+        if !self.breaker.allow(now) {
             self.metrics.degraded_bypasses.inc();
             let (_, latency) = self.store.borrow_mut().put(
                 &obj.id,
@@ -835,7 +815,7 @@ impl DataPlane for OfcPlane {
             // Transient store trouble feeds the breaker; a full cache
             // (OutOfMemory) is a capacity signal, not a health one.
             if e.is_transient() {
-                self.breaker.borrow_mut().record_failure(shard, now);
+                self.breaker.record_failure(now);
                 self.metrics.degraded_bypasses.inc();
             }
             // Either way: fall back to the RSDS path, as without OFC.
@@ -847,7 +827,7 @@ impl DataPlane for OfcPlane {
             );
             return WriteOutcome { latency: l };
         }
-        self.breaker.borrow_mut().record_success(shard, now);
+        self.breaker.record_success(now);
 
         let intermediate = pipeline.is_some() && !obj.is_final;
         if intermediate {
@@ -1318,67 +1298,6 @@ mod tests {
             let id = ObjectId::new("out", format!("w{i}"));
             assert!(store.borrow().head(&id).0.is_ok(), "w{i} lost");
         }
-    }
-
-    #[test]
-    fn sharded_plane_trips_only_the_failing_shard() {
-        use crate::health::BreakerState;
-        use ofc_rcstore::shard::ShardConfig;
-        let cluster = Rc::new(RefCell::new(Cluster::new(ClusterConfig {
-            nodes: 3,
-            replication_factor: 1,
-            node_pool_bytes: 256 * MB,
-            max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
-            shard: ShardConfig {
-                shards: 4,
-                ..ShardConfig::default()
-            },
-            ..ClusterConfig::default()
-        })));
-        let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
-        let mut plane = OfcPlane::new(
-            PlaneConfig::default(),
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::standalone(),
-        );
-        let mut sim = Sim::new(0);
-        // Two keys on different shards, both cached.
-        let (mut on_sick, mut on_healthy) = (None, None);
-        for i in 0..64 {
-            let obj = put_input(&store, &format!("k{i}"), 64 * 1024);
-            let shard = cluster.borrow().shard_of(&rc_key(&obj.id));
-            if shard == 0 && on_sick.is_none() {
-                on_sick = Some(obj);
-            } else if shard != 0 && on_healthy.is_none() {
-                on_healthy = Some(obj);
-            }
-        }
-        let (sick, healthy) = (on_sick.unwrap(), on_healthy.unwrap());
-        plane.read(&mut sim, 0, &sick, Admission::admit());
-        plane.read(&mut sim, 0, &healthy, Admission::admit());
-        // Trip shard 0 only: transient faults while reading its key.
-        for _ in 0..5 {
-            cluster.borrow_mut().inject_transient_errors(1);
-            let out = plane.read(&mut sim, 0, &sick, Admission::admit());
-            assert_eq!(out.served, Served::Direct);
-        }
-        assert_eq!(plane.shard_breaker_state(0), BreakerState::Open);
-        assert_eq!(plane.breaker_state(), BreakerState::Open);
-        // The sick shard bypasses; the healthy shard still serves hits.
-        let out = plane.read(&mut sim, 0, &sick, Admission::admit());
-        assert_eq!(out.served, Served::Direct);
-        // Shard anchoring may place the healthy master on another node, so
-        // either hit flavor proves the cache still serves that shard.
-        let out = plane.read(&mut sim, 0, &healthy, Admission::admit());
-        assert!(
-            matches!(out.served, Served::LocalHit | Served::RemoteHit),
-            "healthy shard must still hit, got {:?}",
-            out.served
-        );
-        let other = cluster.borrow().shard_of(&rc_key(&healthy.id));
-        assert_eq!(plane.shard_breaker_state(other), BreakerState::Closed);
     }
 
     #[test]

@@ -65,27 +65,29 @@ impl BreakerState {
     }
 }
 
-/// The gauge-free breaker state machine. `CircuitBreaker` wraps one core
-/// for the whole plane; `ShardBreakers` keeps one per shard so a single
-/// failing shard does not force the entire plane into bypass.
-#[derive(Debug, Clone)]
-pub struct BreakerCore {
+/// The circuit breaker guarding cache-store access.
+#[derive(Debug)]
+pub struct CircuitBreaker {
     cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
     probe_successes: u32,
     opened_at: SimTime,
+    gauge: Gauge,
 }
 
-impl BreakerCore {
-    /// A closed core with the given tunables.
-    pub fn new(cfg: BreakerConfig) -> Self {
-        BreakerCore {
+impl CircuitBreaker {
+    /// A closed breaker recording its state on `telemetry`.
+    pub fn new(cfg: BreakerConfig, telemetry: &Telemetry) -> Self {
+        let gauge = telemetry.gauge("plane.breaker_state");
+        gauge.set(SimTime::ZERO, BreakerState::Closed.gauge_value());
+        CircuitBreaker {
             cfg,
             state: BreakerState::Closed,
             consecutive_failures: 0,
             probe_successes: 0,
             opened_at: SimTime::ZERO,
+            gauge,
         }
     }
 
@@ -96,76 +98,48 @@ impl BreakerCore {
 
     /// Whether a cache access may proceed at `now`. An open breaker
     /// transitions to half-open once the cool-down has elapsed; half-open
-    /// admits probes. Returns `(allowed, state_changed)`.
-    pub fn allow(&mut self, now: SimTime) -> (bool, bool) {
+    /// admits probes.
+    pub fn allow(&mut self, now: SimTime) -> bool {
         match self.state {
-            BreakerState::Closed | BreakerState::HalfOpen => (true, false),
+            BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
                 if now.saturating_since(self.opened_at) >= self.cfg.open_for {
                     self.transition(BreakerState::HalfOpen, now);
-                    (true, true)
-                } else {
-                    (false, false)
-                }
-            }
-        }
-    }
-
-    /// Records a successful store operation; returns whether the state
-    /// changed.
-    pub fn record_success(&mut self, now: SimTime) -> bool {
-        match self.state {
-            BreakerState::Closed => {
-                self.consecutive_failures = 0;
-                false
-            }
-            BreakerState::HalfOpen => {
-                self.probe_successes += 1;
-                if self.probe_successes >= self.cfg.half_open_successes {
-                    self.transition(BreakerState::Closed, now);
                     true
                 } else {
                     false
                 }
             }
-            BreakerState::Open => false,
         }
     }
 
-    /// Records a failed (transient) store operation; returns whether the
-    /// state changed.
-    pub fn record_failure(&mut self, now: SimTime) -> bool {
+    /// Records a successful store operation.
+    pub fn record_success(&mut self, now: SimTime) {
+        match self.state {
+            BreakerState::Closed => self.consecutive_failures = 0,
+            BreakerState::HalfOpen => {
+                self.probe_successes += 1;
+                if self.probe_successes >= self.cfg.half_open_successes {
+                    self.transition(BreakerState::Closed, now);
+                }
+            }
+            BreakerState::Open => {}
+        }
+    }
+
+    /// Records a failed (transient) store operation.
+    pub fn record_failure(&mut self, now: SimTime) {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
                 if self.consecutive_failures >= self.cfg.failure_threshold {
                     self.transition(BreakerState::Open, now);
-                    true
-                } else {
-                    false
                 }
             }
             // A failed probe re-opens for a full cool-down.
-            BreakerState::HalfOpen => {
-                self.transition(BreakerState::Open, now);
-                true
-            }
-            BreakerState::Open => false,
+            BreakerState::HalfOpen => self.transition(BreakerState::Open, now),
+            BreakerState::Open => {}
         }
-    }
-
-    /// Forces the breaker open at `now` regardless of the failure streak:
-    /// an out-of-band liveness verdict (gossip confirming a shard's anchor
-    /// dead) should not wait for `failure_threshold` real requests to eat
-    /// timeouts first. Returns whether the state changed.
-    pub fn trip(&mut self, now: SimTime) -> bool {
-        if self.state == BreakerState::Open {
-            // Re-arm the cool-down: the verdict is fresh evidence.
-            self.opened_at = now;
-            return false;
-        }
-        self.transition(BreakerState::Open, now);
-        true
     }
 
     fn transition(&mut self, to: BreakerState, now: SimTime) {
@@ -175,144 +149,7 @@ impl BreakerCore {
         if to == BreakerState::Open {
             self.opened_at = now;
         }
-    }
-}
-
-/// The circuit breaker guarding cache-store access.
-#[derive(Debug)]
-pub struct CircuitBreaker {
-    core: BreakerCore,
-    gauge: Gauge,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker recording its state on `telemetry`.
-    pub fn new(cfg: BreakerConfig, telemetry: &Telemetry) -> Self {
-        let gauge = telemetry.gauge("plane.breaker_state");
-        gauge.set(SimTime::ZERO, BreakerState::Closed.gauge_value());
-        CircuitBreaker {
-            core: BreakerCore::new(cfg),
-            gauge,
-        }
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.core.state()
-    }
-
-    /// Whether a cache access may proceed at `now`. An open breaker
-    /// transitions to half-open once the cool-down has elapsed; half-open
-    /// admits probes.
-    pub fn allow(&mut self, now: SimTime) -> bool {
-        let (allowed, changed) = self.core.allow(now);
-        if changed {
-            self.gauge.set(now, self.core.state().gauge_value());
-        }
-        allowed
-    }
-
-    /// Records a successful store operation.
-    pub fn record_success(&mut self, now: SimTime) {
-        if self.core.record_success(now) {
-            self.gauge.set(now, self.core.state().gauge_value());
-        }
-    }
-
-    /// Records a failed (transient) store operation.
-    pub fn record_failure(&mut self, now: SimTime) {
-        if self.core.record_failure(now) {
-            self.gauge.set(now, self.core.state().gauge_value());
-        }
-    }
-
-    /// Forces the breaker open on an out-of-band liveness verdict.
-    pub fn trip(&mut self, now: SimTime) {
-        if self.core.trip(now) {
-            self.gauge.set(now, self.core.state().gauge_value());
-        }
-    }
-}
-
-/// Per-shard circuit breakers: one `BreakerCore` per RCStore shard, so a
-/// crashed or flapping shard master trips only the keys routed to it while
-/// healthy shards keep serving from cache. The `plane.breaker_state` gauge
-/// reports the *worst* (maximum) state across shards, preserving the
-/// dashboard semantics of the single-breaker plane.
-#[derive(Debug)]
-pub struct ShardBreakers {
-    cores: Vec<BreakerCore>,
-    gauge: Gauge,
-}
-
-impl ShardBreakers {
-    /// `shards` closed breakers sharing one worst-state gauge.
-    pub fn new(cfg: BreakerConfig, shards: usize, telemetry: &Telemetry) -> Self {
-        let gauge = telemetry.gauge("plane.breaker_state");
-        gauge.set(SimTime::ZERO, BreakerState::Closed.gauge_value());
-        ShardBreakers {
-            cores: vec![BreakerCore::new(cfg); shards.max(1)],
-            gauge,
-        }
-    }
-
-    /// Number of shard breakers.
-    pub fn shards(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// State of one shard's breaker (shards out of range share shard 0,
-    /// matching the router's single-shard short-circuit).
-    pub fn state(&self, shard: usize) -> BreakerState {
-        self.cores[shard % self.cores.len()].state()
-    }
-
-    /// Worst state across all shards: the value on the gauge.
-    pub fn max_state(&self) -> BreakerState {
-        self.cores
-            .iter()
-            .map(|c| c.state())
-            .max_by(|a, b| a.gauge_value().total_cmp(&b.gauge_value()))
-            .unwrap_or(BreakerState::Closed)
-    }
-
-    /// Whether a cache access for `shard` may proceed at `now`.
-    pub fn allow(&mut self, shard: usize, now: SimTime) -> bool {
-        let idx = shard % self.cores.len();
-        let (allowed, changed) = self.cores[idx].allow(now);
-        if changed {
-            self.publish(now);
-        }
-        allowed
-    }
-
-    /// Records a successful store operation on `shard`.
-    pub fn record_success(&mut self, shard: usize, now: SimTime) {
-        let idx = shard % self.cores.len();
-        if self.cores[idx].record_success(now) {
-            self.publish(now);
-        }
-    }
-
-    /// Records a failed (transient) store operation on `shard`.
-    pub fn record_failure(&mut self, shard: usize, now: SimTime) {
-        let idx = shard % self.cores.len();
-        if self.cores[idx].record_failure(now) {
-            self.publish(now);
-        }
-    }
-
-    /// Forces one shard's breaker open on an out-of-band liveness verdict
-    /// (e.g. gossip confirmed the shard's anchor node dead).
-    pub fn trip(&mut self, shard: usize, now: SimTime) {
-        let idx = shard % self.cores.len();
-        if self.cores[idx].trip(now) {
-            self.publish(now);
-        }
-    }
-
-    fn publish(&self, now: SimTime) {
-        self.gauge.set(now, self.max_state().gauge_value());
+        self.gauge.set(now, to.gauge_value());
     }
 }
 
@@ -380,77 +217,5 @@ mod tests {
         // The cool-down restarts from the failed probe.
         assert!(!b.allow(SimTime::from_secs(19)));
         assert!(b.allow(SimTime::from_secs(20)));
-    }
-
-    #[test]
-    fn shard_breakers_isolate_a_failing_shard() {
-        let t = Telemetry::standalone();
-        let mut b = ShardBreakers::new(
-            BreakerConfig {
-                failure_threshold: 3,
-                open_for: Duration::from_secs(10),
-                half_open_successes: 1,
-            },
-            4,
-            &t,
-        );
-        let now = SimTime::ZERO;
-        for _ in 0..3 {
-            b.record_failure(2, now);
-        }
-        assert_eq!(b.state(2), BreakerState::Open);
-        assert!(!b.allow(2, now), "failing shard bypasses");
-        for shard in [0, 1, 3] {
-            assert_eq!(b.state(shard), BreakerState::Closed);
-            assert!(b.allow(shard, now), "healthy shards keep serving");
-        }
-        // The gauge reports the worst shard.
-        assert_eq!(b.max_state(), BreakerState::Open);
-        assert_eq!(t.metrics().gauge("plane.breaker_state"), Some(2.0));
-        // Cool-down, probe, and recovery clear the gauge again.
-        assert!(b.allow(2, SimTime::from_secs(10)));
-        b.record_success(2, SimTime::from_secs(10));
-        assert_eq!(b.state(2), BreakerState::Closed);
-        assert_eq!(t.metrics().gauge("plane.breaker_state"), Some(0.0));
-    }
-
-    #[test]
-    fn trip_forces_open_and_rearms_the_cooldown() {
-        let t = Telemetry::standalone();
-        let mut b = ShardBreakers::new(
-            BreakerConfig {
-                failure_threshold: 3,
-                open_for: Duration::from_secs(10),
-                half_open_successes: 1,
-            },
-            4,
-            &t,
-        );
-        // One verdict opens the shard immediately — no failure streak.
-        b.trip(1, SimTime::from_secs(1));
-        assert_eq!(b.state(1), BreakerState::Open);
-        assert!(!b.allow(1, SimTime::from_secs(5)));
-        assert_eq!(t.metrics().gauge("plane.breaker_state"), Some(2.0));
-        // A fresh verdict restarts the cool-down clock.
-        b.trip(1, SimTime::from_secs(8));
-        assert!(!b.allow(1, SimTime::from_secs(12)), "cool-down re-armed");
-        assert!(b.allow(1, SimTime::from_secs(18)), "probe after re-arm");
-        // Other shards keep serving throughout.
-        assert!(b.allow(0, SimTime::from_secs(5)));
-    }
-
-    #[test]
-    fn shard_breakers_with_one_shard_match_the_plane_breaker() {
-        let t = Telemetry::standalone();
-        let mut b = ShardBreakers::new(BreakerConfig::default(), 1, &t);
-        let now = SimTime::ZERO;
-        for _ in 0..5 {
-            b.record_failure(0, now);
-        }
-        assert_eq!(b.state(0), BreakerState::Open);
-        assert_eq!(b.max_state(), BreakerState::Open);
-        // Out-of-range shard ids fold onto the single core.
-        assert_eq!(b.state(7), BreakerState::Open);
-        assert!(!b.allow(7, now));
     }
 }

@@ -159,7 +159,6 @@ impl OfcBuilder {
             gossip: GossipConfig {
                 enabled: cfg.gossip,
             },
-            ..ClusterConfig::default()
         });
         cluster.bind_telemetry(&telemetry);
         let cluster = Rc::new(RefCell::new(cluster));
@@ -176,7 +175,6 @@ impl OfcBuilder {
         );
         plane.set_policy(Rc::clone(&policy));
         let persistence = plane.persistence();
-        let breakers = plane.breakers();
         platform.set_dataplane(Box::new(plane));
 
         // Cache agent (broker seam) with the write-back hook.
@@ -229,7 +227,6 @@ impl OfcBuilder {
             persistence,
             telemetry,
             policy,
-            breakers,
             tenant_quota: cfg.plane.tenant_quota_bytes,
         }
     }
@@ -245,37 +242,13 @@ fn start_coordinator_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
     });
 }
 
-/// Recurring gossip round (DESIGN.md §16): runs the SWIM probe cycle and
-/// reacts to membership verdicts. A quorum-side confirmed-dead verdict
-/// trips the breakers of every shard anchored on the dead node, so the
-/// data plane bypasses to the RSDS immediately instead of eating
-/// `failure_threshold` more timeouts while recovery runs.
-fn start_gossip_tick(
-    sim: &mut Sim,
-    cluster: Rc<RefCell<Cluster>>,
-    breakers: Rc<RefCell<crate::health::ShardBreakers>>,
-) {
+/// Recurring gossip round (DESIGN.md §16): runs the SWIM probe cycle; the
+/// cluster applies the membership verdicts (recovery, fencing, rejoin)
+/// inside the round.
+fn start_gossip_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
     sim.schedule_in(PROBE_PERIOD, move |sim| {
-        let now = sim.now();
-        let (events, anchors) = {
-            let mut c = cluster.borrow_mut();
-            // Snapshot shard anchors *before* the round: confirm-dead
-            // recovery reassigns them, and the breakers guard the shards
-            // whose requests were failing while the node was down.
-            let anchors: Vec<usize> = (0..c.shards()).map(|s| c.shard_master(s)).collect();
-            (c.gossip_round(now), anchors)
-        };
-        for ev in &events {
-            if let ofc_rcstore::gossip::GossipEvent::Confirmed { node, .. } = ev {
-                let mut b = breakers.borrow_mut();
-                for (shard, anchor) in anchors.iter().enumerate() {
-                    if anchor == node {
-                        b.trip(shard, now);
-                    }
-                }
-            }
-        }
-        start_gossip_tick(sim, cluster, breakers);
+        cluster.borrow_mut().gossip_round(sim.now());
+        start_gossip_tick(sim, cluster);
     });
 }
 
@@ -348,7 +321,6 @@ pub struct Ofc {
     pub persistence: Rc<RefCell<Persistence>>,
     telemetry: Telemetry,
     policy: PolicyHandle,
-    breakers: Rc<RefCell<crate::health::ShardBreakers>>,
     /// Per-tenant quota, when the quota plane is on (DESIGN.md §18).
     tenant_quota: Option<u64>,
 }
@@ -379,7 +351,7 @@ impl Ofc {
             start_coordinator_tick(sim, Rc::clone(&self.cluster));
         }
         if gossip {
-            start_gossip_tick(sim, Rc::clone(&self.cluster), Rc::clone(&self.breakers));
+            start_gossip_tick(sim, Rc::clone(&self.cluster));
         }
         // Policy tick (DESIGN.md §15): periodic policy work — prefetch
         // selection, cold-tier expiry, cost accrual. Returned prefetch

@@ -21,8 +21,8 @@
 //!   `Arc<str>`. This matters because slab ids are assigned in first-seen
 //!   order, which is *not* deterministic across threads (parallel sims
 //!   intern concurrently); id order must therefore never be observable.
-//! - **Deref to `str`** — call sites that hash bytes (shard routing) or
-//!   slice the key keep working unchanged on the resolved string.
+//! - **Deref to `str`** — call sites that hash bytes or slice the key
+//!   keep working unchanged on the resolved string.
 //!
 //! Interned strings are leaked (`Box::leak`) and live for the process
 //! lifetime. The key universe of a simulation run is small (object names,

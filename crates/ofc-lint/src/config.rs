@@ -102,7 +102,6 @@ impl Default for Config {
                 "crates/rcstore/src/node.rs".into(),
                 "crates/rcstore/src/log.rs".into(),
                 "crates/rcstore/src/cluster.rs".into(),
-                "crates/rcstore/src/shard.rs".into(),
                 "crates/core/src/cache.rs".into(),
                 "crates/core/src/agent.rs".into(),
             ],

@@ -5,7 +5,6 @@ use crate::gossip::{GossipEvent, GossipPlane, MemberState};
 use crate::latency::RcLatency;
 use crate::node::StorageNode;
 use crate::raft::{Command, ReplicaId, ReplicatedCoordinator};
-use crate::shard::{ReplicationBatcher, ShardId, ShardRouter};
 use crate::{AccessStats, ClusterConfig, Key, NodeId, RcError, ReadLocality, Timed, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
@@ -27,14 +26,17 @@ struct ClusterMetrics {
     scale_downs: Counter,
     objects_lost: Counter,
     transient_errors: Counter,
-    batch_flushes: Counter,
-    batched_appends: Counter,
     migrate_nanos: Histogram,
     recovery_nanos: Histogram,
 }
 
 impl ClusterMetrics {
     fn new(t: &Telemetry) -> Self {
+        // Registered, never incremented: replication is synchronous, but
+        // the frozen `benchmark/` folds every registered counter *name*
+        // into `sim_digest` and reports the first (DESIGN.md §5).
+        t.counter("rcstore.batch_flushes");
+        t.counter("rcstore.batched_appends");
         ClusterMetrics {
             local_hits: t.counter("rcstore.local_hits"),
             remote_hits: t.counter("rcstore.remote_hits"),
@@ -46,8 +48,6 @@ impl ClusterMetrics {
             scale_downs: t.counter("rcstore.scale_downs"),
             objects_lost: t.counter("rcstore.objects_lost"),
             transient_errors: t.counter("rcstore.transient_errors"),
-            batch_flushes: t.counter("rcstore.batch_flushes"),
-            batched_appends: t.counter("rcstore.batched_appends"),
             migrate_nanos: t.histogram("rcstore.migrate_nanos"),
             recovery_nanos: t.histogram("rcstore.recovery_nanos"),
         }
@@ -73,15 +73,6 @@ pub struct Cluster {
     transient_budget: u32,
     /// Per-node latency inflation factor (1.0 = nominal).
     slowdown: Vec<f64>,
-    /// Deterministic mid-operation crash hook: after `n` more successful
-    /// writes, `node` crashes inline (exercises partial-commit recovery).
-    crash_after: Option<(u64, NodeId)>,
-    /// Stable key→shard mapping (inert with one shard).
-    router: ShardRouter,
-    /// Coordinator-owned pending replica batches per (shard, backup) pair
-    /// (inert with `batch_max_entries == 1`). Buffers survive node crashes;
-    /// structural operations flush before mutating placement.
-    batcher: ReplicationBatcher,
     /// The replicated control plane (inert single authority by default).
     /// Coordinator replica `r` is co-located with storage node `r`, so
     /// partitions split the group the same way they split the data plane;
@@ -102,9 +93,6 @@ pub struct Cluster {
     /// (fencing); their stale physical copies are expunged once the node
     /// is reachable again.
     fenced: BTreeMap<NodeId, Vec<Key>>,
-    /// Committed shard re-anchorings (confirmed-dead anchors), overriding
-    /// the default `shard % nodes` placement.
-    anchor_overrides: BTreeMap<ShardId, NodeId>,
     /// Latest virtual instant any timed operation observed — the clock
     /// used by control-plane gates on untimed operations (evict/delete).
     clock: SimTime,
@@ -141,7 +129,6 @@ impl Cluster {
         let telemetry = Telemetry::standalone();
         let metrics = ClusterMetrics::new(&telemetry);
         let slowdown = vec![1.0; cfg.nodes];
-        let router = ShardRouter::new(cfg.shard.shards.max(1), crate::shard::DEFAULT_ROUTER_SEED);
         let coord = ReplicatedCoordinator::new(cfg.raft.clone(), &telemetry);
         let gossip = GossipPlane::new(cfg.gossip.clone(), cfg.nodes, &telemetry);
         Cluster {
@@ -154,15 +141,11 @@ impl Cluster {
             metrics,
             transient_budget: 0,
             slowdown,
-            crash_after: None,
-            router,
-            batcher: ReplicationBatcher::new(),
             coord,
             gossip,
             partition: None,
             pending_recovery: BTreeSet::new(),
             fenced: BTreeMap::new(),
-            anchor_overrides: BTreeMap::new(),
             clock: SimTime::ZERO,
         }
     }
@@ -372,8 +355,7 @@ impl Cluster {
         if self.tablet.contains_key(key) {
             self.remove_entry(key);
         }
-        let shard = self.router.shard_of(key);
-        let Some(master) = self.place_master_in_shard(shard, home, size) else {
+        let Some(master) = self.place_master(home, size) else {
             // Placement is reachability-filtered, so a partitioned side
             // can exhaust its candidates while remote pools sit idle.
             return Timed::new(
@@ -388,24 +370,9 @@ impl Cluster {
             return Timed::new(Err(e), Duration::ZERO);
         }
         let backups = self.pick_backups(master);
-        let batching = self.cfg.shard.batching();
-        if batching {
-            // Replica writes coalesce per (shard, backup) pair; a buffer
-            // reaching the batch threshold flushes inline.
-            for &b in &backups {
-                self.metrics.batched_appends.inc();
-                // ofc-lint: allow(hotloop) reason=replication fan-out hands each backup an owned value; Bytes-backed refcount bump
-                if self.batcher.enqueue(shard, b, *key, value.clone())
-                    >= self.cfg.shard.batch_max_entries
-                {
-                    self.flush_pair(shard, b);
-                }
-            }
-        } else {
-            for &b in &backups {
-                // ofc-lint: allow(hotloop) reason=replication fan-out hands each backup an owned value; Bytes-backed refcount bump
-                self.nodes[b].store_backup(*key, value.clone());
-            }
+        for &b in &backups {
+            // ofc-lint: allow(hotloop) reason=replication fan-out hands each backup an owned value; Bytes-backed refcount bump
+            self.nodes[b].store_backup(*key, value.clone());
         }
         // Commit the assignment through the replicated log (free no-op in
         // single-replica mode); the gate above guarantees the quorum, so
@@ -414,22 +381,7 @@ impl Cluster {
         self.tablet.insert(*key, master);
         self.replicas.insert(*key, backups);
         self.metrics.writes.inc();
-        let base = if batching {
-            self.latency.write_batched(size, master != home)
-        } else {
-            self.latency.write(size, master != home)
-        };
-        let latency = self.inflate(master, base) + commit;
-        // Deterministic crash hook: the victim goes down after this write
-        // completes, i.e. between the writes of a multi-object commit.
-        if let Some((remaining, victim)) = self.crash_after {
-            if remaining <= 1 {
-                self.crash_after = None;
-                self.crash_node(victim, now);
-            } else {
-                self.crash_after = Some((remaining - 1, victim));
-            }
-        }
+        let latency = self.inflate(master, self.latency.write(size, master != home)) + commit;
         Timed::new(Ok(master), latency)
     }
 
@@ -522,9 +474,6 @@ impl Cluster {
         key: &Key,
         now: SimTime,
     ) -> Timed<Result<NodeId, RcError>> {
-        // Promotion consumes a physical backup copy: pending batches must
-        // land first.
-        self.flush_replication();
         if let Err(e) = self.coord_gate(self.coord_origin(), now) {
             return Timed::new(Err(e), Duration::ZERO);
         }
@@ -614,9 +563,6 @@ impl Cluster {
             return Timed::new(0, Duration::ZERO);
         }
         self.clock = self.clock.max(now);
-        // An acked write's durability rests on its physical backup copies:
-        // pending replica batches land before the node state mutates.
-        self.flush_replication();
         self.nodes[node].set_up(false);
         if self.gossip.enabled() {
             // Failure detection is the membership plane's job now: recovery
@@ -792,9 +738,6 @@ impl Cluster {
             return;
         }
         self.clock = self.clock.max(now);
-        // Land pending batches so the weakened-replica scan below sees the
-        // true physical replication of every key.
-        self.flush_replication();
         self.nodes[node].set_up(true);
         if self.coord.is_replicated() {
             self.coord.tick(now, self.partition.as_deref());
@@ -900,21 +843,13 @@ impl Cluster {
         self.set_node_slowdown(node, 1.0);
     }
 
-    /// Fault injection: after `n` more successful writes anywhere in the
-    /// cluster, `node` crashes inline — a deterministic way to model a
-    /// crash landing between two writes of one multi-object update.
-    pub fn crash_after_writes(&mut self, n: u64, node: NodeId) {
-        self.crash_after = if n == 0 { None } else { Some((n, node)) };
-    }
-
-    /// Clears all injected fault state (error budgets, slowdowns, pending
-    /// crash hooks). Crashed nodes stay down — restart them explicitly.
+    /// Clears all injected fault state (error budgets, slowdowns).
+    /// Crashed nodes stay down — restart them explicitly.
     pub fn clear_faults(&mut self) {
         self.transient_budget = 0;
         for s in &mut self.slowdown {
             *s = 1.0;
         }
-        self.crash_after = None;
     }
 
     // --- Replicated control plane -------------------------------------
@@ -1001,7 +936,7 @@ impl Cluster {
     /// transitions: quorum-side confirmations trigger recovery (or fencing
     /// of unreachable-but-alive nodes), quorum-side rejoins reconcile, and
     /// minority-side observations park in the deferred queue. Returns the
-    /// round's events so upstream layers (circuit breakers) can react.
+    /// round's events (inspection).
     pub fn gossip_round(&mut self, now: SimTime) -> Vec<GossipEvent> {
         self.clock = self.clock.max(now);
         let up: Vec<bool> = self.nodes.iter().map(StorageNode::is_up).collect();
@@ -1100,7 +1035,6 @@ impl Cluster {
             self.reconcile_rejoin(node, now);
         } else {
             self.recover_crashed(node, now);
-            self.reassign_anchors_off(node, now);
         }
     }
 
@@ -1112,7 +1046,6 @@ impl Cluster {
             return;
         }
         self.recover_crashed(node, now);
-        self.reassign_anchors_off(node, now);
     }
 
     /// Drops the stale master copies fenced on `node` for keys the quorum
@@ -1124,32 +1057,6 @@ impl Cluster {
         for key in keys {
             if self.tablet.get(&key) != Some(&node) {
                 self.nodes[node].remove_master(&key);
-            }
-        }
-    }
-
-    /// Re-anchors every shard whose anchor is `node` onto the next up,
-    /// reachable ring successor, committing each move through the log.
-    fn reassign_anchors_off(&mut self, node: NodeId, now: SimTime) {
-        if self.router.shards() <= 1 {
-            return;
-        }
-        let origin = self.coord_origin();
-        for shard in 0..self.router.shards() {
-            if self.shard_master(shard) != node {
-                continue;
-            }
-            let replacement = self
-                .ring_from(node)
-                .find(|&c| self.nodes[c].is_up() && self.reachable(origin, c));
-            if let Some(anchor) = replacement {
-                let _ = self.coord.propose(
-                    Command::ReassignShard { shard, anchor },
-                    origin,
-                    now,
-                    self.partition.as_deref(),
-                );
-                self.anchor_overrides.insert(shard, anchor);
             }
         }
     }
@@ -1250,8 +1157,6 @@ impl Cluster {
     }
 
     fn remove_entry(&mut self, key: &Key) -> u64 {
-        // A later flush must not resurrect a retired placement.
-        self.batcher.purge_key(key);
         let mut size = 0;
         if let Some(master) = self.tablet.remove(key) {
             if let Some(obj) = self.nodes[master].remove_master(key) {
@@ -1278,22 +1183,6 @@ impl Cluster {
             .filter(|n| fits(n))
             .max_by_key(|n| n.available_bytes())
             .map(StorageNode::id)
-    }
-
-    /// Master placement with sharding: the shard's anchor node takes the
-    /// master while it has room, concentrating each shard's tablet range
-    /// the way RAMCloud partitions its key space; a full or down anchor
-    /// falls back to the unsharded home/roomiest policy. With one shard
-    /// this is exactly [`Cluster::place_master`].
-    fn place_master_in_shard(&self, shard: ShardId, home: NodeId, size: u64) -> Option<NodeId> {
-        if self.router.shards() > 1 {
-            let anchor = self.shard_master(shard);
-            let n = &self.nodes[anchor];
-            if n.is_up() && n.available_bytes() >= size.max(1) && self.reachable(home, anchor) {
-                return Some(anchor);
-            }
-        }
-        self.place_master(home, size)
     }
 
     fn max_node_available(&self) -> u64 {
@@ -1343,56 +1232,6 @@ impl Cluster {
             }
         }
         backups
-    }
-
-    /// Number of shards of the key space (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.router.shards()
-    }
-
-    /// The shard owning `key`.
-    pub fn shard_of(&self, key: &Key) -> ShardId {
-        self.router.shard_of(key)
-    }
-
-    /// The anchor node of `shard`: where its masters land while the anchor
-    /// has room — and the node shard-targeted faults aim at. A committed
-    /// re-anchoring (the anchor was confirmed dead) overrides the default
-    /// `shard % nodes` placement.
-    pub fn shard_master(&self, shard: ShardId) -> NodeId {
-        self.anchor_overrides
-            .get(&shard)
-            .copied()
-            .unwrap_or(shard % self.nodes.len())
-    }
-
-    /// Replica writes buffered and not yet flushed to their backup nodes.
-    pub fn pending_replication(&self) -> usize {
-        self.batcher.pending_entries()
-    }
-
-    /// Flushes every pending replication buffer to its backup node (the
-    /// prelude to every structural operation, and the caller's own
-    /// end-of-run flush). Returns the number of buffers flushed; a no-op
-    /// without batching.
-    pub fn flush_replication(&mut self) -> usize {
-        let mut flushed = 0;
-        for ((_, backup), entries) in self.batcher.drain() {
-            self.metrics.batch_flushes.inc();
-            self.nodes[backup].store_backups(entries);
-            flushed += 1;
-        }
-        flushed
-    }
-
-    /// Flushes one (shard, backup) buffer — the batch-threshold path.
-    fn flush_pair(&mut self, shard: ShardId, backup: NodeId) {
-        let entries = self.batcher.take(shard, backup);
-        if entries.is_empty() {
-            return;
-        }
-        self.metrics.batch_flushes.inc();
-        self.nodes[backup].store_backups(entries);
     }
 }
 
@@ -1698,23 +1537,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_after_writes_fires_between_writes() {
-        let mut c = cluster();
-        c.crash_after_writes(2, 0);
-        c.write(0, &key("w1"), Value::synthetic(10), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert!(c.node(0).is_up(), "one write armed, not yet fired");
-        c.write(1, &key("w2"), Value::synthetic(10), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert!(!c.node(0).is_up(), "second write trips the crash");
-        // Replicated data survived the crash.
-        assert!(c.read(1, &key("w1"), SimTime::ZERO).result.is_ok());
-        assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
-    }
-
-    #[test]
     fn stats_accumulate_across_reads() {
         let mut c = cluster();
         c.write(0, &key("a"), Value::synthetic(10), SimTime::ZERO)
@@ -1726,199 +1548,6 @@ mod tests {
         let stats = c.stats_of(&key("a")).unwrap();
         assert_eq!(stats.n_access, 5);
         assert_eq!(stats.t_access, SimTime::from_secs(5));
-    }
-}
-
-#[cfg(test)]
-mod shard_tests {
-    use super::*;
-    use crate::shard::ShardConfig;
-
-    fn key(s: &str) -> Key {
-        Key::from(s)
-    }
-
-    fn sharded_cluster(shards: usize, batch: usize) -> Cluster {
-        Cluster::new(ClusterConfig {
-            nodes: 4,
-            replication_factor: 2,
-            node_pool_bytes: 16 << 20,
-            max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
-            shard: ShardConfig {
-                shards,
-                batch_max_entries: batch,
-            },
-            ..ClusterConfig::default()
-        })
-    }
-
-    #[test]
-    fn single_shard_config_preserves_unsharded_placement() {
-        // shards=1, batch=1 must behave exactly like the legacy plane.
-        let mut c = sharded_cluster(1, 1);
-        let t = c.write(1, &key("a"), Value::synthetic(1000), SimTime::ZERO);
-        assert_eq!(t.result.unwrap(), 1, "home placement, no anchor");
-        assert_eq!(c.backups_of(&key("a")), &[2, 3]);
-        assert_eq!(c.live_replicas(&key("a")), 2, "synchronous replication");
-        assert_eq!(c.pending_replication(), 0);
-        let m = c.telemetry().metrics();
-        assert_eq!(m.counter("rcstore.batched_appends"), 0);
-        assert_eq!(m.counter("rcstore.batch_flushes"), 0);
-    }
-
-    #[test]
-    fn masters_anchor_on_their_shard_regardless_of_home() {
-        let mut c = sharded_cluster(4, 1);
-        for i in 0..32 {
-            let k = key(&format!("obj/{i}"));
-            let master = c.write(0, &k, Value::synthetic(1000), SimTime::ZERO);
-            let anchor = c.shard_master(c.shard_of(&k));
-            assert_eq!(master.result.unwrap(), anchor, "key {k} off its anchor");
-            assert_eq!(c.master_of(&k), Some(anchor));
-        }
-        // The mapping is stable: re-deriving shards gives the same anchors.
-        for i in 0..32 {
-            let k = key(&format!("obj/{i}"));
-            assert_eq!(c.master_of(&k), Some(c.shard_master(c.shard_of(&k))));
-        }
-    }
-
-    #[test]
-    fn batched_writes_defer_replicas_until_threshold_or_flush() {
-        let mut c = sharded_cluster(1, 4);
-        c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO)
-            .result
-            .unwrap();
-        // Acked, master present, but replicas still pending (2 backups).
-        assert!(c.contains(&key("a")));
-        assert_eq!(c.pending_replication(), 2);
-        assert_eq!(c.live_replicas(&key("a")), 0, "replicas not yet physical");
-        let flushed = c.flush_replication();
-        assert_eq!(flushed, 2, "one buffer per (shard, backup) pair");
-        assert_eq!(c.live_replicas(&key("a")), 2);
-        assert_eq!(c.pending_replication(), 0);
-        let m = c.telemetry().metrics();
-        assert_eq!(m.counter("rcstore.batched_appends"), 2);
-        assert_eq!(m.counter("rcstore.batch_flushes"), 2);
-    }
-
-    #[test]
-    fn buffer_reaching_threshold_flushes_inline() {
-        let mut c = sharded_cluster(1, 2);
-        // Two writes from home 0 land masters on node 0, backups on {1, 2}:
-        // each (0, backup) buffer reaches the threshold on the second write.
-        c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert_eq!(c.pending_replication(), 2);
-        c.write(0, &key("b"), Value::synthetic(100), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert_eq!(c.pending_replication(), 0, "threshold flushed inline");
-        assert_eq!(c.live_replicas(&key("a")), 2);
-        assert_eq!(c.live_replicas(&key("b")), 2);
-        assert_eq!(
-            c.telemetry().metrics().counter("rcstore.batch_flushes"),
-            2,
-            "one flush per full (shard, backup) buffer"
-        );
-    }
-
-    #[test]
-    fn batched_writes_are_cheaper_on_the_critical_path() {
-        let mut batched = sharded_cluster(1, 8);
-        let mut sync = sharded_cluster(1, 1);
-        let fast = batched
-            .write(0, &key("a"), Value::synthetic(64 << 10), SimTime::ZERO)
-            .latency;
-        let slow = sync
-            .write(0, &key("a"), Value::synthetic(64 << 10), SimTime::ZERO)
-            .latency;
-        assert_eq!(slow - fast, RcLatency::default().replication_ack);
-    }
-
-    #[test]
-    fn crash_flushes_pending_batches_first_so_no_acked_write_is_lost() {
-        let mut c = sharded_cluster(4, 8);
-        let mut keys = Vec::new();
-        for i in 0..16 {
-            let k = key(&format!("obj/{i}"));
-            c.write_with_dirty(0, &k, Value::synthetic(1000), SimTime::ZERO, false)
-                .result
-                .unwrap();
-            keys.push(k);
-        }
-        assert!(c.pending_replication() > 0, "some replicas still buffered");
-        // Crash every shard anchor in turn (staying above 2 live nodes is
-        // not needed here: replication is restored after each crash).
-        let victim = c.shard_master(0);
-        c.crash_node(victim, SimTime::ZERO);
-        for k in &keys {
-            assert!(c.contains(k), "{k} lost");
-            assert!(
-                c.read(1, k, SimTime::ZERO).result.is_ok(),
-                "{k} unreadable after anchor crash"
-            );
-        }
-        assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
-    }
-
-    #[test]
-    fn delete_purges_pending_replicas() {
-        let mut c = sharded_cluster(1, 8);
-        c.write(0, &key("tmp"), Value::synthetic(100), SimTime::ZERO)
-            .result
-            .unwrap();
-        assert_eq!(c.pending_replication(), 2);
-        c.delete(&key("tmp")).result.unwrap();
-        assert_eq!(c.pending_replication(), 0);
-        c.flush_replication();
-        for n in 0..4 {
-            assert!(
-                !c.node(n).has_backup(&key("tmp")),
-                "deleted key resurrected on node {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn overwrite_keeps_only_newest_pending_value() {
-        let mut c = sharded_cluster(1, 8);
-        c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO)
-            .result
-            .unwrap();
-        c.write(0, &key("a"), Value::synthetic(200), SimTime::ZERO)
-            .result
-            .unwrap();
-        // The overwrite retired the first placement (and its pending
-        // entries): exactly one pending replica per backup remains.
-        assert_eq!(c.pending_replication(), 2);
-        c.flush_replication();
-        let backups = c.backups_of(&key("a")).to_vec();
-        for b in backups {
-            assert_eq!(
-                c.node(b).peek_master(&key("a")).map(|o| o.value.size()),
-                None
-            );
-            assert!(c.node(b).has_backup(&key("a")));
-        }
-        let (v, _) = c.read(0, &key("a"), SimTime::ZERO).result.unwrap();
-        assert_eq!(v.size(), 200);
-    }
-
-    #[test]
-    fn migration_flushes_before_promoting() {
-        let mut c = sharded_cluster(1, 8);
-        c.write_with_dirty(0, &key("hot"), Value::synthetic(1000), SimTime::ZERO, false)
-            .result
-            .unwrap();
-        assert_eq!(c.live_replicas(&key("hot")), 0, "replicas pending");
-        // Promotion needs a physical backup copy: the implicit flush makes
-        // one available, so migration succeeds instead of erroring.
-        let t = c.migrate_by_promotion(&key("hot"), SimTime::ZERO);
-        assert!(t.result.is_ok());
-        assert_eq!(c.live_replicas(&key("hot")), 2);
     }
 }
 

@@ -6,9 +6,9 @@
 //! probe round, every live node pings one seeded-random peer; an
 //! unreachable or dead peer becomes **Suspect**, a suspect that survives
 //! the confirmation window without a successful probe is **Confirmed
-//! dead** (triggering the leader's re-replication walk and tripping the
-//! per-shard circuit breakers upstream), and a later successful probe
-//! refutes the suspicion — or readmits a previously confirmed node.
+//! dead** (triggering the leader's re-replication walk), and a later
+//! successful probe refutes the suspicion — or readmits a previously
+//! confirmed node.
 //!
 //! Dissemination is modeled as instantaneous within a reachability group
 //! (one shared membership table): SWIM's infection-style propagation delay

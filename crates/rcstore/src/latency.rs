@@ -26,10 +26,6 @@ pub struct RcLatency {
     pub net_bw: f64,
     /// Base latency of a write (master append + backup acks).
     pub write_base: Duration,
-    /// The backup-ack share of `write_base`: what a batched write shaves
-    /// off the critical path by deferring replica acks to the flush
-    /// (see [`crate::shard`]).
-    pub replication_ack: Duration,
     /// Base cost of a pool rescale without data movement (Sc1).
     pub rescale_base: Duration,
     /// Extra cost of a rescale that evicts objects (Sc3 − Sc1).
@@ -51,7 +47,6 @@ impl Default for RcLatency {
             mem_bw: 8e9,
             net_bw: 1.25e9,
             write_base: Duration::from_micros(180),
-            replication_ack: Duration::from_micros(120),
             rescale_base: Duration::from_micros(289),
             evict_extra: Duration::from_micros(84),
             promote_base: Duration::from_micros(75),
@@ -79,14 +74,6 @@ impl RcLatency {
             d += self.remote_extra + Duration::from_secs_f64(size as f64 / self.net_bw);
         }
         d
-    }
-
-    /// Latency of a write whose replica acks are deferred to a batched
-    /// flush: the synchronous path keeps only the master append, shaving
-    /// `replication_ack` off [`RcLatency::write`].
-    pub fn write_batched(&self, size: u64, remote: bool) -> Duration {
-        self.write(size, remote)
-            .saturating_sub(self.replication_ack)
     }
 
     /// Latency of a migration-by-promotion of `size` bytes.
@@ -144,17 +131,6 @@ mod tests {
         let m = RcLatency::default();
         assert!(m.read(10 << 20, false) > m.read(1 << 10, false));
         assert!(m.write(10 << 20, true) > m.write(1 << 10, true));
-    }
-
-    #[test]
-    fn batched_write_shaves_the_replica_acks() {
-        let m = RcLatency::default();
-        let full = m.write(64 << 10, false);
-        let batched = m.write_batched(64 << 10, false);
-        assert_eq!(full - batched, m.replication_ack);
-        // Still strictly positive: the master append remains synchronous.
-        assert!(batched > Duration::ZERO);
-        assert!(m.write_batched(64 << 10, true) < m.write(64 << 10, true));
     }
 
     #[test]

@@ -49,7 +49,6 @@ pub mod latency;
 pub mod log;
 pub mod node;
 pub mod raft;
-pub mod shard;
 
 use bytes::Bytes;
 use ofc_simtime::SimTime;
@@ -235,9 +234,6 @@ pub struct ClusterConfig {
     pub max_object_bytes: u64,
     /// Log segment size for the master's log-structured memory.
     pub segment_bytes: u64,
-    /// Sharding and batched-replication knobs (defaults keep both off,
-    /// preserving the unsharded data plane byte for byte).
-    pub shard: shard::ShardConfig,
     /// Replicated-coordinator knobs (the default single replica keeps the
     /// legacy in-memory authority byte for byte).
     pub raft: raft::RaftConfig,
@@ -254,7 +250,6 @@ impl Default for ClusterConfig {
             node_pool_bytes: 256 << 20,
             max_object_bytes: MAX_OBJECT_BYTES,
             segment_bytes: 16 << 20,
-            shard: shard::ShardConfig::default(),
             raft: raft::RaftConfig::default(),
             gossip: gossip::GossipConfig::default(),
         }

@@ -192,51 +192,12 @@ impl Log {
                 available: self.budget.saturating_sub(self.live_bytes()),
             });
         }
-        self.place(key, size, true);
-        Ok(())
-    }
-
-    /// Appends a batch of entries, amortizing the cleaner over the whole
-    /// batch (at most one compaction pass instead of one check per entry)
-    /// — the log-side half of batched replication ([`crate::shard`]).
-    ///
-    /// Sizes are validated up front; a mid-batch [`RcError::OutOfMemory`]
-    /// leaves the entries appended so far in place (each entry is an
-    /// independent append, exactly as if issued through [`Log::append`]).
-    pub fn append_batch(&mut self, entries: Vec<(Key, u64)>) -> Result<(), RcError> {
-        for &(_, size) in &entries {
-            if size > self.segment_bytes {
-                return Err(RcError::ObjectTooLarge {
-                    size,
-                    max: self.segment_bytes,
-                });
-            }
-        }
-        let mut cleaned = false;
-        for (key, size) in entries {
-            self.remove(&key);
-            if self.live_bytes() + size > self.budget {
-                return Err(RcError::OutOfMemory {
-                    requested: size,
-                    available: self.budget.saturating_sub(self.live_bytes()),
-                });
-            }
-            cleaned |= self.place(key, size, !cleaned);
-        }
-        Ok(())
-    }
-
-    /// Places one validated, budget-checked entry into the head segment,
-    /// optionally allowed to run the cleaner first; reports whether it did.
-    fn place(&mut self, key: Key, size: u64, may_clean: bool) -> bool {
-        let mut cleaned = false;
-        if self.fitting_head(size).is_none() && may_clean {
-            // Prefer compaction over growing the physical footprint when
-            // fragmentation has accumulated.
-            if self.allocated_bytes() > self.live_bytes() + self.segment_bytes {
-                self.clean();
-                cleaned = true;
-            }
+        // Prefer compaction over growing the physical footprint when
+        // fragmentation has accumulated.
+        if self.fitting_head(size).is_none()
+            && self.allocated_bytes() > self.live_bytes() + self.segment_bytes
+        {
+            self.clean();
         }
         let head = match self.fitting_head(size) {
             Some(h) => h,
@@ -247,7 +208,7 @@ impl Log {
         seg.insert(key, size);
         self.live_total += size;
         self.locations.insert(key, head);
-        cleaned
+        Ok(())
     }
 
     /// Removes an entry; returns its size if it was present.
@@ -435,58 +396,6 @@ mod tests {
         assert_eq!(log.live_bytes(), 210);
         // Physical footprint stays near the live volume.
         assert!(log.allocated_segments() <= 3);
-    }
-
-    #[test]
-    fn append_batch_matches_sequential_appends() {
-        let mut batched = Log::new(100, 1000);
-        let mut sequential = Log::new(100, 1000);
-        let entry = |i: u64| (key(&format!("k{i}")), 30 + i);
-        batched.append_batch((0..8).map(entry).collect()).unwrap();
-        for (k, size) in (0..8).map(entry) {
-            sequential.append(k, size).unwrap();
-        }
-        assert_eq!(batched.live_bytes(), sequential.live_bytes());
-        assert_eq!(batched.live_entries(), sequential.live_entries());
-        for i in 0..8u64 {
-            let k = key(&format!("k{i}"));
-            assert_eq!(batched.size_of(&k), sequential.size_of(&k));
-        }
-    }
-
-    #[test]
-    fn append_batch_runs_the_cleaner_at_most_once() {
-        let mut log = Log::new(100, 800);
-        // Build fragmentation: half of every segment dies.
-        for i in 0..8 {
-            log.append(key(&format!("k{i}")), 50).unwrap();
-        }
-        for i in [0, 2, 4, 6] {
-            log.remove(&key(&format!("k{i}")));
-        }
-        let passes_before = log.cleaner_passes();
-        log.append_batch((0..4).map(|i| (key(&format!("n{i}")), 60)).collect())
-            .unwrap();
-        assert!(
-            log.cleaner_passes() <= passes_before + 1,
-            "one compaction pass amortized over the batch"
-        );
-        for i in [1, 3, 5, 7] {
-            assert!(log.contains(&key(&format!("k{i}"))));
-        }
-        for i in 0..4 {
-            assert!(log.contains(&key(&format!("n{i}"))));
-        }
-    }
-
-    #[test]
-    fn append_batch_validates_sizes_up_front() {
-        let mut log = Log::new(100, 1000);
-        let err = log
-            .append_batch(vec![(key("ok"), 10), (key("big"), 101)])
-            .unwrap_err();
-        assert!(matches!(err, RcError::ObjectTooLarge { .. }));
-        assert!(!log.contains(&key("ok")), "nothing applied on bad sizes");
     }
 
     #[test]

@@ -350,19 +350,6 @@ impl StorageNode {
         }
     }
 
-    /// Stores a batch of backup replicas in one coalesced disk append —
-    /// the receiving end of a [`crate::shard::ReplicationBatcher`] flush.
-    /// Entries land in order; a down node drops the batch (recovery
-    /// re-creates the replicas from the master copies).
-    pub fn store_backups(&mut self, entries: Vec<(Key, Value)>) {
-        if !self.up {
-            return;
-        }
-        for (key, value) in entries {
-            self.backup.insert(key, value);
-        }
-    }
-
     /// Drops a backup replica.
     pub fn remove_backup(&mut self, key: &Key) -> Option<Value> {
         self.backup.remove(key)
@@ -465,20 +452,6 @@ mod tests {
             .insert_master(key("c"), Value::synthetic(1 << 20), SimTime::ZERO, false)
             .unwrap_err();
         assert!(matches!(err, RcError::OutOfMemory { .. }));
-    }
-
-    #[test]
-    fn store_backups_lands_batch_in_order_and_skips_down_nodes() {
-        let mut n = node();
-        n.store_backups(vec![
-            (key("a"), Value::synthetic(1)),
-            (key("b"), Value::synthetic(2)),
-        ]);
-        assert!(n.has_backup(&key("a")) && n.has_backup(&key("b")));
-        assert_eq!(n.backup_count(), 2);
-        n.set_up(false);
-        n.store_backups(vec![(key("c"), Value::synthetic(3))]);
-        assert_eq!(n.backup_count(), 0, "down node drops the batch");
     }
 
     #[test]

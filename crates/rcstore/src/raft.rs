@@ -1,11 +1,11 @@
 //! Raft-style replicated coordinator — the control plane's consensus core.
 //!
-//! The RAMCloud-model coordinator (tablet map, replica placement, shard
-//! anchors) was a single in-memory authority inside [`crate::cluster::
-//! Cluster`]: crash it and the cluster is headless. This module replicates
-//! it: a small fixed group of coordinator replicas (co-located with the
-//! first `replicas` storage nodes) carries every tablet-map mutation
-//! through a replicated log, commits on majority acknowledgement, elects a
+//! The RAMCloud-model coordinator (tablet map, replica placement) was a
+//! single in-memory authority inside [`crate::cluster::Cluster`]: crash
+//! it and the cluster is headless. This module replicates it: a small
+//! fixed group of coordinator replicas (co-located with the first
+//! `replicas` storage nodes) carries every tablet-map mutation through a
+//! replicated log, commits on majority acknowledgement, elects a
 //! leader with per-seed randomized timeouts when the current one dies or
 //! is partitioned away, and catches restarted replicas up by log replay —
 //! or by snapshot install once they lag past the compaction horizon.
@@ -25,7 +25,6 @@
 //! telemetry registry, so single-replica configurations stay byte-
 //! identical to the pre-replication code.
 
-use crate::shard::ShardId;
 use crate::{Key, NodeId};
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Gauge, Telemetry};
@@ -81,9 +80,9 @@ impl Default for RaftConfig {
 }
 
 /// A state-machine command carried by the replicated log. The applied
-/// state machine is the cluster's tablet/replica/shard-anchor maps; the
-/// log records every mutation so tests can audit that no committed
-/// assignment is lost across failovers.
+/// state machine is the cluster's tablet and replica maps; the log
+/// records every mutation so tests can audit that no committed assignment
+/// is lost across failovers.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Command {
     /// Master + backup placement of a key (writes, migrations, recovery
@@ -100,14 +99,6 @@ pub enum Command {
     RetireTablet {
         /// The object key.
         key: Key,
-    },
-    /// Re-anchoring of a shard onto a new master-placement node after its
-    /// anchor was confirmed dead.
-    ReassignShard {
-        /// The shard being re-anchored.
-        shard: ShardId,
-        /// The new anchor node.
-        anchor: NodeId,
     },
 }
 

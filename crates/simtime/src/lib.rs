@@ -8,8 +8,6 @@
 //! * [`Sim`] — the event loop: a priority queue of scheduled closures plus a
 //!   seeded random number generator so every experiment is reproducible
 //!   bit-for-bit,
-//! * [`resource`] — first-order contention models (serial FIFO resources and
-//!   bandwidth-limited links) used for disks and NICs,
 //! * [`stats`] — summary statistics (mean, percentiles, histograms) shared by
 //!   the telemetry and benchmark harnesses.
 //!
@@ -32,7 +30,6 @@
 //! ```
 
 pub mod calendar;
-pub mod resource;
 pub mod stats;
 
 use calendar::CalendarQueue;

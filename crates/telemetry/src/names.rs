@@ -28,8 +28,6 @@ pub const CHAOS_SLOWDOWNS: &str = "chaos.slowdowns";
 pub const CHAOS_TRANSIENT_BURSTS: &str = "chaos.transient_bursts";
 /// Injected persistor-failure bursts.
 pub const CHAOS_PERSISTOR_FAILURES: &str = "chaos.persistor_failures";
-/// Injected crashes of a shard's master (anchor) node.
-pub const CHAOS_SHARD_CRASHES: &str = "chaos.shard_crashes";
 /// Injected coordinator-replica crashes.
 pub const CHAOS_COORDINATOR_CRASHES: &str = "chaos.coordinator_crashes";
 /// Injected coordinator-replica restarts.
@@ -217,10 +215,10 @@ pub const RCSTORE_REMOTE_HITS: &str = "rcstore.remote_hits";
 pub const RCSTORE_MISSES: &str = "rcstore.misses";
 /// Object writes accepted by the store.
 pub const RCSTORE_WRITES: &str = "rcstore.writes";
-/// Replication buffers flushed to a backup node (threshold or tick).
+/// Frozen at zero: registered for the benchmark's counter set, never
+/// incremented (replication is synchronous; DESIGN.md §5).
 pub const RCSTORE_BATCH_FLUSHES: &str = "rcstore.batch_flushes";
-/// Replica writes that went through a replication buffer instead of a
-/// synchronous backup RPC.
+/// Frozen at zero, like `rcstore.batch_flushes`.
 pub const RCSTORE_BATCHED_APPENDS: &str = "rcstore.batched_appends";
 /// Objects evicted from the store.
 pub const RCSTORE_EVICTIONS: &str = "rcstore.evictions";
@@ -270,7 +268,6 @@ pub const ALL: &[&str] = &[
     CHAOS_NODE_RESTARTS,
     CHAOS_PARTITIONS,
     CHAOS_PERSISTOR_FAILURES,
-    CHAOS_SHARD_CRASHES,
     CHAOS_SLOWDOWNS,
     CHAOS_TRANSIENT_BURSTS,
     FAAS_COLD_STARTS,

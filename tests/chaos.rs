@@ -42,14 +42,6 @@ fn cluster_sink(cluster: Rc<RefCell<Cluster>>) -> ofc::chaos::FaultSink {
             FaultKind::RestoreNodeSpeed { node } => c.clear_node_slowdown(*node),
             FaultKind::TransientStoreErrors { ops } => c.inject_transient_errors(*ops),
             FaultKind::PersistorFailure { .. } => {}
-            // A shard fault resolves to the shard's anchor node; the
-            // cluster flushes pending replica batches before the crash.
-            FaultKind::ShardCrash(s) => {
-                let node = c.shard_master(*s);
-                if c.live_nodes() > 2 {
-                    c.crash_node(node, now);
-                }
-            }
             FaultKind::CoordinatorCrash(r) => c.crash_coordinator(*r, now),
             FaultKind::CoordinatorRestart(r) => c.restart_coordinator(*r, now),
             FaultKind::LeaderIsolate => {
@@ -150,104 +142,6 @@ proptest! {
         // Faults cease; verify on a healed cluster.
         {
             let mut c = cluster.borrow_mut();
-            c.clear_faults();
-            for n in 0..NODES {
-                if !c.node(n).is_up() {
-                    c.restart_node(n, SimTime::from_secs(700));
-                }
-            }
-        }
-        let now = SimTime::from_secs(10_000);
-        for (key, size) in accepted.borrow().iter() {
-            let r = cluster.borrow_mut().read(0, key, now).result;
-            match r {
-                Ok((v, _)) => prop_assert_eq!(v.size(), *size, "{} changed size", key),
-                Err(e) => return Err(TestCaseError::fail(format!("{key} lost: {e}"))),
-            }
-        }
-        prop_assert_eq!(telemetry.metrics().counter("rcstore.objects_lost"), 0);
-    }
-
-    /// Zero data loss on the sharded, batched data plane (DESIGN.md §11):
-    /// shard-targeted crashes resolve to shard masters and fire against a
-    /// cluster whose replica writes coalesce in batches; because every
-    /// structural operation flushes first, no acknowledged write is lost
-    /// while replication covers the crash.
-    #[test]
-    fn sharded_batched_plane_survives_shard_crashes(
-        seed in any::<u64>(),
-        shards in 2usize..8,
-        batch in 2usize..16,
-        crash_mean_s in 20u64..90,
-    ) {
-        let telemetry = Telemetry::standalone();
-        let mut cluster = Cluster::new(ClusterConfig {
-            nodes: NODES,
-            replication_factor: 2,
-            node_pool_bytes: 256 * MB,
-            max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
-            shard: ofc::rcstore::shard::ShardConfig {
-                shards,
-                batch_max_entries: batch,
-            },
-            ..ClusterConfig::default()
-        });
-        cluster.bind_telemetry(&telemetry);
-        let cluster = Rc::new(RefCell::new(cluster));
-
-        let window_end = SimTime::from_secs(500);
-        let schedule = ChaosSchedule::new(NODES)
-            .shards(shards)
-            .recurring(Recurring {
-                template: FaultTemplate::ShardCrash,
-                mean_interval: Duration::from_secs(crash_mean_s),
-                from: SimTime::from_secs(5),
-                until: window_end,
-            })
-            .recurring(Recurring {
-                template: FaultTemplate::Restart,
-                mean_interval: Duration::from_secs(crash_mean_s / 2 + 1),
-                from: SimTime::from_secs(5),
-                until: window_end,
-            })
-            .recurring(Recurring {
-                template: FaultTemplate::Transient { ops: 3 },
-                mean_interval: Duration::from_secs(40),
-                from: SimTime::from_secs(5),
-                until: window_end,
-            });
-
-        let mut sim = Sim::new(seed);
-        ofc::chaos::install(
-            &mut sim,
-            schedule.generate(seed),
-            &telemetry,
-            cluster_sink(Rc::clone(&cluster)),
-        );
-
-        let accepted: Rc<RefCell<BTreeMap<Key, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
-        for i in 0..40u64 {
-            let cluster = Rc::clone(&cluster);
-            let accepted = Rc::clone(&accepted);
-            sim.schedule_at(SimTime::from_secs(i * 12), move |sim| {
-                let mut c = cluster.borrow_mut();
-                let Some(node) = (0..NODES).find(|&n| c.node(n).is_up()) else {
-                    return;
-                };
-                let key = Key::from(format!("w{i}"));
-                let size = 64 * 1024 + i;
-                if c.write(node, &key, RcValue::synthetic(size), sim.now()).result.is_ok() {
-                    accepted.borrow_mut().insert(key, size);
-                }
-            });
-        }
-
-        sim.run_until(SimTime::from_secs(700));
-
-        {
-            let mut c = cluster.borrow_mut();
-            c.flush_replication();
             c.clear_faults();
             for n in 0..NODES {
                 if !c.node(n).is_up() {

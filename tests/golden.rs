@@ -199,6 +199,15 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
         golden: "macro_mega_smoke",
         env: &[("OFC_MEGA_SMOKE", "1")],
     },
+    // Data-plane fault schedule (5-minute window): node crash/restart,
+    // transient bursts, slow nodes and persistor failures through the
+    // plane's circuit breaker and the retry path.
+    RunnerGolden {
+        bin: "chaos",
+        output: "chaos_smoke",
+        golden: "chaos_smoke",
+        env: &[("OFC_MACRO_SMOKE", "1")],
+    },
     // Control-plane failover drill (5-minute window): Raft coordinator +
     // gossip membership under crash/partition faults, via the pre-run hook.
     RunnerGolden {

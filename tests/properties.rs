@@ -274,67 +274,4 @@ proptest! {
         let (hits, misses, _) = imoc.counters();
         prop_assert_eq!(hits + misses, 0, "no gets were issued");
     }
-
-    /// The shard router is a total function, stable per seed, and — for
-    /// populations of at least 1k keys — balanced within 2x of the ideal
-    /// per-shard share (DESIGN.md §11).
-    #[test]
-    fn shard_router_total_stable_and_balanced(
-        seed in any::<u64>(),
-        shards in 1usize..12,
-        salt in 0u32..1000,
-    ) {
-        use ofc::rcstore::shard::ShardRouter;
-        let a = ShardRouter::new(shards, seed);
-        let b = ShardRouter::new(shards, seed);
-        const KEYS: usize = 2048;
-        let mut counts = vec![0usize; shards];
-        for i in 0..KEYS {
-            let key = Key::from(format!("obj/{salt}/{i}"));
-            let s = a.shard_of(&key);
-            prop_assert!(s < shards, "shard {s} out of range");
-            prop_assert_eq!(s, b.shard_of(&key), "mapping not stable per seed");
-            counts[s] += 1;
-        }
-        let ideal = KEYS as f64 / shards as f64;
-        for (s, &c) in counts.iter().enumerate() {
-            prop_assert!(
-                (c as f64) <= ideal * 2.0,
-                "shard {s} holds {c} of {KEYS} keys (ideal {ideal:.0})"
-            );
-        }
-    }
-
-    /// Batched replication never reorders appends within a key: the
-    /// coalescing buffer keeps exactly the latest enqueued value per
-    /// (shard, backup, key), so a flush can only apply writes in (or
-    /// newer than) acknowledgment order — never resurrect an older value.
-    #[test]
-    fn replication_batching_preserves_per_key_order(
-        writes in prop::collection::vec((0..8u8, 0..4u8, 1u64..512), 1..100),
-    ) {
-        use ofc::rcstore::shard::ReplicationBatcher;
-        let mut batcher = ReplicationBatcher::new();
-        // Model: the latest value enqueued per (shard, backup, key).
-        let mut latest: std::collections::BTreeMap<(usize, usize, Key), u64> = Default::default();
-        for (key, backup, size) in writes {
-            let key = key_of(key);
-            let shard = usize::from(key.as_bytes()[1] - b'0') % 4;
-            let backup = usize::from(backup);
-            batcher.enqueue(shard, backup, key, RcValue::synthetic(size));
-            latest.insert((shard, backup, key), size);
-        }
-        for ((shard, backup), entries) in batcher.drain() {
-            let mut seen = std::collections::HashSet::new();
-            for (key, value) in entries {
-                prop_assert!(seen.insert(key), "duplicate {key} in one buffer");
-                let want = latest.get(&(shard, backup, key));
-                prop_assert_eq!(
-                    want.copied(),
-                    Some(value.size()),
-                    "buffer holds a stale value for {}", key
-                );
-            }
-        }
-    }
 }
