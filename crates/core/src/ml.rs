@@ -17,13 +17,14 @@
 //!   added, with underpredictions weighted higher (§5.3.3).
 
 use ofc_dtree::c45::{C45Params, C45};
-use ofc_dtree::data::{AttrKind, Attribute, Dataset, Value};
+use ofc_dtree::data::{Attribute, Dataset, Value};
 use ofc_dtree::tree::DecisionTree;
 use ofc_dtree::Classifier;
 use ofc_faas::{FunctionId, TenantId};
 use ofc_intern::IdHashMap;
 use ofc_telemetry::{Counter, Telemetry};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Key identifying a function's models.
 pub type FnKey = (TenantId, FunctionId);
@@ -141,6 +142,14 @@ impl MlMetrics {
     }
 }
 
+/// What the engine holds for a registered function: the schema alone
+/// until the first observation, which builds the datasets. Most of a
+/// large population is never observed inside a run's window.
+struct Registered {
+    schema: Arc<[Attribute]>,
+    live: Option<Box<FunctionMl>>,
+}
+
 struct FunctionMl {
     mem_dataset: Dataset,
     benefit_dataset: Dataset,
@@ -158,7 +167,12 @@ struct FunctionMl {
 /// The ML engine: Predictor + ModelTrainer.
 pub struct MlEngine {
     cfg: MlConfig,
-    functions: IdHashMap<FnKey, FunctionMl>,
+    functions: IdHashMap<FnKey, Registered>,
+    /// The `N_INTERVALS` memory-class names, shared by every function's
+    /// memory dataset.
+    interval_labels: Arc<[String]>,
+    /// The two cache-benefit class names, shared likewise.
+    benefit_labels: Arc<[String]>,
     telemetry: Telemetry,
     metrics: MlMetrics,
 }
@@ -174,6 +188,8 @@ impl MlEngine {
         MlEngine {
             cfg,
             functions: IdHashMap::default(),
+            interval_labels: (0..N_INTERVALS).map(|k| format!("I{k}")).collect(),
+            benefit_labels: ["not_beneficial", "beneficial"].map(String::from).into(),
             telemetry: telemetry.clone(),
             metrics: MlMetrics::new(telemetry),
         }
@@ -189,32 +205,18 @@ impl MlEngine {
         &self.cfg
     }
 
-    /// Registers a function's feature schema. Models start blank (§5.1.1).
+    /// Registers a function's feature schema. Models start blank (§5.1.1);
+    /// registering a known key again changes nothing.
     pub fn register(&mut self, key: FnKey, schema: Vec<Attribute>) {
-        let classes: Vec<String> = (0..N_INTERVALS).map(|k| format!("I{k}")).collect();
-        let mut mem_builder = Dataset::builder();
-        let mut ben_builder = Dataset::builder();
-        for attr in schema {
-            let add = |b: ofc_dtree::data::DatasetBuilder| match attr.kind.clone() {
-                AttrKind::Numeric => b.numeric_attr(attr.name.clone()),
-                AttrKind::Nominal(vals) => b.nominal_attr(attr.name.clone(), vals),
-            };
-            mem_builder = add(mem_builder);
-            ben_builder = add(ben_builder);
-        }
-        self.functions.entry(key).or_insert_with(|| FunctionMl {
-            mem_dataset: mem_builder.classes(classes).build(),
-            benefit_dataset: ben_builder
-                .classes(["not_beneficial", "beneficial"])
-                .build(),
-            mem_model: None,
-            benefit_model: None,
-            window: VecDeque::new(),
-            observations: 0,
-            new_since_retrain: 0,
-            mature: false,
-            matured_at: None,
+        self.functions.entry(key).or_insert_with(|| Registered {
+            schema: schema.into(),
+            live: None,
         });
+    }
+
+    /// The function's model state, once an observation has built it.
+    fn live(&self, key: &FnKey) -> Option<&FunctionMl> {
+        self.functions.get(key)?.live.as_deref()
     }
 
     /// Whether the function is registered.
@@ -224,19 +226,20 @@ impl MlEngine {
 
     /// Whether the function's memory model has matured.
     pub fn is_mature(&self, key: &FnKey) -> bool {
-        self.functions.get(key).is_some_and(|f| f.mature)
+        self.live(key).is_some_and(|f| f.mature)
     }
 
     /// The observation count at which the model matured (§7.1.3's
     /// maturation quickness), if it has.
     pub fn matured_at(&self, key: &FnKey) -> Option<u64> {
-        self.functions.get(key).and_then(|f| f.matured_at)
+        self.live(key).and_then(|f| f.matured_at)
     }
 
     /// Predicts memory and cache benefit for an invocation (§4's Predictor
     /// step).
     pub fn predict(&self, key: &FnKey, features: &[Value]) -> Prediction {
-        let Some(f) = self.functions.get(key) else {
+        // Unregistered and never-observed functions answer alike: no model.
+        let Some(f) = self.live(key) else {
             return Prediction {
                 mem_bytes: None,
                 raw_interval: None,
@@ -263,9 +266,24 @@ impl MlEngine {
     /// Feeds back one completed invocation (the ModelTrainer path, §5.3.3).
     pub fn observe(&mut self, key: &FnKey, obs: Observation) {
         let cfg = self.cfg.clone();
-        let Some(f) = self.functions.get_mut(key) else {
+        let Some(Registered { schema, live }) = self.functions.get_mut(key) else {
             return;
         };
+        let f = live.get_or_insert_with(|| {
+            // Both datasets lend the registered schema and the engine's
+            // label sets: building a function's state allocates this box.
+            Box::new(FunctionMl {
+                mem_dataset: Dataset::over(schema.clone(), self.interval_labels.clone()),
+                benefit_dataset: Dataset::over(schema.clone(), self.benefit_labels.clone()),
+                mem_model: None,
+                benefit_model: None,
+                window: VecDeque::new(),
+                observations: 0,
+                new_since_retrain: 0,
+                mature: false,
+                matured_at: None,
+            })
+        });
         f.observations += 1;
         let truth = interval_of(obs.actual_mem);
 
@@ -337,15 +355,21 @@ impl MlEngine {
         }
     }
 
+    /// Functions whose datasets exist (observed at least once).
+    #[cfg(test)]
+    fn materialised(&self) -> usize {
+        self.functions.values().filter(|r| r.live.is_some()).count()
+    }
+
     /// Per-function training-set size (for tests and diagnostics).
     pub fn training_set_size(&self, key: &FnKey) -> usize {
-        self.functions.get(key).map_or(0, |f| f.mem_dataset.len())
+        self.live(key).map_or(0, |f| f.mem_dataset.len())
     }
 
     /// Maturation-window statistics `(eo_rate, under_within_one)` of a
     /// function's memory model, if any predictions were windowed.
     pub fn window_stats(&self, key: &FnKey) -> Option<(f64, f64)> {
-        let f = self.functions.get(key)?;
+        let f = self.live(key)?;
         if f.window.is_empty() {
             return None;
         }
@@ -364,6 +388,7 @@ impl MlEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ofc_dtree::data::AttrKind;
 
     fn key() -> FnKey {
         (TenantId::from("t"), FunctionId::from("f"))
@@ -408,6 +433,58 @@ mod tests {
         let p = ml.predict(&key(), &[Value::Num(1.0)]);
         assert_eq!(p.mem_bytes, None);
         assert!(p.should_cache, "benefit errors are benign; default to true");
+    }
+
+    #[test]
+    fn registered_but_unobserved_function_answers_as_a_blank_model() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        ml.register(key(), schema());
+        assert!(ml.knows(&key()));
+        assert!(!ml.is_mature(&key()));
+        assert_eq!(ml.matured_at(&key()), None);
+        assert_eq!(ml.training_set_size(&key()), 0);
+        assert_eq!(ml.window_stats(&key()), None);
+        let p = ml.predict(&key(), &[Value::Num(1.0)]);
+        assert_eq!(
+            (p.mem_bytes, p.raw_interval, p.should_cache),
+            (None, None, true)
+        );
+        assert_eq!(ml.materialised(), 0, "predict must not build state");
+        // The first observation builds it, and is kept.
+        ml.observe(&key(), learnable_obs(0));
+        assert_eq!(ml.materialised(), 1);
+        assert_eq!(ml.training_set_size(&key()), 1);
+    }
+
+    #[test]
+    fn registering_a_live_key_again_keeps_its_state() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        ml.register(key(), schema());
+        for i in 0..40 {
+            ml.observe(&key(), learnable_obs(i));
+        }
+        let size = ml.training_set_size(&key());
+        let raw = ml.predict(&key(), &[Value::Num(10.0)]).raw_interval;
+        assert!(size > 0 && raw.is_some());
+        ml.register(key(), schema());
+        assert_eq!(ml.training_set_size(&key()), size);
+        assert_eq!(ml.predict(&key(), &[Value::Num(10.0)]).raw_interval, raw);
+    }
+
+    #[test]
+    fn a_large_unobserved_population_holds_no_dataset() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        let tenant = TenantId::from("t");
+        for i in 0..100_000 {
+            ml.register((tenant, FunctionId::from(format!("f{i}"))), schema());
+        }
+        assert_eq!(ml.materialised(), 0);
+        // Observing one function builds that one alone, over the engine's
+        // one copy of the interval labels.
+        let one = (tenant, FunctionId::from("f7"));
+        ml.observe(&one, learnable_obs(0));
+        assert_eq!(ml.materialised(), 1);
+        assert_eq!(Arc::strong_count(&ml.interval_labels), 2);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use crate::ml::{FnKey, MlEngine};
 use crate::policy::{OfcPolicy, PolicyHandle, PredictionCtx, ShardView};
 use ofc_dtree::data::Value;
-use ofc_faas::{
-    Args, FunctionId, RoutingContext, RoutingDecision, SandboxView, Scheduler, TenantId,
-};
+use ofc_faas::{Args, FunctionId, RoutingContext, RoutingDecision, Scheduler, TenantId};
 use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -86,13 +84,16 @@ impl OfcScheduler {
 
     /// Orders warm sandboxes by §6.5's criteria: (i) smallest distance
     /// between current and predicted memory, (ii) available node memory
-    /// when the sandbox must grow, (iii) input locality, (iv) recency.
+    /// when the sandbox must grow, (iii) locality to `input_master`,
+    /// (iv) recency; a full tie goes to the first in `ctx.warm`'s
+    /// ascending `(node, sandbox id)` order.
     fn pick_warm(
-        ctx: &RoutingContext,
-        warm: &[SandboxView],
+        ctx: &RoutingContext<'_>,
+        input_master: Option<usize>,
         mem_limit: u64,
     ) -> Option<(usize, u64)> {
-        warm.iter()
+        ctx.warm
+            .iter()
             .min_by_key(|sb| {
                 let diff = sb.mem_limit.abs_diff(mem_limit);
                 let must_grow = mem_limit > sb.mem_limit;
@@ -102,7 +103,7 @@ impl OfcScheduler {
                     .find(|n| n.node == sb.node)
                     .map(|n| n.total_mem.saturating_sub(n.committed_mem))
                     .unwrap_or(0);
-                let non_local = ctx.input_master != Some(sb.node);
+                let non_local = input_master != Some(sb.node);
                 (
                     diff,
                     if must_grow { u64::MAX - node_free } else { 0 },
@@ -115,9 +116,9 @@ impl OfcScheduler {
 }
 
 impl Scheduler for OfcScheduler {
-    fn route(&mut self, ctx: &RoutingContext) -> RoutingDecision {
+    fn route(&mut self, ctx: &RoutingContext<'_>) -> RoutingDecision {
         let key: FnKey = (ctx.tenant, ctx.function);
-        let prediction = (self.features)(&ctx.tenant, &ctx.function, &ctx.args)
+        let prediction = (self.features)(&ctx.tenant, &ctx.function, ctx.args)
             .map(|f| self.ml.borrow().predict(&key, &f));
         // Sizing is the Predictor's (§5.3); admission is the policy's.
         let mem_limit = match &prediction {
@@ -150,17 +151,15 @@ impl Scheduler for OfcScheduler {
                 input_master: ctx.input_master,
             },
         );
-        let ctx_master = if self.locality_routing {
+        // Locality for routing is the policy's placement, not the oracle's
+        // raw `ctx.input_master`.
+        let input_master = if self.locality_routing {
             placement.preferred
         } else {
             None
         };
-        let ctx = &RoutingContext {
-            input_master: ctx_master,
-            ..ctx.clone()
-        };
 
-        if let Some((node, sandbox)) = Self::pick_warm(ctx, &ctx.warm, mem_limit) {
+        if let Some((node, sandbox)) = Self::pick_warm(ctx, input_master, mem_limit) {
             self.metrics.warm_routes.inc();
             return RoutingDecision {
                 node,
@@ -180,8 +179,7 @@ impl Scheduler for OfcScheduler {
                 .map(|n| n.total_mem.saturating_sub(n.committed_mem))
                 .unwrap_or(0)
         };
-        let node = ctx
-            .input_master
+        let node = input_master
             .filter(|&n| free(n) >= mem_limit)
             .or_else(|| (free(ctx.home) >= mem_limit).then_some(ctx.home))
             .or_else(|| {
@@ -207,7 +205,7 @@ mod tests {
     use super::*;
     use crate::ml::MlConfig;
     use ofc_dtree::data::{AttrKind, Attribute};
-    use ofc_faas::NodeView;
+    use ofc_faas::{NodeView, SandboxView};
     use ofc_simtime::SimTime;
 
     const MB: u64 = 1 << 20;
@@ -246,9 +244,11 @@ mod tests {
         })
     }
 
-    fn ctx(warm: Vec<SandboxView>, input_master: Option<usize>, x: f64) -> RoutingContext {
-        let mut args = Args::new();
-        args.insert("x".into(), ofc_faas::ArgValue::Num(x));
+    fn args(x: f64) -> Args {
+        Args::from([("x".into(), ofc_faas::ArgValue::Num(x))])
+    }
+
+    fn ctx(args: &Args, warm: Vec<SandboxView>, input_master: Option<usize>) -> RoutingContext<'_> {
         RoutingContext {
             function: FunctionId::from("f"),
             tenant: TenantId::from("t"),
@@ -281,7 +281,7 @@ mod tests {
     fn mature_model_right_sizes_instead_of_booked() {
         let ml = engine_with_mature_model();
         let mut s = OfcScheduler::new(ml, features());
-        let d = s.route(&ctx(vec![], None, 10.0));
+        let d = s.route(&ctx(&args(10.0), vec![], None));
         // Needs ~224 MB; allocation must cover it with the next-greater
         // margin yet stay far below the 2 GB booking.
         assert!(d.mem_limit >= 224 * MB);
@@ -296,7 +296,7 @@ mod tests {
         // Prediction for x=10 is ~256 MB: the 256 MB sandbox wins over the
         // 2 GB one even though the latter idled more recently.
         let warm = vec![sb(1, 1, 2 << 30, 100), sb(2, 2, 256 * MB, 5)];
-        let d = s.route(&ctx(warm, None, 10.0));
+        let d = s.route(&ctx(&args(10.0), warm, None));
         assert_eq!(d.node, 2);
         assert_eq!(d.sandbox, Some(2));
     }
@@ -312,22 +312,42 @@ mod tests {
         ];
         // Identical memory distance: the sandbox co-located with the cached
         // input (node 3) wins.
-        let d = s.route(&ctx(warm.clone(), Some(3), 10.0));
+        let d = s.route(&ctx(&args(10.0), warm.clone(), Some(3)));
         assert_eq!(d.node, 3);
         // Without locality info, the most recently used wins.
         let d = s.route(&ctx(
+            &args(10.0),
             vec![warm[0].clone(), sb(2, 3, 256 * MB, 99)],
             None,
-            10.0,
         ));
         assert_eq!(d.node, 2);
+    }
+
+    #[test]
+    fn full_warm_tie_is_broken_the_same_way_every_run() {
+        // Two sandboxes of one function idle since the same instant with
+        // the same limit. A fresh invoker per round: a table walked in
+        // `RandomState` order would offer them in either order.
+        let ml = engine_with_mature_model();
+        let mut s = OfcScheduler::new(ml, features());
+        let (f, t) = (FunctionId::from("f"), TenantId::from("t"));
+        for _ in 0..16 {
+            let mut inv = ofc_faas::sandbox::Invoker::new(1, 8 << 30);
+            for _ in 0..2 {
+                let id = inv.create_sandbox(f, t, 256 * MB, 2 << 30, SimTime::ZERO);
+                inv.release(id, SimTime::from_secs(5));
+            }
+            let d = s.route(&ctx(&args(10.0), inv.warm_for(&f, &t).collect(), None));
+            // `min_by_key` keeps the first minimum of an ascending-id list.
+            assert_eq!((d.node, d.sandbox), (1, Some(0)));
+        }
     }
 
     #[test]
     fn cold_start_prefers_input_master_node() {
         let ml = engine_with_mature_model();
         let mut s = OfcScheduler::new(ml, features());
-        let d = s.route(&ctx(vec![], Some(2), 10.0));
+        let d = s.route(&ctx(&args(10.0), vec![], Some(2)));
         assert_eq!(d.node, 2, "locality routing (§6.5)");
         assert_eq!(d.sandbox, None);
     }
@@ -336,7 +356,7 @@ mod tests {
     fn unknown_function_falls_back_to_booked() {
         let ml = Rc::new(RefCell::new(MlEngine::new(MlConfig::default())));
         let mut s = OfcScheduler::new(ml, Rc::new(|_, _, _| None));
-        let d = s.route(&ctx(vec![], None, 1.0));
+        let d = s.route(&ctx(&args(1.0), vec![], None));
         assert_eq!(d.mem_limit, 2 << 30);
         assert!(d.admission.cache, "conservative default");
     }

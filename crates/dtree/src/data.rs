@@ -8,6 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// A single attribute value of an instance.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -85,8 +86,11 @@ pub struct Instance {
 /// A weighted, labelled dataset with a fixed attribute schema.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Dataset {
-    attrs: Vec<Attribute>,
-    classes: Vec<String>,
+    /// The schema is shared, not owned: datasets over one schema
+    /// ([`Dataset::over`], [`Dataset::empty_like`]) hold one copy of the
+    /// attributes and of the class names between them.
+    attrs: Arc<[Attribute]>,
+    classes: Arc<[String]>,
     rows: Vec<Instance>,
 }
 
@@ -94,6 +98,24 @@ impl Dataset {
     /// Starts building a dataset schema.
     pub fn builder() -> DatasetBuilder {
         DatasetBuilder::default()
+    }
+
+    /// An empty dataset over a schema that is held elsewhere too: a caller
+    /// with many datasets over the same attributes or classes (one per
+    /// function, over the 128 memory intervals) pays for them once, and
+    /// this allocates nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no attribute or fewer than two classes were declared.
+    pub fn over(attrs: Arc<[Attribute]>, classes: Arc<[String]>) -> Dataset {
+        assert!(!attrs.is_empty(), "dataset needs at least one attribute");
+        assert!(classes.len() >= 2, "dataset needs at least two classes");
+        Dataset {
+            attrs,
+            classes,
+            rows: Vec::new(),
+        }
     }
 
     /// The attribute schema.
@@ -163,7 +185,7 @@ impl Dataset {
             weight.is_finite() && weight > 0.0,
             "instance weight must be positive, got {weight}"
         );
-        for (v, a) in values.iter().zip(&self.attrs) {
+        for (v, a) in values.iter().zip(self.attrs.iter()) {
             match (v, &a.kind) {
                 (Value::Missing, _) => {}
                 (Value::Num(x), AttrKind::Numeric) => {
@@ -253,7 +275,7 @@ pub(crate) fn majority(dist: &[f64]) -> u32 {
 #[derive(Debug, Default)]
 pub struct DatasetBuilder {
     attrs: Vec<Attribute>,
-    classes: Vec<String>,
+    classes: Arc<[String]>,
 }
 
 impl DatasetBuilder {
@@ -295,19 +317,7 @@ impl DatasetBuilder {
     ///
     /// Panics if no attribute or fewer than two classes were declared.
     pub fn build(self) -> Dataset {
-        assert!(
-            !self.attrs.is_empty(),
-            "dataset needs at least one attribute"
-        );
-        assert!(
-            self.classes.len() >= 2,
-            "dataset needs at least two classes"
-        );
-        Dataset {
-            attrs: self.attrs,
-            classes: self.classes,
-            rows: Vec::new(),
-        }
+        Dataset::over(self.attrs.into(), self.classes)
     }
 }
 

@@ -267,18 +267,20 @@ pub struct NodeView {
 
 /// Everything the scheduler may consult for one routing decision.
 #[derive(Debug, Clone)]
-pub struct RoutingContext {
+pub struct RoutingContext<'a> {
     /// The request being routed.
     pub function: FunctionId,
     /// Its tenant.
     pub tenant: TenantId,
-    /// Its arguments.
-    pub args: Args,
+    /// Its arguments, on loan from the request.
+    pub args: &'a Args,
     /// Memory booked by the tenant for this function.
     pub booked_mem: u64,
     /// The stock home node (`hash(function, tenant) % n`).
     pub home: NodeId,
-    /// Idle warm sandboxes for this function, cluster-wide.
+    /// Idle warm sandboxes for this function, cluster-wide, in ascending
+    /// `(node, sandbox id)` order — a scheduler that breaks a tie by
+    /// position picks the same sandbox on every run.
     pub warm: Vec<SandboxView>,
     /// Per-node status.
     pub nodes: Vec<NodeView>,
@@ -308,7 +310,7 @@ pub struct RoutingDecision {
 /// it with the Predictor-driven, locality-aware policy of §6.5.
 pub trait Scheduler {
     /// Routes one invocation.
-    fn route(&mut self, ctx: &RoutingContext) -> RoutingDecision;
+    fn route(&mut self, ctx: &RoutingContext<'_>) -> RoutingDecision;
 }
 
 /// The stock OpenWhisk policy: home-invoker first, booked memory, no cache.
@@ -316,7 +318,7 @@ pub trait Scheduler {
 pub struct StockScheduler;
 
 impl Scheduler for StockScheduler {
-    fn route(&mut self, ctx: &RoutingContext) -> RoutingDecision {
+    fn route(&mut self, ctx: &RoutingContext<'_>) -> RoutingDecision {
         // Prefer a warm sandbox: most recently used first (stock OWK keeps
         // per-invoker affinity; MRU maximizes reclaimable idle tails).
         if let Some(sb) = ctx.warm.iter().max_by_key(|s| s.idle_since) {
@@ -604,11 +606,13 @@ impl fmt::Display for Served {
 mod tests {
     use super::*;
 
-    fn ctx(warm: Vec<SandboxView>) -> RoutingContext {
+    static NO_ARGS: Args = Args::new();
+
+    fn ctx(warm: Vec<SandboxView>) -> RoutingContext<'static> {
         RoutingContext {
             function: FunctionId::from("f"),
             tenant: TenantId::from("t"),
-            args: Args::new(),
+            args: &NO_ARGS,
             booked_mem: 512 << 20,
             home: 1,
             warm,
@@ -645,6 +649,24 @@ mod tests {
         assert_eq!(d.node, 0);
         assert_eq!(d.sandbox, Some(3));
         assert!(!d.admission.cache);
+    }
+
+    #[test]
+    fn stock_scheduler_breaks_an_mru_tie_the_same_way_every_run() {
+        // Two sandboxes of one function idle since the same instant with
+        // the same limit. A fresh invoker per round: a table walked in
+        // `RandomState` order would offer them in either order.
+        for _ in 0..16 {
+            let mut inv = sandbox::Invoker::new(0, 4 << 30);
+            let (f, t) = (FunctionId::from("f"), TenantId::from("t"));
+            for _ in 0..2 {
+                let id = inv.create_sandbox(f, t, 512 << 20, 512 << 20, SimTime::ZERO);
+                inv.release(id, SimTime::from_secs(5));
+            }
+            let d = StockScheduler.route(&ctx(inv.warm_for(&f, &t).collect()));
+            // `max_by_key` keeps the last maximum of an ascending-id list.
+            assert_eq!((d.node, d.sandbox), (0, Some(1)));
+        }
     }
 
     #[test]

@@ -202,7 +202,7 @@ impl Platform {
         (h.finish() as usize) % self.invokers.len()
     }
 
-    fn routing_context(&self, req: &InvocationRequest, booked: u64) -> RoutingContext {
+    fn routing_context<'a>(&self, req: &'a InvocationRequest, booked: u64) -> RoutingContext<'a> {
         let warm = self
             .invokers
             .iter()
@@ -228,7 +228,7 @@ impl Platform {
         RoutingContext {
             function: req.function,
             tenant: req.tenant,
-            args: req.args.clone(),
+            args: &req.args,
             booked_mem: booked,
             home: self.home_node(&req.tenant, &req.function),
             warm,
@@ -305,6 +305,12 @@ impl PlatformHandle {
     /// Number of sandboxes (any state) on `node`.
     pub fn sandbox_count(&self, node: NodeId) -> usize {
         self.0.borrow().invokers[node].sandbox_count()
+    }
+
+    /// Checks every invoker's running totals and idle index against a
+    /// full scan ([`Invoker::audit`]). For tests, never on a timed path.
+    pub fn audit(&self) -> Result<(), String> {
+        self.0.borrow().invokers.iter().try_for_each(Invoker::audit)
     }
 
     /// The platform configuration.

@@ -7,7 +7,9 @@
 //! the quantity OFC's CacheAgent arbitrates against the cache pool.
 
 use crate::{FunctionId, InvocationId, NodeId, SandboxView, TenantId};
+use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Sandbox lifecycle state.
@@ -49,12 +51,28 @@ pub struct Sandbox {
     pub uses: u64,
 }
 
+/// Idle sandbox ids per `(tenant, function)`, ascending; a function with
+/// no idle sandbox has no entry.
+type IdleIndex = IdHashMap<(TenantId, FunctionId), Vec<u64>>;
+
 /// A worker node's invoker: sandbox table plus memory accounting.
+///
+/// The controller asks every invoker for its totals and its warm
+/// candidates on every submit, so those are kept incrementally. Invariant
+/// (checked by [`Invoker::audit`]): `committed = Σ mem_limit`,
+/// `booked = Σ booked`, `busy = #Busy`, and `idle` holds exactly the
+/// `Idle` sandboxes, each function's ids ascending. Every state change
+/// goes through the methods below; there is no mutable access to a
+/// [`Sandbox`] from outside.
 #[derive(Debug)]
 pub struct Invoker {
     node: NodeId,
     total_mem: u64,
     sandboxes: HashMap<u64, Sandbox>,
+    idle: IdleIndex,
+    committed: u64,
+    booked: u64,
+    busy: usize,
     next_id: u64,
     /// Cold starts performed.
     pub cold_starts: u64,
@@ -69,6 +87,10 @@ impl Invoker {
             node,
             total_mem,
             sandboxes: HashMap::new(),
+            idle: IdHashMap::default(),
+            committed: 0,
+            booked: 0,
+            busy: 0,
             next_id: 0,
             cold_starts: 0,
             reclaimed: 0,
@@ -88,13 +110,13 @@ impl Invoker {
     /// Physical memory committed to sandboxes (sum of cgroup limits) —
     /// what the cache pool is carved against.
     pub fn committed_mem(&self) -> u64 {
-        self.sandboxes.values().map(|s| s.mem_limit).sum()
+        self.committed
     }
 
     /// Booked memory committed to sandboxes — the admission-control sum
     /// (`Σ booked <= capacity`, as in stock OWK).
     pub fn booked_mem(&self) -> u64 {
-        self.sandboxes.values().map(|s| s.booked).sum()
+        self.booked
     }
 
     /// Number of sandboxes in any state.
@@ -104,20 +126,12 @@ impl Invoker {
 
     /// Number of busy sandboxes.
     pub fn busy_count(&self) -> usize {
-        self.sandboxes
-            .values()
-            .filter(|s| matches!(s.state, SandboxState::Busy { .. }))
-            .count()
+        self.busy
     }
 
     /// Borrow of a sandbox.
     pub fn sandbox(&self, id: u64) -> Option<&Sandbox> {
         self.sandboxes.get(&id)
-    }
-
-    /// Mutable borrow of a sandbox.
-    pub fn sandbox_mut(&mut self, id: u64) -> Option<&mut Sandbox> {
-        self.sandboxes.get_mut(&id)
     }
 
     /// Creates a sandbox in `Starting` state.
@@ -134,6 +148,8 @@ impl Invoker {
         let id = self.next_id;
         self.next_id += 1;
         self.cold_starts += 1;
+        self.committed += mem_limit;
+        self.booked += booked;
         self.sandboxes.insert(
             id,
             Sandbox {
@@ -165,13 +181,21 @@ impl Invoker {
             !matches!(sb.state, SandboxState::Busy { .. }),
             "sandbox {id} already busy (one invocation at a time, §2.1)"
         );
+        if matches!(sb.state, SandboxState::Idle { .. }) {
+            unindex_idle(&mut self.idle, sb);
+        }
         sb.state = SandboxState::Busy { invocation };
         sb.uses += 1;
+        self.busy += 1;
     }
 
     /// Transitions a sandbox back to idle after an invocation.
     pub fn release(&mut self, id: u64, now: SimTime) {
         if let Some(sb) = self.sandboxes.get_mut(&id) {
+            if matches!(sb.state, SandboxState::Busy { .. }) {
+                self.busy -= 1;
+            }
+            index_idle(&mut self.idle, sb);
             sb.state = SandboxState::Idle { since: now };
         }
     }
@@ -181,13 +205,22 @@ impl Invoker {
         let sb = self.sandboxes.get_mut(&id)?;
         let old = sb.mem_limit;
         sb.mem_limit = mem_limit;
+        self.committed = self.committed - old + mem_limit;
         Some(old)
     }
 
     /// Destroys a sandbox (OOM kill or keep-alive expiry); returns its
     /// memory limit so the caller can release it to the broker.
     pub fn destroy(&mut self, id: u64) -> Option<u64> {
-        self.sandboxes.remove(&id).map(|s| s.mem_limit)
+        let sb = self.sandboxes.remove(&id)?;
+        self.committed -= sb.mem_limit;
+        self.booked -= sb.booked;
+        match sb.state {
+            SandboxState::Busy { .. } => self.busy -= 1,
+            SandboxState::Idle { .. } => unindex_idle(&mut self.idle, &sb),
+            SandboxState::Starting => {}
+        }
+        Some(sb.mem_limit)
     }
 
     /// Reclaims the sandbox if it is still idle and untouched since `uses`.
@@ -209,27 +242,89 @@ impl Invoker {
         }
     }
 
-    /// Idle warm sandboxes bound to `function`/`tenant`, as scheduler views.
-    pub fn warm_for(&self, function: &FunctionId, tenant: &TenantId) -> Vec<SandboxView> {
-        self.sandboxes
-            .values()
-            .filter_map(|s| match s.state {
-                SandboxState::Idle { since } if &s.function == function && &s.tenant == tenant => {
-                    Some(SandboxView {
-                        node: self.node,
-                        sandbox: s.id,
-                        mem_limit: s.mem_limit,
-                        idle_since: since,
-                    })
-                }
-                _ => None,
+    /// Idle warm sandboxes bound to `function`/`tenant`, as scheduler
+    /// views, in ascending sandbox-id order.
+    pub fn warm_for(
+        &self,
+        function: &FunctionId,
+        tenant: &TenantId,
+    ) -> impl Iterator<Item = SandboxView> + '_ {
+        self.idle
+            .get(&(*tenant, *function))
+            .into_iter()
+            .flatten()
+            .filter_map(|id| {
+                let sb = self.sandboxes.get(id)?;
+                let SandboxState::Idle { since } = sb.state else {
+                    return None;
+                };
+                Some(SandboxView {
+                    node: self.node,
+                    sandbox: sb.id,
+                    mem_limit: sb.mem_limit,
+                    idle_since: since,
+                })
             })
-            .collect()
+    }
+
+    /// Recomputes the running totals and the idle index by a full scan and
+    /// compares; `Err` shows both sides. For tests and invariant checks —
+    /// O(sandboxes), never called on a timed path.
+    pub fn audit(&self) -> Result<(), String> {
+        let mut committed = 0;
+        let mut booked = 0;
+        let mut busy = 0;
+        let mut idle = IdleIndex::default();
+        for sb in self.sandboxes.values() {
+            committed += sb.mem_limit;
+            booked += sb.booked;
+            match sb.state {
+                SandboxState::Busy { .. } => busy += 1,
+                SandboxState::Idle { .. } => idle
+                    .entry((sb.tenant, sb.function))
+                    .or_default()
+                    .push(sb.id),
+                SandboxState::Starting => {}
+            }
+        }
+        idle.values_mut().for_each(|ids| ids.sort_unstable());
+        let kept = (self.committed, self.booked, self.busy, &self.idle);
+        let scanned = (committed, booked, busy, &idle);
+        if kept == scanned {
+            Ok(())
+        } else {
+            Err(format!(
+                "node {}: kept (committed, booked, busy, idle) {kept:?} != scanned {scanned:?}",
+                self.node
+            ))
+        }
     }
 
     /// Iterates over all sandboxes.
     pub fn sandboxes(&self) -> impl Iterator<Item = &Sandbox> {
         self.sandboxes.values()
+    }
+}
+
+/// Puts a sandbox that is becoming `Idle` into the index (a no-op when it
+/// already is), keeping its function's ids ascending.
+fn index_idle(idle: &mut IdleIndex, sb: &Sandbox) {
+    let ids = idle.entry((sb.tenant, sb.function)).or_default();
+    if let Err(at) = ids.binary_search(&sb.id) {
+        ids.insert(at, sb.id);
+    }
+}
+
+/// Takes a sandbox that is leaving `Idle` out of the index.
+fn unindex_idle(idle: &mut IdleIndex, sb: &Sandbox) {
+    if let Entry::Occupied(mut slot) = idle.entry((sb.tenant, sb.function)) {
+        let ids = slot.get_mut();
+        if let Ok(at) = ids.binary_search(&sb.id) {
+            ids.remove(at);
+        }
+        if ids.is_empty() {
+            slot.remove();
+        }
     }
 }
 
@@ -259,7 +354,7 @@ mod tests {
         assert_eq!(inv.busy_count(), 1);
         inv.release(id, SimTime::from_secs(1));
         assert_eq!(inv.busy_count(), 0);
-        let warm = inv.warm_for(&fid("f"), &tid("t"));
+        let warm: Vec<_> = inv.warm_for(&fid("f"), &tid("t")).collect();
         assert_eq!(warm.len(), 1);
         assert_eq!(warm[0].idle_since, SimTime::from_secs(1));
     }
@@ -281,8 +376,8 @@ mod tests {
         inv.release(a, SimTime::ZERO);
         inv.release(b, SimTime::ZERO);
         // Same function, different tenant: never shared (§2.1).
-        assert_eq!(inv.warm_for(&fid("f"), &tid("t1")).len(), 1);
-        assert_eq!(inv.warm_for(&fid("g"), &tid("t1")).len(), 0);
+        assert_eq!(inv.warm_for(&fid("f"), &tid("t1")).count(), 1);
+        assert_eq!(inv.warm_for(&fid("g"), &tid("t1")).count(), 0);
     }
 
     #[test]

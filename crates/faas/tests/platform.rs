@@ -86,6 +86,7 @@ fn single_invocation_happy_path() {
     assert_eq!(r.total(), Duration::from_millis(158));
     let c = p.counters();
     assert_eq!((c.submitted, c.completed, c.cold_starts), (1, 1, 1));
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -105,6 +106,7 @@ fn second_invocation_reuses_warm_sandbox() {
     let c = p.counters();
     assert_eq!((c.cold_starts, c.warm_starts), (1, 1));
     assert_eq!(p.sandbox_count(recs[0].node), 1);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -120,6 +122,7 @@ fn concurrent_invocations_get_separate_sandboxes() {
     // arrived (one invocation at a time, §2.1).
     assert!(recs.iter().all(|r| r.cold_start));
     assert_eq!(p.counters().cold_starts, 2);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -136,6 +139,7 @@ fn keep_alive_reclaims_idle_sandboxes() {
     sim.run_until(SimTime::from_secs(700));
     assert_eq!(p.sandbox_count(node), 0);
     assert_eq!(p.committed_mem(node), 0);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -157,6 +161,7 @@ fn reuse_before_timeout_extends_keep_alive() {
     assert_eq!(p.sandbox_count(node), 1);
     sim.run_until(SimTime::from_secs(1200));
     assert_eq!(p.sandbox_count(node), 0);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -189,6 +194,7 @@ fn oom_kill_and_retry_at_booked() {
     assert_eq!(recs[1].completion, Completion::OomKilled);
     let c = p.counters();
     assert_eq!((c.oom_kills, c.retries, c.completed), (2, 1, 0));
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -215,6 +221,7 @@ fn oom_retry_succeeds_when_booked_is_enough() {
     assert_eq!(recs[0].completion, Completion::OomKilled);
     assert_eq!(recs[1].completion, Completion::Success);
     assert_eq!(recs[1].attempt, 1);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -267,6 +274,7 @@ fn oom_retry_backoff_delays_resubmission() {
     assert_eq!(recs[0].completion, Completion::Success);
     assert_eq!(recs[0].attempt, 1);
     assert_eq!(p.counters().retries, 1);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]
@@ -302,6 +310,7 @@ fn broker_refusal_makes_request_unschedulable() {
     assert_eq!(recs.len(), 1);
     assert_eq!(recs[0].completion, Completion::Unschedulable);
     assert_eq!(p.counters().unschedulable, 1);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 struct TwoStage {
@@ -355,6 +364,7 @@ fn pipeline_runs_stages_in_order() {
         .max()
         .unwrap();
     assert!(reducer.arrival >= last_mapper_end);
+    assert_eq!(p.audit(), Ok(()));
 }
 
 #[test]

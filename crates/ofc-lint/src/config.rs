@@ -104,6 +104,10 @@ impl Default for Config {
                 "crates/rcstore/src/cluster.rs".into(),
                 "crates/core/src/cache.rs".into(),
                 "crates/core/src/agent.rs".into(),
+                "crates/faas/src/platform.rs".into(),
+                "crates/faas/src/sandbox.rs".into(),
+                "crates/core/src/scheduler.rs".into(),
+                "crates/core/src/ml.rs".into(),
             ],
             rng_seed_idents: vec![
                 "seed".into(),

@@ -189,6 +189,22 @@ fn kind_idx(kind: MediaKind) -> usize {
 /// Input key prefixes per pool, aligned with [`kind_idx`].
 const KIND_PREFIX: [&str; 4] = ["im", "au", "vi", "tx"];
 
+/// The interned handle of output key `out{slot:02}`. The names are the
+/// same for every model and tenant, so each thread formats and interns a
+/// slot's name once, not once per invocation.
+fn out_key(slot: usize) -> TenantId {
+    thread_local! {
+        // `TenantId` is the interned-string type `ObjectId` keys are made of.
+        static KEYS: RefCell<Vec<TenantId>> = const { RefCell::new(Vec::new()) };
+    }
+    KEYS.with_borrow_mut(|keys| {
+        while keys.len() <= slot {
+            keys.push(TenantId::from(format!("out{:02}", keys.len())));
+        }
+        keys[slot]
+    })
+}
+
 /// The [`FunctionModel`] of every mega function: identical physics to
 /// [`crate::multimedia::MultimediaModel`], but the output goes to a
 /// bounded slot in the *tenant's own bucket* (derived from the input's
@@ -223,7 +239,10 @@ impl FunctionModel for MegaModel {
             _ => None,
         });
         let slot = seed % u64::from(self.output_slots.max(1));
-        let out_id = ObjectId::new(input.bucket.as_str(), format!("out{slot:02}"));
+        let out_id = ObjectId {
+            bucket: input.bucket,
+            key: out_key(slot as usize),
+        };
         Behavior {
             mem_bytes: self.profile.memory(&meta, arg_value, seed),
             compute: self.profile.compute(&meta, arg_value, seed),

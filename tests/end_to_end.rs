@@ -321,6 +321,9 @@ fn memory_conservation_on_every_node() {
             "node {node}: sandboxes {committed} + cache {pool} exceed {node_mem}"
         );
     }
+    // `committed` above is a running total: it must be what a walk of the
+    // sandbox tables adds up to.
+    assert_eq!(s.platform.audit(), Ok(()));
 }
 
 #[test]
