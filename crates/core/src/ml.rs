@@ -340,14 +340,7 @@ impl MlEngine {
 
         // Maturation check (§5.3.1).
         if !f.mature && f.observations >= cfg.min_invocations && !f.window.is_empty() {
-            let total = f.window.len() as f64;
-            let eo = f.window.iter().filter(|&&(p, t)| p >= t).count() as f64 / total;
-            let unders: Vec<&(u32, u32)> = f.window.iter().filter(|&&(p, t)| p < t).collect();
-            let under_one = if unders.is_empty() {
-                1.0
-            } else {
-                unders.iter().filter(|&&&(p, t)| p + 1 == t).count() as f64 / unders.len() as f64
-            };
+            let (eo, under_one) = window_rates(&f.window);
             if eo >= EO_THRESHOLD && under_one >= UNDER_ONE_THRESHOLD {
                 f.mature = true;
                 f.matured_at = Some(f.observations);
@@ -373,16 +366,30 @@ impl MlEngine {
         if f.window.is_empty() {
             return None;
         }
-        let total = f.window.len() as f64;
-        let eo = f.window.iter().filter(|&&(p, t)| p >= t).count() as f64 / total;
-        let unders: Vec<&(u32, u32)> = f.window.iter().filter(|&&(p, t)| p < t).collect();
-        let under_one = if unders.is_empty() {
-            1.0
-        } else {
-            unders.iter().filter(|&&&(p, t)| p + 1 == t).count() as f64 / unders.len() as f64
-        };
-        Some((eo, under_one))
+        Some(window_rates(&f.window))
     }
+}
+
+/// The maturation rule's two rates (§5.3.1) over a non-empty window of
+/// `(predicted, true)` intervals: the share of exact-or-over predictions,
+/// and the share of underpredictions that are one interval short (1 when
+/// there are none).
+fn window_rates(window: &VecDeque<(u32, u32)>) -> (f64, f64) {
+    let (mut eo, mut unders, mut unders_by_one) = (0usize, 0usize, 0usize);
+    for &(p, t) in window {
+        if p >= t {
+            eo += 1;
+        } else {
+            unders += 1;
+            unders_by_one += usize::from(p + 1 == t);
+        }
+    }
+    let under_one = if unders == 0 {
+        1.0
+    } else {
+        unders_by_one as f64 / unders as f64
+    };
+    (eo as f64 / window.len() as f64, under_one)
 }
 
 #[cfg(test)]

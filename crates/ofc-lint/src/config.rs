@@ -108,6 +108,7 @@ impl Default for Config {
                 "crates/faas/src/sandbox.rs".into(),
                 "crates/core/src/scheduler.rs".into(),
                 "crates/core/src/ml.rs".into(),
+                "crates/dtree/src/c45.rs".into(),
             ],
             rng_seed_idents: vec![
                 "seed".into(),
