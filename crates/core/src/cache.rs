@@ -27,11 +27,8 @@ use std::time::Duration;
 /// bypassing to the RSDS. Bounds the gate's worst-case work per op.
 const QUOTA_VICTIM_BATCH: usize = 8;
 
-/// Converts an object id into a cache key.
-///
-/// Memoised under the interned (bucket, key) id pair: the first access to
-/// an object composes `"{bucket}/{key}"`, every later access is a single
-/// id-keyed table probe with no allocation.
+/// Converts an object id into a cache key: the id's own interned
+/// `bucket/key` path, a field read.
 pub fn rc_key(id: &ObjectId) -> Key {
     id.path()
 }
@@ -446,8 +443,8 @@ impl OfcPlane {
     }
 
     fn chunk_key(key: &Key, i: u32) -> Key {
-        // Memoised like `rc_key`: `"{key}#chunk{i}"` is composed once per
-        // (key, chunk index) pair and re-used allocation-free after that.
+        // Memoised: `"{key}#chunk{i}"` is composed once per (key, chunk
+        // index) pair and re-used allocation-free after that.
         ofc_intern::compose_chunk(*key, i)
     }
 

@@ -24,43 +24,99 @@ pub mod store;
 use bytes::Bytes;
 use ofc_intern::Istr;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
-/// Identifier of an object: `(bucket, key)`.
+/// Identifier of an object: `(bucket, key)`, held as the interned
+/// `bucket/key` path plus where the bucket ends.
 ///
-/// `Copy` (interned string handles) and usable as a map key across the
-/// whole stack — the cache, the store, and the FaaS argument parser all pass
-/// these around. Equality and hashing resolve through the intern ids;
-/// ordering follows the resolved strings, matching the previous
-/// `Arc<str>`-based representation byte for byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The path is what every layer below keys on — the cache plane's
+/// RAMCloud key, the store's and the catalog's map key — so an id is
+/// formatted and interned once, when it is made, and everything after is
+/// a field read. `Copy`, 32 bytes. Equality and hashing go through the
+/// path handle; ordering is *bucket string, then key string* (see `Ord`).
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ObjectId {
-    /// Bucket (Swift container) name.
-    pub bucket: Istr,
-    /// Object key within the bucket.
-    pub key: Istr,
+    path: Istr,
+    /// Byte length of the bucket name: `path[bucket_len]` is the `/`
+    /// between bucket and key. Compared by `Eq` too, so `("a/b", "c")`
+    /// and `("a", "b/c")` stay distinct ids over the same path.
+    bucket_len: u32,
 }
+
+/// `HashMap` for [`ObjectId`] keys: one multiply over the path's
+/// precomputed string hash in place of SipHash. Probe it, never iterate it
+/// where order can be observed.
+pub use ofc_intern::IdHashMap;
 
 impl ObjectId {
     /// Creates an id from bucket and key names.
     pub fn new(bucket: impl AsRef<str>, key: impl AsRef<str>) -> Self {
+        ObjectId::from_fmt(bucket, format_args!("{}", key.as_ref()))
+    }
+
+    /// Creates an id whose key is formatted from `key`, straight behind
+    /// the bucket: one formatting pass, one interner probe, and no heap
+    /// allocation when the path is already interned.
+    pub fn from_fmt(bucket: impl AsRef<str>, key: fmt::Arguments<'_>) -> Self {
+        let bucket = bucket.as_ref();
         ObjectId {
-            bucket: Istr::intern(bucket.as_ref()),
-            key: Istr::intern(key.as_ref()),
+            path: Istr::intern_fmt(format_args!("{bucket}/{key}")),
+            bucket_len: u32::try_from(bucket.len()).expect("bucket name longer than 4 GB"),
         }
     }
 
+    /// Bucket (Swift container) name.
+    pub fn bucket(&self) -> &'static str {
+        &self.path.as_str()[..self.bucket_len as usize]
+    }
+
+    /// Object key within the bucket.
+    pub fn key(&self) -> &'static str {
+        &self.path.as_str()[self.bucket_len as usize + 1..]
+    }
+
     /// The interned `bucket/key` path — the RAMCloud-layer cache key.
-    ///
-    /// Memoised under the (bucket, key) id pair, so steady-state
-    /// derivation allocates nothing.
     pub fn path(&self) -> Istr {
-        ofc_intern::compose_slash(self.bucket, self.key)
+        self.path
+    }
+}
+
+impl Hash for ObjectId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.path.hash(state);
+    }
+}
+
+// Bucket first, then key: the order the `(bucket, key)` pair of handles
+// derived. It is not the path's order — `/` sorts after `-` and `.`, so
+// `"a-b/x"` precedes `"a/x"` as a path and follows it as a pair — and
+// sorted listings and `BTreeMap`s over ids must not move.
+impl Ord for ObjectId {
+    fn cmp(&self, other: &ObjectId) -> std::cmp::Ordering {
+        self.bucket()
+            .cmp(other.bucket())
+            .then_with(|| self.key().cmp(other.key()))
+    }
+}
+
+impl PartialOrd for ObjectId {
+    fn partial_cmp(&self, other: &ObjectId) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.bucket, self.key)
+        f.write_str(self.path.as_str())
+    }
+}
+
+impl fmt::Debug for ObjectId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ObjectId")
+            .field("bucket", &self.bucket())
+            .field("key", &self.key())
+            .finish()
     }
 }
 

@@ -21,10 +21,9 @@
 //! to virtual time.
 
 use crate::latency::LatencyModel;
-use crate::{ObjectId, Payload, StoreError};
-use ofc_intern::{IdHashMap, Istr};
+use crate::{IdHashMap, ObjectId, Payload, StoreError};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Metadata of a stored object.
@@ -83,7 +82,6 @@ pub struct StoreCounters {
 pub struct ObjectStore {
     latency: LatencyModel,
     objects: IdHashMap<ObjectId, StoredObject>,
-    keys_by_bucket: IdHashMap<Istr, BTreeSet<Istr>>,
     observers: Vec<WriteObserver>,
     counters: StoreCounters,
 }
@@ -103,7 +101,6 @@ impl ObjectStore {
         ObjectStore {
             latency,
             objects: IdHashMap::default(),
-            keys_by_bucket: IdHashMap::default(),
             observers: Vec::new(),
             counters: StoreCounters::default(),
         }
@@ -147,13 +144,6 @@ impl ObjectStore {
         self.observers = observers;
     }
 
-    fn index_insert(&mut self, id: &ObjectId) {
-        self.keys_by_bucket
-            .entry(id.bucket)
-            .or_default()
-            .insert(id.key);
-    }
-
     /// Writes a full object (create or update), bumping both versions.
     ///
     /// `external` marks writes from non-FaaS clients, which trigger cache
@@ -190,7 +180,6 @@ impl ObjectStore {
                 1
             }
         };
-        self.index_insert(id);
         self.counters.puts += 1;
         self.counters.bytes_written += size;
         self.notify(id, version, external);
@@ -224,7 +213,6 @@ impl ObjectStore {
                 1
             }
         };
-        self.index_insert(id);
         self.counters.shadow_puts += 1;
         self.notify(id, version, false);
         (version, latency)
@@ -316,9 +304,6 @@ impl ObjectStore {
     /// Deletes an object (shadow or persisted).
     pub fn delete(&mut self, id: &ObjectId) -> (Result<(), StoreError>, Duration) {
         let res = if self.objects.remove(id).is_some() {
-            if let Some(keys) = self.keys_by_bucket.get_mut(&id.bucket) {
-                keys.remove(&id.key);
-            }
             self.counters.deletes += 1;
             Ok(())
         } else {
@@ -328,13 +313,18 @@ impl ObjectStore {
     }
 
     /// Lists the keys of a bucket in lexical order.
+    ///
+    /// A walk of the whole store and a sort: listing is a set-up and test
+    /// operation here, and an index kept for it would be paid for on every
+    /// `put` of every run.
     pub fn list_bucket(&self, bucket: &str) -> (Vec<ObjectId>, Duration) {
-        let bucket = Istr::intern(bucket);
-        let keys = self
-            .keys_by_bucket
-            .get(&bucket)
-            .map(|set| set.iter().map(|&key| ObjectId { bucket, key }).collect())
-            .unwrap_or_default();
+        let mut keys: Vec<ObjectId> = self
+            .objects
+            .keys()
+            .filter(|id| id.bucket() == bucket)
+            .copied()
+            .collect();
+        keys.sort_unstable();
         (keys, self.latency.meta())
     }
 }
@@ -470,7 +460,7 @@ mod tests {
         s.delete(&oid("a")).0.unwrap();
         let (keys, _) = s.list_bucket("bkt");
         assert_eq!(keys.len(), 1);
-        assert_eq!(&*keys[0].key, "b");
+        assert_eq!(keys[0].key(), "b");
         assert!(matches!(
             s.delete(&oid("a")).0,
             Err(StoreError::NotFound(_))

@@ -109,6 +109,11 @@ impl Default for Config {
                 "crates/core/src/scheduler.rs".into(),
                 "crates/core/src/ml.rs".into(),
                 "crates/dtree/src/c45.rs".into(),
+                "crates/workloads/src/pipelines.rs".into(),
+                "crates/workloads/src/multimedia.rs".into(),
+                "crates/workloads/src/mega.rs".into(),
+                "crates/objstore/src/store.rs".into(),
+                "crates/intern/src/lib.rs".into(),
             ],
             rng_seed_idents: vec![
                 "seed".into(),

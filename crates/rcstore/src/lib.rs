@@ -57,9 +57,10 @@ use std::time::Duration;
 
 /// A cache key (OFC uses `bucket/key` object paths).
 ///
-/// Interned: `Key` is a 16-byte `Copy` handle whose equality and hash
-/// resolve through a `u32` slab id while comparison still follows the
-/// resolved string (see `ofc_intern::Istr` and DESIGN.md §17).
+/// Interned: `Key` is a 24-byte `Copy` handle whose equality resolves
+/// through a `u32` slab id and whose hash is a precomputed hash of the
+/// string, while comparison still follows the resolved string (see
+/// `ofc_intern::Istr` and DESIGN.md §17).
 pub type Key = ofc_intern::Istr;
 
 /// Identifier of a storage node (co-located with a FaaS invoker).

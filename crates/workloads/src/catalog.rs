@@ -6,7 +6,7 @@
 //! entropy) only influence behaviour — that gap is why byte size alone
 //! cannot predict memory (Figure 2, top).
 
-use ofc_objstore::ObjectId;
+use ofc_objstore::{IdHashMap, ObjectId};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
@@ -108,9 +108,14 @@ impl MediaMeta {
 }
 
 /// Shared map from object ids to their truth.
+///
+/// Grows by one entry per catalogued object and never shrinks: stage
+/// models register every output they name and nothing tells the catalog
+/// when the pipeline's intermediates are dropped (ROADMAP item 2's
+/// boundedness gate).
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    inner: Rc<RefCell<HashMap<ObjectId, MediaMeta>>>,
+    inner: Rc<RefCell<IdHashMap<ObjectId, MediaMeta>>>,
 }
 
 impl Catalog {

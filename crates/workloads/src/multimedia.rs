@@ -567,9 +567,9 @@ impl FunctionModel for MultimediaModel {
             Some(ArgValue::Num(x)) => Some(*x),
             _ => None,
         });
-        let out_id = ObjectId::new(
+        let out_id = ObjectId::from_fmt(
             "outputs",
-            format!("{}-{}-{}", self.profile.name, input.key, seed),
+            format_args!("{}-{}-{}", self.profile.name, input.key(), seed),
         );
         Behavior {
             mem_bytes: self.profile.memory(&meta, arg_value, seed),

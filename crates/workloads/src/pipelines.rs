@@ -280,9 +280,9 @@ impl FunctionModel for StageModel {
         let per_output = (total_out / n_outputs as u64).max(128);
         let writes: Vec<ObjectWrite> = (0..n_outputs)
             .map(|i| {
-                let id = ObjectId::new(
+                let id = ObjectId::from_fmt(
                     "intermediate",
-                    format!("{}-{}-{}", self.profile.name, seed, i),
+                    format_args!("{}-{}-{}", self.profile.name, seed, i),
                 );
                 // Register the output so downstream stages can resolve it.
                 self.catalog
@@ -317,14 +317,15 @@ pub fn register_stage_functions(
             id: FunctionId::from(p.name),
             tenant: *tenant,
             booked_mem,
+            // ofc-lint: allow(hotloop) reason=registration runs once per tenant and each model shares the catalog; an Rc bump
             model: Rc::new(StageModel::new(p, catalog.clone())),
         });
     }
 }
 
-fn request(tenant: &TenantId, function: &str, args: Args, seed: u64) -> InvocationRequest {
+fn request(tenant: &TenantId, function: FunctionId, args: Args, seed: u64) -> InvocationRequest {
     InvocationRequest {
-        function: FunctionId::from(function),
+        function,
         tenant: *tenant,
         args,
         seed,
@@ -335,6 +336,7 @@ fn request(tenant: &TenantId, function: &str, args: Args, seed: u64) -> Invocati
 fn obj_args(inputs: &[ObjectRef]) -> Args {
     let mut args = Args::new();
     for (i, r) in inputs.iter().enumerate() {
+        // ofc-lint: allow(hotloop) reason=`Args` is a `BTreeMap<String, _>`: each argument owns its name
         args.insert(format!("input{i:03}"), ArgValue::Obj(r.id));
     }
     args
@@ -346,9 +348,9 @@ pub struct ScatterGather {
     tenant: TenantId,
     inputs: Vec<ObjectRef>,
     fanout: usize,
-    split: &'static str,
-    map: &'static str,
-    reduce: &'static str,
+    split: FunctionId,
+    map: FunctionId,
+    reduce: FunctionId,
 }
 
 impl ScatterGather {
@@ -358,9 +360,9 @@ impl ScatterGather {
             tenant,
             inputs: vec![input],
             fanout,
-            split: "wc_split",
-            map: "wc_map",
-            reduce: "wc_reduce",
+            split: FunctionId::from("wc_split"),
+            map: FunctionId::from("wc_map"),
+            reduce: FunctionId::from("wc_reduce"),
         }
     }
 
@@ -376,9 +378,9 @@ impl ScatterGather {
             tenant,
             inputs,
             fanout,
-            split: "this_decode",
-            map: "this_process",
-            reduce: "this_combine",
+            split: FunctionId::from("this_decode"),
+            map: FunctionId::from("this_process"),
+            reduce: FunctionId::from("this_combine"),
         }
     }
 }
@@ -424,7 +426,7 @@ impl PipelineDriver for ScatterGather {
 pub struct Sequence {
     tenant: TenantId,
     input: ObjectRef,
-    stages: Vec<&'static str>,
+    stages: Vec<FunctionId>,
 }
 
 impl Sequence {
@@ -433,7 +435,9 @@ impl Sequence {
         Sequence {
             tenant,
             input: app_package,
-            stages: vec!["imad_fetch", "imad_extract", "imad_classify"],
+            stages: ["imad_fetch", "imad_extract", "imad_classify"]
+                .map(FunctionId::from)
+                .to_vec(),
         }
     }
 
@@ -442,7 +446,9 @@ impl Sequence {
         Sequence {
             tenant,
             input: image,
-            stages: vec!["img_meta", "img_transform", "img_thumbnail", "img_upload"],
+            stages: ["img_meta", "img_transform", "img_thumbnail", "img_upload"]
+                .map(FunctionId::from)
+                .to_vec(),
         }
     }
 }
@@ -453,7 +459,7 @@ impl PipelineDriver for Sequence {
     }
 
     fn stage(&self, stage: usize, prev: &[ObjectRef], seed: u64) -> Option<Vec<InvocationRequest>> {
-        let name = self.stages.get(stage)?;
+        let name = *self.stages.get(stage)?;
         let inputs = if stage == 0 {
             std::slice::from_ref(&self.input)
         } else {
