@@ -163,7 +163,6 @@ fn locality_case(label: &str, disable: bool) -> Row {
         register_single(&tb, &tenant, p, 512 << 20);
     }
     // Seed the cache: the input's master lands on node 0.
-    // ofc-lint: allow(rng) reason=fixed experiment id for the ablation grid, pinned so rows replay bit-for-bit
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(34);
     let meta = gen_image_with_bytes(64 << 10, &mut rng);
     let input = stage_input(&mut tb, Scenario::LocalHit, meta, "shared");
@@ -214,7 +213,6 @@ fn write_policy_case(label: &str, policy: WritePolicy) -> Row {
     let p = ofc_workloads::multimedia::profile("wand_edge").expect("known");
     register_single(&tb, &tenant, p, 512 << 20);
     pin(&tb, 512 << 20);
-    // ofc-lint: allow(rng) reason=fixed experiment id for the ablation grid, pinned so rows replay bit-for-bit
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(35);
     let meta = gen_image_with_bytes(64 << 10, &mut rng);
     let input = stage_input(&mut tb, Scenario::LocalHit, meta, "in");

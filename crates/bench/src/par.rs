@@ -49,6 +49,60 @@ pub fn min_par_sims() -> usize {
 /// Runs every job and returns their results in submission order, fanning
 /// out over [`threads`] scoped workers — unless the bin is smaller than
 /// [`min_par_sims`], in which case it runs serially on the caller.
+///
+/// Jobs may borrow from the caller, but only what is safe to share
+/// across workers; the `Send` bound makes the compiler enforce that.
+/// Sharing an atomic ticket and per-job `Mutex` slots compiles:
+///
+/// ```
+/// use ofc_bench::par::run_jobs;
+/// use std::sync::atomic::{AtomicUsize, Ordering};
+/// use std::sync::Mutex;
+///
+/// let next = AtomicUsize::new(0);
+/// let slots: Vec<Mutex<Option<usize>>> = (0..4).map(|_| Mutex::new(None)).collect();
+/// let jobs: Vec<_> = (0..4)
+///     .map(|i| {
+///         let (next, slots) = (&next, &slots);
+///         move || {
+///             let t = next.fetch_add(1, Ordering::Relaxed);
+///             *slots[i].lock().unwrap() = Some(t);
+///             i * 10
+///         }
+///     })
+///     .collect();
+/// assert_eq!(run_jobs(jobs), vec![0, 10, 20, 30]);
+/// assert!(slots.iter().all(|s| s.lock().unwrap().is_some()));
+/// ```
+///
+/// A job that captures the caller's `RefCell` does not (`&RefCell` is not
+/// `Send`):
+///
+/// ```compile_fail,E0277
+/// use std::cell::RefCell;
+///
+/// let shared = RefCell::new(Vec::new());
+/// ofc_bench::par::run_jobs(vec![|| shared.borrow_mut().push(1)]);
+/// ```
+///
+/// Nor does one that captures an `Rc` or a `Cell`:
+///
+/// ```compile_fail,E0277
+/// use std::cell::Cell;
+/// use std::rc::Rc;
+///
+/// let testbed = Rc::new(Cell::new(0u64));
+/// ofc_bench::par::run_jobs(vec![move || testbed.set(1)]);
+/// ```
+///
+/// Two jobs that take `&mut` to one accumulator are rejected too:
+///
+/// ```compile_fail,E0499
+/// let mut acc = Vec::new();
+/// let jobs: Vec<Box<dyn FnOnce() + Send + '_>> =
+///     vec![Box::new(|| acc.push(1)), Box::new(|| acc.push(2))];
+/// ofc_bench::par::run_jobs(jobs);
+/// ```
 pub fn run_jobs<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,

@@ -22,7 +22,7 @@
 //! Policies see only read-only views plus their own private state, never
 //! the `Rc<RefCell<…>>` plumbing, so they stay deterministic (ofc-lint D1:
 //! no wall clocks, no ambient RNG — all iteration is over `BTreeMap`s) and
-//! lock-clean (D2: a policy can never re-enter the cluster mutably).
+//! can never re-enter the cluster mutably.
 //!
 //! Three policies ship: [`OfcPolicy`] (the paper's §5.2/§6.3/§6.4
 //! behavior, byte-identical to the pre-refactor plane), [`FaastPolicy`]

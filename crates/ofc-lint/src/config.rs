@@ -1,31 +1,13 @@
-//! `ofc-lint.toml` parsing.
+//! The rule scopes: which files each rule reads, and what it bans.
 //!
-//! The linter must stay dependency-free, so this is a deliberately small
-//! TOML subset: `[section]` headers, `key = "string"`, and
-//! `key = ["a", "b", ...]` arrays (single- or multi-line). Comments start
-//! with `#` outside strings. That covers the whole configuration surface;
-//! anything fancier is a config error, not a silent misparse.
-
-use std::collections::BTreeMap;
-use std::fmt;
-use std::path::Path;
-
-/// A configuration error with enough context to fix the file.
-#[derive(Debug)]
-pub struct ConfigError(pub String);
-
-impl fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ofc-lint config error: {}", self.0)
-    }
-}
-
-impl std::error::Error for ConfigError {}
+//! [`Config::default`] is the one list. There is no config file: a scope
+//! change is a code change, reviewed with the rule it retargets. Tests
+//! build their own `Config` to aim the rules at fixtures.
+//!
+//! Paths are workspace-relative prefixes with forward slashes; a file
+//! matches a prefix if its relative path starts with it.
 
 /// Fully resolved linter configuration.
-///
-/// Paths are workspace-relative prefixes with forward slashes; a file
-/// matches if its relative path starts with the prefix.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Path prefixes excluded from analysis entirely.
@@ -36,293 +18,111 @@ pub struct Config {
     pub determinism_allow: Vec<String>,
     /// D1: substrings marking a function as a snapshot/export path.
     pub export_fn_patterns: Vec<String>,
-    /// D2: scope lock identities per file (`true`) or globally (`false`).
-    pub lock_scope_per_file: bool,
-    /// D2: path prefixes exempt from lock analysis.
-    pub locks_allow: Vec<String>,
-    /// D3: workspace-relative path of the metric-name registry module.
+    /// D3/D7: workspace-relative path of the metric-name registry module.
     pub telemetry_registry: String,
     /// D3: path prefixes whose metric names must be registered.
     pub telemetry_paths: Vec<String>,
     /// D4: files whose non-test code must not panic.
     pub panic_hot_paths: Vec<String>,
-    /// D5: path prefixes whose loops are allocation-audited (the
-    /// interning-campaign work list).
+    /// D5: path prefixes whose loops are allocation-audited.
     pub hotloop_paths: Vec<String>,
-    /// D6: identifier substrings that prove a seed expression is
-    /// schedule-derived (matched case-insensitively).
-    pub rng_seed_idents: Vec<String>,
-    /// D6: path prefixes exempt from RNG lineage analysis.
-    pub rng_allow: Vec<String>,
-    /// D8: path prefixes containing scoped-thread worker closures whose
-    /// captures are audited.
-    pub parallel_harness_paths: Vec<String>,
+}
+
+fn strings(items: &[&str]) -> Vec<String> {
+    items.iter().map(|s| s.to_string()).collect()
 }
 
 impl Default for Config {
     fn default() -> Self {
         Config {
-            exclude: vec![
-                "vendor/".into(),
-                "target/".into(),
-                "crates/ofc-lint/tests/fixtures/".into(),
-            ],
-            banned_idents: vec!["Instant".into(), "SystemTime".into(), "thread_rng".into()],
-            determinism_allow: vec!["crates/bench/".into(), "crates/simtime/".into()],
-            export_fn_patterns: vec![
-                "to_json".into(),
-                "snapshot".into(),
-                "export".into(),
-                "write_json".into(),
-            ],
-            lock_scope_per_file: true,
-            locks_allow: vec![],
+            // Never analyzed: vendored stubs, build output, and the lint
+            // fixtures (which deliberately contain violations).
+            exclude: strings(&["vendor/", "target/", "crates/ofc-lint/tests/fixtures/"]),
+            // D1: the simulation must replay bit-for-bit over the
+            // ofc-simtime virtual clock, so wall clocks and ambient entropy
+            // are banned outright.
+            banned_idents: strings(&[
+                "Instant",
+                "SystemTime",
+                "thread_rng",
+                "from_entropy",
+                "from_os_rng",
+                "OsRng",
+            ]),
+            // The repo benchmark measures real wall time, and the ML
+            // micro-benchmark times training: the only two places that
+            // read `Instant`.
+            determinism_allow: strings(&["benchmark/", "crates/bench/src/mlx.rs"]),
+            // Function names containing these substrings are
+            // snapshot/export paths: HashMap/HashSet iteration there
+            // produces nondeterministic output order.
+            export_fn_patterns: strings(&["to_json", "snapshot", "export", "write_json"]),
+            // D3: every metric name must be a `pub const` in the central
+            // registry; D7 reports the consts nothing emits or reads.
             telemetry_registry: "crates/telemetry/src/names.rs".into(),
-            telemetry_paths: vec![
-                "crates/core/".into(),
-                "crates/faas/".into(),
-                "crates/rcstore/".into(),
-                "crates/bench/".into(),
-                "crates/chaos/".into(),
-            ],
-            panic_hot_paths: vec![
-                "crates/chaos/src/lib.rs".into(),
-                "crates/core/src/cache.rs".into(),
-                "crates/core/src/health.rs".into(),
-                "crates/core/src/agent.rs".into(),
-                "crates/core/src/scheduler.rs".into(),
-                "crates/core/src/monitor.rs".into(),
-                "crates/rcstore/src/cluster.rs".into(),
-                "crates/rcstore/src/txn.rs".into(),
-                "crates/rcstore/src/node.rs".into(),
-                "crates/rcstore/src/log.rs".into(),
-                "crates/faas/src/platform.rs".into(),
-            ],
-            hotloop_paths: vec![
-                "crates/rcstore/src/node.rs".into(),
-                "crates/rcstore/src/log.rs".into(),
-                "crates/rcstore/src/cluster.rs".into(),
-                "crates/core/src/cache.rs".into(),
-                "crates/core/src/agent.rs".into(),
-                "crates/faas/src/platform.rs".into(),
-                "crates/faas/src/sandbox.rs".into(),
-                "crates/core/src/scheduler.rs".into(),
-                "crates/core/src/ml.rs".into(),
-                "crates/dtree/src/c45.rs".into(),
-                "crates/workloads/src/pipelines.rs".into(),
-                "crates/workloads/src/multimedia.rs".into(),
-                "crates/workloads/src/mega.rs".into(),
-                "crates/objstore/src/store.rs".into(),
-                "crates/intern/src/lib.rs".into(),
-            ],
-            rng_seed_idents: vec![
-                "seed".into(),
-                "stream".into(),
-                "schedule".into(),
-                "chaos".into(),
-                "rng".into(),
-            ],
-            rng_allow: vec![],
-            parallel_harness_paths: vec!["crates/bench/".into()],
+            // Paths whose counter/gauge/histogram call sites are
+            // cross-checked.
+            telemetry_paths: strings(&[
+                "crates/core/",
+                "crates/faas/",
+                "crates/rcstore/",
+                "crates/bench/",
+                "crates/chaos/",
+            ]),
+            // D4: non-test code in these files must not unwrap/expect/
+            // panic! unless the site documents its invariant with
+            // `// ofc-lint: allow(panic) reason=...`.
+            panic_hot_paths: strings(&[
+                "crates/chaos/src/lib.rs",
+                "crates/core/src/cache.rs",
+                "crates/core/src/health.rs",
+                "crates/core/src/agent.rs",
+                "crates/core/src/policy/mod.rs",
+                "crates/core/src/policy/ofc.rs",
+                "crates/core/src/policy/faast.rs",
+                "crates/core/src/policy/infinicache.rs",
+                "crates/core/src/scheduler.rs",
+                "crates/core/src/monitor.rs",
+                "crates/rcstore/src/cluster.rs",
+                "crates/rcstore/src/node.rs",
+                "crates/rcstore/src/log.rs",
+                "crates/rcstore/src/raft.rs",
+                "crates/rcstore/src/gossip.rs",
+                "crates/faas/src/platform.rs",
+                "crates/bench/src/par.rs",
+            ]),
+            // D5: allocation discipline inside loops of the data-plane hot
+            // paths. Every clone/to_string/format!/collect at loop depth
+            // >= 1 in these files is a finding, and all of them (suppressed
+            // or not) land in the `--emit-hotspots` inventory
+            // (results/lint_hotspots.json).
+            hotloop_paths: strings(&[
+                "crates/rcstore/src/node.rs",
+                "crates/rcstore/src/log.rs",
+                "crates/rcstore/src/cluster.rs",
+                "crates/rcstore/src/raft.rs",
+                "crates/rcstore/src/gossip.rs",
+                "crates/core/src/cache.rs",
+                "crates/core/src/agent.rs",
+                // The controller's per-submit path and the Predictor: the
+                // population-proportional cost was found here, where D5
+                // had never looked.
+                "crates/faas/src/platform.rs",
+                "crates/faas/src/sandbox.rs",
+                "crates/core/src/scheduler.rs",
+                "crates/core/src/ml.rs",
+                // The J48 trainer every retrain runs: growing a node
+                // allocates its `Node` and nothing else.
+                "crates/dtree/src/c45.rs",
+                // Where object keys are made: the workload models named a
+                // fresh output with a `format!` per write, the store
+                // indexed it and the interner hashed and leaked it.
+                "crates/workloads/src/pipelines.rs",
+                "crates/workloads/src/multimedia.rs",
+                "crates/workloads/src/mega.rs",
+                "crates/objstore/src/store.rs",
+                "crates/intern/src/lib.rs",
+            ]),
         }
-    }
-}
-
-impl Config {
-    /// Loads configuration from `path`, overriding defaults key by key.
-    pub fn load(path: &Path) -> Result<Config, ConfigError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ConfigError(format!("cannot read {}: {e}", path.display())))?;
-        Config::parse(&text)
-    }
-
-    /// Parses TOML-subset text, overriding defaults key by key.
-    pub fn parse(text: &str) -> Result<Config, ConfigError> {
-        let raw = parse_toml_subset(text)?;
-        let mut cfg = Config::default();
-        for (key, value) in &raw {
-            match (key.as_str(), value) {
-                ("files.exclude", Value::List(v)) => cfg.exclude = v.clone(),
-                ("determinism.banned_idents", Value::List(v)) => cfg.banned_idents = v.clone(),
-                ("determinism.allow_paths", Value::List(v)) => cfg.determinism_allow = v.clone(),
-                ("determinism.export_fn_patterns", Value::List(v)) => {
-                    cfg.export_fn_patterns = v.clone()
-                }
-                ("locks.scope", Value::Str(s)) => {
-                    cfg.lock_scope_per_file = match s.as_str() {
-                        "file" => true,
-                        "global" => false,
-                        other => {
-                            return Err(ConfigError(format!(
-                                "locks.scope must be \"file\" or \"global\", got \"{other}\""
-                            )))
-                        }
-                    }
-                }
-                ("locks.allow_paths", Value::List(v)) => cfg.locks_allow = v.clone(),
-                ("telemetry.registry", Value::Str(s)) => cfg.telemetry_registry = s.clone(),
-                ("telemetry.paths", Value::List(v)) => cfg.telemetry_paths = v.clone(),
-                ("panics.hot_paths", Value::List(v)) => cfg.panic_hot_paths = v.clone(),
-                ("hotloops.paths", Value::List(v)) => cfg.hotloop_paths = v.clone(),
-                ("rng.seed_idents", Value::List(v)) => cfg.rng_seed_idents = v.clone(),
-                ("rng.allow_paths", Value::List(v)) => cfg.rng_allow = v.clone(),
-                ("parallel.harness_paths", Value::List(v)) => {
-                    cfg.parallel_harness_paths = v.clone()
-                }
-                (other, _) => {
-                    return Err(ConfigError(format!(
-                        "unknown or mistyped key \"{other}\" (string vs list?)"
-                    )))
-                }
-            }
-        }
-        Ok(cfg)
-    }
-}
-
-/// A parsed value: string or list of strings.
-#[derive(Debug, Clone)]
-enum Value {
-    Str(String),
-    List(Vec<String>),
-}
-
-/// Parses the TOML subset into `section.key -> value` pairs.
-fn parse_toml_subset(text: &str) -> Result<BTreeMap<String, Value>, ConfigError> {
-    let mut out = BTreeMap::new();
-    let mut section = String::new();
-    let mut lines = text.lines().enumerate().peekable();
-    while let Some((ln, raw)) = lines.next() {
-        let line = strip_comment(raw).trim().to_string();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(name) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
-            section = name.trim().to_string();
-            continue;
-        }
-        let (key, mut rest) = line
-            .split_once('=')
-            .map(|(k, v)| (k.trim().to_string(), v.trim().to_string()))
-            .ok_or_else(|| ConfigError(format!("line {}: expected key = value", ln + 1)))?;
-        if section.is_empty() {
-            return Err(ConfigError(format!(
-                "line {}: key \"{key}\" outside any [section]",
-                ln + 1
-            )));
-        }
-        let full_key = format!("{section}.{key}");
-        let value = if rest.starts_with('[') {
-            // Accumulate a possibly multi-line array until the closing ']'.
-            while !rest.contains(']') {
-                match lines.next() {
-                    Some((_, more)) => {
-                        rest.push(' ');
-                        rest.push_str(strip_comment(more).trim());
-                    }
-                    None => {
-                        return Err(ConfigError(format!(
-                            "line {}: unterminated array for \"{full_key}\"",
-                            ln + 1
-                        )))
-                    }
-                }
-            }
-            Value::List(parse_string_array(&rest, &full_key)?)
-        } else {
-            Value::Str(parse_quoted(&rest).ok_or_else(|| {
-                ConfigError(format!(
-                    "line {}: value for \"{full_key}\" must be a quoted string or array",
-                    ln + 1
-                ))
-            })?)
-        };
-        out.insert(full_key, value);
-    }
-    Ok(out)
-}
-
-/// Strips a `#` comment, respecting double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_str = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_str = !in_str,
-            '#' if !in_str => return &line[..i],
-            _ => {}
-        }
-    }
-    line
-}
-
-/// Parses `["a", "b", ...]` (trailing comma tolerated).
-fn parse_string_array(text: &str, key: &str) -> Result<Vec<String>, ConfigError> {
-    let inner = text
-        .trim()
-        .strip_prefix('[')
-        .and_then(|t| t.strip_suffix(']'))
-        .ok_or_else(|| ConfigError(format!("\"{key}\": malformed array")))?;
-    let mut items = Vec::new();
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        items.push(
-            parse_quoted(part)
-                .ok_or_else(|| ConfigError(format!("\"{key}\": array items must be strings")))?,
-        );
-    }
-    Ok(items)
-}
-
-/// Parses a double-quoted string literal.
-fn parse_quoted(text: &str) -> Option<String> {
-    let t = text.trim();
-    t.strip_prefix('"')
-        .and_then(|t| t.strip_suffix('"'))
-        .map(|s| s.to_string())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn defaults_are_used_when_keys_absent() {
-        let cfg = Config::parse("[determinism]\nbanned_idents = [\"Foo\"]\n").unwrap();
-        assert_eq!(cfg.banned_idents, vec!["Foo"]);
-        // Untouched sections keep defaults.
-        assert!(cfg.telemetry_registry.ends_with("names.rs"));
-        assert!(cfg.lock_scope_per_file);
-    }
-
-    #[test]
-    fn multiline_arrays_and_comments_parse() {
-        let cfg = Config::parse(
-            "# top comment\n[panics]\nhot_paths = [\n  \"a.rs\", # trailing\n  \"b.rs\",\n]\n[locks]\nscope = \"global\"\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.panic_hot_paths, vec!["a.rs", "b.rs"]);
-        assert!(!cfg.lock_scope_per_file);
-    }
-
-    #[test]
-    fn analyzer_v2_sections_parse() {
-        let cfg = Config::parse(
-            "[hotloops]\npaths = [\"x.rs\"]\n[rng]\nseed_idents = [\"seed\"]\nallow_paths = [\"y/\"]\n[parallel]\nharness_paths = [\"z/\"]\n",
-        )
-        .unwrap();
-        assert_eq!(cfg.hotloop_paths, vec!["x.rs"]);
-        assert_eq!(cfg.rng_seed_idents, vec!["seed"]);
-        assert_eq!(cfg.rng_allow, vec!["y/"]);
-        assert_eq!(cfg.parallel_harness_paths, vec!["z/"]);
-    }
-
-    #[test]
-    fn unknown_keys_are_errors() {
-        assert!(Config::parse("[determinism]\nbanned = []\n").is_err());
-        assert!(Config::parse("orphan = \"x\"\n").is_err());
-        assert!(Config::parse("[locks]\nscope = \"per-thread\"\n").is_err());
     }
 }

@@ -5,46 +5,32 @@
 //!
 //! * **D1 determinism** — the simulation must replay bit-for-bit over the
 //!   `ofc-simtime` virtual clock (reproducible Fig 7/10, Table 2), so
-//!   wall clocks, ambient RNG, and hash-ordered export iteration are
+//!   wall clocks, ambient entropy, and hash-ordered export iteration are
 //!   banned;
-//! * **D2 lock order** — the inter-procedural lock graph must be acyclic
-//!   and no lock re-acquired while held (agent/cluster liveness, RefCell
-//!   soundness);
 //! * **D3 telemetry hygiene** — metric names must come from the central
 //!   registry (`ofc-telemetry::names`) and labels must be bounded;
 //! * **D4 panic paths** — the cache/scheduler/cluster hot paths must not
 //!   abort, unless a site documents its invariant with
-//!   `// ofc-lint: allow(panic) reason=...`.
-//!
-//! Since v2 the engine is no longer purely token-level: a lightweight
-//! statement parser ([`parser`]) and per-function control-flow graph
-//! ([`cfg`]) feed the dataflow rules —
-//!
+//!   `// ofc-lint: allow(panic) reason=...`;
 //! * **D5 hot-loop allocations** — allocation sites inside loops in the
-//!   configured hot paths, exported as the machine-readable interning
-//!   work-list (`--emit-hotspots`, ROADMAP item 2);
-//! * **D6 RNG taint lineage** — every RNG construction must derive its
-//!   seed from a schedule source, proven by interprocedural may-taint
-//!   dataflow ([`summaries`], the same fixpoint machinery as D2);
+//!   configured hot paths, found over a lightweight statement parser
+//!   ([`parser`]) and exported as a machine-readable inventory
+//!   (`--emit-hotspots`);
 //! * **D7 dead telemetry** — D3 made bidirectional: registry consts no
-//!   analyzed call site ever emits are reported;
-//! * **D8 parallel-capture hygiene** — scoped-thread worker closures may
-//!   share only atomics, channels, and Mutex slots.
+//!   analyzed call site ever emits are reported.
 //!
 //! The crate is dependency-free and offline-safe: a hand-rolled Rust
-//! tokenizer (no syn, no proc-macro machinery), a TOML-subset config
-//! parser, and plain `std::fs` workspace walking. Rules pattern-match
-//! over token streams and the statement tree — deliberately approximate,
-//! tuned to this workspace's idioms, with a pragma escape hatch for the
-//! rest.
+//! tokenizer (no syn, no proc-macro machinery) and plain `std::fs`
+//! workspace walking. Rules pattern-match over token streams and the
+//! statement tree — deliberately approximate, tuned to this workspace's
+//! idioms, with a pragma escape hatch for the rest. The rule scopes are
+//! [`Config::default`].
 
-pub mod cfg;
 pub mod config;
 pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod source;
-pub mod summaries;
 pub mod tokenizer;
 pub mod workspace;
 
@@ -78,13 +64,10 @@ pub fn analyze(files: &[SourceFile], cfg: &Config, registry_src: Option<&str>) -
         rules::determinism::check(file, cfg, &mut findings);
         rules::panics::check(file, cfg, &mut findings);
         rules::hotloops::check(file, cfg, &mut findings, &mut hotspots);
-        rules::capture::check(file, cfg, &mut findings);
         if let Some(reg) = &registry {
             rules::telemetry::check(file, cfg, reg, &mut findings);
         }
     }
-    rules::locks::check(files, cfg, &mut findings);
-    rules::rng::check(files, cfg, &mut findings);
     if let Some(reg) = &registry {
         rules::telemetry::check_dead(files, cfg, reg, &mut findings);
     }

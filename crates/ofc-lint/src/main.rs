@@ -1,14 +1,13 @@
 //! CLI driver: `cargo run -p ofc-lint -- --workspace`.
 //!
-//! Exit codes: `0` no findings (after baseline filtering), `1` findings,
-//! `2` usage/config/IO error.
+//! Exit codes: `0` no findings, `1` findings, `2` usage/IO error.
 
 use ofc_lint::{config::Config, report, workspace};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-ofc-lint: OFC workspace static analysis (determinism, lock order, telemetry hygiene, panic paths)
+ofc-lint: OFC workspace static analysis (determinism, telemetry hygiene, panic paths, hot-loop allocations)
 
 USAGE:
     ofc-lint --workspace [OPTIONS]
@@ -17,12 +16,7 @@ OPTIONS:
     --workspace               Analyze the whole workspace (finds the root
                               by walking up to the workspace Cargo.toml)
     --root <dir>              Use <dir> as the workspace root instead
-    --config <file>           Config file (default: <root>/ofc-lint.toml,
-                              built-in defaults if absent)
     --format <text|json>      Report format (default: text)
-    --baseline <file>         Only fail on findings not in the baseline
-    --write-baseline <file>   Record current findings as the baseline and
-                              exit 0
     --emit-hotspots <file>    Write the D5 hot-loop allocation inventory
                               (suppressed sites included) as JSON
     --quiet                   Suppress the summary line on success
@@ -31,10 +25,7 @@ OPTIONS:
 
 struct Args {
     root: Option<PathBuf>,
-    config: Option<PathBuf>,
     format_json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     emit_hotspots: Option<PathBuf>,
     quiet: bool,
 }
@@ -42,10 +33,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         root: None,
-        config: None,
         format_json: false,
-        baseline: None,
-        write_baseline: None,
         emit_hotspots: None,
         quiet: false,
     };
@@ -54,17 +42,12 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--workspace" => {} // default behavior; kept as the documented entry point
             "--root" => args.root = Some(next_path(&mut it, "--root")?),
-            "--config" => args.config = Some(next_path(&mut it, "--config")?),
             "--format" => {
                 args.format_json = match it.next().as_deref() {
                     Some("json") => true,
                     Some("text") => false,
                     other => return Err(format!("--format expects text|json, got {other:?}")),
                 }
-            }
-            "--baseline" => args.baseline = Some(next_path(&mut it, "--baseline")?),
-            "--write-baseline" => {
-                args.write_baseline = Some(next_path(&mut it, "--write-baseline")?)
             }
             "--emit-hotspots" => args.emit_hotspots = Some(next_path(&mut it, "--emit-hotspots")?),
             "--quiet" => args.quiet = true,
@@ -113,20 +96,8 @@ fn main() -> ExitCode {
         eprintln!("ofc-lint: could not find the workspace root (no Cargo.toml with [workspace])");
         return ExitCode::from(2);
     };
-    let config_path = args.config.unwrap_or_else(|| root.join("ofc-lint.toml"));
-    let cfg = if config_path.exists() {
-        match Config::load(&config_path) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("ofc-lint: {e}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        Config::default()
-    };
 
-    let analysis = match ofc_lint::run_workspace(&root, &cfg) {
+    let analysis = match ofc_lint::run_workspace(&root, &Config::default()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("ofc-lint: analysis failed: {e}");
@@ -148,30 +119,6 @@ fn main() -> ExitCode {
         }
     }
     let findings = analysis.findings;
-
-    if let Some(path) = args.write_baseline {
-        if let Err(e) = std::fs::write(&path, report::write_baseline(&findings)) {
-            eprintln!("ofc-lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ofc-lint: baseline of {} finding(s) written to {}",
-            findings.len(),
-            workspace::relative(&root, &path)
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let findings = match args.baseline {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(text) => report::filter_regressions(findings, &report::parse_baseline(&text)),
-            Err(e) => {
-                eprintln!("ofc-lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => findings,
-    };
 
     if args.format_json {
         println!("{}", report::format_json(&findings));

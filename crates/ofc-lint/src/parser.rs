@@ -1,59 +1,25 @@
 //! A lightweight statement parser over the flat token stream.
 //!
 //! [`parse_body`] turns one function body into a tree of [`Stmt`]s — just
-//! enough structure for control-flow-aware rules: `let` bindings with
-//! their initializer spans, `if`/`else` chains, the three loop forms,
-//! `match` arms (with guards), `return`/`break`/`continue`, and bare
-//! blocks. Everything else is an opaque expression statement whose token
-//! span the rules scan directly.
+//! enough structure for D5 to know the loop depth every token runs at:
+//! `if`/`else` chains, the three loop forms, `match` arms, and bare
+//! blocks. Everything else (`let`, `return`, `break`, nested items, …)
+//! is an opaque expression statement whose token span the rule scans
+//! directly.
 //!
 //! The parser is deliberately approximate in the same way the tokenizer
 //! is: it balances all three bracket kinds, so closures, nested blocks,
 //! and struct literals inside expressions never derail statement
-//! boundaries, but it does not build full expression trees. The CFG
-//! builder ([`crate::cfg`]) and the dataflow rules (D5/D6) consume this
-//! tree.
+//! boundaries, but it does not build full expression trees.
 
 use crate::tokenizer::{TokKind, Token};
 
 /// Inclusive token-index span.
 pub type Span = (usize, usize);
 
-/// Which loop form introduced a [`StmtKind::Loop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopKind {
-    /// `for pat in iter { .. }`
-    For,
-    /// `while cond { .. }` / `while let pat = e { .. }`
-    While,
-    /// `loop { .. }`
-    Loop,
-}
-
-/// One `match` arm: pattern (with optional guard) and body.
-#[derive(Debug, Clone)]
-pub struct MatchArm {
-    /// Pattern tokens, guard included.
-    pub pattern: Span,
-    /// Guard expression span (`pat if guard =>`), if present.
-    pub guard: Option<Span>,
-    /// Arm body statements (a block, or a single expression statement).
-    pub body: Vec<Stmt>,
-    /// 1-based line of the pattern's first token.
-    pub line: u32,
-}
-
 /// Statement payload.
 #[derive(Debug, Clone)]
 pub enum StmtKind {
-    /// `let <name> = <init>;` — `name` is the first bound identifier
-    /// (after `mut`/`ref`); tuple patterns keep only the first name.
-    Let {
-        /// First bound identifier, if any.
-        name: Option<String>,
-        /// Initializer token span (after `=`), if initialized.
-        init: Option<Span>,
-    },
     /// Any other expression/item statement; the span is scanned raw.
     Expr,
     /// `if cond { .. } [else ..]`.
@@ -67,8 +33,6 @@ pub enum StmtKind {
     },
     /// `for`/`while`/`loop`.
     Loop {
-        /// Which loop form.
-        kind: LoopKind,
         /// Header span (`pat in iter`, `cond`; empty for `loop`).
         header: Span,
         /// Body statements.
@@ -78,18 +42,10 @@ pub enum StmtKind {
     Match {
         /// Scrutinee span.
         scrutinee: Span,
-        /// The arms in source order.
-        arms: Vec<MatchArm>,
+        /// Each arm's body statements (a block, or a single expression
+        /// statement), in source order; patterns and guards are skipped.
+        arms: Vec<Vec<Stmt>>,
     },
-    /// `return [expr];`
-    Return {
-        /// Returned expression span, if any.
-        value: Option<Span>,
-    },
-    /// `break [label/value];`
-    Break,
-    /// `continue [label];`
-    Continue,
     /// A bare `{ .. }` block statement.
     Block(Vec<Stmt>),
 }
@@ -99,8 +55,6 @@ pub enum StmtKind {
 pub struct Stmt {
     /// Statement payload.
     pub kind: StmtKind,
-    /// 1-based line of the first token.
-    pub line: u32,
     /// Inclusive token span of the whole statement (body included).
     pub span: Span,
 }
@@ -122,10 +76,6 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn line(&self, i: usize) -> u32 {
-        self.tokens.get(i).map(|t| t.line).unwrap_or(0)
-    }
-
     fn ident_at(&self, i: usize) -> Option<&str> {
         self.tokens.get(i).and_then(|t| t.kind.ident())
     }
@@ -211,55 +161,16 @@ impl<'a> Parser<'a> {
     /// Parses one statement starting at `i`; returns it and the index
     /// just past it.
     fn stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
-        let line = self.line(i);
         match self.ident_at(i) {
-            Some("let") => self.let_stmt(i, end),
             Some("if") => self.if_stmt(i, end),
-            Some("while") => self.loop_stmt(i, end, LoopKind::While),
-            Some("for") => self.loop_stmt(i, end, LoopKind::For),
-            Some("loop") => self.loop_stmt(i, end, LoopKind::Loop),
+            Some("while" | "for" | "loop") => self.loop_stmt(i, end),
             Some("match") => self.match_stmt(i, end),
-            Some("return") => {
-                let semi = self.stmt_end(i + 1, end);
-                let value = (semi > i + 1).then_some((i + 1, semi - 1));
-                (
-                    Stmt {
-                        kind: StmtKind::Return { value },
-                        line,
-                        span: (i, semi.min(end.saturating_sub(1)).max(i)),
-                    },
-                    semi + 1,
-                )
-            }
-            Some("break") => {
-                let semi = self.stmt_end(i + 1, end);
-                (
-                    Stmt {
-                        kind: StmtKind::Break,
-                        line,
-                        span: (i, semi.min(end.saturating_sub(1)).max(i)),
-                    },
-                    semi + 1,
-                )
-            }
-            Some("continue") => {
-                let semi = self.stmt_end(i + 1, end);
-                (
-                    Stmt {
-                        kind: StmtKind::Continue,
-                        line,
-                        span: (i, semi.min(end.saturating_sub(1)).max(i)),
-                    },
-                    semi + 1,
-                )
-            }
             _ if self.punct_at(i, '{') => {
                 let close = self.matching(i, end);
                 let body = self.stmts(i + 1, close);
                 (
                     Stmt {
                         kind: StmtKind::Block(body),
-                        line,
                         span: (i, close),
                     },
                     close + 1,
@@ -269,55 +180,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn let_stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
-        let line = self.line(i);
-        // First plain identifier after `let` (skipping `mut`/`ref`)
-        // approximates the binding name, as in the D2 walker.
-        let mut j = i + 1;
-        while matches!(self.ident_at(j), Some("mut") | Some("ref")) {
-            j += 1;
-        }
-        let name = self.ident_at(j).map(String::from);
-        let semi = self.stmt_end(i + 1, end);
-        // Initializer: tokens after the first depth-0 `=` (not `==`, and
-        // not the `=` of a `<=`/`>=`/closure default — a plain `=`
-        // surrounded by non-`=` works for `let` grammar).
-        let mut init = None;
-        let mut depth = 0i32;
-        let mut k = i + 1;
-        while k < semi {
-            match &self.tokens[k].kind {
-                TokKind::Punct('(') | TokKind::Punct('[') | TokKind::Punct('{') => depth += 1,
-                TokKind::Punct(')') | TokKind::Punct(']') | TokKind::Punct('}') => depth -= 1,
-                TokKind::Punct('=')
-                    if depth == 0
-                        && !self.punct_at(k + 1, '=')
-                        && !self.punct_at(k.wrapping_sub(1), '=')
-                        && !self.punct_at(k.wrapping_sub(1), '<')
-                        && !self.punct_at(k.wrapping_sub(1), '>')
-                        && !self.punct_at(k.wrapping_sub(1), '!') =>
-                {
-                    if k + 1 < semi {
-                        init = Some((k + 1, semi - 1));
-                    }
-                    break;
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        (
-            Stmt {
-                kind: StmtKind::Let { name, init },
-                line,
-                span: (i, semi.min(end.saturating_sub(1)).max(i)),
-            },
-            semi + 1,
-        )
-    }
-
     fn if_stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
-        let line = self.line(i);
         let open = self.header_end(i + 1, end);
         let cond = (i + 1, open.saturating_sub(1).max(i + 1));
         let close = self.matching(open, end);
@@ -345,23 +208,20 @@ impl<'a> Parser<'a> {
                     then_branch,
                     else_branch,
                 },
-                line,
                 span: (i, span_end),
             },
             next,
         )
     }
 
-    fn loop_stmt(&mut self, i: usize, end: usize, kind: LoopKind) -> (Stmt, usize) {
-        let line = self.line(i);
+    fn loop_stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
         let open = self.header_end(i + 1, end);
         let header = (i + 1, open.saturating_sub(1).max(i + 1));
         let close = self.matching(open, end);
         let body = self.stmts(open + 1, close);
         (
             Stmt {
-                kind: StmtKind::Loop { kind, header, body },
-                line,
+                kind: StmtKind::Loop { header, body },
                 span: (i, close),
             },
             close + 1,
@@ -369,7 +229,6 @@ impl<'a> Parser<'a> {
     }
 
     fn match_stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
-        let line = self.line(i);
         let open = self.header_end(i + 1, end);
         let scrutinee = (i + 1, open.saturating_sub(1).max(i + 1));
         let close = self.matching(open, end);
@@ -385,14 +244,13 @@ impl<'a> Parser<'a> {
         (
             Stmt {
                 kind: StmtKind::Match { scrutinee, arms },
-                line,
                 span: (i, semi),
             },
             semi + 1,
         )
     }
 
-    fn match_arms(&mut self, start: usize, end: usize) -> Vec<MatchArm> {
+    fn match_arms(&mut self, start: usize, end: usize) -> Vec<Vec<Stmt>> {
         let mut arms = Vec::new();
         let mut i = start;
         while i < end {
@@ -400,10 +258,8 @@ impl<'a> Parser<'a> {
                 i += 1;
                 continue;
             }
-            // Pattern: tokens until `=>` at depth 0.
-            let pat_start = i;
+            // Pattern (and guard): tokens until `=>` at depth 0.
             let mut depth = 0i32;
-            let mut guard_start = None;
             let mut arrow = end;
             let mut j = i;
             while j < end {
@@ -414,9 +270,6 @@ impl<'a> Parser<'a> {
                         arrow = j;
                         break;
                     }
-                    TokKind::Ident(id) if id == "if" && depth == 0 && guard_start.is_none() => {
-                        guard_start = Some(j + 1);
-                    }
                     _ => {}
                 }
                 j += 1;
@@ -424,11 +277,6 @@ impl<'a> Parser<'a> {
             if arrow >= end {
                 break; // trailing tokens that aren't an arm
             }
-            let pattern = (pat_start, arrow.saturating_sub(1).max(pat_start));
-            let guard = guard_start
-                .filter(|&g| g < arrow)
-                .map(|g| (g, arrow.saturating_sub(1).max(g)));
-            let line = self.line(pat_start);
             let body_start = arrow + 2;
             let (body, next) = if self.punct_at(body_start, '{') {
                 let bclose = self.matching(body_start, end);
@@ -453,7 +301,6 @@ impl<'a> Parser<'a> {
                 let body = if k > body_start {
                     vec![Stmt {
                         kind: StmtKind::Expr,
-                        line: self.line(body_start),
                         span: (body_start, k.saturating_sub(1).max(body_start)),
                     }]
                 } else {
@@ -461,19 +308,13 @@ impl<'a> Parser<'a> {
                 };
                 (body, k + 1)
             };
-            arms.push(MatchArm {
-                pattern,
-                guard,
-                body,
-                line,
-            });
+            arms.push(body);
             i = next;
         }
         arms
     }
 
     fn expr_stmt(&mut self, i: usize, end: usize) -> (Stmt, usize) {
-        let line = self.line(i);
         // Items nested in a body (`fn helper() { .. }`) end at their
         // closing brace; macro invocations with brace bodies too.
         let is_item = self
@@ -483,51 +324,33 @@ impl<'a> Parser<'a> {
             || (self.ident_at(i).is_some()
                 && self.punct_at(i + 1, '!')
                 && self.punct_at(i + 2, '{'));
-        if is_item {
+        let (last, next) = if is_item {
             // Scan to the first depth-0 `{`, balance it; a `;` first means
             // a bodiless item (`macro_rules` never appears in fn bodies).
             let mut j = i;
-            while j < end {
+            loop {
+                if j >= end {
+                    break (end.saturating_sub(1).max(i), end);
+                }
                 if self.punct_at(j, ';') {
-                    return (
-                        Stmt {
-                            kind: StmtKind::Expr,
-                            line,
-                            span: (i, j),
-                        },
-                        j + 1,
-                    );
+                    break (j, j + 1);
                 }
                 if self.punct_at(j, '{') {
                     let close = self.matching(j, end);
-                    return (
-                        Stmt {
-                            kind: StmtKind::Expr,
-                            line,
-                            span: (i, close),
-                        },
-                        close + 1,
-                    );
+                    break (close, close + 1);
                 }
                 j += 1;
             }
-            return (
-                Stmt {
-                    kind: StmtKind::Expr,
-                    line,
-                    span: (i, end.saturating_sub(1).max(i)),
-                },
-                end,
-            );
-        }
-        let semi = self.stmt_end(i, end);
+        } else {
+            let semi = self.stmt_end(i, end);
+            (semi.min(end.saturating_sub(1)).max(i), semi + 1)
+        };
         (
             Stmt {
                 kind: StmtKind::Expr,
-                line,
-                span: (i, semi.min(end.saturating_sub(1)).max(i)),
+                span: (i, last),
             },
-            semi + 1,
+            next,
         )
     }
 }
@@ -551,7 +374,7 @@ pub fn walk_with_loop_depth<'a>(stmts: &'a [Stmt], depth: u32, f: &mut impl FnMu
             StmtKind::Loop { body, .. } => walk_with_loop_depth(body, depth + 1, f),
             StmtKind::Match { arms, .. } => {
                 for arm in arms {
-                    walk_with_loop_depth(&arm.body, depth, f);
+                    walk_with_loop_depth(arm, depth, f);
                 }
             }
             StmtKind::Block(body) => walk_with_loop_depth(body, depth, f),
@@ -572,30 +395,37 @@ mod tests {
         (f, stmts)
     }
 
+    /// The identifiers inside `span`, in order.
+    fn idents(f: &SourceFile, span: Span) -> Vec<&str> {
+        f.tokens[span.0..=span.1]
+            .iter()
+            .filter_map(|t| t.kind.ident())
+            .collect()
+    }
+
     #[test]
     fn lets_and_exprs_split_on_semicolons() {
-        let (_, s) = parse("fn f() { let x = g(1, 2); x.h(); let y; }");
+        let (f, s) = parse("fn f() { let x = g(1, 2); x.h(); let y; }");
         assert_eq!(s.len(), 3);
-        assert!(matches!(&s[0].kind, StmtKind::Let { name: Some(n), init: Some(_) } if n == "x"));
-        assert!(matches!(&s[1].kind, StmtKind::Expr));
-        assert!(matches!(&s[2].kind, StmtKind::Let { init: None, .. }));
+        assert!(s.iter().all(|st| matches!(st.kind, StmtKind::Expr)));
+        assert_eq!(idents(&f, s[0].span), vec!["let", "x", "g"]);
+        assert_eq!(idents(&f, s[2].span), vec!["let", "y"]);
     }
 
     #[test]
     fn nested_loops_nest_in_the_tree() {
-        let (_, s) = parse("fn f() { for a in xs { while b { loop { c(); } } } }");
-        let StmtKind::Loop { kind, body, .. } = &s[0].kind else {
+        let (f, s) = parse("fn f() { for a in xs { while b { loop { c(); } } } }");
+        let StmtKind::Loop { header, body } = &s[0].kind else {
             panic!("outer for");
         };
-        assert_eq!(*kind, LoopKind::For);
-        let StmtKind::Loop { kind, body, .. } = &body[0].kind else {
+        assert_eq!(idents(&f, *header), vec!["a", "in", "xs"]);
+        let StmtKind::Loop { header, body } = &body[0].kind else {
             panic!("while");
         };
-        assert_eq!(*kind, LoopKind::While);
-        let StmtKind::Loop { kind, body, .. } = &body[0].kind else {
+        assert_eq!(idents(&f, *header), vec!["b"]);
+        let StmtKind::Loop { body, .. } = &body[0].kind else {
             panic!("loop");
         };
-        assert_eq!(*kind, LoopKind::Loop);
         assert_eq!(body.len(), 1);
     }
 
@@ -638,32 +468,27 @@ mod tests {
             panic!("match");
         };
         assert_eq!(arms.len(), 3);
-        assert!(arms[0].guard.is_none());
-        let g = arms[1].guard.expect("guard on arm 1");
-        let guard_idents: Vec<&str> = f.tokens[g.0..=g.1]
-            .iter()
-            .filter_map(|t| t.kind.ident())
-            .collect();
-        assert_eq!(guard_idents, vec!["n"]);
-        assert_eq!(arms[1].body.len(), 2);
-        assert_eq!(arms[2].body.len(), 1);
+        assert_eq!(arms[1].len(), 2);
+        assert_eq!(arms[2].len(), 1);
+        // The guard belongs to the pattern, not to the arm body.
+        let body: Vec<&str> = arms[1].iter().flat_map(|st| idents(&f, st.span)).collect();
+        assert_eq!(body, vec!["b", "c"]);
     }
 
     #[test]
     fn early_return_and_break_terminate_statements() {
-        let (_, s) = parse("fn f() { if a { return 1; } for x in xs { break; } g(); }");
+        let (f, s) = parse("fn f() { if a { return 1; } for x in xs { break; } g(); }");
         assert_eq!(s.len(), 3);
         let StmtKind::If { then_branch, .. } = &s[0].kind else {
             panic!("if");
         };
-        assert!(matches!(
-            then_branch[0].kind,
-            StmtKind::Return { value: Some(_) }
-        ));
+        assert_eq!(then_branch.len(), 1);
+        assert_eq!(idents(&f, then_branch[0].span), vec!["return"]);
         let StmtKind::Loop { body, .. } = &s[1].kind else {
             panic!("for");
         };
-        assert!(matches!(body[0].kind, StmtKind::Break));
+        assert_eq!(body.len(), 1);
+        assert_eq!(idents(&f, body[0].span), vec!["break"]);
     }
 
     #[test]
@@ -674,11 +499,11 @@ mod tests {
 
     #[test]
     fn while_let_headers_parse() {
-        let (_, s) = parse("fn f() { while let Some(x) = it.next() { use_it(x); } }");
-        let StmtKind::Loop { kind, body, .. } = &s[0].kind else {
+        let (f, s) = parse("fn f() { while let Some(x) = it.next() { use_it(x); } }");
+        let StmtKind::Loop { header, body } = &s[0].kind else {
             panic!("while let");
         };
-        assert_eq!(*kind, LoopKind::While);
+        assert_eq!(idents(&f, *header), vec!["let", "Some", "x", "it", "next"]);
         assert_eq!(body.len(), 1);
     }
 

@@ -1,11 +1,9 @@
-//! Findings, stable output formats, and baseline filtering.
+//! Findings and their stable output formats.
 //!
 //! The text format is machine-readable and **stable**: one finding per
 //! line, `<rule> <path>:<line> <message>`, sorted by (path, line, rule,
 //! message). CI and the golden test both depend on this shape — change it
 //! only with the golden fixture.
-
-use std::collections::BTreeMap;
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -18,15 +16,6 @@ pub struct Finding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-}
-
-impl Finding {
-    /// Baseline identity: rule, path, and message — deliberately **not**
-    /// the line number, so unrelated edits that shift lines do not
-    /// resurrect baselined findings.
-    pub fn baseline_key(&self) -> String {
-        format!("{}\t{}\t{}", self.rule, self.path, self.message)
-    }
 }
 
 /// Sorts findings into the canonical report order.
@@ -142,53 +131,6 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-/// Serializes findings into baseline file contents (one key per line,
-/// repeated per occurrence, sorted).
-pub fn write_baseline(findings: &[Finding]) -> String {
-    let mut keys: Vec<String> = findings.iter().map(Finding::baseline_key).collect();
-    keys.sort();
-    let mut out = String::from(
-        "# ofc-lint baseline: known findings tolerated until paid down.\n\
-         # One `rule<TAB>path<TAB>message` per line; regenerate with --write-baseline.\n",
-    );
-    for k in keys {
-        out.push_str(&k);
-        out.push('\n');
-    }
-    out
-}
-
-/// Parses baseline file contents into per-key tolerated counts.
-pub fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
-    let mut counts = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim_end();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        *counts.entry(line.to_string()).or_insert(0) += 1;
-    }
-    counts
-}
-
-/// Keeps only findings that exceed the baseline's tolerated count for
-/// their key — i.e. regressions introduced since the baseline was taken.
-pub fn filter_regressions(
-    findings: Vec<Finding>,
-    baseline: &BTreeMap<String, usize>,
-) -> Vec<Finding> {
-    let mut seen: BTreeMap<String, usize> = BTreeMap::new();
-    findings
-        .into_iter()
-        .filter(|f| {
-            let key = f.baseline_key();
-            let n = seen.entry(key.clone()).or_insert(0);
-            *n += 1;
-            *n > baseline.get(&key).copied().unwrap_or(0)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,33 +233,11 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrip_suppresses_old_but_not_new() {
-        let old = vec![f("D4-PANIC", "a.rs", 3, "m"), f("D4-PANIC", "a.rs", 9, "m")];
-        let baseline = parse_baseline(&write_baseline(&old));
-        // Same two findings at shifted lines: fully suppressed.
-        let shifted = vec![
-            f("D4-PANIC", "a.rs", 5, "m"),
-            f("D4-PANIC", "a.rs", 11, "m"),
-        ];
-        assert!(filter_regressions(shifted, &baseline).is_empty());
-        // A third occurrence of the same key is a regression.
-        let grown = vec![
-            f("D4-PANIC", "a.rs", 5, "m"),
-            f("D4-PANIC", "a.rs", 11, "m"),
-            f("D4-PANIC", "a.rs", 20, "m"),
-        ];
-        assert_eq!(filter_regressions(grown, &baseline).len(), 1);
-        // A different message is always a regression.
-        let other = vec![f("D4-PANIC", "a.rs", 5, "different")];
-        assert_eq!(filter_regressions(other, &baseline).len(), 1);
-    }
-
-    #[test]
     fn sort_is_by_path_line_rule() {
         let mut fs = vec![
             f("D4-PANIC", "b.rs", 1, "x"),
             f("D1-DETERMINISM", "a.rs", 9, "x"),
-            f("D2-LOCK-ORDER", "a.rs", 2, "x"),
+            f("D3-TELEMETRY", "a.rs", 2, "x"),
         ];
         sort_findings(&mut fs);
         assert_eq!(

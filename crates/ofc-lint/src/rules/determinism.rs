@@ -6,8 +6,11 @@
 //! iterates a randomized-order container on an export path.
 //!
 //! Two checks:
-//! * **banned identifiers** (`Instant`, `SystemTime`, `thread_rng`, …)
-//!   anywhere outside the allowlisted crates;
+//! * **banned identifiers** — the wall clock (`Instant`, `SystemTime`)
+//!   and ambient entropy (`thread_rng`, `from_entropy`, `from_os_rng`,
+//!   `OsRng`) anywhere outside the allowlisted paths. With the ambient
+//!   constructors gone, every RNG is seeded explicitly and a run is a
+//!   function of its seeds;
 //! * **hash-ordered iteration in export paths**: inside any function whose
 //!   name marks it as a snapshot/JSON-export path, using a `HashMap`/
 //!   `HashSet`-typed binding (or constructing one) is flagged — export
@@ -127,5 +130,26 @@ fn hash_iteration_in_exports(file: &SourceFile, cfg: &Config, findings: &mut Vec
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn run(src: &str) -> Vec<Finding> {
+        let file = SourceFile::parse("sim.rs".into(), src);
+        let mut findings = Vec::new();
+        check(&file, &Config::default(), &mut findings);
+        findings
+    }
+
+    #[test]
+    fn from_entropy_is_always_an_error() {
+        // A seed in scope does not excuse an ambient-entropy constructor.
+        let f = run("fn mk(seed: u64) { let r = StdRng::from_entropy(); let _ = seed; }");
+        assert_eq!(f.len(), 1);
+        assert_eq!(f[0].rule, RULE);
+        assert!(f[0].message.contains("from_entropy"));
     }
 }

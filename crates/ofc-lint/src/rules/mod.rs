@@ -2,23 +2,16 @@
 //!
 //! | id                 | pragma group   | invariant                                   |
 //! |--------------------|----------------|---------------------------------------------|
-//! | `D1-DETERMINISM`   | `determinism`  | no wall clock / ambient RNG / hash-order export |
-//! | `D2-LOCK-ORDER`    | `lock`         | the inter-procedural lock graph is acyclic  |
-//! | `D2-DOUBLE-BORROW` | `lock`         | no lock re-acquired while held              |
+//! | `D1-DETERMINISM`   | `determinism`  | no wall clock / ambient entropy / hash-order export |
 //! | `D3-TELEMETRY`     | `telemetry`    | metric names come from the central registry |
 //! | `D4-PANIC`         | `panic`        | hot paths don't abort                       |
 //! | `D5-HOTLOOP`       | `hotloop`      | no allocations in hot-path loops            |
-//! | `D6-RNG-SEED`      | `rng`          | every RNG seed has schedule lineage         |
 //! | `D7-DEAD-TELEMETRY`| `telemetry`    | every registry const is emitted somewhere   |
-//! | `D8-CAPTURE`       | `capture`      | worker closures share only atomics/channels |
 //! | `D0-PRAGMA`        | —              | every `allow(...)` carries a reason         |
 
-pub mod capture;
 pub mod determinism;
 pub mod hotloops;
-pub mod locks;
 pub mod panics;
-pub mod rng;
 pub mod telemetry;
 
 use crate::report::Finding;
@@ -27,13 +20,10 @@ use crate::source::SourceFile;
 /// Rule id for malformed pragmas.
 pub const RULE_PRAGMA: &str = "D0-PRAGMA";
 
-const KNOWN_PRAGMA_GROUPS: [&str; 7] = [
-    capture::PRAGMA,
+const KNOWN_PRAGMA_GROUPS: [&str; 4] = [
     determinism::PRAGMA,
     hotloops::PRAGMA,
-    locks::PRAGMA,
     panics::PRAGMA,
-    rng::PRAGMA,
     telemetry::PRAGMA,
 ];
 
@@ -47,7 +37,7 @@ pub fn check_pragmas(file: &SourceFile, findings: &mut Vec<Finding>) {
                 path: file.path.clone(),
                 line: p.line,
                 message: format!(
-                    "unknown pragma group `{}` — expected one of: capture, determinism, hotloop, lock, panic, rng, telemetry",
+                    "unknown pragma group `{}` — expected one of: determinism, hotloop, panic, telemetry",
                     p.rule
                 ),
             });

@@ -2,8 +2,8 @@
 //!
 //! Built on the flat token stream, this module recovers just enough
 //! structure for the rules: where each `fn` body starts and ends, and
-//! which token ranges belong to `#[cfg(test)]` / `#[test]` code (panic
-//! and lock rules skip those — tests are allowed to unwrap).
+//! which token ranges belong to `#[cfg(test)]` / `#[test]` code (the
+//! panic and hot-loop rules skip those — tests are allowed to unwrap).
 
 use crate::tokenizer::{tokenize, Pragma, Token};
 
@@ -12,8 +12,6 @@ use crate::tokenizer::{tokenize, Pragma, Token};
 pub struct Function {
     /// Function name as written.
     pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Token indices of the body's `{` and matching `}` (inclusive).
     pub body: (usize, usize),
     /// Whether the function is test code.
@@ -197,7 +195,6 @@ fn find_functions(tokens: &[Token], test_ranges: &[(usize, usize)]) -> Vec<Funct
         let in_test = test_ranges.iter().any(|&(s, e)| i >= s && i <= e);
         fns.push(Function {
             name: name.to_string(),
-            line: tokens[i].line,
             body: (open, close),
             in_test,
         });

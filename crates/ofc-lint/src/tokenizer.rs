@@ -64,7 +64,7 @@ impl TokKind {
 pub struct Pragma {
     /// 1-based line the pragma comment sits on.
     pub line: u32,
-    /// Rule group being allowed: `panic`, `determinism`, `lock`, `telemetry`.
+    /// Rule group being allowed: `determinism`, `hotloop`, `panic`, `telemetry`.
     pub rule: String,
     /// Human justification (required).
     pub reason: String,

@@ -1,4 +1,4 @@
-//! D1 fixture (fail): wall clock plus hash-ordered export iteration.
+//! D1 fixture (fail): wall clock, hash-ordered export iteration, entropy.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -14,4 +14,8 @@ impl Plane {
         let _ = started.elapsed();
         out
     }
+}
+
+pub fn ambient() -> StdRng {
+    StdRng::from_entropy()
 }

@@ -20,7 +20,7 @@
 //! quorum side.
 //!
 //! All timing runs on the virtual clock and the probe-target stream is
-//! seeded, so rounds are byte-reproducible per seed (ofc-lint D1/D6).
+//! seeded, so rounds are byte-reproducible per seed (ofc-lint D1).
 //! With `enabled = false` (the default) the plane registers no telemetry
 //! and draws no randomness.
 

@@ -17,7 +17,7 @@
 //! command committed, *who* may commit it, and *what happens* to lagging
 //! or minority replicas. All timing runs on the virtual clock and all
 //! randomness comes from one seeded stream, so every run is
-//! byte-reproducible per seed (ofc-lint D1/D6).
+//! byte-reproducible per seed (ofc-lint D1).
 //!
 //! **Default-path guarantee:** with `replicas <= 1` the coordinator is the
 //! legacy single authority — [`ReplicatedCoordinator::propose`] returns

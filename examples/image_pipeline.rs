@@ -122,7 +122,6 @@ fn run_both(
 fn main() {
     println!("ServerlessBench image-processing pipeline (1 MB image):");
     run_both("image_processing", |s| {
-        // ofc-lint: allow(rng) reason=fixed demo seed so the example prints stable numbers
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(2);
         let input = upload(s, "photo.png", gen_image_with_bytes(1 << 20, &mut rng));
         Rc::new(Sequence::image_processing(
@@ -133,7 +132,6 @@ fn main() {
 
     println!("MapReduce word count (20 MB text, 8 mappers):");
     run_both("map_reduce", |s| {
-        // ofc-lint: allow(rng) reason=fixed demo seed so the example prints stable numbers
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
         let input = upload(s, "corpus.txt", gen_text(Some(20 << 20), &mut rng));
         Rc::new(ScatterGather::word_count(

@@ -62,7 +62,6 @@ fn main() {
 
     // 4. Upload an input image (16 kB) to the object store; feature tags
     //    are extracted at creation time.
-    // ofc-lint: allow(rng) reason=fixed demo seed so the example prints stable numbers
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     let img = gen_image_with_bytes(16 << 10, &mut rng);
     let input = ObjectId::new("alice-images", "photo.jpg");
