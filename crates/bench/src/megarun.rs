@@ -15,6 +15,7 @@ use ofc_core::ofc::OfcConfig;
 use ofc_core::scheduler::FeatureFn;
 use ofc_faas::{Completion, Served};
 use ofc_simtime::{Sim, SimTime};
+use ofc_telemetry::Histogram;
 use ofc_workloads::catalog::Catalog;
 use ofc_workloads::mega::{self, MegaConfig, MegaLoad};
 use serde::Serialize;
@@ -22,70 +23,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Latency histogram: quarter-octave log buckets of microseconds (4
-/// sub-buckets per power of two, ≤ 19 % relative error at the top of a
-/// bucket). Integer-only, so percentile extraction is deterministic
-/// across platforms and thread counts.
-const LAT_BUCKETS: usize = 256;
-
-#[derive(Clone)]
-struct LatHist {
-    buckets: [u64; LAT_BUCKETS],
-    count: u64,
-}
-
-impl Default for LatHist {
-    fn default() -> Self {
-        LatHist {
-            buckets: [0; LAT_BUCKETS],
-            count: 0,
-        }
-    }
-}
-
-impl LatHist {
-    fn index(us: u64) -> usize {
-        let us = us.max(4);
-        let exp = 63 - us.leading_zeros() as u64;
-        let sub = (us >> (exp - 2)) & 0b11;
-        ((exp * 4 + sub) as usize).min(LAT_BUCKETS - 1)
-    }
-
-    /// Upper bound of bucket `b` in microseconds.
-    fn upper_us(b: usize) -> u64 {
-        let (exp, sub) = ((b / 4) as u64, (b % 4) as u64);
-        (1u64 << exp) / 4 * (sub + 5)
-    }
-
-    fn observe(&mut self, d: Duration) {
-        self.buckets[Self::index(d.as_micros() as u64)] += 1;
-        self.count += 1;
-    }
-
-    /// Upper bound (ms) of the bucket holding the 99th percentile.
-    fn p99_ms(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (self.count * 99).div_ceil(100);
-        let mut cum = 0u64;
-        for (b, &c) in self.buckets.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return Self::upper_us(b) as f64 / 1000.0;
-            }
-        }
-        0.0
-    }
-}
-
 /// Streaming per-decile accumulator, folded on every drain tick.
 #[derive(Default)]
 struct Agg {
     invocations: [u64; 10],
     hits: [u64; 10],
     misses: [u64; 10],
-    lat: [LatHist; 10],
+    /// End-to-end latency of successful invocations, in microseconds.
+    lat: [Histogram; 10],
     completed: u64,
     failed: u64,
 }
@@ -100,7 +45,7 @@ impl Agg {
             match r.completion {
                 Completion::Success => {
                     self.completed += 1;
-                    self.lat[d].observe(r.total());
+                    self.lat[d].record(r.total().as_micros() as u64);
                 }
                 Completion::Unschedulable => self.failed += 1,
                 Completion::OomKilled if r.attempt >= max_retries => self.failed += 1,
@@ -357,7 +302,7 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
                 } else {
                     100.0 * h as f64 / (h + mi) as f64
                 },
-                p99_ms: agg.lat[d].p99_ms(),
+                p99_ms: agg.lat[d].percentile(99) as f64 / 1000.0,
             }
         })
         .collect();
@@ -389,21 +334,6 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lat_hist_p99_lands_in_the_right_bucket() {
-        let mut h = LatHist::default();
-        for _ in 0..99 {
-            h.observe(Duration::from_micros(100)); // bucket 6 (64..128 µs)
-        }
-        h.observe(Duration::from_millis(500));
-        // p99 target = 99th of 100 → still the 100 µs bucket's bound.
-        assert!(h.p99_ms() < 0.2, "p99 {} ms", h.p99_ms());
-        h.observe(Duration::from_millis(500));
-        h.observe(Duration::from_millis(500));
-        // 3 of 102 above: p99 moves into the 500 ms bucket.
-        assert!(h.p99_ms() > 400.0, "p99 {} ms", h.p99_ms());
-    }
 
     #[test]
     fn smoke_run_produces_decile_figures() {

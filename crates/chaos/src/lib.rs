@@ -680,7 +680,7 @@ mod tests {
 
     #[test]
     fn failover_events_count_on_their_own_counters() {
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let mut sim = Sim::new(0);
         let events = vec![
             FaultEvent {
@@ -727,7 +727,7 @@ mod tests {
 
     #[test]
     fn install_fires_events_and_counts_them() {
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let mut sim = Sim::new(0);
         let events = vec![
             FaultEvent {

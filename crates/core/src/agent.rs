@@ -16,7 +16,7 @@ use ofc_objstore::store::ObjectStore;
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::Key;
 use ofc_simtime::{Sim, SimTime};
-use ofc_telemetry::{Counter, Gauge, Histogram, Phase, Telemetry};
+use ofc_telemetry::{Counter, Gauge, Histogram, Telemetry};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -303,8 +303,6 @@ impl CacheAgent {
             self.metrics.scale_downs_plain.inc();
         }
         self.metrics.scale_down_nanos.record_duration(delay);
-        self.telemetry
-            .span_at(node as u64, Phase::ScaleDown, sim.now(), delay);
         self.record_size(sim.now());
         Some(delay)
     }
@@ -324,8 +322,6 @@ impl CacheAgent {
             if t.result.is_ok() {
                 self.metrics.scale_ups.inc();
                 self.metrics.scale_up_nanos.record_duration(t.latency);
-                self.telemetry
-                    .span_at(node as u64, Phase::ScaleUp, sim.now(), t.latency);
                 self.record_size(sim.now());
             }
         }
@@ -409,10 +405,8 @@ impl CacheAgent {
                 self.cluster.borrow_mut().mark_clean(&key).ok();
                 self.metrics.writebacks.inc();
             }
-            let t = self.cluster.borrow_mut().evict(&key);
-            if t.result.is_ok() {
+            if self.cluster.borrow_mut().evict(&key).result.is_ok() {
                 self.metrics.periodic_evictions.inc();
-                self.telemetry.span_at(0, Phase::Evict, now, t.latency);
             }
         }
         let _ = &self.store; // Store participates via the writeback hook.
@@ -514,7 +508,7 @@ mod tests {
             AgentConfig::default(),
             Rc::clone(&cluster),
             store,
-            &Telemetry::standalone(),
+            &Telemetry::new(),
         );
         (agent, cluster, Sim::new(0))
     }
@@ -598,8 +592,9 @@ mod tests {
             1,
             "hot objects must migrate"
         );
-        // The scale-down appears in the span stream as well.
-        assert_eq!(agent.telemetry().trace().phase_count(Phase::ScaleDown), 1);
+        // The scale-down is timed into Table 2's histogram as well.
+        let timed = m.histogram("agent.scale_down_nanos").map(|h| h.count);
+        assert_eq!(timed, Some(1));
         // The objects stay cached, just mastered elsewhere.
         let c = cluster.borrow();
         assert!(c.len() == 60, "migration must not lose objects");

@@ -16,7 +16,7 @@ use ofc_objstore::{ObjectId, Payload, StoreError};
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::{Key, ReadLocality, Value};
 use ofc_simtime::Sim;
-use ofc_telemetry::{Counter, Phase, Telemetry};
+use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
@@ -303,8 +303,6 @@ pub struct OfcPlane {
     /// failures; reads/writes then bypass to the RSDS until a probe
     /// succeeds (DESIGN.md §10).
     breaker: CircuitBreaker,
-    /// Monotonic id tagging persistor spans in the trace stream.
-    persist_seq: u64,
     /// Chunk manifests of striped large objects: key → chunk count
     /// (extension; see [`Admission::chunk_large`]).
     chunks: IdHashMap<Key, u32>,
@@ -371,7 +369,6 @@ impl OfcPlane {
             telemetry: telemetry.clone(),
             metrics,
             breaker,
-            persist_seq: 0,
             chunks: IdHashMap::default(),
             policy: None,
         }
@@ -761,9 +758,6 @@ impl DataPlane for OfcPlane {
                         .insert(key, (obj.id, version, obj.size, false));
                     let upload = self.store.borrow().latency().write(obj.size.max(1));
                     let delay = PERSISTOR_OVERHEAD + upload;
-                    self.persist_seq += 1;
-                    self.telemetry
-                        .span_at(self.persist_seq, Phase::Persist, now, delay);
                     schedule_persistor(sim, Rc::clone(&self.persistence), key, 1, delay);
                     return WriteOutcome { latency };
                 }
@@ -849,9 +843,6 @@ impl DataPlane for OfcPlane {
                 // Inject the persistor: it uploads the payload asynchronously.
                 let upload = self.store.borrow().latency().write(obj.size.max(1));
                 let delay = PERSISTOR_OVERHEAD + upload;
-                self.persist_seq += 1;
-                self.telemetry
-                    .span_at(self.persist_seq, Phase::Persist, now, delay);
                 schedule_persistor(sim, Rc::clone(&self.persistence), key, 1, delay);
             }
             WritePolicy::WriteThrough => {
@@ -919,7 +910,7 @@ mod tests {
             PlaneConfig::default(),
             Rc::clone(&cluster),
             Rc::clone(&store),
-            &Telemetry::standalone(),
+            &Telemetry::new(),
         );
         (plane, cluster, store)
     }
@@ -1005,8 +996,6 @@ mod tests {
             (m.counter("plane.shadows"), m.counter("plane.persists")),
             (1, 1)
         );
-        // The persistor run shows up as a Persist span.
-        assert_eq!(plane.telemetry().trace().phase_count(Phase::Persist), 1);
     }
 
     #[test]
@@ -1083,7 +1072,7 @@ mod tests {
             },
             Rc::clone(&cluster),
             Rc::clone(&store),
-            &Telemetry::standalone(),
+            &Telemetry::new(),
         );
         let mut sim = Sim::new(0);
         let w = ObjectWrite {

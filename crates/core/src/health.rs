@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn trips_after_consecutive_failures() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut b = breaker(&t);
         let now = SimTime::ZERO;
         b.record_failure(now);
@@ -189,7 +189,7 @@ mod tests {
 
     #[test]
     fn cooldown_then_probe_then_close() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut b = breaker(&t);
         for _ in 0..3 {
             b.record_failure(SimTime::ZERO);
@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn failed_probe_reopens() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut b = breaker(&t);
         for _ in 0..3 {
             b.record_failure(SimTime::ZERO);

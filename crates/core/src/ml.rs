@@ -180,7 +180,7 @@ pub struct MlEngine {
 impl MlEngine {
     /// Creates an engine with a standalone (fully enabled) telemetry plane.
     pub fn new(cfg: MlConfig) -> Self {
-        Self::with_telemetry(cfg, &Telemetry::standalone())
+        Self::with_telemetry(cfg, &Telemetry::new())
     }
 
     /// Creates an engine recording into a shared telemetry plane.

@@ -48,7 +48,7 @@ impl OfcMonitor {
     /// Builds the monitor over the shared ML engine, with a standalone
     /// telemetry plane.
     pub fn new(cfg: MonitorConfig, ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> Self {
-        Self::with_telemetry(cfg, ml, features, &Telemetry::standalone())
+        Self::with_telemetry(cfg, ml, features, &Telemetry::new())
     }
 
     /// Builds the monitor recording into a shared telemetry plane.

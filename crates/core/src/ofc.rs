@@ -10,9 +10,9 @@
 //! * the RAMCloud-model cluster (one storage node per invoker) and the
 //!   locality oracle → the load balancer.
 //!
-//! Every component records into one shared [`Telemetry`] plane, so a
-//! single [`Ofc::metrics`] / [`Ofc::trace`] pair replaces the per-subsystem
-//! snapshot methods of earlier revisions:
+//! Every component records into one shared [`Telemetry`] plane, so the
+//! one [`Ofc::metrics`] snapshot replaces the per-subsystem snapshot
+//! methods of earlier revisions:
 //!
 //! ```no_run
 //! # use ofc_core::ofc::{Ofc, OfcConfig};
@@ -30,7 +30,7 @@
 //! // ... run the simulation ...
 //! let m = ofc.metrics();
 //! println!("hits: {}", m.counter("plane.local_hits"));
-//! println!("{}", ofc.trace().to_json());
+//! println!("{}", m.to_json());
 //! ```
 
 use crate::agent::{AgentConfig, AgentHandle, CacheAgent, SLACK_INITIAL};
@@ -48,7 +48,7 @@ use ofc_rcstore::gossip::{GossipConfig, PROBE_PERIOD};
 use ofc_rcstore::raft::{RaftConfig, HEARTBEAT_INTERVAL};
 use ofc_rcstore::ClusterConfig;
 use ofc_simtime::Sim;
-use ofc_telemetry::{MetricsSnapshot, Telemetry, TraceHandle};
+use ofc_telemetry::{MetricsSnapshot, Telemetry};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -404,11 +404,5 @@ impl Ofc {
     /// `sched.*`, `faas.*`).
     pub fn metrics(&self) -> MetricsSnapshot {
         self.telemetry.metrics()
-    }
-
-    /// A point-in-time snapshot of the span stream and per-phase duration
-    /// statistics.
-    pub fn trace(&self) -> TraceHandle {
-        self.telemetry.trace()
     }
 }

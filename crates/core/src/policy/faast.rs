@@ -176,7 +176,7 @@ mod tests {
 
     #[test]
     fn place_anchors_by_tenant() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
         let (ta, f) = (TenantId::from("alice"), FunctionId::from("f"));
         let view = ShardView {
@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn prefetch_ranks_by_frequency() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
         for (key, n) in [("a", 5u32), ("b", 2), ("c", 9)] {
             for _ in 0..n {
@@ -208,7 +208,7 @@ mod tests {
 
     #[test]
     fn frequency_map_stays_bounded() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
         for i in 0..(TRACK_CAP + 10) {
             p.on_access(&Key::from(format!("k{i:05}")), 1, 0, false);
@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn capacity_shrinks_slack_under_miss_pressure() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
         let base = CapacityTelemetry {
             node: 0,

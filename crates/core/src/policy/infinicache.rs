@@ -202,7 +202,7 @@ mod tests {
     use super::*;
 
     fn policy() -> (InfiniCachePolicy, Telemetry) {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         (InfiniCachePolicy::new(&t), t)
     }
 

@@ -373,7 +373,7 @@ mod tests {
 
     #[test]
     fn build_policy_covers_every_kind() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         for (kind, name) in [
             (PolicyKind::Ofc, "ofc"),
             (PolicyKind::Faast, "faast"),

@@ -57,7 +57,7 @@ impl OfcScheduler {
     /// Builds the scheduler over the shared ML engine, with a standalone
     /// telemetry plane.
     pub fn new(ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> Self {
-        Self::with_telemetry(ml, features, &Telemetry::standalone())
+        Self::with_telemetry(ml, features, &Telemetry::new())
     }
 
     /// Builds the scheduler recording into a shared telemetry plane.

@@ -17,7 +17,7 @@ use crate::{
 };
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
-use ofc_telemetry::{Counter, Phase, Telemetry};
+use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -167,7 +167,7 @@ impl Platform {
         let invokers = (0..cfg.nodes)
             .map(|n| Invoker::new(n, cfg.node_mem))
             .collect();
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let metrics = FaasMetrics::new(&telemetry);
         PlatformHandle(Rc::new(RefCell::new(Platform {
             cfg,
@@ -562,17 +562,6 @@ impl PlatformHandle {
             },
         );
 
-        // The setup window, from arrival to Extract, is the cold/warm start
-        // phase; the scheduler's critical-path overhead is the Predict phase.
-        p.telemetry
-            .span_at(inv_id, Phase::Predict, now, decision.overhead);
-        let start_phase = if cold {
-            Phase::ColdStart
-        } else {
-            Phase::WarmStart
-        };
-        p.telemetry.span_at(inv_id, start_phase, now, setup);
-
         let handle = self.clone();
         sim.schedule_in(setup, move |sim| handle.exec_start(sim, inv_id));
         inv_id
@@ -611,7 +600,6 @@ impl PlatformHandle {
             let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             fl.record.e_time = e_time;
             fl.record.reads_served = served;
-            p.telemetry.span_at(inv_id, Phase::Extract, now, e_time);
             (e_time, fl.node)
         };
         let _ = node;
@@ -750,7 +738,6 @@ impl PlatformHandle {
     }
 
     fn transform_done(&self, sim: &mut Sim, inv_id: InvocationId) {
-        let now = sim.now();
         let l_time = {
             let mut p = self.0.borrow_mut();
             let p = &mut *p;
@@ -760,8 +747,6 @@ impl PlatformHandle {
             let admission = fl.record.admission;
             let node = fl.node;
             let pipeline = fl.record.pipeline;
-            let compute = fl.behavior.compute;
-            let compute_started = fl.compute_started;
             let mut l_time = Duration::ZERO;
             for w in &writes {
                 let out = p.dataplane.write(sim, node, w, admission, pipeline);
@@ -771,9 +756,6 @@ impl PlatformHandle {
             let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             fl.record.t_time = fl.behavior.compute;
             fl.record.l_time = l_time;
-            p.telemetry
-                .span_at(inv_id, Phase::Transform, compute_started, compute);
-            p.telemetry.span_at(inv_id, Phase::Load, now, l_time);
             l_time
         };
         let handle = self.clone();

@@ -8,7 +8,7 @@
 //!   wall clocks, ambient entropy, and hash-ordered export iteration are
 //!   banned;
 //! * **D3 telemetry hygiene** — metric names must come from the central
-//!   registry (`ofc-telemetry::names`) and labels must be bounded;
+//!   registry (`ofc-telemetry::names`);
 //! * **D4 panic paths** — the cache/scheduler/cluster hot paths must not
 //!   abort, unless a site documents its invariant with
 //!   `// ofc-lint: allow(panic) reason=...`;

@@ -5,13 +5,12 @@
 //! fail anything at runtime, it silently splits a time series in two. So
 //! every name used at a record or snapshot-read site in the target crates
 //! must be declared in the central registry module
-//! (`crates/telemetry/src/names.rs`), and label values must be string
-//! literals — dynamic values are unbounded cardinality.
+//! (`crates/telemetry/src/names.rs`).
 //!
 //! Checked call shapes (both the recording `Telemetry` handle and the
 //! reading `MetricsSnapshot` side use the same method names):
-//! `.counter("...")`, `.counter_labeled("...", &[("k", "v")])`,
-//! `.gauge("...")`, `.gauge_series("...")`, `.histogram("...")`.
+//! `.counter("...")`, `.gauge("...")`, `.gauge_series("...")`,
+//! `.histogram("...")`.
 
 use crate::config::Config;
 use crate::report::Finding;
@@ -29,13 +28,7 @@ pub const RULE: &str = "D3-TELEMETRY";
 /// be used, so the registry can't rot).
 pub const RULE_DEAD: &str = "D7-DEAD-TELEMETRY";
 
-const METRIC_METHODS: [&str; 5] = [
-    "counter",
-    "counter_labeled",
-    "gauge",
-    "gauge_series",
-    "histogram",
-];
+const METRIC_METHODS: [&str; 4] = ["counter", "gauge", "gauge_series", "histogram"];
 
 /// The parsed registry: constant name -> metric name string.
 pub struct NameRegistry {
@@ -149,9 +142,6 @@ pub fn check(
             }
             _ => {}
         }
-        if method == "counter_labeled" {
-            check_labels(file, i, findings);
-        }
     }
 }
 
@@ -235,52 +225,4 @@ fn last_path_ident(toks: &[crate::tokenizer::Token], start: usize) -> Option<Str
         }
     }
     last
-}
-
-/// Validates the label-set argument of `counter_labeled`: every
-/// `("key", value)` tuple must have a string-literal value, otherwise the
-/// label is unbounded-cardinality.
-fn check_labels(file: &SourceFile, method_idx: usize, findings: &mut Vec<Finding>) {
-    let toks = &file.tokens;
-    // Walk the call's parenthesized argument list.
-    let open = method_idx + 1;
-    let mut depth = 0i32;
-    let mut i = open;
-    while i < toks.len() {
-        match &toks[i].kind {
-            TokKind::Punct('(') => {
-                depth += 1;
-                // A tuple inside the label slice sits at depth 2:
-                // counter_labeled( &[ ("k", v) ] ) — brackets don't nest parens.
-                if depth == 2 {
-                    if let Some(TokKind::Str(key)) = toks.get(i + 1).map(|t| &t.kind) {
-                        if toks.get(i + 2).is_some_and(|t| t.kind.is_punct(',')) {
-                            let value_is_literal =
-                                matches!(toks.get(i + 3).map(|t| &t.kind), Some(TokKind::Str(_)))
-                                    && toks.get(i + 4).is_some_and(|t| t.kind.is_punct(')'));
-                            let line = toks[i].line;
-                            if !value_is_literal && !file.suppressed(PRAGMA, line) {
-                                findings.push(Finding {
-                                    rule: RULE,
-                                    path: file.path.clone(),
-                                    line,
-                                    message: format!(
-                                        "dynamic value for label \"{key}\" — label values must be string literals (unbounded cardinality otherwise)"
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-            }
-            TokKind::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
 }

@@ -1,8 +1,7 @@
-//! D3 fixture (pass): registered literals, registry constants, and a
-//! literal label value.
+//! D3 fixture (pass): registered literals and registry constants.
 
 pub fn record(t: &Telemetry) {
     t.counter("cache.hits").inc();
     t.counter(names::CACHE_HITS).inc();
-    t.counter_labeled("cache.misses", &[("kind", "cold")]).inc();
+    t.counter("cache.misses").inc();
 }

@@ -91,12 +91,11 @@ fn d1_fail_flags_wall_clock_and_hash_export() {
 }
 
 #[test]
-fn d3_fail_flags_typo_dynamic_name_and_dynamic_label() {
+fn d3_fail_flags_typo_and_dynamic_name() {
     let f = lint(&["d3_fail.rs"]);
-    assert_eq!(rules(&f), vec!["D3-TELEMETRY"; 3]);
+    assert_eq!(rules(&f), vec!["D3-TELEMETRY"; 2]);
     assert!(f.iter().any(|x| x.message.contains("\"cache.hit\"")));
     assert!(f.iter().any(|x| x.message.contains("`which`")));
-    assert!(f.iter().any(|x| x.message.contains("label \"node\"")));
 }
 
 #[test]

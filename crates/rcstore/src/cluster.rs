@@ -8,7 +8,7 @@ use crate::raft::{Command, ReplicaId, ReplicatedCoordinator};
 use crate::{AccessStats, ClusterConfig, Key, NodeId, RcError, ReadLocality, Timed, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
-use ofc_telemetry::{Counter, Histogram, Phase, Telemetry};
+use ofc_telemetry::{Counter, Histogram, Telemetry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
@@ -126,7 +126,7 @@ impl Cluster {
         let nodes = (0..cfg.nodes)
             .map(|id| StorageNode::new(id, cfg.segment_bytes, cfg.node_pool_bytes))
             .collect();
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let metrics = ClusterMetrics::new(&telemetry);
         let slowdown = vec![1.0; cfg.nodes];
         let coord = ReplicatedCoordinator::new(cfg.raft.clone(), &telemetry);
@@ -516,8 +516,6 @@ impl Cluster {
         self.metrics.promotions.inc();
         let latency = self.latency.promote(size) + commit;
         self.metrics.migrate_nanos.record_duration(latency);
-        self.telemetry
-            .span_at(new_master as u64, Phase::Migrate, now, latency);
         Timed::new(Ok(new_master), latency)
     }
 
@@ -556,8 +554,8 @@ impl Cluster {
     ///
     /// Returns the number of objects lost (no surviving replica), with the
     /// recovery latency. Losses are surfaced as the `rcstore.objects_lost`
-    /// counter and a [`Phase::Recovery`] span on the trace plane — silent
-    /// data loss is an observability bug.
+    /// counter and the recovery time as an `rcstore.recovery_nanos` sample
+    /// — silent data loss is an observability bug.
     pub fn crash_node(&mut self, node: NodeId, now: SimTime) -> Timed<usize> {
         if node >= self.nodes.len() || !self.nodes[node].is_up() {
             return Timed::new(0, Duration::ZERO);
@@ -594,8 +592,6 @@ impl Cluster {
         self.top_up_weakened_for(node);
         self.metrics.objects_lost.add(lost as u64);
         self.metrics.recovery_nanos.record_duration(latency);
-        self.telemetry
-            .span_at(node as u64, Phase::Recovery, now, latency);
         Timed::new(lost, latency)
     }
 
@@ -762,8 +758,6 @@ impl Cluster {
         if lost > 0 || latency > Duration::ZERO {
             self.metrics.objects_lost.add(lost as u64);
             self.metrics.recovery_nanos.record_duration(latency);
-            self.telemetry
-                .span_at(node as u64, Phase::Recovery, now, latency);
         }
         self.top_up_all_weakened();
     }
@@ -1360,8 +1354,10 @@ mod tests {
         assert_eq!(c.live_replicas(&key("hot")), 2);
         assert!(c.node(1).has_backup(&key("hot")));
         assert!(!c.node(1).has_master(&key("hot")));
-        assert_eq!(c.telemetry().metrics().counter("rcstore.promotions"), 1);
-        assert_eq!(c.telemetry().trace().phase_count(Phase::Migrate), 1);
+        let m = c.telemetry().metrics();
+        assert_eq!(m.counter("rcstore.promotions"), 1);
+        let timed = m.histogram("rcstore.migrate_nanos").map(|h| h.count);
+        assert_eq!(timed, Some(1));
     }
 
     #[test]
@@ -1463,9 +1459,11 @@ mod tests {
         let lost = c.crash_node(0, SimTime::from_secs(3));
         assert_eq!(lost.result, 1);
         assert!(!c.contains(&key("a")));
-        // The loss is surfaced: counter plus a recovery span on the trace.
-        assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 1);
-        assert_eq!(c.telemetry().trace().phase_count(Phase::Recovery), 1);
+        // The loss is surfaced: counter plus a timed recovery.
+        let m = c.telemetry().metrics();
+        assert_eq!(m.counter("rcstore.objects_lost"), 1);
+        let timed = m.histogram("rcstore.recovery_nanos").map(|h| h.count);
+        assert_eq!(timed, Some(1));
     }
 
     #[test]

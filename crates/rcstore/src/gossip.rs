@@ -258,7 +258,7 @@ mod tests {
     use super::*;
 
     fn plane(nodes: usize) -> GossipPlane {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         GossipPlane::new(GossipConfig { enabled: true }, nodes, &t)
     }
 
@@ -285,7 +285,7 @@ mod tests {
 
     #[test]
     fn disabled_plane_is_inert() {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         let mut g = GossipPlane::new(GossipConfig::default(), 4, &t);
         assert!(!g.enabled());
         let events = g.round(SimTime::ZERO, |_| true, |_, _| true);

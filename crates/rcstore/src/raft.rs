@@ -490,7 +490,7 @@ mod tests {
     use super::*;
 
     fn replicated(n: usize) -> ReplicatedCoordinator {
-        let t = Telemetry::standalone();
+        let t = Telemetry::new();
         ReplicatedCoordinator::new(
             RaftConfig {
                 replicas: n,
@@ -639,7 +639,7 @@ mod tests {
     #[test]
     fn elections_are_deterministic_per_seed() {
         let run = |seed: u64| -> (u64, Vec<Option<ReplicaId>>) {
-            let t = Telemetry::standalone();
+            let t = Telemetry::new();
             let mut c = ReplicatedCoordinator::new(RaftConfig { replicas: 5, seed }, &t);
             let mut leaders = Vec::new();
             let mut now = SimTime::ZERO;

@@ -1,11 +1,14 @@
-//! Summary statistics shared by the telemetry layer and the benchmark
-//! harness.
+//! Sample containers for the figures, and who reads each.
 //!
-//! The paper reports medians, percentiles (e.g., the 99th-percentile
-//! prediction time in Figure 6), averages over five runs, and time series
-//! (Figure 10). [`Summary`] accumulates samples and answers those queries;
-//! [`TimeSeries`] records `(instant, value)` pairs for plots; [`Histogram`]
-//! buckets samples for distribution figures such as Figure 5.
+//! * [`TimeSeries`] records `(instant, value)` pairs: it is the series
+//!   behind every `ofc-telemetry` gauge (Figure 10's cache size).
+//! * [`Summary`] keeps every sample and answers exact percentiles and
+//!   means: Figure 6's prediction times, plus Figure 5's over-provisioning
+//!   waste and the maturation curve, in `bench::mlx`.
+//! * [`Histogram`] counts samples in fixed-width bins: Figure 5's signed
+//!   prediction-error bars over [−160, 160) MB, also in `bench::mlx`. It
+//!   is not the telemetry plane's log histogram because its bins are
+//!   linear and span negative values.
 
 use crate::SimTime;
 

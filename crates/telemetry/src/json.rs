@@ -59,20 +59,6 @@ impl JsonWriter {
         }
     }
 
-    pub(crate) fn begin_object_field(&mut self, name: &str) {
-        self.key(name);
-        self.buf.push('{');
-        self.stack.push(Frame::Object);
-        self.first.push(true);
-    }
-
-    pub(crate) fn end_object(&mut self) {
-        debug_assert!(matches!(self.stack.last(), Some(Frame::Object)));
-        self.stack.pop();
-        self.first.pop();
-        self.buf.push('}');
-    }
-
     pub(crate) fn begin_array_field(&mut self, name: &str) {
         self.key(name);
         self.buf.push('[');
@@ -137,9 +123,7 @@ mod tests {
     fn builds_nested_document() {
         let mut w = JsonWriter::object();
         w.field_u64("n", 3);
-        w.begin_object_field("inner");
         w.field_str("s", "a\"b\\c\nd");
-        w.end_object();
         w.begin_array_field("xs");
         w.array_u64(1);
         w.array_u64(2);
@@ -147,7 +131,7 @@ mod tests {
         w.end_array();
         assert_eq!(
             w.finish(),
-            "{\"n\":3,\"inner\":{\"s\":\"a\\\"b\\\\c\\nd\"},\"xs\":[1,2,{\"k\":0}]}"
+            "{\"n\":3,\"s\":\"a\\\"b\\\\c\\nd\",\"xs\":[1,2,{\"k\":0}]}"
         );
     }
 

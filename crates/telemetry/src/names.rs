@@ -10,9 +10,7 @@
 //! Conventions:
 //! * names are `<subsystem>.<snake_case_metric>`,
 //! * duration histograms end in `_nanos`,
-//! * byte-valued gauges/counters end in `_bytes`,
-//! * label keys are static and low-cardinality (node ids, function
-//!   classes) — never request ids or object keys.
+//! * byte-valued gauges/counters end in `_bytes`.
 
 // ---- chaos plane (fault injection) ------------------------------------
 
@@ -228,8 +226,8 @@ pub const RCSTORE_PROMOTIONS: &str = "rcstore.promotions";
 pub const RCSTORE_SCALE_UPS: &str = "rcstore.scale_ups";
 /// Per-node pool shrink operations.
 pub const RCSTORE_SCALE_DOWNS: &str = "rcstore.scale_downs";
-/// Objects lost to node failures (no surviving replica). Each loss is
-/// also surfaced as a `Recovery` span in the trace stream.
+/// Objects lost to node failures (no surviving replica); the recovery
+/// that found them is timed in `rcstore.recovery_nanos`.
 pub const RCSTORE_OBJECTS_LOST: &str = "rcstore.objects_lost";
 /// Client store operations failed by an injected transient fault.
 pub const RCSTORE_TRANSIENT_ERRORS: &str = "rcstore.transient_errors";

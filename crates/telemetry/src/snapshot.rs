@@ -13,8 +13,6 @@ use ofc_simtime::stats::TimeSeries;
 pub struct CounterSnapshot {
     /// Metric name (e.g. `"rcstore.local_hits"`).
     pub name: String,
-    /// Label set (empty for unlabeled metrics).
-    pub labels: Vec<(String, String)>,
     /// Accumulated count.
     pub value: u64,
 }
@@ -24,8 +22,6 @@ pub struct CounterSnapshot {
 pub struct GaugeSnapshot {
     /// Metric name (e.g. `"agent.cache_size_bytes"`).
     pub name: String,
-    /// Label set (empty for unlabeled metrics).
-    pub labels: Vec<(String, String)>,
     /// Last recorded value.
     pub value: f64,
     /// Every recorded `(instant, value)` sample.
@@ -37,8 +33,6 @@ pub struct GaugeSnapshot {
 pub struct HistogramSnapshot {
     /// Metric name (e.g. `"agent.scale_down_nanos"`).
     pub name: String,
-    /// Label set (empty for unlabeled metrics).
-    pub labels: Vec<(String, String)>,
     /// Number of samples.
     pub count: u64,
     /// Sum of all samples.
@@ -47,20 +41,9 @@ pub struct HistogramSnapshot {
     pub min: u64,
     /// Largest sample.
     pub max: u64,
-    /// Power-of-two buckets: bucket 0 holds zeros, bucket `i` holds
-    /// values with `i` significant bits.
+    /// Quarter-octave buckets: bucket `4·e + s` holds the values whose
+    /// top set bit is `e` and whose next two bits are `s`.
     pub buckets: [u64; BUCKETS],
-}
-
-impl HistogramSnapshot {
-    /// Mean sample value, or zero if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// Everything the registry knew at snapshot time, returned by
@@ -76,27 +59,11 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Total of `name` across every label set (zero if unregistered).
+    /// Value of counter `name` (zero if unregistered).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
-            .filter(|c| c.name == name)
-            .map(|c| c.value)
-            .sum()
-    }
-
-    /// Value of `name` for one exact label set (zero if absent).
-    pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .iter()
-            .find(|c| {
-                c.name == name
-                    && c.labels.len() == labels.len()
-                    && c.labels
-                        .iter()
-                        .zip(labels)
-                        .all(|((k, v), (lk, lv))| k == lk && v == lv)
-            })
+            .find(|c| c.name == name)
             .map_or(0, |c| c.value)
     }
 
@@ -125,7 +92,6 @@ impl MetricsSnapshot {
         for c in &self.counters {
             let mut cw = JsonWriter::object();
             cw.field_str("name", &c.name);
-            write_labels(&mut cw, &c.labels);
             cw.field_u64("value", c.value);
             w.array_raw(&cw.finish());
         }
@@ -134,7 +100,6 @@ impl MetricsSnapshot {
         for g in &self.gauges {
             let mut gw = JsonWriter::object();
             gw.field_str("name", &g.name);
-            write_labels(&mut gw, &g.labels);
             gw.field_f64("value", g.value);
             gw.begin_array_field("series");
             for &(at, v) in g.series.points() {
@@ -148,7 +113,6 @@ impl MetricsSnapshot {
         for h in &self.histograms {
             let mut hw = JsonWriter::object();
             hw.field_str("name", &h.name);
-            write_labels(&mut hw, &h.labels);
             hw.field_u64("count", h.count);
             hw.field_u64("sum", h.sum);
             hw.field_u64("min", h.min);
@@ -166,17 +130,6 @@ impl MetricsSnapshot {
         w.end_array();
         w.finish()
     }
-}
-
-fn write_labels(w: &mut JsonWriter, labels: &[(String, String)]) {
-    if labels.is_empty() {
-        return;
-    }
-    w.begin_object_field("labels");
-    for (k, v) in labels {
-        w.field_str(k, v);
-    }
-    w.end_object();
 }
 
 fn finite(v: f64) -> String {

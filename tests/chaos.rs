@@ -68,7 +68,7 @@ proptest! {
         slow_mean_s in 20u64..90,
         extra_crash_at in 10u64..400,
     ) {
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let mut cluster = Cluster::new(ClusterConfig {
             nodes: NODES,
             replication_factor: 2,
@@ -170,7 +170,7 @@ proptest! {
         n_failures in 0u32..24,
         n_writes in 1usize..8,
     ) {
-        let telemetry = Telemetry::standalone();
+        let telemetry = Telemetry::new();
         let cluster = Rc::new(RefCell::new(Cluster::new(ClusterConfig {
             nodes: 3,
             replication_factor: 1,
@@ -231,7 +231,7 @@ fn failover_durability_case(
     partition_mean_s: u64,
     crash_mean_s: u64,
 ) -> Result<(), TestCaseError> {
-    let telemetry = Telemetry::standalone();
+    let telemetry = Telemetry::new();
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: NODES,
         replication_factor: 2,
@@ -369,7 +369,7 @@ fn failover_durability_case(
 /// minority-side writes must bounce with the *typed* transient error —
 /// never be silently dropped, never ack-then-lose.
 fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCaseError> {
-    let telemetry = Telemetry::standalone();
+    let telemetry = Telemetry::new();
     let mut cluster = Cluster::new(ClusterConfig {
         nodes: NODES,
         replication_factor: 2,

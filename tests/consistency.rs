@@ -28,7 +28,7 @@ fn setup() -> (OfcPlane, Rc<RefCell<Cluster>>, Rc<RefCell<ObjectStore>>) {
         PlaneConfig::default(),
         Rc::clone(&cluster),
         Rc::clone(&store),
-        &ofc::core::telemetry::Telemetry::standalone(),
+        &ofc::core::telemetry::Telemetry::new(),
     );
     (plane, cluster, store)
 }

@@ -173,11 +173,6 @@ fn outputs_are_persisted_despite_write_back() {
     let m = ofc.metrics();
     assert_eq!(m.counter("plane.shadows"), 1);
     assert_eq!(m.counter("plane.persists"), 1);
-    assert_eq!(
-        ofc.trace()
-            .phase_count(ofc::core::telemetry::Phase::Persist),
-        1
-    );
     assert!(!ofc
         .cluster
         .borrow()

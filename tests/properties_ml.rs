@@ -129,7 +129,7 @@ proptest! {
             AgentConfig::default(),
             Rc::clone(&cluster),
             store,
-            &ofc::core::telemetry::Telemetry::standalone(),
+            &ofc::core::telemetry::Telemetry::new(),
         );
         let mut sim = Sim::new(0);
         let mut committed: u64 = 0;
