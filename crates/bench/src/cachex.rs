@@ -811,7 +811,6 @@ pub fn migration_sweep() -> Vec<MigrationPoint> {
                 replication_factor: 2,
                 node_pool_bytes: 4 << 30,
                 max_object_bytes: 10 << 20,
-                segment_bytes: 16 << 20,
                 ..ClusterConfig::default()
             });
             // The volume is split into <=10 MB objects, as OFC stores them.

@@ -902,7 +902,6 @@ mod tests {
             replication_factor: 1,
             node_pool_bytes: 256 * MB,
             max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
             ..ClusterConfig::default()
         })));
         let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));

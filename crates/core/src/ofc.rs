@@ -151,7 +151,6 @@ impl OfcBuilder {
                 .cache_pool_override
                 .unwrap_or_else(|| pcfg.node_mem.saturating_sub(SLACK_INITIAL)),
             max_object_bytes: cfg.plane.max_cached_object,
-            segment_bytes: (cfg.plane.max_cached_object * 2).max(16 << 20),
             raft: RaftConfig {
                 replicas: cfg.coordinator_replicas.max(1),
                 ..RaftConfig::default()
@@ -159,6 +158,7 @@ impl OfcBuilder {
             gossip: GossipConfig {
                 enabled: cfg.gossip,
             },
+            ..ClusterConfig::default()
         });
         cluster.bind_telemetry(&telemetry);
         let cluster = Rc::new(RefCell::new(cluster));

@@ -85,7 +85,6 @@ impl Default for Config {
                 "crates/core/src/monitor.rs",
                 "crates/rcstore/src/cluster.rs",
                 "crates/rcstore/src/node.rs",
-                "crates/rcstore/src/log.rs",
                 "crates/rcstore/src/raft.rs",
                 "crates/rcstore/src/gossip.rs",
                 "crates/faas/src/platform.rs",
@@ -98,7 +97,6 @@ impl Default for Config {
             // (results/lint_hotspots.json).
             hotloop_paths: strings(&[
                 "crates/rcstore/src/node.rs",
-                "crates/rcstore/src/log.rs",
                 "crates/rcstore/src/cluster.rs",
                 "crates/rcstore/src/raft.rs",
                 "crates/rcstore/src/gossip.rs",

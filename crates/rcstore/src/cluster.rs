@@ -4,7 +4,7 @@
 use crate::gossip::{GossipEvent, GossipPlane, MemberState};
 use crate::latency::RcLatency;
 use crate::node::StorageNode;
-use crate::raft::{Command, ReplicaId, ReplicatedCoordinator};
+use crate::raft::{ReplicaId, ReplicatedCoordinator};
 use crate::{AccessStats, ClusterConfig, Key, NodeId, RcError, ReadLocality, Timed, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
@@ -114,17 +114,13 @@ impl Cluster {
             cfg.nodes
         );
         assert!(
-            cfg.max_object_bytes <= cfg.segment_bytes,
-            "objects must fit in a log segment"
-        );
-        assert!(
             cfg.raft.replicas <= 1 || cfg.raft.replicas <= cfg.nodes,
             "coordinator replicas ({}) are co-located with storage nodes ({})",
             cfg.raft.replicas,
             cfg.nodes
         );
         let nodes = (0..cfg.nodes)
-            .map(|id| StorageNode::new(id, cfg.segment_bytes, cfg.node_pool_bytes))
+            .map(|id| StorageNode::new(id, cfg.node_pool_bytes))
             .collect();
         let telemetry = Telemetry::new();
         let metrics = ClusterMetrics::new(&telemetry);
@@ -377,7 +373,7 @@ impl Cluster {
         // Commit the assignment through the replicated log (free no-op in
         // single-replica mode); the gate above guarantees the quorum, so
         // this cannot fail between the gate and here.
-        let commit = self.commit_assignment(key, master, &backups);
+        let commit = self.commit();
         self.tablet.insert(*key, master);
         self.replicas.insert(*key, backups);
         self.metrics.writes.inc();
@@ -445,7 +441,7 @@ impl Cluster {
         if let Err(e) = self.coord_gate(self.coord_origin(), self.clock) {
             return Timed::new(Err(e), Duration::ZERO);
         }
-        self.commit_retirement(key);
+        self.commit();
         let size = self.remove_entry(key);
         self.metrics.evictions.inc();
         Timed::new(Ok(size), self.latency.delete_base)
@@ -460,7 +456,7 @@ impl Cluster {
         if let Err(e) = self.coord_gate(self.coord_origin(), self.clock) {
             return Timed::new(Err(e), Duration::ZERO);
         }
-        self.commit_retirement(key);
+        self.commit();
         let size = self.remove_entry(key);
         Timed::new(Ok(size), self.latency.delete_base)
     }
@@ -511,7 +507,7 @@ impl Cluster {
             .into_iter()
             .map(|b| if b == new_master { old_master } else { b })
             .collect();
-        let commit = self.commit_assignment(key, new_master, &new_backups);
+        let commit = self.commit();
         self.replicas.insert(*key, new_backups);
         self.metrics.promotions.inc();
         let latency = self.latency.promote(size) + commit;
@@ -539,7 +535,7 @@ impl Cluster {
             );
         }
         let over = self.nodes[node].set_pool_bytes(bytes);
-        debug_assert!(!over, "live data fits, so the cleaner must succeed");
+        debug_assert!(!over, "live data was checked to fit the new pool");
         if growing {
             self.metrics.scale_ups.inc();
         } else {
@@ -647,7 +643,7 @@ impl Cluster {
                     self.pending_recovery.insert(node);
                     continue;
                 }
-                self.commit_retirement(&key);
+                self.commit();
                 self.remove_entry(&key);
                 lost += 1;
                 continue;
@@ -663,7 +659,7 @@ impl Cluster {
                 .promote_backup(&key, now, false)
                 .is_err()
             {
-                self.commit_retirement(&key);
+                self.commit();
                 self.remove_entry(&key);
                 lost += 1;
                 continue;
@@ -686,7 +682,7 @@ impl Cluster {
                 Some(value) => self.top_up_replication(&key, new_master, &value, backups),
                 None => backups,
             };
-            self.commit_assignment(&key, new_master, &backups);
+            self.commit();
             self.replicas.insert(key, backups);
         }
         (lost, latency)
@@ -1072,42 +1068,19 @@ impl Cluster {
         }
     }
 
-    /// Commits a tablet assignment through the replicated log, returning
-    /// the commit latency to charge (zero in single-replica mode). Callers
-    /// gate first, so a quorum loss between gate and commit is the only
-    /// (benign, zero-latency) failure path.
-    fn commit_assignment(&mut self, key: &Key, master: NodeId, backups: &[NodeId]) -> Duration {
+    /// Commits one tablet-map mutation (an assignment or a retirement)
+    /// through the replicated log, returning the commit latency to charge
+    /// (zero in single-replica mode). Callers gate first, so a quorum loss
+    /// between gate and commit is the only (benign, zero-latency) failure
+    /// path.
+    fn commit(&mut self) -> Duration {
         if !self.coord.is_replicated() {
             return Duration::ZERO;
         }
         let origin = self.coord_origin();
         self.coord
-            .propose(
-                Command::AssignTablet {
-                    key: *key,
-                    master,
-                    backups: backups.to_vec(),
-                },
-                origin,
-                self.clock,
-                self.partition.as_deref(),
-            )
+            .propose(origin, self.clock, self.partition.as_deref())
             .unwrap_or(Duration::ZERO)
-    }
-
-    /// Commits a tablet retirement through the replicated log (no-op in
-    /// single-replica mode).
-    fn commit_retirement(&mut self, key: &Key) {
-        if !self.coord.is_replicated() {
-            return;
-        }
-        let origin = self.coord_origin();
-        let _ = self.coord.propose(
-            Command::RetireTablet { key: *key },
-            origin,
-            self.clock,
-            self.partition.as_deref(),
-        );
     }
 
     /// Whether `observer`'s side of the network holds the coordinator
@@ -1243,7 +1216,6 @@ mod tests {
             replication_factor: 2,
             node_pool_bytes: 4 << 20,
             max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
             ..ClusterConfig::default()
         })
     }
@@ -1450,7 +1422,6 @@ mod tests {
             replication_factor: 0,
             node_pool_bytes: 1 << 20,
             max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
             ..ClusterConfig::default()
         });
         c.write_with_dirty(0, &key("a"), Value::synthetic(10), SimTime::ZERO, false)
@@ -1565,7 +1536,6 @@ mod failover_tests {
             replication_factor: 2,
             node_pool_bytes: 4 << 20,
             max_object_bytes: 1 << 20,
-            segment_bytes: 1 << 20,
             ..ClusterConfig::default()
         }
     }

@@ -2,9 +2,10 @@
 //! OFC's cache (§6.1).
 //!
 //! Each FaaS worker co-hosts a storage node comprising a **master** (the
-//! in-memory, log-structured primary copy of some objects) and a **backup**
-//! (on-disk replicas of other nodes' objects). A **coordinator** maintains
-//! the key→master map. The pieces OFC extends are implemented faithfully:
+//! in-memory primary copy of some objects, accounted in live bytes against
+//! the node's pool) and a **backup** (on-disk replicas of other nodes'
+//! objects). A **coordinator** maintains the key→master map. The pieces
+//! OFC extends are implemented faithfully:
 //!
 //! * per-object **access statistics** (`n_access` counter and `t_access`
 //!   last-access epoch) driving the periodic eviction policy (§6.3),
@@ -46,7 +47,6 @@
 pub mod cluster;
 pub mod gossip;
 pub mod latency;
-pub mod log;
 pub mod node;
 pub mod raft;
 
@@ -233,7 +233,8 @@ pub struct ClusterConfig {
     pub node_pool_bytes: u64,
     /// Maximum object size ([`MAX_OBJECT_BYTES`] unless a test shrinks it).
     pub max_object_bytes: u64,
-    /// Log segment size for the master's log-structured memory.
+    /// Read by nothing: the model keeps no segment layout. A field only
+    /// because the frozen `benchmark/` package sets it (DESIGN.md §5).
     pub segment_bytes: u64,
     /// Replicated-coordinator knobs (the default single replica keeps the
     /// legacy in-memory authority byte for byte).
@@ -284,6 +285,5 @@ mod tests {
     fn default_config_is_sane() {
         let c = ClusterConfig::default();
         assert!(c.replication_factor < c.nodes);
-        assert!(c.max_object_bytes <= c.segment_bytes);
     }
 }

@@ -1,7 +1,7 @@
-//! A single storage node: master (in-memory, log-structured) plus backup
-//! (on-disk replica) roles, co-located with a FaaS invoker.
+//! A single storage node: master (in-memory, accounted in live bytes
+//! against its pool) plus backup (on-disk replica) roles, co-located with
+//! a FaaS invoker.
 
-use crate::log::Log;
 use crate::{AccessStats, Key, NodeId, RcError, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
@@ -33,7 +33,10 @@ pub const DEFAULT_COLD_ACCESS_THRESHOLD: u64 = 5;
 #[derive(Debug)]
 pub struct StorageNode {
     id: NodeId,
-    log: Log,
+    /// Memory pool size in bytes (the vertical-scaling knob, §6.4).
+    pool: u64,
+    /// Live master bytes, each object charged `size.max(1)`.
+    used: u64,
     master: IdHashMap<Key, MasterObject>,
     /// Backup replicas held on disk for other nodes' masters.
     backup: IdHashMap<Key, Value>,
@@ -55,18 +58,19 @@ pub struct StorageNode {
     /// its own slice — the PR 5 eviction-index approach extended per
     /// tenant (quota reclamation never sweeps other tenants' objects).
     owner_idle: BTreeSet<(Key, SimTime, Key)>,
-    /// Per-tenant live-byte accounting, charged exactly like the log
-    /// (`size.max(1)`), so `Σ owner_usage == log.live_bytes()` is an
-    /// invariant. O(log tenants) per mutation.
+    /// Per-tenant live-byte accounting, charged on the same lines as
+    /// `used` (`size.max(1)`), so `Σ owner_usage == used` is an invariant.
+    /// O(log tenants) per mutation.
     owner_usage: BTreeMap<Key, u64>,
 }
 
 impl StorageNode {
-    /// Creates a node with the given log geometry and pool size.
-    pub fn new(id: NodeId, segment_bytes: u64, pool_bytes: u64) -> Self {
+    /// Creates an empty node with the given pool size.
+    pub fn new(id: NodeId, pool_bytes: u64) -> Self {
         StorageNode {
             id,
-            log: Log::new(segment_bytes, pool_bytes),
+            pool: pool_bytes,
+            used: 0,
             master: IdHashMap::default(),
             backup: IdHashMap::default(),
             up: true,
@@ -93,8 +97,7 @@ impl StorageNode {
     pub fn set_up(&mut self, up: bool) {
         self.up = up;
         if !up {
-            let budget = self.log.budget_bytes();
-            self.log = Log::new(self.log.segment_bytes(), budget);
+            self.used = 0;
             self.master.clear();
             self.backup.clear();
             self.idle_index.clear();
@@ -106,25 +109,25 @@ impl StorageNode {
 
     /// Memory pool size in bytes.
     pub fn pool_bytes(&self) -> u64 {
-        self.log.budget_bytes()
+        self.pool
     }
 
     /// Live master bytes in memory.
     pub fn used_bytes(&self) -> u64 {
-        self.log.live_bytes()
+        self.used
     }
 
-    /// Bytes available for new master copies (post-cleaning estimate).
+    /// Bytes available for new master copies.
     pub fn available_bytes(&self) -> u64 {
         self.pool_bytes().saturating_sub(self.used_bytes())
     }
 
     /// Adjusts the pool size (vertical scaling, §6.4). The caller is
     /// responsible for evicting/migrating first when shrinking; this method
-    /// reports whether the log still exceeds the new budget.
+    /// reports whether live data still exceeds the new pool.
     pub fn set_pool_bytes(&mut self, bytes: u64) -> bool {
-        self.log.set_budget_bytes(bytes);
-        self.log.over_budget()
+        self.pool = bytes;
+        self.used > self.pool
     }
 
     /// Number of master objects.
@@ -148,6 +151,9 @@ impl StorageNode {
     }
 
     /// Inserts (or replaces) a master copy.
+    ///
+    /// Fails with [`RcError::OutOfMemory`], leaving the node untouched, when
+    /// the new charge would not fit beside the other live masters.
     pub fn insert_master(
         &mut self,
         key: Key,
@@ -158,12 +164,19 @@ impl StorageNode {
         if !self.up {
             return Err(RcError::NodeUnavailable(self.id));
         }
-        self.log.append(key, value.size().max(1))?;
-        if let Some((old_stats, old_owner, old_charge)) = self
+        let charge = value.size().max(1);
+        let old = self
             .master
             .get(&key)
-            .map(|o| (o.stats, o.owner, o.value.size().max(1)))
-        {
+            .map(|o| (o.stats, o.owner, o.value.size().max(1)));
+        let live = self.used - old.map_or(0, |(_, _, c)| c);
+        if live + charge > self.pool {
+            return Err(RcError::OutOfMemory {
+                requested: charge,
+                available: self.pool.saturating_sub(live),
+            });
+        }
+        if let Some((old_stats, old_owner, old_charge)) = old {
             self.unindex(&key, &old_stats);
             self.uncharge(old_owner, old_stats.t_access, &key, old_charge);
         }
@@ -173,7 +186,8 @@ impl StorageNode {
             self.cold_index.insert((now, key));
         }
         self.owner_idle.insert((owner, now, key));
-        *self.owner_usage.entry(owner).or_insert(0) += value.size().max(1);
+        *self.owner_usage.entry(owner).or_insert(0) += charge;
+        self.used += charge;
         self.master.insert(
             key,
             MasterObject {
@@ -222,7 +236,6 @@ impl StorageNode {
 
     /// Removes a master copy, returning it.
     pub fn remove_master(&mut self, key: &Key) -> Option<MasterObject> {
-        self.log.remove(key);
         let obj = self.master.remove(key)?;
         self.unindex(key, &obj.stats);
         self.uncharge(obj.owner, obj.stats.t_access, key, obj.value.size().max(1));
@@ -237,8 +250,9 @@ impl StorageNode {
         }
     }
 
-    /// Reverses one key's contribution to the per-owner structures.
+    /// Reverses one key's charge to `used` and the per-owner structures.
     fn uncharge(&mut self, owner: Key, t_access: SimTime, key: &Key, charge: u64) {
+        self.used -= charge;
         self.owner_idle.remove(&(owner, t_access, *key));
         if let Some(used) = self.owner_usage.get_mut(&owner) {
             *used = used.saturating_sub(charge);
@@ -377,16 +391,10 @@ impl StorageNode {
         Ok(())
     }
 
-    /// Master keys in least-recently-used order (LRU eviction input, §6.4).
+    /// Master keys in least-recently-used order, ties by key (LRU eviction
+    /// input, §6.4): the idle index read front to back.
     pub fn lru_masters(&self) -> Vec<Key> {
-        let mut keys: Vec<(&Key, SimTime)> = self
-            .master
-            .iter()
-            .map(|(k, o)| (k, o.stats.t_access))
-            .collect();
-        // Compare by (time, key) without cloning the key per comparison.
-        keys.sort_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)));
-        keys.into_iter().map(|(k, _)| *k).collect()
+        self.idle_index.iter().map(|&(_, k)| k).collect()
     }
 
     /// Iterates over master entries.
@@ -397,11 +405,6 @@ impl StorageNode {
     /// Iterates over backup keys.
     pub fn backups(&self) -> impl Iterator<Item = &Key> {
         self.backup.keys()
-    }
-
-    /// Log utilization (cleaner effectiveness metric).
-    pub fn log_utilization(&self) -> f64 {
-        self.log.utilization()
     }
 }
 
@@ -414,7 +417,7 @@ mod tests {
     }
 
     fn node() -> StorageNode {
-        StorageNode::new(0, 1 << 20, 8 << 20)
+        StorageNode::new(0, 8 << 20)
     }
 
     #[test]
@@ -443,7 +446,7 @@ mod tests {
 
     #[test]
     fn pool_exhaustion() {
-        let mut n = StorageNode::new(0, 1 << 20, 2 << 20);
+        let mut n = StorageNode::new(0, 2 << 20);
         n.insert_master(key("a"), Value::synthetic(1 << 20), SimTime::ZERO, false)
             .unwrap();
         n.insert_master(key("b"), Value::synthetic(1 << 20), SimTime::ZERO, false)
@@ -452,6 +455,27 @@ mod tests {
             .insert_master(key("c"), Value::synthetic(1 << 20), SimTime::ZERO, false)
             .unwrap_err();
         assert!(matches!(err, RcError::OutOfMemory { .. }));
+    }
+
+    #[test]
+    fn refused_overwrite_leaves_accounting_unchanged() {
+        let mut n = StorageNode::new(0, 100);
+        n.insert_master(key("a"), Value::synthetic(60), SimTime::ZERO, false)
+            .unwrap();
+        let err = n
+            .insert_master(key("a"), Value::synthetic(120), SimTime::ZERO, false)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RcError::OutOfMemory {
+                requested: 120,
+                available: 100
+            }
+        );
+        let ledger: u64 = n.owner_usages().map(|(_, v)| v).sum();
+        assert_eq!(n.used_bytes(), 60);
+        assert_eq!(ledger, 60);
+        assert_eq!(n.peek_master(&key("a")).unwrap().value.size(), 60);
     }
 
     #[test]
@@ -641,7 +665,7 @@ mod tests {
 
     #[test]
     fn shrink_pool_reports_over_budget() {
-        let mut n = StorageNode::new(0, 1 << 20, 4 << 20);
+        let mut n = StorageNode::new(0, 4 << 20);
         for i in 0..3 {
             n.insert_master(
                 key(&format!("k{i}")),

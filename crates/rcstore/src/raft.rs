@@ -8,15 +8,16 @@
 //! replicated log, commits on majority acknowledgement, elects a
 //! leader with per-seed randomized timeouts when the current one dies or
 //! is partitioned away, and catches restarted replicas up by log replay —
-//! or by snapshot install once they lag past the compaction horizon.
+//! or by snapshot install once they lag past [`SNAPSHOT_LAG`] entries.
 //!
 //! The model is deliberately compact rather than a full Raft port (no
-//! per-replica divergent logs, no vote RPCs): replication state is a
-//! per-replica `match_index` against one authoritative log, which is
-//! exactly the observable surface the simulation needs — *when* is a
-//! command committed, *who* may commit it, and *what happens* to lagging
-//! or minority replicas. All timing runs on the virtual clock and all
-//! randomness comes from one seeded stream, so every run is
+//! per-replica divergent logs, no vote RPCs): the log is its indices —
+//! `last_index`, `commit_index` and a per-replica `match_index` — because
+//! no decision reads an entry's contents. That is exactly the observable
+//! surface the simulation needs — *when* is a mutation committed, *who*
+//! may commit it, and *what happens* to lagging or minority replicas —
+//! and it is bounded by construction. All timing runs on the virtual
+//! clock and all randomness comes from one seeded stream, so every run is
 //! byte-reproducible per seed (ofc-lint D1).
 //!
 //! **Default-path guarantee:** with `replicas <= 1` the coordinator is the
@@ -25,13 +26,12 @@
 //! telemetry registry, so single-replica configurations stay byte-
 //! identical to the pre-replication code.
 
-use crate::{Key, NodeId};
+use crate::NodeId;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Gauge, Telemetry};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::VecDeque;
 use std::time::Duration;
 
 /// Identifier of a coordinator replica. Replica `r` is co-located with
@@ -57,9 +57,6 @@ pub const COMMIT_LATENCY: Duration = Duration::from_micros(120);
 /// commit index catches up by snapshot install instead of replay.
 pub const SNAPSHOT_LAG: u64 = 256;
 
-/// Retained log suffix; older entries are folded into the snapshot.
-pub const LOG_RETAIN: usize = 1024;
-
 /// Replicated-coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
@@ -77,40 +74,6 @@ impl Default for RaftConfig {
             seed: 0x0fc_c09d,
         }
     }
-}
-
-/// A state-machine command carried by the replicated log. The applied
-/// state machine is the cluster's tablet and replica maps; the log
-/// records every mutation so tests can audit that no committed assignment
-/// is lost across failovers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Command {
-    /// Master + backup placement of a key (writes, migrations, recovery
-    /// promotions).
-    AssignTablet {
-        /// The object key.
-        key: Key,
-        /// Master node after the mutation.
-        master: NodeId,
-        /// Backup nodes after the mutation.
-        backups: Vec<NodeId>,
-    },
-    /// Retirement of a key's placement (eviction, deletion).
-    RetireTablet {
-        /// The object key.
-        key: Key,
-    },
-}
-
-/// One replicated log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogEntry {
-    /// Term the entry was proposed in.
-    pub term: u64,
-    /// 1-based log index.
-    pub index: u64,
-    /// The carried command.
-    pub command: Command,
 }
 
 /// Proposal failure: no leader backed by a reachable replica majority.
@@ -160,8 +123,6 @@ pub struct ReplicatedCoordinator {
     leader: Option<ReplicaId>,
     /// When the group first observed the current leaderless period.
     leader_lost_at: Option<SimTime>,
-    /// Retained log suffix (older entries live in the snapshot).
-    log: VecDeque<LogEntry>,
     /// Index of the last appended entry (1-based; 0 = empty log).
     last_index: u64,
     /// Index of the last majority-committed entry.
@@ -192,7 +153,6 @@ impl ReplicatedCoordinator {
             term: 1,
             leader: Some(0),
             leader_lost_at: None,
-            log: VecDeque::new(),
             last_index: 0,
             commit_index: 0,
             rng,
@@ -248,24 +208,6 @@ impl ReplicatedCoordinator {
         self.replicas.get(r).is_some_and(|rep| rep.up)
     }
 
-    /// The retained (uncompacted) log suffix, oldest first.
-    pub fn retained_log(&self) -> impl Iterator<Item = &LogEntry> {
-        self.log.iter()
-    }
-
-    /// Looks up a retained entry by index (`None` once compacted away).
-    pub fn entry(&self, index: u64) -> Option<&LogEntry> {
-        let first = self.first_retained_index()?;
-        if index < first || index > self.last_index {
-            return None;
-        }
-        self.log.get((index - first) as usize)
-    }
-
-    fn first_retained_index(&self) -> Option<u64> {
-        self.log.front().map(|e| e.index)
-    }
-
     /// Crashes a coordinator replica. The tablet state machine survives on
     /// the surviving majority; a crashed leader triggers an election after
     /// the (seeded) timeout.
@@ -287,8 +229,8 @@ impl ReplicatedCoordinator {
     }
 
     /// Restarts a crashed replica. It catches up on the next tick: by log
-    /// replay when its lag fits the retained log, by snapshot install
-    /// otherwise.
+    /// replay when it lags at most [`SNAPSHOT_LAG`] entries, by snapshot
+    /// install otherwise.
     pub fn restart_replica(&mut self, r: ReplicaId, _now: SimTime) {
         if !self.is_replicated() {
             return;
@@ -372,7 +314,7 @@ impl ReplicatedCoordinator {
     }
 
     /// Brings every reachable up follower to the commit index: log replay
-    /// within the retained suffix, snapshot install past the lag horizon.
+    /// within the lag horizon, snapshot install past it.
     fn catch_up_followers(&mut self, partition: Option<&[usize]>) {
         let Some(leader) = self.leader else {
             return;
@@ -410,7 +352,8 @@ impl ReplicatedCoordinator {
         }
     }
 
-    /// Proposes a command from node `origin` and commits it on a majority.
+    /// Proposes one tablet-map mutation from node `origin` and commits it
+    /// on a majority.
     ///
     /// Returns the commit latency to charge to the client operation, or
     /// [`NoQuorum`] when no reachable leader holds a majority (the caller
@@ -418,7 +361,6 @@ impl ReplicatedCoordinator {
     /// free and infallible.
     pub fn propose(
         &mut self,
-        command: Command,
         origin: NodeId,
         now: SimTime,
         partition: Option<&[usize]>,
@@ -436,11 +378,6 @@ impl ReplicatedCoordinator {
         // ofc-lint: allow(panic) reason=can_serve above guarantees a leader
         let leader = self.leader.unwrap();
         self.last_index += 1;
-        self.log.push_back(LogEntry {
-            term: self.term,
-            index: self.last_index,
-            command,
-        });
         // Replicate to every reachable up replica; the leader's majority
         // (checked above) commits the entry in one modeled round trip.
         for (i, rep) in self.replicas.iter_mut().enumerate() {
@@ -449,9 +386,6 @@ impl ReplicatedCoordinator {
             }
         }
         self.commit_index = self.last_index;
-        while self.log.len() > LOG_RETAIN {
-            self.log.pop_front();
-        }
         if let Some(m) = &self.metrics {
             m.commits.inc();
             m.log_len.set(now, self.last_index as f64);
@@ -500,19 +434,11 @@ mod tests {
         )
     }
 
-    fn cmd(i: u64) -> Command {
-        Command::AssignTablet {
-            key: Key::from(format!("k{i}").as_str()),
-            master: 0,
-            backups: vec![1, 2],
-        }
-    }
-
     #[test]
     fn single_replica_is_inert() {
         let mut c = replicated(1);
         assert!(!c.is_replicated());
-        let lat = c.propose(cmd(0), 0, SimTime::ZERO, None).unwrap();
+        let lat = c.propose(0, SimTime::ZERO, None).unwrap();
         assert_eq!(lat, Duration::ZERO);
         assert_eq!(c.last_index(), 0, "inert mode appends nothing");
         assert_eq!(c.leader(), Some(0));
@@ -521,14 +447,10 @@ mod tests {
     #[test]
     fn replicated_commit_charges_latency_and_appends() {
         let mut c = replicated(3);
-        let lat = c.propose(cmd(0), 0, SimTime::ZERO, None).unwrap();
+        let lat = c.propose(0, SimTime::ZERO, None).unwrap();
         assert_eq!(lat, COMMIT_LATENCY);
         assert_eq!(c.last_index(), 1);
         assert_eq!(c.commit_index(), 1);
-        assert!(matches!(
-            c.entry(1).unwrap().command,
-            Command::AssignTablet { .. }
-        ));
     }
 
     #[test]
@@ -538,14 +460,14 @@ mod tests {
         c.crash_replica(0, t0);
         assert_eq!(c.leader(), None);
         // Immediately after the crash: inside the election window.
-        assert!(c.propose(cmd(0), 1, t0, None).is_err());
+        assert!(c.propose(1, t0, None).is_err());
         // Past the maximum timeout a new leader must exist.
         let t1 = t0 + ELECTION_TIMEOUT_MAX;
         c.tick(t1, None);
         let leader = c.leader().expect("election completed");
         assert_ne!(leader, 0);
         assert!(c.term() > 1);
-        assert!(c.propose(cmd(1), 1, t1, None).is_ok());
+        assert!(c.propose(1, t1, None).is_ok());
     }
 
     #[test]
@@ -556,9 +478,9 @@ mod tests {
         let t = SimTime::from_millis(5);
         c.tick(t, Some(&partition));
         // Leader 0 keeps its majority; a client on node 2 cannot reach it.
-        assert!(c.propose(cmd(0), 2, t, Some(&partition)).is_err());
-        assert!(c.propose(cmd(1), 0, t, Some(&partition)).is_ok());
-        assert!(c.propose(cmd(2), 1, t, Some(&partition)).is_ok());
+        assert!(c.propose(2, t, Some(&partition)).is_err());
+        assert!(c.propose(0, t, Some(&partition)).is_ok());
+        assert!(c.propose(1, t, Some(&partition)).is_ok());
     }
 
     #[test]
@@ -574,11 +496,11 @@ mod tests {
         let leader = c.leader().expect("majority side elects");
         assert!(leader == 1 || leader == 2);
         // Majority side serves; the isolated old leader's side does not.
-        assert!(c.propose(cmd(0), 1, t1, Some(&partition)).is_ok());
-        assert!(c.propose(cmd(1), 0, t1, Some(&partition)).is_err());
+        assert!(c.propose(1, t1, Some(&partition)).is_ok());
+        assert!(c.propose(0, t1, Some(&partition)).is_err());
         // Healing restores service for everyone under the new leader.
         c.tick(t1, None);
-        assert!(c.propose(cmd(2), 0, t1, None).is_ok());
+        assert!(c.propose(0, t1, None).is_ok());
     }
 
     #[test]
@@ -590,12 +512,12 @@ mod tests {
         let t1 = t + Duration::from_secs(1);
         c.tick(t1, None);
         // Replica 0 alone is not a majority of 3.
-        assert!(c.propose(cmd(0), 0, t1, None).is_err());
+        assert!(c.propose(0, t1, None).is_err());
         // Restarting one replica restores the quorum.
         c.restart_replica(1, t1);
         let t2 = t1 + Duration::from_secs(1);
         c.tick(t2, None);
-        assert!(c.propose(cmd(1), 0, t2, None).is_ok());
+        assert!(c.propose(0, t2, None).is_ok());
     }
 
     #[test]
@@ -604,16 +526,16 @@ mod tests {
         let t0 = SimTime::from_millis(1);
         c.crash_replica(2, t0);
         // Small lag: replay.
-        for i in 0..10 {
-            c.propose(cmd(i), 0, t0, None).unwrap();
+        for _ in 0..10 {
+            c.propose(0, t0, None).unwrap();
         }
         c.restart_replica(2, t0);
         c.tick(t0, None);
         assert_eq!(c.snapshot_index(2), 0, "short lag replays the log");
         // Large lag: snapshot install.
         c.crash_replica(2, t0);
-        for i in 0..(SNAPSHOT_LAG + 5) {
-            c.propose(cmd(100 + i), 0, t0, None).unwrap();
+        for _ in 0..(SNAPSHOT_LAG + 5) {
+            c.propose(0, t0, None).unwrap();
         }
         c.restart_replica(2, t0);
         c.tick(t0, None);
@@ -622,18 +544,6 @@ mod tests {
             c.commit_index(),
             "deep lag installs a snapshot"
         );
-    }
-
-    #[test]
-    fn log_compaction_bounds_memory() {
-        let mut c = replicated(3);
-        let retain = LOG_RETAIN;
-        for i in 0..(retain as u64 + 100) {
-            c.propose(cmd(i), 0, SimTime::ZERO, None).unwrap();
-        }
-        assert_eq!(c.retained_log().count(), retain);
-        assert!(c.entry(1).is_none(), "old entries compacted away");
-        assert!(c.entry(c.last_index()).is_some());
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! restarts, `Cluster::evict_candidates` must return exactly the victim
 //! set a full scan over every master object would select — the index may
 //! only change *how many entries the sweep visits*, never *which objects
-//! expire*.
+//! expire*. Likewise each node's `lru_masters` must be its masters fully
+//! sorted by `(t_access, key)`.
 
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::node::DEFAULT_COLD_ACCESS_THRESHOLD;
@@ -69,6 +70,18 @@ fn full_scan_reference(
     victims.into_iter().collect()
 }
 
+/// The pre-index LRU order of one node: every master, sorted by
+/// `(t_access, key)`.
+fn full_sort_lru(cluster: &Cluster, node: usize) -> Vec<Key> {
+    let mut keys: Vec<(SimTime, Key)> = cluster
+        .node(node)
+        .masters()
+        .map(|(k, o)| (o.stats.t_access, *k))
+        .collect();
+    keys.sort();
+    keys.into_iter().map(|(_, k)| k).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -129,6 +142,9 @@ proptest! {
                 visited,
                 cluster.len()
             );
+            for node in 0..NODES {
+                prop_assert_eq!(cluster.node(node).lru_masters(), full_sort_lru(&cluster, node));
+            }
         }
     }
 }

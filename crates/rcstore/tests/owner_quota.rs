@@ -3,7 +3,7 @@
 //! restarts, the per-owner live-byte ledger must satisfy, on every node
 //! and at every intermediate state:
 //!
-//! * `Σ owner_usage == log.live_bytes()` (nothing leaks, nothing is
+//! * `Σ owner_usage == used_bytes()` (nothing leaks, nothing is
 //!   double-charged),
 //! * each owner's charge equals a full recount over that node's masters,
 //! * `owner_victims` returns exactly that owner's masters in LRU order —
@@ -205,7 +205,7 @@ fn replay(ops: &[Op]) {
 #[test]
 fn regression_overwrite_resizes_charge() {
     // Re-writing a key with a different size must replace, not add, its
-    // owner charge (the log retires the old entry first).
+    // owner charge.
     replay(&[
         Op::Write {
             k: 3,
@@ -278,7 +278,7 @@ fn regression_migration_moves_charge() {
 
 #[test]
 fn regression_zero_size_objects_charge_one_byte() {
-    // The log charges `size.max(1)`; the owner ledger must match exactly
+    // The node charges `size.max(1)`; the owner ledger must match exactly
     // or Σ tenant usage drifts from global usage one byte per object.
     replay(&[
         Op::Write {

@@ -15,7 +15,7 @@
 
 use crate::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// Width of a bucket, as a shift of the nanosecond timestamp: 2^20 ns
 /// ≈ 1.05 ms. Simulated service times in this workspace are µs–ms scale,
@@ -65,8 +65,6 @@ pub struct CalendarQueue<T> {
     near: BinaryHeap<Entry<T>>,
     far: BTreeMap<u64, Vec<Entry<T>>>,
     len: usize,
-    /// Tombstones for cancelled-but-not-yet-drained seqs.
-    cancelled: HashSet<u64>,
 }
 
 impl<T> Default for CalendarQueue<T> {
@@ -83,16 +81,15 @@ impl<T> CalendarQueue<T> {
             near: BinaryHeap::new(),
             far: BTreeMap::new(),
             len: 0,
-            cancelled: HashSet::new(),
         }
     }
 
-    /// Number of live (non-cancelled) entries.
+    /// Number of pending entries.
     pub fn len(&self) -> usize {
         self.len
     }
 
-    /// Whether no live entries remain.
+    /// Whether no entries remain.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -121,25 +118,15 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// Cancels a pending entry by its `seq`.
+    /// Timestamp and seq of the earliest entry, without removing it.
     ///
-    /// The caller must only cancel seqs it has pushed and not yet popped
-    /// or cancelled; the entry is dropped lazily when its bucket drains.
-    pub fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-        self.len -= 1;
-    }
-
-    /// Timestamp and seq of the earliest live entry, without removing it.
-    ///
-    /// Takes `&mut self`: peeking may heapify the next bucket and discard
-    /// cancelled tombstones at the head.
+    /// Takes `&mut self`: peeking may heapify the next bucket.
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
         self.settle();
         self.near.peek().map(|e| (e.at, e.seq))
     }
 
-    /// Removes and returns the earliest live entry as `(at, seq, item)`.
+    /// Removes and returns the earliest entry as `(at, seq, item)`.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.settle();
         let e = self.near.pop()?;
@@ -147,26 +134,15 @@ impl<T> CalendarQueue<T> {
         Some((e.at, e.seq, e.item))
     }
 
-    /// Ensures the head of `near` is the globally earliest live entry:
-    /// drops cancelled heads and, when the near bucket drains, heapifies
-    /// the next non-empty far bucket.
+    /// Ensures the head of `near` is the globally earliest entry: when the
+    /// near bucket has drained, heapifies the next far bucket (never empty:
+    /// `push` only creates a far bucket to put an entry in it).
     fn settle(&mut self) {
-        loop {
-            while let Some(head) = self.near.peek() {
-                if self.cancelled.remove(&head.seq) {
-                    self.near.pop();
-                } else {
-                    return;
-                }
+        if self.near.is_empty() {
+            if let Some((idx, batch)) = self.far.pop_first() {
+                self.cur = idx;
+                self.near = BinaryHeap::from(batch);
             }
-            // Near bucket drained: promote the next far bucket wholesale.
-            let Some((&idx, _)) = self.far.iter().next() else {
-                return;
-            };
-            // ofc-lint: allow(panic) reason=key was just observed in the map
-            let batch = self.far.remove(&idx).expect("first far bucket exists");
-            self.cur = idx;
-            self.near = BinaryHeap::from(batch);
         }
     }
 }
@@ -204,20 +180,6 @@ mod tests {
             }
             prev = Some((at, seq));
         }
-    }
-
-    #[test]
-    fn cancel_drops_entry_lazily() {
-        let mut q = CalendarQueue::new();
-        q.push(SimTime::from_millis(1), 0, "a");
-        q.push(SimTime::from_millis(2), 1, "b");
-        q.push(SimTime::from_secs(9), 2, "c");
-        q.cancel(1);
-        q.cancel(2);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop().map(|(_, _, x)| x), Some("a"));
-        assert_eq!(q.pop(), None);
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The queue replaced the event loop's global `BinaryHeap`, so its one
 //! obligation is *exact* order equivalence: pops come out in `(at, seq)`
 //! ascending — including same-instant FIFO by insertion sequence — no
-//! matter how inserts, cancels, and drains interleave across bucket
+//! matter how pushes, peeks, and pops interleave across bucket
 //! boundaries. Each random schedule is driven through the queue and a
 //! `BTreeSet<(SimTime, seq)>` oracle simultaneously, comparing `len`,
 //! `peek_key`, and every popped `(at, seq, item)` triple after each step.
@@ -21,8 +21,6 @@ use std::collections::BTreeSet;
 enum Op {
     /// Push at `now + dt_ns`.
     Push { dt_ns: u64 },
-    /// Cancel the pending entry at `pick % pending.len()`, if any.
-    Cancel { pick: usize },
     /// Pop once and advance `now` to the popped timestamp.
     Pop,
     /// Peek without removing.
@@ -49,7 +47,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         dt_strategy().prop_map(|dt_ns| Op::Push { dt_ns }),
         dt_strategy().prop_map(|dt_ns| Op::Push { dt_ns }),
-        any::<usize>().prop_map(|pick| Op::Cancel { pick }),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Peek),
@@ -62,8 +59,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn run_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
     let mut queue: CalendarQueue<u64> = CalendarQueue::new();
     let mut oracle: BTreeSet<(SimTime, u64)> = BTreeSet::new();
-    // Live (not yet popped/cancelled) seqs, for picking cancel targets.
-    let mut pending: Vec<(SimTime, u64)> = Vec::new();
     let mut now = SimTime::ZERO;
     let mut seq = 0u64;
 
@@ -75,16 +70,7 @@ fn run_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
                 // travelled with the right key.
                 queue.push(at, seq, seq);
                 oracle.insert((at, seq));
-                pending.push((at, seq));
                 seq += 1;
-            }
-            Op::Cancel { pick } => {
-                if pending.is_empty() {
-                    continue;
-                }
-                let (at, s) = pending.swap_remove(pick % pending.len());
-                queue.cancel(s);
-                oracle.remove(&(at, s));
             }
             Op::Pop => {
                 let expect = oracle.pop_first();
@@ -94,7 +80,6 @@ fn run_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
                     (Some((at, s)), Some((gat, gs, item))) => {
                         prop_assert_eq!((at, s), (gat, gs), "pop key mismatch");
                         prop_assert_eq!(item, s, "pop payload mismatch");
-                        pending.retain(|&(_, ps)| ps != s);
                         now = at;
                     }
                     (e, g) => {
@@ -129,7 +114,7 @@ fn run_schedule(ops: &[Op]) -> Result<(), TestCaseError> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Random interleavings of push/cancel/pop/peek match the ordered-set
+    /// Random interleavings of push/pop/peek match the ordered-set
     /// oracle observation-for-observation.
     #[test]
     fn calendar_queue_matches_btreeset_oracle(
@@ -141,12 +126,8 @@ proptest! {
     /// All-ties stress: every push lands at the same instant, so pop order
     /// degenerates to pure insertion-sequence FIFO.
     #[test]
-    fn same_instant_pops_are_fifo(
-        n in 1usize..64,
-        cancels in proptest::collection::vec(any::<usize>(), 0..16)
-    ) {
-        let mut ops: Vec<Op> = (0..n).map(|_| Op::Push { dt_ns: 0 }).collect();
-        ops.extend(cancels.into_iter().map(|pick| Op::Cancel { pick }));
+    fn same_instant_pops_are_fifo(n in 1usize..64) {
+        let ops: Vec<Op> = (0..n).map(|_| Op::Push { dt_ns: 0 }).collect();
         run_schedule(&ops)?;
     }
 }
@@ -155,21 +136,6 @@ proptest! {
 /// named deterministic cases so a shrinker regression can never lose them.
 mod regressions {
     use super::*;
-
-    /// Far-future push while the near bucket still holds entries, then a
-    /// cancel of the near head: `settle` must tombstone across the bucket
-    /// promotion.
-    #[test]
-    fn cancel_head_across_bucket_promotion() {
-        let ops = [
-            Op::Push { dt_ns: 10 },
-            Op::Push { dt_ns: 1 << 32 },
-            Op::Cancel { pick: 0 },
-            Op::Pop,
-            Op::Pop,
-        ];
-        run_schedule(&ops).unwrap();
-    }
 
     /// Empty-queue re-anchor: drain completely, then push into a much
     /// earlier bucket index than the drained one would suggest is "past".

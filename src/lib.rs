@@ -9,8 +9,8 @@
 //!   RandomTree, HoeffdingTree) with evaluation machinery,
 //! * [`objstore`] — Swift-model RSDS (shadow objects, webhooks) and a
 //!   Redis-model IMOC baseline,
-//! * [`rcstore`] — RAMCloud-model distributed KV store (log-structured
-//!   memory, replication, migration-by-promotion, crash recovery),
+//! * [`rcstore`] — RAMCloud-model distributed KV store (access stats,
+//!   pool resize, replication, migration-by-promotion, crash recovery),
 //! * [`faas`] — OpenWhisk-model platform with the seams OFC hooks into,
 //! * [`workloads`] — the 19 multimedia functions, 4 pipelines, and the
 //!   FaaSLoad injector of the paper's evaluation,

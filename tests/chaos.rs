@@ -74,7 +74,6 @@ proptest! {
             replication_factor: 2,
             node_pool_bytes: 256 * MB,
             max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
             ..ClusterConfig::default()
         });
         cluster.bind_telemetry(&telemetry);
@@ -176,7 +175,6 @@ proptest! {
             replication_factor: 1,
             node_pool_bytes: 256 * MB,
             max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
             ..ClusterConfig::default()
         })));
         let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
@@ -237,7 +235,6 @@ fn failover_durability_case(
         replication_factor: 2,
         node_pool_bytes: 256 * MB,
         max_object_bytes: 10 * MB,
-        segment_bytes: 16 * MB,
         raft: ofc::rcstore::raft::RaftConfig {
             replicas: 3,
             ..ofc::rcstore::raft::RaftConfig::default()
@@ -375,7 +372,6 @@ fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCa
         replication_factor: 2,
         node_pool_bytes: 256 * MB,
         max_object_bytes: 10 * MB,
-        segment_bytes: 16 * MB,
         raft: ofc::rcstore::raft::RaftConfig { replicas: 3, seed },
         ..ClusterConfig::default()
     });

@@ -20,7 +20,6 @@ fn setup() -> (OfcPlane, Rc<RefCell<Cluster>>, Rc<RefCell<ObjectStore>>) {
         replication_factor: 1,
         node_pool_bytes: 512 * MB,
         max_object_bytes: 10 * MB,
-        segment_bytes: 16 * MB,
         ..ClusterConfig::default()
     })));
     let store = Rc::new(RefCell::new(ObjectStore::swift()));

@@ -105,7 +105,6 @@ fn fresh_cluster() -> Cluster {
         replication_factor: 2,
         node_pool_bytes: 64 * MB,
         max_object_bytes: 4 * MB,
-        segment_bytes: 8 * MB,
         ..ClusterConfig::default()
     })
 }

@@ -1,7 +1,7 @@
 //! Property-based tests (proptest) on the core invariants across crates:
-//! the cache store's replication and durability, the log cleaner, the
-//! object store's version discipline, the classifiers, and the interval
-//! arithmetic of the predictor.
+//! the cache store's replication and durability, the object store's
+//! version discipline, the classifiers, and the interval arithmetic of
+//! the predictor.
 
 use ofc::dtree::c45::{C45Params, C45};
 use ofc::dtree::data::{Dataset, Value};
@@ -56,7 +56,6 @@ fn run_cluster_ops(ops: Vec<Op>) -> Result<(), TestCaseError> {
         replication_factor: 2,
         node_pool_bytes: 64 * MB,
         max_object_bytes: 4 * MB,
-        segment_bytes: 8 * MB,
         ..ClusterConfig::default()
     });
     // Model state: key -> size of the latest acknowledged write.

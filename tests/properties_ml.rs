@@ -121,7 +121,6 @@ proptest! {
             replication_factor: 1,
             node_pool_bytes: total - (100 * MB),
             max_object_bytes: 10 * MB,
-            segment_bytes: 16 * MB,
             ..ClusterConfig::default()
         })));
         let store = Rc::new(RefCell::new(ObjectStore::swift()));
