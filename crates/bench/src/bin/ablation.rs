@@ -112,7 +112,7 @@ fn reclamation_case(label: &str, hot_threshold: u64) -> Row {
     let total = 16u64 << 30;
     let mut broker = ofc.agent.clone();
     broker
-        .reserve(&mut sim, 0, 0, total - (300 << 20), total)
+        .reserve(&mut sim, 0, total - (300 << 20), total)
         .expect("reserve succeeds");
     let mut survivors = 0u64;
     {

@@ -48,47 +48,22 @@ struct Handles {
     telemetry: Telemetry,
 }
 
-/// Everything the chaos run sends back to `main`: the macro result plus
-/// the fault/durability counters read off the testbed inside the worker.
-struct ChaosOutcome {
-    result: MacroResult,
-    faults_injected: u64,
-    node_crashes: u64,
-    node_restarts: u64,
-    slowdowns: u64,
-    transient_bursts: u64,
-    persistor_failures: u64,
-    coordinator_crashes: u64,
-    leader_isolations: u64,
-    partitions: u64,
-    raft_elections: u64,
-    raft_commits: u64,
-    raft_no_quorum_rejects: u64,
-    gossip_rounds: u64,
-    gossip_confirms: u64,
-    degraded_bypasses: u64,
-    persist_retries: u64,
-    persist_dead_letters: u64,
-    rcstore_transient_errors: u64,
-    objects_lost: u64,
-    pending_after: usize,
-    dead_after: usize,
-}
-
 /// One of the two fanned-out runs (boxed: the variants are large).
 enum RunOut {
     Baseline(Box<MacroResult>),
-    Chaos(Box<ChaosOutcome>),
+    Chaos(Box<ChaosReport>),
 }
 
 /// The chaos run: assemble the testbed, install the fault schedule, run
 /// the macro workload, and read every metric while the testbed is alive.
+/// Fills the report's chaos-side fields; `main` adds the baseline and the
+/// deltas.
 fn chaos_run(
     seed: u64,
     dur: Duration,
     events: Vec<ofc_chaos::FaultEvent>,
     cfg: OfcConfig,
-) -> ChaosOutcome {
+) -> ChaosReport {
     let handles: Rc<RefCell<Option<Handles>>> = Rc::new(RefCell::new(None));
     let stash = Rc::clone(&handles);
     let (chaos, _) = run_macro(MacroSpec {
@@ -143,8 +118,8 @@ fn chaos_run(
     // Any leftover injected-fault budget would make the counts below
     // depend on post-run accounting; clear it for hygiene.
     handles.cluster.borrow_mut().clear_faults();
-    ChaosOutcome {
-        result: chaos,
+    ChaosReport {
+        seed,
         faults_injected: m.counter("chaos.faults_injected"),
         node_crashes: m.counter("chaos.node_crashes"),
         node_restarts: m.counter("chaos.node_restarts"),
@@ -163,13 +138,16 @@ fn chaos_run(
         persist_retries: m.counter("persist.retries"),
         persist_dead_letters: m.counter("persist.dead_letters"),
         rcstore_transient_errors: m.counter("rcstore.transient_errors"),
+        chaos_hit_pct: chaos.table2.hit_ratio_pct,
+        chaos_total_s: total_s(&chaos),
         objects_lost: m.counter("rcstore.objects_lost"),
         pending_after,
         dead_after,
+        ..ChaosReport::default()
     }
 }
 
-#[derive(Debug, Serialize)]
+#[derive(Debug, Default, Serialize)]
 struct ChaosReport {
     seed: u64,
     minutes: u64,
@@ -316,41 +294,17 @@ fn main() {
     };
 
     let baseline_total = total_s(&baseline);
-    let chaos_total = total_s(&chaos.result);
     let report = ChaosReport {
-        seed,
         minutes,
-        faults_injected: chaos.faults_injected,
-        node_crashes: chaos.node_crashes,
-        node_restarts: chaos.node_restarts,
-        slowdowns: chaos.slowdowns,
-        transient_bursts: chaos.transient_bursts,
-        persistor_failures: chaos.persistor_failures,
-        coordinator_crashes: chaos.coordinator_crashes,
-        leader_isolations: chaos.leader_isolations,
-        partitions: chaos.partitions,
-        raft_elections: chaos.raft_elections,
-        raft_commits: chaos.raft_commits,
-        raft_no_quorum_rejects: chaos.raft_no_quorum_rejects,
-        gossip_rounds: chaos.gossip_rounds,
-        gossip_confirms: chaos.gossip_confirms,
-        degraded_bypasses: chaos.degraded_bypasses,
-        persist_retries: chaos.persist_retries,
-        persist_dead_letters: chaos.persist_dead_letters,
-        rcstore_transient_errors: chaos.rcstore_transient_errors,
         baseline_hit_pct: baseline.table2.hit_ratio_pct,
-        chaos_hit_pct: chaos.result.table2.hit_ratio_pct,
-        hit_delta_pct: baseline.table2.hit_ratio_pct - chaos.result.table2.hit_ratio_pct,
+        hit_delta_pct: baseline.table2.hit_ratio_pct - chaos.chaos_hit_pct,
         baseline_total_s: baseline_total,
-        chaos_total_s: chaos_total,
         latency_inflation_pct: if baseline_total > 0.0 {
-            100.0 * (chaos_total / baseline_total - 1.0)
+            100.0 * (chaos.chaos_total_s / baseline_total - 1.0)
         } else {
             0.0
         },
-        objects_lost: chaos.objects_lost,
-        pending_after: chaos.pending_after,
-        dead_after: chaos.dead_after,
+        ..*chaos
     };
 
     if failover {

@@ -9,10 +9,8 @@
 //! another node by backup promotion, and write back dirty outputs in
 //! parallel — so a sandbox never waits on a full data transfer.
 
-use crate::ml::FnKey;
-use crate::policy::{build_policy, CapacityTelemetry, EvictView, PolicyHandle, PolicyKind};
+use crate::policy::{CapacityTelemetry, EvictView, PolicyHandle};
 use ofc_faas::{MemoryBroker, NodeId};
-use ofc_objstore::store::ObjectStore;
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::Key;
 use ofc_simtime::{Sim, SimTime};
@@ -125,13 +123,10 @@ type PeriodicFn = Rc<dyn Fn(&mut CacheAgent, SimTime)>;
 pub struct CacheAgent {
     cfg: AgentConfig,
     cluster: Rc<RefCell<Cluster>>,
-    store: Rc<RefCell<ObjectStore>>,
     /// Per-node slack pool size.
     slack: Vec<u64>,
     /// Per-node last-known sandbox commitment.
     committed: Vec<u64>,
-    /// Per-node total node memory (learned from broker calls).
-    totals: Vec<u64>,
     /// Per-node churn samples.
     churn: Vec<VecDeque<u64>>,
     /// Per-node committed value at the previous churn sample.
@@ -152,12 +147,13 @@ pub struct CacheAgent {
 pub struct AgentHandle(pub Rc<RefCell<CacheAgent>>);
 
 impl CacheAgent {
-    /// Creates an agent over a cache cluster and the RSDS.
+    /// Creates an agent over a cache cluster, deciding through the shared
+    /// cache policy.
     #[allow(clippy::new_ret_no_self)]
     pub fn new(
         cfg: AgentConfig,
         cluster: Rc<RefCell<Cluster>>,
-        store: Rc<RefCell<ObjectStore>>,
+        policy: PolicyHandle,
         telemetry: &Telemetry,
     ) -> AgentHandle {
         let n = cluster.borrow().n_nodes();
@@ -167,17 +163,13 @@ impl CacheAgent {
         cluster
             .borrow_mut()
             .set_cold_access_threshold(EVICT_MIN_ACCESS);
-        // Default policy until `set_policy` installs the shared one.
-        let policy = build_policy(PolicyKind::Ofc, telemetry);
         AgentHandle(Rc::new(RefCell::new(CacheAgent {
             slack: vec![SLACK_INITIAL; n],
             committed: vec![0; n],
-            totals: vec![0; n],
             churn: vec![VecDeque::new(); n],
             churn_prev: vec![0; n],
             cfg,
             cluster,
-            store,
             telemetry: telemetry.clone(),
             metrics,
             writeback: None,
@@ -189,11 +181,6 @@ impl CacheAgent {
     /// plane, which owns the shadow-version bookkeeping).
     pub fn set_writeback(&mut self, f: Box<dyn FnMut(&Key)>) {
         self.writeback = Some(f);
-    }
-
-    /// Installs a cache policy (shared with the scheduler and the plane).
-    pub fn set_policy(&mut self, policy: PolicyHandle) {
-        self.policy = policy;
     }
 
     /// The observability plane this agent records into.
@@ -221,7 +208,7 @@ impl CacheAgent {
         committed_after: u64,
         total: u64,
     ) -> Option<Duration> {
-        self.note_committed(node, committed_after, total);
+        self.note_committed(node, committed_after);
         if committed_after > total {
             return None;
         }
@@ -314,7 +301,7 @@ impl CacheAgent {
 
     /// Returns memory to the cache after sandboxes released it.
     fn release_impl(&mut self, sim: &mut Sim, node: NodeId, committed_after: u64, total: u64) {
-        self.note_committed(node, committed_after, total);
+        self.note_committed(node, committed_after);
         let target_pool = self.cap_pool(total.saturating_sub(committed_after + self.slack[node]));
         let pool = self.cluster.borrow().node(node).pool_bytes();
         if target_pool > pool {
@@ -327,10 +314,9 @@ impl CacheAgent {
         }
     }
 
-    fn note_committed(&mut self, node: NodeId, committed: u64, total: u64) {
+    fn note_committed(&mut self, node: NodeId, committed: u64) {
         if node < self.committed.len() {
             self.committed[node] = committed;
-            self.totals[node] = total;
         }
     }
 
@@ -367,12 +353,8 @@ impl CacheAgent {
                 .policy
                 .borrow_mut()
                 .target_capacity(&CapacityTelemetry {
-                    node,
                     churn_mean,
                     current_slack: self.slack[node],
-                    slack_min: SLACK_MIN,
-                    slack_max: SLACK_MAX,
-                    slack_factor: SLACK_FACTOR,
                     local_hits,
                     remote_hits,
                     misses,
@@ -392,7 +374,7 @@ impl CacheAgent {
         let keys = {
             let c = self.cluster.borrow();
             let view = EvictView::new(&c, now, self.cfg.evict_grace, self.cfg.evict_idle);
-            let keys = self.policy.borrow_mut().select_victims(&view, 0);
+            let keys = self.policy.borrow_mut().select_victims(&view);
             self.metrics.evict_scan_visited.add(view.visited());
             keys
         };
@@ -409,7 +391,6 @@ impl CacheAgent {
                 self.metrics.periodic_evictions.inc();
             }
         }
-        let _ = &self.store; // Store participates via the writeback hook.
     }
 }
 
@@ -460,7 +441,6 @@ impl MemoryBroker for AgentHandle {
         &mut self,
         sim: &mut Sim,
         node: NodeId,
-        _bytes: u64,
         committed_after: u64,
         total: u64,
     ) -> Option<Duration> {
@@ -469,27 +449,17 @@ impl MemoryBroker for AgentHandle {
             .reserve_impl(sim, node, committed_after, total)
     }
 
-    fn release(
-        &mut self,
-        sim: &mut Sim,
-        node: NodeId,
-        _bytes: u64,
-        committed_after: u64,
-        total: u64,
-    ) {
+    fn release(&mut self, sim: &mut Sim, node: NodeId, committed_after: u64, total: u64) {
         self.0
             .borrow_mut()
             .release_impl(sim, node, committed_after, total)
     }
 }
 
-/// Dummy key type re-export check (keeps `FnKey` linked into docs).
-#[doc(hidden)]
-pub type _FnKeyAlias = FnKey;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::OfcPolicy;
     use ofc_rcstore::{ClusterConfig, Value};
 
     const MB: u64 = 1 << 20;
@@ -502,11 +472,10 @@ mod tests {
             max_object_bytes: 10 * MB,
             ..ClusterConfig::default()
         })));
-        let store = Rc::new(RefCell::new(ObjectStore::swift()));
         let agent = CacheAgent::new(
             AgentConfig::default(),
             Rc::clone(&cluster),
-            store,
+            Rc::new(RefCell::new(OfcPolicy::new())),
             &Telemetry::new(),
         );
         (agent, cluster, Sim::new(0))
@@ -516,7 +485,7 @@ mod tests {
     fn reserve_within_free_memory_is_instant() {
         let (mut agent, _cluster, mut sim) = setup(256);
         // Node total 4 GB, pool 256 MB, slack 100 MB: a 1 GB commit fits.
-        let d = agent.reserve(&mut sim, 0, 1 << 30, 1 << 30, 4 << 30);
+        let d = agent.reserve(&mut sim, 0, 1 << 30, 4 << 30);
         assert_eq!(d, Some(Duration::ZERO));
     }
 
@@ -525,7 +494,7 @@ mod tests {
         let (mut agent, cluster, mut sim) = setup(1024);
         // total 2 GB: commit 1.5 GB forces the 1 GB pool down (Sc1).
         let d = agent
-            .reserve(&mut sim, 0, 1536 * MB, 1536 * MB, 2048 * MB)
+            .reserve(&mut sim, 0, 1536 * MB, 2048 * MB)
             .expect("reserve must succeed");
         assert_eq!(d, Duration::from_micros(289));
         assert!(cluster.borrow().node(0).pool_bytes() <= 512 * MB);
@@ -554,7 +523,7 @@ mod tests {
         let used = cluster.borrow().node(0).used_bytes();
         assert!(used >= 500 * MB);
         let d = agent
-            .reserve(&mut sim, 0, 1536 * MB, 1536 * MB, 2048 * MB)
+            .reserve(&mut sim, 0, 1536 * MB, 2048 * MB)
             .expect("reserve must succeed");
         // Sc3: eviction happened; scaling time reflects it.
         assert!(d >= Duration::from_micros(373), "got {d:?}");
@@ -583,7 +552,7 @@ mod tests {
             }
         }
         agent
-            .reserve(&mut sim, 0, 1536 * MB, 1536 * MB, 2048 * MB)
+            .reserve(&mut sim, 0, 1536 * MB, 2048 * MB)
             .expect("reserve must succeed");
         let m = agent.telemetry().metrics();
         assert_eq!(
@@ -623,7 +592,7 @@ mod tests {
         }
         let mut broker = agent.clone();
         broker
-            .reserve(&mut sim, 0, 1536 * MB, 1536 * MB, 2048 * MB)
+            .reserve(&mut sim, 0, 1536 * MB, 2048 * MB)
             .expect("reserve must succeed");
         assert!(
             !written.borrow().is_empty(),
@@ -635,19 +604,15 @@ mod tests {
     #[test]
     fn infeasible_reserve_refused() {
         let (mut agent, _cluster, mut sim) = setup(256);
-        assert!(agent
-            .reserve(&mut sim, 0, 5 << 30, 5 << 30, 4 << 30)
-            .is_none());
+        assert!(agent.reserve(&mut sim, 0, 5 << 30, 4 << 30).is_none());
     }
 
     #[test]
     fn release_regrows_cache() {
         let (mut agent, cluster, mut sim) = setup(1024);
-        agent
-            .reserve(&mut sim, 0, 1536 * MB, 1536 * MB, 2048 * MB)
-            .unwrap();
+        agent.reserve(&mut sim, 0, 1536 * MB, 2048 * MB).unwrap();
         let shrunk = cluster.borrow().node(0).pool_bytes();
-        agent.release(&mut sim, 0, 1024 * MB, 512 * MB, 2048 * MB);
+        agent.release(&mut sim, 0, 512 * MB, 2048 * MB);
         let regrown = cluster.borrow().node(0).pool_bytes();
         assert!(regrown > shrunk, "{regrown} !> {shrunk}");
         assert_eq!(agent.telemetry().metrics().counter("agent.scale_ups"), 1);
@@ -706,7 +671,7 @@ mod tests {
             sim.schedule_at(SimTime::from_secs(45 + i * 60), move |sim| {
                 let committed = if i % 2 == 0 { 1 << 30 } else { 256 << 20 };
                 let mut broker = a;
-                broker.reserve(sim, 0, 0, committed, 4 << 30);
+                broker.reserve(sim, 0, committed, 4 << 30);
             });
         }
         sim.run_until(SimTime::from_secs(11 * 60));

@@ -307,18 +307,18 @@ pub struct OfcPlane {
     /// (extension; see [`Admission::chunk_large`]).
     chunks: IdHashMap<Key, u32>,
     /// The installed cache policy: access notifications and the cold-tier
-    /// lookup on RAM misses go here (DESIGN.md §15). `None` keeps the
-    /// plane policy-free (standalone tests), which behaves exactly like
-    /// the default [`crate::policy::OfcPolicy`].
-    policy: Option<PolicyHandle>,
+    /// lookup on RAM misses go here (DESIGN.md §15).
+    policy: PolicyHandle,
 }
 
 impl OfcPlane {
-    /// Builds the plane over the cache cluster and the RSDS.
+    /// Builds the plane over the cache cluster, the RSDS and the shared
+    /// cache policy.
     pub fn new(
         cfg: PlaneConfig,
         cluster: Rc<RefCell<Cluster>>,
         store: Rc<RefCell<ObjectStore>>,
+        policy: PolicyHandle,
         telemetry: &Telemetry,
     ) -> OfcPlane {
         let metrics = PlaneMetrics::new(telemetry);
@@ -370,13 +370,8 @@ impl OfcPlane {
             metrics,
             breaker,
             chunks: IdHashMap::default(),
-            policy: None,
+            policy,
         }
-    }
-
-    /// Installs a cache policy (shared with the scheduler and the agent).
-    pub fn set_policy(&mut self, policy: PolicyHandle) {
-        self.policy = Some(policy);
     }
 
     /// Current breaker state (tests and the chaos bench).
@@ -596,9 +591,7 @@ impl DataPlane for OfcPlane {
     ) -> ReadOutcome {
         let key = rc_key(&obj.id);
         let now = _sim.now();
-        // The admission's byte ceiling composes with the plane's: a policy
-        // may only tighten, never widen, the configured object-size bound.
-        let limit = admission.byte_limit.min(self.cfg.max_cached_object);
+        let limit = self.cfg.max_cached_object;
         // Degraded operation: an open breaker bypasses the cache — OFC
         // must never be worse than the vanilla platform.
         if !self.breaker.allow(now) {
@@ -614,9 +607,9 @@ impl DataPlane for OfcPlane {
         match hit.result {
             Ok((_value, locality)) => {
                 self.breaker.record_success(now);
-                if let Some(p) = &self.policy {
-                    p.borrow_mut().on_access(&key, obj.size, node, true);
-                }
+                self.policy
+                    .borrow_mut()
+                    .on_access(&key, obj.size, node, true);
                 let served = match locality {
                     ReadLocality::LocalHit => {
                         self.metrics.local_hits.inc();
@@ -650,10 +643,7 @@ impl DataPlane for OfcPlane {
         // may still hold the object: restore it into RAM and serve the
         // read at the policy's restore latency.
         if admission.cache {
-            let cold = self
-                .policy
-                .as_ref()
-                .and_then(|p| p.borrow_mut().lookup_cold(&key, now));
+            let cold = self.policy.borrow_mut().lookup_cold(&key, now);
             if let Some(cold) = cold {
                 self.metrics.remote_hits.inc();
                 let mut latency = cold.latency;
@@ -668,9 +658,9 @@ impl DataPlane for OfcPlane {
                     self.metrics.fills.inc();
                     latency += t.latency;
                 }
-                if let Some(p) = &self.policy {
-                    p.borrow_mut().on_access(&key, obj.size, node, true);
-                }
+                self.policy
+                    .borrow_mut()
+                    .on_access(&key, obj.size, node, true);
                 return ReadOutcome {
                     latency,
                     served: Served::RemoteHit,
@@ -702,9 +692,9 @@ impl DataPlane for OfcPlane {
         let cacheable = admission.cache && obj.size <= limit;
         if cacheable {
             self.metrics.misses.inc();
-            if let Some(p) = &self.policy {
-                p.borrow_mut().on_access(&key, obj.size, node, false);
-            }
+            self.policy
+                .borrow_mut()
+                .on_access(&key, obj.size, node, false);
             if res.is_ok() && self.quota_admit(&key) {
                 let t = self.cluster.borrow_mut().write_with_dirty(
                     node,
@@ -741,8 +731,7 @@ impl DataPlane for OfcPlane {
     ) -> WriteOutcome {
         let key = rc_key(&obj.id);
         let now = sim.now();
-        let limit = admission.byte_limit.min(self.cfg.max_cached_object);
-        let cacheable = admission.cache && obj.size <= limit;
+        let cacheable = admission.cache && obj.size <= self.cfg.max_cached_object;
         if !cacheable {
             // Striped large output (extension): cache the stripe, then keep
             // the normal shadow/persistor path for the whole object.
@@ -871,12 +860,7 @@ impl DataPlane for OfcPlane {
         WriteOutcome { latency }
     }
 
-    fn pipeline_ended(
-        &mut self,
-        _sim: &mut Sim,
-        _pipeline: PipelineId,
-        intermediates: &[ObjectId],
-    ) {
+    fn pipeline_ended(&mut self, intermediates: &[ObjectId]) {
         let mut cluster = self.cluster.borrow_mut();
         for id in intermediates {
             let key = rc_key(id);
@@ -890,6 +874,7 @@ impl DataPlane for OfcPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{build_policy, PolicyKind};
     use ofc_objstore::latency::LatencyModel;
     use ofc_rcstore::ClusterConfig;
     use ofc_simtime::SimTime;
@@ -905,13 +890,19 @@ mod tests {
             ..ClusterConfig::default()
         })));
         let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
-        let plane = OfcPlane::new(
-            PlaneConfig::default(),
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::new(),
-        );
+        let plane = plane_with(PlaneConfig::default(), &cluster, &store);
         (plane, cluster, store)
+    }
+
+    /// A plane under the paper's policy.
+    fn plane_with(
+        cfg: PlaneConfig,
+        cluster: &Rc<RefCell<Cluster>>,
+        store: &Rc<RefCell<ObjectStore>>,
+    ) -> OfcPlane {
+        let t = Telemetry::new();
+        let policy = build_policy(PolicyKind::Ofc, &t);
+        OfcPlane::new(cfg, Rc::clone(cluster), Rc::clone(store), policy, &t)
     }
 
     fn put_input(store: &Rc<RefCell<ObjectStore>>, key: &str, size: u64) -> ObjectRef {
@@ -1014,7 +1005,7 @@ mod tests {
             "intermediate leaked to RSDS"
         );
         assert!(cluster.borrow().contains(&rc_key(&w.id)));
-        plane.pipeline_ended(&mut sim, 7, std::slice::from_ref(&w.id));
+        plane.pipeline_ended(std::slice::from_ref(&w.id));
         assert!(!cluster.borrow().contains(&rc_key(&w.id)));
         let m = plane.telemetry().metrics();
         assert_eq!(m.counter("plane.intermediates_dropped"), 1);
@@ -1064,14 +1055,13 @@ mod tests {
     #[test]
     fn relaxed_mode_skips_shadows() {
         let (_, cluster, store) = setup();
-        let mut plane = OfcPlane::new(
+        let mut plane = plane_with(
             PlaneConfig {
                 write_policy: WritePolicy::Lazy,
                 ..PlaneConfig::default()
             },
-            Rc::clone(&cluster),
-            Rc::clone(&store),
-            &Telemetry::new(),
+            &cluster,
+            &store,
         );
         let mut sim = Sim::new(0);
         let w = ObjectWrite {
@@ -1092,7 +1082,6 @@ mod tests {
     /// What the Faa$T rival's admission asks for: stripe oversized objects.
     const STRIPING: Admission = Admission {
         cache: true,
-        byte_limit: u64::MAX,
         chunk_large: true,
     };
 
@@ -1158,17 +1147,17 @@ mod tests {
     /// asks for it, through the same policy seam the scheduler uses.
     #[test]
     fn faast_policy_stripes_oversized_reads() {
-        use crate::policy::{build_policy, PolicyKind, PredictionCtx};
-        let (mut plane, _cluster, store) = setup();
-        let policy = build_policy(PolicyKind::Faast, plane.telemetry());
-        plane.set_policy(Rc::clone(&policy));
-        let (tenant, function) = ("t".into(), "f".into());
-        let admission = policy.borrow_mut().admit(&PredictionCtx {
-            tenant: &tenant,
-            function: &function,
-            booked_mem: 512 * MB,
-            prediction: None,
-        });
+        let (_, cluster, store) = setup();
+        let t = Telemetry::new();
+        let policy = build_policy(PolicyKind::Faast, &t);
+        let admission = policy.borrow_mut().admit(None);
+        let mut plane = OfcPlane::new(
+            PlaneConfig::default(),
+            Rc::clone(&cluster),
+            Rc::clone(&store),
+            policy,
+            &t,
+        );
         let mut sim = Sim::new(0);
         let obj = put_input(&store, "big", 25 * MB);
         // First read misses and stripes the object; the second reassembles it.

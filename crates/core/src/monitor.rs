@@ -37,7 +37,6 @@ pub struct OfcMonitor {
     cfg: MonitorConfig,
     ml: Rc<RefCell<MlEngine>>,
     features: FeatureFn,
-    telemetry: Telemetry,
     /// Cap raises performed (`monitor.raises`).
     raises: Counter,
     /// OOM kills permitted (`monitor.kills`).
@@ -45,14 +44,9 @@ pub struct OfcMonitor {
 }
 
 impl OfcMonitor {
-    /// Builds the monitor over the shared ML engine, with a standalone
-    /// telemetry plane.
-    pub fn new(cfg: MonitorConfig, ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> Self {
-        Self::with_telemetry(cfg, ml, features, &Telemetry::new())
-    }
-
-    /// Builds the monitor recording into a shared telemetry plane.
-    pub fn with_telemetry(
+    /// Builds the monitor over the shared ML engine, recording into a
+    /// shared telemetry plane.
+    pub fn new(
         cfg: MonitorConfig,
         ml: Rc<RefCell<MlEngine>>,
         features: FeatureFn,
@@ -62,15 +56,9 @@ impl OfcMonitor {
             cfg,
             ml,
             features,
-            telemetry: telemetry.clone(),
             raises: telemetry.counter("monitor.raises"),
             kills: telemetry.counter("monitor.kills"),
         }
-    }
-
-    /// The telemetry plane this monitor records into.
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
     }
 }
 
@@ -156,7 +144,7 @@ mod tests {
         }
     }
 
-    fn monitor() -> OfcMonitor {
+    fn monitor() -> (OfcMonitor, Telemetry) {
         let ml = Rc::new(RefCell::new(MlEngine::new(MlConfig::default())));
         ml.borrow_mut().register(
             (TenantId::from("t"), FunctionId::from("f")),
@@ -171,12 +159,16 @@ mod tests {
                 _ => vec![Value::Missing],
             })
         });
-        OfcMonitor::new(MonitorConfig::default(), ml, features)
+        let t = Telemetry::new();
+        (
+            OfcMonitor::new(MonitorConfig::default(), ml, features, &t),
+            t,
+        )
     }
 
     #[test]
     fn short_invocations_are_killed_not_raised() {
-        let mut m = monitor();
+        let (mut m, t) = monitor();
         let mut sim = Sim::new(0);
         let a = m.on_pressure(
             &mut sim,
@@ -185,12 +177,12 @@ mod tests {
             Duration::from_secs(1),
         );
         assert_eq!(a, PressureAction::Kill);
-        assert_eq!(m.telemetry().metrics().counter("monitor.kills"), 1);
+        assert_eq!(t.metrics().counter("monitor.kills"), 1);
     }
 
     #[test]
     fn long_invocations_get_their_cap_raised() {
-        let mut m = monitor();
+        let (mut m, t) = monitor();
         let mut sim = Sim::new(0);
         let a = m.on_pressure(
             &mut sim,
@@ -206,12 +198,12 @@ mod tests {
             }
             PressureAction::Kill => panic!("long invocation must be raised"),
         }
-        assert_eq!(m.telemetry().metrics().counter("monitor.raises"), 1);
+        assert_eq!(t.metrics().counter("monitor.raises"), 1);
     }
 
     #[test]
     fn completion_feeds_the_trainer() {
-        let mut m = monitor();
+        let (mut m, _) = monitor();
         let mut sim = Sim::new(0);
         let key = (TenantId::from("t"), FunctionId::from("f"));
         let mut args = Args::new();
@@ -224,7 +216,7 @@ mod tests {
 
     #[test]
     fn unschedulable_records_are_ignored() {
-        let mut m = monitor();
+        let (mut m, _) = monitor();
         let mut sim = Sim::new(0);
         let key = (TenantId::from("t"), FunctionId::from("f"));
         let mut args = Args::new();

@@ -139,8 +139,9 @@ impl OfcBuilder {
         let store = store.expect("OfcBuilder: .store(..) is mandatory");
         let features = features.expect("OfcBuilder: .features(..) is mandatory");
 
-        let telemetry = Telemetry::default();
-        platform.bind_telemetry(&telemetry);
+        // Adopt the platform's plane: its `faas.*` counters come first in
+        // every snapshot.
+        let telemetry = platform.telemetry();
 
         let pcfg = platform.config();
         let nodes = pcfg.nodes;
@@ -167,13 +168,13 @@ impl OfcBuilder {
         let policy = build_policy(cfg.policy, &telemetry);
 
         // Data plane (Proxy + rclib + persistors + webhooks).
-        let mut plane = OfcPlane::new(
+        let plane = OfcPlane::new(
             cfg.plane.clone(),
             Rc::clone(&cluster),
-            Rc::clone(&store),
+            store,
+            Rc::clone(&policy),
             &telemetry,
         );
-        plane.set_policy(Rc::clone(&policy));
         let persistence = plane.persistence();
         platform.set_dataplane(Box::new(plane));
 
@@ -181,16 +182,14 @@ impl OfcBuilder {
         let agent = CacheAgent::new(
             cfg.agent.clone(),
             Rc::clone(&cluster),
-            Rc::clone(&store),
+            Rc::clone(&policy),
             &telemetry,
         );
         {
             let persistence = Rc::clone(&persistence);
-            let mut a = agent.0.borrow_mut();
-            a.set_writeback(Box::new(move |key| {
+            agent.0.borrow_mut().set_writeback(Box::new(move |key| {
                 persistence.borrow_mut().persist_now(key);
             }));
-            a.set_policy(Rc::clone(&policy));
         }
         platform.set_broker(Box::new(agent.clone()));
 
@@ -199,13 +198,16 @@ impl OfcBuilder {
             cfg.ml.clone(),
             &telemetry,
         )));
-        let mut scheduler =
-            OfcScheduler::with_telemetry(Rc::clone(&ml), Rc::clone(&features), &telemetry);
+        let mut scheduler = OfcScheduler::new(
+            Rc::clone(&ml),
+            Rc::clone(&features),
+            Rc::clone(&policy),
+            &telemetry,
+        );
         scheduler.benefit_gate = !cfg.disable_benefit_gate;
         scheduler.locality_routing = !cfg.disable_locality_routing;
-        scheduler.set_policy(Rc::clone(&policy));
         platform.set_scheduler(Box::new(scheduler));
-        platform.set_monitor(Box::new(OfcMonitor::with_telemetry(
+        platform.set_monitor(Box::new(OfcMonitor::new(
             cfg.monitor.clone(),
             Rc::clone(&ml),
             features,

@@ -18,11 +18,10 @@
 //! Faa$T has no benefit classifier: everything is admitted, and oversized
 //! objects are chunked (its large-object path) rather than bypassed.
 
-use super::{
-    Admission, CachePolicy, CapacityTelemetry, EvictView, Placement, PredictionCtx,
-    PrefetchRequest, ShardView,
-};
-use ofc_faas::NodeId;
+use super::{Admission, CachePolicy, CapacityTelemetry, EvictView, PrefetchRequest};
+use crate::agent::{SLACK_MAX, SLACK_MIN};
+use crate::ml::Prediction;
+use ofc_faas::{NodeId, TenantId};
 use ofc_rcstore::Key;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Telemetry};
@@ -71,20 +70,15 @@ impl FaastPolicy {
 }
 
 impl CachePolicy for FaastPolicy {
-    fn name(&self) -> &'static str {
-        "faast"
-    }
-
-    fn admit(&mut self, _ctx: &PredictionCtx<'_>) -> Admission {
+    fn admit(&mut self, _prediction: Option<&Prediction>) -> Admission {
         // Faa$T caches every application object; large objects chunk.
         Admission {
             cache: true,
-            byte_limit: u64::MAX,
             chunk_large: true,
         }
     }
 
-    fn select_victims(&mut self, view: &EvictView<'_>, _need: u64) -> Vec<Key> {
+    fn select_victims(&mut self, view: &EvictView<'_>) -> Vec<Key> {
         view.expirable()
     }
 
@@ -94,13 +88,16 @@ impl CachePolicy for FaastPolicy {
         // proportionally to the miss ratio.
         let base = telemetry.ofc_target();
         let scaled = (base as f64 * (1.0 - 0.5 * telemetry.miss_ratio())) as u64;
-        scaled.clamp(telemetry.slack_min, telemetry.slack_max)
+        scaled.clamp(SLACK_MIN, SLACK_MAX)
     }
 
-    fn place(&mut self, _input: Option<&Key>, view: &ShardView<'_>) -> Placement {
-        Placement {
-            preferred: Some(Self::anchor(view.tenant, view.n_nodes)),
-        }
+    fn place(
+        &mut self,
+        tenant: &TenantId,
+        n_nodes: usize,
+        _input_master: Option<NodeId>,
+    ) -> Option<NodeId> {
+        Some(Self::anchor(tenant, n_nodes))
     }
 
     fn on_access(&mut self, key: &Key, size: u64, node: NodeId, _hit: bool) {
@@ -162,7 +159,6 @@ impl CachePolicy for FaastPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ofc_faas::{FunctionId, TenantId};
 
     #[test]
     fn anchor_is_stable_and_in_range() {
@@ -178,17 +174,9 @@ mod tests {
     fn place_anchors_by_tenant() {
         let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
-        let (ta, f) = (TenantId::from("alice"), FunctionId::from("f"));
-        let view = ShardView {
-            tenant: &ta,
-            function: &f,
-            home: 0,
-            n_nodes: 4,
-            input_master: Some(2),
-        };
-        let placed = p.place(None, &view).preferred.unwrap();
+        let placed = p.place(&TenantId::from("alice"), 4, Some(2));
         // Ignores the input master: the app cache instance wins.
-        assert_eq!(placed, FaastPolicy::anchor("alice", 4));
+        assert_eq!(placed, Some(FaastPolicy::anchor("alice", 4)));
     }
 
     #[test]
@@ -221,12 +209,8 @@ mod tests {
         let t = Telemetry::new();
         let mut p = FaastPolicy::new(&t);
         let base = CapacityTelemetry {
-            node: 0,
             churn_mean: Some(200.0 * (1 << 20) as f64),
             current_slack: 100 << 20,
-            slack_min: 64 << 20,
-            slack_max: 512 << 20,
-            slack_factor: 1.5,
             local_hits: 0,
             remote_hits: 0,
             misses: 0,
@@ -238,6 +222,6 @@ mod tests {
             ..base
         });
         assert!(pressured < relaxed, "{pressured} !< {relaxed}");
-        assert!(pressured >= base.slack_min);
+        assert!(pressured >= SLACK_MIN);
     }
 }

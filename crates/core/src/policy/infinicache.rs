@@ -18,10 +18,9 @@
 //!   `(k + r) / k` storage overhead billed at Lambda-style GB-seconds —
 //!   surfaced as the `policy.rental_cost` counter (nanodollars).
 
-use super::{
-    Admission, CachePolicy, CapacityTelemetry, ColdHit, EvictView, Placement, PredictionCtx,
-    PrefetchRequest, ShardView,
-};
+use super::{Admission, CachePolicy, CapacityTelemetry, ColdHit, EvictView, PrefetchRequest};
+use crate::ml::Prediction;
+use ofc_faas::{NodeId, TenantId};
 use ofc_rcstore::Key;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Gauge, Telemetry};
@@ -124,18 +123,13 @@ impl InfiniCachePolicy {
 }
 
 impl CachePolicy for InfiniCachePolicy {
-    fn name(&self) -> &'static str {
-        "infinicache"
-    }
-
-    fn admit(&mut self, ctx: &PredictionCtx<'_>) -> Admission {
+    fn admit(&mut self, _prediction: Option<&Prediction>) -> Admission {
         // InfiniCache fronts the object store for everything; the RAM tier
         // keeps the plane's size ceiling, the cold tier catches evictions.
-        let _ = ctx;
         Admission::admit()
     }
 
-    fn select_victims(&mut self, view: &EvictView<'_>, _need: u64) -> Vec<Key> {
+    fn select_victims(&mut self, view: &EvictView<'_>) -> Vec<Key> {
         // Park every janitor victim in the cold tier before the agent
         // drops its RAM copy: eviction demotes instead of discarding.
         let victims = view.expirable();
@@ -164,10 +158,13 @@ impl CachePolicy for InfiniCachePolicy {
         telemetry.ofc_target()
     }
 
-    fn place(&mut self, _input: Option<&Key>, view: &ShardView<'_>) -> Placement {
-        Placement {
-            preferred: view.input_master,
-        }
+    fn place(
+        &mut self,
+        _tenant: &TenantId,
+        _n_nodes: usize,
+        input_master: Option<NodeId>,
+    ) -> Option<NodeId> {
+        input_master
     }
 
     fn lookup_cold(&mut self, key: &Key, now: SimTime) -> Option<ColdHit> {

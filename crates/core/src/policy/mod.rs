@@ -7,13 +7,14 @@
 //! [`CachePolicy`], so a rival policy is a crate-local module instead of a
 //! cross-cutting change:
 //!
-//! * **admission** — [`CachePolicy::admit`] turns a prediction context
-//!   into a typed [`Admission`] (cache? up to what size? chunk?),
+//! * **admission** — [`CachePolicy::admit`] turns the Predictor's output
+//!   into a typed [`Admission`] (cache? stripe oversized objects?),
 //! * **eviction** — [`CachePolicy::select_victims`] picks janitor victims
 //!   from a read-only [`EvictView`] over the cache cluster,
 //! * **capacity** — [`CachePolicy::target_capacity`] sizes the per-node
 //!   slack pool from churn and hit-rate telemetry,
-//! * **placement** — [`CachePolicy::place`] biases routing toward a node,
+//! * **placement** — [`CachePolicy::place`] names the node routing should
+//!   prefer for a tenant's request,
 //! * optional hooks — [`CachePolicy::on_access`] (access bookkeeping),
 //!   [`CachePolicy::lookup_cold`] (a policy-private cold tier consulted on
 //!   RAM misses) and [`CachePolicy::tick`] (periodic work such as
@@ -39,9 +40,10 @@ pub use faast::FaastPolicy;
 pub use infinicache::InfiniCachePolicy;
 pub use ofc::OfcPolicy;
 
+use crate::agent::{SLACK_FACTOR, SLACK_MAX, SLACK_MIN};
 use crate::ml::Prediction;
 pub use ofc_faas::Admission;
-use ofc_faas::{FunctionId, NodeId, TenantId};
+use ofc_faas::{NodeId, TenantId};
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::Key;
 use ofc_simtime::SimTime;
@@ -50,63 +52,19 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
-/// Shared handle to an installed policy. The builder hands the *same*
-/// handle to the scheduler, the data plane and the agent, so a stateful
-/// policy (frequency maps, cold tiers) sees every event stream.
+/// Shared handle to an installed policy. The builder passes the *same*
+/// handle to the constructors of the scheduler, the data plane and the
+/// agent, so a stateful policy (frequency maps, cold tiers) sees every
+/// event stream.
 pub type PolicyHandle = Rc<RefCell<dyn CachePolicy>>;
-
-/// Everything a policy may consult for one admission decision.
-#[derive(Debug)]
-pub struct PredictionCtx<'a> {
-    /// Owning tenant.
-    pub tenant: &'a TenantId,
-    /// Target function.
-    pub function: &'a FunctionId,
-    /// Memory the tenant booked for the function.
-    pub booked_mem: u64,
-    /// The Predictor's output, absent when the function is unknown to the
-    /// feature extractor or the model is immature.
-    pub prediction: Option<&'a Prediction>,
-}
-
-/// Cluster facts offered to a placement decision (no mutable access).
-#[derive(Debug)]
-pub struct ShardView<'a> {
-    /// Owning tenant (Faa$T anchors per-application caches by tenant).
-    pub tenant: &'a TenantId,
-    /// Target function.
-    pub function: &'a FunctionId,
-    /// The stock home node (`hash(function, tenant) % n`).
-    pub home: NodeId,
-    /// Worker-node count.
-    pub n_nodes: usize,
-    /// Node mastering the request's input object, when the locality oracle
-    /// knows one (§6.5).
-    pub input_master: Option<NodeId>,
-}
-
-/// A placement preference returned by [`CachePolicy::place`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Placement {
-    /// Preferred execution node, or `None` for the platform default.
-    pub preferred: Option<NodeId>,
-}
 
 /// Telemetry driving one node's capacity (slack-pool) decision.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityTelemetry {
-    /// The node being sized.
-    pub node: NodeId,
     /// Mean of the node's churn window (§6.4), `None` before any sample.
     pub churn_mean: Option<f64>,
     /// The node's current slack pool.
     pub current_slack: u64,
-    /// Configured lower bound of the slack pool.
-    pub slack_min: u64,
-    /// Configured upper bound of the slack pool.
-    pub slack_max: u64,
-    /// Configured safety factor over mean churn.
-    pub slack_factor: f64,
     /// Cumulative plane-wide local cache hits.
     pub local_hits: u64,
     /// Cumulative plane-wide remote cache hits.
@@ -116,13 +74,14 @@ pub struct CapacityTelemetry {
 }
 
 impl CapacityTelemetry {
-    /// The paper's §6.4 slack formula: `clamp(churn_mean × factor, min,
-    /// max)`, keeping the current slack when no churn sample exists yet.
+    /// The paper's §6.4 slack formula: `clamp(churn_mean × SLACK_FACTOR,
+    /// SLACK_MIN, SLACK_MAX)`, keeping the current slack when no churn
+    /// sample exists yet.
     pub fn ofc_target(&self) -> u64 {
         match self.churn_mean {
             Some(mean) => {
-                let target = (mean * self.slack_factor) as u64;
-                target.clamp(self.slack_min, self.slack_max)
+                let target = (mean * SLACK_FACTOR) as u64;
+                target.clamp(SLACK_MIN, SLACK_MAX)
             }
             None => self.current_slack,
         }
@@ -170,9 +129,9 @@ pub struct EvictView<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// Grace period before the `n_access` rule applies (§6.3).
-    pub grace: Duration,
+    grace: Duration,
     /// Idle bound beyond which any object expires (§6.3).
-    pub idle: Duration,
+    idle: Duration,
     visited: Cell<u64>,
 }
 
@@ -208,26 +167,6 @@ impl<'a> EvictView<'a> {
             .map(|o| o.value.size())
     }
 
-    /// Total bytes held by cached master copies.
-    pub fn used_bytes(&self) -> u64 {
-        (0..self.cluster.n_nodes())
-            .map(|n| self.cluster.node(n).used_bytes())
-            .sum()
-    }
-
-    /// Bytes one tenant holds across the cluster, from the per-owner
-    /// ledger (O(nodes · log tenants); DESIGN.md §18). Lets a
-    /// tenant-aware policy weigh victims by who is over budget.
-    pub fn owner_used(&self, owner: &Key) -> u64 {
-        self.cluster.owner_used(owner)
-    }
-
-    /// One tenant's coldest cached objects in LRU order, capped at `max`:
-    /// `(key, dirty, charged size)` from the per-owner sub-index.
-    pub fn owner_victims(&self, owner: &Key, max: usize) -> Vec<(Key, bool, u64)> {
-        self.cluster.owner_victims(owner, max)
-    }
-
     /// Index entries inspected so far through this view.
     pub fn visited(&self) -> u64 {
         self.visited.get()
@@ -243,29 +182,35 @@ impl<'a> EvictView<'a> {
 ///   iteration feeding outputs (ofc-lint D1 covers this module).
 /// * **Read-only views** — policies never mutate the cluster; they return
 ///   decisions the runtime applies.
-/// * **One shared instance** — the same handle serves the scheduler
-///   (admit and place), the agent (select_victims and target_capacity)
-///   and the data plane (on_access and lookup_cold), so state composes
-///   across seams.
+/// * **One shared instance** — the same handle, passed to each
+///   constructor, serves the scheduler (admit and place), the agent
+///   (select_victims and target_capacity) and the data plane (on_access
+///   and lookup_cold), so state composes across seams.
 pub trait CachePolicy {
-    /// Human-readable policy name (bake-off labels).
-    fn name(&self) -> &'static str;
+    /// Admission: whether (and how) this invocation's data is cached,
+    /// given the Predictor's output — absent when the function is unknown
+    /// to the feature extractor.
+    fn admit(&mut self, prediction: Option<&Prediction>) -> Admission;
 
-    /// Admission: whether (and how) this invocation's data is cached.
-    fn admit(&mut self, ctx: &PredictionCtx<'_>) -> Admission;
-
-    /// Eviction: picks janitor victims from the view. `need` is a byte
-    /// target when the caller must free a specific amount (0 for the
-    /// periodic pass, which drops every returned key). Returned keys are
-    /// written back first if dirty, then evicted, in order.
-    fn select_victims(&mut self, view: &EvictView<'_>, need: u64) -> Vec<Key>;
+    /// Eviction: picks the periodic janitor pass's victims from the view.
+    /// Returned keys are written back first if dirty, then evicted, in
+    /// order.
+    fn select_victims(&mut self, view: &EvictView<'_>) -> Vec<Key>;
 
     /// Capacity: the node's target slack pool (bytes held back from the
     /// cache for sandbox churn, §6.4).
     fn target_capacity(&mut self, telemetry: &CapacityTelemetry) -> u64;
 
-    /// Placement: preferred execution node for a request (locality).
-    fn place(&mut self, input: Option<&Key>, view: &ShardView<'_>) -> Placement;
+    /// Placement: preferred execution node for a request of `tenant` on an
+    /// `n_nodes` cluster, given the node mastering its input object when
+    /// the locality oracle knows one (§6.5); `None` for the platform
+    /// default.
+    fn place(
+        &mut self,
+        tenant: &TenantId,
+        n_nodes: usize,
+        input_master: Option<NodeId>,
+    ) -> Option<NodeId>;
 
     /// Access notification from the data plane (hit or cacheable miss).
     /// Default: ignore.
@@ -321,12 +266,8 @@ mod tests {
     #[test]
     fn ofc_capacity_formula_matches_paper() {
         let t = CapacityTelemetry {
-            node: 0,
             churn_mean: Some(100.0 * (1 << 20) as f64),
             current_slack: 100 << 20,
-            slack_min: 64 << 20,
-            slack_max: 512 << 20,
-            slack_factor: 1.5,
             local_hits: 0,
             remote_hits: 0,
             misses: 0,
@@ -354,12 +295,8 @@ mod tests {
     #[test]
     fn miss_ratio_handles_empty_and_mixed() {
         let mut t = CapacityTelemetry {
-            node: 0,
             churn_mean: None,
             current_slack: 0,
-            slack_min: 0,
-            slack_max: 0,
-            slack_factor: 1.0,
             local_hits: 0,
             remote_hits: 0,
             misses: 0,
@@ -374,13 +311,16 @@ mod tests {
     #[test]
     fn build_policy_covers_every_kind() {
         let t = Telemetry::new();
-        for (kind, name) in [
-            (PolicyKind::Ofc, "ofc"),
-            (PolicyKind::Faast, "faast"),
-            (PolicyKind::InfiniCache, "infinicache"),
+        // (kind, periodic work, stripes oversized objects)
+        for (kind, ticks, chunk_large) in [
+            (PolicyKind::Ofc, false, false),
+            (PolicyKind::Faast, true, true),
+            (PolicyKind::InfiniCache, true, false),
         ] {
             let p = build_policy(kind, &t);
-            assert_eq!(p.borrow().name(), name);
+            let mut p = p.borrow_mut();
+            assert_eq!(p.tick_every().is_some(), ticks, "{kind:?}");
+            assert_eq!(p.admit(None).chunk_large, chunk_large, "{kind:?}");
         }
     }
 }

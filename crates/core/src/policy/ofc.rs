@@ -1,9 +1,9 @@
 //! The default policy: the paper's own decisions, ported verbatim so the
 //! refactored plane reproduces every committed golden byte-identically.
 
-use super::{
-    Admission, CachePolicy, CapacityTelemetry, EvictView, Placement, PredictionCtx, ShardView,
-};
+use super::{Admission, CachePolicy, CapacityTelemetry, EvictView};
+use crate::ml::Prediction;
+use ofc_faas::{NodeId, TenantId};
 use ofc_rcstore::Key;
 
 /// OFC's policy (§5.2, §6.3–6.5):
@@ -25,22 +25,16 @@ impl OfcPolicy {
 }
 
 impl CachePolicy for OfcPolicy {
-    fn name(&self) -> &'static str {
-        "ofc"
-    }
-
-    fn admit(&mut self, ctx: &PredictionCtx<'_>) -> Admission {
+    fn admit(&mut self, prediction: Option<&Prediction>) -> Admission {
         // Unknown function: cache conservatively (the pre-policy behavior
-        // of the scheduler's `None` arm). Size and chunking ceilings defer
-        // to the plane's configuration.
-        let cache = ctx.prediction.is_none_or(|p| p.should_cache);
+        // of the scheduler's `None` arm). The size ceiling is the plane's.
         Admission {
-            cache,
+            cache: prediction.is_none_or(|p| p.should_cache),
             ..Admission::admit()
         }
     }
 
-    fn select_victims(&mut self, view: &EvictView<'_>, _need: u64) -> Vec<Key> {
+    fn select_victims(&mut self, view: &EvictView<'_>) -> Vec<Key> {
         view.expirable()
     }
 
@@ -48,35 +42,22 @@ impl CachePolicy for OfcPolicy {
         telemetry.ofc_target()
     }
 
-    fn place(&mut self, _input: Option<&Key>, view: &ShardView<'_>) -> Placement {
-        Placement {
-            preferred: view.input_master,
-        }
+    fn place(
+        &mut self,
+        _tenant: &TenantId,
+        _n_nodes: usize,
+        input_master: Option<NodeId>,
+    ) -> Option<NodeId> {
+        input_master
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ml::Prediction;
-    use ofc_faas::{FunctionId, TenantId};
-
-    fn pctx<'a>(
-        tenant: &'a TenantId,
-        function: &'a FunctionId,
-        prediction: Option<&'a Prediction>,
-    ) -> PredictionCtx<'a> {
-        PredictionCtx {
-            tenant,
-            function,
-            booked_mem: 512 << 20,
-            prediction,
-        }
-    }
 
     #[test]
     fn admit_follows_benefit_classifier() {
-        let (t, f) = (TenantId::from("t"), FunctionId::from("f"));
         let mut p = OfcPolicy::new();
         let yes = Prediction {
             mem_bytes: Some(128 << 20),
@@ -88,31 +69,19 @@ mod tests {
             raw_interval: None,
             should_cache: false,
         };
-        assert!(p.admit(&pctx(&t, &f, Some(&yes))).cache);
-        assert!(!p.admit(&pctx(&t, &f, Some(&no))).cache);
+        assert!(p.admit(Some(&yes)).cache);
+        assert!(!p.admit(Some(&no)).cache);
         // No prediction: conservative admit.
-        let d = p.admit(&pctx(&t, &f, None));
+        let d = p.admit(None);
         assert!(d.cache);
-        assert_eq!(d.byte_limit, u64::MAX, "size ceiling defers to plane");
         assert!(!d.chunk_large);
     }
 
     #[test]
     fn place_prefers_input_master() {
-        let (t, f) = (TenantId::from("t"), FunctionId::from("f"));
+        let t = TenantId::from("t");
         let mut p = OfcPolicy::new();
-        let view = ShardView {
-            tenant: &t,
-            function: &f,
-            home: 1,
-            n_nodes: 4,
-            input_master: Some(3),
-        };
-        assert_eq!(p.place(None, &view).preferred, Some(3));
-        let blind = ShardView {
-            input_master: None,
-            ..view
-        };
-        assert_eq!(p.place(None, &blind).preferred, None);
+        assert_eq!(p.place(&t, 4, Some(3)), Some(3));
+        assert_eq!(p.place(&t, 4, None), None);
     }
 }

@@ -2,7 +2,7 @@
 //! locality-aware request routing, replacing OWK's stock policy.
 
 use crate::ml::{FnKey, MlEngine};
-use crate::policy::{OfcPolicy, PolicyHandle, PredictionCtx, ShardView};
+use crate::policy::PolicyHandle;
 use ofc_dtree::data::Value;
 use ofc_faas::{Args, FunctionId, RoutingContext, RoutingDecision, Scheduler, TenantId};
 use ofc_telemetry::{Counter, Telemetry};
@@ -43,7 +43,7 @@ pub struct OfcScheduler {
     /// Predictor + Sizer critical-path overhead (~6 ms, §7.2.1).
     overhead: Duration,
     /// The installed cache policy: admission and placement decisions
-    /// delegate here (DESIGN.md §15). Defaults to [`OfcPolicy`].
+    /// delegate here (DESIGN.md §15).
     policy: PolicyHandle,
     /// Whether the cache-benefit gate is consulted (§5.2); `false` caches
     /// everything (ablation).
@@ -54,16 +54,12 @@ pub struct OfcScheduler {
 }
 
 impl OfcScheduler {
-    /// Builds the scheduler over the shared ML engine, with a standalone
-    /// telemetry plane.
-    pub fn new(ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> Self {
-        Self::with_telemetry(ml, features, &Telemetry::new())
-    }
-
-    /// Builds the scheduler recording into a shared telemetry plane.
-    pub fn with_telemetry(
+    /// Builds the scheduler over the shared ML engine and cache policy,
+    /// recording into a shared telemetry plane.
+    pub fn new(
         ml: Rc<RefCell<MlEngine>>,
         features: FeatureFn,
+        policy: PolicyHandle,
         telemetry: &Telemetry,
     ) -> Self {
         OfcScheduler {
@@ -71,15 +67,10 @@ impl OfcScheduler {
             features,
             metrics: SchedMetrics::new(telemetry),
             overhead: Duration::from_millis(6),
-            policy: Rc::new(RefCell::new(OfcPolicy::new())),
+            policy,
             benefit_gate: true,
             locality_routing: true,
         }
-    }
-
-    /// Installs a cache policy (shared with the plane and the agent).
-    pub fn set_policy(&mut self, policy: PolicyHandle) {
-        self.policy = policy;
     }
 
     /// Orders warm sandboxes by §6.5's criteria: (i) smallest distance
@@ -131,33 +122,18 @@ impl Scheduler for OfcScheduler {
         } else {
             self.metrics.predicted_sizes.inc();
         }
-        let mut admission = self.policy.borrow_mut().admit(&PredictionCtx {
-            tenant: &ctx.tenant,
-            function: &ctx.function,
-            booked_mem: ctx.booked_mem,
-            prediction: prediction.as_ref(),
-        });
+        let mut admission = self.policy.borrow_mut().admit(prediction.as_ref());
         if !self.benefit_gate {
             // Ablation: cache everything regardless of the policy's gate.
             admission.cache = true;
         }
-        let placement = self.policy.borrow_mut().place(
-            None,
-            &ShardView {
-                tenant: &ctx.tenant,
-                function: &ctx.function,
-                home: ctx.home,
-                n_nodes: ctx.nodes.len(),
-                input_master: ctx.input_master,
-            },
-        );
+        let placed = self
+            .policy
+            .borrow_mut()
+            .place(&ctx.tenant, ctx.nodes.len(), ctx.input_master);
         // Locality for routing is the policy's placement, not the oracle's
         // raw `ctx.input_master`.
-        let input_master = if self.locality_routing {
-            placement.preferred
-        } else {
-            None
-        };
+        let input_master = if self.locality_routing { placed } else { None };
 
         if let Some((node, sandbox)) = Self::pick_warm(ctx, input_master, mem_limit) {
             self.metrics.warm_routes.inc();
@@ -204,6 +180,7 @@ impl Scheduler for OfcScheduler {
 mod tests {
     use super::*;
     use crate::ml::MlConfig;
+    use crate::policy::OfcPolicy;
     use ofc_dtree::data::{AttrKind, Attribute};
     use ofc_faas::{NodeView, SandboxView};
     use ofc_simtime::SimTime;
@@ -268,6 +245,11 @@ mod tests {
         }
     }
 
+    fn scheduler(ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> OfcScheduler {
+        let policy = Rc::new(RefCell::new(OfcPolicy::new()));
+        OfcScheduler::new(ml, features, policy, &Telemetry::new())
+    }
+
     fn sb(node: usize, id: u64, mem: u64, idle_s: u64) -> SandboxView {
         SandboxView {
             node,
@@ -280,7 +262,7 @@ mod tests {
     #[test]
     fn mature_model_right_sizes_instead_of_booked() {
         let ml = engine_with_mature_model();
-        let mut s = OfcScheduler::new(ml, features());
+        let mut s = scheduler(ml, features());
         let d = s.route(&ctx(&args(10.0), vec![], None));
         // Needs ~224 MB; allocation must cover it with the next-greater
         // margin yet stay far below the 2 GB booking.
@@ -292,7 +274,7 @@ mod tests {
     #[test]
     fn warm_choice_minimizes_memory_distance() {
         let ml = engine_with_mature_model();
-        let mut s = OfcScheduler::new(ml, features());
+        let mut s = scheduler(ml, features());
         // Prediction for x=10 is ~256 MB: the 256 MB sandbox wins over the
         // 2 GB one even though the latter idled more recently.
         let warm = vec![sb(1, 1, 2 << 30, 100), sb(2, 2, 256 * MB, 5)];
@@ -304,7 +286,7 @@ mod tests {
     #[test]
     fn warm_tie_breaks_on_locality_then_recency() {
         let ml = engine_with_mature_model();
-        let mut s = OfcScheduler::new(ml, features());
+        let mut s = scheduler(ml, features());
         let warm = vec![
             sb(1, 1, 256 * MB, 50),
             sb(3, 2, 256 * MB, 10),
@@ -329,7 +311,7 @@ mod tests {
         // the same limit. A fresh invoker per round: a table walked in
         // `RandomState` order would offer them in either order.
         let ml = engine_with_mature_model();
-        let mut s = OfcScheduler::new(ml, features());
+        let mut s = scheduler(ml, features());
         let (f, t) = (FunctionId::from("f"), TenantId::from("t"));
         for _ in 0..16 {
             let mut inv = ofc_faas::sandbox::Invoker::new(1, 8 << 30);
@@ -346,7 +328,7 @@ mod tests {
     #[test]
     fn cold_start_prefers_input_master_node() {
         let ml = engine_with_mature_model();
-        let mut s = OfcScheduler::new(ml, features());
+        let mut s = scheduler(ml, features());
         let d = s.route(&ctx(&args(10.0), vec![], Some(2)));
         assert_eq!(d.node, 2, "locality routing (§6.5)");
         assert_eq!(d.sandbox, None);
@@ -355,7 +337,7 @@ mod tests {
     #[test]
     fn unknown_function_falls_back_to_booked() {
         let ml = Rc::new(RefCell::new(MlEngine::new(MlConfig::default())));
-        let mut s = OfcScheduler::new(ml, Rc::new(|_, _, _| None));
+        let mut s = scheduler(ml, Rc::new(|_, _, _| None));
         let d = s.route(&ctx(&args(1.0), vec![], None));
         assert_eq!(d.mem_limit, 2 << 30);
         assert!(d.admission.cache, "conservative default");

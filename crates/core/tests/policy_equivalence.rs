@@ -6,9 +6,9 @@
 //! inline code did, on randomized inputs and random cluster schedules, so
 //! a behavioral drift shows up here even before the golden byte-diffs.
 
+use ofc_core::agent::{SLACK_FACTOR, SLACK_MAX, SLACK_MIN};
 use ofc_core::ml::Prediction;
-use ofc_core::policy::{CachePolicy, CapacityTelemetry, EvictView, OfcPolicy, PredictionCtx};
-use ofc_faas::{FunctionId, TenantId};
+use ofc_core::policy::{CachePolicy, CapacityTelemetry, EvictView, OfcPolicy};
 use ofc_rcstore::cluster::Cluster;
 use ofc_rcstore::{ClusterConfig, Key, Value};
 use ofc_simtime::SimTime;
@@ -27,57 +27,39 @@ proptest! {
     fn admission_matches_pre_refactor_rule(
         has_prediction in any::<bool>(),
         should_cache in any::<bool>(),
-        booked in 0u64..=(4 << 30),
     ) {
-        let tenant = TenantId::from("t");
-        let function = FunctionId::from("f");
         let prediction = Prediction {
             mem_bytes: None,
             raw_interval: None,
             should_cache,
         };
-        let ctx = PredictionCtx {
-            tenant: &tenant,
-            function: &function,
-            booked_mem: booked,
-            prediction: has_prediction.then_some(&prediction),
-        };
-        let a = OfcPolicy::new().admit(&ctx);
+        let a = OfcPolicy::new().admit(has_prediction.then_some(&prediction));
         prop_assert_eq!(a.cache, !has_prediction || should_cache);
-        prop_assert_eq!(a.byte_limit, u64::MAX);
         prop_assert!(!a.chunk_large);
     }
 
-    /// Capacity: the §6.4 slack formula, `clamp(churn_mean × factor, min,
-    /// max)`, holding the current slack before the first churn sample.
+    /// Capacity: the §6.4 slack formula over the paper constants,
+    /// `clamp(churn_mean × 1.5, 64 MB, 512 MB)`, holding the current slack
+    /// before the first churn sample; hit counts must not move it.
     #[test]
     fn capacity_matches_pre_refactor_formula(
         has_churn in any::<bool>(),
         churn_val in 0.0f64..1e12,
         current in 0u64..=(1 << 30),
-        min_mb in 1u64..=128,
-        span_mb in 0u64..=1024,
-        factor in 0.5f64..4.0,
         hits in (any::<u32>(), any::<u32>(), any::<u32>()),
     ) {
         let churn = has_churn.then_some(churn_val);
         let (local, remote, misses) = hits;
-        let slack_min = min_mb << 20;
-        let slack_max = (min_mb + span_mb) << 20;
         let t = CapacityTelemetry {
-            node: 0,
             churn_mean: churn,
             current_slack: current,
-            slack_min,
-            slack_max,
-            slack_factor: factor,
             local_hits: u64::from(local),
             remote_hits: u64::from(remote),
             misses: u64::from(misses),
         };
         let got = OfcPolicy::new().target_capacity(&t);
         let want = match churn {
-            Some(mean) => ((mean * factor) as u64).clamp(slack_min, slack_max),
+            Some(mean) => ((mean * SLACK_FACTOR) as u64).clamp(SLACK_MIN, SLACK_MAX),
             None => current,
         };
         prop_assert_eq!(got, want);
@@ -129,7 +111,7 @@ proptest! {
 
         let now = SimTime::from_secs(3600 + extra_s);
         let view = EvictView::new(&cluster, now, GRACE, IDLE);
-        let got = OfcPolicy::new().select_victims(&view, 0);
+        let got = OfcPolicy::new().select_victims(&view);
 
         // Reference: the pre-refactor janitor's exhaustive sweep.
         let mut want = Vec::new();

@@ -160,18 +160,13 @@ pub struct WriteOutcome {
 /// cache policy and threaded through the data plane.
 ///
 /// This replaces the bare `should_cache: bool` the platform used to carry:
-/// a policy now states *whether* to cache, up to what object size, and
-/// whether oversized objects may be striped into chunks — so call sites
-/// cannot transpose flags, and rival policies can express intents the
-/// OFC default never needed.
+/// a policy states *whether* to cache and whether objects above the data
+/// plane's size ceiling may be striped into chunks — so call sites cannot
+/// transpose flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Admission {
     /// Cache this invocation's reads and writes at all.
     pub cache: bool,
-    /// Largest single object the policy will admit. The data plane
-    /// combines this with its own configured ceiling (the lower wins), so
-    /// `u64::MAX` means "defer to the plane's config".
-    pub byte_limit: u64,
     /// Stripe objects above the size ceiling into chunks instead of
     /// bypassing them.
     pub chunk_large: bool,
@@ -183,7 +178,6 @@ impl Admission {
     pub fn admit() -> Self {
         Admission {
             cache: true,
-            byte_limit: u64::MAX,
             chunk_large: false,
         }
     }
@@ -192,7 +186,6 @@ impl Admission {
     pub fn bypass() -> Self {
         Admission {
             cache: false,
-            byte_limit: 0,
             chunk_large: false,
         }
     }
@@ -230,13 +223,7 @@ pub trait DataPlane {
 
     /// Called when a pipeline completes, with every intermediate object it
     /// produced (OFC drops them from the cache without persisting, §6.3).
-    fn pipeline_ended(
-        &mut self,
-        _sim: &mut ofc_simtime::Sim,
-        _pipeline: PipelineId,
-        _intermediates: &[ObjectId],
-    ) {
-    }
+    fn pipeline_ended(&mut self, _intermediates: &[ObjectId]) {}
 }
 
 /// Snapshot of one sandbox offered to the scheduler.
@@ -361,24 +348,23 @@ impl Scheduler for StockScheduler {
 /// 8's scenarios) to make room, and re-expands it when sandboxes release
 /// memory.
 pub trait MemoryBroker {
-    /// Tries to make `bytes` available for sandboxes on `node`; returns the
-    /// reclamation delay on success, `None` when the node truly cannot fit
-    /// the request.
+    /// Tries to let sandboxes on `node` commit `committed_after` of its
+    /// `total` bytes; returns the reclamation delay on success, `None` when
+    /// the node truly cannot fit the request.
     fn reserve(
         &mut self,
         sim: &mut ofc_simtime::Sim,
         node: NodeId,
-        bytes: u64,
         committed_after: u64,
         total: u64,
     ) -> Option<Duration>;
 
-    /// Notifies that `bytes` of sandbox memory were released on `node`.
+    /// Notifies that sandboxes on `node` released memory and now commit
+    /// `committed_after` of its `total` bytes.
     fn release(
         &mut self,
         sim: &mut ofc_simtime::Sim,
         node: NodeId,
-        bytes: u64,
         committed_after: u64,
         total: u64,
     );
@@ -393,7 +379,6 @@ impl MemoryBroker for StockBroker {
         &mut self,
         _sim: &mut ofc_simtime::Sim,
         _node: NodeId,
-        _bytes: u64,
         committed_after: u64,
         total: u64,
     ) -> Option<Duration> {
@@ -404,7 +389,6 @@ impl MemoryBroker for StockBroker {
         &mut self,
         _sim: &mut ofc_simtime::Sim,
         _node: NodeId,
-        _bytes: u64,
         _committed_after: u64,
         _total: u64,
     ) {
@@ -682,8 +666,8 @@ mod tests {
     fn stock_broker_enforces_capacity() {
         let mut sim = ofc_simtime::Sim::new(0);
         let mut b = StockBroker;
-        assert!(b.reserve(&mut sim, 0, 100, 100, 200).is_some());
-        assert!(b.reserve(&mut sim, 0, 100, 300, 200).is_none());
+        assert!(b.reserve(&mut sim, 0, 100, 200).is_some());
+        assert!(b.reserve(&mut sim, 0, 300, 200).is_none());
     }
 
     #[test]

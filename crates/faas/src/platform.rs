@@ -12,7 +12,7 @@ use crate::sandbox::Invoker;
 use crate::{
     ArgValue, Behavior, Completion, DataPlane, ExecutionMonitor, FunctionId, InvocationId,
     InvocationRecord, InvocationRequest, MemoryBroker, NodeId, NodeView, PipelineId,
-    PlatformConfig, PressureAction, RoutingContext, Scheduler, Served, StockBroker, StockMonitor,
+    PlatformConfig, PressureAction, RoutingContext, Scheduler, StockBroker, StockMonitor,
     StockScheduler, TenantId,
 };
 use ofc_objstore::ObjectId;
@@ -264,15 +264,8 @@ impl PlatformHandle {
         self.0.borrow_mut().locality_oracle = Some(f);
     }
 
-    /// Rebinds the platform onto a shared telemetry plane, re-registering
-    /// its `faas.*` counters there.
-    pub fn bind_telemetry(&self, t: &Telemetry) {
-        let mut p = self.0.borrow_mut();
-        p.telemetry = t.clone();
-        p.metrics = FaasMetrics::new(t);
-    }
-
-    /// The telemetry plane the platform records into.
+    /// The telemetry plane the platform records into; OFC adopts it as the
+    /// plane every component shares.
     pub fn telemetry(&self) -> Telemetry {
         self.0.borrow().telemetry.clone()
     }
@@ -401,16 +394,11 @@ impl PlatformHandle {
             };
             (run.intermediates, record)
         };
-        {
-            let mut p = self.0.borrow_mut();
-            p.pipeline_records.push(record);
-            // Intermediate outputs are dropped from the cache, unpersisted,
-            // once the pipeline ends (§6.3).
-            let mut plane = std::mem::replace(&mut p.dataplane, Box::new(NullPlane));
-            drop(p);
-            plane.pipeline_ended(sim, pipe_id, &intermediates);
-            self.0.borrow_mut().dataplane = plane;
-        }
+        let mut p = self.0.borrow_mut();
+        p.pipeline_records.push(record);
+        // Intermediate outputs are dropped from the cache, unpersisted,
+        // once the pipeline ends (§6.3).
+        p.dataplane.pipeline_ended(&intermediates);
     }
 
     fn submit_attempt(
@@ -466,7 +454,7 @@ impl PlatformHandle {
                 if decision.mem_limit > current {
                     let delta = decision.mem_limit - current;
                     let committed_after = p.invokers[node].committed_mem() + delta;
-                    match p.broker.reserve(sim, node, delta, committed_after, total) {
+                    match p.broker.reserve(sim, node, committed_after, total) {
                         Some(delay) => {
                             setup += delay;
                             p.invokers[node].resize(sb, decision.mem_limit);
@@ -479,10 +467,9 @@ impl PlatformHandle {
                         }
                     }
                 } else if decision.mem_limit < current {
-                    let delta = current - decision.mem_limit;
                     p.invokers[node].resize(sb, decision.mem_limit);
                     let committed_after = p.invokers[node].committed_mem();
-                    p.broker.release(sim, node, delta, committed_after, total);
+                    p.broker.release(sim, node, committed_after, total);
                     resized = true;
                 }
                 if resized {
@@ -501,10 +488,7 @@ impl PlatformHandle {
                 let committed_after = p.invokers[node].committed_mem() + decision.mem_limit;
                 let admissible = p.invokers[node].booked_mem() + spec.booked_mem <= total;
                 let reserved = admissible
-                    .then(|| {
-                        p.broker
-                            .reserve(sim, node, decision.mem_limit, committed_after, total)
-                    })
+                    .then(|| p.broker.reserve(sim, node, committed_after, total))
                     .flatten();
                 match reserved {
                     Some(delay) => setup += delay,
@@ -569,7 +553,7 @@ impl PlatformHandle {
 
     fn exec_start(&self, sim: &mut Sim, inv_id: InvocationId) {
         let now = sim.now();
-        let (e_time, node) = {
+        let e_time = {
             let mut p = self.0.borrow_mut();
             let p = &mut *p;
             // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
@@ -600,9 +584,8 @@ impl PlatformHandle {
             let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             fl.record.e_time = e_time;
             fl.record.reads_served = served;
-            (e_time, fl.node)
+            e_time
         };
-        let _ = node;
         let handle = self.clone();
         sim.schedule_in(e_time, move |sim| handle.extract_done(sim, inv_id));
     }
@@ -661,7 +644,7 @@ impl PlatformHandle {
                         let delta = new_limit - old;
                         let total = p.invokers[node].total_mem();
                         let committed_after = p.invokers[node].committed_mem() + delta;
-                        match p.broker.reserve(sim, node, delta, committed_after, total) {
+                        match p.broker.reserve(sim, node, committed_after, total) {
                             Some(_delay) => {
                                 p.invokers[node].resize(sandbox, new_limit);
                                 p.counters.resizes += 1;
@@ -697,11 +680,10 @@ impl PlatformHandle {
             p.metrics.oom_kills.inc();
             // The OOM killer destroys the container; its memory returns to
             // the pool.
-            if let Some(freed) = p.invokers[fl.node].destroy(fl.sandbox) {
+            if p.invokers[fl.node].destroy(fl.sandbox).is_some() {
                 let total = p.invokers[fl.node].total_mem();
                 let committed_after = p.invokers[fl.node].committed_mem();
-                p.broker
-                    .release(sim, fl.node, freed, committed_after, total);
+                p.broker.release(sim, fl.node, committed_after, total);
             }
             fl.record.completion = Completion::OomKilled;
             fl.record.end = now;
@@ -830,10 +812,10 @@ impl PlatformHandle {
     fn keep_alive_check(&self, sim: &mut Sim, node: NodeId, sandbox: u64, uses: u64) {
         let mut p = self.0.borrow_mut();
         let p = &mut *p;
-        if let Some(freed) = p.invokers[node].reclaim_if_stale(sandbox, uses) {
+        if p.invokers[node].reclaim_if_stale(sandbox, uses).is_some() {
             let total = p.invokers[node].total_mem();
             let committed_after = p.invokers[node].committed_mem();
-            p.broker.release(sim, node, freed, committed_after, total);
+            p.broker.release(sim, node, committed_after, total);
         }
     }
 }
@@ -893,37 +875,5 @@ fn new_record(
         attempt: 0,
         admission: crate::Admission::bypass(),
         completion: Completion::Success,
-    }
-}
-
-/// Data plane that drops everything (used transiently while the real plane
-/// is borrowed out for a callback).
-struct NullPlane;
-
-impl DataPlane for NullPlane {
-    fn read(
-        &mut self,
-        _sim: &mut Sim,
-        _node: NodeId,
-        _obj: &crate::ObjectRef,
-        _admission: crate::Admission,
-    ) -> crate::ReadOutcome {
-        crate::ReadOutcome {
-            latency: Duration::ZERO,
-            served: Served::Direct,
-        }
-    }
-
-    fn write(
-        &mut self,
-        _sim: &mut Sim,
-        _node: NodeId,
-        _obj: &crate::ObjectWrite,
-        _admission: crate::Admission,
-        _pipeline: Option<PipelineId>,
-    ) -> crate::WriteOutcome {
-        crate::WriteOutcome {
-            latency: Duration::ZERO,
-        }
     }
 }

@@ -285,21 +285,12 @@ fn broker_refusal_makes_request_unschedulable() {
             &mut self,
             _sim: &mut Sim,
             _node: usize,
-            _bytes: u64,
             _committed_after: u64,
             _total: u64,
         ) -> Option<Duration> {
             None
         }
-        fn release(
-            &mut self,
-            _sim: &mut Sim,
-            _node: usize,
-            _bytes: u64,
-            _committed_after: u64,
-            _total: u64,
-        ) {
-        }
+        fn release(&mut self, _sim: &mut Sim, _node: usize, _committed_after: u64, _total: u64) {}
     }
     let p = platform_with(100 * MB, Duration::from_millis(10));
     p.set_broker(Box::new(Stingy));

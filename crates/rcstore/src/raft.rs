@@ -404,11 +404,6 @@ impl ReplicatedCoordinator {
         }
     }
 
-    /// Count of up replicas.
-    pub fn up_replicas(&self) -> usize {
-        self.replicas.iter().filter(|r| r.up).count()
-    }
-
     /// A replica's snapshot floor (state below this index arrived via
     /// snapshot install). Exposed for tests.
     pub fn snapshot_index(&self, r: ReplicaId) -> u64 {

@@ -6,6 +6,7 @@
 
 use ofc::chaos::{ChaosSchedule, FaultKind, FaultTemplate, Recurring};
 use ofc::core::cache::{start_sweeper, OfcPlane, PlaneConfig};
+use ofc::core::policy::{build_policy, PolicyKind};
 use ofc::core::telemetry::Telemetry;
 use ofc::faas::{DataPlane, ObjectWrite};
 use ofc::objstore::latency::LatencyModel;
@@ -182,6 +183,7 @@ proptest! {
             PlaneConfig::default(),
             Rc::clone(&cluster),
             Rc::clone(&store),
+            build_policy(PolicyKind::Ofc, &telemetry),
             &telemetry,
         );
         let persistence = plane.persistence();

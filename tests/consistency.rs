@@ -3,6 +3,8 @@
 //! through the full stack.
 
 use ofc::core::cache::{rc_key, OfcPlane, PlaneConfig};
+use ofc::core::policy::{build_policy, PolicyKind};
+use ofc::core::telemetry::Telemetry;
 use ofc::faas::{DataPlane, ObjectWrite};
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::{ObjectId, Payload};
@@ -23,11 +25,13 @@ fn setup() -> (OfcPlane, Rc<RefCell<Cluster>>, Rc<RefCell<ObjectStore>>) {
         ..ClusterConfig::default()
     })));
     let store = Rc::new(RefCell::new(ObjectStore::swift()));
+    let telemetry = Telemetry::new();
     let plane = OfcPlane::new(
         PlaneConfig::default(),
         Rc::clone(&cluster),
         Rc::clone(&store),
-        &ofc::core::telemetry::Telemetry::new(),
+        build_policy(PolicyKind::Ofc, &telemetry),
+        &telemetry,
     );
     (plane, cluster, store)
 }

@@ -3,11 +3,11 @@
 
 use ofc::core::agent::{AgentConfig, CacheAgent};
 use ofc::core::ml::{MlConfig, MlEngine, Observation};
+use ofc::core::policy::OfcPolicy;
 use ofc::dtree::data::{AttrKind, Dataset, Value};
 use ofc::dtree::hoeffding::{HoeffdingParams, HoeffdingTree};
 use ofc::dtree::Classifier;
 use ofc::faas::{FunctionId, MemoryBroker, TenantId};
-use ofc::objstore::store::ObjectStore;
 use ofc::rcstore::cluster::Cluster;
 use ofc::rcstore::ClusterConfig;
 use ofc::simtime::Sim;
@@ -123,11 +123,10 @@ proptest! {
             max_object_bytes: 10 * MB,
             ..ClusterConfig::default()
         })));
-        let store = Rc::new(RefCell::new(ObjectStore::swift()));
         let agent = CacheAgent::new(
             AgentConfig::default(),
             Rc::clone(&cluster),
-            store,
+            Rc::new(RefCell::new(OfcPolicy::new())),
             &ofc::core::telemetry::Telemetry::new(),
         );
         let mut sim = Sim::new(0);
@@ -137,13 +136,13 @@ proptest! {
             let mut broker = agent.clone();
             if grow {
                 let after = committed + delta;
-                if broker.reserve(&mut sim, 0, delta, after, total).is_some() {
+                if broker.reserve(&mut sim, 0, after, total).is_some() {
                     prop_assert!(after <= total, "granted beyond capacity");
                     committed = after;
                 }
             } else {
                 let after = committed.saturating_sub(delta);
-                broker.release(&mut sim, 0, delta, after, total);
+                broker.release(&mut sim, 0, after, total);
                 committed = after;
             }
             let pool = cluster.borrow().node(0).pool_bytes();
