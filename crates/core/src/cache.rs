@@ -383,9 +383,10 @@ impl OfcPlane {
     /// whole-object cache admission (miss fill and cached write). Returns
     /// whether the object may enter the cache.
     ///
-    /// The tenant ledger is the cluster's O(log n) per-owner accounting
-    /// (`owner_used` / `owner_victims`), so the gate costs a couple of
-    /// B-tree probes — no scans. Decision ladder:
+    /// The tenant ledger is the cluster's per-owner accounting: `owner_used`
+    /// is one hash probe per node, and `owner_victims` (contended case
+    /// only) one range walk of the owner's slice per node — no scans, no
+    /// string compares. Decision ladder:
     ///
     /// 1. under quota → admit;
     /// 2. over quota but the pool keeps [`QUOTA_HEADROOM_BYTES`] free →

@@ -106,8 +106,10 @@ impl FaasMetrics {
 }
 
 struct Inflight {
+    /// The one copy of the invocation's arguments lives in the record; an
+    /// OOM retry rebuilds its request from the record and `seed`.
     record: InvocationRecord,
-    request: InvocationRequest,
+    seed: u64,
     node: NodeId,
     sandbox: u64,
     behavior: Behavior,
@@ -495,19 +497,14 @@ impl PlatformHandle {
                     None => {
                         p.counters.unschedulable += 1;
                         p.metrics.unschedulable.inc();
-                        let mut record = new_record(
-                            inv_id,
-                            &req,
-                            node,
-                            now,
-                            decision.mem_limit,
-                            spec.booked_mem,
-                        );
+                        let pipeline = req.pipeline;
+                        let mut record =
+                            new_record(inv_id, req, node, now, decision.mem_limit, spec.booked_mem);
                         record.completion = Completion::Unschedulable;
                         record.end = now;
                         p.monitor.on_complete(sim, &record);
                         p.records.push(record);
-                        if let Some(pipeline) = req.pipeline {
+                        if let Some(pipeline) = pipeline {
                             drop_pipeline_member(p, sim, self, pipeline);
                         }
                         return inv_id;
@@ -528,7 +525,8 @@ impl PlatformHandle {
         };
         p.invokers[node].claim(sandbox, inv_id);
 
-        let mut record = new_record(inv_id, &req, node, now, decision.mem_limit, spec.booked_mem);
+        let seed = req.seed;
+        let mut record = new_record(inv_id, req, node, now, decision.mem_limit, spec.booked_mem);
         record.cold_start = cold;
         record.resized = resized;
         record.attempt = attempt;
@@ -538,7 +536,7 @@ impl PlatformHandle {
             inv_id,
             Inflight {
                 record,
-                request: req,
+                seed,
                 node,
                 sandbox,
                 behavior: Behavior::default(),
@@ -560,28 +558,23 @@ impl PlatformHandle {
             let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             let spec = p
                 .registry
-                .get(&fl.request.tenant, &fl.request.function)
+                .get(&fl.record.tenant, &fl.record.function)
                 // ofc-lint: allow(panic) reason=submit_attempt resolved this spec from the registry; specs are never unregistered mid-run
-                .expect("registered")
-                .clone();
-            fl.behavior = spec.model.behavior(&fl.request.args, fl.request.seed);
+                .expect("registered");
+            fl.behavior = spec.model.behavior(&fl.record.args, fl.seed);
             fl.record.exec_start = now;
             fl.record.sched_time = now.saturating_since(fl.record.arrival);
             fl.record.mem_actual = fl.behavior.mem_bytes;
 
             // Extract phase: data-plane reads, sequential.
             let mut e_time = Duration::ZERO;
-            let reads = fl.behavior.reads.clone();
             let admission = fl.record.admission;
-            let node = fl.node;
-            let mut served = Vec::with_capacity(reads.len());
-            for obj in &reads {
-                let out = p.dataplane.read(sim, node, obj, admission);
+            let mut served = Vec::with_capacity(fl.behavior.reads.len());
+            for obj in &fl.behavior.reads {
+                let out = p.dataplane.read(sim, fl.node, obj, admission);
                 e_time += out.latency;
                 served.push(out.served);
             }
-            // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
-            let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             fl.record.e_time = e_time;
             fl.record.reads_served = served;
             e_time
@@ -690,14 +683,21 @@ impl PlatformHandle {
             p.monitor.on_complete(sim, &fl.record);
             let attempt = fl.record.attempt;
             let booked = fl.record.mem_booked;
-            let request = fl.request.clone();
+            let pipeline = fl.record.pipeline;
+            let request = (attempt < p.cfg.max_retries).then(|| InvocationRequest {
+                function: fl.record.function,
+                tenant: fl.record.tenant,
+                args: fl.record.args.clone(),
+                seed: fl.seed,
+                pipeline,
+            });
             p.records.push(fl.record);
-            if attempt < p.cfg.max_retries {
+            if let Some(request) = request {
                 p.counters.retries += 1;
                 p.metrics.retries.inc();
                 Some((request, attempt + 1, booked))
             } else {
-                if let Some(pipe) = request.pipeline {
+                if let Some(pipe) = pipeline {
                     drop_pipeline_member(p, sim, self, pipe);
                 }
                 None
@@ -725,17 +725,13 @@ impl PlatformHandle {
             let p = &mut *p;
             // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
             let fl = p.inflight.get_mut(&inv_id).expect("inflight");
-            let writes = fl.behavior.writes.clone();
             let admission = fl.record.admission;
-            let node = fl.node;
             let pipeline = fl.record.pipeline;
             let mut l_time = Duration::ZERO;
-            for w in &writes {
-                let out = p.dataplane.write(sim, node, w, admission, pipeline);
+            for w in &fl.behavior.writes {
+                let out = p.dataplane.write(sim, fl.node, w, admission, pipeline);
                 l_time += out.latency;
             }
-            // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
-            let fl = p.inflight.get_mut(&inv_id).expect("inflight");
             fl.record.t_time = fl.behavior.compute;
             fl.record.l_time = l_time;
             l_time
@@ -770,29 +766,19 @@ impl PlatformHandle {
 
             p.monitor.on_complete(sim, &fl.record);
             let pipeline = fl.record.pipeline;
-            let outputs: Vec<crate::ObjectRef> = fl
-                .behavior
-                .writes
-                .iter()
-                .map(|w| crate::ObjectRef {
-                    id: w.id,
-                    size: w.size,
-                })
-                .collect();
-            let intermediates: Vec<ObjectId> = fl
-                .behavior
-                .writes
-                .iter()
-                .filter(|w| !w.is_final)
-                .map(|w| w.id)
-                .collect();
             p.records.push(fl.record);
 
             pipeline.map(|pipe| {
                 // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
                 let run = p.pipelines.get_mut(&pipe).expect("pipeline exists");
-                run.stage_outputs.extend(outputs);
-                run.intermediates.extend(intermediates);
+                let writes = &fl.behavior.writes;
+                run.stage_outputs
+                    .extend(writes.iter().map(|w| crate::ObjectRef {
+                        id: w.id,
+                        size: w.size,
+                    }));
+                run.intermediates
+                    .extend(writes.iter().filter(|w| !w.is_final).map(|w| w.id));
                 run.outstanding -= 1;
                 (
                     pipe,
@@ -846,7 +832,7 @@ fn drop_pipeline_member(
 
 fn new_record(
     id: InvocationId,
-    req: &InvocationRequest,
+    req: InvocationRequest,
     node: NodeId,
     now: SimTime,
     mem_limit: u64,
@@ -856,7 +842,7 @@ fn new_record(
         id,
         function: req.function,
         tenant: req.tenant,
-        args: req.args.clone(),
+        args: req.args,
         pipeline: req.pipeline,
         node,
         arrival: now,

@@ -24,7 +24,11 @@ use crate::latency::LatencyModel;
 use crate::{IdHashMap, ObjectId, Payload, StoreError};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::time::Duration;
+
+/// An object's metadata tags.
+type Tags = HashMap<String, String>;
 
 /// Metadata of a stored object.
 #[derive(Debug, Clone)]
@@ -35,8 +39,10 @@ pub struct ObjectMeta {
     pub persisted_version: u64,
     /// Size in bytes of the *latest* version (announced by shadows).
     pub size: u64,
-    /// Free-form metadata tags (feature vectors, content type, …).
-    pub tags: HashMap<String, String>,
+    /// Free-form metadata tags (feature vectors, content type, …), shared
+    /// with the store: a read copies a pointer, never the map. Writes copy
+    /// the map only while a reader still holds the old one.
+    pub tags: Rc<Tags>,
 }
 
 impl ObjectMeta {
@@ -84,6 +90,8 @@ pub struct ObjectStore {
     objects: IdHashMap<ObjectId, StoredObject>,
     observers: Vec<WriteObserver>,
     counters: StoreCounters,
+    /// The one empty tag map every untagged object points at.
+    no_tags: Rc<Tags>,
 }
 
 impl std::fmt::Debug for ObjectStore {
@@ -103,6 +111,7 @@ impl ObjectStore {
             objects: IdHashMap::default(),
             observers: Vec::new(),
             counters: StoreCounters::default(),
+            no_tags: Rc::default(),
         }
     }
 
@@ -163,11 +172,16 @@ impl ObjectStore {
                 obj.meta.version += 1;
                 obj.meta.persisted_version = obj.meta.version;
                 obj.meta.size = size;
-                obj.meta.tags.extend(tags);
+                merge_tags(&mut obj.meta.tags, tags);
                 obj.payload = Some(payload);
                 obj.meta.version
             }
             Entry::Vacant(e) => {
+                let tags = if tags.is_empty() {
+                    Rc::clone(&self.no_tags)
+                } else {
+                    Rc::new(tags)
+                };
                 e.insert(StoredObject {
                     meta: ObjectMeta {
                         version: 1,
@@ -206,7 +220,7 @@ impl ObjectStore {
                         version: 1,
                         persisted_version: 0,
                         size: announced_size,
-                        tags: HashMap::new(),
+                        tags: Rc::clone(&self.no_tags),
                     },
                     payload: None,
                 });
@@ -293,7 +307,7 @@ impl ObjectStore {
     ) -> (Result<(), StoreError>, Duration) {
         let res = match self.objects.get_mut(id) {
             Some(obj) => {
-                obj.meta.tags.extend(tags);
+                merge_tags(&mut obj.meta.tags, tags);
                 Ok(())
             }
             None => Err(StoreError::NotFound(*id)),
@@ -326,6 +340,14 @@ impl ObjectStore {
             .collect();
         keys.sort_unstable();
         (keys, self.latency.meta())
+    }
+}
+
+/// Merges `tags` into `into`, copying the shared map only when there is
+/// something to merge.
+fn merge_tags(into: &mut Rc<Tags>, tags: Tags) {
+    if !tags.is_empty() {
+        Rc::make_mut(into).extend(tags);
     }
 }
 
@@ -449,6 +471,27 @@ mod tests {
         let meta = s.head(&oid("a")).0.unwrap();
         assert_eq!(meta.tags["width"], "640");
         assert_eq!(meta.tags["height"], "480");
+    }
+
+    #[test]
+    fn reads_share_tags_and_keep_them_across_merges() {
+        let mut s = store();
+        let mut t1 = HashMap::new();
+        t1.insert("width".to_string(), "640".to_string());
+        s.put(&oid("a"), Payload::Synthetic(1), t1, false);
+        let before = s.head(&oid("a")).0.unwrap();
+        let (got, _) = s.get(&oid("a")).0.unwrap();
+        assert!(Rc::ptr_eq(&before.tags, &got.tags));
+        let mut t2 = HashMap::new();
+        t2.insert("width".to_string(), "320".to_string());
+        s.set_tags(&oid("a"), t2).0.unwrap();
+        assert_eq!(before.tags["width"], "640");
+        assert_eq!(s.head(&oid("a")).0.unwrap().tags["width"], "320");
+        // Untagged objects share the store's one empty map.
+        s.put(&oid("b"), Payload::Synthetic(1), HashMap::new(), false);
+        s.put_shadow(&oid("c"), 1);
+        let (b, c) = (s.head(&oid("b")).0.unwrap(), s.head(&oid("c")).0.unwrap());
+        assert!(b.tags.is_empty() && Rc::ptr_eq(&b.tags, &c.tags));
     }
 
     #[test]

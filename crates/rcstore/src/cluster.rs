@@ -221,24 +221,25 @@ impl Cluster {
         self.pool_bytes().saturating_sub(self.used_bytes())
     }
 
-    /// Live master bytes charged to `owner` across the cluster
-    /// (O(nodes · log tenants) — node count is a small constant, so this
-    /// is the per-operation quota probe).
+    /// Live master bytes charged to `owner` across the cluster: one hash
+    /// probe per node, and the node count is a small constant — this is
+    /// the per-operation quota probe.
     pub fn owner_used(&self, owner: &Key) -> u64 {
         self.nodes.iter().map(|n| n.owner_used(owner)).sum()
     }
 
     /// Per-tenant live-byte accounting aggregated over every node,
-    /// ascending by owner. O(tenants) — for the periodic fairness gauge
-    /// and tests, never the per-operation hot path.
+    /// ascending by owner. Summed in a hash map, sorted once; O(tenants ·
+    /// log tenants) — for the periodic fairness gauge and tests, never the
+    /// per-operation hot path.
     pub fn owner_usage(&self) -> BTreeMap<Key, u64> {
-        let mut out = BTreeMap::new();
+        let mut sums: IdHashMap<Key, u64> = IdHashMap::default();
         for node in &self.nodes {
             for (owner, used) in node.owner_usages() {
-                *out.entry(*owner).or_insert(0) += used;
+                *sums.entry(*owner).or_insert(0) += used;
             }
         }
-        out
+        sums.into_iter().collect()
     }
 
     /// Up to `max` of `owner`'s masters across the cluster in LRU order

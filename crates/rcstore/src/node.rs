@@ -53,15 +53,18 @@ pub struct StorageNode {
     cold_index: BTreeSet<(SimTime, Key)>,
     /// `n_access` bound of `cold_index` membership.
     cold_threshold: u64,
-    /// Per-tenant LRU sub-index: every master keyed `(owner, t_access,
-    /// key)`, so one tenant's coldest objects are a prefix range scan of
-    /// its own slice — the PR 5 eviction-index approach extended per
-    /// tenant (quota reclamation never sweeps other tenants' objects).
-    owner_idle: BTreeSet<(Key, SimTime, Key)>,
+    /// Per-tenant LRU sub-index: every master keyed `(owner.id(),
+    /// t_access, key)`, so one tenant's coldest objects are a prefix range
+    /// scan of its own slice (quota reclamation never sweeps other
+    /// tenants' objects). The owner's slab id only groups the entries —
+    /// no query spans two owners, so id order is never observed — and
+    /// spares every probe a string compare; inside a slice the order is
+    /// `(t_access, key)`, keys in string order.
+    owner_idle: BTreeSet<(u32, SimTime, Key)>,
     /// Per-tenant live-byte accounting, charged on the same lines as
     /// `used` (`size.max(1)`), so `Σ owner_usage == used` is an invariant.
-    /// O(log tenants) per mutation.
-    owner_usage: BTreeMap<Key, u64>,
+    /// One hash probe per mutation or query; iteration order is arbitrary.
+    owner_usage: IdHashMap<Key, u64>,
 }
 
 impl StorageNode {
@@ -78,7 +81,7 @@ impl StorageNode {
             cold_index: BTreeSet::new(),
             cold_threshold: DEFAULT_COLD_ACCESS_THRESHOLD,
             owner_idle: BTreeSet::new(),
-            owner_usage: BTreeMap::new(),
+            owner_usage: IdHashMap::default(),
         }
     }
 
@@ -185,7 +188,7 @@ impl StorageNode {
         if self.cold_threshold > 0 {
             self.cold_index.insert((now, key));
         }
-        self.owner_idle.insert((owner, now, key));
+        self.owner_idle.insert((owner.id(), now, key));
         *self.owner_usage.entry(owner).or_insert(0) += charge;
         self.used += charge;
         self.master.insert(
@@ -219,8 +222,8 @@ impl StorageNode {
         if prev_access != now {
             self.idle_index.remove(&(prev_access, *key));
             self.idle_index.insert((now, *key));
-            self.owner_idle.remove(&(owner, prev_access, *key));
-            self.owner_idle.insert((owner, now, *key));
+            self.owner_idle.remove(&(owner.id(), prev_access, *key));
+            self.owner_idle.insert((owner.id(), now, *key));
         }
         if n_after == self.cold_threshold {
             // Crossed the §6.3 access bound: permanently out of the cold set.
@@ -253,7 +256,7 @@ impl StorageNode {
     /// Reverses one key's charge to `used` and the per-owner structures.
     fn uncharge(&mut self, owner: Key, t_access: SimTime, key: &Key, charge: u64) {
         self.used -= charge;
-        self.owner_idle.remove(&(owner, t_access, *key));
+        self.owner_idle.remove(&(owner.id(), t_access, *key));
         if let Some(used) = self.owner_usage.get_mut(&owner) {
             *used = used.saturating_sub(charge);
             if *used == 0 {
@@ -267,19 +270,20 @@ impl StorageNode {
         self.owner_usage.get(owner).copied().unwrap_or(0)
     }
 
-    /// Per-owner live-byte accounting, ascending by owner.
+    /// Per-owner live-byte accounting, in arbitrary (hash) order.
     pub fn owner_usages(&self) -> impl Iterator<Item = (&Key, u64)> {
         self.owner_usage.iter().map(|(k, &v)| (k, v))
     }
 
     /// Up to `max` of `owner`'s masters in LRU order, with dirtiness and
-    /// charged size — the quota-reclamation victim feed. Walks only the
-    /// owner's slice of the per-tenant sub-index (O(log n + max)).
+    /// charged size — the quota-reclamation victim feed, ties on
+    /// `t_access` broken by key string. Walks only the owner's slice of
+    /// the per-tenant sub-index (O(log n + max)).
     pub fn owner_victims(&self, owner: &Key, max: usize) -> Vec<(Key, bool, u64, SimTime)> {
         let mut out = Vec::new();
-        let from = (*owner, SimTime::ZERO, Key::from(""));
+        let from = (owner.id(), SimTime::ZERO, Key::from(""));
         for &(o, t_access, key) in self.owner_idle.range(from..) {
-            if o != *owner || out.len() >= max {
+            if o != owner.id() || out.len() >= max {
                 break;
             }
             let Some(obj) = self.master.get(&key) else {

@@ -1,15 +1,19 @@
-//! Naming an object that is already interned costs no heap allocation
-//! (ISSUE 23): `ObjectId::new` and `ObjectId::from_fmt` format the path
-//! into a per-thread scratch buffer and probe the interner with it.
+//! Naming an object that is already interned costs no heap allocation:
+//! `ObjectId::new` and `ObjectId::from_fmt` format the path into a
+//! per-thread scratch buffer and probe the interner with it. Reading a
+//! tagged object back (`ObjectStore::get` / `head`) allocates nothing
+//! either: the metadata shares the stored tag map.
 //!
 //! This file is the only `unsafe` in the workspace outside `benchmark/`: a
 //! counting `#[global_allocator]` cannot be written without it. It lives
 //! here, not under `crates/objstore/tests/`, so that `ofc-intern` and
 //! `ofc-objstore` stay free of the keyword altogether.
 
-use ofc::objstore::ObjectId;
+use ofc::objstore::store::ObjectStore;
+use ofc::objstore::{ObjectId, Payload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::HashMap;
 
 thread_local! {
     /// Allocations made by this thread. Per thread, so the test harness's
@@ -76,4 +80,26 @@ fn naming_an_interned_object_allocates_nothing() {
 
     // The counter does count.
     assert!(allocations(|| drop(std::hint::black_box(String::from("x")))) > 0);
+}
+
+#[test]
+fn reading_a_tagged_object_allocates_nothing() {
+    let mut store = ObjectStore::swift();
+    let id = ObjectId::new("images", "cat.png");
+    let tags: HashMap<String, String> = ["width", "height", "channels", "format", "bytes"]
+        .iter()
+        .map(|k| (k.to_string(), "1".to_string()))
+        .collect();
+    store.put(&id, Payload::Synthetic(640 * 1024), tags, false);
+
+    let count = allocations(|| {
+        for _ in 0..100 {
+            let (meta, payload) = store.get(&id).0.expect("stored");
+            assert_eq!(meta.tags.len(), 5);
+            assert_eq!(payload.len(), 640 * 1024);
+            let meta = store.head(&id).0.expect("stored");
+            assert_eq!(meta.tags["width"], "1");
+        }
+    });
+    assert_eq!(count, 0, "allocations while reading a tagged object");
 }
