@@ -347,7 +347,10 @@ impl Ofc {
         // knobs are on, so default runs stay event-for-event identical.
         let (replicated, gossip) = {
             let c = self.cluster.borrow();
-            (c.coordinator().is_replicated(), c.gossip_enabled())
+            (
+                c.coordinator().is_replicated(),
+                c.membership().gossip().enabled(),
+            )
         };
         if replicated {
             start_coordinator_tick(sim, Rc::clone(&self.cluster));

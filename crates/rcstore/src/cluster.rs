@@ -1,15 +1,18 @@
-//! The cluster: coordinator (tablet map, replica placement), client
-//! operations, migration-by-promotion, and crash recovery.
+//! The cluster driver: storage nodes, the tablet map and replica sets,
+//! client operations, migration-by-promotion, and crash recovery. The
+//! coordinator's view of the cluster (leader, observed liveness,
+//! reachability, parked recoveries) is the [`Membership`] core it steps.
 
-use crate::gossip::{GossipEvent, GossipPlane, MemberState};
+use crate::gossip::{GossipEvent, MemberState};
 use crate::latency::RcLatency;
+use crate::membership::{Membership, Partition};
 use crate::node::StorageNode;
 use crate::raft::{ReplicaId, ReplicatedCoordinator};
 use crate::{AccessStats, ClusterConfig, Key, NodeId, RcError, ReadLocality, Timed, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Histogram, Telemetry};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Pre-registered recording handles for the store's `rcstore.*` metrics
@@ -54,7 +57,9 @@ impl ClusterMetrics {
     }
 }
 
-/// The distributed cache store. See the crate docs for an example.
+/// The distributed cache store: the data plane (nodes, tablet map,
+/// replica sets, fencing) and the control-plane decisions that act on it.
+/// See the crate docs for an example.
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
@@ -73,29 +78,15 @@ pub struct Cluster {
     transient_budget: u32,
     /// Per-node latency inflation factor (1.0 = nominal).
     slowdown: Vec<f64>,
-    /// The replicated control plane (inert single authority by default).
-    /// Coordinator replica `r` is co-located with storage node `r`, so
-    /// partitions split the group the same way they split the data plane;
-    /// coordinator and storage processes fail independently
-    /// (`crash_coordinator` vs `crash_node`).
-    coord: ReplicatedCoordinator,
-    /// Observed membership (inert unless `cfg.gossip.enabled`): replaces
-    /// the omniscient crash/restart recovery trigger with SWIM-style
-    /// suspect/confirm rounds.
-    gossip: GossipPlane,
-    /// Active network partition: node → reachability group (`None` = fully
-    /// connected). Two nodes interact only within one group.
-    partition: Option<Vec<usize>>,
-    /// Nodes whose failure recovery is deferred until the control plane
-    /// regains a quorum (drained by [`Cluster::coordinator_pump`]).
-    pending_recovery: BTreeSet<NodeId>,
+    /// The coordinator group, gossip plane, partition, parked recoveries
+    /// and control-plane clock. Coordinator replica `r` is co-located with
+    /// storage node `r`; coordinator and storage processes fail
+    /// independently (`crash_coordinator` vs `crash_node`).
+    membership: Membership,
     /// Master keys re-owned away from an unreachable-but-alive node
     /// (fencing); their stale physical copies are expunged once the node
     /// is reachable again.
     fenced: BTreeMap<NodeId, Vec<Key>>,
-    /// Latest virtual instant any timed operation observed — the clock
-    /// used by control-plane gates on untimed operations (evict/delete).
-    clock: SimTime,
 }
 
 impl Cluster {
@@ -125,8 +116,7 @@ impl Cluster {
         let telemetry = Telemetry::new();
         let metrics = ClusterMetrics::new(&telemetry);
         let slowdown = vec![1.0; cfg.nodes];
-        let coord = ReplicatedCoordinator::new(cfg.raft.clone(), &telemetry);
-        let gossip = GossipPlane::new(cfg.gossip.clone(), cfg.nodes, &telemetry);
+        let membership = Membership::new(&cfg, &telemetry);
         Cluster {
             cfg,
             latency: RcLatency::default(),
@@ -137,12 +127,8 @@ impl Cluster {
             metrics,
             transient_budget: 0,
             slowdown,
-            coord,
-            gossip,
-            partition: None,
-            pending_recovery: BTreeSet::new(),
+            membership,
             fenced: BTreeMap::new(),
-            clock: SimTime::ZERO,
         }
     }
 
@@ -151,14 +137,14 @@ impl Cluster {
         &self.cfg
     }
 
-    /// Rebinds the store onto a shared observability plane, re-registering
-    /// every `rcstore.*` metric there. Call before the first operation so
-    /// no samples land on the discarded standalone plane.
+    /// Rebinds the store onto a shared observability plane, registering
+    /// every `rcstore.*` metric there, and `raft.*` and `gossip.*` when
+    /// those planes are on. Call before the first operation: the control
+    /// plane is rebuilt in its initial state on the new plane.
     pub fn bind_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         self.metrics = ClusterMetrics::new(&self.telemetry);
-        self.coord.bind_telemetry(&self.telemetry);
-        self.gossip.bind_telemetry(&self.telemetry);
+        self.membership = Membership::new(&self.cfg, &self.telemetry);
     }
 
     /// The observability plane this store records into.
@@ -345,8 +331,8 @@ impl Cluster {
         // Control-plane gate: the write's tablet assignment must commit on
         // a coordinator quorum reachable from the writer (free and
         // infallible with a single-replica coordinator).
-        if let Err(e) = self.coord_gate(home, now) {
-            return Timed::new(Err(e), Duration::ZERO);
+        if !self.membership.gate(Some(home), now) {
+            return Timed::new(Err(RcError::Transient), Duration::ZERO);
         }
         // An overwrite first retires the previous placement.
         if self.tablet.contains_key(key) {
@@ -366,15 +352,11 @@ impl Cluster {
         if let Err(e) = self.nodes[master].insert_master(*key, value.clone(), now, dirty) {
             return Timed::new(Err(e), Duration::ZERO);
         }
-        let backups = self.pick_backups(master);
-        for &b in &backups {
-            // ofc-lint: allow(hotloop) reason=replication fan-out hands each backup an owned value; Bytes-backed refcount bump
-            self.nodes[b].store_backup(*key, value.clone());
-        }
+        let backups = self.replicate(key, master, &value, Vec::new());
         // Commit the assignment through the replicated log (free no-op in
         // single-replica mode); the gate above guarantees the quorum, so
         // this cannot fail between the gate and here.
-        let commit = self.commit();
+        let commit = self.membership.commit();
         self.tablet.insert(*key, master);
         self.replicas.insert(*key, backups);
         self.metrics.writes.inc();
@@ -398,7 +380,7 @@ impl Cluster {
         };
         // Reads use the client-cached tablet map (no quorum round trip, as
         // in RAMCloud) but still need a network path to the master.
-        if !self.reachable(from, master) {
+        if !self.membership.partition().reachable(from, master) {
             self.metrics.misses.inc();
             return Timed::new(Err(RcError::NodeUnavailable(master)), Duration::ZERO);
         }
@@ -439,10 +421,10 @@ impl Cluster {
         if self.nodes[master].peek_master(key).is_some_and(|o| o.dirty) {
             return Timed::new(Err(RcError::Dirty(*key)), Duration::ZERO);
         }
-        if let Err(e) = self.coord_gate(self.coord_origin(), self.clock) {
-            return Timed::new(Err(e), Duration::ZERO);
+        if !self.membership.gate_internal(None) {
+            return Timed::new(Err(RcError::Transient), Duration::ZERO);
         }
-        self.commit();
+        self.membership.commit();
         let size = self.remove_entry(key);
         self.metrics.evictions.inc();
         Timed::new(Ok(size), self.latency.delete_base)
@@ -454,10 +436,10 @@ impl Cluster {
         if !self.tablet.contains_key(key) {
             return Timed::new(Err(RcError::NotFound(*key)), Duration::ZERO);
         }
-        if let Err(e) = self.coord_gate(self.coord_origin(), self.clock) {
-            return Timed::new(Err(e), Duration::ZERO);
+        if !self.membership.gate_internal(None) {
+            return Timed::new(Err(RcError::Transient), Duration::ZERO);
         }
-        self.commit();
+        self.membership.commit();
         let size = self.remove_entry(key);
         Timed::new(Ok(size), self.latency.delete_base)
     }
@@ -471,20 +453,15 @@ impl Cluster {
         key: &Key,
         now: SimTime,
     ) -> Timed<Result<NodeId, RcError>> {
-        if let Err(e) = self.coord_gate(self.coord_origin(), now) {
-            return Timed::new(Err(e), Duration::ZERO);
+        if !self.membership.gate_internal(Some(now)) {
+            return Timed::new(Err(RcError::Transient), Duration::ZERO);
         }
         let Some(&old_master) = self.tablet.get(key) else {
             return Timed::new(Err(RcError::NotFound(*key)), Duration::ZERO);
         };
-        let size = self.nodes[old_master]
+        let (size, dirty) = self.nodes[old_master]
             .peek_master(key)
-            .map(|o| o.value.size())
-            .unwrap_or(0);
-        let dirty = self.nodes[old_master]
-            .peek_master(key)
-            .map(|o| o.dirty)
-            .unwrap_or(false);
+            .map_or((0, false), |o| (o.value.size(), o.dirty));
         // Elect the backup with the most available memory.
         let backups = self.backups_of(key).to_vec();
         let new_master = backups
@@ -508,7 +485,7 @@ impl Cluster {
             .into_iter()
             .map(|b| if b == new_master { old_master } else { b })
             .collect();
-        let commit = self.commit();
+        let commit = self.membership.commit();
         self.replicas.insert(*key, new_backups);
         self.metrics.promotions.inc();
         let latency = self.latency.promote(size) + commit;
@@ -557,25 +534,14 @@ impl Cluster {
         if node >= self.nodes.len() || !self.nodes[node].is_up() {
             return Timed::new(0, Duration::ZERO);
         }
-        self.clock = self.clock.max(now);
         self.nodes[node].set_up(false);
-        if self.gossip.enabled() {
-            // Failure detection is the membership plane's job now: recovery
-            // starts once a quorum-side probe confirms the death (or the
-            // node restarts first), not at the instant of the crash.
+        self.membership.observe(now);
+        // Under gossip, failure detection is the membership plane's job:
+        // recovery starts once a quorum-side probe confirms the death (or
+        // the node restarts first), not at the instant of the crash. A
+        // headless control plane parks the recovery for the pump.
+        if self.membership.gossip().enabled() || !self.membership.act_or_park(node, None, now) {
             return Timed::new(0, Duration::ZERO);
-        }
-        if self.coord.is_replicated() {
-            self.coord.tick(now, self.partition.as_deref());
-            if !self
-                .coord
-                .can_serve(self.coord_origin(), self.partition.as_deref())
-            {
-                // Headless control plane: park the recovery until a leader
-                // with a quorum is back (drained by `coordinator_pump`).
-                self.pending_recovery.insert(node);
-                return Timed::new(0, Duration::ZERO);
-            }
         }
         self.recover_crashed(node, now)
     }
@@ -586,7 +552,7 @@ impl Cluster {
     /// through it.
     fn recover_crashed(&mut self, node: NodeId, now: SimTime) -> Timed<usize> {
         let (lost, latency) = self.recover_tablets_of(node, now);
-        self.top_up_weakened_for(node);
+        self.top_up_where(|c, k| c.backups_of(k).contains(&node), |_, b, _| b != node);
         self.metrics.objects_lost.add(lost as u64);
         self.metrics.recovery_nanos.record_duration(latency);
         Timed::new(lost, latency)
@@ -598,9 +564,9 @@ impl Cluster {
     /// copies are *fenced* (left in place, expunged once reachable again)
     /// rather than declared lost. Returns `(objects lost, latency)`.
     fn recover_tablets_of(&mut self, node: NodeId, now: SimTime) -> (usize, Duration) {
-        let origin = self.coord_origin();
+        let origin = self.membership.origin();
         let node_alive = self.nodes[node].is_up();
-        let node_reachable = self.reachable(origin, node);
+        let node_reachable = self.membership.partition().reachable(origin, node);
         let mut latency = Duration::ZERO;
         let mut lost = 0usize;
         let mut orphaned: Vec<Key> = self
@@ -619,53 +585,40 @@ impl Cluster {
                 .iter()
                 .copied()
                 .filter(|&b| {
-                    self.nodes[b].is_up()
-                        && self.nodes[b].has_backup(&key)
-                        && self.reachable(origin, b)
+                    self.holds_backup(b, &key) && self.membership.partition().reachable(origin, b)
                 })
                 // ofc-lint: allow(hotloop) reason=recovery snapshots the surviving backup set before mutating nodes
                 .collect();
-            let Some(&new_master) = survivors.first() else {
-                if node_alive && !node_reachable {
-                    // The only copy lives across the partition: leave the
-                    // tablet pointed there (reads fail transiently) rather
-                    // than declare an acked write lost.
-                    continue;
-                }
+            let promoted = match survivors.first() {
+                Some(&m) => self.nodes[m]
+                    .promote_backup(&key, now, false)
+                    .is_ok()
+                    .then_some(m),
+                // The only copy lives across the partition: leave the
+                // tablet pointed there (reads fail transiently) rather
+                // than declare an acked write lost.
+                None if node_alive && !node_reachable => continue,
                 // A live backup across the partition still holds a copy:
                 // park the node so the pump re-walks it once the
                 // partition heals, instead of declaring the write lost.
-                let copy_across_partition = self.backups_of(&key).iter().any(|&b| {
-                    self.nodes[b].is_up()
-                        && self.nodes[b].has_backup(&key)
-                        && !self.reachable(origin, b)
-                });
-                if copy_across_partition {
-                    self.pending_recovery.insert(node);
+                None if self.backups_of(&key).iter().any(|&b| {
+                    self.holds_backup(b, &key) && !self.membership.partition().reachable(origin, b)
+                }) =>
+                {
+                    self.membership.park(node);
                     continue;
                 }
-                self.commit();
+                None => None,
+            };
+            let Some(new_master) = promoted else {
+                self.membership.commit();
                 self.remove_entry(&key);
                 lost += 1;
                 continue;
             };
-            let size = self.nodes[new_master]
-                .peek_master(&key)
-                .map(|o| o.value.size())
-                .unwrap_or_else(|| {
-                    // Size comes from the backup copy being promoted.
-                    0
-                });
-            if self.nodes[new_master]
-                .promote_backup(&key, now, false)
-                .is_err()
-            {
-                self.commit();
-                self.remove_entry(&key);
-                lost += 1;
-                continue;
-            }
-            latency += self.latency.promote(size.max(1));
+            // Every recovered object is charged a 1-byte promotion whatever
+            // its size: the goldens pin that charge.
+            latency += self.latency.promote(1);
             if node_alive && !node_reachable && self.nodes[node].has_master(&key) {
                 // Fence the unreachable-but-alive old master: its stale
                 // copy stays physical until the partition heals.
@@ -680,26 +633,33 @@ impl Cluster {
                 // ofc-lint: allow(hotloop) reason=promoted master's value feeds re-replication as an owned copy
                 .map(|o| o.value.clone());
             let backups = match value {
-                Some(value) => self.top_up_replication(&key, new_master, &value, backups),
+                Some(value) => self.replicate(&key, new_master, &value, backups),
                 None => backups,
             };
-            self.commit();
+            self.membership.commit();
             self.replicas.insert(key, backups);
         }
         (lost, latency)
     }
 
-    /// Restores the replication factor of objects whose backup set named
-    /// `node` (the crash path's weakened walk).
-    fn top_up_weakened_for(&mut self, node: NodeId) {
-        let mut weakened: Vec<Key> = self
+    /// Restores the replication factor of every object `weakened` selects,
+    /// in key order: its backups that `keep` accepts stay, and ring
+    /// successors of its master fill the rest. The crash walk selects the
+    /// objects that replicated through the dead node; the rejoin and heal
+    /// walk, every object short of live backup copies.
+    fn top_up_where(
+        &mut self,
+        weakened: impl Fn(&Self, &Key) -> bool,
+        keep: impl Fn(&Self, NodeId, &Key) -> bool,
+    ) {
+        let mut keys: Vec<Key> = self
             .replicas
-            .iter()
-            .filter(|(_, bs)| bs.contains(&node))
-            .map(|(k, _)| *k)
+            .keys()
+            .filter(|k| weakened(self, k))
+            .copied()
             .collect();
-        weakened.sort();
-        for key in weakened {
+        keys.sort();
+        for key in keys {
             let Some(&master) = self.tablet.get(&key) else {
                 continue;
             };
@@ -711,10 +671,10 @@ impl Cluster {
             let backups: Vec<NodeId> = self.replicas[&key]
                 .iter()
                 .copied()
-                .filter(|&b| b != node)
-                // ofc-lint: allow(hotloop) reason=recovery snapshots the remaining backup set before mutating nodes
+                .filter(|&b| keep(self, b, &key))
+                // ofc-lint: allow(hotloop) reason=recovery snapshots the kept backup set before mutating nodes
                 .collect();
-            let backups = self.top_up_replication(&key, master, &value, backups);
+            let backups = self.replicate(&key, master, &value, backups);
             self.replicas.insert(key, backups);
         }
     }
@@ -730,77 +690,44 @@ impl Cluster {
         if node >= self.nodes.len() {
             return;
         }
-        self.clock = self.clock.max(now);
         self.nodes[node].set_up(true);
-        if self.coord.is_replicated() {
-            self.coord.tick(now, self.partition.as_deref());
-            if !self
-                .coord
-                .can_serve(self.coord_origin(), self.partition.as_deref())
-            {
-                self.pending_recovery.insert(node);
-                return;
-            }
+        if self.membership.act_or_park(node, None, now) {
+            self.reconcile_rejoin(node, now);
         }
-        self.pending_recovery.remove(&node);
-        self.reconcile_rejoin(node, now);
     }
 
-    /// A node's rejoin reconciliation: rescue tablets still pinned to it
-    /// (it rejoined empty), drop fenced copies it no longer owns, and top
-    /// up every under-replicated object now that it hosts backups again.
+    /// A node's rejoin reconciliation: release it from the parked set,
+    /// rescue tablets still pinned to it (it rejoined empty), drop fenced
+    /// copies it no longer owns, and top up every under-replicated object
+    /// now that it hosts backups again.
     fn reconcile_rejoin(&mut self, node: NodeId, now: SimTime) {
+        self.membership.unpark(node);
         self.expunge_fenced(node);
         let (lost, latency) = self.recover_tablets_of(node, now);
         if lost > 0 || latency > Duration::ZERO {
             self.metrics.objects_lost.add(lost as u64);
             self.metrics.recovery_nanos.record_duration(latency);
         }
-        self.top_up_all_weakened();
-    }
-
-    /// Tops up every object whose physical backup count fell below the
-    /// replication factor (restart/heal reconciliation).
-    fn top_up_all_weakened(&mut self) {
-        let mut weakened: Vec<Key> = self
-            .replicas
-            .iter()
-            .filter(|(key, backups)| {
-                let live = backups
-                    .iter()
-                    .filter(|&&b| self.nodes[b].is_up() && self.nodes[b].has_backup(key))
-                    .count();
-                live < self.cfg.replication_factor
-            })
-            .map(|(k, _)| *k)
-            .collect();
-        weakened.sort();
-        for key in weakened {
-            let Some(&master) = self.tablet.get(&key) else {
-                continue;
-            };
-            let value = match self.nodes[master].peek_master(&key) {
-                // ofc-lint: allow(hotloop) reason=master's value feeds re-replication as an owned copy
-                Some(o) => o.value.clone(),
-                None => continue,
-            };
-            let backups: Vec<NodeId> = self.replicas[&key]
-                .iter()
-                .copied()
-                .filter(|&b| self.nodes[b].is_up() && self.nodes[b].has_backup(&key))
-                // ofc-lint: allow(hotloop) reason=recovery snapshots the live backup set before mutating nodes
-                .collect();
-            let backups = self.top_up_replication(&key, master, &value, backups);
-            self.replicas.insert(key, backups);
-        }
+        self.top_up_where(Self::under_replicated, Self::holds_backup);
     }
 
     /// Current replication factor of `key` (backup copies actually present).
     pub fn live_replicas(&self, key: &Key) -> usize {
         self.backups_of(key)
             .iter()
-            .filter(|&&b| self.nodes[b].is_up() && self.nodes[b].has_backup(key))
+            .filter(|&&b| self.holds_backup(b, key))
             .count()
+    }
+
+    /// Whether `key` has fewer live backup copies than the replication
+    /// factor (the rejoin and heal walks' selection).
+    fn under_replicated(&self, key: &Key) -> bool {
+        self.live_replicas(key) < self.cfg.replication_factor
+    }
+
+    /// Whether `node` is up and holds a backup copy of `key`.
+    fn holds_backup(&self, node: NodeId, key: &Key) -> bool {
+        self.nodes[node].is_up() && self.nodes[node].has_backup(key)
     }
 
     /// Clone of the cached value of `key`, without touching access stats.
@@ -850,23 +777,8 @@ impl Cluster {
     /// split together: coordinator replica `r` is co-located with storage
     /// node `r`, so an isolated minority loses the control plane too.
     pub fn partition_network(&mut self, groups: &[Vec<NodeId>], now: SimTime) {
-        self.clock = self.clock.max(now);
-        let mut assign = vec![usize::MAX; self.nodes.len()];
-        for (g, members) in groups.iter().enumerate() {
-            for &m in members {
-                if let Some(slot) = assign.get_mut(m) {
-                    *slot = g;
-                }
-            }
-        }
-        let mut next = groups.len();
-        for slot in &mut assign {
-            if *slot == usize::MAX {
-                *slot = next;
-                next += 1;
-            }
-        }
-        self.partition = Some(assign);
+        let partition = Partition::split(groups, self.nodes.len());
+        self.membership.set_partition(partition, now);
         self.coordinator_pump(now);
     }
 
@@ -874,18 +786,15 @@ impl Cluster {
     /// control plane re-elects across the full group, deferred recoveries
     /// drain, and partition-era short replication is topped back up.
     pub fn heal_partition(&mut self, now: SimTime) {
-        self.clock = self.clock.max(now);
-        self.partition = None;
+        self.membership.set_partition(Partition::CONNECTED, now);
         let fenced: Vec<NodeId> = self.fenced.keys().copied().collect();
         for node in fenced {
             self.expunge_fenced(node);
         }
         self.coordinator_pump(now);
-        if self
-            .coord
-            .can_serve(self.coord_origin(), self.partition.as_deref())
-        {
-            self.top_up_all_weakened();
+        // The pump already ticked the group at `now`: this gate only asks.
+        if self.membership.gate(None, now) {
+            self.top_up_where(Self::under_replicated, Self::holds_backup);
         }
     }
 
@@ -895,69 +804,44 @@ impl Cluster {
     /// The runtime schedules this at the raft heartbeat interval; fault
     /// and heal paths call it inline.
     pub fn coordinator_pump(&mut self, now: SimTime) {
-        self.clock = self.clock.max(now);
-        self.coord.tick(now, self.partition.as_deref());
-        if !self
-            .coord
-            .can_serve(self.coord_origin(), self.partition.as_deref())
-        {
+        let Some(ready) = self.membership.drain(now, |n| self.nodes[n].is_up()) else {
             return;
-        }
-        let pending: Vec<NodeId> = self.pending_recovery.iter().copied().collect();
-        let mut drained = false;
-        for node in pending {
-            // A down node's re-walk only becomes productive when the
-            // partition state changes (heal pumps right after clearing
-            // it); keep it parked rather than churn every heartbeat. Up
-            // nodes — rejoins, alive-but-unreachable verdicts — reconcile
-            // immediately.
-            if !self.nodes[node].is_up() && self.partition.is_some() {
-                continue;
+        };
+        for &node in &ready {
+            if self.in_reach(node) {
+                self.reconcile_rejoin(node, now);
+            } else {
+                self.recover_crashed(node, now);
             }
-            self.pending_recovery.remove(&node);
-            self.reconcile_node(node, now);
-            drained = true;
         }
-        if drained {
-            self.top_up_all_weakened();
+        if !ready.is_empty() {
+            self.top_up_where(Self::under_replicated, Self::holds_backup);
         }
     }
 
     /// Runs one gossip probe round at `now` and applies its membership
     /// transitions: quorum-side confirmations trigger recovery (or fencing
     /// of unreachable-but-alive nodes), quorum-side rejoins reconcile, and
-    /// minority-side observations park in the deferred queue. Returns the
-    /// round's events (inspection).
+    /// minority-side observations park for the pump, which re-checks
+    /// liveness before acting. Returns the round's events (inspection).
     pub fn gossip_round(&mut self, now: SimTime) -> Vec<GossipEvent> {
-        self.clock = self.clock.max(now);
-        let up: Vec<bool> = self.nodes.iter().map(StorageNode::is_up).collect();
-        let partition = self.partition.clone();
-        let events = self.gossip.round(
-            now,
-            |n| up.get(n).copied().unwrap_or(false),
-            |a, b| match &partition {
-                Some(groups) => groups.get(a) == groups.get(b),
-                None => true,
-            },
-        );
+        let events = self
+            .membership
+            .gossip_round(now, |n| self.nodes.get(n).is_some_and(StorageNode::is_up));
         for &event in &events {
             match event {
                 GossipEvent::Confirmed { node, observer } => {
-                    if self.coord_observed_quorum(observer) {
-                        self.handle_confirmed_dead(node, now);
-                    } else {
-                        // A minority-side confirmation cannot mutate the
-                        // tablet map; remember it for the pump, which
-                        // re-checks liveness before acting.
-                        self.pending_recovery.insert(node);
+                    // A node that is in fact up and reachable is a gossip
+                    // false positive: a later probe will refute it.
+                    if self.membership.act_or_park(node, Some(observer), now)
+                        && !self.in_reach(node)
+                    {
+                        self.recover_crashed(node, now);
                     }
                 }
                 GossipEvent::Rejoined { node, observer } => {
-                    if self.coord_observed_quorum(observer) {
-                        self.pending_recovery.remove(&node);
+                    if self.membership.act_or_park(node, Some(observer), now) {
                         self.reconcile_rejoin(node, now);
-                    } else {
-                        self.pending_recovery.insert(node);
                     }
                 }
                 GossipEvent::Suspected { .. } | GossipEvent::Refuted { .. } => {}
@@ -969,15 +853,13 @@ impl Cluster {
     /// Crashes coordinator replica `r` (the co-located storage node keeps
     /// serving data: the processes fail independently).
     pub fn crash_coordinator(&mut self, r: ReplicaId, now: SimTime) {
-        self.clock = self.clock.max(now);
-        self.coord.crash_replica(r, now);
+        self.membership.crash_coordinator(r, now);
     }
 
     /// Restarts coordinator replica `r`; it catches up by log replay or
     /// snapshot install on the next tick.
     pub fn restart_coordinator(&mut self, r: ReplicaId, now: SimTime) {
-        self.clock = self.clock.max(now);
-        self.coord.restart_replica(r, now);
+        self.membership.restart_coordinator(r, now);
         self.coordinator_pump(now);
     }
 
@@ -985,7 +867,7 @@ impl Cluster {
     /// classic Raft partition drill). Returns the isolated replica, or
     /// `None` when there is no leader to isolate.
     pub fn isolate_leader(&mut self, now: SimTime) -> Option<ReplicaId> {
-        let leader = self.coord.leader()?;
+        let leader = self.membership.coordinator().leader()?;
         let rest: Vec<NodeId> = (0..self.nodes.len()).filter(|&n| n != leader).collect();
         self.partition_network(&[vec![leader], rest], now);
         Some(leader)
@@ -993,50 +875,33 @@ impl Cluster {
 
     /// The replicated coordinator group (inspection).
     pub fn coordinator(&self) -> &ReplicatedCoordinator {
-        &self.coord
+        self.membership.coordinator()
     }
 
-    /// Whether gossip membership is active.
-    pub fn gossip_enabled(&self) -> bool {
-        self.gossip.enabled()
+    /// The membership core (inspection).
+    pub fn membership(&self) -> &Membership {
+        &self.membership
     }
 
     /// Observed membership state of `node` (always `Alive` when gossip is
     /// disabled: the control plane is omniscient).
     pub fn member_state(&self, node: NodeId) -> MemberState {
-        self.gossip.state(node)
-    }
-
-    /// Whether a network partition is active.
-    pub fn partitioned(&self) -> bool {
-        self.partition.is_some()
+        self.membership.gossip().state(node)
     }
 
     /// Number of node recoveries deferred until the control plane regains
     /// a quorum.
     pub fn deferred_recoveries(&self) -> usize {
-        self.pending_recovery.len()
+        self.membership.parked()
     }
 
-    /// Routes a deferred or gossip-confirmed node event to the right
-    /// reconciliation: a node that is up and reachable again rejoins; one
-    /// that is down or across the partition is recovered/fenced.
-    fn reconcile_node(&mut self, node: NodeId, now: SimTime) {
-        if self.nodes[node].is_up() && self.reachable(self.coord_origin(), node) {
-            self.reconcile_rejoin(node, now);
-        } else {
-            self.recover_crashed(node, now);
-        }
-    }
-
-    /// Acts on a quorum-side death confirmation. Guards against gossip
-    /// false positives: a node that is in fact up and reachable is left
-    /// alone (a later probe will refute the suspicion).
-    fn handle_confirmed_dead(&mut self, node: NodeId, now: SimTime) {
-        if self.nodes[node].is_up() && self.reachable(self.coord_origin(), node) {
-            return;
-        }
-        self.recover_crashed(node, now);
+    /// Whether `node` is up and reachable from the coordinator.
+    fn in_reach(&self, node: NodeId) -> bool {
+        self.nodes[node].is_up()
+            && self
+                .membership
+                .partition()
+                .reachable(self.membership.origin(), node)
     }
 
     /// Drops the stale master copies fenced on `node` for keys the quorum
@@ -1049,59 +914,6 @@ impl Cluster {
             if self.tablet.get(&key) != Some(&node) {
                 self.nodes[node].remove_master(&key);
             }
-        }
-    }
-
-    /// Admission gate for control-plane mutations: with a replicated
-    /// coordinator the mutation needs a leader holding a quorum reachable
-    /// from `origin`; otherwise it fails transiently. Free and infallible
-    /// in single-replica mode.
-    fn coord_gate(&mut self, origin: NodeId, now: SimTime) -> Result<(), RcError> {
-        self.clock = self.clock.max(now);
-        if !self.coord.is_replicated() {
-            return Ok(());
-        }
-        self.coord.tick(now, self.partition.as_deref());
-        if self.coord.can_serve(origin, self.partition.as_deref()) {
-            Ok(())
-        } else {
-            Err(RcError::Transient)
-        }
-    }
-
-    /// Commits one tablet-map mutation (an assignment or a retirement)
-    /// through the replicated log, returning the commit latency to charge
-    /// (zero in single-replica mode). Callers gate first, so a quorum loss
-    /// between gate and commit is the only (benign, zero-latency) failure
-    /// path.
-    fn commit(&mut self) -> Duration {
-        if !self.coord.is_replicated() {
-            return Duration::ZERO;
-        }
-        let origin = self.coord_origin();
-        self.coord
-            .propose(origin, self.clock, self.partition.as_deref())
-            .unwrap_or(Duration::ZERO)
-    }
-
-    /// Whether `observer`'s side of the network holds the coordinator
-    /// quorum (always true with the single-replica coordinator).
-    fn coord_observed_quorum(&self, observer: NodeId) -> bool {
-        self.coord.can_serve(observer, self.partition.as_deref())
-    }
-
-    /// The node a coordinator-internal operation originates from: the
-    /// leader's co-located node, or node 0 while headless.
-    fn coord_origin(&self) -> NodeId {
-        self.coord.leader().unwrap_or(0)
-    }
-
-    /// Whether nodes `a` and `b` can exchange messages under the current
-    /// partition (same reachability group, or no partition at all).
-    fn reachable(&self, a: NodeId, b: NodeId) -> bool {
-        match &self.partition {
-            Some(groups) => groups.get(a) == groups.get(b),
-            None => true,
         }
     }
 
@@ -1141,7 +953,9 @@ impl Cluster {
 
     fn place_master(&self, home: NodeId, size: u64) -> Option<NodeId> {
         let fits = |n: &StorageNode| {
-            n.is_up() && n.available_bytes() >= size.max(1) && self.reachable(home, n.id())
+            n.is_up()
+                && n.available_bytes() >= size.max(1)
+                && self.membership.partition().reachable(home, n.id())
         };
         if home < self.nodes.len() && fits(&self.nodes[home]) {
             return Some(home);
@@ -1162,39 +976,27 @@ impl Cluster {
             .unwrap_or(0)
     }
 
-    fn pick_backups(&self, master: NodeId) -> Vec<NodeId> {
-        self.ring_from(master)
-            .filter(|&n| n != master && self.nodes[n].is_up() && self.reachable(master, n))
-            .take(self.cfg.replication_factor)
-            .collect()
-    }
-
-    fn ring_from(&self, start: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let n = self.nodes.len();
-        (1..=n).map(move |i| (start + i) % n)
-    }
-
     /// Walks the ring from `master`, storing backup copies of `key` on
-    /// live nodes until `backups` reaches the replication factor. Shared
-    /// tail of the crash/restart re-replication paths.
-    fn top_up_replication(
+    /// live nodes it reaches until `backups` holds the replication factor.
+    /// A write places its backups from none; recovery tops up survivors.
+    fn replicate(
         &mut self,
         key: &Key,
         master: NodeId,
         value: &Value,
         mut backups: Vec<NodeId>,
     ) -> Vec<NodeId> {
-        let ring: Vec<NodeId> = self.ring_from(master).collect();
-        for candidate in ring {
+        let n = self.nodes.len();
+        for candidate in (1..=n).map(|i| (master + i) % n) {
             if backups.len() >= self.cfg.replication_factor {
                 break;
             }
             if candidate != master
                 && self.nodes[candidate].is_up()
-                && self.reachable(master, candidate)
+                && self.membership.partition().reachable(master, candidate)
                 && !backups.contains(&candidate)
             {
-                // ofc-lint: allow(hotloop) reason=re-replication hands each new backup an owned value; Bytes-backed refcount bump
+                // ofc-lint: allow(hotloop) reason=replication hands each new backup an owned value; Bytes-backed refcount bump
                 self.nodes[candidate].store_backup(*key, value.clone());
                 backups.push(candidate);
             }
@@ -1684,7 +1486,7 @@ mod failover_tests {
         // 2-of-3 quorum with nodes 1-3.
         c.partition_network(&[vec![0], vec![1, 2, 3]], SimTime::from_secs(1));
         let t = settle(&mut c, SimTime::from_secs(1));
-        assert!(c.partitioned());
+        assert!(c.membership().partition().is_split());
         // Minority side: typed transient rejection, never silent loss.
         let w = c.write(0, &key("m"), Value::synthetic(100), t);
         assert!(matches!(w.result, Err(RcError::Transient)));

@@ -1,8 +1,8 @@
 //! SWIM-style gossip membership — observed node liveness for the control
 //! plane.
 //!
-//! With gossip enabled the coordinator no longer learns of node failures
-//! by omniscience (the `crash_node` caller running recovery inline): each
+//! With gossip enabled the coordinator learns of node failures by
+//! observation rather than omnisciently from the `crash_node` caller: each
 //! probe round, every live node pings one seeded-random peer; an
 //! unreachable or dead peer becomes **Suspect**, a suspect that survives
 //! the confirmation window without a successful probe is **Confirmed
@@ -24,6 +24,7 @@
 //! With `enabled = false` (the default) the plane registers no telemetry
 //! and draws no randomness.
 
+use crate::membership::Partition;
 use crate::NodeId;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Telemetry};
@@ -151,14 +152,6 @@ impl GossipPlane {
         }
     }
 
-    /// Re-registers the gossip metrics on a shared telemetry plane (no-op
-    /// when disabled).
-    pub fn bind_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.cfg.enabled {
-            self.metrics = Some(GossipMetrics::new(telemetry));
-        }
-    }
-
     /// Whether observed membership is active.
     pub fn enabled(&self) -> bool {
         self.cfg.enabled
@@ -174,13 +167,13 @@ impl GossipPlane {
 
     /// Runs one probe round: each physically-up node probes one seeded-
     /// random peer; `up(n)` is ground-truth process liveness and
-    /// `reachable(a, b)` the current partition reachability. Returns the
-    /// membership transitions this round produced, in observer order.
+    /// `partition` the current reachability. Returns the membership
+    /// transitions this round produced, in observer order.
     pub fn round(
         &mut self,
         now: SimTime,
         up: impl Fn(NodeId) -> bool,
-        reachable: impl Fn(NodeId, NodeId) -> bool,
+        partition: &Partition,
     ) -> Vec<GossipEvent> {
         if !self.cfg.enabled || self.members.len() < 2 {
             return Vec::new();
@@ -197,7 +190,7 @@ impl GossipPlane {
             // Pick a peer uniformly among the other members.
             let draw = self.rng.gen_range(0..n - 1);
             let target = if draw >= observer { draw + 1 } else { draw };
-            let ok = up(target) && reachable(observer, target);
+            let ok = up(target) && partition.reachable(observer, target);
             let member = &mut self.members[target];
             if ok {
                 match member.state {
@@ -275,7 +268,7 @@ mod tests {
         let period = PROBE_PERIOD;
         for i in 0..max_rounds {
             let now = start + period * (i as u32);
-            g.round(now, up, |_, _| true);
+            g.round(now, up, &Partition::CONNECTED);
             if g.state(node) == want {
                 return i + 1;
             }
@@ -288,7 +281,7 @@ mod tests {
         let t = Telemetry::new();
         let mut g = GossipPlane::new(GossipConfig::default(), 4, &t);
         assert!(!g.enabled());
-        let events = g.round(SimTime::ZERO, |_| true, |_, _| true);
+        let events = g.round(SimTime::ZERO, |_| true, &Partition::CONNECTED);
         assert!(events.is_empty());
         assert_eq!(t.metrics().counter("gossip.rounds"), 0);
     }
@@ -311,11 +304,11 @@ mod tests {
         // A transient blip: node 1 unreachable for one round only.
         let mut now = SimTime::ZERO;
         while g.state(1) != MemberState::Suspect {
-            g.round(now, |n| n != 1, |_, _| true);
+            g.round(now, |n| n != 1, &Partition::CONNECTED);
             now += PROBE_PERIOD;
         }
         while g.state(1) == MemberState::Suspect {
-            g.round(now, |_| true, |_, _| true);
+            g.round(now, |_| true, &Partition::CONNECTED);
             now += PROBE_PERIOD;
         }
         assert_eq!(g.state(1), MemberState::Alive, "suspicion refuted");
@@ -326,12 +319,12 @@ mod tests {
         let mut g = plane(4);
         let mut now = SimTime::ZERO;
         while g.state(3) != MemberState::Dead {
-            g.round(now, |n| n != 3, |_, _| true);
+            g.round(now, |n| n != 3, &Partition::CONNECTED);
             now += PROBE_PERIOD;
         }
         let mut rejoined = false;
         for _ in 0..32 {
-            let events = g.round(now, |_| true, |_, _| true);
+            let events = g.round(now, |_| true, &Partition::CONNECTED);
             now += PROBE_PERIOD;
             if events
                 .iter()
@@ -349,12 +342,13 @@ mod tests {
     fn partition_breeds_cross_group_suspicion_only() {
         let mut g = plane(6);
         // Nodes 0-2 vs 3-5.
+        let split = Partition::split(&[vec![0, 1, 2], vec![3, 4, 5]], 6);
         let group = |n: NodeId| usize::from(n >= 3);
         let mut now = SimTime::ZERO;
         let mut cross = 0;
         let mut same = 0;
         for _ in 0..64 {
-            for e in g.round(now, |_| true, |a, b| group(a) == group(b)) {
+            for e in g.round(now, |_| true, &split) {
                 if let GossipEvent::Suspected { node, observer } = e {
                     if group(node) == group(observer) {
                         same += 1;
@@ -376,7 +370,7 @@ mod tests {
             let mut log = Vec::new();
             let mut now = SimTime::ZERO;
             for _ in 0..32 {
-                log.extend(g.round(now, |n| n != 4, |_, _| true));
+                log.extend(g.round(now, |n| n != 4, &Partition::CONNECTED));
                 now += PROBE_PERIOD;
             }
             log

@@ -47,6 +47,7 @@
 pub mod cluster;
 pub mod gossip;
 pub mod latency;
+pub mod membership;
 pub mod node;
 pub mod raft;
 
@@ -160,11 +161,6 @@ pub enum RcError {
     NoEligibleBackup(Key),
     /// Referenced node does not exist or is down.
     NodeUnavailable(NodeId),
-    /// Data was lost (all replicas gone) during recovery.
-    DataLost {
-        /// Number of objects lost.
-        objects: usize,
-    },
     /// Transient fault (injected or environmental); the operation may
     /// succeed if retried.
     Transient,
@@ -192,7 +188,6 @@ impl fmt::Display for RcError {
             RcError::Dirty(k) => write!(f, "cannot evict dirty object {k}"),
             RcError::NoEligibleBackup(k) => write!(f, "no eligible backup for {k}"),
             RcError::NodeUnavailable(n) => write!(f, "node {n} unavailable"),
-            RcError::DataLost { objects } => write!(f, "{objects} objects lost"),
             RcError::Transient => write!(f, "transient store error"),
         }
     }
@@ -236,8 +231,8 @@ pub struct ClusterConfig {
     /// Read by nothing: the model keeps no segment layout. A field only
     /// because the frozen `benchmark/` package sets it (DESIGN.md §5).
     pub segment_bytes: u64,
-    /// Replicated-coordinator knobs (the default single replica keeps the
-    /// legacy in-memory authority byte for byte).
+    /// Replicated-coordinator knobs (the default single replica is a free,
+    /// infallible in-memory authority).
     pub raft: raft::RaftConfig,
     /// Gossip-membership knobs (disabled by default: the coordinator
     /// keeps its omniscient crash/restart view).

@@ -1,10 +1,8 @@
 //! Raft-style replicated coordinator — the control plane's consensus core.
 //!
-//! The RAMCloud-model coordinator (tablet map, replica placement) was a
-//! single in-memory authority inside [`crate::cluster::Cluster`]: crash
-//! it and the cluster is headless. This module replicates it: a small
-//! fixed group of coordinator replicas (co-located with the first
-//! `replicas` storage nodes) carries every tablet-map mutation through a
+//! The RAMCloud-model coordinator (tablet map, replica placement) runs as
+//! a small fixed group of replicas, co-located with the first `replicas`
+//! storage nodes. The group carries every tablet-map mutation through a
 //! replicated log, commits on majority acknowledgement, elects a
 //! leader with per-seed randomized timeouts when the current one dies or
 //! is partitioned away, and catches restarted replicas up by log replay —
@@ -20,12 +18,12 @@
 //! clock and all randomness comes from one seeded stream, so every run is
 //! byte-reproducible per seed (ofc-lint D1).
 //!
-//! **Default-path guarantee:** with `replicas <= 1` the coordinator is the
-//! legacy single authority — [`ReplicatedCoordinator::propose`] returns
+//! **Default path:** with `replicas <= 1` the coordinator is a single
+//! authority — [`ReplicatedCoordinator::propose`] returns
 //! `Ok(Duration::ZERO)` without touching the log, the RNG, or the
-//! telemetry registry, so single-replica configurations stay byte-
-//! identical to the pre-replication code.
+//! telemetry registry.
 
+use crate::membership::Partition;
 use crate::NodeId;
 use ofc_simtime::SimTime;
 use ofc_telemetry::{Counter, Gauge, Telemetry};
@@ -60,8 +58,8 @@ pub const SNAPSHOT_LAG: u64 = 256;
 /// Replicated-coordinator configuration.
 #[derive(Debug, Clone)]
 pub struct RaftConfig {
-    /// Number of coordinator replicas. `1` (the default) is the legacy
-    /// single in-memory authority: no log, no elections, zero overhead.
+    /// Number of coordinator replicas. `1` (the default) is a single
+    /// in-memory authority: no log, no elections, zero overhead.
     pub replicas: usize,
     /// Seed of the election-timeout randomization stream.
     pub seed: u64,
@@ -165,22 +163,9 @@ impl ReplicatedCoordinator {
         coord
     }
 
-    /// Re-registers the coordinator metrics on a shared telemetry plane
-    /// (no-op in single-replica mode).
-    pub fn bind_telemetry(&mut self, telemetry: &Telemetry) {
-        if self.is_replicated() {
-            self.metrics = Some(RaftMetrics::new(telemetry));
-        }
-    }
-
     /// Whether consensus is actually in play (`replicas > 1`).
     pub fn is_replicated(&self) -> bool {
         self.replicas.len() > 1
-    }
-
-    /// Number of coordinator replicas.
-    pub fn replicas(&self) -> usize {
-        self.replicas.len()
     }
 
     /// The current leader, if one holds a reachable majority.
@@ -240,30 +225,21 @@ impl ReplicatedCoordinator {
         }
     }
 
-    /// Whether node `a` can reach node `b` under `partition` (same group,
-    /// or no partition at all).
-    fn reachable(partition: Option<&[usize]>, a: usize, b: usize) -> bool {
-        match partition {
-            Some(groups) => groups.get(a) == groups.get(b),
-            None => true,
-        }
-    }
-
     /// Whether replica `from`'s side of `partition` holds a majority of
     /// the coordinator group (counting only up replicas).
-    fn majority_from(&self, from: ReplicaId, partition: Option<&[usize]>) -> bool {
+    fn majority_from(&self, from: ReplicaId, partition: &Partition) -> bool {
         let acks = self
             .replicas
             .iter()
             .enumerate()
-            .filter(|(i, rep)| rep.up && Self::reachable(partition, from, *i))
+            .filter(|(i, rep)| rep.up && partition.reachable(from, *i))
             .count();
         acks * 2 > self.replicas.len()
     }
 
     /// Whether the current leader is alive and backed by a reachable
     /// majority.
-    fn leader_valid(&self, partition: Option<&[usize]>) -> bool {
+    fn leader_valid(&self, partition: &Partition) -> bool {
         match self.leader {
             Some(l) => self.replicas[l].up && self.majority_from(l, partition),
             None => false,
@@ -273,7 +249,7 @@ impl ReplicatedCoordinator {
     /// Drives elections and follower catch-up. Called by the runtime's
     /// coordinator tick and as a prelude to every proposal; a no-op in
     /// single-replica mode.
-    pub fn tick(&mut self, now: SimTime, partition: Option<&[usize]>) {
+    pub fn tick(&mut self, now: SimTime, partition: &Partition) {
         if !self.is_replicated() {
             return;
         }
@@ -315,7 +291,7 @@ impl ReplicatedCoordinator {
 
     /// Brings every reachable up follower to the commit index: log replay
     /// within the lag horizon, snapshot install past it.
-    fn catch_up_followers(&mut self, partition: Option<&[usize]>) {
+    fn catch_up_followers(&mut self, partition: &Partition) {
         let Some(leader) = self.leader else {
             return;
         };
@@ -323,7 +299,7 @@ impl ReplicatedCoordinator {
         let lag_horizon = SNAPSHOT_LAG;
         let mut installs = 0u64;
         for (i, rep) in self.replicas.iter_mut().enumerate() {
-            if !rep.up || !Self::reachable(partition, leader, i) || rep.match_index >= commit {
+            if !rep.up || !partition.reachable(leader, i) || rep.match_index >= commit {
                 continue;
             }
             if commit - rep.match_index > lag_horizon {
@@ -342,12 +318,12 @@ impl ReplicatedCoordinator {
     /// Whether a client on node `origin` can currently commit control-
     /// plane mutations: a valid leader exists and is reachable from
     /// `origin`. Always true in single-replica mode.
-    pub fn can_serve(&self, origin: NodeId, partition: Option<&[usize]>) -> bool {
+    pub fn can_serve(&self, origin: NodeId, partition: &Partition) -> bool {
         if !self.is_replicated() {
             return true;
         }
         match self.leader {
-            Some(l) => self.leader_valid(partition) && Self::reachable(partition, origin, l),
+            Some(l) => self.leader_valid(partition) && partition.reachable(origin, l),
             None => false,
         }
     }
@@ -363,7 +339,7 @@ impl ReplicatedCoordinator {
         &mut self,
         origin: NodeId,
         now: SimTime,
-        partition: Option<&[usize]>,
+        partition: &Partition,
     ) -> Result<Duration, NoQuorum> {
         if !self.is_replicated() {
             return Ok(Duration::ZERO);
@@ -381,7 +357,7 @@ impl ReplicatedCoordinator {
         // Replicate to every reachable up replica; the leader's majority
         // (checked above) commits the entry in one modeled round trip.
         for (i, rep) in self.replicas.iter_mut().enumerate() {
-            if rep.up && Self::reachable(partition, leader, i) {
+            if rep.up && partition.reachable(leader, i) {
                 rep.match_index = self.last_index;
             }
         }
@@ -433,7 +409,7 @@ mod tests {
     fn single_replica_is_inert() {
         let mut c = replicated(1);
         assert!(!c.is_replicated());
-        let lat = c.propose(0, SimTime::ZERO, None).unwrap();
+        let lat = c.propose(0, SimTime::ZERO, &Partition::CONNECTED).unwrap();
         assert_eq!(lat, Duration::ZERO);
         assert_eq!(c.last_index(), 0, "inert mode appends nothing");
         assert_eq!(c.leader(), Some(0));
@@ -442,7 +418,7 @@ mod tests {
     #[test]
     fn replicated_commit_charges_latency_and_appends() {
         let mut c = replicated(3);
-        let lat = c.propose(0, SimTime::ZERO, None).unwrap();
+        let lat = c.propose(0, SimTime::ZERO, &Partition::CONNECTED).unwrap();
         assert_eq!(lat, COMMIT_LATENCY);
         assert_eq!(c.last_index(), 1);
         assert_eq!(c.commit_index(), 1);
@@ -455,47 +431,47 @@ mod tests {
         c.crash_replica(0, t0);
         assert_eq!(c.leader(), None);
         // Immediately after the crash: inside the election window.
-        assert!(c.propose(1, t0, None).is_err());
+        assert!(c.propose(1, t0, &Partition::CONNECTED).is_err());
         // Past the maximum timeout a new leader must exist.
         let t1 = t0 + ELECTION_TIMEOUT_MAX;
-        c.tick(t1, None);
+        c.tick(t1, &Partition::CONNECTED);
         let leader = c.leader().expect("election completed");
         assert_ne!(leader, 0);
         assert!(c.term() > 1);
-        assert!(c.propose(1, t1, None).is_ok());
+        assert!(c.propose(1, t1, &Partition::CONNECTED).is_ok());
     }
 
     #[test]
     fn minority_side_cannot_commit() {
         let mut c = replicated(3);
         // Nodes 0 and 1 on one side, node 2 alone.
-        let partition = vec![0usize, 0, 1];
+        let partition = Partition::split(&[vec![0, 1], vec![2]], 3);
         let t = SimTime::from_millis(5);
-        c.tick(t, Some(&partition));
+        c.tick(t, &partition);
         // Leader 0 keeps its majority; a client on node 2 cannot reach it.
-        assert!(c.propose(2, t, Some(&partition)).is_err());
-        assert!(c.propose(0, t, Some(&partition)).is_ok());
-        assert!(c.propose(1, t, Some(&partition)).is_ok());
+        assert!(c.propose(2, t, &partition).is_err());
+        assert!(c.propose(0, t, &partition).is_ok());
+        assert!(c.propose(1, t, &partition).is_ok());
     }
 
     #[test]
     fn isolated_leader_steps_down_and_majority_reelects() {
         let mut c = replicated(3);
         // Leader 0 cut off from 1 and 2.
-        let partition = vec![0usize, 1, 1];
+        let partition = Partition::split(&[vec![0], vec![1, 2]], 3);
         let t0 = SimTime::from_millis(1);
-        c.tick(t0, Some(&partition));
+        c.tick(t0, &partition);
         assert_eq!(c.leader(), None, "leader lost its majority");
         let t1 = t0 + ELECTION_TIMEOUT_MAX;
-        c.tick(t1, Some(&partition));
+        c.tick(t1, &partition);
         let leader = c.leader().expect("majority side elects");
         assert!(leader == 1 || leader == 2);
         // Majority side serves; the isolated old leader's side does not.
-        assert!(c.propose(1, t1, Some(&partition)).is_ok());
-        assert!(c.propose(0, t1, Some(&partition)).is_err());
+        assert!(c.propose(1, t1, &partition).is_ok());
+        assert!(c.propose(0, t1, &partition).is_err());
         // Healing restores service for everyone under the new leader.
-        c.tick(t1, None);
-        assert!(c.propose(0, t1, None).is_ok());
+        c.tick(t1, &Partition::CONNECTED);
+        assert!(c.propose(0, t1, &Partition::CONNECTED).is_ok());
     }
 
     #[test]
@@ -505,14 +481,14 @@ mod tests {
         c.crash_replica(1, t);
         c.crash_replica(2, t);
         let t1 = t + Duration::from_secs(1);
-        c.tick(t1, None);
+        c.tick(t1, &Partition::CONNECTED);
         // Replica 0 alone is not a majority of 3.
-        assert!(c.propose(0, t1, None).is_err());
+        assert!(c.propose(0, t1, &Partition::CONNECTED).is_err());
         // Restarting one replica restores the quorum.
         c.restart_replica(1, t1);
         let t2 = t1 + Duration::from_secs(1);
-        c.tick(t2, None);
-        assert!(c.propose(0, t2, None).is_ok());
+        c.tick(t2, &Partition::CONNECTED);
+        assert!(c.propose(0, t2, &Partition::CONNECTED).is_ok());
     }
 
     #[test]
@@ -522,18 +498,18 @@ mod tests {
         c.crash_replica(2, t0);
         // Small lag: replay.
         for _ in 0..10 {
-            c.propose(0, t0, None).unwrap();
+            c.propose(0, t0, &Partition::CONNECTED).unwrap();
         }
         c.restart_replica(2, t0);
-        c.tick(t0, None);
+        c.tick(t0, &Partition::CONNECTED);
         assert_eq!(c.snapshot_index(2), 0, "short lag replays the log");
         // Large lag: snapshot install.
         c.crash_replica(2, t0);
         for _ in 0..(SNAPSHOT_LAG + 5) {
-            c.propose(0, t0, None).unwrap();
+            c.propose(0, t0, &Partition::CONNECTED).unwrap();
         }
         c.restart_replica(2, t0);
-        c.tick(t0, None);
+        c.tick(t0, &Partition::CONNECTED);
         assert_eq!(
             c.snapshot_index(2),
             c.commit_index(),
@@ -552,10 +528,10 @@ mod tests {
                 now += Duration::from_millis(400);
                 c.crash_replica(step % 5, now);
                 now += Duration::from_millis(400);
-                c.tick(now, None);
+                c.tick(now, &Partition::CONNECTED);
                 leaders.push(c.leader());
                 c.restart_replica(step % 5, now);
-                c.tick(now, None);
+                c.tick(now, &Partition::CONNECTED);
             }
             (c.term(), leaders)
         };
