@@ -14,7 +14,7 @@ use crate::scenario::{PlaneKind, Testbed, TestbedSpec, WORKER_NODES};
 use ofc_core::ofc::OfcConfig;
 use ofc_core::scheduler::FeatureFn;
 use ofc_faas::{Completion, Served};
-use ofc_simtime::{Sim, SimTime};
+use ofc_simtime::SimTime;
 use ofc_telemetry::Histogram;
 use ofc_workloads::catalog::Catalog;
 use ofc_workloads::mega::{self, MegaConfig, MegaLoad};
@@ -183,23 +183,6 @@ pub fn mega_feature_fn(catalog: Catalog) -> FeatureFn {
     })
 }
 
-/// Recurring record drain: folds completed invocations into the decile
-/// accumulator every `every`, keeping live record memory bounded.
-fn start_drain_tick(
-    sim: &mut Sim,
-    every: Duration,
-    platform: ofc_faas::platform::PlatformHandle,
-    agg: Rc<RefCell<Agg>>,
-    tenants: usize,
-    max_retries: u32,
-) {
-    sim.schedule_in(every, move |sim| {
-        agg.borrow_mut()
-            .fold(platform.drain_records(), tenants, max_retries);
-        start_drain_tick(sim, every, platform, agg, tenants, max_retries);
-    });
-}
-
 /// Runs one mega variant end to end and reports the figures.
 pub fn run_mega(opts: MegaOpts) -> MegaReport {
     let MegaOpts {
@@ -248,14 +231,16 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
 
     let max_retries = platform.config().max_retries;
     let agg = Rc::new(RefCell::new(Agg::default()));
-    start_drain_tick(
-        &mut sim,
-        Duration::from_secs(60),
-        platform.clone(),
-        Rc::clone(&agg),
-        mega_cfg.tenants,
-        max_retries,
-    );
+    {
+        // Recurring record drain: folds completed invocations into the
+        // decile accumulator every minute, keeping live record memory
+        // bounded.
+        let (platform, agg, tenants) = (platform.clone(), Rc::clone(&agg), mega_cfg.tenants);
+        sim.every(Duration::from_secs(60), move |_| {
+            agg.borrow_mut()
+                .fold(platform.drain_records(), tenants, max_retries);
+        });
+    }
 
     if crash_drill {
         // Failover drill: lose a worker mid-window, recover a minute

@@ -15,10 +15,7 @@
 //!   counts them on the shared telemetry plane (`chaos.*`), and hands each
 //!   one to a caller-supplied sink (the wiring to the cache cluster and the
 //!   persistence plane lives with the caller, keeping this crate free of
-//!   upward dependencies),
-//! * the **[`RetryPolicy`]** abstraction (bounded attempts, exponential
-//!   backoff with a cap) shared by the persistor retry path in `ofc-core`
-//!   and the OOM-retry path in `ofc-faas`.
+//!   upward dependencies).
 //!
 //! Faults only make sense over virtual time, so everything here layers on
 //! `ofc-simtime`; no wall clocks, no ambient RNG.
@@ -29,74 +26,6 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::rc::Rc;
 use std::time::Duration;
-
-/// A bounded retry schedule with exponential backoff.
-///
-/// `attempt` is 1-based and counts attempts already made: after the first
-/// failure the caller asks for `delay(1)`, after the second for `delay(2)`,
-/// and so on. [`RetryPolicy::delay`] returns `None` once the attempt budget
-/// is exhausted — the caller then escalates (dead-letter set, permanent
-/// failure record).
-#[derive(Debug, Clone, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts allowed, including the first one.
-    pub max_attempts: u32,
-    /// Backoff before the first retry.
-    pub base: Duration,
-    /// Multiplier applied per further retry.
-    pub factor: f64,
-    /// Upper bound on any single backoff (`ZERO` disables the cap).
-    pub cap: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base: Duration::from_millis(200),
-            factor: 2.0,
-            cap: Duration::from_secs(5),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that retries immediately (zero backoff) up to
-    /// `max_attempts` total attempts — the paper's OOM-retry behavior.
-    pub fn immediate(max_attempts: u32) -> Self {
-        RetryPolicy {
-            max_attempts,
-            base: Duration::ZERO,
-            factor: 1.0,
-            cap: Duration::ZERO,
-        }
-    }
-
-    /// The unbounded backoff schedule: delay before retry number
-    /// `attempt` (1-based), ignoring the attempt budget.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        if self.base.is_zero() {
-            return Duration::ZERO;
-        }
-        let exp = attempt.saturating_sub(1).min(63);
-        let d = self.base.mul_f64(self.factor.powi(exp as i32).max(1.0));
-        if self.cap.is_zero() {
-            d
-        } else {
-            d.min(self.cap)
-        }
-    }
-
-    /// Backoff before retry number `attempt` (1-based), or `None` when the
-    /// attempt budget is exhausted.
-    pub fn delay(&self, attempt: u32) -> Option<Duration> {
-        if attempt >= self.max_attempts {
-            None
-        } else {
-            Some(self.backoff(attempt))
-        }
-    }
-}
 
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -483,28 +412,6 @@ pub fn install(sim: &mut Sim, events: Vec<FaultEvent>, telemetry: &Telemetry, si
 mod tests {
     use super::*;
     use std::cell::RefCell;
-
-    #[test]
-    fn retry_policy_backoff_grows_and_caps() {
-        let p = RetryPolicy {
-            max_attempts: 5,
-            base: Duration::from_millis(100),
-            factor: 2.0,
-            cap: Duration::from_millis(350),
-        };
-        assert_eq!(p.delay(1), Some(Duration::from_millis(100)));
-        assert_eq!(p.delay(2), Some(Duration::from_millis(200)));
-        assert_eq!(p.delay(3), Some(Duration::from_millis(350)), "capped");
-        assert_eq!(p.delay(4), Some(Duration::from_millis(350)));
-        assert_eq!(p.delay(5), None, "budget exhausted");
-    }
-
-    #[test]
-    fn immediate_policy_has_zero_backoff() {
-        let p = RetryPolicy::immediate(2);
-        assert_eq!(p.delay(1), Some(Duration::ZERO));
-        assert_eq!(p.delay(2), None);
-    }
 
     #[test]
     fn generate_is_deterministic_per_seed() {

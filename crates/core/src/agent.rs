@@ -44,9 +44,6 @@ pub const SLACK_FACTOR: f64 = 1.5;
 /// Periodic eviction period (§6.3: 300 s).
 pub const EVICT_EVERY: Duration = Duration::from_secs(300);
 
-/// Eviction rule (§6.3): fewer reads than this (`n_access < 5`).
-pub const EVICT_MIN_ACCESS: u64 = 5;
-
 /// Cadence of the cache-size telemetry series (Figure 10).
 pub const TELEMETRY_EVERY: Duration = Duration::from_secs(30);
 
@@ -116,9 +113,6 @@ impl AgentMetrics {
 /// Write-back callback for dirty objects reclaimed from the cache.
 pub type WritebackFn = Box<dyn FnMut(&Key)>;
 
-/// A recurring agent activity driven by [`AgentHandle::start`].
-type PeriodicFn = Rc<dyn Fn(&mut CacheAgent, SimTime)>;
-
 /// The cache agent. Wrap in [`AgentHandle`] for the broker seam.
 pub struct CacheAgent {
     cfg: AgentConfig,
@@ -158,11 +152,6 @@ impl CacheAgent {
     ) -> AgentHandle {
         let n = cluster.borrow().n_nodes();
         let metrics = AgentMetrics::new(telemetry);
-        // The store's cold eviction index must agree with this agent's
-        // access bound before the periodic sweeps start.
-        cluster
-            .borrow_mut()
-            .set_cold_access_threshold(EVICT_MIN_ACCESS);
         AgentHandle(Rc::new(RefCell::new(CacheAgent {
             slack: vec![SLACK_INITIAL; n],
             committed: vec![0; n],
@@ -398,36 +387,22 @@ impl AgentHandle {
     /// Starts the agent's recurring activities on the simulator: churn
     /// sampling, slack adjustment, periodic eviction, telemetry.
     pub fn start(&self, sim: &mut Sim) {
-        fn every(sim: &mut Sim, period: Duration, agent: AgentHandle, f: PeriodicFn) {
-            sim.schedule_in(period, move |sim| {
-                f(&mut agent.0.borrow_mut(), sim.now());
-                every(sim, period, agent, f);
-            });
-        }
-        every(
-            sim,
-            CHURN_SAMPLE_EVERY,
-            self.clone(),
-            Rc::new(|a, _| a.sample_churn()),
-        );
-        every(
-            sim,
-            SLACK_ADJUST_EVERY,
-            self.clone(),
-            Rc::new(|a, _| a.adjust_slack()),
-        );
-        every(
-            sim,
-            EVICT_EVERY,
-            self.clone(),
-            Rc::new(|a, now| a.periodic_evict(now)),
-        );
-        every(
-            sim,
-            TELEMETRY_EVERY,
-            self.clone(),
-            Rc::new(|a, now| a.record_size(now)),
-        );
+        let agent = Rc::clone(&self.0);
+        sim.every(CHURN_SAMPLE_EVERY, move |_| {
+            agent.borrow_mut().sample_churn()
+        });
+        let agent = Rc::clone(&self.0);
+        sim.every(SLACK_ADJUST_EVERY, move |_| {
+            agent.borrow_mut().adjust_slack()
+        });
+        let agent = Rc::clone(&self.0);
+        sim.every(EVICT_EVERY, move |sim| {
+            agent.borrow_mut().periodic_evict(sim.now());
+        });
+        let agent = Rc::clone(&self.0);
+        sim.every(TELEMETRY_EVERY, move |sim| {
+            agent.borrow_mut().record_size(sim.now());
+        });
     }
 
     /// The observability plane this agent records into (cloned handle).
@@ -599,6 +574,52 @@ mod tests {
             "dirty objects must write back"
         );
         assert!(agent.telemetry().metrics().counter("agent.writebacks") > 0);
+    }
+
+    /// Pins today's outcome of an OFC-induced reclamation failure
+    /// (ROADMAP item 1, "Do no harm"); the PR that fixes it flips these
+    /// assertions. A dirty final output is written back through
+    /// `Persistence::persist_now`, which also evicts it (final outputs
+    /// leave the cache once persisted). The agent's own `evict` then finds
+    /// nothing, so `need` never shrinks and `reserve` refuses although the
+    /// memory is already free.
+    #[test]
+    fn writeback_of_final_outputs_leaves_reserve_short() {
+        use crate::cache::{OfcPlane, PlaneConfig};
+        use ofc_faas::{Admission, DataPlane, ObjectWrite};
+        use ofc_objstore::{latency::LatencyModel, store::ObjectStore, ObjectId};
+        let (mut agent, cluster, mut sim) = setup(1024);
+        let t = agent.telemetry();
+        let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
+        let mut plane = OfcPlane::new(
+            PlaneConfig::default(),
+            Rc::clone(&cluster),
+            store,
+            Rc::new(RefCell::new(OfcPolicy::new())),
+            &t,
+        );
+        let persistence = plane.persistence();
+        agent.0.borrow_mut().set_writeback(Box::new(move |key| {
+            persistence.borrow_mut().persist_now(key);
+        }));
+        for i in 0..60 {
+            let w = ObjectWrite {
+                id: ObjectId::new("out", format!("o{i}")),
+                size: 10 * MB,
+                is_final: true,
+            };
+            plane.write(&mut sim, 0, &w, Admission::admit(), None);
+        }
+        assert_eq!(cluster.borrow().node(0).used_bytes(), 600 * MB);
+        // The pool must shrink to 2048 - 1536 - 100 (slack) = 412 MB, so
+        // reclamation needs 188 MB of the 600 MB cached.
+        let reserved = agent.reserve(&mut sim, 0, 1536 * MB, 2048 * MB);
+        assert_eq!(reserved, None, "refused although the memory is free");
+        assert_eq!(cluster.borrow().node(0).used_bytes(), 0);
+        assert_eq!(cluster.borrow().len(), 0, "all 600 MB written back");
+        let m = t.metrics();
+        assert_eq!(m.counter("agent.writebacks"), 60);
+        assert_eq!(m.counter("plane.persists"), 60);
     }
 
     #[test]

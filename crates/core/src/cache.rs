@@ -3,9 +3,8 @@
 //! persistor functions, pipeline intermediate-data lifecycle, and the
 //! webhook paths for external clients.
 
-use crate::health::{BreakerConfig, CircuitBreaker};
+use crate::health::CircuitBreaker;
 use crate::policy::PolicyHandle;
-use ofc_chaos::RetryPolicy;
 use ofc_faas::{
     Admission, DataPlane, NodeId, ObjectRef, ObjectWrite, PipelineId, ReadOutcome, Served,
     WriteOutcome,
@@ -49,8 +48,16 @@ pub enum WritePolicy {
 /// Scheduling overhead of injecting a persistor function.
 pub const PERSISTOR_OVERHEAD: Duration = Duration::from_millis(10);
 
-/// Dead-letter sweeper period (see [`start_sweeper`]).
+/// Dead-letter sweeper period: [`crate::ofc::Ofc::start`] runs
+/// [`Persistence::sweep`] this often.
 pub const SWEEP_EVERY: Duration = Duration::from_secs(60);
+
+/// Persistor attempts per write-back, the first one included; a
+/// write-back whose attempts all fail is dead-lettered for the sweeper.
+pub const PERSIST_ATTEMPTS: u32 = 4;
+
+/// Backoff before the first persistor retry; each further retry doubles it.
+pub const PERSIST_BACKOFF: Duration = Duration::from_millis(200);
 
 /// Free-pool headroom below which over-quota admissions stop winning
 /// slack and quota enforcement kicks in.
@@ -150,9 +157,6 @@ pub struct Persistence {
     /// Write-backs whose persistor exhausted its retries; the pending
     /// entry is kept (nothing is lost) and the sweeper re-drives them.
     dead: BTreeSet<Key>,
-    /// Retry/backoff schedule of persistor attempts; exhausted retries
-    /// dead-letter the write-back for the periodic sweeper.
-    retry: RetryPolicy,
     /// Injected fault budget: the next `n` persistor attempts fail.
     fail_budget: u32,
     persists: Counter,
@@ -251,9 +255,16 @@ impl Persistence {
     }
 }
 
+/// Backoff before persistor retry number `attempt` (1-based: after the
+/// first failure the caller asks for `persist_backoff(1)`), or `None` once
+/// [`PERSIST_ATTEMPTS`] attempts have been made.
+fn persist_backoff(attempt: u32) -> Option<Duration> {
+    (attempt < PERSIST_ATTEMPTS).then(|| PERSIST_BACKOFF * (1 << attempt.saturating_sub(1)))
+}
+
 /// Schedules one persistor attempt for `key` after `delay`; failures
-/// reschedule with exponential backoff until the policy's attempt budget
-/// is exhausted, then dead-letter the key for [`start_sweeper`].
+/// reschedule with exponential backoff until [`PERSIST_ATTEMPTS`] are
+/// spent, then dead-letter the key for the sweeper.
 fn schedule_persistor(
     sim: &mut Sim,
     persistence: Rc<RefCell<Persistence>>,
@@ -267,7 +278,7 @@ fn schedule_persistor(
         if p.try_persist(&key) {
             return;
         }
-        match p.retry.delay(attempt) {
+        match persist_backoff(attempt) {
             Some(backoff) => {
                 p.retries.inc();
                 drop(p);
@@ -278,16 +289,6 @@ fn schedule_persistor(
                 p.dead.insert(key);
             }
         }
-    });
-}
-
-/// Starts the periodic dead-letter sweeper: every [`SWEEP_EVERY`] it
-/// re-drives write-backs whose persistor gave up, so every accepted write
-/// eventually lands in the RSDS once faults cease.
-pub fn start_sweeper(sim: &mut Sim, persistence: Rc<RefCell<Persistence>>) {
-    sim.schedule_in(SWEEP_EVERY, move |sim| {
-        persistence.borrow_mut().sweep();
-        start_sweeper(sim, persistence);
     });
 }
 
@@ -327,7 +328,6 @@ impl OfcPlane {
             cluster: Rc::clone(&cluster),
             pending: IdHashMap::default(),
             dead: BTreeSet::new(),
-            retry: RetryPolicy::default(),
             fail_budget: 0,
             persists: telemetry.counter("plane.persists"),
             retries: telemetry.counter("persist.retries"),
@@ -360,7 +360,7 @@ impl OfcPlane {
                     }
                 }));
         }
-        let breaker = CircuitBreaker::new(BreakerConfig::default(), telemetry);
+        let breaker = CircuitBreaker::new(telemetry);
         OfcPlane {
             cfg,
             cluster,
@@ -1315,7 +1315,10 @@ mod tests {
         plane.write(&mut sim, 0, &w, Admission::admit(), None);
         let p = plane.persistence();
         p.borrow_mut().inject_persist_failures(4);
-        start_sweeper(&mut sim, Rc::clone(&p));
+        let sweeper = Rc::clone(&p);
+        sim.every(SWEEP_EVERY, move |_| {
+            sweeper.borrow_mut().sweep();
+        });
         // The sweeper reschedules forever: bound the run.
         sim.run_until(SimTime::from_secs(120));
         assert!(!store.borrow().head(&w.id).0.unwrap().is_shadow());
@@ -1357,6 +1360,20 @@ mod tests {
             "stale cached copy invalidated"
         );
         assert_eq!(plane.telemetry().metrics().counter("plane.persists"), 0);
+    }
+
+    #[test]
+    fn persistor_backoff_doubles_from_200ms_then_dead_letters() {
+        let schedule: Vec<_> = (1..=4).map(persist_backoff).collect();
+        assert_eq!(
+            schedule,
+            [
+                Some(Duration::from_millis(200)),
+                Some(Duration::from_millis(400)),
+                Some(Duration::from_millis(800)),
+                None,
+            ]
+        );
     }
 
     #[test]

@@ -11,9 +11,8 @@
 //!   counted and trip the breaker at a threshold.
 //! * **Open** — every cache access is refused up front (the caller
 //!   bypasses to the RSDS) for a cool-down period.
-//! * **Half-open** — after the cool-down, a limited number of probe
-//!   operations are let through; enough successes re-close the breaker,
-//!   any failure re-opens it.
+//! * **Half-open** — after the cool-down, probe operations are let
+//!   through; one success re-closes the breaker, any failure re-opens it.
 //!
 //! State transitions are exported on the `plane.breaker_state` gauge
 //! (0 = closed, 1 = half-open, 2 = open) so dashboards and the chaos
@@ -23,26 +22,11 @@ use ofc_simtime::SimTime;
 use ofc_telemetry::{Gauge, Telemetry};
 use std::time::Duration;
 
-/// Breaker tunables.
-#[derive(Debug, Clone)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long the breaker stays open before probing.
-    pub open_for: Duration,
-    /// Probe successes required to close again from half-open.
-    pub half_open_successes: u32,
-}
+/// Consecutive store failures that trip the breaker open.
+pub const BREAKER_FAILURES: u32 = 5;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 5,
-            open_for: Duration::from_secs(30),
-            half_open_successes: 1,
-        }
-    }
-}
+/// How long a tripped breaker stays open before it admits a probe.
+pub const BREAKER_OPEN_FOR: Duration = Duration::from_secs(30);
 
 /// Breaker state (gauge encoding in parentheses).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,24 +52,20 @@ impl BreakerState {
 /// The circuit breaker guarding cache-store access.
 #[derive(Debug)]
 pub struct CircuitBreaker {
-    cfg: BreakerConfig,
     state: BreakerState,
     consecutive_failures: u32,
-    probe_successes: u32,
     opened_at: SimTime,
     gauge: Gauge,
 }
 
 impl CircuitBreaker {
     /// A closed breaker recording its state on `telemetry`.
-    pub fn new(cfg: BreakerConfig, telemetry: &Telemetry) -> Self {
+    pub fn new(telemetry: &Telemetry) -> Self {
         let gauge = telemetry.gauge("plane.breaker_state");
         gauge.set(SimTime::ZERO, BreakerState::Closed.gauge_value());
         CircuitBreaker {
-            cfg,
             state: BreakerState::Closed,
             consecutive_failures: 0,
-            probe_successes: 0,
             opened_at: SimTime::ZERO,
             gauge,
         }
@@ -103,7 +83,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open => {
-                if now.saturating_since(self.opened_at) >= self.cfg.open_for {
+                if now.saturating_since(self.opened_at) >= BREAKER_OPEN_FOR {
                     self.transition(BreakerState::HalfOpen, now);
                     true
                 } else {
@@ -117,12 +97,7 @@ impl CircuitBreaker {
     pub fn record_success(&mut self, now: SimTime) {
         match self.state {
             BreakerState::Closed => self.consecutive_failures = 0,
-            BreakerState::HalfOpen => {
-                self.probe_successes += 1;
-                if self.probe_successes >= self.cfg.half_open_successes {
-                    self.transition(BreakerState::Closed, now);
-                }
-            }
+            BreakerState::HalfOpen => self.transition(BreakerState::Closed, now),
             BreakerState::Open => {}
         }
     }
@@ -132,7 +107,7 @@ impl CircuitBreaker {
         match self.state {
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= self.cfg.failure_threshold {
+                if self.consecutive_failures >= BREAKER_FAILURES {
                     self.transition(BreakerState::Open, now);
                 }
             }
@@ -145,7 +120,6 @@ impl CircuitBreaker {
     fn transition(&mut self, to: BreakerState, now: SimTime) {
         self.state = to;
         self.consecutive_failures = 0;
-        self.probe_successes = 0;
         if to == BreakerState::Open {
             self.opened_at = now;
         }
@@ -157,29 +131,27 @@ impl CircuitBreaker {
 mod tests {
     use super::*;
 
-    fn breaker(t: &Telemetry) -> CircuitBreaker {
-        CircuitBreaker::new(
-            BreakerConfig {
-                failure_threshold: 3,
-                open_for: Duration::from_secs(10),
-                half_open_successes: 2,
-            },
-            t,
-        )
+    /// Trips a fresh breaker open at `at`.
+    fn trip(b: &mut CircuitBreaker, at: SimTime) {
+        for _ in 0..BREAKER_FAILURES {
+            b.record_failure(at);
+        }
     }
 
     #[test]
     fn trips_after_consecutive_failures() {
         let t = Telemetry::new();
-        let mut b = breaker(&t);
+        let mut b = CircuitBreaker::new(&t);
         let now = SimTime::ZERO;
-        b.record_failure(now);
-        b.record_failure(now);
+        for _ in 1..BREAKER_FAILURES {
+            b.record_failure(now);
+        }
         assert_eq!(b.state(), BreakerState::Closed);
         // A success resets the streak.
         b.record_success(now);
-        b.record_failure(now);
-        b.record_failure(now);
+        for _ in 1..BREAKER_FAILURES {
+            b.record_failure(now);
+        }
         assert_eq!(b.state(), BreakerState::Closed);
         b.record_failure(now);
         assert_eq!(b.state(), BreakerState::Open);
@@ -190,32 +162,27 @@ mod tests {
     #[test]
     fn cooldown_then_probe_then_close() {
         let t = Telemetry::new();
-        let mut b = breaker(&t);
-        for _ in 0..3 {
-            b.record_failure(SimTime::ZERO);
-        }
-        assert!(!b.allow(SimTime::from_secs(5)), "still cooling down");
-        assert!(b.allow(SimTime::from_secs(10)), "probe admitted");
+        let mut b = CircuitBreaker::new(&t);
+        trip(&mut b, SimTime::ZERO);
+        assert!(!b.allow(SimTime::from_secs(29)), "still cooling down");
+        assert!(b.allow(SimTime::from_secs(30)), "probe admitted");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        b.record_success(SimTime::from_secs(10));
-        assert_eq!(b.state(), BreakerState::HalfOpen, "needs 2 successes");
-        b.record_success(SimTime::from_secs(11));
-        assert_eq!(b.state(), BreakerState::Closed);
+        assert_eq!(t.metrics().gauge("plane.breaker_state"), Some(1.0));
+        b.record_success(SimTime::from_secs(30));
+        assert_eq!(b.state(), BreakerState::Closed, "one probe closes");
         assert_eq!(t.metrics().gauge("plane.breaker_state"), Some(0.0));
     }
 
     #[test]
     fn failed_probe_reopens() {
         let t = Telemetry::new();
-        let mut b = breaker(&t);
-        for _ in 0..3 {
-            b.record_failure(SimTime::ZERO);
-        }
-        assert!(b.allow(SimTime::from_secs(10)));
-        b.record_failure(SimTime::from_secs(10));
+        let mut b = CircuitBreaker::new(&t);
+        trip(&mut b, SimTime::ZERO);
+        assert!(b.allow(SimTime::from_secs(30)));
+        b.record_failure(SimTime::from_secs(30));
         assert_eq!(b.state(), BreakerState::Open);
         // The cool-down restarts from the failed probe.
-        assert!(!b.allow(SimTime::from_secs(19)));
-        assert!(b.allow(SimTime::from_secs(20)));
+        assert!(!b.allow(SimTime::from_secs(59)));
+        assert!(b.allow(SimTime::from_secs(60)));
     }
 }

@@ -17,9 +17,9 @@
 //! | Assembly onto OpenWhisk | [`ofc`] |
 //!
 //! Observability is unified behind the [`telemetry`] plane (re-exported
-//! from `ofc-telemetry`): every component records counters, gauges,
-//! histograms, and phase spans into one shared registry, snapshotted via
-//! [`ofc::Ofc::metrics`] and [`ofc::Ofc::trace`].
+//! from `ofc-telemetry`): every component records counters, gauges and
+//! histograms into one shared registry, snapshotted via
+//! [`ofc::Ofc::metrics`].
 //!
 //! # Examples
 //!

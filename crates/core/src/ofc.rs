@@ -30,11 +30,10 @@
 //! // ... run the simulation ...
 //! let m = ofc.metrics();
 //! println!("hits: {}", m.counter("plane.local_hits"));
-//! println!("{}", m.to_json());
 //! ```
 
 use crate::agent::{AgentConfig, AgentHandle, CacheAgent, SLACK_INITIAL};
-use crate::cache::{rc_key, OfcPlane, Persistence, PlaneConfig};
+use crate::cache::{rc_key, OfcPlane, Persistence, PlaneConfig, SWEEP_EVERY};
 use crate::ml::{FnKey, MlConfig, MlEngine};
 use crate::monitor::{MonitorConfig, OfcMonitor};
 use crate::policy::{build_policy, PolicyHandle, PolicyKind};
@@ -234,82 +233,9 @@ impl OfcBuilder {
     }
 }
 
-/// Recurring coordinator heartbeat (DESIGN.md §16): ticks the replicated
-/// control plane — elections fire on heartbeat loss, deferred recoveries
-/// drain once quorum returns — at the Raft heartbeat cadence.
-fn start_coordinator_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
-    sim.schedule_in(HEARTBEAT_INTERVAL, move |sim| {
-        cluster.borrow_mut().coordinator_pump(sim.now());
-        start_coordinator_tick(sim, cluster);
-    });
-}
-
-/// Recurring gossip round (DESIGN.md §16): runs the SWIM probe cycle; the
-/// cluster applies the membership verdicts (recovery, fencing, rejoin)
-/// inside the round.
-fn start_gossip_tick(sim: &mut Sim, cluster: Rc<RefCell<Cluster>>) {
-    sim.schedule_in(PROBE_PERIOD, move |sim| {
-        cluster.borrow_mut().gossip_round(sim.now());
-        start_gossip_tick(sim, cluster);
-    });
-}
-
 /// Period of the quota-fairness sample (DESIGN.md §18). O(tenants) work
 /// every 30 sim-seconds — off the per-operation hot path by design.
 const FAIRNESS_TICK: std::time::Duration = std::time::Duration::from_secs(30);
-
-/// Recurring fairness sample: scores how evenly over-quota tenants split
-/// the slack memory (Jain index in basis points; see [`crate::fairness`])
-/// and records it on the `plane.quota_fairness_bps` gauge.
-fn start_fairness_tick(
-    sim: &mut Sim,
-    quota: u64,
-    cluster: Rc<RefCell<Cluster>>,
-    gauge: ofc_telemetry::Gauge,
-) {
-    sim.schedule_in(FAIRNESS_TICK, move |sim| {
-        let usage = cluster.borrow().owner_usage();
-        let bps = crate::fairness::quota_fairness_bps(&usage, quota);
-        gauge.set(sim.now(), bps as f64);
-        start_fairness_tick(sim, quota, cluster, gauge);
-    });
-}
-
-/// Recurring policy tick: runs [`crate::policy::CachePolicy::tick`] at the
-/// policy's own cadence and applies any returned prefetch requests —
-/// objects not currently cached are re-filled as clean copies (their
-/// payload is in the RSDS), counted by `policy.prefetches`.
-fn start_policy_tick(
-    sim: &mut Sim,
-    period: std::time::Duration,
-    policy: PolicyHandle,
-    cluster: Rc<RefCell<Cluster>>,
-    prefetches: ofc_telemetry::Counter,
-) {
-    sim.schedule_in(period, move |sim| {
-        let now = sim.now();
-        let requests = policy.borrow_mut().tick(now);
-        for req in requests {
-            let mut c = cluster.borrow_mut();
-            if c.contains(&req.key) {
-                continue;
-            }
-            if c.write_with_dirty(
-                req.node,
-                &req.key,
-                ofc_rcstore::Value::synthetic(req.size),
-                now,
-                false,
-            )
-            .result
-            .is_ok()
-            {
-                prefetches.inc();
-            }
-        }
-        start_policy_tick(sim, period, policy, cluster, prefetches);
-    });
-}
 
 /// A fully installed OFC instance with handles to every subsystem.
 pub struct Ofc {
@@ -342,7 +268,13 @@ impl Ofc {
     /// eviction, telemetry sampling, dead-letter sweeping).
     pub fn start(&self, sim: &mut Sim) {
         self.agent.start(sim);
-        crate::cache::start_sweeper(sim, Rc::clone(&self.persistence));
+        // Dead-letter sweeper (§6.2): re-drives write-backs whose
+        // persistor gave up, so every accepted write eventually lands in
+        // the RSDS once faults cease.
+        let persistence = Rc::clone(&self.persistence);
+        sim.every(SWEEP_EVERY, move |_| {
+            persistence.borrow_mut().sweep();
+        });
         // Control-plane loops (DESIGN.md §16): only scheduled when the
         // knobs are on, so default runs stay event-for-event identical.
         let (replicated, gossip) = {
@@ -353,30 +285,59 @@ impl Ofc {
             )
         };
         if replicated {
-            start_coordinator_tick(sim, Rc::clone(&self.cluster));
+            // Coordinator heartbeat: elections fire on heartbeat loss,
+            // deferred recoveries drain once quorum returns.
+            let cluster = Rc::clone(&self.cluster);
+            sim.every(HEARTBEAT_INTERVAL, move |sim| {
+                cluster.borrow_mut().coordinator_pump(sim.now());
+            });
         }
         if gossip {
-            start_gossip_tick(sim, Rc::clone(&self.cluster));
+            // SWIM probe cycle: the cluster applies the membership
+            // verdicts (recovery, fencing, rejoin) inside the round.
+            let cluster = Rc::clone(&self.cluster);
+            sim.every(PROBE_PERIOD, move |sim| {
+                cluster.borrow_mut().gossip_round(sim.now());
+            });
         }
-        // Policy tick (DESIGN.md §15): periodic policy work — prefetch
-        // selection, cold-tier expiry, cost accrual. Returned prefetch
-        // requests re-fill evicted objects from the RSDS (clean copies).
         // Quota plane (DESIGN.md §18): periodic fairness sample, only
-        // when quotas are on — default runs schedule nothing extra.
+        // when quotas are on — default runs schedule nothing extra. It
+        // scores how evenly over-quota tenants split the slack memory
+        // (Jain index in basis points; see [`crate::fairness`]).
         if let Some(quota) = self.tenant_quota {
             let gauge = self.telemetry.gauge("plane.quota_fairness_bps");
-            start_fairness_tick(sim, quota, Rc::clone(&self.cluster), gauge);
+            let cluster = Rc::clone(&self.cluster);
+            sim.every(FAIRNESS_TICK, move |sim| {
+                let usage = cluster.borrow().owner_usage();
+                let bps = crate::fairness::quota_fairness_bps(&usage, quota);
+                gauge.set(sim.now(), bps as f64);
+            });
         }
         let tick_every = self.policy.borrow().tick_every();
         if let Some(period) = tick_every {
+            // Policy tick (DESIGN.md §15): periodic policy work — prefetch
+            // selection, cold-tier expiry, cost accrual. Returned prefetch
+            // requests re-fill evicted objects from the RSDS (clean
+            // copies), counted by `policy.prefetches`.
             let prefetches = self.telemetry.counter("policy.prefetches");
-            start_policy_tick(
-                sim,
-                period,
-                Rc::clone(&self.policy),
-                Rc::clone(&self.cluster),
-                prefetches,
-            );
+            let (policy, cluster) = (Rc::clone(&self.policy), Rc::clone(&self.cluster));
+            sim.every(period, move |sim| {
+                let now = sim.now();
+                let requests = policy.borrow_mut().tick(now);
+                for req in requests {
+                    let mut c = cluster.borrow_mut();
+                    if c.contains(&req.key) {
+                        continue;
+                    }
+                    let value = ofc_rcstore::Value::synthetic(req.size);
+                    if c.write_with_dirty(req.node, &req.key, value, now, false)
+                        .result
+                        .is_ok()
+                    {
+                        prefetches.inc();
+                    }
+                }
+            });
         }
     }
 

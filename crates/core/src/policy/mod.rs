@@ -236,7 +236,7 @@ pub trait CachePolicy {
 }
 
 /// Selects which [`CachePolicy`] the builder installs (see
-/// [`crate::ofc::OfcBuilder::policy`]).
+/// [`crate::ofc::OfcConfig::policy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PolicyKind {
     /// The paper's policy (default): ML-gated admission, §6.3 eviction,

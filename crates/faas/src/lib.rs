@@ -10,7 +10,7 @@
 //!   one-invocation-at-a-time, never shared across functions or tenants,
 //!   keep-alive reclamation after 600 s of idleness,
 //! * **sequences/pipelines** (parallel and sequential stage composition),
-//! * OOM kills with configurable retry.
+//! * OOM kills, retried immediately at the booked size.
 //!
 //! OFC plugs in through five seams, each a trait with a stock default:
 //! [`Scheduler`] (Predictor + locality routing), [`MemoryBroker`]
@@ -26,8 +26,6 @@ pub mod baselines;
 pub mod platform;
 pub mod registry;
 pub mod sandbox;
-
-pub use ofc_chaos::RetryPolicy;
 
 use ofc_objstore::ObjectId;
 use ofc_simtime::SimTime;
@@ -553,14 +551,9 @@ pub struct PlatformConfig {
     pub nodes: usize,
     /// Memory per worker node, bytes.
     pub node_mem: u64,
-    /// Maximum OOM retries per invocation (OFC: retry once at booked size).
+    /// Maximum OOM retries per invocation (OFC: retry once at booked size,
+    /// immediately).
     pub max_retries: u32,
-    /// Backoff schedule between OOM retries. The default is immediate
-    /// resubmission (§5.3.1 retries at the booked size as soon as the
-    /// container is destroyed); a non-zero base delays each retry on the
-    /// simulated clock, which chaos experiments use to avoid hammering a
-    /// node that is shedding memory.
-    pub oom_retry: RetryPolicy,
 }
 
 impl Default for PlatformConfig {
@@ -569,7 +562,6 @@ impl Default for PlatformConfig {
             nodes: 4,
             node_mem: 16 << 30,
             max_retries: 1,
-            oom_retry: RetryPolicy::immediate(2),
         }
     }
 }

@@ -704,18 +704,9 @@ impl PlatformHandle {
             }
         };
         if let Some((request, attempt, booked)) = retry {
-            // Retry at the tenant-booked size (§5.3.1). The default policy
-            // resubmits immediately and synchronously (preserving event
-            // order); a configured backoff delays on the simulated clock.
-            let backoff = self.0.borrow().cfg.oom_retry.backoff(attempt);
-            if backoff.is_zero() {
-                self.submit_attempt(sim, request, attempt, Some(booked));
-            } else {
-                let handle = self.clone();
-                sim.schedule_in(backoff, move |sim| {
-                    handle.submit_attempt(sim, request, attempt, Some(booked));
-                });
-            }
+            // Retry at the tenant-booked size as soon as the container is
+            // destroyed (§5.3.1): synchronously, preserving event order.
+            self.submit_attempt(sim, request, attempt, Some(booked));
         }
     }
 

@@ -225,59 +225,6 @@ fn oom_retry_succeeds_when_booked_is_enough() {
 }
 
 #[test]
-fn oom_retry_backoff_delays_resubmission() {
-    use ofc_faas::RetryPolicy;
-    struct Tight;
-    impl ofc_faas::Scheduler for Tight {
-        fn route(&mut self, _ctx: &ofc_faas::RoutingContext) -> ofc_faas::RoutingDecision {
-            ofc_faas::RoutingDecision {
-                node: 0,
-                sandbox: None,
-                mem_limit: 128 * MB,
-                admission: ofc_faas::Admission::bypass(),
-                overhead: Duration::ZERO,
-            }
-        }
-    }
-    let mut reg = Registry::new();
-    reg.register(FunctionSpec {
-        id: FunctionId::from("f"),
-        tenant: TenantId::from("t"),
-        booked_mem: 512 * MB,
-        model: Rc::new(ScaledModel {
-            mem: 400 * MB,
-            compute: Duration::from_millis(100),
-        }),
-    });
-    let p = Platform::build(
-        PlatformConfig {
-            oom_retry: RetryPolicy {
-                max_attempts: 2,
-                base: Duration::from_secs(5),
-                factor: 1.0,
-                cap: Duration::ZERO,
-            },
-            ..PlatformConfig::default()
-        },
-        reg,
-        Box::new(NoopPlane),
-    );
-    p.set_scheduler(Box::new(Tight));
-    let mut sim = Sim::new(0);
-    p.submit(&mut sim, request());
-    // The kill happens within the first second; the retry waits 5 s.
-    sim.run_until(SimTime::from_secs(3));
-    assert_eq!(p.drain_records().len(), 1, "retry still backing off");
-    sim.run_until(SimTime::from_secs(10));
-    let recs = p.drain_records();
-    assert_eq!(recs.len(), 1);
-    assert_eq!(recs[0].completion, Completion::Success);
-    assert_eq!(recs[0].attempt, 1);
-    assert_eq!(p.counters().retries, 1);
-    assert_eq!(p.audit(), Ok(()));
-}
-
-#[test]
 fn broker_refusal_makes_request_unschedulable() {
     struct Stingy;
     impl MemoryBroker for Stingy {

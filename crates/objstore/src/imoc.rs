@@ -84,7 +84,7 @@ impl Imoc {
             Some(e) => {
                 e.last_used = self.clock;
                 self.hits += 1;
-                let p = e.payload.clone();
+                let p = e.payload;
                 let latency = self.latency.read(p.len());
                 (Ok(p), latency)
             }

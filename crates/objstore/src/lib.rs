@@ -15,13 +15,13 @@
 //!   presets calibrated to the paper's measurements.
 //!
 //! All operations are *time-functional*: they return the operation latency
-//! along with the result; the caller advances virtual time.
+//! along with the result; the caller advances virtual time. Payloads carry
+//! their size only ([`Payload::Synthetic`]).
 
 pub mod imoc;
 pub mod latency;
 pub mod store;
 
-use bytes::Bytes;
 use ofc_intern::Istr;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -122,50 +122,25 @@ impl fmt::Debug for ObjectId {
 
 /// An object payload.
 ///
-/// Simulated workloads carry [`Payload::Synthetic`] (a byte count only) so a
-/// 30-minute macro experiment does not allocate gigabytes; real byte
-/// payloads are supported for API users and tests.
-#[derive(Debug, Clone, PartialEq)]
+/// Only its size is modelled ([`Payload::Synthetic`] is a byte count), so a
+/// 30-minute macro experiment does not allocate gigabytes.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Payload {
     /// A payload of the given size whose bytes are not materialized.
     Synthetic(u64),
-    /// Actual bytes.
-    Data(Bytes),
 }
 
 impl Payload {
     /// Payload size in bytes.
     pub fn len(&self) -> u64 {
-        match self {
-            Payload::Synthetic(n) => *n,
-            Payload::Data(b) => b.len() as u64,
-        }
+        let Payload::Synthetic(n) = self;
+        *n
     }
 
     /// Whether the payload is empty (a shadow placeholder has no payload at
     /// all and is represented separately).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The real bytes, if materialized.
-    pub fn bytes(&self) -> Option<&Bytes> {
-        match self {
-            Payload::Synthetic(_) => None,
-            Payload::Data(b) => Some(b),
-        }
-    }
-}
-
-impl From<Bytes> for Payload {
-    fn from(b: Bytes) -> Self {
-        Payload::Data(b)
-    }
-}
-
-impl From<&[u8]> for Payload {
-    fn from(b: &[u8]) -> Self {
-        Payload::Data(Bytes::copy_from_slice(b))
     }
 }
 
@@ -238,10 +213,8 @@ mod tests {
     #[test]
     fn payload_lengths() {
         assert_eq!(Payload::Synthetic(42).len(), 42);
-        assert_eq!(Payload::from(&b"abc"[..]).len(), 3);
         assert!(Payload::Synthetic(0).is_empty());
-        assert!(Payload::from(&b"xy"[..]).bytes().is_some());
-        assert!(Payload::Synthetic(9).bytes().is_none());
+        assert!(!Payload::Synthetic(9).is_empty());
     }
 
     #[test]

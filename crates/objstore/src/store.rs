@@ -279,7 +279,7 @@ impl ObjectStore {
                 (Err(StoreError::ShadowOnly(*id)), self.latency.meta())
             }
             Some(obj) => {
-                let payload = obj.payload.clone().expect("checked above");
+                let payload = obj.payload.expect("checked above");
                 let meta = obj.meta.clone();
                 self.counters.gets += 1;
                 self.counters.bytes_read += payload.len();

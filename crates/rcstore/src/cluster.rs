@@ -258,15 +258,6 @@ impl Cluster {
         self.nodes[master].peek_master(key).map(|o| o.dirty)
     }
 
-    /// Pushes the agent's `n_access` eviction bound down to every node's
-    /// cold index (rebuilding them). Call once at agent construction,
-    /// before the periodic sweeps start.
-    pub fn set_cold_access_threshold(&mut self, min_access: u64) {
-        for node in &mut self.nodes {
-            node.set_cold_access_threshold(min_access);
-        }
-    }
-
     /// Cluster-wide periodic-eviction candidates (§6.3), aggregated over
     /// every node's eviction index: key-sorted `(key, dirty)` pairs plus
     /// the total number of index entries visited. Each key is mastered on
@@ -349,7 +340,7 @@ impl Cluster {
                 Duration::ZERO,
             );
         };
-        if let Err(e) = self.nodes[master].insert_master(*key, value.clone(), now, dirty) {
+        if let Err(e) = self.nodes[master].insert_master(*key, value, now, dirty) {
             return Timed::new(Err(e), Duration::ZERO);
         }
         let backups = self.replicate(key, master, &value, Vec::new());
@@ -388,7 +379,7 @@ impl Cluster {
             self.metrics.misses.inc();
             return Timed::new(Err(RcError::NodeUnavailable(master)), Duration::ZERO);
         };
-        let value = obj.value.clone();
+        let value = obj.value;
         let locality = if master == from {
             self.metrics.local_hits.inc();
             ReadLocality::LocalHit
@@ -628,10 +619,7 @@ impl Cluster {
             // ofc-lint: allow(hotloop) reason=recovery builds an owned backup list from the survivor tail
             let backups: Vec<NodeId> = survivors[1..].to_vec();
             // Restore the replication factor from the new master's copy.
-            let value = self.nodes[new_master]
-                .peek_master(&key)
-                // ofc-lint: allow(hotloop) reason=promoted master's value feeds re-replication as an owned copy
-                .map(|o| o.value.clone());
+            let value = self.nodes[new_master].peek_master(&key).map(|o| o.value);
             let backups = match value {
                 Some(value) => self.replicate(&key, new_master, &value, backups),
                 None => backups,
@@ -664,8 +652,7 @@ impl Cluster {
                 continue;
             };
             let value = match self.nodes[master].peek_master(&key) {
-                // ofc-lint: allow(hotloop) reason=master's value feeds re-replication as an owned copy
-                Some(o) => o.value.clone(),
+                Some(o) => o.value,
                 None => continue,
             };
             let backups: Vec<NodeId> = self.replicas[&key]
@@ -730,10 +717,10 @@ impl Cluster {
         self.nodes[node].is_up() && self.nodes[node].has_backup(key)
     }
 
-    /// Clone of the cached value of `key`, without touching access stats.
+    /// The cached value of `key`, without touching access stats.
     pub fn peek_value(&self, key: &Key) -> Option<Value> {
         let master = self.master_of(key)?;
-        self.nodes[master].peek_master(key).map(|o| o.value.clone())
+        self.nodes[master].peek_master(key).map(|o| o.value)
     }
 
     /// Number of live (up) nodes.
@@ -996,8 +983,7 @@ impl Cluster {
                 && self.membership.partition().reachable(master, candidate)
                 && !backups.contains(&candidate)
             {
-                // ofc-lint: allow(hotloop) reason=replication hands each new backup an owned value; Bytes-backed refcount bump
-                self.nodes[candidate].store_backup(*key, value.clone());
+                self.nodes[candidate].store_backup(*key, *value);
                 backups.push(candidate);
             }
         }

@@ -51,7 +51,6 @@ pub mod membership;
 pub mod node;
 pub mod raft;
 
-use bytes::Bytes;
 use ofc_simtime::SimTime;
 use std::fmt;
 use std::time::Duration;
@@ -83,36 +82,22 @@ pub fn owner_of(key: &Key) -> Key {
     }
 }
 
-/// A stored value: its size always, its bytes optionally (simulated
-/// workloads keep payloads synthetic so long runs stay small).
-#[derive(Debug, Clone, PartialEq)]
+/// A stored value. Only its size is modelled: simulated workloads keep
+/// payloads synthetic so long runs stay small.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Value {
     size: u64,
-    bytes: Option<Bytes>,
 }
 
 impl Value {
     /// A synthetic value of `size` bytes.
     pub fn synthetic(size: u64) -> Self {
-        Value { size, bytes: None }
-    }
-
-    /// A value with real bytes.
-    pub fn data(bytes: Bytes) -> Self {
-        Value {
-            size: bytes.len() as u64,
-            bytes: Some(bytes),
-        }
+        Value { size }
     }
 
     /// Size in bytes.
     pub fn size(&self) -> u64 {
         self.size
-    }
-
-    /// The materialized bytes, if any.
-    pub fn bytes(&self) -> Option<&Bytes> {
-        self.bytes.as_ref()
     }
 }
 
@@ -260,10 +245,7 @@ mod tests {
     #[test]
     fn value_constructors() {
         assert_eq!(Value::synthetic(7).size(), 7);
-        assert!(Value::synthetic(7).bytes().is_none());
-        let v = Value::data(Bytes::from_static(b"hello"));
-        assert_eq!(v.size(), 5);
-        assert_eq!(v.bytes().unwrap().as_ref(), b"hello");
+        assert_eq!(Value::synthetic(0).size(), 0);
     }
 
     #[test]

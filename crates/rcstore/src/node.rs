@@ -25,9 +25,8 @@ pub struct MasterObject {
 }
 
 /// Access count at or above which an object can never become a periodic
-/// eviction victim through the cold rule (§6.3: `n_access < 5`). The
-/// [`crate::cluster::Cluster`] owner overrides this from the agent config.
-pub const DEFAULT_COLD_ACCESS_THRESHOLD: u64 = 5;
+/// eviction victim through the cold rule (§6.3: `n_access < 5`).
+pub const COLD_ACCESS_THRESHOLD: u64 = 5;
 
 /// One storage node.
 #[derive(Debug)]
@@ -47,12 +46,10 @@ pub struct StorageNode {
     /// deterministic.
     idle_index: BTreeSet<(SimTime, Key)>,
     /// Eviction-candidate index, cold rule: masters with `n_access <
-    /// cold_threshold`, keyed by creation time. An object is pruned for
+    /// COLD_ACCESS_THRESHOLD`, keyed by creation time. An object is pruned for
     /// good once its access count crosses the threshold (`n_access` only
     /// grows), so the index shrinks as the working set warms up.
     cold_index: BTreeSet<(SimTime, Key)>,
-    /// `n_access` bound of `cold_index` membership.
-    cold_threshold: u64,
     /// Per-tenant LRU sub-index: every master keyed `(owner.id(),
     /// t_access, key)`, so one tenant's coldest objects are a prefix range
     /// scan of its own slice (quota reclamation never sweeps other
@@ -79,7 +76,6 @@ impl StorageNode {
             up: true,
             idle_index: BTreeSet::new(),
             cold_index: BTreeSet::new(),
-            cold_threshold: DEFAULT_COLD_ACCESS_THRESHOLD,
             owner_idle: BTreeSet::new(),
             owner_usage: IdHashMap::default(),
         }
@@ -185,9 +181,7 @@ impl StorageNode {
         }
         let owner = crate::owner_of(&key);
         self.idle_index.insert((now, key));
-        if self.cold_threshold > 0 {
-            self.cold_index.insert((now, key));
-        }
+        self.cold_index.insert((now, key));
         self.owner_idle.insert((owner.id(), now, key));
         *self.owner_usage.entry(owner).or_insert(0) += charge;
         self.used += charge;
@@ -225,7 +219,7 @@ impl StorageNode {
             self.owner_idle.remove(&(owner.id(), prev_access, *key));
             self.owner_idle.insert((owner.id(), now, *key));
         }
-        if n_after == self.cold_threshold {
+        if n_after == COLD_ACCESS_THRESHOLD {
             // Crossed the §6.3 access bound: permanently out of the cold set.
             self.cold_index.remove(&(created, *key));
         }
@@ -248,7 +242,7 @@ impl StorageNode {
     /// Drops `key`'s entries from both eviction indexes.
     fn unindex(&mut self, key: &Key, stats: &AccessStats) {
         self.idle_index.remove(&(stats.t_access, *key));
-        if stats.n_access < self.cold_threshold {
+        if stats.n_access < COLD_ACCESS_THRESHOLD {
             self.cold_index.remove(&(stats.created, *key));
         }
     }
@@ -293,18 +287,6 @@ impl StorageNode {
             out.push((key, obj.dirty, obj.value.size().max(1), t_access));
         }
         out
-    }
-
-    /// Re-bounds the cold eviction index at a new `n_access` threshold
-    /// (pushed down from the agent's `evict_min_access`) and rebuilds it.
-    pub fn set_cold_access_threshold(&mut self, min_access: u64) {
-        self.cold_threshold = min_access;
-        self.cold_index.clear();
-        for (key, obj) in &self.master {
-            if obj.stats.n_access < min_access {
-                self.cold_index.insert((obj.stats.created, *key));
-            }
-        }
     }
 
     /// Periodic-eviction candidates (§6.3): masters idle for at least
@@ -381,7 +363,7 @@ impl StorageNode {
         let value = self
             .backup
             .get(key)
-            .cloned()
+            .copied()
             .ok_or(RcError::NoEligibleBackup(*key))?;
         self.insert_master(*key, value, now, dirty)?;
         self.backup.remove(key);
@@ -629,7 +611,7 @@ mod tests {
         let mut reference: Vec<(Key, bool)> = n
             .masters()
             .filter(|(_, o)| {
-                let cold = o.stats.n_access < DEFAULT_COLD_ACCESS_THRESHOLD
+                let cold = o.stats.n_access < COLD_ACCESS_THRESHOLD
                     && now.saturating_since(o.stats.created) >= grace;
                 let stale = now.saturating_since(o.stats.t_access) >= idle;
                 cold || stale
@@ -639,32 +621,6 @@ mod tests {
         reference.sort();
         let (victims, _) = n.evict_candidates(now, grace, idle);
         assert_eq!(victims, reference);
-    }
-
-    #[test]
-    fn cold_threshold_rebuild_reindexes_existing_masters() {
-        let mut n = node();
-        n.insert_master(key("a"), Value::synthetic(10), SimTime::ZERO, false)
-            .unwrap();
-        for s in 1..=2 {
-            n.read_master(&key("a"), SimTime::from_secs(s));
-        }
-        // With the bound lowered to 2, "a" (n_access = 2) is warm enough.
-        n.set_cold_access_threshold(2);
-        let (victims, _) = n.evict_candidates(
-            SimTime::from_secs(4000),
-            Duration::from_secs(300),
-            Duration::from_secs(86400),
-        );
-        assert!(victims.is_empty());
-        // Raising it back makes "a" cold again.
-        n.set_cold_access_threshold(5);
-        let (victims, _) = n.evict_candidates(
-            SimTime::from_secs(4000),
-            Duration::from_secs(300),
-            Duration::from_secs(86400),
-        );
-        assert_eq!(victims.len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! sorted by `(t_access, key)`.
 
 use ofc_rcstore::cluster::Cluster;
-use ofc_rcstore::node::DEFAULT_COLD_ACCESS_THRESHOLD;
+use ofc_rcstore::node::COLD_ACCESS_THRESHOLD;
 use ofc_rcstore::{ClusterConfig, Key, Value};
 use ofc_simtime::SimTime;
 use proptest::prelude::*;
@@ -59,7 +59,7 @@ fn full_scan_reference(
     let mut victims = BTreeMap::new();
     for node in 0..NODES {
         for (key, obj) in cluster.node(node).masters() {
-            let cold = obj.stats.n_access < DEFAULT_COLD_ACCESS_THRESHOLD
+            let cold = obj.stats.n_access < COLD_ACCESS_THRESHOLD
                 && now.saturating_since(obj.stats.created) >= min_age;
             let stale = now.saturating_since(obj.stats.t_access) >= min_idle;
             if cold || stale {

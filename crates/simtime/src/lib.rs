@@ -220,6 +220,20 @@ impl Sim {
         self.schedule_at(self.now + delay, event);
     }
 
+    /// Runs `f` every `period`, first at `now + period`, forever.
+    ///
+    /// Each occurrence runs `f` and then queues the next one, so an event
+    /// `f` schedules for the next occurrence's instant runs before it.
+    pub fn every(&mut self, period: Duration, f: impl FnMut(&mut Sim) + 'static) {
+        fn arm<F: FnMut(&mut Sim) + 'static>(sim: &mut Sim, period: Duration, mut f: F) {
+            sim.schedule_in(period, move |sim| {
+                f(sim);
+                arm(sim, period, f);
+            });
+        }
+        arm(self, period, f);
+    }
+
     /// Runs events until the queue drains; returns the number of events run.
     pub fn run(&mut self) -> u64 {
         self.run_until(SimTime::MAX)
@@ -347,6 +361,37 @@ mod tests {
         sim.run();
         assert_eq!(*hits.borrow(), 10);
         assert_eq!(sim.now(), SimTime::from_secs(9));
+    }
+
+    #[test]
+    fn every_runs_the_body_before_queueing_the_next_occurrence() {
+        let mut sim = Sim::new(0);
+        let order = Rc::new(RefCell::new(Vec::new()));
+        let (a, b) = (Rc::clone(&order), Rc::clone(&order));
+        let period = Duration::from_secs(10);
+        sim.every(period, move |sim| {
+            a.borrow_mut().push(("a", sim.now().as_secs_f64()));
+            // A one-shot at the next tick's instant was queued first.
+            let a = Rc::clone(&a);
+            sim.schedule_in(period, move |sim| {
+                a.borrow_mut().push(("one-shot", sim.now().as_secs_f64()));
+            });
+        });
+        // Same period, started second: stays second at every instant.
+        sim.every(period, move |sim| {
+            b.borrow_mut().push(("b", sim.now().as_secs_f64()));
+        });
+        sim.run_until(SimTime::from_secs(25));
+        assert_eq!(
+            *order.borrow(),
+            [
+                ("a", 10.0),
+                ("b", 10.0),
+                ("one-shot", 20.0),
+                ("a", 20.0),
+                ("b", 20.0),
+            ]
+        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! (`benchmark/README.md`).
 //!
 //! [`MetricsSnapshot`]s are assembled on the cold path by walking the
-//! registry, and export to JSON without external dependencies.
+//! registry.
 //!
 //! ```
 //! use ofc_telemetry::Telemetry;
@@ -28,10 +28,8 @@
 //! assert_eq!(m.counter("plane.local_hits"), 1);
 //! let scale_up = m.histogram("agent.scale_up_nanos").expect("registered");
 //! assert_eq!((scale_up.count, scale_up.sum), (1, 3_000_000));
-//! let _json = m.to_json();
 //! ```
 
-mod json;
 mod metrics;
 pub mod names;
 mod snapshot;
@@ -119,18 +117,5 @@ mod tests {
         let series = m.gauge_series("cache.size").expect("series");
         assert_eq!(series.len(), 2);
         assert_eq!(series.points()[1], (SimTime::from_secs(2), 20.0));
-    }
-
-    #[test]
-    fn json_export_is_parseable_shape() {
-        let t = Telemetry::new();
-        t.counter("a\"b").inc(); // exercise escaping
-        t.gauge("g").set(SimTime::from_secs(1), 0.5);
-        t.histogram("h").record(1000);
-        let mj = t.metrics().to_json();
-        assert!(mj.starts_with('{') && mj.ends_with('}'));
-        assert!(mj.contains("\"counters\""));
-        assert!(mj.contains("a\\\"b"));
-        assert!(mj.contains("\"buckets\":[[39,1]]"));
     }
 }

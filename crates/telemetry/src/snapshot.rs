@@ -1,10 +1,9 @@
-//! Point-in-time metric snapshots and their JSON export.
+//! Point-in-time metric snapshots.
 //!
 //! [`MetricsSnapshot`] is the cold-path read side of the registry: the
 //! benchmark harness takes one before and one after a run and works with
 //! deltas, so the hot path never serializes anything.
 
-use crate::json::JsonWriter;
 use crate::metrics::BUCKETS;
 use ofc_simtime::stats::TimeSeries;
 
@@ -83,59 +82,5 @@ impl MetricsSnapshot {
     /// Histogram `name`, if registered.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Serializes every metric to a single JSON document.
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::object();
-        w.begin_array_field("counters");
-        for c in &self.counters {
-            let mut cw = JsonWriter::object();
-            cw.field_str("name", &c.name);
-            cw.field_u64("value", c.value);
-            w.array_raw(&cw.finish());
-        }
-        w.end_array();
-        w.begin_array_field("gauges");
-        for g in &self.gauges {
-            let mut gw = JsonWriter::object();
-            gw.field_str("name", &g.name);
-            gw.field_f64("value", g.value);
-            gw.begin_array_field("series");
-            for &(at, v) in g.series.points() {
-                gw.array_raw(&format!("[{},{}]", at.as_secs_f64(), finite(v)));
-            }
-            gw.end_array();
-            w.array_raw(&gw.finish());
-        }
-        w.end_array();
-        w.begin_array_field("histograms");
-        for h in &self.histograms {
-            let mut hw = JsonWriter::object();
-            hw.field_str("name", &h.name);
-            hw.field_u64("count", h.count);
-            hw.field_u64("sum", h.sum);
-            hw.field_u64("min", h.min);
-            hw.field_u64("max", h.max);
-            hw.begin_array_field("buckets");
-            // Sparse export: (index, count) pairs for non-empty buckets.
-            for (i, &n) in h.buckets.iter().enumerate() {
-                if n > 0 {
-                    hw.array_raw(&format!("[{i},{n}]"));
-                }
-            }
-            hw.end_array();
-            w.array_raw(&hw.finish());
-        }
-        w.end_array();
-        w.finish()
-    }
-}
-
-fn finite(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
     }
 }

@@ -5,7 +5,7 @@
 //! in the RSDS once faults cease).
 
 use ofc::chaos::{ChaosSchedule, FaultKind, FaultTemplate, Recurring};
-use ofc::core::cache::{start_sweeper, OfcPlane, PlaneConfig};
+use ofc::core::cache::{OfcPlane, PlaneConfig, SWEEP_EVERY};
 use ofc::core::policy::{build_policy, PolicyKind};
 use ofc::core::telemetry::Telemetry;
 use ofc::faas::{DataPlane, ObjectWrite};
@@ -190,7 +190,10 @@ proptest! {
         persistence.borrow_mut().inject_persist_failures(n_failures);
 
         let mut sim = Sim::new(seed);
-        start_sweeper(&mut sim, Rc::clone(&persistence));
+        let sweeper = Rc::clone(&persistence);
+        sim.every(SWEEP_EVERY, move |_| {
+            sweeper.borrow_mut().sweep();
+        });
         let ids: Vec<ObjectId> = (0..n_writes)
             .map(|i| ObjectId::new("out", format!("o{i}")))
             .collect();
