@@ -20,7 +20,18 @@ use std::process::Command;
 
 /// The cheap, deterministic figures worth re-running on every test pass.
 /// Each entry is the binary name; it writes `results/<name>.json`.
-const GOLDEN_FIGURES: &[&str] = &["fig2", "fig5", "cache_benefit", "maturation"];
+/// `fig6` stays out: it times real wall-clock prediction latency.
+const GOLDEN_FIGURES: &[&str] = &[
+    "fig2",
+    "fig3",
+    "fig5",
+    "fig7",
+    "fig8",
+    "migration",
+    "table1",
+    "cache_benefit",
+    "maturation",
+];
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -137,8 +148,36 @@ fn fig2_matches_golden() {
 }
 
 #[test]
+fn fig3_matches_golden() {
+    check("fig3");
+}
+
+#[test]
 fn fig5_matches_golden() {
     check("fig5");
+}
+
+/// Single stages run under `PinnedScheduler`, pipelines under
+/// `SpreadScheduler`.
+#[test]
+fn fig7_matches_golden() {
+    check("fig7");
+}
+
+/// The cache-scaling scenarios, pinned to one node.
+#[test]
+fn fig8_matches_golden() {
+    check("fig8");
+}
+
+#[test]
+fn migration_matches_golden() {
+    check("migration");
+}
+
+#[test]
+fn table1_matches_golden() {
+    check("table1");
 }
 
 #[test]
