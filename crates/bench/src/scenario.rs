@@ -2,7 +2,7 @@
 //! `OWK-Redis`, and OFC — over the simulated six-machine cluster.
 
 use ofc_core::ofc::{Ofc, OfcConfig};
-use ofc_core::scheduler::FeatureFn;
+use ofc_core::scheduler::{FeatureFn, PREDICTOR_OVERHEAD};
 use ofc_faas::baselines::{DirectPlane, ImocPlane};
 use ofc_faas::platform::{Platform, PlatformHandle};
 use ofc_faas::registry::{FunctionSpec, Registry};
@@ -19,7 +19,6 @@ use ofc_workloads::multimedia::{MultimediaModel, Profile};
 use ofc_workloads::pipelines::{stage_profile, StageModel, STAGE_PROFILES};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 /// The data-plane configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,26 +218,19 @@ impl Scheduler for SpreadScheduler {
                 sandbox: Some(sb.sandbox),
                 mem_limit: self.mem_limit,
                 admission: self.admission,
-                overhead: Duration::from_millis(6),
+                overhead: PREDICTOR_OVERHEAD,
             };
         }
-        let node = ctx
-            .nodes
-            .iter()
-            .max_by_key(|n| {
-                (
-                    n.total_mem.saturating_sub(n.committed_mem),
-                    usize::MAX - n.node,
-                )
-            })
-            .map(|n| n.node)
+        let free = &ctx.free_mem;
+        let node = (0..free.len())
+            .max_by_key(|&n| (free[n], usize::MAX - n))
             .unwrap_or(ctx.home);
         RoutingDecision {
             node,
             sandbox: None,
             mem_limit: self.mem_limit,
             admission: self.admission,
-            overhead: Duration::from_millis(6),
+            overhead: PREDICTOR_OVERHEAD,
         }
     }
 }
@@ -267,7 +259,7 @@ impl Scheduler for PinnedScheduler {
             sandbox: warm,
             mem_limit: self.mem_limit,
             admission: self.admission,
-            overhead: Duration::from_millis(6),
+            overhead: PREDICTOR_OVERHEAD,
         }
     }
 }

@@ -531,6 +531,73 @@ impl OfcPlane {
         &self.telemetry
     }
 
+    /// Serves a read straight from the RSDS, bypassing a sick cache.
+    fn degraded_read(&self, id: &ObjectId) -> ReadOutcome {
+        self.metrics.degraded_bypasses.inc();
+        let (_, latency) = self.store.borrow_mut().get(id);
+        ReadOutcome {
+            latency,
+            served: Served::Direct,
+        }
+    }
+
+    /// Writes the whole object straight to the RSDS, as without OFC.
+    fn rsds_put(&self, obj: &ObjectWrite) -> Duration {
+        let (_, latency) = self.store.borrow_mut().put(
+            &obj.id,
+            Payload::Synthetic(obj.size),
+            HashMap::new(),
+            false,
+        );
+        latency
+    }
+
+    /// Caches a copy identical to the RSDS version (clean) on `node`;
+    /// returns the cache-side latency, zero when the copy did not fit.
+    fn fill_clean(
+        &self,
+        node: NodeId,
+        key: &Key,
+        size: u64,
+        now: ofc_simtime::SimTime,
+    ) -> Duration {
+        let t = self.cluster.borrow_mut().write_with_dirty(
+            node,
+            key,
+            Value::synthetic(size),
+            now,
+            false,
+        );
+        if t.result.is_err() {
+            return Duration::ZERO;
+        }
+        self.metrics.fills.inc();
+        t.latency
+    }
+
+    /// Creates the new version's shadow object in the RSDS synchronously
+    /// (§6.2) and injects a persistor that uploads the payload later;
+    /// returns the shadow's latency. `drop_after` evicts the cached copy
+    /// once persisted.
+    fn shadow_and_persist(
+        &self,
+        sim: &mut Sim,
+        key: Key,
+        obj: &ObjectWrite,
+        drop_after: bool,
+    ) -> Duration {
+        let (version, latency) = self.store.borrow_mut().put_shadow(&obj.id, obj.size);
+        self.metrics.shadows.inc();
+        self.persistence
+            .borrow_mut()
+            .pending
+            .insert(key, (obj.id, version, obj.size, drop_after));
+        let upload = self.store.borrow().latency().write(obj.size.max(1));
+        let delay = PERSISTOR_OVERHEAD + upload;
+        schedule_persistor(sim, Rc::clone(&self.persistence), key, 1, delay);
+        latency
+    }
+
     /// The webhook read path for external (non-FaaS) clients (§6.2): if the
     /// latest version is still a shadow, the persistor is boosted and the
     /// read only completes once the payload is in the RSDS.
@@ -596,12 +663,7 @@ impl DataPlane for OfcPlane {
         // Degraded operation: an open breaker bypasses the cache — OFC
         // must never be worse than the vanilla platform.
         if !self.breaker.allow(now) {
-            self.metrics.degraded_bypasses.inc();
-            let (_, latency) = self.store.borrow_mut().get(&obj.id);
-            return ReadOutcome {
-                latency,
-                served: Served::Direct,
-            };
+            return self.degraded_read(&obj.id);
         }
         // Try the cache first — transparently (§4).
         let hit = self.cluster.borrow_mut().read(node, &key, now);
@@ -630,12 +692,7 @@ impl DataPlane for OfcPlane {
                 // A sick store is not a miss: record the failure, bypass
                 // to the RSDS, and do not fill the cache.
                 self.breaker.record_failure(now);
-                self.metrics.degraded_bypasses.inc();
-                let (_, latency) = self.store.borrow_mut().get(&obj.id);
-                return ReadOutcome {
-                    latency,
-                    served: Served::Direct,
-                };
+                return self.degraded_read(&obj.id);
             }
             // NotFound is a healthy response — the normal miss path below.
             Err(_) => self.breaker.record_success(now),
@@ -647,18 +704,8 @@ impl DataPlane for OfcPlane {
             let cold = self.policy.borrow_mut().lookup_cold(&key, now);
             if let Some(cold) = cold {
                 self.metrics.remote_hits.inc();
-                let mut latency = cold.latency;
-                let t = self.cluster.borrow_mut().write_with_dirty(
-                    node,
-                    &key,
-                    Value::synthetic(obj.size),
-                    now,
-                    false, // restored copy matches the RSDS version: clean
-                );
-                if t.result.is_ok() {
-                    self.metrics.fills.inc();
-                    latency += t.latency;
-                }
+                // The restored copy matches the RSDS version: clean.
+                let latency = cold.latency + self.fill_clean(node, &key, obj.size, now);
                 self.policy
                     .borrow_mut()
                     .on_access(&key, obj.size, node, true);
@@ -697,17 +744,7 @@ impl DataPlane for OfcPlane {
                 .borrow_mut()
                 .on_access(&key, obj.size, node, false);
             if res.is_ok() && self.quota_admit(&key) {
-                let t = self.cluster.borrow_mut().write_with_dirty(
-                    node,
-                    &key,
-                    Value::synthetic(obj.size),
-                    now,
-                    false, // identical to the RSDS copy: clean
-                );
-                if t.result.is_ok() {
-                    self.metrics.fills.inc();
-                    latency += t.latency;
-                }
+                latency += self.fill_clean(node, &key, obj.size, now);
             }
         } else {
             self.metrics.bypasses.inc();
@@ -737,53 +774,31 @@ impl DataPlane for OfcPlane {
             // Striped large output (extension): cache the stripe, then keep
             // the normal shadow/persistor path for the whole object.
             if admission.cache && admission.chunk_large {
-                if let Some(mut latency) = self.write_chunked(node, &key, obj.size, now) {
-                    let (version, shadow_latency) =
-                        self.store.borrow_mut().put_shadow(&obj.id, obj.size);
-                    latency += shadow_latency;
-                    self.metrics.shadows.inc();
-                    self.persistence
-                        .borrow_mut()
-                        .pending
-                        .insert(key, (obj.id, version, obj.size, false));
-                    let upload = self.store.borrow().latency().write(obj.size.max(1));
-                    let delay = PERSISTOR_OVERHEAD + upload;
-                    schedule_persistor(sim, Rc::clone(&self.persistence), key, 1, delay);
+                if let Some(latency) = self.write_chunked(node, &key, obj.size, now) {
+                    let latency = latency + self.shadow_and_persist(sim, key, obj, false);
                     return WriteOutcome { latency };
                 }
             }
             // Straight to the RSDS, as without OFC.
-            let (_, latency) = self.store.borrow_mut().put(
-                &obj.id,
-                Payload::Synthetic(obj.size),
-                HashMap::new(),
-                false,
-            );
-            return WriteOutcome { latency };
+            return WriteOutcome {
+                latency: self.rsds_put(obj),
+            };
         }
 
         // Degraded operation: an open breaker writes straight to the RSDS.
         if !self.breaker.allow(now) {
             self.metrics.degraded_bypasses.inc();
-            let (_, latency) = self.store.borrow_mut().put(
-                &obj.id,
-                Payload::Synthetic(obj.size),
-                HashMap::new(),
-                false,
-            );
-            return WriteOutcome { latency };
+            return WriteOutcome {
+                latency: self.rsds_put(obj),
+            };
         }
 
         // Per-tenant quota gate (DESIGN.md §18): a denied tenant writes
         // straight to the RSDS, exactly as without OFC.
         if !self.quota_admit(&key) {
-            let (_, latency) = self.store.borrow_mut().put(
-                &obj.id,
-                Payload::Synthetic(obj.size),
-                HashMap::new(),
-                false,
-            );
-            return WriteOutcome { latency };
+            return WriteOutcome {
+                latency: self.rsds_put(obj),
+            };
         }
 
         // Cache write (dirty until persisted).
@@ -800,13 +815,9 @@ impl DataPlane for OfcPlane {
                 self.metrics.degraded_bypasses.inc();
             }
             // Either way: fall back to the RSDS path, as without OFC.
-            let (_, l) = self.store.borrow_mut().put(
-                &obj.id,
-                Payload::Synthetic(obj.size),
-                HashMap::new(),
-                false,
-            );
-            return WriteOutcome { latency: l };
+            return WriteOutcome {
+                latency: self.rsds_put(obj),
+            };
         }
         self.breaker.record_success(now);
 
@@ -820,32 +831,13 @@ impl DataPlane for OfcPlane {
 
         match self.cfg.write_policy {
             WritePolicy::WriteBackShadow => {
-                // Synchronous shadow creation keeps the RSDS aware of the
-                // new version (§6.2); the payload follows via a persistor.
-                let (version, shadow_latency) =
-                    self.store.borrow_mut().put_shadow(&obj.id, obj.size);
-                latency += shadow_latency;
-                self.metrics.shadows.inc();
-                self.persistence
-                    .borrow_mut()
-                    .pending
-                    .insert(key, (obj.id, version, obj.size, true));
-                // Inject the persistor: it uploads the payload asynchronously.
-                let upload = self.store.borrow().latency().write(obj.size.max(1));
-                let delay = PERSISTOR_OVERHEAD + upload;
-                schedule_persistor(sim, Rc::clone(&self.persistence), key, 1, delay);
+                latency += self.shadow_and_persist(sim, key, obj, true);
             }
             WritePolicy::WriteThrough => {
                 // The full payload hits the RSDS on the critical path; the
                 // cached copy is immediately clean and (being final) is
                 // dropped, as after a persistor run.
-                let (_, store_latency) = self.store.borrow_mut().put(
-                    &obj.id,
-                    Payload::Synthetic(obj.size),
-                    HashMap::new(),
-                    false,
-                );
-                latency += store_latency;
+                latency += self.rsds_put(obj);
                 self.cluster.borrow_mut().mark_clean(&key).ok();
                 self.cluster.borrow_mut().evict(&key).result.ok();
             }

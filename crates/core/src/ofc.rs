@@ -7,8 +7,8 @@
 //!   [`crate::monitor::OfcMonitor`],
 //! * CacheAgent (+ slack pool, periodic eviction) → the memory broker,
 //! * Proxy/rclib + persistors + webhooks → the data plane,
-//! * the RAMCloud-model cluster (one storage node per invoker) and the
-//!   locality oracle → the load balancer.
+//! * the RAMCloud-model cluster (one storage node per invoker), which the
+//!   scheduler also asks for each request's input master (§6.5).
 //!
 //! Every component records into one shared [`Telemetry`] plane, so the
 //! one [`Ofc::metrics`] snapshot replaces the per-subsystem snapshot
@@ -33,7 +33,7 @@
 //! ```
 
 use crate::agent::{AgentConfig, AgentHandle, CacheAgent, SLACK_INITIAL};
-use crate::cache::{rc_key, OfcPlane, Persistence, PlaneConfig, SWEEP_EVERY};
+use crate::cache::{OfcPlane, Persistence, PlaneConfig, SWEEP_EVERY};
 use crate::ml::{FnKey, MlConfig, MlEngine};
 use crate::monitor::{MonitorConfig, OfcMonitor};
 use crate::policy::{build_policy, PolicyHandle, PolicyKind};
@@ -200,6 +200,7 @@ impl OfcBuilder {
         let mut scheduler = OfcScheduler::new(
             Rc::clone(&ml),
             Rc::clone(&features),
+            Rc::clone(&cluster),
             Rc::clone(&policy),
             &telemetry,
         );
@@ -212,14 +213,6 @@ impl OfcBuilder {
             features,
             &telemetry,
         )));
-
-        // Locality oracle (§6.5): the load balancer asks the coordinator
-        // which node masters the request's input object.
-        {
-            let cluster = Rc::clone(&cluster);
-            platform
-                .set_locality_oracle(Rc::new(move |id| cluster.borrow().master_of(&rc_key(id))));
-        }
 
         Ofc {
             ml,

@@ -202,9 +202,8 @@ pub trait CachePolicy {
     fn target_capacity(&mut self, telemetry: &CapacityTelemetry) -> u64;
 
     /// Placement: preferred execution node for a request of `tenant` on an
-    /// `n_nodes` cluster, given the node mastering its input object when
-    /// the locality oracle knows one (§6.5); `None` for the platform
-    /// default.
+    /// `n_nodes` cluster, given the node mastering its cached input object,
+    /// if any (§6.5); `None` for the platform default.
     fn place(
         &mut self,
         tenant: &TenantId,

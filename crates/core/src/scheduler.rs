@@ -1,10 +1,14 @@
 //! The OFC scheduler (§4, §6.5): Predictor-driven sandbox sizing and
 //! locality-aware request routing, replacing OWK's stock policy.
 
+use crate::cache::rc_key;
 use crate::ml::{FnKey, MlEngine};
 use crate::policy::PolicyHandle;
 use ofc_dtree::data::Value;
-use ofc_faas::{Args, FunctionId, RoutingContext, RoutingDecision, Scheduler, TenantId};
+use ofc_faas::{
+    ArgValue, Args, FunctionId, NodeId, RoutingContext, RoutingDecision, Scheduler, TenantId,
+};
+use ofc_rcstore::cluster::Cluster;
 use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -35,13 +39,17 @@ impl SchedMetrics {
     }
 }
 
+/// Predictor + Sizer critical-path overhead of every OFC routing
+/// decision (§7.2.1).
+pub const PREDICTOR_OVERHEAD: Duration = Duration::from_millis(6);
+
 /// The OFC routing policy.
 pub struct OfcScheduler {
     ml: Rc<RefCell<MlEngine>>,
     features: FeatureFn,
     metrics: SchedMetrics,
-    /// Predictor + Sizer critical-path overhead (~6 ms, §7.2.1).
-    overhead: Duration,
+    /// The cache store, asked which node masters a request's input (§6.5).
+    cluster: Rc<RefCell<Cluster>>,
     /// The installed cache policy: admission and placement decisions
     /// delegate here (DESIGN.md §15).
     policy: PolicyHandle,
@@ -54,11 +62,12 @@ pub struct OfcScheduler {
 }
 
 impl OfcScheduler {
-    /// Builds the scheduler over the shared ML engine and cache policy,
-    /// recording into a shared telemetry plane.
+    /// Builds the scheduler over the shared ML engine, cache store and
+    /// cache policy, recording into a shared telemetry plane.
     pub fn new(
         ml: Rc<RefCell<MlEngine>>,
         features: FeatureFn,
+        cluster: Rc<RefCell<Cluster>>,
         policy: PolicyHandle,
         telemetry: &Telemetry,
     ) -> Self {
@@ -66,11 +75,22 @@ impl OfcScheduler {
             ml,
             features,
             metrics: SchedMetrics::new(telemetry),
-            overhead: Duration::from_millis(6),
+            cluster,
             policy,
             benefit_gate: true,
             locality_routing: true,
         }
+    }
+
+    /// The node mastering the cached copy of the request's input (§6.5):
+    /// the first object argument, in argument order, that the cache store
+    /// holds.
+    fn input_master(&self, args: &Args) -> Option<NodeId> {
+        let cluster = self.cluster.borrow();
+        args.values().find_map(|v| match v {
+            ArgValue::Obj(id) => cluster.master_of(&rc_key(id)),
+            _ => None,
+        })
     }
 
     /// Orders warm sandboxes by §6.5's criteria: (i) smallest distance
@@ -80,20 +100,15 @@ impl OfcScheduler {
     /// ascending `(node, sandbox id)` order.
     fn pick_warm(
         ctx: &RoutingContext<'_>,
-        input_master: Option<usize>,
+        input_master: Option<NodeId>,
         mem_limit: u64,
-    ) -> Option<(usize, u64)> {
+    ) -> Option<(NodeId, u64)> {
         ctx.warm
             .iter()
             .min_by_key(|sb| {
                 let diff = sb.mem_limit.abs_diff(mem_limit);
                 let must_grow = mem_limit > sb.mem_limit;
-                let node_free = ctx
-                    .nodes
-                    .iter()
-                    .find(|n| n.node == sb.node)
-                    .map(|n| n.total_mem.saturating_sub(n.committed_mem))
-                    .unwrap_or(0);
+                let node_free = ctx.free_mem[sb.node];
                 let non_local = input_master != Some(sb.node);
                 (
                     diff,
@@ -127,12 +142,13 @@ impl Scheduler for OfcScheduler {
             // Ablation: cache everything regardless of the policy's gate.
             admission.cache = true;
         }
+        let input_master = self.input_master(ctx.args);
         let placed = self
             .policy
             .borrow_mut()
-            .place(&ctx.tenant, ctx.nodes.len(), ctx.input_master);
-        // Locality for routing is the policy's placement, not the oracle's
-        // raw `ctx.input_master`.
+            .place(&ctx.tenant, ctx.free_mem.len(), input_master);
+        // Locality for routing is the policy's placement, not the raw
+        // input master.
         let input_master = if self.locality_routing { placed } else { None };
 
         if let Some((node, sandbox)) = Self::pick_warm(ctx, input_master, mem_limit) {
@@ -142,28 +158,17 @@ impl Scheduler for OfcScheduler {
                 sandbox: Some(sandbox),
                 mem_limit,
                 admission,
-                overhead: self.overhead,
+                overhead: PREDICTOR_OVERHEAD,
             };
         }
 
         // Cold path: prefer the node mastering the input's cached copy
         // (§6.5), then the stock home, then the roomiest node.
-        let free = |node: usize| {
-            ctx.nodes
-                .iter()
-                .find(|n| n.node == node)
-                .map(|n| n.total_mem.saturating_sub(n.committed_mem))
-                .unwrap_or(0)
-        };
+        let free = &ctx.free_mem;
         let node = input_master
-            .filter(|&n| free(n) >= mem_limit)
-            .or_else(|| (free(ctx.home) >= mem_limit).then_some(ctx.home))
-            .or_else(|| {
-                ctx.nodes
-                    .iter()
-                    .max_by_key(|n| n.total_mem.saturating_sub(n.committed_mem))
-                    .map(|n| n.node)
-            })
+            .filter(|&n| free[n] >= mem_limit)
+            .or_else(|| (free[ctx.home] >= mem_limit).then_some(ctx.home))
+            .or_else(|| (0..free.len()).max_by_key(|&n| free[n]))
             .unwrap_or(ctx.home);
         self.metrics.cold_routes.inc();
         RoutingDecision {
@@ -171,7 +176,7 @@ impl Scheduler for OfcScheduler {
             sandbox: None,
             mem_limit,
             admission,
-            overhead: self.overhead,
+            overhead: PREDICTOR_OVERHEAD,
         }
     }
 }
@@ -182,7 +187,9 @@ mod tests {
     use crate::ml::MlConfig;
     use crate::policy::OfcPolicy;
     use ofc_dtree::data::{AttrKind, Attribute};
-    use ofc_faas::{NodeView, SandboxView};
+    use ofc_faas::SandboxView;
+    use ofc_objstore::ObjectId;
+    use ofc_rcstore::ClusterConfig;
     use ofc_simtime::SimTime;
 
     const MB: u64 = 1 << 20;
@@ -225,7 +232,33 @@ mod tests {
         Args::from([("x".into(), ofc_faas::ArgValue::Num(x))])
     }
 
-    fn ctx(args: &Args, warm: Vec<SandboxView>, input_master: Option<usize>) -> RoutingContext<'_> {
+    /// `args` plus object arguments named `name`, each cached with its
+    /// master on `node` when one is given.
+    fn with_inputs(
+        mut args: Args,
+        cluster: &Rc<RefCell<Cluster>>,
+        inputs: &[(&str, Option<NodeId>)],
+    ) -> Args {
+        for &(name, node) in inputs {
+            let id = ObjectId::new("in", name);
+            if let Some(node) = node {
+                let placed = cluster
+                    .borrow_mut()
+                    .write(
+                        node,
+                        &rc_key(&id),
+                        ofc_rcstore::Value::synthetic(1024),
+                        SimTime::ZERO,
+                    )
+                    .result;
+                assert_eq!(placed, Ok(node));
+            }
+            args.insert(name.into(), ofc_faas::ArgValue::Obj(id));
+        }
+        args
+    }
+
+    fn ctx(args: &Args, warm: Vec<SandboxView>) -> RoutingContext<'_> {
         RoutingContext {
             function: FunctionId::from("f"),
             tenant: TenantId::from("t"),
@@ -233,21 +266,21 @@ mod tests {
             booked_mem: 2 << 30,
             home: 0,
             warm,
-            nodes: (0..4)
-                .map(|node| NodeView {
-                    node,
-                    total_mem: 8 << 30,
-                    committed_mem: 0,
-                    busy: 0,
-                })
-                .collect(),
-            input_master,
+            free_mem: vec![8 << 30; 4],
         }
     }
 
-    fn scheduler(ml: Rc<RefCell<MlEngine>>, features: FeatureFn) -> OfcScheduler {
+    fn cluster() -> Rc<RefCell<Cluster>> {
+        Rc::new(RefCell::new(Cluster::new(ClusterConfig::default())))
+    }
+
+    fn scheduler(
+        ml: Rc<RefCell<MlEngine>>,
+        features: FeatureFn,
+        cluster: &Rc<RefCell<Cluster>>,
+    ) -> OfcScheduler {
         let policy = Rc::new(RefCell::new(OfcPolicy::new()));
-        OfcScheduler::new(ml, features, policy, &Telemetry::new())
+        OfcScheduler::new(ml, features, Rc::clone(cluster), policy, &Telemetry::new())
     }
 
     fn sb(node: usize, id: u64, mem: u64, idle_s: u64) -> SandboxView {
@@ -262,23 +295,23 @@ mod tests {
     #[test]
     fn mature_model_right_sizes_instead_of_booked() {
         let ml = engine_with_mature_model();
-        let mut s = scheduler(ml, features());
-        let d = s.route(&ctx(&args(10.0), vec![], None));
+        let mut s = scheduler(ml, features(), &cluster());
+        let d = s.route(&ctx(&args(10.0), vec![]));
         // Needs ~224 MB; allocation must cover it with the next-greater
         // margin yet stay far below the 2 GB booking.
         assert!(d.mem_limit >= 224 * MB);
         assert!(d.mem_limit <= 512 * MB);
-        assert_eq!(d.overhead, Duration::from_millis(6));
+        assert_eq!(d.overhead, PREDICTOR_OVERHEAD);
     }
 
     #[test]
     fn warm_choice_minimizes_memory_distance() {
         let ml = engine_with_mature_model();
-        let mut s = scheduler(ml, features());
+        let mut s = scheduler(ml, features(), &cluster());
         // Prediction for x=10 is ~256 MB: the 256 MB sandbox wins over the
         // 2 GB one even though the latter idled more recently.
         let warm = vec![sb(1, 1, 2 << 30, 100), sb(2, 2, 256 * MB, 5)];
-        let d = s.route(&ctx(&args(10.0), warm, None));
+        let d = s.route(&ctx(&args(10.0), warm));
         assert_eq!(d.node, 2);
         assert_eq!(d.sandbox, Some(2));
     }
@@ -286,7 +319,8 @@ mod tests {
     #[test]
     fn warm_tie_breaks_on_locality_then_recency() {
         let ml = engine_with_mature_model();
-        let mut s = scheduler(ml, features());
+        let cluster = cluster();
+        let mut s = scheduler(ml, features(), &cluster);
         let warm = vec![
             sb(1, 1, 256 * MB, 50),
             sb(3, 2, 256 * MB, 10),
@@ -294,13 +328,13 @@ mod tests {
         ];
         // Identical memory distance: the sandbox co-located with the cached
         // input (node 3) wins.
-        let d = s.route(&ctx(&args(10.0), warm.clone(), Some(3)));
+        let cached = with_inputs(args(10.0), &cluster, &[("input", Some(3))]);
+        let d = s.route(&ctx(&cached, warm.clone()));
         assert_eq!(d.node, 3);
         // Without locality info, the most recently used wins.
         let d = s.route(&ctx(
             &args(10.0),
             vec![warm[0].clone(), sb(2, 3, 256 * MB, 99)],
-            None,
         ));
         assert_eq!(d.node, 2);
     }
@@ -311,15 +345,15 @@ mod tests {
         // the same limit. A fresh invoker per round: a table walked in
         // `RandomState` order would offer them in either order.
         let ml = engine_with_mature_model();
-        let mut s = scheduler(ml, features());
+        let mut s = scheduler(ml, features(), &cluster());
         let (f, t) = (FunctionId::from("f"), TenantId::from("t"));
         for _ in 0..16 {
             let mut inv = ofc_faas::sandbox::Invoker::new(1, 8 << 30);
             for _ in 0..2 {
-                let id = inv.create_sandbox(f, t, 256 * MB, 2 << 30, SimTime::ZERO);
+                let id = inv.create_sandbox(f, t, 256 * MB, 2 << 30);
                 inv.release(id, SimTime::from_secs(5));
             }
-            let d = s.route(&ctx(&args(10.0), inv.warm_for(&f, &t).collect(), None));
+            let d = s.route(&ctx(&args(10.0), inv.warm_for(&f, &t).collect()));
             // `min_by_key` keeps the first minimum of an ascending-id list.
             assert_eq!((d.node, d.sandbox), (1, Some(0)));
         }
@@ -328,17 +362,23 @@ mod tests {
     #[test]
     fn cold_start_prefers_input_master_node() {
         let ml = engine_with_mature_model();
-        let mut s = scheduler(ml, features());
-        let d = s.route(&ctx(&args(10.0), vec![], Some(2)));
+        let cluster = cluster();
+        let mut s = scheduler(ml, features(), &cluster);
+        let cached = with_inputs(args(10.0), &cluster, &[("input", Some(2))]);
+        let d = s.route(&ctx(&cached, vec![]));
         assert_eq!(d.node, 2, "locality routing (§6.5)");
         assert_eq!(d.sandbox, None);
+        // The input master is the first *cached* object argument: the
+        // first one (in argument order) is not cached, the second is.
+        let second = with_inputs(args(10.0), &cluster, &[("a", None), ("b", Some(2))]);
+        assert_eq!(s.route(&ctx(&second, vec![])).node, 2);
     }
 
     #[test]
     fn unknown_function_falls_back_to_booked() {
         let ml = Rc::new(RefCell::new(MlEngine::new(MlConfig::default())));
-        let mut s = scheduler(ml, Rc::new(|_, _, _| None));
-        let d = s.route(&ctx(&args(1.0), vec![], None));
+        let mut s = scheduler(ml, Rc::new(|_, _, _| None), &cluster());
+        let d = s.route(&ctx(&args(1.0), vec![]));
         assert_eq!(d.mem_limit, 2 << 30);
         assert!(d.admission.cache, "conservative default");
     }

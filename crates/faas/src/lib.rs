@@ -237,19 +237,6 @@ pub struct SandboxView {
     pub idle_since: SimTime,
 }
 
-/// Snapshot of one worker node offered to the scheduler.
-#[derive(Debug, Clone)]
-pub struct NodeView {
-    /// Node id.
-    pub node: NodeId,
-    /// Total node memory.
-    pub total_mem: u64,
-    /// Memory committed to sandboxes (sum of limits).
-    pub committed_mem: u64,
-    /// Busy sandboxes on the node.
-    pub busy: usize,
-}
-
 /// Everything the scheduler may consult for one routing decision.
 #[derive(Debug, Clone)]
 pub struct RoutingContext<'a> {
@@ -267,11 +254,9 @@ pub struct RoutingContext<'a> {
     /// `(node, sandbox id)` order — a scheduler that breaks a tie by
     /// position picks the same sandbox on every run.
     pub warm: Vec<SandboxView>,
-    /// Per-node status.
-    pub nodes: Vec<NodeView>,
-    /// Node holding the cache master of the request's input object, if the
-    /// installed locality oracle knows one (§6.5).
-    pub input_master: Option<NodeId>,
+    /// Free memory per node, indexed by node id: total memory less the
+    /// memory booked by the node's sandboxes (the admission currency).
+    pub free_mem: Vec<u64>,
 }
 
 /// The scheduler's routing decision.
@@ -316,18 +301,14 @@ impl Scheduler for StockScheduler {
             };
         }
         // Otherwise create on the home node if it fits, else the roomiest.
-        let fits = |n: &NodeView| n.total_mem.saturating_sub(n.committed_mem) >= ctx.booked_mem;
-        let node = ctx
-            .nodes
-            .iter()
-            .find(|n| n.node == ctx.home && fits(n))
+        let fits = |&n: &NodeId| ctx.free_mem[n] >= ctx.booked_mem;
+        let node = Some(ctx.home)
+            .filter(fits)
             .or_else(|| {
-                ctx.nodes
-                    .iter()
-                    .filter(|n| fits(n))
-                    .max_by_key(|n| n.total_mem.saturating_sub(n.committed_mem))
+                (0..ctx.free_mem.len())
+                    .filter(fits)
+                    .max_by_key(|&n| ctx.free_mem[n])
             })
-            .map(|n| n.node)
             .unwrap_or(ctx.home);
         RoutingDecision {
             node,
@@ -592,15 +573,8 @@ mod tests {
             booked_mem: 512 << 20,
             home: 1,
             warm,
-            nodes: (0..3)
-                .map(|node| NodeView {
-                    node,
-                    total_mem: 4 << 30,
-                    committed_mem: if node == 1 { 4 << 30 } else { 0 },
-                    busy: 0,
-                })
-                .collect(),
-            input_master: None,
+            // Node 1 is fully booked.
+            free_mem: vec![4 << 30, 0, 4 << 30],
         }
     }
 
@@ -636,7 +610,7 @@ mod tests {
             let mut inv = sandbox::Invoker::new(0, 4 << 30);
             let (f, t) = (FunctionId::from("f"), TenantId::from("t"));
             for _ in 0..2 {
-                let id = inv.create_sandbox(f, t, 512 << 20, 512 << 20, SimTime::ZERO);
+                let id = inv.create_sandbox(f, t, 512 << 20, 512 << 20);
                 inv.release(id, SimTime::from_secs(5));
             }
             let d = StockScheduler.route(&ctx(inv.warm_for(&f, &t).collect()));

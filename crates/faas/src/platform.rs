@@ -10,10 +10,9 @@
 use crate::registry::Registry;
 use crate::sandbox::Invoker;
 use crate::{
-    ArgValue, Behavior, Completion, DataPlane, ExecutionMonitor, FunctionId, InvocationId,
-    InvocationRecord, InvocationRequest, MemoryBroker, NodeId, NodeView, PipelineId,
-    PlatformConfig, PressureAction, RoutingContext, Scheduler, StockBroker, StockMonitor,
-    StockScheduler, TenantId,
+    Behavior, Completion, DataPlane, ExecutionMonitor, FunctionId, InvocationId, InvocationRecord,
+    InvocationRequest, MemoryBroker, NodeId, PipelineId, PlatformConfig, PressureAction,
+    RoutingContext, Scheduler, StockBroker, StockMonitor, StockScheduler, TenantId,
 };
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
@@ -25,9 +24,6 @@ use std::time::Duration;
 
 /// Drives a multi-stage application (sequence/workflow, §2.1).
 pub trait PipelineDriver {
-    /// The owning tenant.
-    fn tenant(&self) -> TenantId;
-
     /// Returns the invocations of stage `stage`, given the outputs of the
     /// previous stage; `None` when the pipeline is complete.
     fn stage(
@@ -55,7 +51,7 @@ pub struct PipelineRecord {
     pub failed: bool,
 }
 
-/// Platform-level counters.
+/// Platform-level counters, read from the `faas.*` telemetry cells.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlatformCounters {
     /// Requests submitted (retries not included).
@@ -76,9 +72,9 @@ pub struct PlatformCounters {
     pub resizes: u64,
 }
 
-/// Telemetry mirrors of [`PlatformCounters`] (`faas.*`), so the unified
-/// observability plane sees platform lifecycle events alongside the cache
-/// and ML metrics.
+/// The platform's lifecycle counts (`faas.*`): the one count of each
+/// event, seen by the unified observability plane alongside the cache and
+/// ML metrics, and read back by [`PlatformHandle::counters`].
 struct FaasMetrics {
     submitted: Counter,
     completed: Counter,
@@ -129,9 +125,6 @@ struct PipelineRun {
     failed: bool,
 }
 
-/// Maps an object to the node caching its master copy, if any (§6.5).
-pub type LocalityOracle = Rc<dyn Fn(&ObjectId) -> Option<NodeId>>;
-
 /// The FaaS platform. Construct with [`Platform::build`], which returns a
 /// shared handle usable from event closures.
 pub struct Platform {
@@ -142,12 +135,10 @@ pub struct Platform {
     broker: Box<dyn MemoryBroker>,
     dataplane: Box<dyn DataPlane>,
     monitor: Box<dyn ExecutionMonitor>,
-    locality_oracle: Option<LocalityOracle>,
     inflight: HashMap<InvocationId, Inflight>,
     pipelines: HashMap<PipelineId, PipelineRun>,
     records: Vec<InvocationRecord>,
     pipeline_records: Vec<PipelineRecord>,
-    counters: PlatformCounters,
     telemetry: Telemetry,
     metrics: FaasMetrics,
     next_inv: InvocationId,
@@ -179,12 +170,10 @@ impl Platform {
             broker: Box::new(StockBroker),
             dataplane,
             monitor: Box::new(StockMonitor),
-            locality_oracle: None,
             inflight: HashMap::new(),
             pipelines: HashMap::new(),
             records: Vec::new(),
             pipeline_records: Vec::new(),
-            counters: PlatformCounters::default(),
             telemetry,
             metrics,
             next_inv: 0,
@@ -210,23 +199,12 @@ impl Platform {
             .iter()
             .flat_map(|inv| inv.warm_for(&req.function, &req.tenant))
             .collect();
-        let nodes = self
+        // The scheduler routes against the admission currency.
+        let free_mem = self
             .invokers
             .iter()
-            .map(|inv| NodeView {
-                node: inv.node(),
-                total_mem: inv.total_mem(),
-                // The scheduler routes against the admission currency.
-                committed_mem: inv.booked_mem(),
-                busy: inv.busy_count(),
-            })
+            .map(|inv| inv.total_mem().saturating_sub(inv.booked_mem()))
             .collect();
-        let input_master = self.locality_oracle.as_ref().and_then(|oracle| {
-            req.args.values().find_map(|v| match v {
-                ArgValue::Obj(id) => oracle(id),
-                _ => None,
-            })
-        });
         RoutingContext {
             function: req.function,
             tenant: req.tenant,
@@ -234,8 +212,7 @@ impl Platform {
             booked_mem: booked,
             home: self.home_node(&req.tenant, &req.function),
             warm,
-            nodes,
-            input_master,
+            free_mem,
         }
     }
 }
@@ -261,11 +238,6 @@ impl PlatformHandle {
         self.0.borrow_mut().monitor = m;
     }
 
-    /// Installs the cache-locality oracle used for routing (§6.5).
-    pub fn set_locality_oracle(&self, f: LocalityOracle) {
-        self.0.borrow_mut().locality_oracle = Some(f);
-    }
-
     /// The telemetry plane the platform records into; OFC adopts it as the
     /// plane every component shares.
     pub fn telemetry(&self) -> Telemetry {
@@ -279,7 +251,17 @@ impl PlatformHandle {
 
     /// Current counters.
     pub fn counters(&self) -> PlatformCounters {
-        self.0.borrow().counters
+        let m = &self.0.borrow().metrics;
+        PlatformCounters {
+            submitted: m.submitted.get(),
+            completed: m.completed.get(),
+            oom_kills: m.oom_kills.get(),
+            retries: m.retries.get(),
+            unschedulable: m.unschedulable.get(),
+            cold_starts: m.cold_starts.get(),
+            warm_starts: m.warm_starts.get(),
+            resizes: m.resizes.get(),
+        }
     }
 
     /// Takes all finished invocation records accumulated so far.
@@ -414,7 +396,6 @@ impl PlatformHandle {
         let mut p = self.0.borrow_mut();
         let p = &mut *p;
         if attempt == 0 {
-            p.counters.submitted += 1;
             p.metrics.submitted.inc();
         }
         let inv_id = p.next_inv;
@@ -475,10 +456,8 @@ impl PlatformHandle {
                     resized = true;
                 }
                 if resized {
-                    p.counters.resizes += 1;
                     p.metrics.resizes.inc();
                 }
-                p.counters.warm_starts += 1;
                 p.metrics.warm_starts.inc();
                 sb
             }
@@ -495,7 +474,6 @@ impl PlatformHandle {
                 match reserved {
                     Some(delay) => setup += delay,
                     None => {
-                        p.counters.unschedulable += 1;
                         p.metrics.unschedulable.inc();
                         let pipeline = req.pipeline;
                         let mut record =
@@ -511,7 +489,6 @@ impl PlatformHandle {
                     }
                 }
                 cold = true;
-                p.counters.cold_starts += 1;
                 p.metrics.cold_starts.inc();
                 setup += crate::COLD_START;
                 p.invokers[node].create_sandbox(
@@ -519,11 +496,10 @@ impl PlatformHandle {
                     req.tenant,
                     decision.mem_limit,
                     spec.booked_mem,
-                    now,
                 )
             }
         };
-        p.invokers[node].claim(sandbox, inv_id);
+        p.invokers[node].claim(sandbox);
 
         let seed = req.seed;
         let mut record = new_record(inv_id, req, node, now, decision.mem_limit, spec.booked_mem);
@@ -640,7 +616,7 @@ impl PlatformHandle {
                         match p.broker.reserve(sim, node, committed_after, total) {
                             Some(_delay) => {
                                 p.invokers[node].resize(sandbox, new_limit);
-                                p.counters.resizes += 1;
+                                p.metrics.resizes.inc();
                                 // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
                                 let fl = p.inflight.get_mut(&inv_id).expect("inflight");
                                 fl.record.mem_limit = new_limit;
@@ -669,7 +645,6 @@ impl PlatformHandle {
             let p = &mut *p;
             // ofc-lint: allow(panic) reason=inflight entries live until their completion event; ids are platform-issued
             let mut fl = p.inflight.remove(&inv_id).expect("inflight");
-            p.counters.oom_kills += 1;
             p.metrics.oom_kills.inc();
             // The OOM killer destroys the container; its memory returns to
             // the pool.
@@ -693,7 +668,6 @@ impl PlatformHandle {
             });
             p.records.push(fl.record);
             if let Some(request) = request {
-                p.counters.retries += 1;
                 p.metrics.retries.inc();
                 Some((request, attempt + 1, booked))
             } else {
@@ -740,7 +714,6 @@ impl PlatformHandle {
             let mut fl = p.inflight.remove(&inv_id).expect("inflight");
             fl.record.completion = Completion::Success;
             fl.record.end = now;
-            p.counters.completed += 1;
             p.metrics.completed.inc();
 
             // Sandbox idles under keep-alive.

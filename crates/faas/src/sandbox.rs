@@ -6,7 +6,7 @@
 //! keep-alive until reclaimed. Memory committed to sandboxes on a node is
 //! the quantity OFC's CacheAgent arbitrates against the cache pool.
 
-use crate::{FunctionId, InvocationId, NodeId, SandboxView, TenantId};
+use crate::{FunctionId, NodeId, SandboxView, TenantId};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
 use std::collections::hash_map::Entry;
@@ -23,10 +23,7 @@ pub enum SandboxState {
         since: SimTime,
     },
     /// Executing one invocation.
-    Busy {
-        /// The invocation it runs.
-        invocation: InvocationId,
-    },
+    Busy,
 }
 
 /// A function sandbox (Docker container in OWK).
@@ -45,8 +42,6 @@ pub struct Sandbox {
     pub booked: u64,
     /// State.
     pub state: SandboxState,
-    /// Creation instant.
-    pub created: SimTime,
     /// Monotonic use counter (for keep-alive staleness checks).
     pub uses: u64,
 }
@@ -60,8 +55,8 @@ type IdleIndex = IdHashMap<(TenantId, FunctionId), Vec<u64>>;
 /// The controller asks every invoker for its totals and its warm
 /// candidates on every submit, so those are kept incrementally. Invariant
 /// (checked by [`Invoker::audit`]): `committed = Σ mem_limit`,
-/// `booked = Σ booked`, `busy = #Busy`, and `idle` holds exactly the
-/// `Idle` sandboxes, each function's ids ascending. Every state change
+/// `booked = Σ booked`, and `idle` holds exactly the `Idle` sandboxes,
+/// each function's ids ascending. Every state change
 /// goes through the methods below; there is no mutable access to a
 /// [`Sandbox`] from outside.
 #[derive(Debug)]
@@ -72,12 +67,7 @@ pub struct Invoker {
     idle: IdleIndex,
     committed: u64,
     booked: u64,
-    busy: usize,
     next_id: u64,
-    /// Cold starts performed.
-    pub cold_starts: u64,
-    /// Sandboxes reclaimed by keep-alive expiry.
-    pub reclaimed: u64,
 }
 
 impl Invoker {
@@ -90,10 +80,7 @@ impl Invoker {
             idle: IdHashMap::default(),
             committed: 0,
             booked: 0,
-            busy: 0,
             next_id: 0,
-            cold_starts: 0,
-            reclaimed: 0,
         }
     }
 
@@ -124,11 +111,6 @@ impl Invoker {
         self.sandboxes.len()
     }
 
-    /// Number of busy sandboxes.
-    pub fn busy_count(&self) -> usize {
-        self.busy
-    }
-
     /// Borrow of a sandbox.
     pub fn sandbox(&self, id: u64) -> Option<&Sandbox> {
         self.sandboxes.get(&id)
@@ -143,11 +125,9 @@ impl Invoker {
         tenant: TenantId,
         mem_limit: u64,
         booked: u64,
-        now: SimTime,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        self.cold_starts += 1;
         self.committed += mem_limit;
         self.booked += booked;
         self.sandboxes.insert(
@@ -159,42 +139,37 @@ impl Invoker {
                 mem_limit,
                 booked,
                 state: SandboxState::Starting,
-                created: now,
                 uses: 0,
             },
         );
         id
     }
 
-    /// Transitions a sandbox to busy for `invocation`.
+    /// Transitions a sandbox to busy.
     ///
     /// # Panics
     ///
     /// Panics if the sandbox does not exist or is already busy — both are
     /// scheduler bugs, not runtime conditions.
-    pub fn claim(&mut self, id: u64, invocation: InvocationId) {
+    pub fn claim(&mut self, id: u64) {
         let sb = self
             .sandboxes
             .get_mut(&id)
             .expect("claiming unknown sandbox");
         assert!(
-            !matches!(sb.state, SandboxState::Busy { .. }),
+            sb.state != SandboxState::Busy,
             "sandbox {id} already busy (one invocation at a time, §2.1)"
         );
         if matches!(sb.state, SandboxState::Idle { .. }) {
             unindex_idle(&mut self.idle, sb);
         }
-        sb.state = SandboxState::Busy { invocation };
+        sb.state = SandboxState::Busy;
         sb.uses += 1;
-        self.busy += 1;
     }
 
     /// Transitions a sandbox back to idle after an invocation.
     pub fn release(&mut self, id: u64, now: SimTime) {
         if let Some(sb) = self.sandboxes.get_mut(&id) {
-            if matches!(sb.state, SandboxState::Busy { .. }) {
-                self.busy -= 1;
-            }
             index_idle(&mut self.idle, sb);
             sb.state = SandboxState::Idle { since: now };
         }
@@ -215,10 +190,8 @@ impl Invoker {
         let sb = self.sandboxes.remove(&id)?;
         self.committed -= sb.mem_limit;
         self.booked -= sb.booked;
-        match sb.state {
-            SandboxState::Busy { .. } => self.busy -= 1,
-            SandboxState::Idle { .. } => unindex_idle(&mut self.idle, &sb),
-            SandboxState::Starting => {}
+        if matches!(sb.state, SandboxState::Idle { .. }) {
+            unindex_idle(&mut self.idle, &sb);
         }
         Some(sb.mem_limit)
     }
@@ -235,7 +208,6 @@ impl Invoker {
             }) if *u == uses
         );
         if stale {
-            self.reclaimed += 1;
             self.destroy(id)
         } else {
             None
@@ -273,28 +245,24 @@ impl Invoker {
     pub fn audit(&self) -> Result<(), String> {
         let mut committed = 0;
         let mut booked = 0;
-        let mut busy = 0;
         let mut idle = IdleIndex::default();
         for sb in self.sandboxes.values() {
             committed += sb.mem_limit;
             booked += sb.booked;
-            match sb.state {
-                SandboxState::Busy { .. } => busy += 1,
-                SandboxState::Idle { .. } => idle
-                    .entry((sb.tenant, sb.function))
+            if matches!(sb.state, SandboxState::Idle { .. }) {
+                idle.entry((sb.tenant, sb.function))
                     .or_default()
-                    .push(sb.id),
-                SandboxState::Starting => {}
+                    .push(sb.id);
             }
         }
         idle.values_mut().for_each(|ids| ids.sort_unstable());
-        let kept = (self.committed, self.booked, self.busy, &self.idle);
-        let scanned = (committed, booked, busy, &idle);
+        let kept = (self.committed, self.booked, &self.idle);
+        let scanned = (committed, booked, &idle);
         if kept == scanned {
             Ok(())
         } else {
             Err(format!(
-                "node {}: kept (committed, booked, busy, idle) {kept:?} != scanned {scanned:?}",
+                "node {}: kept (committed, booked, idle) {kept:?} != scanned {scanned:?}",
                 self.node
             ))
         }
@@ -347,13 +315,11 @@ mod tests {
     #[test]
     fn create_claim_release_cycle() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 256 << 20, 256 << 20, SimTime::ZERO);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 256 << 20, 256 << 20);
         assert_eq!(inv.committed_mem(), 256 << 20);
-        assert_eq!(inv.cold_starts, 1);
-        inv.claim(id, 42);
-        assert_eq!(inv.busy_count(), 1);
+        inv.claim(id);
+        assert_eq!(inv.sandbox(id).unwrap().state, SandboxState::Busy);
         inv.release(id, SimTime::from_secs(1));
-        assert_eq!(inv.busy_count(), 0);
         let warm: Vec<_> = inv.warm_for(&fid("f"), &tid("t")).collect();
         assert_eq!(warm.len(), 1);
         assert_eq!(warm[0].idle_since, SimTime::from_secs(1));
@@ -363,16 +329,16 @@ mod tests {
     #[should_panic(expected = "already busy")]
     fn double_claim_panics() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 1, 1, SimTime::ZERO);
-        inv.claim(id, 1);
-        inv.claim(id, 2);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 1, 1);
+        inv.claim(id);
+        inv.claim(id);
     }
 
     #[test]
     fn warm_lookup_is_function_and_tenant_scoped() {
         let mut inv = invoker();
-        let a = inv.create_sandbox(fid("f"), tid("t1"), 1, 1, SimTime::ZERO);
-        let b = inv.create_sandbox(fid("f"), tid("t2"), 1, 1, SimTime::ZERO);
+        let a = inv.create_sandbox(fid("f"), tid("t1"), 1, 1);
+        let b = inv.create_sandbox(fid("f"), tid("t2"), 1, 1);
         inv.release(a, SimTime::ZERO);
         inv.release(b, SimTime::ZERO);
         // Same function, different tenant: never shared (§2.1).
@@ -383,7 +349,7 @@ mod tests {
     #[test]
     fn resize_updates_commitment() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 100 << 20, 100 << 20, SimTime::ZERO);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 100 << 20, 100 << 20);
         assert_eq!(inv.resize(id, 300 << 20), Some(100 << 20));
         assert_eq!(inv.committed_mem(), 300 << 20);
     }
@@ -391,12 +357,12 @@ mod tests {
     #[test]
     fn reclaim_only_when_stale() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 64 << 20, 64 << 20, SimTime::ZERO);
-        inv.claim(id, 1);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 64 << 20, 64 << 20);
+        inv.claim(id);
         inv.release(id, SimTime::ZERO);
         let uses_at_schedule = inv.sandbox(id).unwrap().uses;
         // Sandbox gets reused before the keep-alive timer fires…
-        inv.claim(id, 2);
+        inv.claim(id);
         inv.release(id, SimTime::from_secs(1));
         // …so the stale check must not reclaim it.
         assert_eq!(inv.reclaim_if_stale(id, uses_at_schedule), None);
@@ -405,14 +371,13 @@ mod tests {
         let uses_now = inv.sandbox(id).unwrap().uses;
         assert_eq!(inv.reclaim_if_stale(id, uses_now), Some(64 << 20));
         assert_eq!(inv.sandbox_count(), 0);
-        assert_eq!(inv.reclaimed, 1);
     }
 
     #[test]
     fn busy_sandbox_not_reclaimed() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 1, 1, SimTime::ZERO);
-        inv.claim(id, 1);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 1, 1);
+        inv.claim(id);
         let uses = inv.sandbox(id).unwrap().uses;
         assert_eq!(inv.reclaim_if_stale(id, uses), None);
     }
@@ -420,7 +385,7 @@ mod tests {
     #[test]
     fn destroy_returns_memory() {
         let mut inv = invoker();
-        let id = inv.create_sandbox(fid("f"), tid("t"), 128 << 20, 128 << 20, SimTime::ZERO);
+        let id = inv.create_sandbox(fid("f"), tid("t"), 128 << 20, 128 << 20);
         assert_eq!(inv.destroy(id), Some(128 << 20));
         assert_eq!(inv.committed_mem(), 0);
         assert_eq!(inv.destroy(id), None);

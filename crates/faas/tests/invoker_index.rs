@@ -1,8 +1,8 @@
 //! Property: the invoker's running totals and idle index are a faithful
 //! accelerator. For any schedule of creates, claims, releases, resizes,
 //! destroys and keep-alive reclaims, `committed_mem` / `booked_mem` /
-//! `busy_count` / `warm_for` must answer exactly what a full walk of the
-//! sandbox table would — the index may only change *how many entries a
+//! `warm_for` must answer exactly what a full walk of the sandbox table
+//! would — the index may only change *how many entries a
 //! submit visits*, never *what the scheduler is offered*.
 
 use ofc_faas::sandbox::{Invoker, SandboxState};
@@ -78,17 +78,12 @@ fn function(f: usize) -> FunctionId {
 struct Scan {
     committed: u64,
     booked: u64,
-    busy: usize,
 }
 
 fn full_scan_totals(inv: &Invoker) -> Scan {
     Scan {
         committed: inv.sandboxes().map(|s| s.mem_limit).sum(),
         booked: inv.sandboxes().map(|s| s.booked).sum(),
-        busy: inv
-            .sandboxes()
-            .filter(|s| matches!(s.state, SandboxState::Busy { .. }))
-            .count(),
     }
 }
 
@@ -127,7 +122,7 @@ proptest! {
             let now = SimTime::from_secs(step as u64 / 3);
             match *op {
                 Op::Create { t, f, limit, booked } => {
-                    issued.push(inv.create_sandbox(function(f), tenant(t), limit, booked, now));
+                    issued.push(inv.create_sandbox(function(f), tenant(t), limit, booked));
                 }
                 Op::Claim { slot } => {
                     // `claim` panics on a missing or busy sandbox (scheduler
@@ -135,9 +130,9 @@ proptest! {
                     if let Some(id) = pick(&issued, slot) {
                         let claimable = inv
                             .sandbox(id)
-                            .is_some_and(|s| !matches!(s.state, SandboxState::Busy { .. }));
+                            .is_some_and(|s| s.state != SandboxState::Busy);
                         if claimable {
-                            inv.claim(id, step as u64);
+                            inv.claim(id);
                         }
                     }
                 }
@@ -170,7 +165,6 @@ proptest! {
             let scan = full_scan_totals(&inv);
             prop_assert_eq!(inv.committed_mem(), scan.committed, "step {}: {:?}", step, op);
             prop_assert_eq!(inv.booked_mem(), scan.booked, "step {}: {:?}", step, op);
-            prop_assert_eq!(inv.busy_count(), scan.busy, "step {}: {:?}", step, op);
             for t in 0..TENANTS {
                 for f in 0..FUNCTIONS {
                     let (f, t) = (function(f), tenant(t));

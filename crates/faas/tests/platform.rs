@@ -5,8 +5,9 @@ use ofc_faas::baselines::NoopPlane;
 use ofc_faas::platform::{PipelineDriver, Platform, PlatformHandle};
 use ofc_faas::registry::{FunctionSpec, Registry};
 use ofc_faas::{
-    ArgValue, Args, Behavior, Completion, FunctionId, FunctionModel, InvocationRequest,
-    MemoryBroker, ObjectRef, ObjectWrite, PlatformConfig, TenantId,
+    ArgValue, Args, Behavior, Completion, ExecutionMonitor, FunctionId, FunctionModel,
+    InvocationRecord, InvocationRequest, MemoryBroker, ObjectRef, ObjectWrite, PlatformConfig,
+    PressureAction, TenantId,
 };
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
@@ -225,6 +226,53 @@ fn oom_retry_succeeds_when_booked_is_enough() {
 }
 
 #[test]
+fn monitor_cap_raise_is_counted_once() {
+    // The scheduler under-sizes every sandbox; the monitor answers each
+    // pressure event by raising the cap to what the invocation needs.
+    struct Tight;
+    impl ofc_faas::Scheduler for Tight {
+        fn route(&mut self, _ctx: &ofc_faas::RoutingContext) -> ofc_faas::RoutingDecision {
+            ofc_faas::RoutingDecision {
+                node: 0,
+                sandbox: None,
+                mem_limit: 128 * MB,
+                admission: ofc_faas::Admission::bypass(),
+                overhead: Duration::ZERO,
+            }
+        }
+    }
+    struct Raise;
+    impl ExecutionMonitor for Raise {
+        fn on_pressure(
+            &mut self,
+            _sim: &mut Sim,
+            _record: &InvocationRecord,
+            needed: u64,
+            _elapsed: Duration,
+        ) -> PressureAction {
+            PressureAction::RaiseTo(needed)
+        }
+        fn on_complete(&mut self, _sim: &mut Sim, _record: &InvocationRecord) {}
+    }
+    let p = platform_with(400 * MB, Duration::from_millis(100));
+    p.set_scheduler(Box::new(Tight));
+    p.set_monitor(Box::new(Raise));
+    let mut sim = Sim::new(0);
+    p.submit(&mut sim, request());
+    p.submit(&mut sim, request());
+    sim.run_until(SimTime::from_secs(10));
+    let recs = p.drain_records();
+    assert!(recs
+        .iter()
+        .all(|r| r.completion == Completion::Success && r.resized));
+    let resizes = p.counters().resizes;
+    assert!(resizes > 0);
+    let cell = p.telemetry().metrics().counter("faas.resizes");
+    assert_eq!(resizes, cell, "counters() and faas.resizes are one count");
+    assert_eq!(p.audit(), Ok(()));
+}
+
+#[test]
 fn broker_refusal_makes_request_unschedulable() {
     struct Stingy;
     impl MemoryBroker for Stingy {
@@ -256,10 +304,6 @@ struct TwoStage {
 }
 
 impl PipelineDriver for TwoStage {
-    fn tenant(&self) -> TenantId {
-        TenantId::from("t")
-    }
-
     fn stage(
         &self,
         stage: usize,

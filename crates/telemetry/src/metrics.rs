@@ -55,12 +55,18 @@ impl Counter {
     pub fn add(&self, n: u64) {
         self.cell.set(self.cell.get().wrapping_add(n));
     }
+
+    /// The count so far.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.cell.get()
+    }
 }
 
 impl std::fmt::Debug for Counter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Counter")
-            .field("value", &self.cell.get())
+            .field("value", &self.get())
             .finish()
     }
 }

@@ -386,10 +386,6 @@ impl ScatterGather {
 }
 
 impl PipelineDriver for ScatterGather {
-    fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     fn stage(&self, stage: usize, prev: &[ObjectRef], seed: u64) -> Option<Vec<InvocationRequest>> {
         match stage {
             0 => {
@@ -454,10 +450,6 @@ impl Sequence {
 }
 
 impl PipelineDriver for Sequence {
-    fn tenant(&self) -> TenantId {
-        self.tenant
-    }
-
     fn stage(&self, stage: usize, prev: &[ObjectRef], seed: u64) -> Option<Vec<InvocationRequest>> {
         let name = *self.stages.get(stage)?;
         let inputs = if stage == 0 {
