@@ -56,9 +56,9 @@ type IdleIndex = IdHashMap<(TenantId, FunctionId), Vec<u64>>;
 /// candidates on every submit, so those are kept incrementally. Invariant
 /// (checked by [`Invoker::audit`]): `committed = Σ mem_limit`,
 /// `booked = Σ booked`, and `idle` holds exactly the `Idle` sandboxes,
-/// each function's ids ascending. Every state change
-/// goes through the methods below; there is no mutable access to a
-/// [`Sandbox`] from outside.
+/// each function's ids ascending. Every state change goes through the
+/// methods below; there is no mutable access to a [`Sandbox`] from
+/// outside.
 #[derive(Debug)]
 pub struct Invoker {
     node: NodeId,
