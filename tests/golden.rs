@@ -31,6 +31,11 @@ const GOLDEN_FIGURES: &[&str] = &[
     "table1",
     "cache_benefit",
     "maturation",
+    "fig9",
+    "fig10",
+    "table2",
+    "macro24",
+    "ablation",
 ];
 
 fn repo_root() -> PathBuf {
@@ -188,6 +193,36 @@ fn cache_benefit_matches_golden() {
 #[test]
 fn maturation_matches_golden() {
     check("maturation");
+}
+
+/// The full 30-minute macro window: Swift vs OFC over three profiles.
+#[test]
+fn fig9_matches_golden() {
+    check("fig9");
+}
+
+/// The cache-size series of the full macro window.
+#[test]
+fn fig10_matches_golden() {
+    check("fig10");
+}
+
+/// Every agent/ML counter of the full macro window.
+#[test]
+fn table2_matches_golden() {
+    check("table2");
+}
+
+/// The 24-tenant variant at full capacity, per profile.
+#[test]
+fn macro24_matches_golden() {
+    check("macro24");
+}
+
+/// The design-choice ablations at their full windows.
+#[test]
+fn ablation_matches_golden() {
+    check("ablation");
 }
 
 /// One caller of the scenario runners (`ofc_bench::par` fan-out over
