@@ -149,7 +149,7 @@ pub fn stage_input(tb: &mut Testbed, scenario: Scenario, meta: MediaMeta, key: &
 pub fn pin(tb: &Testbed, mem: u64) {
     tb.platform.set_scheduler(Box::new(PinnedScheduler {
         node: EXEC_NODE,
-        mem_limit: mem,
+        mem_limit: ofc_faas::Limit(mem),
         admission: ofc_faas::Admission::admit(),
     }));
 }
@@ -235,7 +235,7 @@ pub fn pipeline(
     // the LH preload lives).
     register_stages(&tb, &tenant, 512 << 20);
     tb.platform.set_scheduler(Box::new(SpreadScheduler {
-        mem_limit: 512 << 20,
+        mem_limit: ofc_faas::Limit(512 << 20),
         admission: ofc_faas::Admission::admit(),
     }));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);

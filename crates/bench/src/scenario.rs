@@ -205,7 +205,7 @@ pub fn pretrain_single(tb: &Testbed, tenant: &TenantId, profile: &'static Profil
 #[derive(Debug, Clone, Copy)]
 pub struct SpreadScheduler {
     /// Memory limit applied.
-    pub mem_limit: u64,
+    pub mem_limit: ofc_faas::Limit,
     /// Admission decision passed to the data plane.
     pub admission: Admission,
 }
@@ -242,7 +242,7 @@ pub struct PinnedScheduler {
     /// Target node.
     pub node: usize,
     /// Memory limit applied.
-    pub mem_limit: u64,
+    pub mem_limit: ofc_faas::Limit,
     /// Admission decision passed to the data plane.
     pub admission: Admission,
 }

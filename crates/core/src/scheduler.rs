@@ -6,11 +6,12 @@ use crate::ml::{FnKey, MlEngine};
 use crate::policy::PolicyHandle;
 use ofc_dtree::data::Value;
 use ofc_faas::{
-    ArgValue, Args, FunctionId, NodeId, RoutingContext, RoutingDecision, Scheduler, TenantId,
+    ArgValue, Args, FunctionId, Limit, NodeId, RoutingContext, RoutingDecision, Scheduler, TenantId,
 };
 use ofc_rcstore::cluster::Cluster;
 use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -101,20 +102,17 @@ impl OfcScheduler {
     fn pick_warm(
         ctx: &RoutingContext<'_>,
         input_master: Option<NodeId>,
-        mem_limit: u64,
+        mem_limit: Limit,
     ) -> Option<(NodeId, u64)> {
         ctx.warm
             .iter()
             .min_by_key(|sb| {
-                let diff = sb.mem_limit.abs_diff(mem_limit);
                 let must_grow = mem_limit > sb.mem_limit;
-                let node_free = ctx.free_mem[sb.node];
-                let non_local = input_master != Some(sb.node);
                 (
-                    diff,
-                    if must_grow { u64::MAX - node_free } else { 0 },
-                    non_local,
-                    u64::MAX - sb.idle_since.as_nanos(),
+                    sb.mem_limit.bytes().abs_diff(mem_limit.bytes()),
+                    must_grow.then(|| Reverse(ctx.free_mem[sb.node])),
+                    input_master != Some(sb.node),
+                    Reverse(sb.idle_since),
                 )
             })
             .map(|sb| (sb.node, sb.sandbox))
@@ -127,12 +125,13 @@ impl Scheduler for OfcScheduler {
         let prediction = (self.features)(&ctx.tenant, &ctx.function, ctx.args)
             .map(|f| self.ml.borrow().predict(&key, &f));
         // Sizing is the Predictor's (§5.3); admission is the policy's.
-        let mem_limit = match &prediction {
-            Some(p) => p.mem_bytes.unwrap_or(ctx.booked_mem),
-            // Unknown function: booked memory.
-            None => ctx.booked_mem,
-        };
-        if mem_limit == ctx.booked_mem {
+        // An unknown function or an immature model runs at its booking.
+        let booked = Limit::of_booked(ctx.booked_mem);
+        let mem_limit = prediction
+            .as_ref()
+            .and_then(|p| p.mem_bytes)
+            .map_or(booked, Limit);
+        if mem_limit == booked {
             self.metrics.booked_fallbacks.inc();
         } else {
             self.metrics.predicted_sizes.inc();
@@ -163,16 +162,10 @@ impl Scheduler for OfcScheduler {
         }
 
         // Cold path: prefer the node mastering the input's cached copy
-        // (§6.5), then the stock home, then the roomiest node.
-        let free = &ctx.free_mem;
-        let node = input_master
-            .filter(|&n| free[n] >= mem_limit)
-            .or_else(|| (free[ctx.home] >= mem_limit).then_some(ctx.home))
-            .or_else(|| (0..free.len()).max_by_key(|&n| free[n]))
-            .unwrap_or(ctx.home);
+        // (§6.5), then the stock placement.
         self.metrics.cold_routes.inc();
         RoutingDecision {
-            node,
+            node: ctx.cold_node(input_master),
             sandbox: None,
             mem_limit,
             admission,
@@ -187,7 +180,7 @@ mod tests {
     use crate::ml::MlConfig;
     use crate::policy::OfcPolicy;
     use ofc_dtree::data::{AttrKind, Attribute};
-    use ofc_faas::SandboxView;
+    use ofc_faas::{Booked, SandboxView};
     use ofc_objstore::ObjectId;
     use ofc_rcstore::ClusterConfig;
     use ofc_simtime::SimTime;
@@ -263,10 +256,10 @@ mod tests {
             function: FunctionId::from("f"),
             tenant: TenantId::from("t"),
             args,
-            booked_mem: 2 << 30,
+            booked_mem: Booked(2 << 30),
             home: 0,
             warm,
-            free_mem: vec![8 << 30; 4],
+            free_mem: vec![Booked(8 << 30); 4],
         }
     }
 
@@ -287,7 +280,7 @@ mod tests {
         SandboxView {
             node,
             sandbox: id,
-            mem_limit: mem,
+            mem_limit: Limit(mem),
             idle_since: SimTime::from_secs(idle_s),
         }
     }
@@ -299,8 +292,8 @@ mod tests {
         let d = s.route(&ctx(&args(10.0), vec![]));
         // Needs ~224 MB; allocation must cover it with the next-greater
         // margin yet stay far below the 2 GB booking.
-        assert!(d.mem_limit >= 224 * MB);
-        assert!(d.mem_limit <= 512 * MB);
+        assert!(d.mem_limit >= Limit(224 * MB));
+        assert!(d.mem_limit <= Limit(512 * MB));
         assert_eq!(d.overhead, PREDICTOR_OVERHEAD);
     }
 
@@ -375,11 +368,40 @@ mod tests {
     }
 
     #[test]
+    fn cold_start_skips_an_input_master_that_cannot_admit_the_booking() {
+        let ml = engine_with_mature_model();
+        let cluster = cluster();
+        let mut s = scheduler(ml, features(), &cluster);
+        let cached = with_inputs(args(10.0), &cluster, &[("input", Some(2))]);
+        let mut c = ctx(&cached, vec![]);
+        // Node 2 has room for the predicted limit, not for the booking.
+        c.free_mem[2] = Booked(1 << 30);
+        let d = s.route(&c);
+        assert!(d.mem_limit.bytes() < c.free_mem[2].bytes() && c.free_mem[2] < c.booked_mem);
+        assert_ne!(d.node, 2, "admission would refuse node 2");
+        assert_eq!(d.node, 0, "the home node admits");
+    }
+
+    #[test]
+    fn cold_start_skips_a_home_that_cannot_admit_the_booking() {
+        let ml = engine_with_mature_model();
+        let mut s = scheduler(ml, features(), &cluster());
+        let args = args(10.0);
+        let mut c = ctx(&args, vec![]);
+        // Home node 0 has room for the predicted limit, not for the booking.
+        c.free_mem[0] = Booked(1 << 30);
+        let d = s.route(&c);
+        assert!(d.mem_limit.bytes() < c.free_mem[0].bytes() && c.free_mem[0] < c.booked_mem);
+        assert_ne!(d.node, 0, "admission would refuse the home node");
+        assert_eq!(d.node, 3, "the roomiest node that admits, last of equals");
+    }
+
+    #[test]
     fn unknown_function_falls_back_to_booked() {
         let ml = Rc::new(RefCell::new(MlEngine::new(MlConfig::default())));
         let mut s = scheduler(ml, Rc::new(|_, _, _| None), &cluster());
         let d = s.route(&ctx(&args(1.0), vec![]));
-        assert_eq!(d.mem_limit, 2 << 30);
+        assert_eq!(d.mem_limit, Limit(2 << 30));
         assert!(d.admission.cache, "conservative default");
     }
 }

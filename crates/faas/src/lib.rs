@@ -224,6 +224,37 @@ pub trait DataPlane {
     fn pipeline_ended(&mut self, _intermediates: &[ObjectId]) {}
 }
 
+/// Bytes of *booked* memory: the tenant's guarantee and the admission
+/// currency (§2.2.1). It does not mix with [`Limit`]; a booking becomes a
+/// limit only through [`Limit::of_booked`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Booked(pub u64);
+
+/// Bytes of a sandbox's cgroup *limit*: what it may use while it runs
+/// (§5.3; OFC's predicted `Mp`, the stock platform's booking).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Limit(pub u64);
+
+impl Booked {
+    /// The byte count, for leaving the routing seam.
+    pub fn bytes(self) -> u64 {
+        self.0
+    }
+}
+
+impl Limit {
+    /// Runs a sandbox at its full booking: the booked-size fallback of an
+    /// unpredicted request and the OOM retry (§5.3.1).
+    pub fn of_booked(booked: Booked) -> Limit {
+        Limit(booked.0)
+    }
+
+    /// The byte count, for leaving the routing seam.
+    pub fn bytes(self) -> u64 {
+        self.0
+    }
+}
+
 /// Snapshot of one sandbox offered to the scheduler.
 #[derive(Debug, Clone)]
 pub struct SandboxView {
@@ -232,7 +263,7 @@ pub struct SandboxView {
     /// Sandbox identifier on that node.
     pub sandbox: u64,
     /// Current memory limit.
-    pub mem_limit: u64,
+    pub mem_limit: Limit,
     /// When it last finished an invocation.
     pub idle_since: SimTime,
 }
@@ -247,7 +278,7 @@ pub struct RoutingContext<'a> {
     /// Its arguments, on loan from the request.
     pub args: &'a Args,
     /// Memory booked by the tenant for this function.
-    pub booked_mem: u64,
+    pub booked_mem: Booked,
     /// The stock home node (`hash(function, tenant) % n`).
     pub home: NodeId,
     /// Idle warm sandboxes for this function, cluster-wide, in ascending
@@ -256,7 +287,29 @@ pub struct RoutingContext<'a> {
     pub warm: Vec<SandboxView>,
     /// Free memory per node, indexed by node id: total memory less the
     /// memory booked by the node's sandboxes (the admission currency).
-    pub free_mem: Vec<u64>,
+    pub free_mem: Vec<Booked>,
+}
+
+impl RoutingContext<'_> {
+    /// Whether `node` admits a cold start of this request: its free booked
+    /// memory covers the booking (§2.2.1). This is the platform's
+    /// admission check.
+    pub fn admits(&self, node: NodeId) -> bool {
+        self.free_mem[node] >= self.booked_mem
+    }
+
+    /// Where a cold start goes: the first of `preferred`, the home node and
+    /// the roomiest node (the last of equals) that admits it; the home
+    /// node, which admission then refuses, when none does.
+    pub fn cold_node(&self, preferred: Option<NodeId>) -> NodeId {
+        let roomiest = (0..self.free_mem.len()).max_by_key(|&n| self.free_mem[n]);
+        preferred
+            .into_iter()
+            .chain([self.home])
+            .chain(roomiest)
+            .find(|&n| self.admits(n))
+            .unwrap_or(self.home)
+    }
 }
 
 /// The scheduler's routing decision.
@@ -268,7 +321,7 @@ pub struct RoutingDecision {
     pub sandbox: Option<u64>,
     /// Memory limit to apply to the sandbox (OFC: predicted `Mp`; stock:
     /// the booked amount).
-    pub mem_limit: u64,
+    pub mem_limit: Limit,
     /// The cache-admission decision for this invocation (OFC's
     /// `shouldBeCached`, typed; ignored by the stock planes).
     pub admission: Admission,
@@ -295,25 +348,16 @@ impl Scheduler for StockScheduler {
             return RoutingDecision {
                 node: sb.node,
                 sandbox: Some(sb.sandbox),
-                mem_limit: sb.mem_limit.max(ctx.booked_mem),
+                mem_limit: sb.mem_limit.max(Limit::of_booked(ctx.booked_mem)),
                 admission: Admission::bypass(),
                 overhead: Duration::ZERO,
             };
         }
-        // Otherwise create on the home node if it fits, else the roomiest.
-        let fits = |&n: &NodeId| ctx.free_mem[n] >= ctx.booked_mem;
-        let node = Some(ctx.home)
-            .filter(fits)
-            .or_else(|| {
-                (0..ctx.free_mem.len())
-                    .filter(fits)
-                    .max_by_key(|&n| ctx.free_mem[n])
-            })
-            .unwrap_or(ctx.home);
+        // Otherwise create on the home node if it admits, else the roomiest.
         RoutingDecision {
-            node,
+            node: ctx.cold_node(None),
             sandbox: None,
-            mem_limit: ctx.booked_mem,
+            mem_limit: Limit::of_booked(ctx.booked_mem),
             admission: Admission::bypass(),
             overhead: Duration::ZERO,
         }
@@ -570,11 +614,11 @@ mod tests {
             function: FunctionId::from("f"),
             tenant: TenantId::from("t"),
             args: &NO_ARGS,
-            booked_mem: 512 << 20,
+            booked_mem: Booked(512 << 20),
             home: 1,
             warm,
             // Node 1 is fully booked.
-            free_mem: vec![4 << 30, 0, 4 << 30],
+            free_mem: vec![Booked(4 << 30), Booked(0), Booked(4 << 30)],
         }
     }
 
@@ -584,13 +628,13 @@ mod tests {
             SandboxView {
                 node: 2,
                 sandbox: 7,
-                mem_limit: 512 << 20,
+                mem_limit: Limit(512 << 20),
                 idle_since: SimTime::from_secs(5),
             },
             SandboxView {
                 node: 0,
                 sandbox: 3,
-                mem_limit: 512 << 20,
+                mem_limit: Limit(512 << 20),
                 idle_since: SimTime::from_secs(9),
             },
         ];
@@ -625,7 +669,7 @@ mod tests {
         let d = StockScheduler.route(&ctx(vec![]));
         assert_ne!(d.node, 1);
         assert_eq!(d.sandbox, None);
-        assert_eq!(d.mem_limit, 512 << 20);
+        assert_eq!(d.mem_limit, Limit(512 << 20));
     }
 
     #[test]

@@ -10,9 +10,9 @@
 use crate::registry::Registry;
 use crate::sandbox::Invoker;
 use crate::{
-    Behavior, Completion, DataPlane, ExecutionMonitor, FunctionId, InvocationId, InvocationRecord,
-    InvocationRequest, MemoryBroker, NodeId, PipelineId, PlatformConfig, PressureAction,
-    RoutingContext, Scheduler, StockBroker, StockMonitor, StockScheduler, TenantId,
+    Behavior, Booked, Completion, DataPlane, ExecutionMonitor, FunctionId, InvocationId,
+    InvocationRecord, InvocationRequest, Limit, MemoryBroker, NodeId, PipelineId, PlatformConfig,
+    PressureAction, RoutingContext, Scheduler, StockBroker, StockMonitor, StockScheduler, TenantId,
 };
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
@@ -203,13 +203,13 @@ impl Platform {
         let free_mem = self
             .invokers
             .iter()
-            .map(|inv| inv.total_mem().saturating_sub(inv.booked_mem()))
+            .map(|inv| Booked(inv.total_mem().saturating_sub(inv.booked_mem())))
             .collect();
         RoutingContext {
             function: req.function,
             tenant: req.tenant,
             args: &req.args,
-            booked_mem: booked,
+            booked_mem: Booked(booked),
             home: self.home_node(&req.tenant, &req.function),
             warm,
             free_mem,
@@ -390,7 +390,7 @@ impl PlatformHandle {
         sim: &mut Sim,
         req: InvocationRequest,
         attempt: u32,
-        force_mem: Option<u64>,
+        force_mem: Option<Booked>,
     ) -> InvocationId {
         let now = sim.now();
         let mut p = self.0.borrow_mut();
@@ -410,14 +410,13 @@ impl PlatformHandle {
         };
 
         let ctx = p.routing_context(&req, spec.booked_mem);
-        let mut decision = p.scheduler.route(&ctx);
-        if let Some(m) = force_mem {
-            // OOM retry: raise to the tenant-booked amount (§5.3.1).
-            decision.mem_limit = m;
-        }
-        decision.mem_limit = decision
-            .mem_limit
-            .clamp(crate::MIN_SANDBOX_MEM, crate::MAX_SANDBOX_MEM);
+        let decision = p.scheduler.route(&ctx);
+        let admitted = ctx.admits(decision.node);
+        // OOM retry: raise to the tenant-booked amount (§5.3.1).
+        let mut mem_limit = force_mem
+            .map_or(decision.mem_limit, Limit::of_booked)
+            .clamp(Limit(crate::MIN_SANDBOX_MEM), Limit(crate::MAX_SANDBOX_MEM))
+            .bytes();
 
         let node = decision.node;
         let total = p.invokers[node].total_mem();
@@ -434,41 +433,33 @@ impl PlatformHandle {
             {
                 // ofc-lint: allow(panic) reason=the match guard above just checked this sandbox exists
                 let current = p.invokers[node].sandbox(sb).expect("checked").mem_limit;
-                if decision.mem_limit > current {
-                    let delta = decision.mem_limit - current;
-                    let committed_after = p.invokers[node].committed_mem() + delta;
+                if mem_limit > current {
+                    let committed_after = p.invokers[node].committed_mem() + mem_limit - current;
                     match p.broker.reserve(sim, node, committed_after, total) {
-                        Some(delay) => {
-                            setup += delay;
-                            p.invokers[node].resize(sb, decision.mem_limit);
-                            resized = true;
-                        }
-                        None => {
-                            // Cannot grow: run at the current limit and let
-                            // pressure handling cope.
-                            decision.mem_limit = current;
-                        }
+                        Some(delay) => setup += delay,
+                        // Cannot grow: run at the current limit and let
+                        // pressure handling cope.
+                        None => mem_limit = current,
                     }
-                } else if decision.mem_limit < current {
-                    p.invokers[node].resize(sb, decision.mem_limit);
-                    let committed_after = p.invokers[node].committed_mem();
-                    p.broker.release(sim, node, committed_after, total);
-                    resized = true;
                 }
-                if resized {
+                if mem_limit != current {
+                    p.invokers[node].resize(sb, mem_limit);
+                    if mem_limit < current {
+                        let committed_after = p.invokers[node].committed_mem();
+                        p.broker.release(sim, node, committed_after, total);
+                    }
+                    resized = true;
                     p.metrics.resizes.inc();
                 }
                 p.metrics.warm_starts.inc();
                 sb
             }
             _ => {
-                // Cold start. Admission control is by *booked* memory, as
-                // in stock OWK (§2.2.1: the booking is the guarantee);
-                // physical memory is arbitrated with the broker at the
-                // (possibly much smaller) cgroup limit.
-                let committed_after = p.invokers[node].committed_mem() + decision.mem_limit;
-                let admissible = p.invokers[node].booked_mem() + spec.booked_mem <= total;
-                let reserved = admissible
+                // Cold start, admitted by booked memory as in stock OWK
+                // (`RoutingContext::admits`, §2.2.1); physical memory is
+                // arbitrated with the broker at the cgroup limit.
+                let committed_after = p.invokers[node].committed_mem() + mem_limit;
+                let reserved = admitted
                     .then(|| p.broker.reserve(sim, node, committed_after, total))
                     .flatten();
                 match reserved {
@@ -477,7 +468,7 @@ impl PlatformHandle {
                         p.metrics.unschedulable.inc();
                         let pipeline = req.pipeline;
                         let mut record =
-                            new_record(inv_id, req, node, now, decision.mem_limit, spec.booked_mem);
+                            new_record(inv_id, req, node, now, mem_limit, spec.booked_mem);
                         record.completion = Completion::Unschedulable;
                         record.end = now;
                         p.monitor.on_complete(sim, &record);
@@ -494,7 +485,7 @@ impl PlatformHandle {
                 p.invokers[node].create_sandbox(
                     req.function,
                     req.tenant,
-                    decision.mem_limit,
+                    mem_limit,
                     spec.booked_mem,
                 )
             }
@@ -502,7 +493,7 @@ impl PlatformHandle {
         p.invokers[node].claim(sandbox);
 
         let seed = req.seed;
-        let mut record = new_record(inv_id, req, node, now, decision.mem_limit, spec.booked_mem);
+        let mut record = new_record(inv_id, req, node, now, mem_limit, spec.booked_mem);
         record.cold_start = cold;
         record.resized = resized;
         record.attempt = attempt;
@@ -680,7 +671,7 @@ impl PlatformHandle {
         if let Some((request, attempt, booked)) = retry {
             // Retry at the tenant-booked size as soon as the container is
             // destroyed (§5.3.1): synchronously, preserving event order.
-            self.submit_attempt(sim, request, attempt, Some(booked));
+            self.submit_attempt(sim, request, attempt, Some(Booked(booked)));
         }
     }
 

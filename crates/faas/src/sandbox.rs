@@ -6,7 +6,7 @@
 //! keep-alive until reclaimed. Memory committed to sandboxes on a node is
 //! the quantity OFC's CacheAgent arbitrates against the cache pool.
 
-use crate::{FunctionId, NodeId, SandboxView, TenantId};
+use crate::{FunctionId, Limit, NodeId, SandboxView, TenantId};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
 use std::collections::hash_map::Entry;
@@ -233,7 +233,7 @@ impl Invoker {
                 Some(SandboxView {
                     node: self.node,
                     sandbox: sb.id,
-                    mem_limit: sb.mem_limit,
+                    mem_limit: Limit(sb.mem_limit),
                     idle_since: since,
                 })
             })

@@ -95,7 +95,7 @@ fn full_scan_warm(inv: &Invoker, function: &FunctionId, tenant: &TenantId) -> Ve
                 Some(SandboxView {
                     node: inv.node(),
                     sandbox: s.id,
-                    mem_limit: s.mem_limit,
+                    mem_limit: ofc_faas::Limit(s.mem_limit),
                     idle_since: since,
                 })
             }

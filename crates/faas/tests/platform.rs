@@ -175,7 +175,7 @@ fn oom_kill_and_retry_at_booked() {
             ofc_faas::RoutingDecision {
                 node: 0,
                 sandbox: ctx.warm.first().map(|s| s.sandbox),
-                mem_limit: 128 * MB,
+                mem_limit: ofc_faas::Limit(128 * MB),
                 admission: ofc_faas::Admission::bypass(),
                 overhead: Duration::ZERO,
             }
@@ -206,7 +206,7 @@ fn oom_retry_succeeds_when_booked_is_enough() {
             ofc_faas::RoutingDecision {
                 node: 0,
                 sandbox: None,
-                mem_limit: 128 * MB,
+                mem_limit: ofc_faas::Limit(128 * MB),
                 admission: ofc_faas::Admission::bypass(),
                 overhead: Duration::ZERO,
             }
@@ -235,7 +235,7 @@ fn monitor_cap_raise_is_counted_once() {
             ofc_faas::RoutingDecision {
                 node: 0,
                 sandbox: None,
-                mem_limit: 128 * MB,
+                mem_limit: ofc_faas::Limit(128 * MB),
                 admission: ofc_faas::Admission::bypass(),
                 overhead: Duration::ZERO,
             }

@@ -188,7 +188,7 @@ fn oom_underprediction_retries_at_booked_and_learns() {
             ofc::faas::RoutingDecision {
                 node: 0,
                 sandbox: ctx.warm.first().map(|s| s.sandbox),
-                mem_limit: 64 << 20,
+                mem_limit: ofc::faas::Limit(64 << 20),
                 admission: ofc::faas::Admission::admit(),
                 overhead: std::time::Duration::ZERO,
             }

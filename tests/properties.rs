@@ -1,11 +1,12 @@
 //! Property-based tests (proptest) on the core invariants across crates:
 //! the cache store's replication and durability, the object store's
-//! version discipline, the classifiers, and the interval arithmetic of
-//! the predictor.
+//! version discipline, the classifiers, the interval arithmetic of the
+//! predictor, and the platform's cold-placement rule.
 
 use ofc::dtree::c45::{C45Params, C45};
 use ofc::dtree::data::{Dataset, Value};
 use ofc::dtree::Classifier;
+use ofc::faas::{Args, Booked, FunctionId, RoutingContext, TenantId};
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::{ObjectId, Payload};
 use ofc::rcstore::cluster::Cluster;
@@ -255,6 +256,40 @@ proptest! {
         prop_assert!(alloc >= (u64::from(raw) + 1).min(128) * INTERVAL_BYTES);
         if raw < 127 {
             prop_assert!(cfg.allocation_for(raw + 1) >= alloc);
+        }
+    }
+
+    /// The cold-placement law, per decision: whenever some node admits the
+    /// booking, `cold_node` names a node that admits it, and it keeps a
+    /// `preferred` node that admits. Free memory and bookings come in
+    /// 256 MB steps, so exact fits and ties are common.
+    #[test]
+    fn cold_node_names_a_node_that_admits(
+        free in prop::collection::vec(0..16u64, 1..8),
+        booked in 1..9u64,
+        home in 0..8usize,
+        preferred in 0..9usize,
+    ) {
+        let nodes = free.len();
+        let args = Args::new();
+        let ctx = RoutingContext {
+            function: FunctionId::from("f"),
+            tenant: TenantId::from("t"),
+            args: &args,
+            booked_mem: Booked(booked * 256 * MB),
+            home: home % nodes,
+            warm: vec![],
+            free_mem: free.iter().map(|&q| Booked(q * 256 * MB)).collect(),
+        };
+        let preferred = Some(preferred % (nodes + 1)).filter(|&n| n < nodes);
+        let node = ctx.cold_node(preferred);
+        if (0..nodes).any(|n| ctx.admits(n)) {
+            prop_assert!(ctx.admits(node), "node {} cannot admit", node);
+        } else {
+            prop_assert_eq!(node, ctx.home, "no node admits: the home node");
+        }
+        if let Some(p) = preferred.filter(|&p| ctx.admits(p)) {
+            prop_assert_eq!(node, p, "an admitting preferred node is kept");
         }
     }
 
