@@ -11,7 +11,10 @@
 //!   predicted one, converting half of the residual underpredictions into
 //!   exact ones (§5.3.1),
 //! * a **cache-benefit model** — a J48 binary classifier for
-//!   `(Te + Tl) / Ttotal > 0.5` (§5.2),
+//!   `(Te + Tl) / Ttotal > 0.5` (§5.2). Only [`MlEngine::predict`] reads
+//!   it, so a retrain point refits the memory model at once and leaves
+//!   the benefit fit owed until the next prediction (pretraining makes
+//!   none),
 //! * the retained **training set** — after maturation, only
 //!   underpredictions and extreme overpredictions (`k − k* > 6`) are
 //!   added, with underpredictions weighted higher (§5.3.3).
@@ -65,7 +68,7 @@ pub fn interval_of(mem_bytes: u64) -> u32 {
 }
 
 /// Engine configuration (§5 defaults).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct MlConfig {
     /// Minimum observations before maturity is even checked (100).
     pub min_invocations: u64,
@@ -152,9 +155,17 @@ struct Registered {
 
 struct FunctionMl {
     mem_dataset: Dataset,
+    /// The benefit rows as of the last retrain point.
     benefit_dataset: Dataset,
+    /// Benefit labels of the rows kept since the last retrain point, at
+    /// most one retrain interval of them. Their features are the newest
+    /// rows of `mem_dataset`, which keeps the same rows.
+    benefit_backlog: Vec<u32>,
     mem_model: Option<DecisionTree>,
+    /// The last benefit tree fitted; stale while `benefit_owed`.
     benefit_model: Option<DecisionTree>,
+    /// Whether `benefit_model` is due a refit on `benefit_dataset`.
+    benefit_owed: bool,
     /// `(raw_predicted, truth)` pairs for the maturation window.
     window: VecDeque<(u32, u32)>,
     observations: u64,
@@ -162,6 +173,47 @@ struct FunctionMl {
     mature: bool,
     /// Observation index at which the model matured, if it has.
     matured_at: Option<u64>,
+}
+
+impl FunctionMl {
+    /// A retrain point's benefit half: moves the backlog into
+    /// `benefit_dataset`, keeping its newest `max` rows, and owes a fit on
+    /// the result if it holds both classes. A set left single-class keeps
+    /// the tree of the last two-class set, so a fit still owed on that set
+    /// is paid before the rows change.
+    fn flush_benefit_rows(&mut self, max: usize) {
+        // Taken, not drained: a function that stops keeping rows holds no
+        // backlog buffer.
+        let labels = std::mem::take(&mut self.benefit_backlog);
+        let old = self.benefit_dataset.rows();
+        let dropped = (old.len() + labels.len()).saturating_sub(max);
+        let new_dropped = dropped.saturating_sub(old.len());
+        let mut seen = [false; 2];
+        let old_kept = old.iter().skip(dropped).map(|r| r.label);
+        for label in old_kept.chain(labels[new_dropped..].iter().copied()) {
+            seen[label as usize] = true;
+        }
+        let both_classes = seen == [true; 2];
+        if !both_classes {
+            self.pay_benefit_fit();
+        }
+        let rows = self.mem_dataset.rows();
+        let new_rows = &rows[rows.len() - labels.len() + new_dropped..];
+        for (row, &label) in new_rows.iter().zip(&labels[new_dropped..]) {
+            // ofc-lint: allow(hotloop) reason=a kept row's features are copied into the benefit set once, at the first retrain point after it
+            self.benefit_dataset.push(row.values.clone(), label);
+        }
+        self.benefit_dataset.truncate_oldest(max);
+        self.benefit_owed = both_classes;
+    }
+
+    /// Fits the benefit model on `benefit_dataset` if a retrain point
+    /// owes that fit.
+    fn pay_benefit_fit(&mut self) {
+        if std::mem::take(&mut self.benefit_owed) {
+            self.benefit_model = Some(C45::train(&self.benefit_dataset, &C45Params::default()));
+        }
+    }
 }
 
 /// The ML engine: Predictor + ModelTrainer.
@@ -236,16 +288,22 @@ impl MlEngine {
     }
 
     /// Predicts memory and cache benefit for an invocation (§4's Predictor
-    /// step).
-    pub fn predict(&self, key: &FnKey, features: &[Value]) -> Prediction {
+    /// step), fitting the benefit model first if a retrain point left that
+    /// fit owed.
+    pub fn predict(&mut self, key: &FnKey, features: &[Value]) -> Prediction {
         // Unregistered and never-observed functions answer alike: no model.
-        let Some(f) = self.live(key) else {
+        let Some(f) = self
+            .functions
+            .get_mut(key)
+            .and_then(|r| r.live.as_deref_mut())
+        else {
             return Prediction {
                 mem_bytes: None,
                 raw_interval: None,
                 should_cache: true,
             };
         };
+        f.pay_benefit_fit();
         let raw_interval = f.mem_model.as_ref().map(|m| m.predict(features));
         let mem_bytes = match (f.mature, raw_interval) {
             (true, Some(raw)) => Some(self.cfg.allocation_for(raw)),
@@ -265,7 +323,7 @@ impl MlEngine {
 
     /// Feeds back one completed invocation (the ModelTrainer path, §5.3.3).
     pub fn observe(&mut self, key: &FnKey, obs: Observation) {
-        let cfg = self.cfg.clone();
+        let cfg = self.cfg;
         let Some(Registered { schema, live }) = self.functions.get_mut(key) else {
             return;
         };
@@ -275,8 +333,10 @@ impl MlEngine {
             Box::new(FunctionMl {
                 mem_dataset: Dataset::over(schema.clone(), self.interval_labels.clone()),
                 benefit_dataset: Dataset::over(schema.clone(), self.benefit_labels.clone()),
+                benefit_backlog: Vec::new(),
                 mem_model: None,
                 benefit_model: None,
+                benefit_owed: false,
                 window: VecDeque::new(),
                 observations: 0,
                 new_since_retrain: 0,
@@ -314,12 +374,14 @@ impl MlEngine {
             _ => None,
         };
         if let Some(weight) = keep {
-            f.mem_dataset
-                .push_weighted(obs.features.clone(), truth, weight);
+            f.mem_dataset.push_weighted(obs.features, truth, weight);
             f.mem_dataset.truncate_oldest(cfg.max_training_set);
-            f.benefit_dataset
-                .push(obs.features, u32::from(obs.el_ratio > 0.5));
-            f.benefit_dataset.truncate_oldest(cfg.max_training_set);
+            f.benefit_backlog.push(u32::from(obs.el_ratio > 0.5));
+            if f.benefit_backlog.len() > cfg.max_training_set {
+                // Older rows would not survive the next flush, and
+                // `mem_dataset` no longer holds their features.
+                f.benefit_backlog.remove(0);
+            }
             f.new_since_retrain += 1;
         }
 
@@ -327,13 +389,7 @@ impl MlEngine {
         let due = f.mem_model.is_none() || f.new_since_retrain >= RETRAIN_EVERY;
         if due && f.mem_dataset.len() >= 10 {
             f.mem_model = Some(C45::train(&f.mem_dataset, &C45Params::default()));
-            if f.benefit_dataset
-                .class_distribution()
-                .iter()
-                .all(|&w| w > 0.0)
-            {
-                f.benefit_model = Some(C45::train(&f.benefit_dataset, &C45Params::default()));
-            }
+            f.flush_benefit_rows(cfg.max_training_set);
             f.new_since_retrain = 0;
             self.metrics.retrains.inc();
         }
@@ -569,6 +625,34 @@ mod tests {
         }
         assert!(ml.predict(&key(), &[Value::Num(1.0)]).should_cache);
         assert!(!ml.predict(&key(), &[Value::Num(100.0)]).should_cache);
+    }
+
+    #[test]
+    fn a_set_gone_single_class_keeps_the_tree_still_owed() {
+        let mut ml = MlEngine::new(MlConfig {
+            max_training_set: 30,
+            ..MlConfig::default()
+        });
+        ml.register(key(), schema());
+        let obs = |x: f64, beneficial: bool| Observation {
+            features: vec![Value::Num(x)],
+            actual_mem: 64 << 20,
+            el_ratio: if beneficial { 0.9 } else { 0.1 },
+        };
+        // Both classes at the first retrain points: a benefit fit is owed.
+        for i in 0..20 {
+            let beneficial = i % 2 == 0;
+            ml.observe(
+                &key(),
+                obs(if beneficial { 1.0 } else { 100.0 }, beneficial),
+            );
+        }
+        // No prediction until truncation has left only beneficial rows.
+        for _ in 0..60 {
+            ml.observe(&key(), obs(50.0, true));
+        }
+        assert!(!ml.predict(&key(), &[Value::Num(100.0)]).should_cache);
+        assert!(ml.predict(&key(), &[Value::Num(1.0)]).should_cache);
     }
 
     #[test]

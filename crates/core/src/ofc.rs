@@ -193,10 +193,7 @@ impl OfcBuilder {
         platform.set_broker(Box::new(agent.clone()));
 
         // ML engine behind the scheduler and monitor seams.
-        let ml = Rc::new(RefCell::new(MlEngine::with_telemetry(
-            cfg.ml.clone(),
-            &telemetry,
-        )));
+        let ml = Rc::new(RefCell::new(MlEngine::with_telemetry(cfg.ml, &telemetry)));
         let mut scheduler = OfcScheduler::new(
             Rc::clone(&ml),
             Rc::clone(&features),

@@ -123,7 +123,7 @@ impl Scheduler for OfcScheduler {
     fn route(&mut self, ctx: &RoutingContext<'_>) -> RoutingDecision {
         let key: FnKey = (ctx.tenant, ctx.function);
         let prediction = (self.features)(&ctx.tenant, &ctx.function, ctx.args)
-            .map(|f| self.ml.borrow().predict(&key, &f));
+            .map(|f| self.ml.borrow_mut().predict(&key, &f));
         // Sizing is the Predictor's (§5.3); admission is the policy's.
         // An unknown function or an immature model runs at its booking.
         let booked = Limit::of_booked(ctx.booked_mem);

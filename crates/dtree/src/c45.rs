@@ -804,15 +804,7 @@ impl<'a> Grower<'a> {
             .attrs
             .iter()
             .map(|col| match col {
-                Column::Numeric(values) => {
-                    let mut order: Vec<u32> = (0..n as u32).collect();
-                    order.sort_by(|&a, &b| {
-                        values[a as usize]
-                            .partial_cmp(&values[b as usize])
-                            .expect("finite values")
-                    });
-                    order
-                }
+                Column::Numeric(values) => presort(values),
                 Column::Nominal { .. } => Vec::new(),
             })
             .collect();
@@ -1192,6 +1184,35 @@ impl<'a> Grower<'a> {
         }
         counts.iter().filter(|&&n| n > 0).count()
     }
+}
+
+/// Row ids `0..values.len()` in the order a stable sort by
+/// `f64::partial_cmp` of their values gives, by a stable sort on one
+/// integer key per row: the value's order-preserving bits. Adding `0.0`
+/// folds `-0.0` into `+0.0`, which `partial_cmp` holds equal to it, so
+/// equal values have equal keys and keep their row order.
+///
+/// # Panics
+///
+/// Panics on a NaN value, as the comparison sort does.
+fn presort(values: &[f64]) -> Vec<u32> {
+    let keys: Vec<u64> = values
+        .iter()
+        .map(|&v| {
+            assert!(!v.is_nan(), "finite values");
+            let bits = (v + 0.0).to_bits();
+            // Negatives flip whole, so a larger magnitude sorts lower;
+            // non-negatives set the sign bit, above every negative.
+            if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | 1 << 63
+            }
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    order.sort_by_key(|&row| keys[row as usize]);
+    order
 }
 
 /// Moves the rows of `seg` that `goes_left` to its front, keeping the
@@ -1738,8 +1759,54 @@ mod tests {
         })
     }
 
+    /// The stable comparison sort [`presort`] stands in for.
+    fn stable_sort_order(values: &[f64]) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..values.len() as u32).collect();
+        order.sort_by(|&a, &b| {
+            values[a as usize]
+                .partial_cmp(&values[b as usize])
+                .expect("finite values")
+        });
+        order
+    }
+
+    #[test]
+    #[should_panic(expected = "finite values")]
+    fn presort_rejects_nan() {
+        presort(&[1.0, f64::NAN]);
+    }
+
+    /// A value drawn to collide: signed zeros, small integers (so ties),
+    /// subnormals, infinities and magnitudes near `f64::MAX`.
+    fn colliding_value() -> impl proptest::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (-3i32..=3).prop_map(f64::from),
+            Just(f64::MIN_POSITIVE / 4.0),
+            Just(-f64::MIN_POSITIVE / 4.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::MAX),
+            Just(f64::MIN),
+            -1e300f64..1e300,
+            -1.0f64..1.0,
+        ]
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The keyed presort is the stable `partial_cmp` sort, row for row,
+        /// on columns full of ties, negatives, signed zeros and extreme
+        /// magnitudes.
+        #[test]
+        fn presort_is_the_stable_comparison_sort(
+            values in proptest::collection::vec(colliding_value(), 0..300),
+        ) {
+            proptest::prop_assert_eq!(presort(&values), stable_sort_order(&values));
+        }
 
         /// The columnar trainer grows, bit for bit, the tree the general
         /// path grows. No shrinking: a failure prints its `seed`.
