@@ -9,7 +9,8 @@
 //! Every variant is an independent simulation; all eleven fan out through
 //! [`ofc_bench::par`] and report in a fixed order.
 //!
-//! Set `OFC_MACRO_MINS` to shorten the macro-based ablations (default 10).
+//! The macro-based ablations run a 10-minute window; `OFC_MACRO_SMOKE=1`
+//! runs a fixed 2-minute window and saves `ablation_smoke.json` instead.
 
 use ofc_bench::cachex::{pin, run_macro, stage_input, MacroResult, MacroSpec, Scenario};
 use ofc_bench::par;

@@ -5,10 +5,9 @@
 //! compared head-to-head on hit ratio, E+L latency, memory footprint,
 //! and cold-tier cost.
 //!
-//! * `OFC_MACRO_MINS` shortens the observation window (default 30).
-//! * `OFC_MACRO_SMOKE=1` runs a fixed 2-minute window and saves
-//!   `bakeoff_smoke.json` instead — the golden suite's regression probe
-//!   and CI's `bakeoff-smoke` job.
+//! * The observation window is 30 minutes; `OFC_MACRO_SMOKE=1` runs a
+//!   fixed 2-minute window and saves `bakeoff_smoke.json` instead — the
+//!   golden suite's regression probe.
 //! * `OFC_BAKEOFF_CHECK=1` runs every policy twice and exits non-zero if
 //!   the passes disagree (determinism violation).
 //!

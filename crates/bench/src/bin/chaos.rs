@@ -4,8 +4,8 @@
 //! fault-free baseline and asserting durability (zero data loss, all
 //! accepted write-backs eventually landed in the RSDS).
 //!
-//! `OFC_CHAOS_SEED` picks the schedule seed (default 42); `OFC_MACRO_MINS`
-//! shortens the observation window. Output is deterministic per seed:
+//! `OFC_CHAOS_SEED` picks the schedule seed (default 42); the observation
+//! window is 10 minutes. Output is deterministic per seed:
 //! running twice with the same environment produces byte-identical
 //! `results/chaos.json`. `OFC_MACRO_SMOKE=1` pins a 5-minute window and
 //! saves `chaos_smoke.json` / `failover_smoke.json` instead, for the

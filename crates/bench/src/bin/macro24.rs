@@ -6,7 +6,6 @@
 //! [`ofc_bench::par`]; `OFC_BENCH_THREADS` pins the worker count and the
 //! output is byte-identical at any setting.
 //!
-//! Set `OFC_MACRO_MINS` to shorten the observation window.
 //! `OFC_MACRO_SMOKE=1` runs a fixed 2-minute window and saves
 //! `macro24_smoke.json` instead — the golden suite's serial-vs-parallel
 //! determinism probe.
@@ -38,32 +37,6 @@ fn main() {
         TenantProfile::Advanced,
     ];
 
-    // 4 runs per profile plus the 2-run contended variant: 14 independent
-    // sims, fanned out together. Cost estimates (tenant count: a 3-tenant
-    // sim executes ~3x the invocations) order the claims so the wide sims
-    // start first: with the heavy contended sims submitted — and so
-    // claimed — last, a multi-core run leaves the bin's wall clock
-    // hostage to a 3.5x-cost job landing on an already-busy worker.
-    let mut jobs: Vec<(f64, Box<dyn FnOnce() -> MacroResult + Send>)> = Vec::new();
-    for profile in profiles {
-        for (kind, tenants) in [
-            (PlaneKind::Swift, 1),
-            (PlaneKind::Ofc, 1),
-            (PlaneKind::Swift, 3),
-            (PlaneKind::Ofc, 3),
-        ] {
-            jobs.push((
-                tenants as f64,
-                Box::new(move || {
-                    run_macro(MacroSpec {
-                        tenants_per_function: tenants,
-                        ..MacroSpec::new(kind, profile, dur, 23)
-                    })
-                    .0
-                }),
-            ));
-        }
-    }
     // Contended variant: the paper's 24-tenant working set (300 GB of
     // ephemeral data) dwarfed its cache; we reproduce the same pressure by
     // capping the cache pool at 6 MB per worker.
@@ -75,12 +48,11 @@ fn main() {
         })
         .0
     };
-    jobs.push((
-        3.0,
+    // 14 independent sims, submitted widest first so that no 3-tenant sim
+    // starts last on a busy worker: the contended pair, then a Swift/OFC
+    // pair per profile at 24 tenants, then the same at 8.
+    let mut jobs: Vec<Box<dyn FnOnce() -> MacroResult + Send>> = vec![
         Box::new(move || contended(PlaneKind::Swift, OfcConfig::default())),
-    ));
-    jobs.push((
-        3.5,
         Box::new(move || {
             contended(
                 PlaneKind::Ofc,
@@ -90,16 +62,33 @@ fn main() {
                 },
             )
         }),
-    ));
-    let mut results = par::run_jobs_costed(jobs);
-    let ofc_c = results.pop().expect("contended OFC run");
-    let swift_c = results.pop().expect("contended Swift run");
+    ];
+    for tenants in [3, 1] {
+        for profile in profiles {
+            for kind in [PlaneKind::Swift, PlaneKind::Ofc] {
+                jobs.push(Box::new(move || {
+                    run_macro(MacroSpec {
+                        tenants_per_function: tenants,
+                        ..MacroSpec::new(kind, profile, dur, 23)
+                    })
+                    .0
+                }));
+            }
+        }
+    }
+    let results = par::run_jobs(jobs);
+    let (contended_pair, runs) = results.split_at(2);
+    let [swift_c, ofc_c] = contended_pair else {
+        unreachable!("the contended Swift/OFC pair");
+    };
+    let (runs24, runs8) = runs.split_at(2 * profiles.len());
 
     let total = |m: &MacroResult| m.per_function_total_s.values().sum::<f64>();
     let mut out = Vec::new();
-    for (profile, runs) in profiles.iter().zip(results.chunks_exact(4)) {
-        let [swift8, ofc8, swift24, ofc24] = runs else {
-            unreachable!("four runs per profile");
+    let pairs = runs8.chunks_exact(2).zip(runs24.chunks_exact(2));
+    for (profile, pair) in profiles.iter().zip(pairs) {
+        let ([swift8, ofc8], [swift24, ofc24]) = pair else {
+            unreachable!("a Swift/OFC pair per profile and tenant count");
         };
         out.push(Out {
             profile: format!("{profile:?}"),
@@ -142,7 +131,7 @@ fn main() {
     println!(
         "  hit ratio {:.1}%   gain {:.1}%   failed {}",
         ofc_c.table2.hit_ratio_pct,
-        100.0 * (1.0 - total(&ofc_c) / total(&swift_c)),
+        100.0 * (1.0 - total(ofc_c) / total(swift_c)),
         ofc_c.table2.failed_invocations,
     );
     println!(

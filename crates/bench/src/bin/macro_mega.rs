@@ -12,12 +12,11 @@
 //! - **failover** — the replicated control plane (3 coordinators +
 //!   gossip) with a worker crash mid-window.
 //!
-//! `OFC_MEGA_SMOKE=1` shrinks every variant to a CI-sized window and saves
-//! `macro_mega_smoke.json` — the golden suite's serial-vs-parallel
-//! byte-compare probe. Jobs are submitted in descending estimated cost so
-//! the widest sim never lands last on a busy worker.
+//! `OFC_MACRO_SMOKE=1` shrinks every variant to a CI-sized window and
+//! saves `macro_mega_smoke.json` — the golden suite's serial-vs-parallel
+//! byte-compare probe.
 
-use ofc_bench::megarun::{run_mega, tail_hit_pct, MegaOpts, MegaReport};
+use ofc_bench::megarun::{run_mega, tail_hit_pct, MegaOpts};
 use ofc_bench::par;
 use ofc_bench::report;
 use ofc_core::ofc::OfcConfig;
@@ -103,9 +102,7 @@ fn quota_cfg(quota: Option<u64>, pool: Option<u64>) -> OfcConfig {
 }
 
 fn main() {
-    let smoke = std::env::var("OFC_MEGA_SMOKE")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let smoke = ofc_bench::smoke();
     let s = scale(smoke);
 
     // The occupancy attack reuses the contention scale but churns a wide
@@ -174,21 +171,8 @@ fn main() {
         ),
     ];
 
-    // Cost-ordered claiming: a variant's work scales with its arrival
-    // volume, and the headline dwarfs everything — estimate cost as
-    // tenants × window so the widest sims never land last on a busy
-    // worker (the record-9 macro24 lesson).
-    let jobs: Vec<(f64, Box<dyn FnOnce() -> MegaReport + Send>)> = variants
-        .into_iter()
-        .map(|o| {
-            let cost = o.mega.tenants as f64 * o.mega.duration.as_secs_f64();
-            (
-                cost,
-                Box::new(move || run_mega(o)) as Box<dyn FnOnce() -> MegaReport + Send>,
-            )
-        })
-        .collect();
-    let results = par::run_jobs_costed(jobs);
+    let jobs: Vec<_> = variants.into_iter().map(|o| move || run_mega(o)).collect();
+    let results = par::run_jobs(jobs);
 
     let rows: Vec<Vec<String>> = results
         .iter()

@@ -2,8 +2,8 @@
 //! migration sweep, and the 24-tenant variant.
 
 use crate::scenario::{
-    feature_fn, pretrain_single, register_single, register_stages, PinnedScheduler, PlaneKind,
-    SpreadScheduler, Testbed, TestbedSpec, WORKER_NODES,
+    is_failure, pretrain_single, register_single, register_stages, PinnedScheduler, PlaneKind,
+    SpreadScheduler, Testbed, TestbedSpec,
 };
 use ofc_core::cache::rc_key;
 use ofc_core::ofc::OfcConfig;
@@ -313,31 +313,10 @@ pub fn cache_scaling(scenario: ScalingScenario, input_bytes: u64, seed: u64) -> 
     let p = profile("wand_sepia").expect("known profile");
     let tenant = TenantId::from("micro");
     // A small (2 GB) worker makes the cache interaction visible.
-    let catalog = ofc_workloads::catalog::Catalog::new();
-    let store = Rc::new(std::cell::RefCell::new(
-        ofc_objstore::store::ObjectStore::swift(),
-    ));
-    let platform = ofc_faas::platform::Platform::build(
-        ofc_faas::PlatformConfig {
-            nodes: WORKER_NODES,
-            node_mem: 2 << 30,
-            ..ofc_faas::PlatformConfig::default()
-        },
-        ofc_faas::registry::Registry::new(),
-        Box::new(ofc_faas::baselines::NoopPlane),
-    );
-    let ofc = ofc_core::ofc::Ofc::builder(&platform)
-        .store(Rc::clone(&store))
-        .features(feature_fn(catalog.clone()))
-        .build();
-    let mut tb = Testbed {
-        sim: ofc_simtime::Sim::new(seed),
-        platform,
-        store,
-        catalog,
-        ofc: Some(ofc),
-        imoc: None,
-    };
+    let mut tb = Testbed::build(TestbedSpec {
+        node_mem: 2 << 30,
+        ..TestbedSpec::new(PlaneKind::Ofc, seed)
+    });
     register_single(&tb, &tenant, p, 2 << 30);
 
     // Create the warm 64 MB container first (its own shrink is not part of
@@ -657,10 +636,7 @@ pub fn run_macro(spec: MacroSpec) -> (MacroResult, MacroExtras) {
     let max_retries = tb.platform.config().max_retries;
     let failed = records
         .iter()
-        .filter(|r| {
-            matches!(r.completion, Completion::Unschedulable)
-                || (r.completion == Completion::OomKilled && r.attempt >= max_retries)
-        })
+        .filter(|r| is_failure(r.completion, r.attempt, max_retries))
         .count() as u64;
 
     let (cache_series, table2) = match &tb.ofc {

@@ -44,18 +44,15 @@ impl Window {
     }
 }
 
-/// Reads the macro window every §7.2.2-shaped bin shares:
-/// `OFC_MACRO_SMOKE=1` pins 2 minutes (the golden suite's window),
-/// otherwise `OFC_MACRO_MINS` overrides the bin's `default_mins`.
+/// Whether `OFC_MACRO_SMOKE=1` asks for the golden suite's short run.
+pub fn smoke() -> bool {
+    std::env::var("OFC_MACRO_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Reads the macro window every §7.2.2-shaped bin shares: 2 minutes (the
+/// golden suite's window) under [`smoke`], otherwise `default_mins`.
 pub fn window(default_mins: u64) -> Window {
-    let smoke = std::env::var("OFC_MACRO_SMOKE").is_ok_and(|v| v == "1");
-    let mins = if smoke {
-        2
-    } else {
-        std::env::var("OFC_MACRO_MINS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default_mins)
-    };
+    let smoke = smoke();
+    let mins = if smoke { 2 } else { default_mins };
     Window { mins, smoke }
 }

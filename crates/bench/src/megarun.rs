@@ -10,7 +10,7 @@
 //! byte-identical across thread counts and is safe for the golden
 //! serial-vs-parallel compare.
 
-use crate::scenario::{PlaneKind, Testbed, TestbedSpec, WORKER_NODES};
+use crate::scenario::{is_failure, PlaneKind, Testbed, TestbedSpec, WORKER_NODES};
 use ofc_core::ofc::OfcConfig;
 use ofc_core::scheduler::FeatureFn;
 use ofc_faas::{Completion, Served};
@@ -42,14 +42,11 @@ impl Agg {
             let idx: usize = name[1..].parse().unwrap_or(0);
             let d = mega::decile_of(idx, tenants);
             self.invocations[d] += 1;
-            match r.completion {
-                Completion::Success => {
-                    self.completed += 1;
-                    self.lat[d].record(r.total().as_micros() as u64);
-                }
-                Completion::Unschedulable => self.failed += 1,
-                Completion::OomKilled if r.attempt >= max_retries => self.failed += 1,
-                _ => {}
+            if r.completion == Completion::Success {
+                self.completed += 1;
+                self.lat[d].record(r.total().as_micros() as u64);
+            } else if is_failure(r.completion, r.attempt, max_retries) {
+                self.failed += 1;
             }
             for s in &r.reads_served {
                 match s {
@@ -200,11 +197,10 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
         ofc,
         ..
     } = Testbed::build(TestbedSpec {
-        plane: PlaneKind::Ofc,
         nodes,
-        seed: mega_cfg.seed,
         ofc: ofc_cfg,
         features: mega_feature_fn,
+        ..TestbedSpec::new(PlaneKind::Ofc, mega_cfg.seed)
     });
     let ofc = ofc.expect("an OFC testbed carries its handles");
 

@@ -7,7 +7,8 @@ use ofc_faas::baselines::{DirectPlane, ImocPlane};
 use ofc_faas::platform::{Platform, PlatformHandle};
 use ofc_faas::registry::{FunctionSpec, Registry};
 use ofc_faas::{
-    Admission, FunctionId, PlatformConfig, RoutingContext, RoutingDecision, Scheduler, TenantId,
+    Admission, Completion, FunctionId, PlatformConfig, RoutingContext, RoutingDecision, Scheduler,
+    TenantId,
 };
 use ofc_objstore::imoc::Imoc;
 use ofc_objstore::latency::LatencyModel;
@@ -62,6 +63,9 @@ pub struct TestbedSpec {
     pub plane: PlaneKind,
     /// Worker nodes.
     pub nodes: usize,
+    /// Invoker memory per worker node: [`NODE_MEM`] everywhere but Fig 8,
+    /// whose 2 GB workers make the cache's scale-down visible.
+    pub node_mem: u64,
     /// Simulator seed.
     pub seed: u64,
     /// OFC configuration (read for [`PlaneKind::Ofc`] only).
@@ -72,12 +76,13 @@ pub struct TestbedSpec {
 }
 
 impl TestbedSpec {
-    /// The paper's cluster under `plane`: [`WORKER_NODES`] workers, the
-    /// default OFC configuration, and [`feature_fn`].
+    /// The paper's cluster under `plane`: [`WORKER_NODES`] workers of
+    /// [`NODE_MEM`], the default OFC configuration, and [`feature_fn`].
     pub fn new(plane: PlaneKind, seed: u64) -> Self {
         TestbedSpec {
             plane,
             nodes: WORKER_NODES,
+            node_mem: NODE_MEM,
             seed,
             ofc: OfcConfig::default(),
             features: feature_fn,
@@ -93,7 +98,7 @@ impl Testbed {
         let store = Rc::new(RefCell::new(ObjectStore::new(LatencyModel::swift())));
         let cfg = PlatformConfig {
             nodes: spec.nodes,
-            node_mem: NODE_MEM,
+            node_mem: spec.node_mem,
             ..PlatformConfig::default()
         };
         let mut sim = Sim::new(spec.seed);
@@ -196,6 +201,17 @@ pub fn pretrain_single(tb: &Testbed, tenant: &TenantId, profile: &'static Profil
                 el_ratio: if s.cache_benefit { 0.9 } else { 0.1 },
             },
         );
+    }
+}
+
+/// Whether an invocation that ended with `completion` on attempt `attempt`
+/// counts as failed: dropped as unschedulable, or OOM-killed with no retry
+/// left under `max_retries`.
+pub fn is_failure(completion: Completion, attempt: u32, max_retries: u32) -> bool {
+    match completion {
+        Completion::Success => false,
+        Completion::Unschedulable => true,
+        Completion::OomKilled => attempt >= max_retries,
     }
 }
 
@@ -323,6 +339,17 @@ mod tests {
         assert!(swift > redis, "swift {swift:?} !> redis {redis:?}");
         // OFC's first access misses but still beats Swift (write-back L).
         assert!(ofc < swift, "ofc {ofc:?} !< swift {swift:?}");
+    }
+
+    #[test]
+    fn failure_rule_counts_drops_and_final_oom_kills() {
+        let max_retries = 1;
+        assert!(!is_failure(Completion::Success, 0, max_retries));
+        assert!(!is_failure(Completion::Success, max_retries, max_retries));
+        assert!(is_failure(Completion::Unschedulable, 0, max_retries));
+        // An OOM kill with a retry left is retried, not failed.
+        assert!(!is_failure(Completion::OomKilled, 0, max_retries));
+        assert!(is_failure(Completion::OomKilled, max_retries, max_retries));
     }
 
     #[test]

@@ -32,8 +32,6 @@ const GOLDEN_FIGURES: &[&str] = &[
     "cache_benefit",
     "maturation",
     "fig9",
-    "fig10",
-    "table2",
     "macro24",
     "ablation",
 ];
@@ -195,22 +193,12 @@ fn maturation_matches_golden() {
     check("maturation");
 }
 
-/// The full 30-minute macro window: Swift vs OFC over three profiles.
+/// The full 30-minute macro window: Swift vs OFC over three profiles,
+/// with the cache-size series (Fig 10) and every agent/ML counter
+/// (Table 2) of each OFC run.
 #[test]
 fn fig9_matches_golden() {
     check("fig9");
-}
-
-/// The cache-size series of the full macro window.
-#[test]
-fn fig10_matches_golden() {
-    check("fig10");
-}
-
-/// Every agent/ML counter of the full macro window.
-#[test]
-fn table2_matches_golden() {
-    check("table2");
 }
 
 /// The 24-tenant variant at full capacity, per profile.
@@ -226,12 +214,11 @@ fn ablation_matches_golden() {
 }
 
 /// One caller of the scenario runners (`ofc_bench::par` fan-out over
-/// `run_macro` / `run_mega` sims): the binary, the JSON file it writes,
-/// the committed golden that file must equal, and the environment that
-/// shrinks it to a smoke window.
+/// `run_macro` / `run_mega` sims): the binary, the JSON file it writes —
+/// which must equal the committed golden of that name — and the
+/// environment that shrinks it to a smoke window.
 struct RunnerGolden {
     bin: &'static str,
-    output: &'static str,
     golden: &'static str,
     env: &'static [(&'static str, &'static str)],
 }
@@ -244,14 +231,12 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
     // 24-tenant variant: 14 macro sims, cost-ordered claiming.
     RunnerGolden {
         bin: "macro24",
-        output: "macro24_smoke",
         golden: "macro24_smoke",
         env: &[("OFC_MACRO_SMOKE", "1")],
     },
     // Default-policy probe: Swift vs OFC over the three tenant profiles.
     RunnerGolden {
         bin: "fig9",
-        output: "fig9_smoke",
         golden: "fig9_smoke",
         env: &[("OFC_MACRO_SMOKE", "1")],
     },
@@ -261,7 +246,6 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
     // disagree — the in-process determinism the two passes here cannot see.
     RunnerGolden {
         bin: "bakeoff",
-        output: "bakeoff_smoke",
         golden: "bakeoff_smoke",
         env: &[("OFC_MACRO_SMOKE", "1"), ("OFC_BAKEOFF_CHECK", "1")],
     },
@@ -269,16 +253,14 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
     // generator, the quota plane, per-decile accounting, the crash drill.
     RunnerGolden {
         bin: "macro_mega",
-        output: "macro_mega_smoke",
         golden: "macro_mega_smoke",
-        env: &[("OFC_MEGA_SMOKE", "1")],
+        env: &[("OFC_MACRO_SMOKE", "1")],
     },
     // Data-plane fault schedule (5-minute window): node crash/restart,
     // transient bursts, slow nodes and persistor failures through the
     // plane's circuit breaker and the retry path.
     RunnerGolden {
         bin: "chaos",
-        output: "chaos_smoke",
         golden: "chaos_smoke",
         env: &[("OFC_MACRO_SMOKE", "1")],
     },
@@ -286,33 +268,15 @@ const RUNNER_GOLDENS: &[RunnerGolden] = &[
     // gossip membership under crash/partition faults, via the pre-run hook.
     RunnerGolden {
         bin: "chaos",
-        output: "failover_smoke",
         golden: "failover_smoke",
         env: &[("OFC_MACRO_SMOKE", "1"), ("OFC_CHAOS_FAILOVER", "1")],
     },
-    // The remaining runner callers write their full-run file name at any
-    // window, so their 2-minute goldens live under a `_smoke` name.
     // Ablation: non-default `OfcConfig`s through both the macro runner and
     // the bare testbed.
     RunnerGolden {
         bin: "ablation",
-        output: "ablation",
         golden: "ablation_smoke",
-        env: &[("OFC_MACRO_MINS", "2")],
-    },
-    // Figure 10: the cache-size series of the macro result.
-    RunnerGolden {
-        bin: "fig10",
-        output: "fig10",
-        golden: "fig10_smoke",
-        env: &[("OFC_MACRO_MINS", "2")],
-    },
-    // Table 2: every agent/ML counter of the macro result.
-    RunnerGolden {
-        bin: "table2",
-        output: "table2",
-        golden: "table2_smoke",
-        env: &[("OFC_MACRO_MINS", "2")],
+        env: &[("OFC_MACRO_SMOKE", "1")],
     },
 ];
 
@@ -325,15 +289,13 @@ fn runner_callers_match_goldens_serial_and_parallel() {
             scope.spawn(move || {
                 let run = |threading: &[(&str, &str)]| {
                     let envs: Vec<_> = row.env.iter().chain(threading).copied().collect();
-                    regenerate_with(row.bin, row.output, &envs)
+                    regenerate_with(row.bin, row.golden, &envs)
                 };
                 let Some(serial) = run(&[("OFC_BENCH_THREADS", "1")]) else {
                     return;
                 };
-                // `MIN_PAR_SIMS=1` defeats the small-bin serial fallback:
-                // this pass exists to drive the parallel runner.
-                let parallel = run(&[("OFC_BENCH_THREADS", "4"), ("OFC_BENCH_MIN_PAR_SIMS", "1")])
-                    .expect("binary present a moment ago");
+                let parallel =
+                    run(&[("OFC_BENCH_THREADS", "4")]).expect("binary present a moment ago");
                 assert!(
                     serial == parallel,
                     "golden: {} output depends on thread count — {}",
@@ -346,8 +308,38 @@ fn runner_callers_match_goldens_serial_and_parallel() {
     });
 }
 
+/// Bins left out of both golden lists: `fig6` times real wall-clock
+/// prediction latency.
+const UNGUARDED_BINS: &[&str] = &["fig6"];
+
 #[test]
 fn golden_set_is_complete() {
+    // Every bench binary is guarded (or exempt), and every guarded name is
+    // a binary: a new bin cannot go unchecked, a deleted one cannot leave
+    // a stale row.
+    let bin_dir = repo_root().join("crates/bench/src/bin");
+    let mut bins: Vec<String> = std::fs::read_dir(&bin_dir)
+        .expect("bench bin dir")
+        .filter_map(|e| {
+            let name = e.ok()?.file_name().into_string().ok()?;
+            Some(name.strip_suffix(".rs")?.to_string())
+        })
+        .collect();
+    bins.sort();
+    let mut listed: Vec<String> = GOLDEN_FIGURES
+        .iter()
+        .chain(RUNNER_GOLDENS.iter().map(|row| &row.bin))
+        .chain(UNGUARDED_BINS)
+        .map(|name| name.to_string())
+        .collect();
+    listed.sort();
+    listed.dedup();
+    assert_eq!(
+        bins, listed,
+        "every crates/bench/src/bin/*.rs must appear in GOLDEN_FIGURES, \
+         RUNNER_GOLDENS or UNGUARDED_BINS, and nothing else may"
+    );
+
     // Every golden this suite guards exists in results/ (after a bless).
     if blessing() {
         return;
