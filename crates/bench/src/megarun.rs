@@ -12,11 +12,9 @@
 
 use crate::scenario::{is_failure, PlaneKind, Testbed, TestbedSpec, WORKER_NODES};
 use ofc_core::ofc::OfcConfig;
-use ofc_core::scheduler::FeatureFn;
 use ofc_faas::{Completion, Served};
 use ofc_simtime::SimTime;
 use ofc_telemetry::Histogram;
-use ofc_workloads::catalog::Catalog;
 use ofc_workloads::mega::{self, MegaConfig, MegaLoad};
 use serde::Serialize;
 use std::cell::RefCell;
@@ -166,20 +164,6 @@ pub fn tail_hit_pct(r: &MegaReport) -> f64 {
     }
 }
 
-/// Feature extractor for mega function names: strips the variant suffix
-/// and resolves the profile, mirroring `scenario::feature_fn`.
-pub fn mega_feature_fn(catalog: Catalog) -> FeatureFn {
-    Rc::new(move |_tenant, function, args| {
-        let p = mega::profile_of_function(function.as_ref())?;
-        let input = args.values().find_map(|v| match v {
-            ofc_faas::ArgValue::Obj(id) => Some(*id),
-            _ => None,
-        })?;
-        let meta = catalog.get(&input)?;
-        Some(p.features(&meta, args))
-    })
-}
-
 /// Runs one mega variant end to end and reports the figures.
 pub fn run_mega(opts: MegaOpts) -> MegaReport {
     let MegaOpts {
@@ -199,7 +183,6 @@ pub fn run_mega(opts: MegaOpts) -> MegaReport {
     } = Testbed::build(TestbedSpec {
         nodes,
         ofc: ofc_cfg,
-        features: mega_feature_fn,
         ..TestbedSpec::new(PlaneKind::Ofc, mega_cfg.seed)
     });
     let ofc = ofc.expect("an OFC testbed carries its handles");

@@ -12,7 +12,7 @@ use ofc_dtree::forest::{ForestParams, RandomForest};
 use ofc_dtree::hoeffding::HoeffdingLearner;
 use ofc_dtree::random_tree::RandomTree;
 use ofc_dtree::Classifier;
-use ofc_simtime::stats::{Histogram, Summary};
+use ofc_simtime::stats::Summary;
 use ofc_workloads::datasets::{cache_benefit_dataset, memory_dataset};
 use ofc_workloads::multimedia::PROFILES;
 use serde::Serialize;
@@ -116,9 +116,10 @@ pub fn table1(params: &MlxParams) -> Vec<Table1Row> {
 /// Figure 5 output: the distribution of raw J48 prediction errors.
 #[derive(Debug, Clone, Serialize)]
 pub struct Fig5Result {
-    /// Histogram bucket low edges (MB difference to truth).
+    /// Bucket low edges (MB difference to truth): one 16 MB interval per
+    /// bucket over [−160, 160) MB.
     pub bucket_edges_mb: Vec<f64>,
-    /// Per-bucket counts.
+    /// Per-bucket counts; errors outside the buckets are not counted.
     pub counts: Vec<u64>,
     /// Fraction of overpredictions within 3 intervals of the truth (%).
     pub over_within_3_pct: f64,
@@ -136,7 +137,9 @@ pub struct Fig5Result {
 /// functions combined, on held-out halves.
 pub fn fig5(params: &MlxParams) -> Fig5Result {
     let interval = ofc_core::ml::INTERVAL_BYTES;
-    let mut hist = Histogram::new(-160.0, 160.0, 20);
+    // Every error is a whole number of 16 MB intervals, so the buckets
+    // count interval differences −10..10 directly.
+    let mut counts = vec![0u64; 20];
     let (mut exact, mut over, mut under) = (0u64, 0u64, 0u64);
     let mut over_within3 = 0u64;
     let mut over_waste_mb = Summary::new();
@@ -152,8 +155,10 @@ pub fn fig5(params: &MlxParams) -> Fig5Result {
         for row in test.rows() {
             let pred = model.predict(&row.values);
             let truth = row.label;
-            let diff_mb = (i64::from(pred) - i64::from(truth)) * 16;
-            hist.record(diff_mb as f64);
+            let diff = i64::from(pred) - i64::from(truth);
+            if (-10..10).contains(&diff) {
+                counts[(diff + 10) as usize] += 1;
+            }
             match pred.cmp(&truth) {
                 std::cmp::Ordering::Equal => exact += 1,
                 std::cmp::Ordering::Greater => {
@@ -161,7 +166,7 @@ pub fn fig5(params: &MlxParams) -> Fig5Result {
                     if pred - truth <= 3 {
                         over_within3 += 1;
                     }
-                    over_waste_mb.record(diff_mb as f64);
+                    over_waste_mb.record((diff * 16) as f64);
                 }
                 std::cmp::Ordering::Less => under += 1,
             }
@@ -169,8 +174,8 @@ pub fn fig5(params: &MlxParams) -> Fig5Result {
     }
     let total = (exact + over + under) as f64;
     Fig5Result {
-        bucket_edges_mb: hist.bins().map(|(e, _)| e).collect(),
-        counts: hist.bins().map(|(_, c)| c).collect(),
+        bucket_edges_mb: (0..20).map(|i| -160.0 + 16.0 * f64::from(i)).collect(),
+        counts,
         over_within_3_pct: if over == 0 {
             100.0
         } else {

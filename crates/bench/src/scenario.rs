@@ -70,14 +70,11 @@ pub struct TestbedSpec {
     pub seed: u64,
     /// OFC configuration (read for [`PlaneKind::Ofc`] only).
     pub ofc: OfcConfig,
-    /// Builds the Predictor's feature extractor over the testbed's
-    /// catalog (read for [`PlaneKind::Ofc`] only).
-    pub features: fn(Catalog) -> FeatureFn,
 }
 
 impl TestbedSpec {
     /// The paper's cluster under `plane`: [`WORKER_NODES`] workers of
-    /// [`NODE_MEM`], the default OFC configuration, and [`feature_fn`].
+    /// [`NODE_MEM`] and the default OFC configuration.
     pub fn new(plane: PlaneKind, seed: u64) -> Self {
         TestbedSpec {
             plane,
@@ -85,7 +82,6 @@ impl TestbedSpec {
             node_mem: NODE_MEM,
             seed,
             ofc: OfcConfig::default(),
-            features: feature_fn,
         }
     }
 }
@@ -119,7 +115,7 @@ impl Testbed {
                 let platform = Platform::build(cfg, Registry::new(), Box::new(plane));
                 let ofc = Ofc::builder(&platform)
                     .store(Rc::clone(&store))
-                    .features((spec.features)(catalog.clone()))
+                    .features(feature_fn(catalog.clone()))
                     .config(spec.ofc)
                     .build();
                 ofc.start(&mut sim);
@@ -138,12 +134,13 @@ impl Testbed {
 }
 
 /// The feature extractor used by OFC's Predictor: resolves single-stage
-/// profiles and pipeline stage profiles by function name, reading metadata
-/// through the catalog (which mirrors the RSDS feature tags, §5.1.2).
+/// profiles (a mega function's `.k` variant suffix stripped) and pipeline
+/// stage profiles by function name, reading metadata through the catalog
+/// (which mirrors the RSDS feature tags, §5.1.2).
 pub fn feature_fn(catalog: Catalog) -> FeatureFn {
     Rc::new(move |_tenant, function, args| {
         let name: &str = function.as_ref();
-        if let Some(p) = ofc_workloads::multimedia::profile(name) {
+        if let Some(p) = ofc_workloads::mega::profile_of_function(name) {
             let input = args.values().find_map(|v| match v {
                 ofc_faas::ArgValue::Obj(id) => Some(*id),
                 _ => None,

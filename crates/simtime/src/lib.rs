@@ -5,11 +5,12 @@
 //! evaluation on a virtual cluster driven by this engine. The engine provides:
 //!
 //! * [`SimTime`] — a nanosecond-resolution virtual instant,
-//! * [`Sim`] — the event loop: a priority queue of scheduled closures plus a
+//! * [`Sim`] — the event loop: a binary heap of scheduled closures plus a
 //!   seeded random number generator so every experiment is reproducible
 //!   bit-for-bit,
-//! * [`stats`] — summary statistics (mean, percentiles, histograms) shared by
-//!   the telemetry and benchmark harnesses.
+//! * [`stats`] — the sample containers the figures read: exact percentiles
+//!   and means ([`stats::Summary`]) and the series behind every telemetry
+//!   gauge ([`stats::TimeSeries`]).
 //!
 //! # Examples
 //!
@@ -29,12 +30,13 @@
 //! assert!(fired.get());
 //! ```
 
-pub mod calendar;
 pub mod stats;
 
-use calendar::CalendarQueue;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cmp::Ordering;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::time::Duration;
 
@@ -121,7 +123,8 @@ impl std::ops::Add<Duration> for SimTime {
     type Output = SimTime;
 
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(rhs.as_nanos() as u64))
+        let ns = u64::try_from(rhs.as_nanos()).unwrap_or(u64::MAX);
+        SimTime(self.0.saturating_add(ns))
     }
 }
 
@@ -155,19 +158,47 @@ impl fmt::Display for SimTime {
 /// instant.
 type Event = Box<dyn FnOnce(&mut Sim)>;
 
-/// The discrete-event simulator: a virtual clock plus an ordered queue of
+/// A pending event with its key: the instant it runs at and its scheduling
+/// sequence number, unique for the simulator's lifetime.
+struct Scheduled {
+    at: SimTime,
+    seq: u64,
+    event: Event,
+}
+
+impl PartialEq for Scheduled {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Scheduled {}
+
+impl PartialOrd for Scheduled {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Scheduled {
+    /// Reversed `(at, seq)`, so the max-heap pops the earliest event first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// The discrete-event simulator: a virtual clock plus a binary heap of
 /// pending events.
 ///
 /// Events are closures receiving `&mut Sim`, so handlers can schedule further
-/// events and draw from the simulation RNG. Two events scheduled for the same
-/// instant run in scheduling order, which makes runs deterministic for a
-/// given seed. The queue is a bucketed [`CalendarQueue`], which pops in
-/// exactly the `(at, seq)` order the previous global `BinaryHeap` used while
-/// making far-future inserts O(1).
+/// events and draw from the simulation RNG. The heap pops in `(at, seq)`
+/// order: the earliest instant first, and two events scheduled for the same
+/// instant in scheduling order, which makes runs deterministic for a given
+/// seed.
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    queue: CalendarQueue<Event>,
+    queue: BinaryHeap<Scheduled>,
     rng: ChaCha8Rng,
     executed: u64,
 }
@@ -178,7 +209,7 @@ impl Sim {
         Sim {
             now: SimTime::ZERO,
             seq: 0,
-            queue: CalendarQueue::new(),
+            queue: BinaryHeap::new(),
             rng: ChaCha8Rng::seed_from_u64(seed),
             executed: 0,
         }
@@ -212,7 +243,11 @@ impl Sim {
         let at = at.max(self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(at, seq, Box::new(event));
+        self.queue.push(Scheduled {
+            at,
+            seq,
+            event: Box::new(event),
+        });
     }
 
     /// Schedules `event` to run `delay` after the current instant.
@@ -245,12 +280,14 @@ impl Sim {
     /// Returns the number of events executed by this call.
     pub fn run_until(&mut self, deadline: SimTime) -> u64 {
         let before = self.executed;
-        while let Some((head_at, _)) = self.queue.peek_key() {
-            if head_at > deadline {
+        loop {
+            let Some(head) = self.queue.peek_mut() else {
+                break;
+            };
+            if head.at > deadline {
                 break;
             }
-            // `peek_key` confirmed an event exists, so `pop` cannot fail.
-            let (at, _, event) = self.queue.pop().expect("peeked event vanished");
+            let Scheduled { at, event, .. } = PeekMut::pop(head);
             debug_assert!(at >= self.now, "event scheduled in the past");
             self.now = at;
             self.executed += 1;
@@ -267,7 +304,7 @@ impl Sim {
         let before = self.executed;
         for _ in 0..n {
             match self.queue.pop() {
-                Some((at, _, event)) => {
+                Some(Scheduled { at, event, .. }) => {
                     self.now = self.now.max(at);
                     self.executed += 1;
                     event(self);
@@ -314,6 +351,10 @@ mod tests {
             SimTime::from_millis(1) - SimTime::from_millis(9),
             Duration::ZERO
         );
+        // Saturating: a duration past u64 nanoseconds is "never", not a
+        // truncated instant.
+        assert_eq!(SimTime::ZERO + Duration::from_secs(1 << 40), SimTime::MAX);
+        assert_eq!(SimTime::from_secs(1) + Duration::MAX, SimTime::MAX);
     }
 
     #[test]
