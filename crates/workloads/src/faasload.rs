@@ -4,10 +4,27 @@
 //! tenant's function(s) with a booked memory chosen by the tenant profile,
 //! and fires invocations over an observation window with exponential or
 //! periodic inter-arrival times.
+//!
+//! Arrivals are **streamed**, as in [`crate::mega`]: each tenant is one
+//! pending event that, when it fires, draws its invocation from the
+//! tenant's RNG, submits it, draws the next gap and re-arms itself while
+//! the next instant is inside the window. Live state is O(tenants) however
+//! long the window, and the RNG makes the same draws in the same order as
+//! materializing the whole window up front would, so every arrival lands
+//! at the same instant with the same arguments.
+//!
+//! Tie rule: an arrival is scheduled by the tenant's previous arrival, so
+//! it takes its place in the simulator's `(at, seq)` order like any other
+//! event; an event scheduled earlier for the same instant runs first. (An
+//! arrival materialized at install ran before every same-instant event
+//! scheduled later.) Exponential gaps practically never tie;
+//! [`Arrival::Periodic`] tenants can, with each other or with platform
+//! events, and no golden or benchmark workload uses them.
 
 use crate::catalog::{Catalog, MediaKind};
 use crate::multimedia::{MultimediaModel, Profile};
 use crate::pipelines::{register_stage_functions, ScatterGather};
+use crate::stream::{self, Stream};
 use ofc_faas::platform::PlatformHandle;
 use ofc_faas::registry::FunctionSpec;
 use ofc_faas::{FunctionId, InvocationRequest, ObjectRef, TenantId};
@@ -52,6 +69,19 @@ pub enum Arrival {
     Exponential(Duration),
     /// Fixed period.
     Periodic(Duration),
+}
+
+impl Arrival {
+    /// Draws the gap to the next arrival.
+    fn gap(self, rng: &mut ChaCha8Rng) -> Duration {
+        match self {
+            Arrival::Exponential(mean) => {
+                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                mean.mul_f64(-u.ln())
+            }
+            Arrival::Periodic(period) => period,
+        }
+    }
 }
 
 /// A tenant's workload.
@@ -124,8 +154,51 @@ pub struct PreparedTenant {
     pub max_used: u64,
     /// Prepared input objects.
     pub inputs: Vec<ObjectRef>,
-    /// Number of invocations scheduled.
-    pub invocations: usize,
+}
+
+/// One tenant's live arrival stream; its RNG continues the draws that
+/// prepared the tenant's inputs and booking.
+struct TenantStream {
+    platform: PlatformHandle,
+    tenant: TenantId,
+    workload: Workload,
+    arrival: Arrival,
+    inputs: Vec<ObjectRef>,
+    /// Last instant of the observation window.
+    end: SimTime,
+    rng: ChaCha8Rng,
+}
+
+impl Stream for TenantStream {
+    fn fire(&mut self, sim: &mut Sim) -> Option<SimTime> {
+        let input = self.inputs[self.rng.gen_range(0..self.inputs.len())].clone();
+        let inv_seed = self.rng.gen::<u64>();
+        match self.workload {
+            Workload::Single(p) => {
+                let args = p.sample_args(&input.id, &mut self.rng);
+                let req = InvocationRequest {
+                    function: FunctionId::from(p.name),
+                    tenant: self.tenant,
+                    args,
+                    seed: inv_seed,
+                    pipeline: None,
+                };
+                self.platform.submit(sim, req);
+            }
+            Workload::WordCount { fanout, .. } => {
+                let driver = ScatterGather::word_count(self.tenant, input, fanout);
+                self.platform
+                    .submit_pipeline(sim, Rc::new(driver), inv_seed);
+            }
+            Workload::ThisVideo { fanout, .. } => {
+                let driver = ScatterGather::this_video(self.tenant, input, fanout);
+                self.platform
+                    .submit_pipeline(sim, Rc::new(driver), inv_seed);
+            }
+        }
+        let next = sim.now() + self.arrival.gap(&mut self.rng);
+        (next <= self.end).then_some(next)
+    }
 }
 
 /// The FaaSLoad injector.
@@ -136,7 +209,20 @@ pub struct FaasLoad {
 
 impl FaasLoad {
     /// Creates an injector for the given tenants.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tenant's arrival mean or period is zero: its stream
+    /// would fire forever at one instant.
     pub fn new(cfg: FaasLoadConfig, tenants: Vec<TenantSpec>) -> Self {
+        for t in &tenants {
+            let (Arrival::Exponential(gap) | Arrival::Periodic(gap)) = t.arrival;
+            assert!(
+                !gap.is_zero(),
+                "tenant {}: arrival gap must be positive",
+                t.name
+            );
+        }
         FaasLoad { cfg, tenants }
     }
 
@@ -189,8 +275,10 @@ impl FaasLoad {
         &self.tenants
     }
 
-    /// Prepares data, registers functions, and schedules every invocation
-    /// of the observation window on `sim`.
+    /// Prepares data and registers functions for every tenant, then arms
+    /// each tenant's arrival stream: one pending event per tenant whose
+    /// first arrival falls inside the observation window. Each arrival
+    /// schedules the next (see the module docs for the tie rule).
     pub fn install(
         &self,
         sim: &mut Sim,
@@ -198,119 +286,83 @@ impl FaasLoad {
         store: &Rc<RefCell<ObjectStore>>,
         catalog: &Catalog,
     ) -> Vec<PreparedTenant> {
+        let end = SimTime::ZERO + self.cfg.duration;
         let mut out = Vec::new();
         for (t_idx, spec) in self.tenants.iter().enumerate() {
-            let seed = self
-                .cfg
-                .seed
-                .wrapping_add((t_idx as u64).wrapping_mul(0x9E37_79B9));
-            let mut rng = ChaCha8Rng::seed_from_u64(seed);
-            let tenant = TenantId::from(spec.name.as_str());
-
-            // Prepare the input pool in the RSDS (with feature tags) and
-            // the catalog.
-            let inputs = self.prepare_inputs(spec, &tenant, store, catalog, &mut rng);
-
-            // Size the booking from ground truth over the pool.
-            let max_used = self.max_memory_over(spec, &inputs, catalog, &mut rng);
-            let booked = spec.profile.booked(max_used);
-
-            // Register the functions.
-            let function = match spec.workload {
-                Workload::Single(p) => {
-                    platform.register(FunctionSpec {
-                        id: FunctionId::from(p.name),
-                        tenant,
-                        booked_mem: booked,
-                        model: Rc::new(MultimediaModel::new(p, catalog.clone())),
-                    });
-                    p.name.to_string()
-                }
-                Workload::WordCount { .. } => {
-                    register_stage_functions(platform, catalog, &tenant, booked);
-                    "map_reduce".to_string()
-                }
-                Workload::ThisVideo { .. } => {
-                    register_stage_functions(platform, catalog, &tenant, booked);
-                    "THIS".to_string()
-                }
-            };
-
-            // Schedule arrivals over the window.
-            let mut at = SimTime::ZERO;
-            let mut invocations = 0usize;
-            loop {
-                let gap = match spec.arrival {
-                    Arrival::Exponential(mean) => {
-                        let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                        mean.mul_f64(-u.ln())
-                    }
-                    Arrival::Periodic(period) => period,
+            let (prepared, mut rng) = self.prepare(t_idx, spec, platform, store, catalog);
+            let first = SimTime::ZERO + spec.arrival.gap(&mut rng);
+            if first <= end {
+                let st = TenantStream {
+                    platform: platform.clone(),
+                    tenant: prepared.tenant,
+                    workload: spec.workload,
+                    arrival: spec.arrival,
+                    inputs: prepared.inputs.clone(),
+                    end,
+                    rng,
                 };
-                at += gap;
-                if at.as_duration() > self.cfg.duration {
-                    break;
-                }
-                invocations += 1;
-                let input = inputs[rng.gen_range(0..inputs.len())].clone();
-                let inv_seed = rng.gen::<u64>();
-                self.schedule_one(sim, platform, spec, &tenant, at, input, inv_seed, &mut rng);
+                stream::arm(sim, first, Box::new(st));
             }
-
-            out.push(PreparedTenant {
-                tenant,
-                function,
-                booked_mem: booked,
-                max_used,
-                inputs,
-                invocations,
-            });
+            out.push(prepared);
         }
         out
     }
 
-    #[allow(clippy::too_many_arguments)] // Internal plumbing of one arrival.
-    fn schedule_one(
+    /// Prepares tenant `t_idx`'s inputs, sizes its booking and registers
+    /// its functions; returns the facts and the tenant's RNG, positioned
+    /// at its first arrival draw.
+    fn prepare(
         &self,
-        sim: &mut Sim,
-        platform: &PlatformHandle,
+        t_idx: usize,
         spec: &TenantSpec,
-        tenant: &TenantId,
-        at: SimTime,
-        input: ObjectRef,
-        inv_seed: u64,
-        rng: &mut ChaCha8Rng,
-    ) {
-        match spec.workload {
+        platform: &PlatformHandle,
+        store: &Rc<RefCell<ObjectStore>>,
+        catalog: &Catalog,
+    ) -> (PreparedTenant, ChaCha8Rng) {
+        let seed = self
+            .cfg
+            .seed
+            .wrapping_add((t_idx as u64).wrapping_mul(0x9E37_79B9));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let tenant = TenantId::from(spec.name.as_str());
+
+        // Prepare the input pool in the RSDS (with feature tags) and the
+        // catalog.
+        let inputs = self.prepare_inputs(spec, &tenant, store, catalog, &mut rng);
+
+        // Size the booking from ground truth over the pool.
+        let max_used = self.max_memory_over(spec, &inputs, catalog, &mut rng);
+        let booked = spec.profile.booked(max_used);
+
+        // Register the functions.
+        let function = match spec.workload {
             Workload::Single(p) => {
-                let args = p.sample_args(&input.id, rng);
-                let req = InvocationRequest {
-                    function: FunctionId::from(p.name),
-                    tenant: *tenant,
-                    args,
-                    seed: inv_seed,
-                    pipeline: None,
-                };
-                let platform = platform.clone();
-                sim.schedule_at(at, move |sim| {
-                    platform.submit(sim, req);
+                platform.register(FunctionSpec {
+                    id: FunctionId::from(p.name),
+                    tenant,
+                    booked_mem: booked,
+                    model: Rc::new(MultimediaModel::new(p, catalog.clone())),
                 });
+                p.name.to_string()
             }
-            Workload::WordCount { fanout, .. } => {
-                let driver = ScatterGather::word_count(*tenant, input, fanout);
-                let platform = platform.clone();
-                sim.schedule_at(at, move |sim| {
-                    platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
-                });
+            Workload::WordCount { .. } => {
+                register_stage_functions(platform, catalog, &tenant, booked);
+                "map_reduce".to_string()
             }
-            Workload::ThisVideo { fanout, .. } => {
-                let driver = ScatterGather::this_video(*tenant, input, fanout);
-                let platform = platform.clone();
-                sim.schedule_at(at, move |sim| {
-                    platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
-                });
+            Workload::ThisVideo { .. } => {
+                register_stage_functions(platform, catalog, &tenant, booked);
+                "THIS".to_string()
             }
-        }
+        };
+
+        let prepared = PreparedTenant {
+            tenant,
+            function,
+            booked_mem: booked,
+            max_used,
+            inputs,
+        };
+        (prepared, rng)
     }
 
     fn prepare_inputs(
@@ -405,6 +457,267 @@ mod tests {
     use ofc_faas::registry::Registry;
     use ofc_faas::PlatformConfig;
 
+    /// Reference driver: materializes every arrival of the window at
+    /// install, the way the injector worked before it streamed. The
+    /// streamed install must reproduce its schedule.
+    fn install_eager(
+        load: &FaasLoad,
+        sim: &mut Sim,
+        platform: &PlatformHandle,
+        store: &Rc<RefCell<ObjectStore>>,
+        catalog: &Catalog,
+    ) {
+        for (t_idx, spec) in load.tenants.iter().enumerate() {
+            let (prepared, mut rng) = load.prepare(t_idx, spec, platform, store, catalog);
+            let tenant = prepared.tenant;
+            let mut at = SimTime::ZERO;
+            loop {
+                at += spec.arrival.gap(&mut rng);
+                if at.as_duration() > load.cfg.duration {
+                    break;
+                }
+                let input = prepared.inputs[rng.gen_range(0..prepared.inputs.len())].clone();
+                let inv_seed = rng.gen::<u64>();
+                let platform = platform.clone();
+                match spec.workload {
+                    Workload::Single(p) => {
+                        let req = InvocationRequest {
+                            function: FunctionId::from(p.name),
+                            tenant,
+                            args: p.sample_args(&input.id, &mut rng),
+                            seed: inv_seed,
+                            pipeline: None,
+                        };
+                        sim.schedule_at(at, move |sim| {
+                            platform.submit(sim, req);
+                        });
+                    }
+                    Workload::WordCount { fanout, .. } => {
+                        let driver = ScatterGather::word_count(tenant, input, fanout);
+                        sim.schedule_at(at, move |sim| {
+                            platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
+                        });
+                    }
+                    Workload::ThisVideo { fanout, .. } => {
+                        let driver = ScatterGather::this_video(tenant, input, fanout);
+                        sim.schedule_at(at, move |sim| {
+                            platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
+                        });
+                    }
+                }
+            }
+        }
+    }
+
+    /// A platform straight on the object store: no OFC loops, no events of
+    /// its own.
+    fn direct_platform(store: &Rc<RefCell<ObjectStore>>) -> PlatformHandle {
+        Platform::build(
+            PlatformConfig::default(),
+            Registry::new(),
+            Box::new(DirectPlane::new(Rc::clone(store))),
+        )
+    }
+
+    fn tenant(name: &str, workload: Workload, arrival: Arrival) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            workload,
+            profile: TenantProfile::Naive,
+            arrival,
+        }
+    }
+
+    fn single(name: &str) -> Workload {
+        Workload::Single(crate::multimedia::profile(name).expect("known profile"))
+    }
+
+    /// Installs `load` through the streamed injector or the eager
+    /// reference, runs it dry and returns the drained records.
+    fn drained(
+        load: &FaasLoad,
+        seed: u64,
+        eager: bool,
+    ) -> (
+        Vec<ofc_faas::InvocationRecord>,
+        Vec<ofc_faas::platform::PipelineRecord>,
+    ) {
+        let store = Rc::new(RefCell::new(ObjectStore::swift()));
+        let catalog = Catalog::new();
+        let platform = direct_platform(&store);
+        let mut sim = Sim::new(seed);
+        if eager {
+            install_eager(load, &mut sim, &platform, &store, &catalog);
+        } else {
+            load.install(&mut sim, &platform, &store, &catalog);
+        }
+        sim.run();
+        (platform.drain_records(), platform.drain_pipeline_records())
+    }
+
+    #[test]
+    fn streamed_arrivals_equal_the_eager_schedule() {
+        let minute = Duration::from_secs(60);
+        for seed in [1, 2] {
+            let load = FaasLoad::new(
+                FaasLoadConfig {
+                    duration: Duration::from_secs(900),
+                    inputs_per_tenant: 4,
+                    seed,
+                },
+                vec![
+                    tenant("t-blur", single("wand_blur"), Arrival::Exponential(minute)),
+                    tenant(
+                        "t-sepia",
+                        single("wand_sepia"),
+                        Arrival::Exponential(minute / 2),
+                    ),
+                    tenant(
+                        "t-wc",
+                        Workload::WordCount {
+                            fanout: 4,
+                            input_bytes: 4 << 20,
+                        },
+                        Arrival::Exponential(minute),
+                    ),
+                    tenant(
+                        "t-this",
+                        Workload::ThisVideo {
+                            fanout: 4,
+                            input_bytes: 4 << 20,
+                        },
+                        Arrival::Exponential(minute),
+                    ),
+                ],
+            );
+            let (records, pipes) = drained(&load, seed, false);
+            let (want_records, want_pipes) = drained(&load, seed, true);
+            assert!(
+                records.len() > 40 && pipes.len() > 10,
+                "seed {seed}: too little load"
+            );
+            assert_eq!(
+                format!("{records:?}"),
+                format!("{want_records:?}"),
+                "seed {seed}"
+            );
+            assert_eq!(
+                format!("{pipes:?}"),
+                format!("{want_pipes:?}"),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn periodic_arrivals_land_where_the_eager_schedule_put_them() {
+        // Equal periods make the two tenants tie at every instant, where
+        // only the order of same-instant events may differ (module docs).
+        let load = FaasLoad::new(
+            FaasLoadConfig {
+                duration: Duration::from_secs(600),
+                inputs_per_tenant: 4,
+                seed: 3,
+            },
+            vec![
+                tenant(
+                    "t-blur",
+                    single("wand_blur"),
+                    Arrival::Periodic(Duration::from_secs(20)),
+                ),
+                tenant(
+                    "t-edge",
+                    single("wand_edge"),
+                    Arrival::Periodic(Duration::from_secs(20)),
+                ),
+                tenant(
+                    "t-rot",
+                    single("wand_rotate"),
+                    Arrival::Periodic(Duration::from_secs(35)),
+                ),
+            ],
+        );
+        let by_tenant = |eager| {
+            let mut seqs = std::collections::BTreeMap::<String, Vec<String>>::new();
+            for r in drained(&load, 3, eager).0 {
+                let row = format!("{:?} {} {:?}", r.arrival, r.function, r.args);
+                seqs.entry(r.tenant.to_string()).or_default().push(row);
+            }
+            for seq in seqs.values_mut() {
+                seq.sort();
+            }
+            seqs
+        };
+        let streamed = by_tenant(false);
+        assert_eq!(streamed.len(), 3);
+        assert_eq!(streamed["t-blur"].len(), 30);
+        assert_eq!(streamed, by_tenant(true));
+    }
+
+    #[test]
+    fn pending_events_stay_one_per_tenant_however_long_the_window() {
+        let minute = Duration::from_secs(60);
+        for window_h in [1, 10] {
+            let store = Rc::new(RefCell::new(ObjectStore::swift()));
+            let catalog = Catalog::new();
+            let platform = direct_platform(&store);
+            let load = FaasLoad::new(
+                FaasLoadConfig {
+                    duration: Duration::from_secs(window_h * 3600),
+                    inputs_per_tenant: 2,
+                    seed: 4,
+                },
+                vec![
+                    tenant("t-blur", single("wand_blur"), Arrival::Exponential(minute)),
+                    tenant("t-edge", single("wand_edge"), Arrival::Periodic(minute)),
+                    tenant(
+                        "t-wc",
+                        Workload::WordCount {
+                            fanout: 2,
+                            input_bytes: 1 << 20,
+                        },
+                        Arrival::Exponential(minute),
+                    ),
+                    // First arrival past either window: never armed.
+                    tenant(
+                        "t-late",
+                        single("wand_sepia"),
+                        Arrival::Periodic(Duration::from_secs(20 * 3600)),
+                    ),
+                ],
+            );
+            let mut sim = Sim::new(4);
+            load.install(&mut sim, &platform, &store, &catalog);
+            assert_eq!(sim.events_pending(), 3, "{window_h} h window");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant t-zero: arrival gap must be positive")]
+    fn zero_periodic_gap_is_rejected() {
+        FaasLoad::new(
+            FaasLoadConfig::default(),
+            vec![tenant(
+                "t-zero",
+                single("wand_blur"),
+                Arrival::Periodic(Duration::ZERO),
+            )],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "tenant t-zero: arrival gap must be positive")]
+    fn zero_exponential_mean_is_rejected() {
+        FaasLoad::new(
+            FaasLoadConfig::default(),
+            vec![tenant(
+                "t-zero",
+                single("wand_blur"),
+                Arrival::Exponential(Duration::ZERO),
+            )],
+        );
+    }
+
     #[test]
     fn tenant_profile_booking() {
         assert_eq!(TenantProfile::Naive.booked(100 << 20), 2 << 30);
@@ -424,14 +737,13 @@ mod tests {
         assert_eq!(load.tenants().len(), 8);
     }
 
+    /// Runs a small mix; returns (arrivals, completed invocations), the
+    /// arrivals counted from the records: one per single-stage invocation
+    /// outside a pipeline, one per pipeline.
     fn run_small(profile: TenantProfile, seed: u64) -> (u64, u64) {
         let store = Rc::new(RefCell::new(ObjectStore::swift()));
         let catalog = Catalog::new();
-        let platform = Platform::build(
-            PlatformConfig::default(),
-            Registry::new(),
-            Box::new(DirectPlane::new(Rc::clone(&store))),
-        );
+        let platform = direct_platform(&store);
         let load = FaasLoad::new(
             FaasLoadConfig {
                 duration: Duration::from_secs(300),
@@ -441,7 +753,7 @@ mod tests {
             vec![
                 TenantSpec {
                     name: "t-blur".into(),
-                    workload: Workload::Single(crate::multimedia::profile("wand_blur").unwrap()),
+                    workload: single("wand_blur"),
                     profile,
                     arrival: Arrival::Exponential(Duration::from_secs(30)),
                 },
@@ -457,24 +769,24 @@ mod tests {
             ],
         );
         let mut sim = Sim::new(seed);
-        let prepared = load.install(&mut sim, &platform, &store, &catalog);
+        load.install(&mut sim, &platform, &store, &catalog);
         sim.run_until(SimTime::from_secs(1200));
         let completed = platform.counters().completed;
-        (
-            prepared.iter().map(|p| p.invocations as u64).sum(),
-            completed,
-        )
+        let singles = platform
+            .drain_records()
+            .iter()
+            .filter(|r| r.pipeline.is_none())
+            .count();
+        let pipelines = platform.drain_pipeline_records().len();
+        ((singles + pipelines) as u64, completed)
     }
 
     #[test]
     fn injector_schedules_and_executes_load() {
-        let (scheduled, completed) = run_small(TenantProfile::Normal, 1);
-        assert!(scheduled >= 10, "too few arrivals: {scheduled}");
+        let (arrivals, completed) = run_small(TenantProfile::Normal, 1);
+        assert!(arrivals >= 10, "too few arrivals: {arrivals}");
         // Pipelines multiply invocations, so completions exceed arrivals.
-        assert!(
-            completed >= scheduled,
-            "completed {completed} < {scheduled}"
-        );
+        assert!(completed >= arrivals, "completed {completed} < {arrivals}");
     }
 
     #[test]
@@ -489,23 +801,18 @@ mod tests {
     fn inputs_carry_feature_tags_in_store() {
         let store = Rc::new(RefCell::new(ObjectStore::swift()));
         let catalog = Catalog::new();
-        let platform = Platform::build(
-            PlatformConfig::default(),
-            Registry::new(),
-            Box::new(DirectPlane::new(Rc::clone(&store))),
-        );
+        let platform = direct_platform(&store);
         let load = FaasLoad::new(
             FaasLoadConfig {
                 duration: Duration::from_secs(60),
                 inputs_per_tenant: 3,
                 seed: 2,
             },
-            vec![TenantSpec {
-                name: "t-edge".into(),
-                workload: Workload::Single(crate::multimedia::profile("wand_edge").unwrap()),
-                profile: TenantProfile::Naive,
-                arrival: Arrival::Periodic(Duration::from_secs(10)),
-            }],
+            vec![tenant(
+                "t-edge",
+                single("wand_edge"),
+                Arrival::Periodic(Duration::from_secs(10)),
+            )],
         );
         let mut sim = Sim::new(0);
         let prepared = load.install(&mut sim, &platform, &store, &catalog);

@@ -22,6 +22,7 @@ pub mod faasload;
 pub mod mega;
 pub mod multimedia;
 pub mod pipelines;
+mod stream;
 
 /// Bytes per mebibyte, used throughout the workload models.
 pub const MB: u64 = 1 << 20;

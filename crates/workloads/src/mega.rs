@@ -2,10 +2,9 @@
 //! traffic from millions of users, modelled as thousands of tenants
 //! running hundreds of thousands of functions.
 //!
-//! Unlike [`crate::faasload`], which materializes every arrival of the
-//! observation window up front, this generator is **streaming**: each
-//! tenant is a seeded, self-rescheduling arrival process that synthesizes
-//! its next invocation inside the previous one's callback. Live state is
+//! Like [`crate::faasload`], this generator **streams**: each tenant is a
+//! seeded, self-rescheduling arrival process that synthesizes its next
+//! invocation inside the previous one's callback. Live state is
 //! O(tenants) — one RNG and a cursor per tenant — regardless of how many
 //! invocations the window produces, and determinism needs nothing beyond
 //! the master seed (each sim is single-threaded; the parallel bench
@@ -33,6 +32,7 @@
 
 use crate::catalog::{Catalog, MediaKind};
 use crate::multimedia::{profile, Profile, PROFILES};
+use crate::stream::{self, Stream};
 use ofc_faas::platform::PlatformHandle;
 use ofc_faas::registry::FunctionSpec;
 use ofc_faas::{
@@ -303,7 +303,9 @@ impl TenantStream {
             pipeline: None,
         }
     }
+}
 
+impl Stream for TenantStream {
     /// Fires the due arrival (plus a possible burst volley), then returns
     /// the next arrival instant, or `None` past the window's end.
     fn fire(&mut self, sim: &mut Sim) -> Option<SimTime> {
@@ -338,16 +340,6 @@ impl TenantStream {
     }
 }
 
-/// Schedules the stream's next arrival; the callback re-schedules itself
-/// until the window closes (streaming: no materialized trace).
-fn schedule_stream(sim: &mut Sim, at: SimTime, mut st: TenantStream) {
-    sim.schedule_at(at, move |sim| {
-        if let Some(next) = st.fire(sim) {
-            schedule_stream(sim, next, st);
-        }
-    });
-}
-
 /// The mega injector.
 pub struct MegaLoad {
     cfg: MegaConfig,
@@ -355,7 +347,20 @@ pub struct MegaLoad {
 
 impl MegaLoad {
     /// Creates the injector.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base_mean` or `max_mean` is zero: a stream with a zero
+    /// mean gap would fire forever at one instant.
     pub fn new(cfg: MegaConfig) -> Self {
+        assert!(
+            !cfg.base_mean.is_zero(),
+            "MegaConfig::base_mean must be positive"
+        );
+        assert!(
+            !cfg.max_mean.is_zero(),
+            "MegaConfig::max_mean must be positive"
+        );
         MegaLoad { cfg }
     }
 
@@ -486,7 +491,7 @@ impl MegaLoad {
                 mean,
                 phase,
             };
-            schedule_stream(sim, first, st);
+            stream::arm(sim, first, Box::new(st));
         }
 
         MegaPrepared {
@@ -574,6 +579,24 @@ mod tests {
             "single-stage: 1 completion per arrival"
         );
         assert!(events > arrivals, "each arrival costs several events");
+    }
+
+    #[test]
+    #[should_panic(expected = "MegaConfig::base_mean must be positive")]
+    fn zero_base_mean_is_rejected() {
+        MegaLoad::new(MegaConfig {
+            base_mean: Duration::ZERO,
+            ..tiny()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "MegaConfig::max_mean must be positive")]
+    fn zero_max_mean_is_rejected() {
+        MegaLoad::new(MegaConfig {
+            max_mean: Duration::ZERO,
+            ..tiny()
+        });
     }
 
     #[test]

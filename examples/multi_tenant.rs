@@ -75,10 +75,9 @@ fn main() {
             }
         }
         println!(
-            "tenant {:24} books {:5} MB, {} invocations scheduled",
+            "tenant {:24} books {:5} MB",
             pt.tenant.as_ref(),
-            pt.booked_mem >> 20,
-            pt.invocations
+            pt.booked_mem >> 20
         );
     }
 
