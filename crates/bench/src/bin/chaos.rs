@@ -4,12 +4,12 @@
 //! fault-free baseline and asserting durability (zero data loss, all
 //! accepted write-backs eventually landed in the RSDS).
 //!
-//! `OFC_CHAOS_SEED` picks the schedule seed (default 42); the observation
-//! window is 10 minutes. Output is deterministic per seed:
-//! running twice with the same environment produces byte-identical
-//! `results/chaos.json`. `OFC_MACRO_SMOKE=1` pins a 5-minute window and
-//! saves `chaos_smoke.json` / `failover_smoke.json` instead, for the
-//! golden byte-diff suite.
+//! The fault schedule is drawn from [`SEED`]; the observation window is
+//! 10 minutes. Output is deterministic: running twice with the same
+//! environment produces byte-identical `results/chaos.json`.
+//! `OFC_MACRO_SMOKE=1` pins a 5-minute window and saves
+//! `chaos_smoke.json` / `failover_smoke.json` instead, for the golden
+//! byte-diff suite.
 //!
 //! `OFC_CHAOS_FAILOVER=1` switches to the control-plane drill (DESIGN.md
 //! §16): the cache store runs a 3-replica Raft-style coordinator with
@@ -39,6 +39,9 @@ use serde::Serialize;
 use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
+
+/// The seed of the fault schedule and of both runs' workload.
+const SEED: u64 = 42;
 
 /// Handles stashed by the pre-run hook for post-run durability checks.
 /// They never leave the worker thread that built the testbed.
@@ -190,10 +193,6 @@ fn total_s(m: &MacroResult) -> f64 {
 }
 
 fn main() {
-    let seed = std::env::var("OFC_CHAOS_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(42);
     let mut window = ofc_bench::window(10);
     if window.smoke {
         // The shared 2-minute smoke window ends before the node restart at
@@ -263,7 +262,7 @@ fn main() {
                 until: window_end,
             });
     }
-    let events = schedule.generate(seed);
+    let events = schedule.generate(SEED);
     eprintln!(
         "[chaos{}: {} fault events over {} min]",
         if failover { " (failover drill)" } else { "" },
@@ -273,8 +272,7 @@ fn main() {
 
     let chaos_cfg = if failover {
         OfcConfig {
-            coordinator_replicas: 3,
-            gossip: true,
+            replicated_control_plane: true,
             ..OfcConfig::default()
         }
     } else {
@@ -282,10 +280,10 @@ fn main() {
     };
     let jobs: Vec<Box<dyn FnOnce() -> RunOut + Send>> = vec![
         Box::new(move || {
-            let spec = MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, seed);
+            let spec = MacroSpec::new(PlaneKind::Ofc, TenantProfile::Normal, dur, SEED);
             RunOut::Baseline(Box::new(run_macro(spec).0))
         }),
-        Box::new(move || RunOut::Chaos(Box::new(chaos_run(seed, dur, events, chaos_cfg)))),
+        Box::new(move || RunOut::Chaos(Box::new(chaos_run(SEED, dur, events, chaos_cfg)))),
     ];
     let mut runs = par::run_jobs(jobs).into_iter();
     let (Some(RunOut::Baseline(baseline)), Some(RunOut::Chaos(chaos))) = (runs.next(), runs.next())
@@ -309,10 +307,10 @@ fn main() {
 
     if failover {
         println!(
-            "Chaos failover drill — Fig 9 macro workload, 3-replica coordinator + gossip (seed {seed})\n"
+            "Chaos failover drill — Fig 9 macro workload, 3-replica coordinator + gossip (seed {SEED})\n"
         );
     } else {
-        println!("Chaos — Fig 9 macro workload under a fault schedule (seed {seed})\n");
+        println!("Chaos — Fig 9 macro workload under a fault schedule (seed {SEED})\n");
     }
     println!(
         "{}",

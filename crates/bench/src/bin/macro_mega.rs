@@ -134,8 +134,7 @@ fn main() {
             "failover",
             s.failover.clone(),
             OfcConfig {
-                coordinator_replicas: 3,
-                gossip: true,
+                replicated_control_plane: true,
                 ..quota_cfg(Some(s.headline_quota), None)
             },
             true,

@@ -23,7 +23,7 @@
 //!     .store(store)
 //!     .features(features)
 //!     .config(OfcConfig {
-//!         coordinator_replicas: 3,
+//!         replicated_control_plane: true,
 //!         ..OfcConfig::default()
 //!     })
 //!     .build();
@@ -55,6 +55,10 @@ use std::rc::Rc;
 /// nodes the platform has.
 pub const REPLICATION_FACTOR: usize = 2;
 
+/// Coordinator replicas of a replicated control plane
+/// ([`OfcConfig::replicated_control_plane`]).
+pub const COORDINATOR_REPLICAS: usize = 3;
+
 /// Top-level OFC configuration.
 #[derive(Debug, Clone, Default)]
 pub struct OfcConfig {
@@ -66,14 +70,13 @@ pub struct OfcConfig {
     pub plane: PlaneConfig,
     /// Monitor tunables.
     pub monitor: MonitorConfig,
-    /// Coordinator replicas of the cache store's control plane
-    /// (DESIGN.md §16); `0` or `1` keeps the single omniscient
-    /// coordinator and is byte-identical to earlier revisions.
-    pub coordinator_replicas: usize,
-    /// Enables SWIM-style gossip membership (DESIGN.md §16): node
-    /// liveness is then learned by probing instead of assumed, and crash
-    /// recovery waits for a confirmed-dead verdict.
-    pub gossip: bool,
+    /// Replicates the cache store's control plane (DESIGN.md §16): a
+    /// Raft group of [`COORDINATOR_REPLICAS`] coordinators, and SWIM-style
+    /// gossip membership, so node liveness is learned by probing instead
+    /// of assumed and crash recovery waits for a confirmed-dead verdict.
+    /// Off (the default) keeps the single omniscient coordinator and
+    /// schedules no control-plane loop.
+    pub replicated_control_plane: bool,
     /// Which cache policy to install (DESIGN.md §15). The default
     /// [`PolicyKind::Ofc`] reproduces the paper's behavior byte-for-byte;
     /// the rivals feed the `bakeoff` bench.
@@ -152,11 +155,15 @@ impl OfcBuilder {
                 .unwrap_or_else(|| pcfg.node_mem.saturating_sub(SLACK_INITIAL)),
             max_object_bytes: cfg.plane.max_cached_object,
             raft: RaftConfig {
-                replicas: cfg.coordinator_replicas.max(1),
+                replicas: if cfg.replicated_control_plane {
+                    COORDINATOR_REPLICAS
+                } else {
+                    1
+                },
                 ..RaftConfig::default()
             },
             gossip: GossipConfig {
-                enabled: cfg.gossip,
+                enabled: cfg.replicated_control_plane,
             },
             ..ClusterConfig::default()
         });

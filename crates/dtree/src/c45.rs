@@ -20,6 +20,8 @@
 use crate::data::{AttrKind, Dataset};
 use crate::tree::{DecisionTree, Node};
 use crate::Learner;
+use rand::seq::SliceRandom;
+use rand_chacha::ChaCha8Rng;
 
 /// Tunables of the C4.5 learner.
 #[derive(Debug, Clone)]
@@ -63,19 +65,7 @@ impl C45 {
     ///
     /// Panics if `data` is empty.
     pub fn train(data: &Dataset, params: &C45Params) -> DecisionTree {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        // A training set with no missing value is gathered into columns
-        // and grown in place ([`Grower`]): the same candidates, operands
-        // and operation order as [`grow`], so the tree is bit-identical.
-        // Missing values reorder partitions (they append to the heavier
-        // branch), so any of them sends the fit down the general path.
-        let mut root = match Columns::gather(data) {
-            Some(cols) => grow_columnar(&cols, params),
-            None => {
-                let idx: Vec<usize> = (0..data.len()).collect();
-                grow(data, &idx, params, 0)
-            }
-        };
+        let mut root = grow_tree(data, params, &mut Selection::GainRatio);
         if params.prune {
             prune(&mut root, zscore_upper(params.confidence));
         }
@@ -92,6 +82,80 @@ impl Learner for C45 {
 
     fn name(&self) -> &'static str {
         "J48"
+    }
+}
+
+/// Grows the unpruned tree of `data`, each node splitting as `selection`
+/// picks. Only `params.min_leaf` and `params.max_depth` are read.
+///
+/// A training set with no missing value is gathered into columns and
+/// grown in place ([`Grower`]): the same candidates, operands and
+/// operation order as [`grow`], so the tree is bit-identical. Missing
+/// values reorder partitions (they append to the heavier branch), so any
+/// of them sends the fit down the general path.
+///
+/// # Panics
+///
+/// Panics if `data` is empty.
+pub(crate) fn grow_tree(data: &Dataset, params: &C45Params, selection: &mut Selection) -> Node {
+    assert!(!data.is_empty(), "cannot train on an empty dataset");
+    match Columns::gather(data) {
+        Some(cols) => grow_columnar(&cols, params, selection),
+        None => {
+            let idx: Vec<usize> = (0..data.len()).collect();
+            grow(data, &idx, params, selection, 0)
+        }
+    }
+}
+
+/// How a node picks its split from its attributes' best splits.
+pub(crate) enum Selection {
+    /// J48's rule: every attribute is evaluated, then [`pick_split`].
+    GainRatio,
+    /// RandomTree's rule: the attributes are shuffled at each node and
+    /// the best raw gain is kept, stopping after `k` of them once one of
+    /// them splits — so it falls back over the rest if none of the
+    /// sampled ones does (Weka's behaviour).
+    Random {
+        /// Attributes examined per node.
+        k: usize,
+        /// Draws each node's attribute order.
+        rng: ChaCha8Rng,
+    },
+}
+
+impl Selection {
+    /// The split of a node with `n_attrs` attributes, `evaluate` giving
+    /// one attribute's best split. `splits` is scratch space.
+    fn choose(
+        &mut self,
+        n_attrs: usize,
+        splits: &mut Vec<Split>,
+        mut evaluate: impl FnMut(usize) -> Option<Split>,
+    ) -> Option<Split> {
+        match self {
+            Selection::GainRatio => {
+                splits.clear();
+                splits.extend((0..n_attrs).filter_map(evaluate));
+                pick_split(splits)
+            }
+            Selection::Random { k, rng } => {
+                let mut order: Vec<usize> = (0..n_attrs).collect();
+                order.shuffle(rng);
+                let mut best: Option<Split> = None;
+                for (examined, &attr) in order.iter().enumerate() {
+                    if let Some(s) = evaluate(attr) {
+                        if best.is_none_or(|b| s.gain() > b.gain()) {
+                            best = Some(s);
+                        }
+                    }
+                    if examined + 1 >= *k && best.is_some() {
+                        break;
+                    }
+                }
+                best
+            }
+        }
     }
 }
 
@@ -162,7 +226,7 @@ fn distribution(data: &Dataset, idx: &[usize]) -> Vec<f64> {
 
 /// A candidate split found by the search.
 #[derive(Clone, Copy)]
-pub(crate) enum Split {
+enum Split {
     /// Numeric binary split.
     Num {
         /// Attribute index.
@@ -186,13 +250,13 @@ pub(crate) enum Split {
 }
 
 impl Split {
-    pub(crate) fn gain(&self) -> f64 {
+    fn gain(&self) -> f64 {
         match self {
             Split::Num { gain, .. } | Split::Nom { gain, .. } => *gain,
         }
     }
 
-    pub(crate) fn gain_ratio(&self) -> f64 {
+    fn gain_ratio(&self) -> f64 {
         match self {
             Split::Num { gain_ratio, .. } | Split::Nom { gain_ratio, .. } => *gain_ratio,
         }
@@ -200,7 +264,7 @@ impl Split {
 }
 
 /// Evaluates the best split of `attr` over the rows in `idx`.
-pub(crate) fn evaluate_attr(
+fn evaluate_attr(
     data: &Dataset,
     idx: &[usize],
     attr: usize,
@@ -533,16 +597,8 @@ fn nominal_split(
     })
 }
 
-/// Selects the best split following the C4.5 rule: maximize gain ratio among
-/// attributes whose gain is at least the average positive gain.
-fn select_split(data: &Dataset, idx: &[usize], base_entropy: f64, min_leaf: f64) -> Option<Split> {
-    let splits: Vec<Split> = (0..data.n_attrs())
-        .filter_map(|a| evaluate_attr(data, idx, a, base_entropy, min_leaf))
-        .collect();
-    pick_split(&splits)
-}
-
-/// The C4.5 choice among the attributes' best splits, in attribute order.
+/// The C4.5 choice among the attributes' best splits, in attribute order:
+/// the largest gain ratio among the splits of at least average gain.
 fn pick_split(splits: &[Split]) -> Option<Split> {
     if splits.is_empty() {
         return None;
@@ -613,7 +669,14 @@ fn partition(data: &Dataset, idx: &[usize], split: &Split) -> Vec<Vec<usize>> {
     }
 }
 
-fn grow(data: &Dataset, idx: &[usize], params: &C45Params, depth: usize) -> Node {
+/// Grows the subtree of the rows in `idx`.
+fn grow(
+    data: &Dataset,
+    idx: &[usize],
+    params: &C45Params,
+    selection: &mut Selection,
+    depth: usize,
+) -> Node {
     let dist = distribution(data, idx);
     let total_w: f64 = dist.iter().sum();
     let pure = dist.iter().filter(|&&w| w > 0.0).count() <= 1;
@@ -622,7 +685,9 @@ fn grow(data: &Dataset, idx: &[usize], params: &C45Params, depth: usize) -> Node
         return Node::Leaf { dist };
     }
     let base = entropy(&dist);
-    let Some(split) = select_split(data, idx, base, params.min_leaf) else {
+    let Some(split) = selection.choose(data.n_attrs(), &mut Vec::new(), |attr| {
+        evaluate_attr(data, idx, attr, base, params.min_leaf)
+    }) else {
         return Node::Leaf { dist };
     };
     let parts = partition(data, idx, &split);
@@ -637,8 +702,8 @@ fn grow(data: &Dataset, idx: &[usize], params: &C45Params, depth: usize) -> Node
             attr,
             threshold,
             dist,
-            le: Box::new(grow(data, &parts[0], params, depth + 1)),
-            gt: Box::new(grow(data, &parts[1], params, depth + 1)),
+            le: Box::new(grow(data, &parts[0], params, selection, depth + 1)),
+            gt: Box::new(grow(data, &parts[1], params, selection, depth + 1)),
         },
         Split::Nom { attr, .. } => {
             let children = parts
@@ -649,7 +714,7 @@ fn grow(data: &Dataset, idx: &[usize], params: &C45Params, depth: usize) -> Node
                         // leaf so routing still works.
                         Node::Leaf { dist: dist.clone() }
                     } else {
-                        grow(data, p, params, depth + 1)
+                        grow(data, p, params, selection, depth + 1)
                     }
                 })
                 .collect();
@@ -746,8 +811,9 @@ impl Columns {
 }
 
 /// Grows the unpruned tree of a gathered training set.
-fn grow_columnar(cols: &Columns, params: &C45Params) -> Node {
-    LOG_TABLES.with(|t| Grower::new(cols, params, &mut t.borrow_mut()).grow(0, cols.len(), 0))
+fn grow_columnar(cols: &Columns, params: &C45Params, selection: &mut Selection) -> Node {
+    LOG_TABLES
+        .with(|t| Grower::new(cols, params, &mut t.borrow_mut()).grow(selection, 0, cols.len(), 0))
 }
 
 /// [`grow`] over [`Columns`]: a node is a segment `[lo, hi)` of `rows` and
@@ -865,7 +931,7 @@ impl<'a> Grower<'a> {
         (int_weights && int_mass < LOG_TABLE_CAP as u64).then_some(int_mass as u32)
     }
 
-    fn grow(&mut self, lo: usize, hi: usize, depth: usize) -> Node {
+    fn grow(&mut self, selection: &mut Selection, lo: usize, hi: usize, depth: usize) -> Node {
         let cols = self.cols;
         let int_total = self.load_node(lo, hi);
         let total_w: f64 = self.dist.iter().sum();
@@ -877,7 +943,7 @@ impl<'a> Grower<'a> {
             };
         }
         let base = entropy(&self.dist);
-        let split = self.select_split(lo, hi, base, int_total);
+        let split = self.select_split(selection, lo, hi, base, int_total);
         // Built before the recursion reuses `self.dist`.
         let dist = self.node_dist();
         match split {
@@ -894,8 +960,8 @@ impl<'a> Grower<'a> {
                 Node::SplitNum {
                     attr,
                     threshold,
-                    le: Box::new(self.grow(lo, mid, depth + 1)),
-                    gt: Box::new(self.grow(mid, hi, depth + 1)),
+                    le: Box::new(self.grow(selection, lo, mid, depth + 1)),
+                    gt: Box::new(self.grow(selection, mid, hi, depth + 1)),
                     dist,
                 }
             }
@@ -924,7 +990,7 @@ impl<'a> Grower<'a> {
                             // as a leaf so routing still works.
                             Node::Leaf { dist: dist.clone() }
                         } else {
-                            self.grow(start, end, depth + 1)
+                            self.grow(selection, start, end, depth + 1)
                         };
                         start = end;
                         child
@@ -939,22 +1005,23 @@ impl<'a> Grower<'a> {
         }
     }
 
-    /// [`select_split`] over the segments of the node [`Grower::load_node`]
-    /// has loaded; `int_total` is what that returned.
+    /// The split `selection` picks for the node [`Grower::load_node`] has
+    /// loaded; `int_total` is what that returned.
     fn select_split(
         &mut self,
+        selection: &mut Selection,
         lo: usize,
         hi: usize,
         base_entropy: f64,
         int_total: Option<u32>,
     ) -> Option<Split> {
-        let cols = self.cols;
         if let Some(total) = int_total {
             self.tables.ensure(total as usize);
         }
-        self.splits.clear();
-        for (attr, col) in cols.attrs.iter().enumerate() {
-            let split = match col {
+        let cols = self.cols;
+        let mut splits = std::mem::take(&mut self.splits);
+        let split = selection.choose(cols.attrs.len(), &mut splits, |attr| {
+            match &cols.attrs[attr] {
                 Column::Numeric(values) => match int_total {
                     Some(total) => self.scan_integral(attr, values, lo, hi, total, base_entropy),
                     None => self.scan_general(attr, values, lo, hi, base_entropy),
@@ -963,10 +1030,10 @@ impl<'a> Grower<'a> {
                     values,
                     cardinality,
                 } => self.evaluate_nominal(attr, values, *cardinality, lo, hi, base_entropy),
-            };
-            self.splits.extend(split);
-        }
-        pick_split(&self.splits)
+            }
+        });
+        self.splits = splits;
+        split
     }
 
     /// [`scan_integral`] straight off the column, on integer masses.
@@ -1553,7 +1620,7 @@ mod tests {
     /// The tree the general path ([`grow`], the reference) trains.
     fn reference_tree(ds: &Dataset, params: &C45Params) -> String {
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let mut root = grow(ds, &idx, params, 0);
+        let mut root = grow(ds, &idx, params, &mut Selection::GainRatio, 0);
         if params.prune {
             prune(&mut root, zscore_upper(params.confidence));
         }
@@ -1809,7 +1876,8 @@ mod tests {
         }
 
         /// The columnar trainer grows, bit for bit, the tree the general
-        /// path grows. No shrinking: a failure prints its `seed`.
+        /// path grows, under either selection. No shrinking: a failure
+        /// prints its `seed`.
         #[test]
         fn columnar_tree_is_the_reference_tree(seed in proptest::any::<u64>()) {
             let (ds, params) = random_case(seed);
@@ -1820,20 +1888,34 @@ mod tests {
             // which a tree does not show.
             let idx: Vec<usize> = (0..ds.len()).collect();
             let base = entropy(&distribution(&ds, &idx));
-            let reference = select_split(&ds, &idx, base, params.min_leaf);
+            let reference = Selection::GainRatio.choose(ds.n_attrs(), &mut Vec::new(), |attr| {
+                evaluate_attr(&ds, &idx, attr, base, params.min_leaf)
+            });
             let columnar = LOG_TABLES.with(|t| {
                 let mut t = t.borrow_mut();
                 let mut grower = Grower::new(&cols, &params, &mut t);
                 let int_total = grower.load_node(0, ds.len());
-                grower.select_split(0, ds.len(), base, int_total)
+                grower.select_split(&mut Selection::GainRatio, 0, ds.len(), base, int_total)
             });
             proptest::prop_assert_eq!(split_bits(columnar), split_bits(reference));
-            let mut root = grow_columnar(&cols, &params);
+            let mut root = grow_columnar(&cols, &params, &mut Selection::GainRatio);
             if params.prune {
                 prune(&mut root, zscore_upper(params.confidence));
             }
             let columnar = format!("{:?}", DecisionTree::new(root, ds.n_classes()));
             proptest::prop_assert_eq!(columnar, reference_tree(&ds, &params));
+
+            // Under RandomTree's selection each node a grower tries to
+            // split draws an attribute order, so the trees agree only if
+            // both growers try the same nodes in the same order.
+            let k = 1 + seed as usize % ds.n_attrs();
+            let random = || Selection::Random {
+                k,
+                rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed),
+            };
+            let columnar = grow_columnar(&cols, &params, &mut random());
+            let reference = grow(&ds, &idx, &params, &mut random(), 0);
+            proptest::prop_assert_eq!(format!("{columnar:?}"), format!("{reference:?}"));
         }
     }
 }

@@ -2,15 +2,17 @@
 //! at each node (the base learner of RandomForest, and one of the Table 1
 //! comparison algorithms).
 //!
-//! Unlike C4.5 it selects splits by raw information gain, uses no MDL
-//! penalty bookkeeping beyond what the shared split search applies, and does
-//! not prune — variance is controlled by the ensemble instead.
+//! It grows through C4.5's growers ([`crate::c45`]) with RandomTree's
+//! split selection: a node keeps the best raw information gain among a
+//! random sample of attributes, not the best gain ratio among all of them.
+//! Split search, missing-value routing and the leaf rules are C4.5's, and
+//! the tree is not pruned — variance is controlled by the ensemble
+//! instead.
 
-use crate::c45::evaluate_attr;
+use crate::c45::{grow_tree, C45Params, Selection};
 use crate::data::Dataset;
-use crate::tree::{DecisionTree, Node};
+use crate::tree::DecisionTree;
 use crate::Learner;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -56,15 +58,20 @@ impl RandomTree {
     ///
     /// Panics if `data` is empty.
     pub fn train(data: &Dataset, params: &RandomTreeParams) -> DecisionTree {
-        assert!(!data.is_empty(), "cannot train on an empty dataset");
-        let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
-        let idx: Vec<usize> = (0..data.len()).collect();
         let k = params
             .k_attrs
             .unwrap_or_else(|| (data.n_attrs() as f64).log2().ceil() as usize + 1)
             .clamp(1, data.n_attrs());
-        let root = grow(data, &idx, params, k, 0, &mut rng);
-        DecisionTree::new(root, data.n_classes())
+        let c45 = C45Params {
+            min_leaf: params.min_leaf,
+            max_depth: params.max_depth,
+            ..C45Params::default()
+        };
+        let mut selection = Selection::Random {
+            k,
+            rng: ChaCha8Rng::seed_from_u64(params.seed),
+        };
+        DecisionTree::new(grow_tree(data, &c45, &mut selection), data.n_classes())
     }
 }
 
@@ -80,115 +87,11 @@ impl Learner for RandomTree {
     }
 }
 
-fn distribution(data: &Dataset, idx: &[usize]) -> Vec<f64> {
-    let mut dist = vec![0.0; data.n_classes()];
-    for &i in idx {
-        let r = &data.rows()[i];
-        dist[r.label as usize] += r.weight;
-    }
-    dist
-}
-
-fn grow(
-    data: &Dataset,
-    idx: &[usize],
-    params: &RandomTreeParams,
-    k: usize,
-    depth: usize,
-    rng: &mut ChaCha8Rng,
-) -> Node {
-    let dist = distribution(data, idx);
-    let total_w: f64 = dist.iter().sum();
-    let pure = dist.iter().filter(|&&w| w > 0.0).count() <= 1;
-    if pure || total_w < 2.0 * params.min_leaf || params.max_depth.is_some_and(|d| depth >= d) {
-        return Node::Leaf { dist };
-    }
-    let base = crate::c45::entropy(&dist);
-
-    // Sample k attributes without replacement; fall back over the rest if
-    // none of the sampled ones yields a split (Weka's behaviour).
-    let mut order: Vec<usize> = (0..data.n_attrs()).collect();
-    order.shuffle(rng);
-    let mut best: Option<crate::c45::Split> = None;
-    for (examined, &attr) in order.iter().enumerate() {
-        if let Some(s) = evaluate_attr(data, idx, attr, base, params.min_leaf) {
-            if best.as_ref().is_none_or(|b| s.gain() > b.gain()) {
-                best = Some(s);
-            }
-        }
-        if examined + 1 >= k && best.is_some() {
-            break;
-        }
-    }
-    let Some(split) = best else {
-        return Node::Leaf { dist };
-    };
-
-    match split {
-        crate::c45::Split::Num {
-            attr, threshold, ..
-        } => {
-            let (mut le, mut gt) = (Vec::new(), Vec::new());
-            let mut missing = Vec::new();
-            for &i in idx {
-                match data.rows()[i].values[attr].as_num() {
-                    Some(v) if v <= threshold => le.push(i),
-                    Some(_) => gt.push(i),
-                    None => missing.push(i),
-                }
-            }
-            if le.len() >= gt.len() {
-                le.extend(missing);
-            } else {
-                gt.extend(missing);
-            }
-            if le.is_empty() || gt.is_empty() {
-                return Node::Leaf { dist };
-            }
-            Node::SplitNum {
-                attr,
-                threshold,
-                dist,
-                le: Box::new(grow(data, &le, params, k, depth + 1, rng)),
-                gt: Box::new(grow(data, &gt, params, k, depth + 1, rng)),
-            }
-        }
-        crate::c45::Split::Nom { attr, .. } => {
-            let cardinality = data.attrs()[attr]
-                .kind
-                .cardinality()
-                .expect("nominal split on nominal attribute");
-            let mut parts = vec![Vec::new(); cardinality];
-            for &i in idx {
-                if let Some(v) = data.rows()[i].values[attr].as_nom() {
-                    parts[v as usize].push(i);
-                }
-            }
-            if parts.iter().filter(|p| !p.is_empty()).count() < 2 {
-                return Node::Leaf { dist };
-            }
-            Node::SplitNom {
-                attr,
-                dist: dist.clone(),
-                children: parts
-                    .iter()
-                    .map(|p| {
-                        if p.is_empty() {
-                            Node::Leaf { dist: dist.clone() }
-                        } else {
-                            grow(data, p, params, k, depth + 1, rng)
-                        }
-                    })
-                    .collect(),
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::Value;
+    use crate::tree::Node;
     use crate::Classifier;
     use rand::Rng;
 
@@ -264,5 +167,50 @@ mod tests {
             },
         );
         assert!(tree.depth() <= 3);
+    }
+
+    #[test]
+    fn missing_nominal_rows_reach_a_child() {
+        let mut ds = Dataset::builder()
+            .nominal_attr("c", ["x", "y"])
+            .classes(["a", "b"])
+            .build();
+        for _ in 0..20 {
+            ds.push(vec![Value::Nom(0)], 0);
+            ds.push(vec![Value::Nom(1)], 1);
+        }
+        for _ in 0..10 {
+            ds.push(vec![Value::Missing], 0);
+        }
+        let tree = RandomTree::train(&ds, &RandomTreeParams::default());
+        let Node::SplitNom { dist, children, .. } = tree.root() else {
+            panic!("expected a nominal split at the root:\n{tree}");
+        };
+        let mut reached = vec![0.0; dist.len()];
+        for child in children {
+            for (r, w) in reached.iter_mut().zip(child.dist()) {
+                *r += w;
+            }
+        }
+        assert_eq!(&reached, dist);
+    }
+
+    #[test]
+    fn missing_values_do_not_crash_training() {
+        let mut ds = Dataset::builder()
+            .numeric_attr("x")
+            .numeric_attr("y")
+            .classes(["a", "b"])
+            .build();
+        for i in 0..50 {
+            let v = if i % 7 == 0 {
+                Value::Missing
+            } else {
+                Value::Num(i as f64)
+            };
+            ds.push(vec![v, Value::Num((i % 3) as f64)], u32::from(i >= 25));
+        }
+        let tree = RandomTree::train(&ds, &RandomTreeParams::default());
+        let _ = tree.predict(&[Value::Missing, Value::Missing]);
     }
 }

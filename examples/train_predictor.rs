@@ -1,15 +1,12 @@
 //! The ML side standalone: train OFC's J48 memory predictor for a function,
-//! watch it mature, and retrain in the background off the critical path
-//! (the deployment-shaped [`BackgroundTrainer`]).
+//! watch it mature, then size a sandbox with it. `MlEngine` retrains the
+//! model itself as observations arrive (§5.3).
 //!
 //! Run with: `cargo run --example train_predictor`
 
 use ofc::core::ml::{MlConfig, MlEngine, Observation};
-use ofc::core::trainer::BackgroundTrainer;
-use ofc::dtree::c45::C45Params;
-use ofc::dtree::Classifier;
 use ofc::faas::{FunctionId, TenantId};
-use ofc::workloads::datasets::{invocation_stream, memory_dataset};
+use ofc::workloads::datasets::invocation_stream;
 use ofc::workloads::multimedia::profile;
 
 fn main() {
@@ -56,30 +53,5 @@ fn main() {
         "sample invocation: actual need {:4} MB, OFC allocates {:4} MB (tenant booked 2048 MB)",
         sample.mem_bytes >> 20,
         pred.mem_bytes.expect("mature model") >> 20
-    );
-
-    // 3. Retrain in the background: the ModelTrainer runs off the critical
-    //    path on a worker thread; the Predictor reads published models
-    //    lock-free.
-    let trainer = BackgroundTrainer::spawn(C45Params::default());
-    let dataset = memory_dataset(p, 800, ofc::core::ml::INTERVAL_BYTES, 9);
-    trainer.submit("demo/wand_resize", dataset.clone());
-    // ... the invocation path keeps serving predictions meanwhile ...
-    let model = loop {
-        if let Some(m) = trainer.model("demo/wand_resize") {
-            break m;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(2));
-    };
-    let correct = dataset
-        .rows()
-        .iter()
-        .filter(|r| model.predict(&r.values) == r.label)
-        .count();
-    println!(
-        "background-trained model: {}/{} training rows exact ({} trained total)",
-        correct,
-        dataset.len(),
-        trainer.shutdown()
     );
 }
