@@ -1,5 +1,5 @@
 //! `macro_mega`: the million-user heavy-tailed multi-tenant scenario
-//! (ROADMAP item 1, DESIGN.md §18).
+//! (DESIGN.md §18).
 //!
 //! Six independent simulations fan out through [`ofc_bench::par`]:
 //!

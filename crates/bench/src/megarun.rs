@@ -1,4 +1,4 @@
-//! The `macro_mega` scenario runner (ROADMAP item 1, DESIGN.md §18):
+//! The `macro_mega` scenario runner (DESIGN.md §18):
 //! drives [`ofc_workloads::mega`] against a full OFC testbed and folds
 //! the stream of invocation records into per-tenant-decile figures
 //! without ever holding the whole trace.

@@ -577,7 +577,7 @@ mod tests {
     }
 
     /// Pins today's outcome of an OFC-induced reclamation failure
-    /// (ROADMAP item 1, "Do no harm"); the PR that fixes it flips these
+    /// (ROADMAP item 2, "Do no harm"); the PR that fixes it flips these
     /// assertions. A dirty final output is written back through
     /// `Persistence::persist_now`, which also evicts it (final outputs
     /// leave the cache once persisted). The agent's own `evict` then finds

@@ -26,7 +26,8 @@ use ofc_dtree::Classifier;
 use ofc_faas::{FunctionId, TenantId};
 use ofc_intern::IdHashMap;
 use ofc_telemetry::{Counter, Telemetry};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
+use std::collections::{HashSet, VecDeque};
 use std::sync::Arc;
 
 /// Key identifying a function's models.
@@ -147,7 +148,8 @@ impl MlMetrics {
 
 /// What the engine holds for a registered function: the schema alone
 /// until the first observation, which builds the datasets. Most of a
-/// large population is never observed inside a run's window.
+/// large population is never observed inside a run's window, and the
+/// schema is the engine's one copy of it (see [`MlEngine::register`]).
 struct Registered {
     schema: Arc<[Attribute]>,
     live: Option<Box<FunctionMl>>,
@@ -220,6 +222,9 @@ impl FunctionMl {
 pub struct MlEngine {
     cfg: MlConfig,
     functions: IdHashMap<FnKey, Registered>,
+    /// One copy of each distinct feature schema registered, shared by
+    /// every function that registered an equal one.
+    schemas: HashSet<Arc<[Attribute]>>,
     /// The `N_INTERVALS` memory-class names, shared by every function's
     /// memory dataset.
     interval_labels: Arc<[String]>,
@@ -240,6 +245,7 @@ impl MlEngine {
         MlEngine {
             cfg,
             functions: IdHashMap::default(),
+            schemas: HashSet::new(),
             interval_labels: (0..N_INTERVALS).map(|k| format!("I{k}")).collect(),
             benefit_labels: ["not_beneficial", "beneficial"].map(String::from).into(),
             telemetry: telemetry.clone(),
@@ -259,11 +265,23 @@ impl MlEngine {
 
     /// Registers a function's feature schema. Models start blank (§5.1.1);
     /// registering a known key again changes nothing.
+    ///
+    /// A schema equal to one already registered is not kept: the function
+    /// shares the engine's copy, found by hashing the schema, so a
+    /// population holds as many schemas as it has distinct ones.
     pub fn register(&mut self, key: FnKey, schema: Vec<Attribute>) {
-        self.functions.entry(key).or_insert_with(|| Registered {
-            schema: schema.into(),
-            live: None,
-        });
+        let Entry::Vacant(slot) = self.functions.entry(key) else {
+            return;
+        };
+        let schema = match self.schemas.get(schema.as_slice()) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let schema: Arc<[Attribute]> = schema.into();
+                self.schemas.insert(Arc::clone(&schema));
+                schema
+            }
+        };
+        slot.insert(Registered { schema, live: None });
     }
 
     /// The function's model state, once an observation has built it.
@@ -548,6 +566,36 @@ mod tests {
         ml.observe(&one, learnable_obs(0));
         assert_eq!(ml.materialised(), 1);
         assert_eq!(Arc::strong_count(&ml.interval_labels), 2);
+    }
+
+    #[test]
+    fn equal_schemas_share_one_copy() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        let nominal = || {
+            vec![Attribute {
+                name: "format".into(),
+                kind: AttrKind::Nominal(vec!["png".into(), "jpg".into()]),
+            }]
+        };
+        let tenant = TenantId::from("t");
+        let keys = |group: &str| -> Vec<FnKey> {
+            (0..50)
+                .map(|i| (tenant, FunctionId::from(format!("{group}{i}"))))
+                .collect()
+        };
+        let (numeric, named) = (keys("n"), keys("m"));
+        for (n, m) in numeric.iter().zip(&named) {
+            ml.register(*n, schema());
+            ml.register(*m, nominal());
+        }
+        let schema_of = |key: &FnKey| Arc::clone(&ml.functions[key].schema);
+        for group in [&numeric, &named] {
+            let first = schema_of(&group[0]);
+            assert!(group.iter().all(|k| Arc::ptr_eq(&schema_of(k), &first)));
+        }
+        assert!(!Arc::ptr_eq(&schema_of(&numeric[0]), &schema_of(&named[0])));
+        assert_eq!(*schema_of(&named[0]), *nominal());
+        assert_eq!(ml.schemas.len(), 2);
     }
 
     #[test]

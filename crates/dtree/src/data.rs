@@ -45,7 +45,7 @@ impl Value {
 }
 
 /// Kind of an attribute: continuous or categorical with a fixed ensemble.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum AttrKind {
     /// Real-valued attribute; splits are binary threshold tests.
     Numeric,
@@ -64,7 +64,7 @@ impl AttrKind {
 }
 
 /// A named, typed attribute of the dataset schema.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Attribute {
     /// Attribute name (for display and model dumps).
     pub name: String,

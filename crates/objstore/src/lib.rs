@@ -5,8 +5,8 @@
 //! remote object store (§1); OFC interposes a cache between the two. This
 //! crate provides the storage side:
 //!
-//! * [`store::ObjectStore`] — buckets, versioned objects, metadata tags
-//!   (where extracted ML features live, §5.1.2), **shadow objects**
+//! * [`store::ObjectStore`] — buckets, versioned objects, metadata
+//!   [`Tags`] (where extracted ML features live, §5.1.2), **shadow objects**
 //!   (empty-payload placeholders carrying two version numbers, §6.2), and
 //!   read/write **webhooks** for external-client consistency,
 //! * [`imoc::Imoc`] — the Redis-like cache used by the `OWK-Redis` baseline
@@ -21,6 +21,9 @@
 pub mod imoc;
 pub mod latency;
 pub mod store;
+mod tags;
+
+pub use tags::{Tags, TagsBuilder};
 
 use ofc_intern::Istr;
 use std::fmt;

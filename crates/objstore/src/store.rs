@@ -21,14 +21,9 @@
 //! to virtual time.
 
 use crate::latency::LatencyModel;
-use crate::{IdHashMap, ObjectId, Payload, StoreError};
+use crate::{IdHashMap, ObjectId, Payload, StoreError, Tags};
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::rc::Rc;
 use std::time::Duration;
-
-/// An object's metadata tags.
-type Tags = HashMap<String, String>;
 
 /// Metadata of a stored object.
 #[derive(Debug, Clone)]
@@ -40,9 +35,8 @@ pub struct ObjectMeta {
     /// Size in bytes of the *latest* version (announced by shadows).
     pub size: u64,
     /// Free-form metadata tags (feature vectors, content type, …), shared
-    /// with the store: a read copies a pointer, never the map. Writes copy
-    /// the map only while a reader still holds the old one.
-    pub tags: Rc<Tags>,
+    /// with the store: a read copies a pointer, never the pairs.
+    pub tags: Tags,
 }
 
 impl ObjectMeta {
@@ -90,8 +84,6 @@ pub struct ObjectStore {
     objects: IdHashMap<ObjectId, StoredObject>,
     observers: Vec<WriteObserver>,
     counters: StoreCounters,
-    /// The one empty tag map every untagged object points at.
-    no_tags: Rc<Tags>,
 }
 
 impl std::fmt::Debug for ObjectStore {
@@ -111,7 +103,6 @@ impl ObjectStore {
             objects: IdHashMap::default(),
             observers: Vec::new(),
             counters: StoreCounters::default(),
-            no_tags: Rc::default(),
         }
     }
 
@@ -155,15 +146,17 @@ impl ObjectStore {
 
     /// Writes a full object (create or update), bumping both versions.
     ///
-    /// `external` marks writes from non-FaaS clients, which trigger cache
-    /// invalidation through the write observers.
+    /// An update merges `tags` into the object's: a key of both takes the
+    /// new value. `external` marks writes from non-FaaS clients, which
+    /// trigger cache invalidation through the write observers.
     pub fn put(
         &mut self,
         id: &ObjectId,
         payload: Payload,
-        tags: HashMap<String, String>,
+        tags: impl Into<Tags>,
         external: bool,
     ) -> (u64, Duration) {
+        let tags = tags.into();
         let size = payload.len();
         let latency = self.latency.write(size.max(1));
         let version = match self.objects.entry(*id) {
@@ -172,16 +165,11 @@ impl ObjectStore {
                 obj.meta.version += 1;
                 obj.meta.persisted_version = obj.meta.version;
                 obj.meta.size = size;
-                merge_tags(&mut obj.meta.tags, tags);
+                obj.meta.tags = obj.meta.tags.merged(tags);
                 obj.payload = Some(payload);
                 obj.meta.version
             }
             Entry::Vacant(e) => {
-                let tags = if tags.is_empty() {
-                    Rc::clone(&self.no_tags)
-                } else {
-                    Rc::new(tags)
-                };
                 e.insert(StoredObject {
                     meta: ObjectMeta {
                         version: 1,
@@ -220,7 +208,7 @@ impl ObjectStore {
                         version: 1,
                         persisted_version: 0,
                         size: announced_size,
-                        tags: Rc::clone(&self.no_tags),
+                        tags: Tags::default(),
                     },
                     payload: None,
                 });
@@ -299,22 +287,6 @@ impl ObjectStore {
         (res, self.latency.meta())
     }
 
-    /// Updates (merges) the metadata tags of an object.
-    pub fn set_tags(
-        &mut self,
-        id: &ObjectId,
-        tags: HashMap<String, String>,
-    ) -> (Result<(), StoreError>, Duration) {
-        let res = match self.objects.get_mut(id) {
-            Some(obj) => {
-                merge_tags(&mut obj.meta.tags, tags);
-                Ok(())
-            }
-            None => Err(StoreError::NotFound(*id)),
-        };
-        (res, self.latency.meta())
-    }
-
     /// Deletes an object (shadow or persisted).
     pub fn delete(&mut self, id: &ObjectId) -> (Result<(), StoreError>, Duration) {
         let res = if self.objects.remove(id).is_some() {
@@ -343,18 +315,11 @@ impl ObjectStore {
     }
 }
 
-/// Merges `tags` into `into`, copying the shared map only when there is
-/// something to merge.
-fn merge_tags(into: &mut Rc<Tags>, tags: Tags) {
-    if !tags.is_empty() {
-        Rc::make_mut(into).extend(tags);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use std::collections::HashMap;
     use std::rc::Rc;
 
     fn store() -> ObjectStore {
@@ -459,39 +424,46 @@ mod tests {
         assert_eq!(seen[2], ("bkt/a".to_string(), 3, false));
     }
 
+    fn tags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
     #[test]
     fn tags_merge() {
         let mut s = store();
-        let mut t1 = HashMap::new();
-        t1.insert("width".to_string(), "640".to_string());
-        s.put(&oid("a"), Payload::Synthetic(1), t1, false);
-        let mut t2 = HashMap::new();
-        t2.insert("height".to_string(), "480".to_string());
-        s.set_tags(&oid("a"), t2).0.unwrap();
+        let width = tags(&[("width", "640")]);
+        s.put(&oid("a"), Payload::Synthetic(1), width, false);
+        let update = tags(&[("height", "480")]);
+        let (v, _) = s.put(&oid("a"), Payload::Synthetic(2), update, false);
+        assert_eq!(v, 2);
         let meta = s.head(&oid("a")).0.unwrap();
-        assert_eq!(meta.tags["width"], "640");
-        assert_eq!(meta.tags["height"], "480");
+        assert_eq!(meta.tags.get("width"), Some("640"));
+        assert_eq!(meta.tags.get("height"), Some("480"));
+        // An untagged update keeps the tags.
+        s.put(&oid("a"), Payload::Synthetic(3), HashMap::new(), false);
+        assert_eq!(s.head(&oid("a")).0.unwrap().tags.len(), 2);
     }
 
     #[test]
     fn reads_share_tags_and_keep_them_across_merges() {
         let mut s = store();
-        let mut t1 = HashMap::new();
-        t1.insert("width".to_string(), "640".to_string());
-        s.put(&oid("a"), Payload::Synthetic(1), t1, false);
+        let width = tags(&[("width", "640")]);
+        s.put(&oid("a"), Payload::Synthetic(1), width, false);
         let before = s.head(&oid("a")).0.unwrap();
         let (got, _) = s.get(&oid("a")).0.unwrap();
-        assert!(Rc::ptr_eq(&before.tags, &got.tags));
-        let mut t2 = HashMap::new();
-        t2.insert("width".to_string(), "320".to_string());
-        s.set_tags(&oid("a"), t2).0.unwrap();
-        assert_eq!(before.tags["width"], "640");
-        assert_eq!(s.head(&oid("a")).0.unwrap().tags["width"], "320");
-        // Untagged objects share the store's one empty map.
-        s.put(&oid("b"), Payload::Synthetic(1), HashMap::new(), false);
+        assert!(Tags::ptr_eq(&before.tags, &got.tags));
+        let update = tags(&[("width", "320")]);
+        s.put(&oid("a"), Payload::Synthetic(1), update, false);
+        assert_eq!(before.tags.get("width"), Some("640"));
+        assert_eq!(s.head(&oid("a")).0.unwrap().tags.get("width"), Some("320"));
+        // Untagged objects share the one empty value.
+        s.put(&oid("b"), Payload::Synthetic(1), Tags::default(), false);
         s.put_shadow(&oid("c"), 1);
         let (b, c) = (s.head(&oid("b")).0.unwrap(), s.head(&oid("c")).0.unwrap());
-        assert!(b.tags.is_empty() && Rc::ptr_eq(&b.tags, &c.tags));
+        assert!(b.tags.is_empty() && Tags::ptr_eq(&b.tags, &c.tags));
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! entropy) only influence behaviour — that gap is why byte size alone
 //! cannot predict memory (Figure 2, top).
 
-use ofc_objstore::{IdHashMap, ObjectId};
+use ofc_objstore::{IdHashMap, ObjectId, Tags, TagsBuilder};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Media kind of an object.
@@ -81,29 +80,36 @@ impl MediaMeta {
         f64::from(self.width) * f64::from(self.height) / 1e6
     }
 
-    /// Observable metadata tags, as stored in the RSDS at creation (§5.1.2).
-    pub fn tags(&self) -> HashMap<String, String> {
-        let mut t = HashMap::new();
-        t.insert("bytes".into(), self.bytes.to_string());
-        t.insert("format".into(), self.format.to_string());
+    /// Observable metadata tags, as stored in the RSDS at creation
+    /// (§5.1.2): byte size and format, then the kind's dimensions. Hidden
+    /// truth (compression ratio, entropy) is never tagged.
+    ///
+    /// Writes the pairs straight into the object's one tag block: two
+    /// allocations, the builder's buffer and the block. Nothing reads them
+    /// during a run (the Predictor's features come from the [`Catalog`]);
+    /// they are what the store would hold.
+    pub fn tags(&self) -> Tags {
+        // Room for five pairs with a 20-digit byte count and 10-digit
+        // dimensions (an image's or a video's), so the buffer never grows.
+        let mut t = TagsBuilder::with_capacity(96);
+        t.push("bytes", self.bytes).push("format", self.format);
         match self.kind {
             MediaKind::Image => {
-                t.insert("width".into(), self.width.to_string());
-                t.insert("height".into(), self.height.to_string());
-                t.insert("channels".into(), self.channels.to_string());
+                t.push("width", self.width)
+                    .push("height", self.height)
+                    .push("channels", self.channels);
             }
             MediaKind::Audio | MediaKind::Video => {
-                t.insert("duration".into(), format!("{:.3}", self.duration_s));
+                t.push("duration", format_args!("{:.3}", self.duration_s));
                 if self.kind == MediaKind::Video {
-                    t.insert("width".into(), self.width.to_string());
-                    t.insert("height".into(), self.height.to_string());
+                    t.push("width", self.width).push("height", self.height);
                 }
             }
             MediaKind::Text => {
-                t.insert("words".into(), self.words.to_string());
+                t.push("words", self.words);
             }
         }
-        t
+        t.finish()
     }
 }
 
@@ -111,7 +117,7 @@ impl MediaMeta {
 ///
 /// Grows by one entry per catalogued object and never shrinks: stage
 /// models register every output they name and nothing tells the catalog
-/// when the pipeline's intermediates are dropped (ROADMAP item 2's
+/// when the pipeline's intermediates are dropped (ROADMAP item 4's
 /// boundedness gate).
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
@@ -337,14 +343,16 @@ mod tests {
         let mut r = rng(4);
         let img = gen_image(&mut r);
         let tags = img.tags();
-        assert!(tags.contains_key("width"));
-        assert!(tags.contains_key("bytes"));
-        assert!(!tags.contains_key("ratio"), "hidden truth must not leak");
-        assert!(!tags.contains_key("entropy"));
+        assert_eq!(tags.get("width"), Some(img.width.to_string().as_str()));
+        assert_eq!(tags.get("bytes"), Some(img.bytes.to_string().as_str()));
+        assert_eq!(tags.len(), 5);
+        assert!(tags.get("ratio").is_none(), "hidden truth must not leak");
+        assert!(tags.get("entropy").is_none());
         let audio = gen_audio(&mut r);
-        assert!(audio.tags().contains_key("duration"));
+        let duration = format!("{:.3}", audio.duration_s);
+        assert_eq!(audio.tags().get("duration"), Some(duration.as_str()));
         let text = gen_text(None, &mut r);
-        assert!(text.tags().contains_key("words"));
+        assert!(text.tags().get("words").is_some());
     }
 
     #[test]

@@ -818,8 +818,8 @@ mod tests {
         let prepared = load.install(&mut sim, &platform, &store, &catalog);
         let input = &prepared[0].inputs[0];
         let meta = store.borrow().head(&input.id).0.unwrap();
-        assert!(meta.tags.contains_key("width"));
-        assert!(meta.tags.contains_key("bytes"));
+        assert!(meta.tags.get("width").is_some());
+        assert!(meta.tags.get("bytes").is_some());
         assert_eq!(prepared[0].booked_mem, 2 << 30, "naive books the max");
     }
 }

@@ -1,6 +1,6 @@
-//! The `macro_mega` load generator (ROADMAP item 1, DESIGN.md §18): heavy
-//! traffic from millions of users, modelled as thousands of tenants
-//! running hundreds of thousands of functions.
+//! The `macro_mega` load generator (DESIGN.md §18): heavy traffic from
+//! millions of users, modelled as thousands of tenants running hundreds
+//! of thousands of functions.
 //!
 //! Like [`crate::faasload`], this generator **streams**: each tenant is a
 //! seeded, self-rescheduling arrival process that synthesizes its next

@@ -7,7 +7,7 @@ use ofc::core::policy::{build_policy, PolicyKind};
 use ofc::core::telemetry::Telemetry;
 use ofc::faas::{DataPlane, ObjectWrite};
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload};
+use ofc::objstore::{ObjectId, Payload, Tags};
 use ofc::rcstore::cluster::Cluster;
 use ofc::rcstore::ClusterConfig;
 use ofc::simtime::{Sim, SimTime};
@@ -91,12 +91,9 @@ fn external_write_invalidates_and_next_function_read_refetches() {
     let mut sim = Sim::new(0);
     // A function-cached input object.
     let id = ObjectId::new("in", "shared");
-    store.borrow_mut().put(
-        &id,
-        Payload::Synthetic(64 * 1024),
-        Default::default(),
-        false,
-    );
+    store
+        .borrow_mut()
+        .put(&id, Payload::Synthetic(64 * 1024), Tags::default(), false);
     plane.read(
         &mut sim,
         0,

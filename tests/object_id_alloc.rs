@@ -2,7 +2,8 @@
 //! `ObjectId::new` and `ObjectId::from_fmt` format the path into a
 //! per-thread scratch buffer and probe the interner with it. Reading a
 //! tagged object back (`ObjectStore::get` / `head`) allocates nothing
-//! either: the metadata shares the stored tag map.
+//! either: the metadata shares the stored tag block. Tagging an input
+//! costs two allocations: the tags are written straight into one block.
 //!
 //! This file is the only `unsafe` in the workspace outside `benchmark/`: a
 //! counting `#[global_allocator]` cannot be written without it. It lives
@@ -10,7 +11,10 @@
 //! `ofc-objstore` stay free of the keyword altogether.
 
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload};
+use ofc::objstore::{ObjectId, Payload, Tags};
+use ofc::workloads::catalog::{gen_audio, gen_image, gen_text, gen_video};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -98,8 +102,44 @@ fn reading_a_tagged_object_allocates_nothing() {
             assert_eq!(meta.tags.len(), 5);
             assert_eq!(payload.len(), 640 * 1024);
             let meta = store.head(&id).0.expect("stored");
-            assert_eq!(meta.tags["width"], "1");
+            assert_eq!(meta.tags.get("width"), Some("1"));
         }
     });
     assert_eq!(count, 0, "allocations while reading a tagged object");
+}
+
+#[test]
+fn tagging_an_input_costs_two_allocations() {
+    let mut store = ObjectStore::swift();
+    // 100 objects grow the map to 128 slots, room for 112: the puts below
+    // do not grow it.
+    let ids: Vec<ObjectId> = (0..110)
+        .map(|i| ObjectId::from_fmt("inputs", format_args!("in{i:03}")))
+        .collect();
+    for id in &ids[..100] {
+        store.put(id, Payload::Synthetic(1), Tags::default(), false);
+    }
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let inputs = [
+        gen_image(&mut rng),
+        gen_audio(&mut rng),
+        gen_video(&mut rng),
+        gen_text(None, &mut rng),
+    ];
+
+    let untagged = allocations(|| {
+        store.put(&ids[100], Payload::Synthetic(1), Tags::default(), false);
+    });
+    for (id, meta) in ids[101..].iter().zip(&inputs) {
+        let tagged = allocations(|| {
+            store.put(id, Payload::Synthetic(meta.bytes), meta.tags(), false);
+        });
+        assert!(
+            tagged <= untagged + 2,
+            "{:?} input: {tagged} allocations against {untagged} untagged",
+            meta.kind
+        );
+        let stored = store.head(id).0.expect("stored").tags;
+        assert_eq!(stored.get("bytes"), Some(meta.bytes.to_string().as_str()));
+    }
 }
