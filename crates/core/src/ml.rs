@@ -57,7 +57,7 @@ pub const EVAL_WINDOW: usize = 100;
 pub const RETRAIN_EVERY: usize = 25;
 
 /// Weight applied to underprediction samples on retraining.
-pub const UNDER_WEIGHT: f64 = 5.0;
+pub const UNDER_WEIGHT: u32 = 5;
 
 /// Overpredictions farther than this many intervals are retained for
 /// retraining (§5.3.3's `k − k* > 6`).
@@ -386,9 +386,9 @@ impl MlEngine {
         // them".
         let keep = match raw_pred {
             Some(raw) if raw < truth => Some(UNDER_WEIGHT),
-            _ if !f.mature => Some(1.0),
-            Some(raw) if raw > truth + EXTREME_OVER_K => Some(1.0),
-            None => Some(1.0),
+            _ if !f.mature => Some(1),
+            Some(raw) if raw > truth + EXTREME_OVER_K => Some(1),
+            None => Some(1),
             _ => None,
         };
         if let Some(weight) = keep {

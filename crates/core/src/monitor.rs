@@ -154,9 +154,9 @@ mod tests {
             }],
         );
         let features: FeatureFn = Rc::new(|_, _, args| {
-            args.get("x").map(|v| match v {
-                ofc_faas::ArgValue::Num(x) => vec![Value::Num(*x)],
-                _ => vec![Value::Missing],
+            args.get("x").and_then(|v| match v {
+                ofc_faas::ArgValue::Num(x) => Some(vec![Value::Num(*x)]),
+                _ => None,
             })
         });
         let t = Telemetry::new();

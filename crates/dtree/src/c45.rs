@@ -13,11 +13,12 @@
 //! * **pessimistic error pruning** (subtree replacement) using the upper
 //!   confidence bound of the binomial at the classic 0.25 confidence level.
 //!
-//! Missing values are routed to the heavier branch during both partitioning
-//! and classification (a simplification of C4.5's fractional instances that
-//! is exact for the OFC workloads, whose feature extractors rarely miss).
+//! Training rows are complete and whole-weighted: OFC extracts every feature
+//! when an object is created (§5.1.2) and weighs a sample 1 or 5 (§5.3.3).
+//! So C4.5's missing-value handling is left out, and every class mass is an
+//! exact integer, which the threshold scan's log tables rely on.
 
-use crate::data::{AttrKind, Dataset};
+use crate::data::Dataset;
 use crate::tree::{DecisionTree, Node};
 use crate::Learner;
 use rand::seq::SliceRandom;
@@ -63,7 +64,8 @@ impl C45 {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty.
+    /// Panics if `data` is empty, holds a weight that is not a whole
+    /// number, or weighs 2^21 or more in total.
     pub fn train(data: &Dataset, params: &C45Params) -> DecisionTree {
         let mut root = grow_tree(data, params, &mut Selection::GainRatio);
         if params.prune {
@@ -88,24 +90,20 @@ impl Learner for C45 {
 /// Grows the unpruned tree of `data`, each node splitting as `selection`
 /// picks. Only `params.min_leaf` and `params.max_depth` are read.
 ///
-/// A training set with no missing value is gathered into columns and
-/// grown in place ([`Grower`]): the same candidates, operands and
-/// operation order as [`grow`], so the tree is bit-identical. Missing
-/// values reorder partitions (they append to the heavier branch), so any
-/// of them sends the fit down the general path.
-///
 /// # Panics
 ///
-/// Panics if `data` is empty.
+/// Panics if `data` is empty, holds a weight that is not a whole number,
+/// or weighs [`LOG_TABLE_CAP`] or more in total.
 pub(crate) fn grow_tree(data: &Dataset, params: &C45Params, selection: &mut Selection) -> Node {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
-    match Columns::gather(data) {
-        Some(cols) => grow_columnar(&cols, params, selection),
-        None => {
-            let idx: Vec<usize> = (0..data.len()).collect();
-            grow(data, &idx, params, selection, 0)
-        }
-    }
+    let cols = Columns::gather(data);
+    assert!(
+        cols.mass < LOG_TABLE_CAP as u64,
+        "training mass {} reaches the log tables' cap {LOG_TABLE_CAP}",
+        cols.mass
+    );
+    LOG_TABLES
+        .with(|t| Grower::new(&cols, params, &mut t.borrow_mut()).grow(selection, 0, cols.len(), 0))
 }
 
 /// How a node picks its split from its attributes' best splits.
@@ -159,22 +157,21 @@ impl Selection {
     }
 }
 
-/// Largest integer weight total the memoized log tables will grow to
-/// (beyond this the threshold scan falls back to per-candidate
-/// [`entropy`] calls). 2^21 entries × two tables × 8 B caps the
-/// thread-local arena at 32 MiB, far above any training set here.
+/// Bound on a training set's total weight: the log tables grow to it.
+/// 2^21 entries × two tables × 8 B caps the thread-local arena at 32 MiB,
+/// far above any training set here (OFC keeps at most a few hundred
+/// samples of weight 1 or 5).
 const LOG_TABLE_CAP: usize = 1 << 21;
 
 /// Memoized `log2(k)` and `k·log2(k)` over integer weights.
 ///
-/// When every sample weight is a small non-negative integer (the common
-/// case: the cache's ML plane weights samples 1.0 or 5.0), every class
-/// mass, branch mass, and node total in the threshold scan is an exact
-/// integer too, so `H(dist) = log2(T) − Σ w·log2(w) / T` can be evaluated
-/// with two table lookups instead of one `log2` call per non-zero class
-/// per candidate. The tables are universal (independent of the node
-/// total), so they persist thread-locally across trainings and only ever
-/// grow.
+/// Every sample weight is a whole number (the cache's ML plane weights
+/// samples 1 or 5), so every class mass, branch mass, and node total in
+/// the threshold scan is an exact integer too, and
+/// `H(dist) = log2(T) − Σ w·log2(w) / T` is evaluated with two table
+/// lookups instead of one `log2` call per non-zero class per candidate.
+/// The tables are universal (independent of the node total), so they
+/// persist thread-locally across trainings and only ever grow.
 struct LogTables {
     /// `log2k[k] = log2(k)`, with `log2k[0] = 0.0` (unused: masses of
     /// zero contribute nothing).
@@ -214,16 +211,6 @@ pub(crate) fn entropy(dist: &[f64]) -> f64 {
         .sum()
 }
 
-/// Class distribution of the rows selected by `idx`.
-fn distribution(data: &Dataset, idx: &[usize]) -> Vec<f64> {
-    let mut dist = vec![0.0; data.n_classes()];
-    for &i in idx {
-        let r = &data.rows()[i];
-        dist[r.label as usize] += r.weight;
-    }
-    dist
-}
-
 /// A candidate split found by the search.
 #[derive(Clone, Copy)]
 enum Split {
@@ -261,45 +248,6 @@ impl Split {
             Split::Num { gain_ratio, .. } | Split::Nom { gain_ratio, .. } => *gain_ratio,
         }
     }
-}
-
-/// Evaluates the best split of `attr` over the rows in `idx`.
-fn evaluate_attr(
-    data: &Dataset,
-    idx: &[usize],
-    attr: usize,
-    base_entropy: f64,
-    min_leaf: f64,
-) -> Option<Split> {
-    match &data.attrs()[attr].kind {
-        AttrKind::Numeric => evaluate_numeric(data, idx, attr, base_entropy, min_leaf),
-        AttrKind::Nominal(values) => {
-            evaluate_nominal(data, idx, attr, values.len(), base_entropy, min_leaf)
-        }
-    }
-}
-
-fn evaluate_numeric(
-    data: &Dataset,
-    idx: &[usize],
-    attr: usize,
-    base_entropy: f64,
-    min_leaf: f64,
-) -> Option<Split> {
-    let n_classes = data.n_classes();
-    // Gather non-missing (value, label, weight) triples sorted by value.
-    let mut points: Vec<(f64, u32, f64)> = idx
-        .iter()
-        .filter_map(|&i| {
-            let r = &data.rows()[i];
-            r.values[attr].as_num().map(|v| (v, r.label, r.weight))
-        })
-        .collect();
-    if points.len() < 2 {
-        return None;
-    }
-    points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
-    scan_points(&points, n_classes, attr, base_entropy, min_leaf)
 }
 
 /// What a threshold scan keeps of its best candidate: enough to rebuild
@@ -356,198 +304,6 @@ fn split_info_integral(t: &LogTables, left_w: f64, total_w: f64) -> f64 {
     } else {
         0.0
     }
-}
-
-/// Scans the sorted `(value, label, weight)` triples for the best binary
-/// threshold, applying C4.5's MDL correction over the candidate count.
-///
-/// When every weight is a small non-negative integer (so every partial
-/// mass is an exact integer), the per-candidate entropies are computed as
-/// `log2(T) − Σ w·log2(w) / T` with the sums maintained incrementally and
-/// the logs served from [`LOG_TABLES`] — O(1) per candidate rather than
-/// one `log2` per non-zero class. Otherwise it falls back to the direct
-/// per-candidate [`entropy`] scan. The two variants agree mathematically
-/// but not bit-for-bit; the fast variant is the deterministic one the
-/// committed goldens are blessed against.
-///
-/// Value-identical to scanning every point and computing every
-/// candidate's split information: points that all share one value offer
-/// no candidate, and only the winner's split information is ever read.
-fn scan_points(
-    points: &[(f64, u32, f64)],
-    n_classes: usize,
-    attr: usize,
-    base_entropy: f64,
-    min_leaf: f64,
-) -> Option<Split> {
-    if points.first()?.0 == points.last()?.0 {
-        return None;
-    }
-    let total_w: f64 = points.iter().map(|p| p.2).sum();
-    let integral =
-        total_w < LOG_TABLE_CAP as f64 && points.iter().all(|p| p.2 >= 0.0 && p.2.fract() == 0.0);
-    if integral {
-        LOG_TABLES.with(|t| {
-            let mut t = t.borrow_mut();
-            t.ensure(total_w as usize);
-            let (best, candidates) =
-                scan_integral(points, n_classes, total_w, base_entropy, min_leaf, &t);
-            let best = best?;
-            let split_info = split_info_integral(&t, best.left_w, total_w);
-            best.into_split(attr, candidates, total_w, split_info)
-        })
-    } else {
-        let (best, candidates) = scan_general(points, n_classes, total_w, base_entropy, min_leaf);
-        let best = best?;
-        let split_info = entropy(&[best.left_w, total_w - best.left_w]);
-        best.into_split(attr, candidates, total_w, split_info)
-    }
-}
-
-/// Threshold scan with per-candidate [`entropy`] recomputation; handles
-/// arbitrary (fractional) sample weights. Returns the best cut and the
-/// number of candidates offered.
-fn scan_general(
-    points: &[(f64, u32, f64)],
-    n_classes: usize,
-    total_w: f64,
-    base_entropy: f64,
-    min_leaf: f64,
-) -> (Option<Cut>, u32) {
-    let mut right = vec![0.0; n_classes];
-    for p in points {
-        right[p.1 as usize] += p.2;
-    }
-    let mut left = vec![0.0; n_classes];
-    let mut left_w = 0.0;
-
-    let mut best = None;
-    let mut candidates = 0u32;
-    let mut i = 0;
-    while i < points.len() {
-        // Advance over ties in value so thresholds fall between distinct values.
-        let v = points[i].0;
-        while i < points.len() && points[i].0 == v {
-            let (_, label, w) = points[i];
-            left[label as usize] += w;
-            right[label as usize] -= w;
-            left_w += w;
-            i += 1;
-        }
-        if i == points.len() {
-            break;
-        }
-        let right_w = total_w - left_w;
-        if left_w < min_leaf || right_w < min_leaf {
-            continue;
-        }
-        candidates += 1;
-        let cond = (left_w / total_w) * entropy(&left) + (right_w / total_w) * entropy(&right);
-        let cut = Cut {
-            gain: base_entropy - cond,
-            below: v,
-            above: points[i].0,
-            left_w,
-        };
-        Cut::offer(&mut best, cut);
-    }
-    (best, candidates)
-}
-
-/// Threshold scan over exact-integer weights: entropies via the
-/// `log2(T) − Σ w·log2(w) / T` identity with incrementally-maintained
-/// sums and memoized logs. Returns as [`scan_general`] does.
-fn scan_integral(
-    points: &[(f64, u32, f64)],
-    n_classes: usize,
-    total_w: f64,
-    base_entropy: f64,
-    min_leaf: f64,
-    t: &LogTables,
-) -> (Option<Cut>, u32) {
-    let mut right = vec![0.0; n_classes];
-    for p in points {
-        right[p.1 as usize] += p.2;
-    }
-    // s_left / s_right track Σ_c wlog[mass_c] for their side; every mass is
-    // an exact integer, so the table index is exact.
-    let mut s_right: f64 = right.iter().map(|&w| t.wlog[w as usize]).sum();
-    let mut s_left = 0.0;
-    let mut left = vec![0.0; n_classes];
-    let mut left_w = 0.0;
-
-    let mut best = None;
-    let mut candidates = 0u32;
-    let mut i = 0;
-    while i < points.len() {
-        let v = points[i].0;
-        while i < points.len() && points[i].0 == v {
-            let (_, label, w) = points[i];
-            let c = label as usize;
-            s_left += t.wlog[(left[c] + w) as usize] - t.wlog[left[c] as usize];
-            s_right += t.wlog[(right[c] - w) as usize] - t.wlog[right[c] as usize];
-            left[c] += w;
-            right[c] -= w;
-            left_w += w;
-            i += 1;
-        }
-        if i == points.len() {
-            break;
-        }
-        let right_w = total_w - left_w;
-        if left_w < min_leaf || right_w < min_leaf {
-            continue;
-        }
-        candidates += 1;
-        let h_left = if left_w > 0.0 {
-            t.log2k[left_w as usize] - s_left / left_w
-        } else {
-            0.0
-        };
-        let h_right = if right_w > 0.0 {
-            t.log2k[right_w as usize] - s_right / right_w
-        } else {
-            0.0
-        };
-        let cond = (left_w / total_w) * h_left + (right_w / total_w) * h_right;
-        let cut = Cut {
-            gain: base_entropy - cond,
-            below: v,
-            above: points[i].0,
-            left_w,
-        };
-        Cut::offer(&mut best, cut);
-    }
-    (best, candidates)
-}
-
-fn evaluate_nominal(
-    data: &Dataset,
-    idx: &[usize],
-    attr: usize,
-    cardinality: usize,
-    base_entropy: f64,
-    min_leaf: f64,
-) -> Option<Split> {
-    let n_classes = data.n_classes();
-    let mut per_value = vec![0.0; cardinality * n_classes];
-    let mut total_w = 0.0;
-    for &i in idx {
-        let r = &data.rows()[i];
-        if let Some(v) = r.values[attr].as_nom() {
-            per_value[v as usize * n_classes + r.label as usize] += r.weight;
-            total_w += r.weight;
-        }
-    }
-    let mut branch_weights = vec![0.0; cardinality];
-    nominal_split(
-        attr,
-        &per_value,
-        &mut branch_weights,
-        total_w,
-        base_entropy,
-        min_leaf,
-    )
 }
 
 /// The multiway split of `attr` described by `per_value` — one class
@@ -615,118 +371,6 @@ fn pick_split(splits: &[Split]) -> Option<Split> {
         })
 }
 
-/// Partitions `idx` according to `split`; missing values go to the heavier
-/// branch.
-fn partition(data: &Dataset, idx: &[usize], split: &Split) -> Vec<Vec<usize>> {
-    match *split {
-        Split::Num {
-            attr, threshold, ..
-        } => {
-            let mut le = Vec::new();
-            let mut gt = Vec::new();
-            let mut missing = Vec::new();
-            for &i in idx {
-                match data.rows()[i].values[attr].as_num() {
-                    Some(v) if v <= threshold => le.push(i),
-                    Some(_) => gt.push(i),
-                    None => missing.push(i),
-                }
-            }
-            let le_w: f64 = le.iter().map(|&i| data.rows()[i].weight).sum();
-            let gt_w: f64 = gt.iter().map(|&i| data.rows()[i].weight).sum();
-            if le_w >= gt_w {
-                le.extend(missing);
-            } else {
-                gt.extend(missing);
-            }
-            vec![le, gt]
-        }
-        Split::Nom { attr, .. } => {
-            let cardinality = data.attrs()[attr]
-                .kind
-                .cardinality()
-                .expect("nominal split on nominal attribute");
-            let mut parts = vec![Vec::new(); cardinality];
-            let mut missing = Vec::new();
-            for &i in idx {
-                match data.rows()[i].values[attr].as_nom() {
-                    Some(v) => parts[v as usize].push(i),
-                    None => missing.push(i),
-                }
-            }
-            if !missing.is_empty() {
-                let heaviest = (0..parts.len())
-                    .max_by(|&a, &b| {
-                        let wa: f64 = parts[a].iter().map(|&i| data.rows()[i].weight).sum();
-                        let wb: f64 = parts[b].iter().map(|&i| data.rows()[i].weight).sum();
-                        wa.partial_cmp(&wb).expect("finite weights")
-                    })
-                    .expect("cardinality >= 1");
-                parts[heaviest].extend(missing);
-            }
-            parts
-        }
-    }
-}
-
-/// Grows the subtree of the rows in `idx`.
-fn grow(
-    data: &Dataset,
-    idx: &[usize],
-    params: &C45Params,
-    selection: &mut Selection,
-    depth: usize,
-) -> Node {
-    let dist = distribution(data, idx);
-    let total_w: f64 = dist.iter().sum();
-    let pure = dist.iter().filter(|&&w| w > 0.0).count() <= 1;
-    let depth_capped = params.max_depth.is_some_and(|d| depth >= d);
-    if pure || total_w < 2.0 * params.min_leaf || depth_capped {
-        return Node::Leaf { dist };
-    }
-    let base = entropy(&dist);
-    let Some(split) = selection.choose(data.n_attrs(), &mut Vec::new(), |attr| {
-        evaluate_attr(data, idx, attr, base, params.min_leaf)
-    }) else {
-        return Node::Leaf { dist };
-    };
-    let parts = partition(data, idx, &split);
-    // Degenerate partitions (all rows in one branch) terminate as a leaf.
-    if parts.iter().filter(|p| !p.is_empty()).count() < 2 {
-        return Node::Leaf { dist };
-    }
-    match split {
-        Split::Num {
-            attr, threshold, ..
-        } => Node::SplitNum {
-            attr,
-            threshold,
-            dist,
-            le: Box::new(grow(data, &parts[0], params, selection, depth + 1)),
-            gt: Box::new(grow(data, &parts[1], params, selection, depth + 1)),
-        },
-        Split::Nom { attr, .. } => {
-            let children = parts
-                .iter()
-                .map(|p| {
-                    if p.is_empty() {
-                        // Empty branches inherit the parent distribution as a
-                        // leaf so routing still works.
-                        Node::Leaf { dist: dist.clone() }
-                    } else {
-                        grow(data, p, params, selection, depth + 1)
-                    }
-                })
-                .collect();
-            Node::SplitNom {
-                attr,
-                dist,
-                children,
-            }
-        }
-    }
-}
-
 /// One attribute of a training set, gathered into a contiguous column.
 enum Column {
     Numeric(Vec<f64>),
@@ -736,11 +380,10 @@ enum Column {
     },
 }
 
-/// A training set without missing values, laid out for the trainer: one
-/// column per attribute, and labels renumbered densely over the classes
-/// that occur (OFC declares 128 memory intervals and a function's samples
-/// fall in a handful), so every per-class buffer below is as wide as the
-/// data, not as the schema.
+/// A training set laid out for the trainer: one column per attribute, and
+/// labels renumbered densely over the classes that occur (OFC declares 128
+/// memory intervals and a function's samples fall in a handful), so every
+/// per-class buffer below is as wide as the data, not as the schema.
 struct Columns {
     attrs: Vec<Column>,
     /// Dense class id per row.
@@ -751,16 +394,20 @@ struct Columns {
     classes: Vec<usize>,
     /// Number of declared classes.
     n_classes: usize,
-    weights: Vec<f64>,
-    /// `weights` saturated to `u32`: the exact image of every
-    /// non-negative integer weight below 2^32, which is every weight a
-    /// node of integer mass below [`LOG_TABLE_CAP`] can hold.
-    int_weights: Vec<u32>,
+    /// Whole-number weight per row.
+    weights: Vec<u32>,
+    /// Total weight.
+    mass: u64,
 }
 
 impl Columns {
-    /// Gathers `data`, or returns `None` at the first missing value.
-    fn gather(data: &Dataset) -> Option<Columns> {
+    /// Gathers `data`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a weight that is not a whole number, which only a
+    /// deserialized dataset can hold.
+    fn gather(data: &Dataset) -> Columns {
         let n = data.len();
         assert!(u32::try_from(n).is_ok(), "row ids are u32");
         let mut attrs: Vec<Column> = data
@@ -775,14 +422,24 @@ impl Columns {
             })
             .collect();
         let mut dense_of = vec![u32::MAX; data.n_classes()];
+        let mut weights = Vec::with_capacity(n);
         for r in data.rows() {
             for (col, v) in attrs.iter_mut().zip(&r.values) {
                 match col {
-                    Column::Numeric(values) => values.push(v.as_num()?),
-                    Column::Nominal { values, .. } => values.push(v.as_nom()?),
+                    Column::Numeric(values) => values.push(v.as_num().expect("numeric value")),
+                    Column::Nominal { values, .. } => {
+                        values.push(v.as_nom().expect("nominal value"))
+                    }
                 }
             }
             dense_of[r.label as usize] = 0;
+            let w = r.weight as u32;
+            assert!(
+                f64::from(w) == r.weight,
+                "C4.5 trains on whole-number weights, got {}",
+                r.weight
+            );
+            weights.push(w);
         }
         let mut classes = Vec::new();
         for (class, dense) in dense_of.iter_mut().enumerate() {
@@ -791,7 +448,7 @@ impl Columns {
                 classes.push(class);
             }
         }
-        Some(Columns {
+        Columns {
             attrs,
             labels: data
                 .rows()
@@ -800,9 +457,9 @@ impl Columns {
                 .collect(),
             classes,
             n_classes: data.n_classes(),
-            weights: data.rows().iter().map(|r| r.weight).collect(),
-            int_weights: data.rows().iter().map(|r| r.weight as u32).collect(),
-        })
+            mass: weights.iter().map(|&w| u64::from(w)).sum(),
+            weights,
+        }
     }
 
     fn len(&self) -> usize {
@@ -810,31 +467,25 @@ impl Columns {
     }
 }
 
-/// Grows the unpruned tree of a gathered training set.
-fn grow_columnar(cols: &Columns, params: &C45Params, selection: &mut Selection) -> Node {
-    LOG_TABLES
-        .with(|t| Grower::new(cols, params, &mut t.borrow_mut()).grow(selection, 0, cols.len(), 0))
-}
-
-/// [`grow`] over [`Columns`]: a node is a segment `[lo, hi)` of `rows` and
-/// of every numeric attribute's `sorted` list, and a split partitions each
-/// of those segments stably in place, so that a child is a sub-segment.
+/// The C4.5 grower: a node is a segment `[lo, hi)` of `rows` and of every
+/// numeric attribute's `sorted` list, and a split partitions each of those
+/// segments stably in place, so that a child is a sub-segment.
 ///
-/// The trees are bit-identical to [`grow`]'s — it is the reference the
-/// tests hold this to. `rows` keeps the parent's order through a stable
-/// partition, so a node's distribution and masses are summed in the order
-/// [`distribution`] sums them; a sorted segment is the stable sort
-/// [`evaluate_numeric`] would redo, so the scans meet the same candidates
-/// in the same order; integer masses index the log tables at the `f64`
-/// masses' own images; and every expression below is the reference's,
-/// operand for operand.
+/// The tests hold its trees, bit for bit, to a row-wise grower that
+/// evaluates every node from scratch (`reference::grow`). `rows` keeps the
+/// parent's order through a stable partition, so a node's distribution and
+/// masses are summed in the order the reference sums them; a sorted
+/// segment is the stable sort the reference redoes per node, so the scans
+/// meet the same candidates in the same order; integer masses index the
+/// log tables at the reference's `f64` masses' own images; and every
+/// expression below is the reference's, operand for operand.
 ///
 /// All buffers are sized once per fit. Growing a node allocates its
 /// `Node`'s `dist` (and a nominal split's `children`) and nothing else.
 struct Grower<'a> {
     cols: &'a Columns,
     params: &'a C45Params,
-    tables: &'a mut LogTables,
+    tables: &'a LogTables,
     /// Row ids, segmented by node, in training-set order within a node.
     rows: Vec<u32>,
     /// Per numeric attribute, row ids stably sorted by value within a
@@ -844,12 +495,9 @@ struct Grower<'a> {
     spill: Vec<u32>,
     /// The current node's class distribution, over the dense classes.
     dist: Vec<f64>,
-    /// Class masses either side of the threshold being scanned: integers
-    /// under integer weights, floats otherwise.
-    left_int: Vec<u32>,
-    right_int: Vec<u32>,
-    left: Vec<f64>,
-    right: Vec<f64>,
+    /// Class masses either side of the threshold being scanned.
+    left: Vec<u32>,
+    right: Vec<u32>,
     /// `cardinality × classes` matrix of a nominal attribute and its row
     /// sums, sized for the widest attribute.
     per_value: Vec<f64>,
@@ -863,7 +511,9 @@ struct Grower<'a> {
 }
 
 impl<'a> Grower<'a> {
+    /// A grower at the root of `cols`, with `tables` grown to its mass.
     fn new(cols: &'a Columns, params: &'a C45Params, tables: &'a mut LogTables) -> Self {
+        tables.ensure(cols.mass as usize);
         let n = cols.len();
         let k = cols.classes.len();
         let sorted = cols
@@ -891,10 +541,8 @@ impl<'a> Grower<'a> {
             sorted,
             spill: vec![0; n],
             dist: vec![0.0; k],
-            left_int: vec![0; k],
-            right_int: vec![0; k],
-            left: vec![0.0; k],
-            right: vec![0.0; k],
+            left: vec![0; k],
+            right: vec![0; k],
             per_value: vec![0.0; max_cardinality * k],
             branch_weights: vec![0.0; max_cardinality],
             counts: vec![0; max_cardinality],
@@ -913,37 +561,31 @@ impl<'a> Grower<'a> {
     }
 
     /// Sums the class distribution of the node `[lo, hi)` into `self.dist`,
-    /// in row order as [`distribution`] does. Returns the node's mass as an
-    /// integer under the condition `scan_points` takes its integral scan
-    /// on: every weight a non-negative integer, below [`LOG_TABLE_CAP`] in
-    /// total.
-    fn load_node(&mut self, lo: usize, hi: usize) -> Option<u32> {
+    /// in row order. Returns the node's mass.
+    fn load_node(&mut self, lo: usize, hi: usize) -> u32 {
         let cols = self.cols;
         self.dist.fill(0.0);
-        let mut int_mass = 0u64;
-        let mut int_weights = true;
+        let mut mass = 0;
         for &r in &self.rows[lo..hi] {
             let r = r as usize;
-            self.dist[cols.labels[r] as usize] += cols.weights[r];
-            int_mass += u64::from(cols.int_weights[r]);
-            int_weights &= f64::from(cols.int_weights[r]) == cols.weights[r];
+            self.dist[cols.labels[r] as usize] += f64::from(cols.weights[r]);
+            mass += cols.weights[r];
         }
-        (int_weights && int_mass < LOG_TABLE_CAP as u64).then_some(int_mass as u32)
+        mass
     }
 
     fn grow(&mut self, selection: &mut Selection, lo: usize, hi: usize, depth: usize) -> Node {
         let cols = self.cols;
-        let int_total = self.load_node(lo, hi);
-        let total_w: f64 = self.dist.iter().sum();
+        let total = self.load_node(lo, hi);
         let pure = self.dist.iter().filter(|&&w| w > 0.0).count() <= 1;
         let depth_capped = self.params.max_depth.is_some_and(|d| depth >= d);
-        if pure || total_w < 2.0 * self.params.min_leaf || depth_capped {
+        if pure || f64::from(total) < 2.0 * self.params.min_leaf || depth_capped {
             return Node::Leaf {
                 dist: self.node_dist(),
             };
         }
         let base = entropy(&self.dist);
-        let split = self.select_split(selection, lo, hi, base, int_total);
+        let split = self.select_split(selection, lo, hi, base, total);
         // Built before the recursion reuses `self.dist`.
         let dist = self.node_dist();
         match split {
@@ -1006,26 +648,22 @@ impl<'a> Grower<'a> {
     }
 
     /// The split `selection` picks for the node [`Grower::load_node`] has
-    /// loaded; `int_total` is what that returned.
+    /// loaded; `total` is what that returned.
     fn select_split(
         &mut self,
         selection: &mut Selection,
         lo: usize,
         hi: usize,
         base_entropy: f64,
-        int_total: Option<u32>,
+        total: u32,
     ) -> Option<Split> {
-        if let Some(total) = int_total {
-            self.tables.ensure(total as usize);
-        }
         let cols = self.cols;
         let mut splits = std::mem::take(&mut self.splits);
         let split = selection.choose(cols.attrs.len(), &mut splits, |attr| {
             match &cols.attrs[attr] {
-                Column::Numeric(values) => match int_total {
-                    Some(total) => self.scan_integral(attr, values, lo, hi, total, base_entropy),
-                    None => self.scan_general(attr, values, lo, hi, base_entropy),
-                },
+                Column::Numeric(values) => {
+                    self.evaluate_numeric(attr, values, lo, hi, total, base_entropy)
+                }
                 Column::Nominal {
                     values,
                     cardinality,
@@ -1036,8 +674,15 @@ impl<'a> Grower<'a> {
         split
     }
 
-    /// [`scan_integral`] straight off the column, on integer masses.
-    fn scan_integral(
+    /// Scans the node's sorted segment of `attr` for the best binary
+    /// threshold, applying C4.5's MDL correction over the candidate count.
+    ///
+    /// The per-candidate entropies are `log2(T) − Σ w·log2(w) / T`, with
+    /// the sums kept incrementally and the logs served from the tables:
+    /// O(1) per candidate rather than one `log2` per non-zero class. Points
+    /// that all share one value offer no candidate, and only the winner's
+    /// split information is ever computed.
+    fn evaluate_numeric(
         &mut self,
         attr: usize,
         values: &[f64],
@@ -1050,15 +695,16 @@ impl<'a> Grower<'a> {
         if values[seg[0] as usize] == values[seg[seg.len() - 1] as usize] {
             return None;
         }
-        let (labels, weights) = (&self.cols.labels[..], &self.cols.int_weights[..]);
+        let (labels, weights) = (&self.cols.labels[..], &self.cols.weights[..]);
         let (log2k, wlog) = (&self.tables.log2k[..], &self.tables.wlog[..]);
         let min_leaf = self.params.min_leaf;
         let total_w = f64::from(total);
-        let (left, right) = (&mut self.left_int[..], &mut self.right_int[..]);
+        let (left, right) = (&mut self.left[..], &mut self.right[..]);
         left.fill(0);
         for (r, &w) in right.iter_mut().zip(&self.dist) {
             *r = w as u32;
         }
+        // s_left / s_right track Σ_c wlog[mass_c] for their side.
         let mut s_right: f64 = right.iter().map(|&w| wlog[w as usize]).sum();
         let mut s_left = 0.0;
         let mut left_mass = 0u32;
@@ -1067,6 +713,8 @@ impl<'a> Grower<'a> {
         let mut candidates = 0u32;
         let mut i = 0;
         while i < seg.len() {
+            // Advance over ties in value so thresholds fall between
+            // distinct values.
             let v = values[seg[i] as usize];
             while i < seg.len() && values[seg[i] as usize] == v {
                 let r = seg[i] as usize;
@@ -1111,68 +759,8 @@ impl<'a> Grower<'a> {
         best.into_split(attr, candidates, total_w, split_info)
     }
 
-    /// [`scan_general`] straight off the column. The masses are summed in
-    /// the segment's sorted order, as the reference sums its points.
-    fn scan_general(
-        &mut self,
-        attr: usize,
-        values: &[f64],
-        lo: usize,
-        hi: usize,
-        base_entropy: f64,
-    ) -> Option<Split> {
-        let seg = &self.sorted[attr][lo..hi];
-        if values[seg[0] as usize] == values[seg[seg.len() - 1] as usize] {
-            return None;
-        }
-        let (labels, weights) = (&self.cols.labels[..], &self.cols.weights[..]);
-        let min_leaf = self.params.min_leaf;
-        let total_w: f64 = seg.iter().map(|&r| weights[r as usize]).sum();
-        let (left, right) = (&mut self.left[..], &mut self.right[..]);
-        left.fill(0.0);
-        right.fill(0.0);
-        for &r in seg {
-            right[labels[r as usize] as usize] += weights[r as usize];
-        }
-        let mut left_w = 0.0;
-
-        let mut best = None;
-        let mut candidates = 0u32;
-        let mut i = 0;
-        while i < seg.len() {
-            let v = values[seg[i] as usize];
-            while i < seg.len() && values[seg[i] as usize] == v {
-                let r = seg[i] as usize;
-                let (c, w) = (labels[r] as usize, weights[r]);
-                left[c] += w;
-                right[c] -= w;
-                left_w += w;
-                i += 1;
-            }
-            if i == seg.len() {
-                break;
-            }
-            let right_w = total_w - left_w;
-            if left_w < min_leaf || right_w < min_leaf {
-                continue;
-            }
-            candidates += 1;
-            let cond = (left_w / total_w) * entropy(left) + (right_w / total_w) * entropy(right);
-            let cut = Cut {
-                gain: base_entropy - cond,
-                below: v,
-                above: values[seg[i] as usize],
-                left_w,
-            };
-            Cut::offer(&mut best, cut);
-        }
-        let best = best?;
-        let split_info = entropy(&[best.left_w, total_w - best.left_w]);
-        best.into_split(attr, candidates, total_w, split_info)
-    }
-
-    /// [`evaluate_nominal`] into the fit's flat `cardinality × classes`
-    /// matrix.
+    /// The multiway split of nominal `attr` at the node, from the fit's
+    /// flat `cardinality × classes` matrix.
     fn evaluate_nominal(
         &mut self,
         attr: usize,
@@ -1189,8 +777,9 @@ impl<'a> Grower<'a> {
         let mut total_w = 0.0;
         for &r in &self.rows[lo..hi] {
             let r = r as usize;
-            per_value[values[r] as usize * k + cols.labels[r] as usize] += cols.weights[r];
-            total_w += cols.weights[r];
+            let w = f64::from(cols.weights[r]);
+            per_value[values[r] as usize * k + cols.labels[r] as usize] += w;
+            total_w += w;
         }
         nominal_split(
             attr,
@@ -1204,8 +793,7 @@ impl<'a> Grower<'a> {
 
     /// Moves the rows at or below `threshold` of `attr` to the front of
     /// every segment `[lo, hi)`, keeping each side's order; returns where
-    /// the other side starts. With no missing value a row's branch is
-    /// decided by its value alone, so this is [`partition`].
+    /// the other side starts.
     fn partition_numeric(&mut self, lo: usize, hi: usize, attr: usize, threshold: f64) -> usize {
         let Column::Numeric(values) = &self.cols.attrs[attr] else {
             unreachable!("numeric split on numeric attribute")
@@ -1419,6 +1007,262 @@ fn prune(node: &mut Node, z: f64) -> f64 {
     }
 }
 
+/// The row-wise grower the tests hold [`Grower`] to: every node gathers,
+/// sorts and scans its rows from scratch, with `f64` masses, where the
+/// grower keeps its segments sorted and partitioned in place and counts
+/// masses in integers.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::data::AttrKind;
+
+    /// Class distribution of the rows selected by `idx`.
+    pub(super) fn distribution(data: &Dataset, idx: &[usize]) -> Vec<f64> {
+        let mut dist = vec![0.0; data.n_classes()];
+        for &i in idx {
+            let r = &data.rows()[i];
+            dist[r.label as usize] += r.weight;
+        }
+        dist
+    }
+
+    fn num(data: &Dataset, i: usize, attr: usize) -> f64 {
+        data.rows()[i].values[attr].as_num().expect("numeric value")
+    }
+
+    fn nom(data: &Dataset, i: usize, attr: usize) -> u32 {
+        data.rows()[i].values[attr].as_nom().expect("nominal value")
+    }
+
+    /// Evaluates the best split of `attr` over the rows in `idx`.
+    pub(super) fn evaluate_attr(
+        data: &Dataset,
+        idx: &[usize],
+        attr: usize,
+        base_entropy: f64,
+        min_leaf: f64,
+    ) -> Option<Split> {
+        match &data.attrs()[attr].kind {
+            AttrKind::Numeric => evaluate_numeric(data, idx, attr, base_entropy, min_leaf),
+            AttrKind::Nominal(values) => {
+                evaluate_nominal(data, idx, attr, values.len(), base_entropy, min_leaf)
+            }
+        }
+    }
+
+    fn evaluate_numeric(
+        data: &Dataset,
+        idx: &[usize],
+        attr: usize,
+        base_entropy: f64,
+        min_leaf: f64,
+    ) -> Option<Split> {
+        // (value, label, weight) triples sorted by value.
+        let mut points: Vec<(f64, u32, f64)> = idx
+            .iter()
+            .map(|&i| {
+                let r = &data.rows()[i];
+                (num(data, i, attr), r.label, r.weight)
+            })
+            .collect();
+        points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values"));
+        if points.first()?.0 == points.last()?.0 {
+            return None;
+        }
+        let total_w: f64 = points.iter().map(|p| p.2).sum();
+        LOG_TABLES.with(|t| {
+            let mut t = t.borrow_mut();
+            t.ensure(total_w as usize);
+            let (best, candidates) = scan(
+                &points,
+                data.n_classes(),
+                total_w,
+                base_entropy,
+                min_leaf,
+                &t,
+            );
+            let best = best?;
+            let split_info = split_info_integral(&t, best.left_w, total_w);
+            best.into_split(attr, candidates, total_w, split_info)
+        })
+    }
+
+    /// The threshold scan over the sorted points. Returns the best cut and
+    /// the number of candidates offered.
+    fn scan(
+        points: &[(f64, u32, f64)],
+        n_classes: usize,
+        total_w: f64,
+        base_entropy: f64,
+        min_leaf: f64,
+        t: &LogTables,
+    ) -> (Option<Cut>, u32) {
+        let mut right = vec![0.0; n_classes];
+        for p in points {
+            right[p.1 as usize] += p.2;
+        }
+        let mut s_right: f64 = right.iter().map(|&w| t.wlog[w as usize]).sum();
+        let mut s_left = 0.0;
+        let mut left = vec![0.0; n_classes];
+        let mut left_w = 0.0;
+
+        let mut best = None;
+        let mut candidates = 0u32;
+        let mut i = 0;
+        while i < points.len() {
+            let v = points[i].0;
+            while i < points.len() && points[i].0 == v {
+                let (_, label, w) = points[i];
+                let c = label as usize;
+                s_left += t.wlog[(left[c] + w) as usize] - t.wlog[left[c] as usize];
+                s_right += t.wlog[(right[c] - w) as usize] - t.wlog[right[c] as usize];
+                left[c] += w;
+                right[c] -= w;
+                left_w += w;
+                i += 1;
+            }
+            if i == points.len() {
+                break;
+            }
+            let right_w = total_w - left_w;
+            if left_w < min_leaf || right_w < min_leaf {
+                continue;
+            }
+            candidates += 1;
+            let h_left = if left_w > 0.0 {
+                t.log2k[left_w as usize] - s_left / left_w
+            } else {
+                0.0
+            };
+            let h_right = if right_w > 0.0 {
+                t.log2k[right_w as usize] - s_right / right_w
+            } else {
+                0.0
+            };
+            let cond = (left_w / total_w) * h_left + (right_w / total_w) * h_right;
+            let cut = Cut {
+                gain: base_entropy - cond,
+                below: v,
+                above: points[i].0,
+                left_w,
+            };
+            Cut::offer(&mut best, cut);
+        }
+        (best, candidates)
+    }
+
+    fn evaluate_nominal(
+        data: &Dataset,
+        idx: &[usize],
+        attr: usize,
+        cardinality: usize,
+        base_entropy: f64,
+        min_leaf: f64,
+    ) -> Option<Split> {
+        let n_classes = data.n_classes();
+        let mut per_value = vec![0.0; cardinality * n_classes];
+        let mut total_w = 0.0;
+        for &i in idx {
+            let r = &data.rows()[i];
+            per_value[nom(data, i, attr) as usize * n_classes + r.label as usize] += r.weight;
+            total_w += r.weight;
+        }
+        let mut branch_weights = vec![0.0; cardinality];
+        nominal_split(
+            attr,
+            &per_value,
+            &mut branch_weights,
+            total_w,
+            base_entropy,
+            min_leaf,
+        )
+    }
+
+    /// Partitions `idx` according to `split`.
+    fn partition(data: &Dataset, idx: &[usize], split: &Split) -> Vec<Vec<usize>> {
+        match *split {
+            Split::Num {
+                attr, threshold, ..
+            } => {
+                let (le, gt) = idx
+                    .iter()
+                    .copied()
+                    .partition(|&i| num(data, i, attr) <= threshold);
+                vec![le, gt]
+            }
+            Split::Nom { attr, .. } => {
+                let cardinality = data.attrs()[attr]
+                    .kind
+                    .cardinality()
+                    .expect("nominal split on nominal attribute");
+                let mut parts = vec![Vec::new(); cardinality];
+                for &i in idx {
+                    parts[nom(data, i, attr) as usize].push(i);
+                }
+                parts
+            }
+        }
+    }
+
+    /// Grows the subtree of the rows in `idx`.
+    pub(super) fn grow(
+        data: &Dataset,
+        idx: &[usize],
+        params: &C45Params,
+        selection: &mut Selection,
+        depth: usize,
+    ) -> Node {
+        let dist = distribution(data, idx);
+        let total_w: f64 = dist.iter().sum();
+        let pure = dist.iter().filter(|&&w| w > 0.0).count() <= 1;
+        let depth_capped = params.max_depth.is_some_and(|d| depth >= d);
+        if pure || total_w < 2.0 * params.min_leaf || depth_capped {
+            return Node::Leaf { dist };
+        }
+        let base = entropy(&dist);
+        let Some(split) = selection.choose(data.n_attrs(), &mut Vec::new(), |attr| {
+            evaluate_attr(data, idx, attr, base, params.min_leaf)
+        }) else {
+            return Node::Leaf { dist };
+        };
+        let parts = partition(data, idx, &split);
+        // Degenerate partitions (all rows in one branch) terminate as a leaf.
+        if parts.iter().filter(|p| !p.is_empty()).count() < 2 {
+            return Node::Leaf { dist };
+        }
+        match split {
+            Split::Num {
+                attr, threshold, ..
+            } => Node::SplitNum {
+                attr,
+                threshold,
+                dist,
+                le: Box::new(grow(data, &parts[0], params, selection, depth + 1)),
+                gt: Box::new(grow(data, &parts[1], params, selection, depth + 1)),
+            },
+            Split::Nom { attr, .. } => {
+                let children = parts
+                    .iter()
+                    .map(|p| {
+                        if p.is_empty() {
+                            // Empty branches inherit the parent distribution
+                            // as a leaf so routing still works.
+                            Node::Leaf { dist: dist.clone() }
+                        } else {
+                            grow(data, p, params, selection, depth + 1)
+                        }
+                    })
+                    .collect();
+                Node::SplitNom {
+                    attr,
+                    dist,
+                    children,
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1510,7 +1354,7 @@ mod tests {
         for _ in 0..3 {
             ds.push(vec![Value::Num(1.0)], 0);
         }
-        ds.push_weighted(vec![Value::Num(1.0)], 1, 10.0);
+        ds.push_weighted(vec![Value::Num(1.0)], 1, 10);
         let tree = C45::train(&ds, &C45Params::default());
         assert_eq!(tree.predict(&[Value::Num(1.0)]), 1);
     }
@@ -1572,25 +1416,6 @@ mod tests {
     }
 
     #[test]
-    fn missing_values_do_not_crash_training() {
-        let mut ds = Dataset::builder()
-            .numeric_attr("x")
-            .numeric_attr("y")
-            .classes(["a", "b"])
-            .build();
-        for i in 0..50 {
-            let v = if i % 7 == 0 {
-                Value::Missing
-            } else {
-                Value::Num(i as f64)
-            };
-            ds.push(vec![v, Value::Num((i % 3) as f64)], u32::from(i >= 25));
-        }
-        let tree = C45::train(&ds, &C45Params::default());
-        let _ = tree.predict(&[Value::Missing, Value::Missing]);
-    }
-
-    #[test]
     fn zscore_matches_known_quantiles() {
         // z for one-sided 25% confidence: Phi^-1(0.75) ~= 0.6744898.
         assert!((zscore_upper(0.25) - 0.6744898).abs() < 1e-4);
@@ -1617,10 +1442,10 @@ mod tests {
         assert_eq!(a.to_string(), b.to_string());
     }
 
-    /// The tree the general path ([`grow`], the reference) trains.
+    /// The tree the row-wise reference grower trains.
     fn reference_tree(ds: &Dataset, params: &C45Params) -> String {
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let mut root = grow(ds, &idx, params, &mut Selection::GainRatio, 0);
+        let mut root = reference::grow(ds, &idx, params, &mut Selection::GainRatio, 0);
         if params.prune {
             prune(&mut root, zscore_upper(params.confidence));
         }
@@ -1699,39 +1524,27 @@ mod tests {
     }
 
     #[test]
-    fn one_missing_value_takes_the_general_path() {
+    #[should_panic(expected = "log tables' cap")]
+    fn training_mass_at_the_log_table_cap_is_refused() {
         let mut ds = sparse_dataset(60, &[1, 2, 3]);
-        assert!(Columns::gather(&ds).is_some());
-        ds.push(vec![Value::Missing], 2);
-        assert!(Columns::gather(&ds).is_none());
-        let params = C45Params::default();
-        assert_eq!(
-            format!("{:?}", C45::train(&ds, &params)),
-            reference_tree(&ds, &params)
-        );
+        ds.push_weighted(vec![Value::Num(100.0)], 3, LOG_TABLE_CAP as u32 - 60);
+        C45::train(&ds, &C45Params::default());
     }
 
     #[test]
-    fn mass_beyond_the_log_tables_scans_by_entropy() {
-        // One integer weight of the tables' cap: the root's mass is out of
-        // their reach (the entropy scan, as `scan_points` decides), the
-        // subtree without that row is back within it.
-        let mut ds = sparse_dataset(60, &[1, 2, 3]);
-        ds.push_weighted(vec![Value::Num(100.0)], 3, LOG_TABLE_CAP as f64);
-        let params = C45Params {
-            prune: false,
-            ..C45Params::default()
-        };
-        let tree = C45::train(&ds, &params);
-        assert_eq!(format!("{tree:?}"), reference_tree(&ds, &params));
-        assert!(tree.size() > 3, "expected splits on both scans:\n{tree}");
-        let tables = LOG_TABLES.with(|t| t.borrow().log2k.len());
-        assert!(tables < LOG_TABLE_CAP, "tables grew to the capped mass");
+    #[should_panic(expected = "whole-number weights")]
+    fn a_fractional_weight_read_back_is_refused() {
+        let mut ds = sparse_dataset(10, &[0, 1]);
+        ds.push_weighted(vec![Value::Num(100.0)], 1, 3);
+        let json = serde_json::to_string(&ds).expect("serializes");
+        let json = json.replacen("\"weight\":3.0", "\"weight\":2.5", 1);
+        let ds: Dataset = serde_json::from_str(&json).expect("deserializes");
+        C45::train(&ds, &C45Params::default());
     }
 
     /// A training set and parameters drawn from `seed`: 1–6 attributes
     /// (continuous, quantised into long tie runs, or nominal), a few of
-    /// 2–128 declared classes in use, weights 1 and 5 or partly fractional.
+    /// 2–128 declared classes in use, weights 1 and 5.
     fn random_case(seed: u64) -> (Dataset, C45Params) {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         // Per attribute: the quantisation levels of a numeric one (0 for
@@ -1763,7 +1576,6 @@ mod tests {
         let used: Vec<u32> = (0..rng.gen_range(1..=n_classes.min(10)))
             .map(|_| rng.gen_range(0..n_classes))
             .collect();
-        let fractional = rng.gen_bool(0.25);
         let noise = rng.gen_range(0.0..0.5);
         let rows = if rng.gen_bool(0.5) {
             rng.gen_range(2..=60)
@@ -1790,13 +1602,7 @@ mod tests {
             } else {
                 used[(signal / kinds.len() as f64 * used.len() as f64) as usize]
             };
-            let weight = if fractional && rng.gen_bool(0.5) {
-                rng.gen_range(0.05..6.0)
-            } else if rng.gen_bool(0.2) {
-                5.0
-            } else {
-                1.0
-            };
+            let weight = if rng.gen_bool(0.2) { 5 } else { 1 };
             ds.push_weighted(values, label, weight);
         }
         let params = C45Params {
@@ -1875,34 +1681,30 @@ mod tests {
             proptest::prop_assert_eq!(presort(&values), stable_sort_order(&values));
         }
 
-        /// The columnar trainer grows, bit for bit, the tree the general
-        /// path grows, under either selection. No shrinking: a failure
-        /// prints its `seed`.
+        /// The columnar grower grows, bit for bit, the tree the row-wise
+        /// reference grows, under either selection. No shrinking: a
+        /// failure prints its `seed`.
         #[test]
         fn columnar_tree_is_the_reference_tree(seed in proptest::any::<u64>()) {
             let (ds, params) = random_case(seed);
-            let cols = Columns::gather(&ds).expect("no missing value");
+            let cols = Columns::gather(&ds);
             // A node is a subset of the rows in training-set order, so the
             // root of a random dataset stands for any node: there, the
             // chosen split agrees to the last bit of gain and gain ratio,
             // which a tree does not show.
             let idx: Vec<usize> = (0..ds.len()).collect();
-            let base = entropy(&distribution(&ds, &idx));
+            let base = entropy(&reference::distribution(&ds, &idx));
             let reference = Selection::GainRatio.choose(ds.n_attrs(), &mut Vec::new(), |attr| {
-                evaluate_attr(&ds, &idx, attr, base, params.min_leaf)
+                reference::evaluate_attr(&ds, &idx, attr, base, params.min_leaf)
             });
             let columnar = LOG_TABLES.with(|t| {
                 let mut t = t.borrow_mut();
                 let mut grower = Grower::new(&cols, &params, &mut t);
-                let int_total = grower.load_node(0, ds.len());
-                grower.select_split(&mut Selection::GainRatio, 0, ds.len(), base, int_total)
+                let total = grower.load_node(0, ds.len());
+                grower.select_split(&mut Selection::GainRatio, 0, ds.len(), base, total)
             });
             proptest::prop_assert_eq!(split_bits(columnar), split_bits(reference));
-            let mut root = grow_columnar(&cols, &params, &mut Selection::GainRatio);
-            if params.prune {
-                prune(&mut root, zscore_upper(params.confidence));
-            }
-            let columnar = format!("{:?}", DecisionTree::new(root, ds.n_classes()));
+            let columnar = format!("{:?}", C45::train(&ds, &params));
             proptest::prop_assert_eq!(columnar, reference_tree(&ds, &params));
 
             // Under RandomTree's selection each node a grower tries to
@@ -1913,8 +1715,8 @@ mod tests {
                 k,
                 rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed),
             };
-            let columnar = grow_columnar(&cols, &params, &mut random());
-            let reference = grow(&ds, &idx, &params, &mut random(), 0);
+            let columnar = grow_tree(&ds, &params, &mut random());
+            let reference = reference::grow(&ds, &idx, &params, &mut random(), 0);
             proptest::prop_assert_eq!(format!("{columnar:?}"), format!("{reference:?}"));
         }
     }

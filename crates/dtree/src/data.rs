@@ -17,17 +17,10 @@ pub enum Value {
     Num(f64),
     /// An index into the nominal ensemble of the attribute.
     Nom(u32),
-    /// Missing/unknown value.
-    Missing,
 }
 
 impl Value {
-    /// Whether this value is [`Value::Missing`].
-    pub fn is_missing(self) -> bool {
-        matches!(self, Value::Missing)
-    }
-
-    /// The numeric payload, or `None` for nominal/missing values.
+    /// The numeric payload, or `None` for a nominal value.
     pub fn as_num(self) -> Option<f64> {
         match self {
             Value::Num(v) => Some(v),
@@ -35,7 +28,7 @@ impl Value {
         }
     }
 
-    /// The nominal index, or `None` for numeric/missing values.
+    /// The nominal index, or `None` for a numeric value.
     pub fn as_nom(self) -> Option<u32> {
         match self {
             Value::Nom(v) => Some(v),
@@ -79,7 +72,8 @@ pub struct Instance {
     pub values: Vec<Value>,
     /// Class index (into [`Dataset::classes`]).
     pub label: u32,
-    /// Training weight (OFC boosts underprediction samples, §5.3.3).
+    /// Training weight (OFC boosts underprediction samples, §5.3.3): the
+    /// exact image of the whole number [`Dataset::push_weighted`] took.
     pub weight: f64,
 }
 
@@ -160,15 +154,32 @@ impl Dataset {
     /// Panics if the value arity, value kinds, or label are inconsistent
     /// with the schema.
     pub fn push(&mut self, values: Vec<Value>, label: u32) {
-        self.push_weighted(values, label, 1.0);
+        self.push_weighted(values, label, 1);
     }
 
-    /// Appends an instance with an explicit weight.
+    /// Appends an instance with an explicit weight. Weights are whole
+    /// numbers: OFC's retraining gives a sample 1, or 5 for an
+    /// underprediction (§5.3.3), and C4.5's threshold scan relies on whole
+    /// masses.
+    ///
+    /// ```
+    /// # use ofc_dtree::data::{Dataset, Value};
+    /// let mut ds = Dataset::builder().numeric_attr("x").classes(["a", "b"]).build();
+    /// ds.push_weighted(vec![Value::Num(1.0)], 1, 5);
+    /// ```
+    ///
+    /// A fractional weight does not type-check:
+    ///
+    /// ```compile_fail
+    /// # use ofc_dtree::data::{Dataset, Value};
+    /// let mut ds = Dataset::builder().numeric_attr("x").classes(["a", "b"]).build();
+    /// ds.push_weighted(vec![Value::Num(1.0)], 1, 0.5);
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics on schema violations or non-positive/non-finite weights.
-    pub fn push_weighted(&mut self, values: Vec<Value>, label: u32, weight: f64) {
+    /// Panics on schema violations or a zero weight.
+    pub fn push_weighted(&mut self, values: Vec<Value>, label: u32, weight: u32) {
         assert_eq!(
             values.len(),
             self.attrs.len(),
@@ -181,13 +192,9 @@ impl Dataset {
             "label {label} out of range for {} classes",
             self.classes.len()
         );
-        assert!(
-            weight.is_finite() && weight > 0.0,
-            "instance weight must be positive, got {weight}"
-        );
+        assert!(weight > 0, "instance weight must be positive");
         for (v, a) in values.iter().zip(self.attrs.iter()) {
             match (v, &a.kind) {
-                (Value::Missing, _) => {}
                 (Value::Num(x), AttrKind::Numeric) => {
                     assert!(x.is_finite(), "non-finite value for attribute {}", a.name);
                 }
@@ -204,7 +211,7 @@ impl Dataset {
         self.rows.push(Instance {
             values,
             label,
-            weight,
+            weight: f64::from(weight),
         });
     }
 
@@ -237,11 +244,6 @@ impl Dataset {
         let mut out = self.empty_like();
         out.rows = idx.iter().map(|&i| self.rows[i].clone()).collect();
         out
-    }
-
-    /// Total instance weight.
-    pub fn total_weight(&self) -> f64 {
-        self.rows.iter().map(|r| r.weight).sum()
     }
 
     /// Weighted class distribution (one entry per class).
@@ -358,9 +360,8 @@ mod tests {
     fn push_and_distribution() {
         let mut ds = schema();
         ds.push(vec![Value::Num(1.0), Value::Nom(0)], 0);
-        ds.push_weighted(vec![Value::Num(2.0), Value::Nom(1)], 1, 3.0);
+        ds.push_weighted(vec![Value::Num(2.0), Value::Nom(1)], 1, 3);
         assert_eq!(ds.len(), 2);
-        assert_eq!(ds.total_weight(), 4.0);
         assert_eq!(ds.class_distribution(), vec![1.0, 3.0]);
         assert_eq!(ds.majority_class(), 1);
     }
@@ -372,10 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_values_accepted() {
-        let mut ds = schema();
-        ds.push(vec![Value::Missing, Value::Missing], 0);
-        assert!(ds.rows()[0].values[0].is_missing());
+    #[should_panic(expected = "positive")]
+    fn push_zero_weight_panics() {
+        schema().push_weighted(vec![Value::Num(1.0), Value::Nom(0)], 0, 0);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl Evaluation {
         eo as f64 / total as f64
     }
 
-    /// Fraction of underpredictions (`predicted < truth`).
-    pub fn under_rate(&self) -> f64 {
-        1.0 - self.eo_rate()
-    }
-
     /// Among underpredictions, the fraction within one interval of the truth
     /// (`predicted == truth - 1`). Returns 1.0 when there are none.
     pub fn under_within_one(&self) -> f64 {
@@ -99,29 +94,6 @@ impl Evaluation {
             1.0
         } else {
             within as f64 / under as f64
-        }
-    }
-
-    /// Fraction of overpredictions within `k` intervals
-    /// (`truth < predicted <= truth + k`), out of all overpredictions.
-    /// Returns 1.0 when there are none.
-    pub fn over_within(&self, k: usize) -> f64 {
-        let mut over = 0u64;
-        let mut within = 0u64;
-        for (t, row) in self.matrix.iter().enumerate() {
-            for (p, &c) in row.iter().enumerate() {
-                if p > t {
-                    over += c;
-                    if p - t <= k {
-                        within += c;
-                    }
-                }
-            }
-        }
-        if over == 0 {
-            1.0
-        } else {
-            within as f64 / over as f64
         }
     }
 
@@ -251,7 +223,6 @@ mod tests {
         assert_eq!(e.total(), 5);
         assert!((e.accuracy() - 0.6).abs() < 1e-12);
         assert!((e.eo_rate() - 0.8).abs() < 1e-12);
-        assert!((e.under_rate() - 0.2).abs() < 1e-12);
         assert!((e.under_within_one() - 1.0).abs() < 1e-12);
     }
 
@@ -261,16 +232,6 @@ mod tests {
         e.record(3, 2); // within one
         e.record(3, 0); // three off
         assert!((e.under_within_one() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn over_within_counts_margins() {
-        let mut e = Evaluation::new(8);
-        e.record(0, 1); // +1
-        e.record(0, 3); // +3
-        e.record(0, 7); // +7
-        assert!((e.over_within(3) - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(e.over_within(7), 1.0);
     }
 
     #[test]

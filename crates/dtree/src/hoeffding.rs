@@ -160,7 +160,7 @@ impl LeafStats {
                 (AttrStats::Nominal { counts }, Value::Nom(i)) => {
                     counts[i as usize][label as usize] += weight;
                 }
-                _ => {} // Missing or mismatched values contribute nothing.
+                _ => panic!("value kind mismatch"),
             }
         }
     }
@@ -318,7 +318,8 @@ impl HoeffdingTree {
     ///
     /// # Panics
     ///
-    /// Panics if `label` is out of range.
+    /// Panics if `label` is out of range or a value is not of its
+    /// attribute's kind.
     pub fn learn_weighted(&mut self, values: &[Value], label: u32, weight: f64) {
         assert!((label as usize) < self.n_classes, "label out of range");
         self.instances_seen += 1;
@@ -365,16 +366,10 @@ impl HoeffdingTree {
                 gt,
             } => {
                 dist[label as usize] += weight;
-                let branch = match values[*attr].as_num() {
-                    Some(v) if v <= *threshold => le,
-                    Some(_) => gt,
-                    None => {
-                        if le.dist().iter().sum::<f64>() >= gt.dist().iter().sum::<f64>() {
-                            le
-                        } else {
-                            gt
-                        }
-                    }
+                let branch = match values[*attr] {
+                    Value::Num(v) if v <= *threshold => le,
+                    Value::Num(_) => gt,
+                    Value::Nom(_) => panic!("value kind mismatch for attribute {attr}"),
                 };
                 Self::descend(
                     branch, values, label, weight, attr_kinds, n_classes, params, may_split,
@@ -386,13 +381,11 @@ impl HoeffdingTree {
                 children,
             } => {
                 dist[label as usize] += weight;
-                let idx = values[*attr]
-                    .as_nom()
-                    .map(|v| v as usize)
-                    .filter(|&v| v < children.len())
-                    .unwrap_or(0);
+                let Value::Nom(v) = values[*attr] else {
+                    panic!("value kind mismatch for attribute {attr}")
+                };
                 Self::descend(
-                    &mut children[idx],
+                    &mut children[v as usize],
                     values,
                     label,
                     weight,
@@ -489,16 +482,10 @@ impl HoeffdingTree {
                 gt,
                 ..
             } => {
-                let child = match values.get(*attr).copied().unwrap_or(Value::Missing) {
+                let child = match values[*attr] {
                     Value::Num(v) if v <= *threshold => le,
                     Value::Num(_) => gt,
-                    _ => {
-                        if le.dist().iter().sum::<f64>() >= gt.dist().iter().sum::<f64>() {
-                            le
-                        } else {
-                            gt
-                        }
-                    }
+                    Value::Nom(_) => panic!("value kind mismatch for attribute {attr}"),
                 };
                 let d = self.classify(child, values);
                 if d.iter().sum::<f64>() > 0.0 {
@@ -508,15 +495,10 @@ impl HoeffdingTree {
                 }
             }
             HNode::SplitNom { attr, children, .. } => {
-                let idx = values
-                    .get(*attr)
-                    .copied()
-                    .unwrap_or(Value::Missing)
-                    .as_nom()
-                    .map(|v| v as usize)
-                    .filter(|&v| v < children.len())
-                    .unwrap_or(0);
-                let d = self.classify(&children[idx], values);
+                let Value::Nom(v) = values[*attr] else {
+                    panic!("value kind mismatch for attribute {attr}")
+                };
+                let d = self.classify(&children[v as usize], values);
                 if d.iter().sum::<f64>() > 0.0 {
                     d
                 } else {

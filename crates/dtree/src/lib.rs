@@ -8,9 +8,9 @@
 //! precision/recall/F-measure) used in §7.1.
 //!
 //! The classifiers share the [`Classifier`] trait; all operate on the
-//! [`data::Dataset`] representation which supports numeric and nominal
-//! attributes, instance weights (OFC weights underprediction samples higher
-//! during retraining, §5.3.3) and missing values.
+//! [`data::Dataset`] representation of complete rows over numeric and
+//! nominal attributes, with whole-number instance weights (OFC weights
+//! underprediction samples higher during retraining, §5.3.3).
 //!
 //! # Examples
 //!

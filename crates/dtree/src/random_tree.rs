@@ -2,12 +2,11 @@
 //! at each node (the base learner of RandomForest, and one of the Table 1
 //! comparison algorithms).
 //!
-//! It grows through C4.5's growers ([`crate::c45`]) with RandomTree's
+//! It grows through C4.5's grower ([`crate::c45`]) with RandomTree's
 //! split selection: a node keeps the best raw information gain among a
 //! random sample of attributes, not the best gain ratio among all of them.
-//! Split search, missing-value routing and the leaf rules are C4.5's, and
-//! the tree is not pruned — variance is controlled by the ensemble
-//! instead.
+//! Split search and the leaf rules are C4.5's, and the tree is not pruned —
+//! variance is controlled by the ensemble instead.
 
 use crate::c45::{grow_tree, C45Params, Selection};
 use crate::data::Dataset;
@@ -56,7 +55,7 @@ impl RandomTree {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty.
+    /// Panics as [`C45::train`](crate::c45::C45::train) does.
     pub fn train(data: &Dataset, params: &RandomTreeParams) -> DecisionTree {
         let k = params
             .k_attrs
@@ -91,7 +90,6 @@ impl Learner for RandomTree {
 mod tests {
     use super::*;
     use crate::data::Value;
-    use crate::tree::Node;
     use crate::Classifier;
     use rand::Rng;
 
@@ -167,50 +165,5 @@ mod tests {
             },
         );
         assert!(tree.depth() <= 3);
-    }
-
-    #[test]
-    fn missing_nominal_rows_reach_a_child() {
-        let mut ds = Dataset::builder()
-            .nominal_attr("c", ["x", "y"])
-            .classes(["a", "b"])
-            .build();
-        for _ in 0..20 {
-            ds.push(vec![Value::Nom(0)], 0);
-            ds.push(vec![Value::Nom(1)], 1);
-        }
-        for _ in 0..10 {
-            ds.push(vec![Value::Missing], 0);
-        }
-        let tree = RandomTree::train(&ds, &RandomTreeParams::default());
-        let Node::SplitNom { dist, children, .. } = tree.root() else {
-            panic!("expected a nominal split at the root:\n{tree}");
-        };
-        let mut reached = vec![0.0; dist.len()];
-        for child in children {
-            for (r, w) in reached.iter_mut().zip(child.dist()) {
-                *r += w;
-            }
-        }
-        assert_eq!(&reached, dist);
-    }
-
-    #[test]
-    fn missing_values_do_not_crash_training() {
-        let mut ds = Dataset::builder()
-            .numeric_attr("x")
-            .numeric_attr("y")
-            .classes(["a", "b"])
-            .build();
-        for i in 0..50 {
-            let v = if i % 7 == 0 {
-                Value::Missing
-            } else {
-                Value::Num(i as f64)
-            };
-            ds.push(vec![v, Value::Num((i % 3) as f64)], u32::from(i >= 25));
-        }
-        let tree = RandomTree::train(&ds, &RandomTreeParams::default());
-        let _ = tree.predict(&[Value::Missing, Value::Missing]);
     }
 }

@@ -2,10 +2,9 @@
 //! RandomTree).
 //!
 //! A tree is a recursive [`Node`]; every node carries the weighted class
-//! distribution of the training instances that reached it, which is used (i)
-//! to answer [`Classifier::distribution`], (ii) to route instances with
-//! missing values down the heaviest branch (a simplification of C4.5's
-//! fractional instances), and (iii) by the pruning pass.
+//! distribution of the training instances that reached it, which answers
+//! [`Classifier::distribution`] at a leaf and is what the pruning pass
+//! replaces a subtree by.
 
 use crate::data::{majority, Value};
 use crate::Classifier;
@@ -26,7 +25,7 @@ pub enum Node {
         attr: usize,
         /// Split threshold.
         threshold: f64,
-        /// Class distribution at this node (for missing-value routing).
+        /// Class distribution at this node (for pruning).
         dist: Vec<f64>,
         /// Branch for `value <= threshold`.
         le: Box<Node>,
@@ -37,7 +36,7 @@ pub enum Node {
     SplitNom {
         /// Attribute index tested.
         attr: usize,
-        /// Class distribution at this node (for missing-value routing).
+        /// Class distribution at this node (for pruning).
         dist: Vec<f64>,
         /// One child per nominal value of the attribute.
         children: Vec<Node>,
@@ -54,12 +53,12 @@ impl Node {
         }
     }
 
-    /// Total training weight that reached this node.
-    pub fn weight(&self) -> f64 {
-        self.dist().iter().sum()
-    }
-
     /// Routes `instance` to the leaf distribution it falls into.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `instance` does not fit the training schema: too short,
+    /// a value of the wrong kind, or a nominal index outside the ensemble.
     pub fn classify<'a>(&'a self, instance: &[Value]) -> &'a [f64] {
         match self {
             Node::Leaf { dist } => dist,
@@ -69,42 +68,15 @@ impl Node {
                 le,
                 gt,
                 ..
-            } => match instance.get(*attr).copied().unwrap_or(Value::Missing) {
-                Value::Num(v) => {
-                    if v <= *threshold {
-                        le.classify(instance)
-                    } else {
-                        gt.classify(instance)
-                    }
-                }
-                // Missing (or type-mismatched) values take the heavier branch.
-                _ => {
-                    if le.weight() >= gt.weight() {
-                        le.classify(instance)
-                    } else {
-                        gt.classify(instance)
-                    }
-                }
+            } => match instance[*attr] {
+                Value::Num(v) if v <= *threshold => le.classify(instance),
+                Value::Num(_) => gt.classify(instance),
+                Value::Nom(_) => panic!("value kind mismatch for attribute {attr}"),
             },
-            Node::SplitNom { attr, children, .. } => {
-                match instance.get(*attr).copied().unwrap_or(Value::Missing) {
-                    Value::Nom(v) if (v as usize) < children.len() => {
-                        children[v as usize].classify(instance)
-                    }
-                    _ => {
-                        // Heaviest child takes missing / out-of-ensemble values.
-                        children
-                            .iter()
-                            .max_by(|a, b| {
-                                a.weight()
-                                    .partial_cmp(&b.weight())
-                                    .expect("weights are finite")
-                            })
-                            .map(|c| c.classify(instance))
-                            .unwrap_or_else(|| self.dist())
-                    }
-                }
-            }
+            Node::SplitNom { attr, children, .. } => match instance[*attr] {
+                Value::Nom(v) => children[v as usize].classify(instance),
+                Value::Num(_) => panic!("value kind mismatch for attribute {attr}"),
+            },
         }
     }
 
@@ -270,11 +242,9 @@ mod tests {
     }
 
     #[test]
-    fn missing_numeric_takes_heavier_branch() {
-        let t = sample_tree();
-        // le branch weighs 6.0 vs gt 4.0, then nominal missing takes the
-        // heavier child (class 0 with 5.0).
-        assert_eq!(t.predict(&[Value::Missing, Value::Missing]), 0);
+    #[should_panic(expected = "kind mismatch")]
+    fn classify_kind_mismatch_panics() {
+        sample_tree().predict(&[Value::Nom(0), Value::Nom(0)]);
     }
 
     #[test]

@@ -24,12 +24,6 @@ pub fn interval_label(mem_bytes: u64, interval_bytes: u64) -> u32 {
     (k as u32).min(n_intervals(interval_bytes) as u32 - 1)
 }
 
-/// The memory amount to allocate for a predicted interval: its upper bound
-/// (§5.1.1).
-pub fn interval_upper_bound(label: u32, interval_bytes: u64) -> u64 {
-    (u64::from(label) + 1) * interval_bytes
-}
-
 /// Class names for the interval classifier.
 pub fn interval_classes(interval_bytes: u64) -> Vec<String> {
     (0..n_intervals(interval_bytes))
@@ -135,8 +129,6 @@ mod tests {
         assert_eq!(interval_label((16 << 20) - 1, mb16), 0);
         // Clamped to the top class.
         assert_eq!(interval_label(10 << 30, mb16), 127);
-        assert_eq!(interval_upper_bound(0, mb16), 16 << 20);
-        assert_eq!(interval_upper_bound(3, mb16), 64 << 20);
         assert_eq!(interval_classes(mb16).len(), 128);
         assert_eq!(interval_classes(mb16)[0], "16MB");
     }

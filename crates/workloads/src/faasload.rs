@@ -2,8 +2,8 @@
 //!
 //! FaaSLoad prepares each tenant's input data in the RSDS, registers the
 //! tenant's function(s) with a booked memory chosen by the tenant profile,
-//! and fires invocations over an observation window with exponential or
-//! periodic inter-arrival times.
+//! and fires invocations over an observation window with exponential
+//! inter-arrival times.
 //!
 //! Arrivals are **streamed**, as in [`crate::mega`]: each tenant is one
 //! pending event that, when it fires, draws its invocation from the
@@ -15,11 +15,8 @@
 //!
 //! Tie rule: an arrival is scheduled by the tenant's previous arrival, so
 //! it takes its place in the simulator's `(at, seq)` order like any other
-//! event; an event scheduled earlier for the same instant runs first. (An
-//! arrival materialized at install ran before every same-instant event
-//! scheduled later.) Exponential gaps practically never tie;
-//! [`Arrival::Periodic`] tenants can, with each other or with platform
-//! events, and no golden or benchmark workload uses them.
+//! event. Exponential gaps practically never tie, so materializing the
+//! window at install would order the same events the same way.
 
 use crate::catalog::{Catalog, MediaKind};
 use crate::multimedia::{MultimediaModel, Profile};
@@ -62,13 +59,13 @@ impl TenantProfile {
     }
 }
 
-/// Inter-arrival law of a tenant's invocations.
+/// Inter-arrival law of a tenant's invocations. Exponential is the only
+/// one; the enum stays so that every caller, the benchmark's workloads
+/// among them, names the law it builds.
 #[derive(Debug, Clone, Copy)]
 pub enum Arrival {
     /// Exponential with the given mean (λ = 1/mean).
     Exponential(Duration),
-    /// Fixed period.
-    Periodic(Duration),
 }
 
 impl Arrival {
@@ -79,7 +76,6 @@ impl Arrival {
                 let u: f64 = rng.gen_range(f64::EPSILON..1.0);
                 mean.mul_f64(-u.ln())
             }
-            Arrival::Periodic(period) => period,
         }
     }
 }
@@ -212,13 +208,13 @@ impl FaasLoad {
     ///
     /// # Panics
     ///
-    /// Panics if a tenant's arrival mean or period is zero: its stream
-    /// would fire forever at one instant.
+    /// Panics if a tenant's arrival mean is zero: its stream would fire
+    /// forever at one instant.
     pub fn new(cfg: FaasLoadConfig, tenants: Vec<TenantSpec>) -> Self {
         for t in &tenants {
-            let (Arrival::Exponential(gap) | Arrival::Periodic(gap)) = t.arrival;
+            let Arrival::Exponential(mean) = t.arrival;
             assert!(
-                !gap.is_zero(),
+                !mean.is_zero(),
                 "tenant {}: arrival gap must be positive",
                 t.name
             );
@@ -610,51 +606,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_arrivals_land_where_the_eager_schedule_put_them() {
-        // Equal periods make the two tenants tie at every instant, where
-        // only the order of same-instant events may differ (module docs).
-        let load = FaasLoad::new(
-            FaasLoadConfig {
-                duration: Duration::from_secs(600),
-                inputs_per_tenant: 4,
-                seed: 3,
-            },
-            vec![
-                tenant(
-                    "t-blur",
-                    single("wand_blur"),
-                    Arrival::Periodic(Duration::from_secs(20)),
-                ),
-                tenant(
-                    "t-edge",
-                    single("wand_edge"),
-                    Arrival::Periodic(Duration::from_secs(20)),
-                ),
-                tenant(
-                    "t-rot",
-                    single("wand_rotate"),
-                    Arrival::Periodic(Duration::from_secs(35)),
-                ),
-            ],
-        );
-        let by_tenant = |eager| {
-            let mut seqs = std::collections::BTreeMap::<String, Vec<String>>::new();
-            for r in drained(&load, 3, eager).0 {
-                let row = format!("{:?} {} {:?}", r.arrival, r.function, r.args);
-                seqs.entry(r.tenant.to_string()).or_default().push(row);
-            }
-            for seq in seqs.values_mut() {
-                seq.sort();
-            }
-            seqs
-        };
-        let streamed = by_tenant(false);
-        assert_eq!(streamed.len(), 3);
-        assert_eq!(streamed["t-blur"].len(), 30);
-        assert_eq!(streamed, by_tenant(true));
-    }
-
-    #[test]
     fn pending_events_stay_one_per_tenant_however_long_the_window() {
         let minute = Duration::from_secs(60);
         for window_h in [1, 10] {
@@ -669,7 +620,7 @@ mod tests {
                 },
                 vec![
                     tenant("t-blur", single("wand_blur"), Arrival::Exponential(minute)),
-                    tenant("t-edge", single("wand_edge"), Arrival::Periodic(minute)),
+                    tenant("t-edge", single("wand_edge"), Arrival::Exponential(minute)),
                     tenant(
                         "t-wc",
                         Workload::WordCount {
@@ -678,11 +629,12 @@ mod tests {
                         },
                         Arrival::Exponential(minute),
                     ),
-                    // First arrival past either window: never armed.
+                    // First arrival past either window (a mean of a year):
+                    // never armed.
                     tenant(
                         "t-late",
                         single("wand_sepia"),
-                        Arrival::Periodic(Duration::from_secs(20 * 3600)),
+                        Arrival::Exponential(Duration::from_secs(365 * 24 * 3600)),
                     ),
                 ],
             );
@@ -690,19 +642,6 @@ mod tests {
             load.install(&mut sim, &platform, &store, &catalog);
             assert_eq!(sim.events_pending(), 3, "{window_h} h window");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "tenant t-zero: arrival gap must be positive")]
-    fn zero_periodic_gap_is_rejected() {
-        FaasLoad::new(
-            FaasLoadConfig::default(),
-            vec![tenant(
-                "t-zero",
-                single("wand_blur"),
-                Arrival::Periodic(Duration::ZERO),
-            )],
-        );
     }
 
     #[test]
@@ -764,7 +703,7 @@ mod tests {
                         input_bytes: 5 << 20,
                     },
                     profile,
-                    arrival: Arrival::Periodic(Duration::from_secs(60)),
+                    arrival: Arrival::Exponential(Duration::from_secs(60)),
                 },
             ],
         );
@@ -811,7 +750,7 @@ mod tests {
             vec![tenant(
                 "t-edge",
                 single("wand_edge"),
-                Arrival::Periodic(Duration::from_secs(10)),
+                Arrival::Exponential(Duration::from_secs(10)),
             )],
         );
         let mut sim = Sim::new(0);

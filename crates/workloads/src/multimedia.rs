@@ -479,6 +479,12 @@ impl Profile {
     ///
     /// Only observable information is used: the catalogued metadata (which
     /// mirrors the RSDS tags) and the request arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the profile takes an argument and `args` lacks it or holds
+    /// a non-numeric value under its name. [`Profile::sample_args`] always
+    /// sets it.
     pub fn features(&self, meta: &MediaMeta, args: &Args) -> Vec<Value> {
         let mut v = vec![Value::Num(meta.bytes as f64)];
         match self.kind {
@@ -507,10 +513,10 @@ impl Profile {
             }
         }
         if let Some(spec) = self.arg {
-            v.push(match args.get(spec.name) {
-                Some(ArgValue::Num(x)) => Value::Num(*x),
-                _ => Value::Missing,
-            });
+            let Some(ArgValue::Num(x)) = args.get(spec.name) else {
+                panic!("{}: numeric argument {} not set", self.name, spec.name)
+            };
+            v.push(Value::Num(*x));
         }
         v
     }
@@ -701,7 +707,7 @@ mod tests {
             );
             for (f, a) in features.iter().zip(&schema) {
                 match (&a.kind, f) {
-                    (AttrKind::Numeric, Value::Num(_) | Value::Missing) => {}
+                    (AttrKind::Numeric, Value::Num(_)) => {}
                     (AttrKind::Nominal(vals), Value::Nom(i)) => {
                         assert!((*i as usize) < vals.len(), "{}: bad nominal", p.name)
                     }

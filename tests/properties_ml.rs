@@ -89,9 +89,9 @@ impl EagerMl {
         }
         let keep = match raw {
             Some(raw) if raw < truth => Some(UNDER_WEIGHT),
-            _ if !self.mature => Some(1.0),
-            Some(raw) if raw > truth + EXTREME_OVER_K => Some(1.0),
-            None => Some(1.0),
+            _ if !self.mature => Some(1),
+            Some(raw) if raw > truth + EXTREME_OVER_K => Some(1),
+            None => Some(1),
             _ => None,
         };
         let max = self.cfg.max_training_set;
