@@ -5,7 +5,7 @@
 //! from-scratch classifier implementations — real training, real
 //! cross-validated accuracy, real wall-clock prediction latency.
 
-use ofc_dtree::c45::C45;
+use ofc_dtree::c45::{C45Params, C45};
 use ofc_dtree::data::{Dataset, Value};
 use ofc_dtree::eval::{cross_validate, Evaluation};
 use ofc_dtree::forest::{ForestParams, RandomForest};
@@ -51,21 +51,18 @@ impl Default for MlxParams {
 /// Cross-validates `algorithm` on `ds`.
 pub fn evaluate_algorithm(algorithm: &str, ds: &Dataset, params: &MlxParams) -> Evaluation {
     match algorithm {
-        "J48" => cross_validate(&C45::default(), ds, params.folds, params.seed),
+        "J48" => cross_validate(&C45, ds, params.folds, params.seed),
         "RandomTree" => cross_validate(&RandomTree::default(), ds, params.folds, params.seed),
         "RandomForest" => cross_validate(
             &RandomForest::new(ForestParams {
                 n_trees: params.forest_trees,
                 seed: params.seed,
-                ..ForestParams::default()
             }),
             ds,
             params.folds,
             params.seed,
         ),
-        "HoeffdingTree" => {
-            cross_validate(&HoeffdingLearner::default(), ds, params.folds, params.seed)
-        }
+        "HoeffdingTree" => cross_validate(&HoeffdingLearner, ds, params.folds, params.seed),
         other => panic!("unknown algorithm {other}"),
     }
 }
@@ -151,7 +148,7 @@ pub fn fig5(params: &MlxParams) -> Fig5Result {
             interval,
             params.seed ^ 0xDEAD ^ i as u64,
         );
-        let model = C45::train(&train, &Default::default());
+        let model = C45::train(&train, &C45Params);
         for row in test.rows() {
             let pred = model.predict(&row.values);
             let truth = row.label;
@@ -210,7 +207,7 @@ pub fn fig6(params: &MlxParams) -> Vec<Fig6Row> {
             let mut times = Summary::new();
             for (i, p) in PROFILES.iter().enumerate() {
                 let ds = memory_dataset(p, params.samples_per_fn, interval, params.seed + i as u64);
-                let model = C45::train(&ds, &Default::default());
+                let model = C45::train(&ds, &C45Params);
                 let instances: Vec<&Vec<Value>> =
                     ds.rows().iter().map(|r| &r.values).take(200).collect();
                 // Warm up, then measure each prediction individually.
@@ -245,7 +242,6 @@ pub fn fig6_forest(params: &MlxParams) -> Fig6Row {
             &ForestParams {
                 n_trees: 50,
                 seed: params.seed,
-                ..ForestParams::default()
             },
         );
         for row in ds.rows().iter().take(100) {

@@ -268,7 +268,7 @@ impl CacheAgent {
         }
         delay += t.latency;
         if evicted {
-            delay += Duration::from_micros(84); // Sc3 − Sc1 residual (§7.2.1)
+            delay += ofc_rcstore::latency::EVICT_EXTRA; // Sc3 − Sc1 residual (§7.2.1)
         }
 
         if migrated {

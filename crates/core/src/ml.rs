@@ -213,7 +213,7 @@ impl FunctionMl {
     /// owes that fit.
     fn pay_benefit_fit(&mut self) {
         if std::mem::take(&mut self.benefit_owed) {
-            self.benefit_model = Some(C45::train(&self.benefit_dataset, &C45Params::default()));
+            self.benefit_model = Some(C45::train(&self.benefit_dataset, &C45Params));
         }
     }
 }
@@ -406,7 +406,7 @@ impl MlEngine {
         // Periodic full retraining (J48 is not incremental, §5.3.3).
         let due = f.mem_model.is_none() || f.new_since_retrain >= RETRAIN_EVERY;
         if due && f.mem_dataset.len() >= 10 {
-            f.mem_model = Some(C45::train(&f.mem_dataset, &C45Params::default()));
+            f.mem_model = Some(C45::train(&f.mem_dataset, &C45Params));
             f.flush_benefit_rows(cfg.max_training_set);
             f.new_since_retrain = 0;
             self.metrics.retrains.inc();
@@ -433,8 +433,8 @@ impl MlEngine {
         self.live(key).map_or(0, |f| f.mem_dataset.len())
     }
 
-    /// Maturation-window statistics `(eo_rate, under_within_one)` of a
-    /// function's memory model, if any predictions were windowed.
+    /// The maturation rule's two rates `(eo_rate, under_one)` over a
+    /// function's window, if any predictions were windowed.
     pub fn window_stats(&self, key: &FnKey) -> Option<(f64, f64)> {
         let f = self.live(key)?;
         if f.window.is_empty() {
@@ -505,6 +505,16 @@ mod tests {
         assert_eq!(cfg.allocation_for(3), 80 << 20);
         // Clamped at the top of the range.
         assert_eq!(cfg.allocation_for(127), 2 << 30);
+    }
+
+    #[test]
+    fn window_rates_count_under_margins() {
+        // (predicted, true): one exact, one over, one under by one, one
+        // under by three.
+        let window = VecDeque::from([(3, 3), (4, 2), (2, 3), (0, 3)]);
+        assert_eq!(window_rates(&window), (0.5, 0.5));
+        // No underprediction: the under-one rate is 1.
+        assert_eq!(window_rates(&VecDeque::from([(1, 1), (2, 1)])), (1.0, 1.0));
     }
 
     #[test]

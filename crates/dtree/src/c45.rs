@@ -24,53 +24,32 @@ use crate::Learner;
 use rand::seq::SliceRandom;
 use rand_chacha::ChaCha8Rng;
 
-/// Tunables of the C4.5 learner.
-#[derive(Debug, Clone)]
-pub struct C45Params {
-    /// Minimum total instance weight per leaf (J48 default: 2).
-    pub min_leaf: f64,
-    /// Confidence level for pessimistic-error pruning (J48 default: 0.25).
-    pub confidence: f64,
-    /// Whether to run the pruning pass.
-    pub prune: bool,
-    /// Optional hard depth cap (none by default).
-    pub max_depth: Option<usize>,
-}
+/// Minimum total instance weight per leaf: J48's `-M 2`.
+pub const MIN_LEAF: f64 = 2.0;
 
-impl Default for C45Params {
-    fn default() -> Self {
-        C45Params {
-            min_leaf: 2.0,
-            confidence: 0.25,
-            prune: true,
-            max_depth: None,
-        }
-    }
-}
+/// Confidence level of pessimistic-error pruning: J48's `-C 0.25`.
+pub const CONFIDENCE: f64 = 0.25;
+
+/// The argument of [`C45::train`]. It holds nothing: J48 runs with Weka's
+/// defaults, [`MIN_LEAF`] and [`CONFIDENCE`] with pruning on. The type
+/// stays because the benchmark's C4.5 driver names `C45Params::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct C45Params;
 
 /// The C4.5 learner (J48). See the module docs for the algorithm outline.
-#[derive(Debug, Clone, Default)]
-pub struct C45 {
-    params: C45Params,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct C45;
 
 impl C45 {
-    /// Creates a learner with the given parameters.
-    pub fn new(params: C45Params) -> Self {
-        C45 { params }
-    }
-
-    /// Trains a tree on `data` with `params`.
+    /// Trains the pruned tree of `data`.
     ///
     /// # Panics
     ///
     /// Panics if `data` is empty, holds a weight that is not a whole
     /// number, or weighs 2^21 or more in total.
-    pub fn train(data: &Dataset, params: &C45Params) -> DecisionTree {
-        let mut root = grow_tree(data, params, &mut Selection::GainRatio);
-        if params.prune {
-            prune(&mut root, zscore_upper(params.confidence));
-        }
+    pub fn train(data: &Dataset, _params: &C45Params) -> DecisionTree {
+        let mut root = grow_tree(data, MIN_LEAF, &mut Selection::GainRatio);
+        prune(&mut root, zscore_upper(CONFIDENCE));
         DecisionTree::new(root, data.n_classes())
     }
 }
@@ -79,7 +58,7 @@ impl Learner for C45 {
     type Model = DecisionTree;
 
     fn fit(&self, data: &Dataset) -> DecisionTree {
-        C45::train(data, &self.params)
+        C45::train(data, &C45Params)
     }
 
     fn name(&self) -> &'static str {
@@ -88,13 +67,13 @@ impl Learner for C45 {
 }
 
 /// Grows the unpruned tree of `data`, each node splitting as `selection`
-/// picks. Only `params.min_leaf` and `params.max_depth` are read.
+/// picks and every leaf weighing at least `min_leaf`.
 ///
 /// # Panics
 ///
 /// Panics if `data` is empty, holds a weight that is not a whole number,
 /// or weighs [`LOG_TABLE_CAP`] or more in total.
-pub(crate) fn grow_tree(data: &Dataset, params: &C45Params, selection: &mut Selection) -> Node {
+pub(crate) fn grow_tree(data: &Dataset, min_leaf: f64, selection: &mut Selection) -> Node {
     assert!(!data.is_empty(), "cannot train on an empty dataset");
     let cols = Columns::gather(data);
     assert!(
@@ -103,7 +82,7 @@ pub(crate) fn grow_tree(data: &Dataset, params: &C45Params, selection: &mut Sele
         cols.mass
     );
     LOG_TABLES
-        .with(|t| Grower::new(&cols, params, &mut t.borrow_mut()).grow(selection, 0, cols.len(), 0))
+        .with(|t| Grower::new(&cols, min_leaf, &mut t.borrow_mut()).grow(selection, 0, cols.len()))
 }
 
 /// How a node picks its split from its attributes' best splits.
@@ -484,7 +463,8 @@ impl Columns {
 /// `Node`'s `dist` (and a nominal split's `children`) and nothing else.
 struct Grower<'a> {
     cols: &'a Columns,
-    params: &'a C45Params,
+    /// Minimum total instance weight per leaf.
+    min_leaf: f64,
     tables: &'a LogTables,
     /// Row ids, segmented by node, in training-set order within a node.
     rows: Vec<u32>,
@@ -512,7 +492,7 @@ struct Grower<'a> {
 
 impl<'a> Grower<'a> {
     /// A grower at the root of `cols`, with `tables` grown to its mass.
-    fn new(cols: &'a Columns, params: &'a C45Params, tables: &'a mut LogTables) -> Self {
+    fn new(cols: &'a Columns, min_leaf: f64, tables: &'a mut LogTables) -> Self {
         tables.ensure(cols.mass as usize);
         let n = cols.len();
         let k = cols.classes.len();
@@ -535,7 +515,7 @@ impl<'a> Grower<'a> {
             .unwrap_or(0);
         Grower {
             cols,
-            params,
+            min_leaf,
             tables,
             rows: (0..n as u32).collect(),
             sorted,
@@ -574,12 +554,11 @@ impl<'a> Grower<'a> {
         mass
     }
 
-    fn grow(&mut self, selection: &mut Selection, lo: usize, hi: usize, depth: usize) -> Node {
+    fn grow(&mut self, selection: &mut Selection, lo: usize, hi: usize) -> Node {
         let cols = self.cols;
         let total = self.load_node(lo, hi);
         let pure = self.dist.iter().filter(|&&w| w > 0.0).count() <= 1;
-        let depth_capped = self.params.max_depth.is_some_and(|d| depth >= d);
-        if pure || f64::from(total) < 2.0 * self.params.min_leaf || depth_capped {
+        if pure || f64::from(total) < 2.0 * self.min_leaf {
             return Node::Leaf {
                 dist: self.node_dist(),
             };
@@ -602,8 +581,8 @@ impl<'a> Grower<'a> {
                 Node::SplitNum {
                     attr,
                     threshold,
-                    le: Box::new(self.grow(selection, lo, mid, depth + 1)),
-                    gt: Box::new(self.grow(selection, mid, hi, depth + 1)),
+                    le: Box::new(self.grow(selection, lo, mid)),
+                    gt: Box::new(self.grow(selection, mid, hi)),
                     dist,
                 }
             }
@@ -632,7 +611,7 @@ impl<'a> Grower<'a> {
                             // as a leaf so routing still works.
                             Node::Leaf { dist: dist.clone() }
                         } else {
-                            self.grow(selection, start, end, depth + 1)
+                            self.grow(selection, start, end)
                         };
                         start = end;
                         child
@@ -697,7 +676,7 @@ impl<'a> Grower<'a> {
         }
         let (labels, weights) = (&self.cols.labels[..], &self.cols.weights[..]);
         let (log2k, wlog) = (&self.tables.log2k[..], &self.tables.wlog[..]);
-        let min_leaf = self.params.min_leaf;
+        let min_leaf = self.min_leaf;
         let total_w = f64::from(total);
         let (left, right) = (&mut self.left[..], &mut self.right[..]);
         left.fill(0);
@@ -787,7 +766,7 @@ impl<'a> Grower<'a> {
             &mut self.branch_weights[..cardinality],
             total_w,
             base_entropy,
-            self.params.min_leaf,
+            self.min_leaf,
         )
     }
 
@@ -1208,20 +1187,18 @@ mod reference {
     pub(super) fn grow(
         data: &Dataset,
         idx: &[usize],
-        params: &C45Params,
+        min_leaf: f64,
         selection: &mut Selection,
-        depth: usize,
     ) -> Node {
         let dist = distribution(data, idx);
         let total_w: f64 = dist.iter().sum();
         let pure = dist.iter().filter(|&&w| w > 0.0).count() <= 1;
-        let depth_capped = params.max_depth.is_some_and(|d| depth >= d);
-        if pure || total_w < 2.0 * params.min_leaf || depth_capped {
+        if pure || total_w < 2.0 * min_leaf {
             return Node::Leaf { dist };
         }
         let base = entropy(&dist);
         let Some(split) = selection.choose(data.n_attrs(), &mut Vec::new(), |attr| {
-            evaluate_attr(data, idx, attr, base, params.min_leaf)
+            evaluate_attr(data, idx, attr, base, min_leaf)
         }) else {
             return Node::Leaf { dist };
         };
@@ -1237,8 +1214,8 @@ mod reference {
                 attr,
                 threshold,
                 dist,
-                le: Box::new(grow(data, &parts[0], params, selection, depth + 1)),
-                gt: Box::new(grow(data, &parts[1], params, selection, depth + 1)),
+                le: Box::new(grow(data, &parts[0], min_leaf, selection)),
+                gt: Box::new(grow(data, &parts[1], min_leaf, selection)),
             },
             Split::Nom { attr, .. } => {
                 let children = parts
@@ -1249,7 +1226,7 @@ mod reference {
                             // as a leaf so routing still works.
                             Node::Leaf { dist: dist.clone() }
                         } else {
-                            grow(data, p, params, selection, depth + 1)
+                            grow(data, p, min_leaf, selection)
                         }
                     })
                     .collect();
@@ -1301,7 +1278,7 @@ mod tests {
     #[test]
     fn learns_nested_quadrant() {
         let ds = quadrant_dataset(400, 1);
-        let tree = C45::train(&ds, &C45Params::default());
+        let tree = C45::train(&ds, &C45Params);
         let mut correct = 0;
         for (x, y) in [(0.1, 0.1), (0.9, 0.9), (0.1, 0.9), (0.9, 0.1)] {
             let want = u32::from(x > 0.5 && y > 0.5);
@@ -1324,7 +1301,7 @@ mod tests {
             ds.push(vec![Value::Nom(1)], 1);
             ds.push(vec![Value::Nom(2)], 1);
         }
-        let tree = C45::train(&ds, &C45Params::default());
+        let tree = C45::train(&ds, &C45Params);
         assert_eq!(tree.predict(&[Value::Nom(0)]), 0);
         assert_eq!(tree.predict(&[Value::Nom(1)]), 1);
         assert_eq!(tree.predict(&[Value::Nom(2)]), 1);
@@ -1339,7 +1316,7 @@ mod tests {
         for i in 0..10 {
             ds.push(vec![Value::Num(i as f64)], 0);
         }
-        let tree = C45::train(&ds, &C45Params::default());
+        let tree = C45::train(&ds, &C45Params);
         assert_eq!(tree.size(), 1);
         assert_eq!(tree.predict(&[Value::Num(100.0)]), 0);
     }
@@ -1355,7 +1332,7 @@ mod tests {
             ds.push(vec![Value::Num(1.0)], 0);
         }
         ds.push_weighted(vec![Value::Num(1.0)], 1, 10);
-        let tree = C45::train(&ds, &C45Params::default());
+        let tree = C45::train(&ds, &C45Params);
         assert_eq!(tree.predict(&[Value::Num(1.0)]), 1);
     }
 
@@ -1402,20 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn max_depth_caps_tree() {
-        let ds = quadrant_dataset(400, 5);
-        let tree = C45::train(
-            &ds,
-            &C45Params {
-                max_depth: Some(1),
-                prune: false,
-                ..C45Params::default()
-            },
-        );
-        assert!(tree.depth() <= 2);
-    }
-
-    #[test]
     fn zscore_matches_known_quantiles() {
         // z for one-sided 25% confidence: Phi^-1(0.75) ~= 0.6744898.
         assert!((zscore_upper(0.25) - 0.6744898).abs() < 1e-4);
@@ -1437,17 +1400,29 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let ds = quadrant_dataset(300, 9);
-        let a = C45::train(&ds, &C45Params::default());
-        let b = C45::train(&ds, &C45Params::default());
+        let a = C45::train(&ds, &C45Params);
+        let b = C45::train(&ds, &C45Params);
         assert_eq!(a.to_string(), b.to_string());
     }
 
-    /// The tree the row-wise reference grower trains.
-    fn reference_tree(ds: &Dataset, params: &C45Params) -> String {
+    /// The tree the columnar grower trains with `min_leaf`, pruned at
+    /// [`CONFIDENCE`] when `pruned` holds: [`C45::train`]'s tree when
+    /// `min_leaf` is [`MIN_LEAF`] and `pruned` holds.
+    fn columnar_tree(ds: &Dataset, min_leaf: f64, pruned: bool) -> DecisionTree {
+        let mut root = grow_tree(ds, min_leaf, &mut Selection::GainRatio);
+        if pruned {
+            prune(&mut root, zscore_upper(CONFIDENCE));
+        }
+        DecisionTree::new(root, ds.n_classes())
+    }
+
+    /// The tree the row-wise reference grower trains with `min_leaf`,
+    /// pruned at [`CONFIDENCE`] when `pruned` holds.
+    fn reference_tree(ds: &Dataset, min_leaf: f64, pruned: bool) -> String {
         let idx: Vec<usize> = (0..ds.len()).collect();
-        let mut root = reference::grow(ds, &idx, params, &mut Selection::GainRatio, 0);
-        if params.prune {
-            prune(&mut root, zscore_upper(params.confidence));
+        let mut root = reference::grow(ds, &idx, min_leaf, &mut Selection::GainRatio);
+        if pruned {
+            prune(&mut root, zscore_upper(CONFIDENCE));
         }
         format!("{:?}", DecisionTree::new(root, ds.n_classes()))
     }
@@ -1483,9 +1458,8 @@ mod tests {
     #[test]
     fn sparse_labels_keep_full_width_distributions() {
         let ds = sparse_dataset(90, &[3, 64, 127]);
-        let params = C45Params::default();
-        let tree = C45::train(&ds, &params);
-        assert_eq!(format!("{tree:?}"), reference_tree(&ds, &params));
+        let tree = C45::train(&ds, &C45Params);
+        assert_eq!(format!("{tree:?}"), reference_tree(&ds, MIN_LEAF, true));
         let mut nodes = 0;
         walk(tree.root(), &mut |node| {
             nodes += 1;
@@ -1511,15 +1485,15 @@ mod tests {
             all_ties.push(vec![Value::Num(7.0)], u32::from(i % 3 == 0));
         }
         for ds in [&single_class, &two_rows, &all_ties] {
-            for min_leaf in [1.0, 2.0] {
-                let params = C45Params {
-                    min_leaf,
-                    ..C45Params::default()
-                };
-                let tree = C45::train(ds, &params);
-                assert_eq!(format!("{tree:?}"), reference_tree(ds, &params));
+            for min_leaf in [1.0, MIN_LEAF] {
+                let tree = columnar_tree(ds, min_leaf, true);
+                assert_eq!(format!("{tree:?}"), reference_tree(ds, min_leaf, true));
                 assert_eq!(tree.size(), 1);
             }
+            assert_eq!(
+                format!("{:?}", C45::train(ds, &C45Params)),
+                reference_tree(ds, MIN_LEAF, true)
+            );
         }
     }
 
@@ -1528,7 +1502,7 @@ mod tests {
     fn training_mass_at_the_log_table_cap_is_refused() {
         let mut ds = sparse_dataset(60, &[1, 2, 3]);
         ds.push_weighted(vec![Value::Num(100.0)], 3, LOG_TABLE_CAP as u32 - 60);
-        C45::train(&ds, &C45Params::default());
+        C45::train(&ds, &C45Params);
     }
 
     #[test]
@@ -1539,13 +1513,14 @@ mod tests {
         let json = serde_json::to_string(&ds).expect("serializes");
         let json = json.replacen("\"weight\":3.0", "\"weight\":2.5", 1);
         let ds: Dataset = serde_json::from_str(&json).expect("deserializes");
-        C45::train(&ds, &C45Params::default());
+        C45::train(&ds, &C45Params);
     }
 
-    /// A training set and parameters drawn from `seed`: 1–6 attributes
-    /// (continuous, quantised into long tie runs, or nominal), a few of
-    /// 2–128 declared classes in use, weights 1 and 5.
-    fn random_case(seed: u64) -> (Dataset, C45Params) {
+    /// A training set drawn from `seed` — 1–6 attributes (continuous,
+    /// quantised into long tie runs, or nominal), a few of 2–128 declared
+    /// classes in use, weights 1 and 5 — with a leaf minimum of 1, 2 or 5
+    /// and whether to prune.
+    fn random_case(seed: u64) -> (Dataset, f64, bool) {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         // Per attribute: the quantisation levels of a numeric one (0 for
         // continuous), or the cardinality of a nominal one.
@@ -1605,13 +1580,8 @@ mod tests {
             let weight = if rng.gen_bool(0.2) { 5 } else { 1 };
             ds.push_weighted(values, label, weight);
         }
-        let params = C45Params {
-            min_leaf: [1.0, 2.0, 5.0][rng.gen_range(0..3)],
-            max_depth: [None, Some(1), Some(4)][rng.gen_range(0..3)],
-            prune: rng.gen(),
-            ..C45Params::default()
-        };
-        (ds, params)
+        let min_leaf = [1.0, 2.0, 5.0][rng.gen_range(0..3)];
+        (ds, min_leaf, rng.gen())
     }
 
     /// Everything a [`Split`] holds, floats by bit pattern.
@@ -1686,7 +1656,7 @@ mod tests {
         /// failure prints its `seed`.
         #[test]
         fn columnar_tree_is_the_reference_tree(seed in proptest::any::<u64>()) {
-            let (ds, params) = random_case(seed);
+            let (ds, min_leaf, pruned) = random_case(seed);
             let cols = Columns::gather(&ds);
             // A node is a subset of the rows in training-set order, so the
             // root of a random dataset stands for any node: there, the
@@ -1695,17 +1665,20 @@ mod tests {
             let idx: Vec<usize> = (0..ds.len()).collect();
             let base = entropy(&reference::distribution(&ds, &idx));
             let reference = Selection::GainRatio.choose(ds.n_attrs(), &mut Vec::new(), |attr| {
-                reference::evaluate_attr(&ds, &idx, attr, base, params.min_leaf)
+                reference::evaluate_attr(&ds, &idx, attr, base, min_leaf)
             });
             let columnar = LOG_TABLES.with(|t| {
                 let mut t = t.borrow_mut();
-                let mut grower = Grower::new(&cols, &params, &mut t);
+                let mut grower = Grower::new(&cols, min_leaf, &mut t);
                 let total = grower.load_node(0, ds.len());
                 grower.select_split(&mut Selection::GainRatio, 0, ds.len(), base, total)
             });
             proptest::prop_assert_eq!(split_bits(columnar), split_bits(reference));
-            let columnar = format!("{:?}", C45::train(&ds, &params));
-            proptest::prop_assert_eq!(columnar, reference_tree(&ds, &params));
+            let columnar = format!("{:?}", columnar_tree(&ds, min_leaf, pruned));
+            if min_leaf == MIN_LEAF && pruned {
+                proptest::prop_assert_eq!(&format!("{:?}", C45::train(&ds, &C45Params)), &columnar);
+            }
+            proptest::prop_assert_eq!(columnar, reference_tree(&ds, min_leaf, pruned));
 
             // Under RandomTree's selection each node a grower tries to
             // split draws an attribute order, so the trees agree only if
@@ -1715,8 +1688,8 @@ mod tests {
                 k,
                 rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed),
             };
-            let columnar = grow_tree(&ds, &params, &mut random());
-            let reference = reference::grow(&ds, &idx, &params, &mut random(), 0);
+            let columnar = grow_tree(&ds, min_leaf, &mut random());
+            let reference = reference::grow(&ds, &idx, min_leaf, &mut random());
             proptest::prop_assert_eq!(format!("{columnar:?}"), format!("{reference:?}"));
         }
     }

@@ -4,8 +4,9 @@
 //! Table 1 reports *exact* and *exact-or-over* (EO) prediction rates — the
 //! latter only makes sense for ordinal classes (memory intervals ordered by
 //! size), so [`Evaluation`] exposes both the usual nominal metrics
-//! (precision / recall / F-measure, §7.1.1) and the ordinal ones
-//! (EO rate, underprediction margins, §5.3 maturation rule).
+//! (precision / recall / F-measure, §7.1.1) and the EO rate. The
+//! maturation rule's underprediction margin (§5.3.1) is computed over its
+//! own window by `ofc_core::ml`.
 
 use crate::data::Dataset;
 use crate::{Classifier, Learner};
@@ -73,28 +74,6 @@ impl Evaluation {
             .map(|(t, row)| row[t..].iter().sum::<u64>())
             .sum();
         eo as f64 / total as f64
-    }
-
-    /// Among underpredictions, the fraction within one interval of the truth
-    /// (`predicted == truth - 1`). Returns 1.0 when there are none.
-    pub fn under_within_one(&self) -> f64 {
-        let mut under = 0u64;
-        let mut within = 0u64;
-        for (t, row) in self.matrix.iter().enumerate() {
-            for (p, &c) in row.iter().enumerate() {
-                if p < t {
-                    under += c;
-                    if p + 1 == t {
-                        within += c;
-                    }
-                }
-            }
-        }
-        if under == 0 {
-            1.0
-        } else {
-            within as f64 / under as f64
-        }
     }
 
     /// Precision of class `c`: `tp / (tp + fp)`, or 0 when never predicted.
@@ -223,15 +202,6 @@ mod tests {
         assert_eq!(e.total(), 5);
         assert!((e.accuracy() - 0.6).abs() < 1e-12);
         assert!((e.eo_rate() - 0.8).abs() < 1e-12);
-        assert!((e.under_within_one() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn under_within_one_counts_margins() {
-        let mut e = Evaluation::new(4);
-        e.record(3, 2); // within one
-        e.record(3, 0); // three off
-        assert!((e.under_within_one() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -258,7 +228,6 @@ mod tests {
         assert_eq!(e.precision(0), 0.0);
         assert_eq!(e.recall(0), 0.0);
         assert_eq!(e.f_measure(0), 0.0);
-        assert_eq!(e.under_within_one(), 1.0);
     }
 
     #[test]
@@ -283,7 +252,7 @@ mod tests {
             let x: f64 = rng.gen_range(0.0..100.0);
             ds.push(vec![Value::Num(x)], u32::from(x > 50.0));
         }
-        let eval = cross_validate(&C45::default(), &ds, 10, 1);
+        let eval = cross_validate(&C45, &ds, 10, 1);
         assert_eq!(eval.total(), 300);
         assert!(eval.accuracy() > 0.95, "CV accuracy {}", eval.accuracy());
     }
@@ -299,8 +268,8 @@ mod tests {
             let x: f64 = rng.gen_range(0.0..1.0);
             ds.push(vec![Value::Num(x)], u32::from(rng.gen::<bool>()));
         }
-        let a = cross_validate(&C45::default(), &ds, 5, 7).accuracy();
-        let b = cross_validate(&C45::default(), &ds, 5, 7).accuracy();
+        let a = cross_validate(&C45, &ds, 5, 7).accuracy();
+        let b = cross_validate(&C45, &ds, 5, 7).accuracy();
         assert_eq!(a, b);
     }
 
@@ -313,6 +282,6 @@ mod tests {
             .build();
         ds.push(vec![Value::Num(0.0)], 0);
         ds.push(vec![Value::Num(1.0)], 1);
-        let _ = cross_validate(&C45::default(), &ds, 1, 0);
+        let _ = cross_validate(&C45, &ds, 1, 0);
     }
 }

@@ -13,32 +13,19 @@
 use crate::data::{AttrKind, Dataset, Value};
 use crate::{Classifier, Learner};
 
-/// Tunables of the Hoeffding tree.
-#[derive(Debug, Clone)]
-pub struct HoeffdingParams {
-    /// Instances a leaf absorbs between split attempts.
-    pub grace_period: usize,
-    /// Split confidence δ (probability the chosen attribute is wrong).
-    pub delta: f64,
-    /// Tie-break threshold τ: split anyway when ε drops below it.
-    pub tau: f64,
-    /// Candidate thresholds evaluated per numeric attribute.
-    pub n_candidates: usize,
-    /// Hard cap on leaf count (memory bound; 0 = unlimited).
-    pub max_leaves: usize,
-}
+/// Instances a leaf absorbs between split attempts. Weka's default is 200.
+pub const GRACE_PERIOD: usize = 50;
 
-impl Default for HoeffdingParams {
-    fn default() -> Self {
-        HoeffdingParams {
-            grace_period: 50,
-            delta: 1e-4,
-            tau: 0.05,
-            n_candidates: 10,
-            max_leaves: 0,
-        }
-    }
-}
+/// Split confidence δ, the probability the chosen attribute is wrong.
+/// Weka's default is 1e-7.
+pub const DELTA: f64 = 1e-4;
+
+/// Tie-break threshold τ: split anyway when ε drops below it (Weka's
+/// default).
+pub const TAU: f64 = 0.05;
+
+/// Candidate thresholds evaluated per numeric attribute.
+pub const N_CANDIDATES: usize = 10;
 
 /// Welford-style Gaussian estimator for one (attribute, class) pair.
 #[derive(Debug, Clone, Default)]
@@ -166,7 +153,7 @@ impl LeafStats {
     }
 
     /// Best achievable info gain for `attr`, with the numeric threshold.
-    fn attr_gain(&self, attr: usize, n_candidates: usize) -> Option<(f64, Option<f64>)> {
+    fn attr_gain(&self, attr: usize) -> Option<(f64, Option<f64>)> {
         let base = crate::c45::entropy(&self.class_counts);
         let total: f64 = self.class_counts.iter().sum();
         if total <= 0.0 {
@@ -197,8 +184,8 @@ impl LeafStats {
                     return None;
                 }
                 let mut best: Option<(f64, f64)> = None;
-                for c in 1..=n_candidates {
-                    let x = min + (max - min) * c as f64 / (n_candidates + 1) as f64;
+                for c in 1..=N_CANDIDATES {
+                    let x = min + (max - min) * c as f64 / (N_CANDIDATES + 1) as f64;
                     let mut left = vec![0.0; self.class_counts.len()];
                     for (cls, g) in per_class.iter().enumerate() {
                         left[cls] = g.weight_below(x);
@@ -268,7 +255,6 @@ pub struct HoeffdingTree {
     root: HNode,
     attr_kinds: Vec<AttrKind>,
     n_classes: usize,
-    params: HoeffdingParams,
     instances_seen: u64,
 }
 
@@ -278,24 +264,22 @@ impl HoeffdingTree {
     /// # Panics
     ///
     /// Panics if `n_classes < 2` or the schema is empty.
-    pub fn new(attr_kinds: Vec<AttrKind>, n_classes: usize, params: HoeffdingParams) -> Self {
+    pub fn new(attr_kinds: Vec<AttrKind>, n_classes: usize) -> Self {
         assert!(n_classes >= 2, "need at least two classes");
         assert!(!attr_kinds.is_empty(), "need at least one attribute");
         HoeffdingTree {
             root: HNode::Leaf(LeafStats::new(&attr_kinds, n_classes)),
             attr_kinds,
             n_classes,
-            params,
             instances_seen: 0,
         }
     }
 
     /// Creates an empty tree matching a dataset's schema.
-    pub fn for_dataset(data: &Dataset, params: HoeffdingParams) -> Self {
+    pub fn for_dataset(data: &Dataset) -> Self {
         HoeffdingTree::new(
             data.attrs().iter().map(|a| a.kind.clone()).collect(),
             data.n_classes(),
-            params,
         )
     }
 
@@ -323,8 +307,6 @@ impl HoeffdingTree {
     pub fn learn_weighted(&mut self, values: &[Value], label: u32, weight: f64) {
         assert!((label as usize) < self.n_classes, "label out of range");
         self.instances_seen += 1;
-        let leaf_budget =
-            self.params.max_leaves == 0 || self.root.n_leaves() < self.params.max_leaves;
         Self::descend(
             &mut self.root,
             values,
@@ -332,12 +314,9 @@ impl HoeffdingTree {
             weight,
             &self.attr_kinds,
             self.n_classes,
-            &self.params,
-            leaf_budget,
         );
     }
 
-    #[allow(clippy::too_many_arguments)] // Internal recursion carries the full context.
     fn descend(
         node: &mut HNode,
         values: &[Value],
@@ -345,15 +324,13 @@ impl HoeffdingTree {
         weight: f64,
         attr_kinds: &[AttrKind],
         n_classes: usize,
-        params: &HoeffdingParams,
-        may_split: bool,
     ) {
         match node {
             HNode::Leaf(stats) => {
                 stats.learn(values, label, weight);
-                if may_split && stats.seen_since_check >= params.grace_period {
+                if stats.seen_since_check >= GRACE_PERIOD {
                     stats.seen_since_check = 0;
-                    if let Some(split) = Self::try_split(stats, attr_kinds, n_classes, params) {
+                    if let Some(split) = Self::try_split(stats, attr_kinds, n_classes) {
                         *node = split;
                     }
                 }
@@ -371,9 +348,7 @@ impl HoeffdingTree {
                     Value::Num(_) => gt,
                     Value::Nom(_) => panic!("value kind mismatch for attribute {attr}"),
                 };
-                Self::descend(
-                    branch, values, label, weight, attr_kinds, n_classes, params, may_split,
-                );
+                Self::descend(branch, values, label, weight, attr_kinds, n_classes);
             }
             HNode::SplitNom {
                 attr,
@@ -391,29 +366,18 @@ impl HoeffdingTree {
                     weight,
                     attr_kinds,
                     n_classes,
-                    params,
-                    may_split,
                 );
             }
         }
     }
 
-    fn try_split(
-        stats: &LeafStats,
-        attr_kinds: &[AttrKind],
-        n_classes: usize,
-        params: &HoeffdingParams,
-    ) -> Option<HNode> {
+    fn try_split(stats: &LeafStats, attr_kinds: &[AttrKind], n_classes: usize) -> Option<HNode> {
         // Pure leaves never split.
         if stats.class_counts.iter().filter(|&&w| w > 0.0).count() <= 1 {
             return None;
         }
         let mut gains: Vec<(f64, usize, Option<f64>)> = (0..attr_kinds.len())
-            .filter_map(|a| {
-                stats
-                    .attr_gain(a, params.n_candidates)
-                    .map(|(g, thr)| (g, a, thr))
-            })
+            .filter_map(|a| stats.attr_gain(a).map(|(g, thr)| (g, a, thr)))
             .collect();
         gains.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("finite gains"));
         let (best_gain, attr, threshold) = *gains.first()?;
@@ -421,8 +385,8 @@ impl HoeffdingTree {
 
         let range = (n_classes as f64).log2();
         let n = stats.total_seen;
-        let epsilon = (range * range * (1.0 / params.delta).ln() / (2.0 * n)).sqrt();
-        if best_gain <= 0.0 || (best_gain - second_gain <= epsilon && epsilon >= params.tau) {
+        let epsilon = (range * range * (1.0 / DELTA).ln() / (2.0 * n)).sqrt();
+        if best_gain <= 0.0 || (best_gain - second_gain <= epsilon && epsilon >= TAU) {
             return None;
         }
 
@@ -526,17 +490,14 @@ impl Classifier for HoeffdingTree {
 }
 
 /// Batch adapter: streams the dataset once through a fresh Hoeffding tree.
-#[derive(Debug, Clone, Default)]
-pub struct HoeffdingLearner {
-    /// Parameters for each trained tree.
-    pub params: HoeffdingParams,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HoeffdingLearner;
 
 impl Learner for HoeffdingLearner {
     type Model = HoeffdingTree;
 
     fn fit(&self, data: &Dataset) -> HoeffdingTree {
-        let mut tree = HoeffdingTree::for_dataset(data, self.params.clone());
+        let mut tree = HoeffdingTree::for_dataset(data);
         for row in data.rows() {
             tree.learn_weighted(&row.values, row.label, row.weight);
         }
@@ -577,7 +538,7 @@ mod tests {
     #[test]
     fn learns_numeric_threshold_from_stream() {
         let mut rng = ChaCha8Rng::seed_from_u64(31);
-        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2, HoeffdingParams::default());
+        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2);
         for _ in 0..2000 {
             let x: f64 = rng.gen_range(0.0..100.0);
             tree.learn(&[Value::Num(x)], u32::from(x > 50.0));
@@ -596,7 +557,7 @@ mod tests {
     #[test]
     fn learns_nominal_split_from_stream() {
         let kinds = vec![AttrKind::Nominal(vec!["a".into(), "b".into(), "c".into()])];
-        let mut tree = HoeffdingTree::new(kinds, 2, HoeffdingParams::default());
+        let mut tree = HoeffdingTree::new(kinds, 2);
         for _ in 0..300 {
             tree.learn(&[Value::Nom(0)], 0);
             tree.learn(&[Value::Nom(1)], 1);
@@ -608,34 +569,12 @@ mod tests {
 
     #[test]
     fn pure_stream_never_splits() {
-        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2, HoeffdingParams::default());
+        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2);
         for i in 0..1000 {
             tree.learn(&[Value::Num(i as f64)], 0);
         }
         assert_eq!(tree.n_leaves(), 1);
         assert_eq!(tree.predict(&[Value::Num(5.0)]), 0);
-    }
-
-    #[test]
-    fn max_leaves_bounds_growth() {
-        let mut rng = ChaCha8Rng::seed_from_u64(33);
-        let params = HoeffdingParams {
-            max_leaves: 4,
-            ..HoeffdingParams::default()
-        };
-        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric; 4], 4, params);
-        for _ in 0..5000 {
-            let vals: Vec<Value> = (0..4)
-                .map(|_| Value::Num(rng.gen_range(0.0..1.0)))
-                .collect();
-            let label = rng.gen_range(0..4);
-            tree.learn(&vals, label);
-        }
-        assert!(
-            tree.n_leaves() <= 4 + 3,
-            "leaf cap ignored: {}",
-            tree.n_leaves()
-        );
     }
 
     #[test]
@@ -649,7 +588,7 @@ mod tests {
             let x: f64 = rng.gen_range(0.0..10.0);
             ds.push(vec![Value::Num(x)], u32::from(x > 5.0));
         }
-        let model = HoeffdingLearner::default().fit(&ds);
+        let model = HoeffdingLearner.fit(&ds);
         assert_eq!(model.predict(&[Value::Num(1.0)]), 0);
         assert_eq!(model.predict(&[Value::Num(9.0)]), 1);
         assert_eq!(model.instances_seen(), 1500);
@@ -657,7 +596,7 @@ mod tests {
 
     #[test]
     fn distribution_normalized() {
-        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2, HoeffdingParams::default());
+        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric], 2);
         tree.learn(&[Value::Num(1.0)], 0);
         tree.learn(&[Value::Num(2.0)], 1);
         let d = tree.distribution(&[Value::Num(1.5)]);

@@ -31,7 +31,7 @@
 //! for kb in [100.0, 120.0, 140.0, 160.0] {
 //!     ds.push(vec![Value::Num(kb)], 1);
 //! }
-//! let tree = C45::train(&ds, &C45Params::default());
+//! let tree = C45::train(&ds, &C45Params);
 //! assert_eq!(tree.predict(&[Value::Num(130.0)]), 1);
 //! ```
 

@@ -8,69 +8,39 @@
 //! Split search and the leaf rules are C4.5's, and the tree is not pruned —
 //! variance is controlled by the ensemble instead.
 
-use crate::c45::{grow_tree, C45Params, Selection};
+use crate::c45::{grow_tree, Selection};
 use crate::data::Dataset;
 use crate::tree::DecisionTree;
 use crate::Learner;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Tunables of the RandomTree learner.
-#[derive(Debug, Clone)]
-pub struct RandomTreeParams {
-    /// Attributes examined per node; `None` means `ceil(log2(d)) + 1`.
-    pub k_attrs: Option<usize>,
-    /// Minimum total instance weight per leaf.
-    pub min_leaf: f64,
-    /// Optional depth cap.
-    pub max_depth: Option<usize>,
-    /// RNG seed (the tree is deterministic given the seed).
-    pub seed: u64,
-}
-
-impl Default for RandomTreeParams {
-    fn default() -> Self {
-        RandomTreeParams {
-            k_attrs: None,
-            min_leaf: 1.0,
-            max_depth: None,
-            seed: 0,
-        }
-    }
-}
+/// Minimum total instance weight per leaf: Weka RandomTree's `-M 1`.
+pub const MIN_LEAF: f64 = 1.0;
 
 /// The RandomTree learner.
 #[derive(Debug, Clone, Default)]
 pub struct RandomTree {
-    params: RandomTreeParams,
+    /// Seed of the per-node attribute draws: the tree is deterministic
+    /// given it.
+    pub seed: u64,
 }
 
 impl RandomTree {
-    /// Creates a learner with the given parameters.
-    pub fn new(params: RandomTreeParams) -> Self {
-        RandomTree { params }
-    }
-
-    /// Trains a tree on `data`.
+    /// Trains a tree on `data`, drawing the attribute orders from `seed`.
+    /// Each node examines `⌈log₂ d⌉ + 1` of the `d` attributes (at most
+    /// `d`); DESIGN.md §2 compares this with Weka's rule.
     ///
     /// # Panics
     ///
     /// Panics as [`C45::train`](crate::c45::C45::train) does.
-    pub fn train(data: &Dataset, params: &RandomTreeParams) -> DecisionTree {
-        let k = params
-            .k_attrs
-            .unwrap_or_else(|| (data.n_attrs() as f64).log2().ceil() as usize + 1)
-            .clamp(1, data.n_attrs());
-        let c45 = C45Params {
-            min_leaf: params.min_leaf,
-            max_depth: params.max_depth,
-            ..C45Params::default()
-        };
+    pub fn train(data: &Dataset, seed: u64) -> DecisionTree {
+        let k = ((data.n_attrs() as f64).log2().ceil() as usize + 1).clamp(1, data.n_attrs());
         let mut selection = Selection::Random {
             k,
-            rng: ChaCha8Rng::seed_from_u64(params.seed),
+            rng: ChaCha8Rng::seed_from_u64(seed),
         };
-        DecisionTree::new(grow_tree(data, &c45, &mut selection), data.n_classes())
+        DecisionTree::new(grow_tree(data, MIN_LEAF, &mut selection), data.n_classes())
     }
 }
 
@@ -78,7 +48,7 @@ impl Learner for RandomTree {
     type Model = DecisionTree;
 
     fn fit(&self, data: &Dataset) -> DecisionTree {
-        RandomTree::train(data, &self.params)
+        RandomTree::train(data, self.seed)
     }
 
     fn name(&self) -> &'static str {
@@ -93,21 +63,22 @@ mod tests {
     use crate::Classifier;
     use rand::Rng;
 
-    fn blobs(n: usize, seed: u64) -> Dataset {
+    /// Two classes of `n` rows over `dims` numeric attributes, each of
+    /// which separates them: class 0 lies in [0, 1), class 1 in [10, 11).
+    fn blobs(n: usize, dims: usize, seed: u64) -> Dataset {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut ds = Dataset::builder()
-            .numeric_attr("x")
-            .numeric_attr("y")
-            .classes(["a", "b"])
-            .build();
+        let mut builder = Dataset::builder();
+        for d in 0..dims {
+            builder = builder.numeric_attr(format!("a{d}"));
+        }
+        let mut ds = builder.classes(["a", "b"]).build();
         for _ in 0..n {
             let label = rng.gen_range(0..2u32);
             let center = if label == 0 { 0.0 } else { 10.0 };
             ds.push(
-                vec![
-                    Value::Num(center + rng.gen::<f64>()),
-                    Value::Num(center + rng.gen::<f64>()),
-                ],
+                (0..dims)
+                    .map(|_| Value::Num(center + rng.gen::<f64>()))
+                    .collect(),
                 label,
             );
         }
@@ -116,54 +87,27 @@ mod tests {
 
     #[test]
     fn separable_blobs_classified() {
-        let ds = blobs(200, 11);
-        let tree = RandomTree::train(&ds, &RandomTreeParams::default());
+        let ds = blobs(200, 2, 11);
+        let tree = RandomTree::train(&ds, 0);
         assert_eq!(tree.predict(&[Value::Num(0.5), Value::Num(0.5)]), 0);
         assert_eq!(tree.predict(&[Value::Num(10.5), Value::Num(10.5)]), 1);
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let ds = blobs(200, 12);
-        let p = RandomTreeParams {
-            seed: 99,
-            ..RandomTreeParams::default()
-        };
-        let a = RandomTree::train(&ds, &p);
-        let b = RandomTree::train(&ds, &p);
+        let ds = blobs(200, 2, 12);
+        let a = RandomTree::train(&ds, 99);
+        let b = RandomTree::train(&ds, 99);
         assert_eq!(a.to_string(), b.to_string());
     }
 
     #[test]
     fn different_seeds_vary_structure() {
-        // With k restricted to 1 attribute per node, seeds must produce
-        // different trees on a dataset where both attributes are informative.
-        let ds = blobs(300, 13);
-        let mk = |seed| {
-            RandomTree::train(
-                &ds,
-                &RandomTreeParams {
-                    seed,
-                    k_attrs: Some(1),
-                    ..RandomTreeParams::default()
-                },
-            )
-            .to_string()
-        };
+        // Four informative attributes: a node examines ⌈log₂ 4⌉ + 1 = 3 of
+        // them, so seeds must produce different trees.
+        let ds = blobs(300, 4, 13);
+        let mk = |seed| RandomTree::train(&ds, seed).to_string();
         let distinct = (0..8).map(mk).collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 1, "all seeds produced identical trees");
-    }
-
-    #[test]
-    fn depth_cap_respected() {
-        let ds = blobs(300, 14);
-        let tree = RandomTree::train(
-            &ds,
-            &RandomTreeParams {
-                max_depth: Some(2),
-                ..RandomTreeParams::default()
-            },
-        );
-        assert!(tree.depth() <= 3);
     }
 }

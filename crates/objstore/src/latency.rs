@@ -6,22 +6,22 @@
 
 use std::time::Duration;
 
-/// Latency model of a storage service.
+/// Latency model of a storage service: one of the presets below.
 #[derive(Debug, Clone)]
 pub struct LatencyModel {
     /// Base latency of a data read (GET).
-    pub read_base: Duration,
+    read_base: Duration,
     /// Read bandwidth in bytes per second.
-    pub read_bw: f64,
+    read_bw: f64,
     /// Base latency of a data write (PUT with payload).
-    pub write_base: Duration,
+    write_base: Duration,
     /// Write bandwidth in bytes per second.
-    pub write_bw: f64,
+    write_bw: f64,
     /// Latency of a metadata-only operation: HEAD, empty-payload PUT
     /// (shadow creation — measured at ~11 ms on Swift, §7.2.1), tag update.
-    pub meta_base: Duration,
+    meta_base: Duration,
     /// Latency of a DELETE.
-    pub delete_base: Duration,
+    delete_base: Duration,
 }
 
 impl LatencyModel {
@@ -67,19 +67,6 @@ impl LatencyModel {
             write_bw: 28e6,
             meta_base: Duration::from_millis(11),
             delete_base: Duration::from_millis(20),
-        }
-    }
-
-    /// AWS S3 as observed from EC2 in Figure 3 (slightly slower bases than
-    /// the local Swift deployment).
-    pub fn s3() -> Self {
-        LatencyModel {
-            read_base: Duration::from_millis(55),
-            read_bw: 80e6,
-            write_base: Duration::from_millis(120),
-            write_bw: 40e6,
-            meta_base: Duration::from_millis(15),
-            delete_base: Duration::from_millis(25),
         }
     }
 
@@ -133,16 +120,11 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_sensibly() {
-        // Redis must beat Swift on both paths; S3 is the slowest reader.
-        let (sw, s3, rd) = (
-            LatencyModel::swift(),
-            LatencyModel::s3(),
-            LatencyModel::redis(),
-        );
+        // Redis must beat Swift on both paths.
+        let (sw, rd) = (LatencyModel::swift(), LatencyModel::redis());
         let size = 128 * 1024;
         assert!(rd.read(size) < sw.read(size));
         assert!(rd.write(size) < sw.write(size));
-        assert!(sw.read(size) < s3.read(size));
     }
 
     #[test]

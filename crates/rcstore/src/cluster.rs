@@ -4,7 +4,7 @@
 //! reachability, parked recoveries) is the [`Membership`] core it steps.
 
 use crate::gossip::{GossipEvent, MemberState};
-use crate::latency::RcLatency;
+use crate::latency;
 use crate::membership::{Membership, Partition};
 use crate::node::StorageNode;
 use crate::raft::{ReplicaId, ReplicatedCoordinator};
@@ -63,8 +63,6 @@ impl ClusterMetrics {
 #[derive(Debug)]
 pub struct Cluster {
     cfg: ClusterConfig,
-    /// The store's latency model (§7.2.1 calibration; no caller varies it).
-    latency: RcLatency,
     nodes: Vec<StorageNode>,
     /// Key → master node.
     tablet: IdHashMap<Key, NodeId>,
@@ -119,7 +117,6 @@ impl Cluster {
         let membership = Membership::new(&cfg, &telemetry);
         Cluster {
             cfg,
-            latency: RcLatency::default(),
             nodes,
             tablet: IdHashMap::default(),
             replicas: IdHashMap::default(),
@@ -351,7 +348,7 @@ impl Cluster {
         self.tablet.insert(*key, master);
         self.replicas.insert(*key, backups);
         self.metrics.writes.inc();
-        let latency = self.inflate(master, self.latency.write(size, master != home)) + commit;
+        let latency = self.inflate(master, latency::write(size, master != home)) + commit;
         Timed::new(Ok(master), latency)
     }
 
@@ -389,8 +386,7 @@ impl Cluster {
         };
         let latency = self.inflate(
             master,
-            self.latency
-                .read(value.size(), locality == ReadLocality::RemoteHit),
+            latency::read(value.size(), locality == ReadLocality::RemoteHit),
         );
         Timed::new(Ok((value, locality)), latency)
     }
@@ -418,7 +414,7 @@ impl Cluster {
         self.membership.commit();
         let size = self.remove_entry(key);
         self.metrics.evictions.inc();
-        Timed::new(Ok(size), self.latency.delete_base)
+        Timed::new(Ok(size), latency::DELETE_BASE)
     }
 
     /// Deletes an object unconditionally (pipeline intermediates are dropped
@@ -432,7 +428,7 @@ impl Cluster {
         }
         self.membership.commit();
         let size = self.remove_entry(key);
-        Timed::new(Ok(size), self.latency.delete_base)
+        Timed::new(Ok(size), latency::DELETE_BASE)
     }
 
     /// Moves the mastership of `key` off its current node by promoting a
@@ -479,7 +475,7 @@ impl Cluster {
         let commit = self.membership.commit();
         self.replicas.insert(*key, new_backups);
         self.metrics.promotions.inc();
-        let latency = self.latency.promote(size) + commit;
+        let latency = latency::promote(size) + commit;
         self.metrics.migrate_nanos.record_duration(latency);
         Timed::new(Ok(new_master), latency)
     }
@@ -510,7 +506,7 @@ impl Cluster {
         } else {
             self.metrics.scale_downs.inc();
         }
-        Timed::new(Ok(()), self.latency.rescale(false))
+        Timed::new(Ok(()), latency::RESCALE_BASE)
     }
 
     /// Crashes a node and recovers its data: every object it mastered is
@@ -609,7 +605,7 @@ impl Cluster {
             };
             // Every recovered object is charged a 1-byte promotion whatever
             // its size: the goldens pin that charge.
-            latency += self.latency.promote(1);
+            latency += latency::promote(1);
             if node_alive && !node_reachable && self.nodes[node].has_master(&key) {
                 // Fence the unreachable-but-alive old master: its stale
                 // copy stays physical until the partition heals.

@@ -19,7 +19,7 @@
 //! * **crash recovery** from backups, preserving the replication factor.
 //!
 //! The store is deliberately time-functional: every operation returns its
-//! modelled latency (see [`latency::RcLatency`], calibrated to §7.2.1's
+//! modelled latency (see [`latency`], calibrated to §7.2.1's
 //! measurements) and the caller advances the simulation clock.
 //!
 //! # Examples

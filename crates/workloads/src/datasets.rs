@@ -10,22 +10,20 @@ use ofc_objstore::ObjectId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// The OWK memory range the classifier covers: `[0, 2 GB]` (§5.1.1).
-pub const MEMORY_RANGE_BYTES: u64 = 2 << 30;
-
-/// Number of classification intervals for a given interval size.
-pub fn n_intervals(interval_bytes: u64) -> usize {
-    (MEMORY_RANGE_BYTES / interval_bytes) as usize
+/// Number of classification intervals for a given interval size, over the
+/// OWK memory range the classifier covers, `[0, 2 GB]` (§5.1.1).
+fn n_intervals(interval_bytes: u64) -> usize {
+    (ofc_faas::MAX_SANDBOX_MEM / interval_bytes) as usize
 }
 
 /// Maps a memory amount to its interval index (clamped to the top class).
-pub fn interval_label(mem_bytes: u64, interval_bytes: u64) -> u32 {
+fn interval_label(mem_bytes: u64, interval_bytes: u64) -> u32 {
     let k = mem_bytes / interval_bytes;
     (k as u32).min(n_intervals(interval_bytes) as u32 - 1)
 }
 
 /// Class names for the interval classifier.
-pub fn interval_classes(interval_bytes: u64) -> Vec<String> {
+fn interval_classes(interval_bytes: u64) -> Vec<String> {
     (0..n_intervals(interval_bytes))
         .map(|k| format!("{}MB", (k as u64 + 1) * interval_bytes / (1 << 20)))
         .collect()
@@ -184,7 +182,7 @@ mod tests {
         use ofc_dtree::eval::cross_validate;
         let p = profile("wand_resize").unwrap();
         let ds = memory_dataset(p, 600, 32 << 20, 5);
-        let eval = cross_validate(&C45::default(), &ds, 5, 1);
+        let eval = cross_validate(&C45, &ds, 5, 1);
         assert!(
             eval.accuracy() > 0.6,
             "J48 exact accuracy too low: {:.3}",

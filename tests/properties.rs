@@ -235,8 +235,8 @@ proptest! {
             ds.push(vec![Value::Num(*x)], *label);
             seen.insert(*label);
         }
-        let t1 = C45::train(&ds, &C45Params::default());
-        let t2 = C45::train(&ds, &C45Params::default());
+        let t1 = C45::train(&ds, &C45Params);
+        let t2 = C45::train(&ds, &C45Params);
         let p = t1.predict(&[Value::Num(probe)]);
         prop_assert!(seen.contains(&p), "predicted unseen class {p}");
         prop_assert_eq!(p, t2.predict(&[Value::Num(probe)]), "training not deterministic");

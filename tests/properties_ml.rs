@@ -9,7 +9,7 @@ use ofc::core::ml::{
 use ofc::core::policy::OfcPolicy;
 use ofc::dtree::c45::{C45Params, C45};
 use ofc::dtree::data::{AttrKind, Attribute, Dataset, Value};
-use ofc::dtree::hoeffding::{HoeffdingParams, HoeffdingTree};
+use ofc::dtree::hoeffding::HoeffdingTree;
 use ofc::dtree::tree::DecisionTree;
 use ofc::dtree::Classifier;
 use ofc::faas::{FunctionId, MemoryBroker, TenantId};
@@ -105,9 +105,9 @@ impl EagerMl {
         }
         let due = self.mem_model.is_none() || self.new_since_retrain >= RETRAIN_EVERY;
         if due && self.mem.len() >= 10 {
-            self.mem_model = Some(C45::train(&self.mem, &C45Params::default()));
+            self.mem_model = Some(C45::train(&self.mem, &C45Params));
             if self.benefit.class_distribution().iter().all(|&w| w > 0.0) {
-                self.benefit_model = Some(C45::train(&self.benefit, &C45Params::default()));
+                self.benefit_model = Some(C45::train(&self.benefit, &C45Params));
             }
             self.new_since_retrain = 0;
             self.retrains += 1;
@@ -143,11 +143,7 @@ proptest! {
     fn hoeffding_stream_safety(
         stream in prop::collection::vec((0.0f64..100.0, -50.0f64..50.0, 0..3u32), 20..400),
     ) {
-        let mut tree = HoeffdingTree::new(
-            vec![AttrKind::Numeric, AttrKind::Numeric],
-            3,
-            HoeffdingParams::default(),
-        );
+        let mut tree = HoeffdingTree::new(vec![AttrKind::Numeric, AttrKind::Numeric], 3);
         for (x, y, label) in &stream {
             tree.learn(&[Value::Num(*x), Value::Num(*y)], *label);
         }
@@ -172,7 +168,7 @@ proptest! {
         for (x, label) in &rows {
             ds.push(vec![Value::Num(*x)], *label);
         }
-        let tree = C45::train(&ds, &C45Params::default());
+        let tree = C45::train(&ds, &C45Params);
         let correct = ds
             .rows()
             .iter()
