@@ -52,7 +52,7 @@ impl Default for MlxParams {
 pub fn evaluate_algorithm(algorithm: &str, ds: &Dataset, params: &MlxParams) -> Evaluation {
     match algorithm {
         "J48" => cross_validate(&C45, ds, params.folds, params.seed),
-        "RandomTree" => cross_validate(&RandomTree::default(), ds, params.folds, params.seed),
+        "RandomTree" => cross_validate(&RandomTree, ds, params.folds, params.seed),
         "RandomForest" => cross_validate(
             &RandomForest::new(ForestParams {
                 n_trees: params.forest_trees,

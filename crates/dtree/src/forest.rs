@@ -18,19 +18,10 @@ use rand_chacha::ChaCha8Rng;
 #[derive(Debug, Clone)]
 pub struct ForestParams {
     /// Number of trees. Weka's default is 100; Table 1 runs 25 and the
-    /// Fig 6 latency row runs 50, the default here.
+    /// Fig 6 latency row runs 50.
     pub n_trees: usize,
     /// Master seed; tree seeds and bootstrap samples derive from it.
     pub seed: u64,
-}
-
-impl Default for ForestParams {
-    fn default() -> Self {
-        ForestParams {
-            n_trees: 50,
-            seed: 0,
-        }
-    }
 }
 
 /// A trained random forest.
@@ -94,7 +85,7 @@ impl Classifier for Forest {
 }
 
 /// The RandomForest learner.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct RandomForest {
     params: ForestParams,
 }
@@ -148,7 +139,7 @@ mod tests {
             &ds,
             &ForestParams {
                 n_trees: 25,
-                ..ForestParams::default()
+                seed: 0,
             },
         );
         let mut correct = 0;
@@ -164,7 +155,13 @@ mod tests {
     #[test]
     fn distribution_sums_to_one() {
         let ds = noisy_threshold(200, 22);
-        let forest = Forest::train(&ds, &ForestParams::default());
+        let forest = Forest::train(
+            &ds,
+            &ForestParams {
+                n_trees: 50,
+                seed: 0,
+            },
+        );
         let d = forest.distribution(&[Value::Num(75.0)]);
         assert!((d.iter().sum::<f64>() - 1.0).abs() < 1e-9);
         assert_eq!(
@@ -197,7 +194,7 @@ mod tests {
             &ds,
             &ForestParams {
                 n_trees: 10,
-                ..ForestParams::default()
+                seed: 0,
             },
         );
         let shapes: std::collections::HashSet<String> =
@@ -213,7 +210,7 @@ mod tests {
             &ds,
             &ForestParams {
                 n_trees: 0,
-                ..ForestParams::default()
+                seed: 0,
             },
         );
     }

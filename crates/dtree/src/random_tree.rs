@@ -18,13 +18,11 @@ use rand_chacha::ChaCha8Rng;
 /// Minimum total instance weight per leaf: Weka RandomTree's `-M 1`.
 pub const MIN_LEAF: f64 = 1.0;
 
-/// The RandomTree learner.
-#[derive(Debug, Clone, Default)]
-pub struct RandomTree {
-    /// Seed of the per-node attribute draws: the tree is deterministic
-    /// given it.
-    pub seed: u64,
-}
+/// The RandomTree learner. As a [`Learner`] it draws from seed 0;
+/// [`Forest`](crate::forest::Forest) calls [`RandomTree::train`] with one
+/// seed per tree.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RandomTree;
 
 impl RandomTree {
     /// Trains a tree on `data`, drawing the attribute orders from `seed`.
@@ -48,7 +46,7 @@ impl Learner for RandomTree {
     type Model = DecisionTree;
 
     fn fit(&self, data: &Dataset) -> DecisionTree {
-        RandomTree::train(data, self.seed)
+        RandomTree::train(data, 0)
     }
 
     fn name(&self) -> &'static str {
