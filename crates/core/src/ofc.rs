@@ -43,8 +43,8 @@ use ofc_faas::platform::PlatformHandle;
 use ofc_faas::{FunctionId, TenantId};
 use ofc_objstore::store::ObjectStore;
 use ofc_rcstore::cluster::Cluster;
-use ofc_rcstore::gossip::{GossipConfig, PROBE_PERIOD};
-use ofc_rcstore::raft::{RaftConfig, HEARTBEAT_INTERVAL};
+use ofc_rcstore::gossip::PROBE_PERIOD;
+use ofc_rcstore::raft::{ELECTION_SEED, HEARTBEAT_INTERVAL};
 use ofc_rcstore::ClusterConfig;
 use ofc_simtime::Sim;
 use ofc_telemetry::{MetricsSnapshot, Telemetry};
@@ -54,10 +54,6 @@ use std::rc::Rc;
 /// Backup replicas per cached object (paper testbed: 2), clamped to the
 /// nodes the platform has.
 pub const REPLICATION_FACTOR: usize = 2;
-
-/// Coordinator replicas of a replicated control plane
-/// ([`OfcConfig::replicated_control_plane`]).
-pub const COORDINATOR_REPLICAS: usize = 3;
 
 /// Top-level OFC configuration.
 #[derive(Debug, Clone, Default)]
@@ -70,10 +66,11 @@ pub struct OfcConfig {
     pub plane: PlaneConfig,
     /// Monitor tunables.
     pub monitor: MonitorConfig,
-    /// Replicates the cache store's control plane (DESIGN.md §16): a
-    /// Raft group of [`COORDINATOR_REPLICAS`] coordinators, and SWIM-style
-    /// gossip membership, so node liveness is learned by probing instead
-    /// of assumed and crash recovery waits for a confirmed-dead verdict.
+    /// Replicates the cache store's control plane (DESIGN.md §16): a Raft
+    /// group of [`ofc_rcstore::raft::COORDINATOR_REPLICAS`] coordinators,
+    /// and SWIM-style gossip membership, so node liveness is learned by
+    /// probing instead of assumed and crash recovery waits for a
+    /// confirmed-dead verdict.
     /// Off (the default) keeps the single omniscient coordinator and
     /// schedules no control-plane loop.
     pub replicated_control_plane: bool,
@@ -154,17 +151,7 @@ impl OfcBuilder {
                 .cache_pool_override
                 .unwrap_or_else(|| pcfg.node_mem.saturating_sub(SLACK_INITIAL)),
             max_object_bytes: cfg.plane.max_cached_object,
-            raft: RaftConfig {
-                replicas: if cfg.replicated_control_plane {
-                    COORDINATOR_REPLICAS
-                } else {
-                    1
-                },
-                ..RaftConfig::default()
-            },
-            gossip: GossipConfig {
-                enabled: cfg.replicated_control_plane,
-            },
+            control_plane: cfg.replicated_control_plane.then_some(ELECTION_SEED),
             ..ClusterConfig::default()
         });
         cluster.bind_telemetry(&telemetry);
@@ -201,16 +188,15 @@ impl OfcBuilder {
 
         // ML engine behind the scheduler and monitor seams.
         let ml = Rc::new(RefCell::new(MlEngine::with_telemetry(cfg.ml, &telemetry)));
-        let mut scheduler = OfcScheduler::new(
+        platform.set_scheduler(Box::new(OfcScheduler::new(
             Rc::clone(&ml),
             Rc::clone(&features),
             Rc::clone(&cluster),
             Rc::clone(&policy),
             &telemetry,
-        );
-        scheduler.benefit_gate = !cfg.disable_benefit_gate;
-        scheduler.locality_routing = !cfg.disable_locality_routing;
-        platform.set_scheduler(Box::new(scheduler));
+            !cfg.disable_benefit_gate,
+            !cfg.disable_locality_routing,
+        )));
         platform.set_monitor(Box::new(OfcMonitor::new(
             cfg.monitor.clone(),
             Rc::clone(&ml),
@@ -272,24 +258,15 @@ impl Ofc {
         sim.every(SWEEP_EVERY, move |_| {
             persistence.borrow_mut().sweep();
         });
-        // Control-plane loops (DESIGN.md §16): only scheduled when the
-        // knobs are on, so default runs stay event-for-event identical.
-        let (replicated, gossip) = {
-            let c = self.cluster.borrow();
-            (
-                c.coordinator().is_replicated(),
-                c.membership().gossip().enabled(),
-            )
-        };
-        if replicated {
+        // Control-plane loops (DESIGN.md §16): only scheduled for a
+        // replicated control plane, so default runs schedule nothing extra.
+        if self.cluster.borrow().coordinator().is_some() {
             // Coordinator heartbeat: elections fire on heartbeat loss,
             // deferred recoveries drain once quorum returns.
             let cluster = Rc::clone(&self.cluster);
             sim.every(HEARTBEAT_INTERVAL, move |sim| {
                 cluster.borrow_mut().coordinator_pump(sim.now());
             });
-        }
-        if gossip {
             // SWIM probe cycle: the cluster applies the membership
             // verdicts (recovery, fencing, rejoin) inside the round.
             let cluster = Rc::clone(&self.cluster);

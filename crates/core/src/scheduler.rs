@@ -56,21 +56,25 @@ pub struct OfcScheduler {
     policy: PolicyHandle,
     /// Whether the cache-benefit gate is consulted (§5.2); `false` caches
     /// everything (ablation).
-    pub benefit_gate: bool,
+    benefit_gate: bool,
     /// Whether routing prefers the node the policy placed (§6.5);
     /// `false` falls back to home-node hashing (ablation).
-    pub locality_routing: bool,
+    locality_routing: bool,
 }
 
 impl OfcScheduler {
     /// Builds the scheduler over the shared ML engine, cache store and
-    /// cache policy, recording into a shared telemetry plane.
+    /// cache policy, recording into a shared telemetry plane. The paper's
+    /// configuration has `benefit_gate` and `locality_routing` on; the
+    /// ablation turns either off.
     pub fn new(
         ml: Rc<RefCell<MlEngine>>,
         features: FeatureFn,
         cluster: Rc<RefCell<Cluster>>,
         policy: PolicyHandle,
         telemetry: &Telemetry,
+        benefit_gate: bool,
+        locality_routing: bool,
     ) -> Self {
         OfcScheduler {
             ml,
@@ -78,8 +82,8 @@ impl OfcScheduler {
             metrics: SchedMetrics::new(telemetry),
             cluster,
             policy,
-            benefit_gate: true,
-            locality_routing: true,
+            benefit_gate,
+            locality_routing,
         }
     }
 
@@ -273,7 +277,15 @@ mod tests {
         cluster: &Rc<RefCell<Cluster>>,
     ) -> OfcScheduler {
         let policy = Rc::new(RefCell::new(OfcPolicy::new()));
-        OfcScheduler::new(ml, features, Rc::clone(cluster), policy, &Telemetry::new())
+        OfcScheduler::new(
+            ml,
+            features,
+            Rc::clone(cluster),
+            policy,
+            &Telemetry::new(),
+            true,
+            true,
+        )
     }
 
     fn sb(node: usize, id: u64, mem: u64, idle_s: u64) -> SandboxView {

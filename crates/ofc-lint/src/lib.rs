@@ -8,7 +8,8 @@
 //!   wall clocks, ambient entropy, and hash-ordered export iteration are
 //!   banned;
 //! * **D3 telemetry hygiene** — metric names must come from the central
-//!   registry (`ofc-telemetry::names`);
+//!   registry (`ofc-telemetry::names`), whose values are unique and
+//!   shaped `<subsystem>.<snake_case_metric>`;
 //! * **D4 panic paths** — the cache/scheduler/cluster hot paths must not
 //!   abort, unless a site documents its invariant with
 //!   `// ofc-lint: allow(panic) reason=...`;
@@ -69,6 +70,7 @@ pub fn analyze(files: &[SourceFile], cfg: &Config, registry_src: Option<&str>) -
         }
     }
     if let Some(reg) = &registry {
+        rules::telemetry::check_registry(cfg, reg, &mut findings);
         rules::telemetry::check_dead(files, cfg, reg, &mut findings);
     }
     report::sort_findings(&mut findings);

@@ -3,7 +3,7 @@
 //! | id                 | pragma group   | invariant                                   |
 //! |--------------------|----------------|---------------------------------------------|
 //! | `D1-DETERMINISM`   | `determinism`  | no wall clock / ambient entropy / hash-order export |
-//! | `D3-TELEMETRY`     | `telemetry`    | metric names come from the central registry |
+//! | `D3-TELEMETRY`     | `telemetry`    | metric names come from the central registry; its names are unique and well-formed |
 //! | `D4-PANIC`         | `panic`        | hot paths don't abort                       |
 //! | `D5-HOTLOOP`       | `hotloop`      | no allocations in hot-path loops            |
 //! | `D7-DEAD-TELEMETRY`| `telemetry`    | every registry const is emitted somewhere   |

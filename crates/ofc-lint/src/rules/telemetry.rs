@@ -11,6 +11,10 @@
 //! reading `MetricsSnapshot` side use the same method names):
 //! `.counter("...")`, `.gauge("...")`, `.gauge_series("...")`,
 //! `.histogram("...")`.
+//!
+//! The registry itself is checked too ([`check_registry`]): every value
+//! has the `<subsystem>.<snake_case_metric>` shape, and no two constants
+//! share a value.
 
 use crate::config::Config;
 use crate::report::Finding;
@@ -145,6 +149,49 @@ pub fn check(
     }
 }
 
+/// Runs D3 over the registry module: a value that is not
+/// `<subsystem>.<snake_case_metric>` (lowercase ASCII letters and `_`,
+/// one dot) or that an earlier constant already declares is a finding at
+/// the constant's declaration.
+pub fn check_registry(cfg: &Config, registry: &NameRegistry, findings: &mut Vec<Finding>) {
+    let mut decls: Vec<(u32, &str, &str)> = registry
+        .consts
+        .iter()
+        .map(|(name, value)| {
+            let line = registry.decl_lines.get(name).copied().unwrap_or(1);
+            (line, name.as_str(), value.as_str())
+        })
+        .collect();
+    decls.sort_unstable();
+    let mut first: BTreeMap<&str, &str> = BTreeMap::new();
+    for (line, name, value) in decls {
+        let message = if !well_formed(value) {
+            format!(
+                "registry const `{name}` (\"{value}\") is not `<subsystem>.<snake_case_metric>`"
+            )
+        } else if let Some(earlier) = first.insert(value, name) {
+            format!("registry const `{name}` repeats \"{value}\", already declared by `{earlier}`")
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: RULE,
+            path: cfg.telemetry_registry.clone(),
+            line,
+            message,
+        });
+    }
+}
+
+/// Whether `name` is `<subsystem>.<metric>`, both non-empty and made of
+/// lowercase ASCII letters and `_`.
+fn well_formed(name: &str) -> bool {
+    let snake =
+        |part: &str| !part.is_empty() && part.chars().all(|c| c.is_ascii_lowercase() || c == '_');
+    name.split_once('.')
+        .is_some_and(|(subsystem, metric)| snake(subsystem) && snake(metric))
+}
+
 fn file_hint(cfg: &Config) -> String {
     cfg.telemetry_registry.clone()
 }
@@ -153,8 +200,8 @@ fn file_hint(cfg: &Config) -> String {
 /// an identifier) or value (as a string literal) never appears in an
 /// analyzed file outside the registry module is dead telemetry.
 ///
-/// The registry file itself is excluded from the usage scan — its `ALL`
-/// slice references every const by construction. Suppress at the
+/// The registry file itself is excluded from the usage scan — every
+/// declaration names its own const and value. Suppress at the
 /// declaration with `// ofc-lint: allow(telemetry) reason=...` (e.g. a
 /// name reserved for a wired-but-unlanded subsystem).
 pub fn check_dead(

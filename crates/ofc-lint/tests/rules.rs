@@ -1,6 +1,7 @@
 //! Fixture-driven integration tests: one passing and one failing fixture
-//! per rule (D1, D3, D4, D5, D7), plus golden tests pinning the exact
-//! text report and the versioned JSON report.
+//! per rule (D1, D3, D4, D5, D7) and one failing registry per D3 registry
+//! check, plus golden tests pinning the exact text report and the
+//! versioned JSON report.
 //!
 //! The fixtures under `tests/fixtures/` are lint inputs, not compiled
 //! code — they are excluded from workspace analysis by the default
@@ -37,9 +38,22 @@ fn cfg() -> Config {
 }
 
 fn analyze(names: &[&str]) -> Analysis {
+    analyze_with_registry(names, "registry.rs")
+}
+
+fn analyze_with_registry(names: &[&str], registry: &str) -> Analysis {
     let files: Vec<SourceFile> = names.iter().map(|n| fixture(n)).collect();
-    let registry = std::fs::read_to_string(fixture_path("registry.rs")).expect("registry fixture");
+    let registry = std::fs::read_to_string(fixture_path(registry)).expect("registry fixture");
     ofc_lint::analyze(&files, &cfg(), Some(&registry))
+}
+
+/// D3's findings at the registry module when `registry` stands in for it.
+fn registry_findings(registry: &str) -> Vec<Finding> {
+    analyze_with_registry(&["d3_pass.rs"], registry)
+        .findings
+        .into_iter()
+        .filter(|f| f.rule == "D3-TELEMETRY")
+        .collect()
 }
 
 /// Lints `names` with `d3_pass.rs` riding along as the usage anchor that
@@ -96,6 +110,36 @@ fn d3_fail_flags_typo_and_dynamic_name() {
     assert_eq!(rules(&f), vec!["D3-TELEMETRY"; 2]);
     assert!(f.iter().any(|x| x.message.contains("\"cache.hit\"")));
     assert!(f.iter().any(|x| x.message.contains("`which`")));
+}
+
+#[test]
+fn d3_registry_flags_a_repeated_name() {
+    let f = registry_findings("registry_dup.rs");
+    assert_eq!(f.len(), 1, "{}", report::format_text(&f));
+    assert_eq!(f[0].path, Config::default().telemetry_registry);
+    assert_eq!(f[0].line, 9, "reported at the second declaration");
+    assert!(f[0]
+        .message
+        .contains("`CACHE_LOCAL_HITS` repeats \"cache.hits\""));
+    assert!(f[0].message.contains("`CACHE_HITS`"));
+    // The fixture registry holds no repeat.
+    assert!(registry_findings("registry.rs").is_empty());
+}
+
+#[test]
+fn d3_registry_flags_malformed_names() {
+    let f = registry_findings("registry_malformed.rs");
+    let flagged: Vec<&str> = f
+        .iter()
+        .map(|x| x.message.split('`').nth(1).unwrap())
+        .collect();
+    assert_eq!(
+        flagged,
+        vec!["EVICTIONS", "CACHE_FILLS", "CACHE_REMOTE_HITS"]
+    );
+    assert!(f
+        .iter()
+        .all(|x| x.message.contains("<subsystem>.<snake_case_metric>")));
 }
 
 #[test]

@@ -7,7 +7,7 @@ use crate::gossip::{GossipEvent, MemberState};
 use crate::latency;
 use crate::membership::{Membership, Partition};
 use crate::node::StorageNode;
-use crate::raft::{ReplicaId, ReplicatedCoordinator};
+use crate::raft::{ReplicaId, ReplicatedCoordinator, COORDINATOR_REPLICAS};
 use crate::{AccessStats, ClusterConfig, Key, NodeId, RcError, ReadLocality, Timed, Value};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
@@ -103,9 +103,8 @@ impl Cluster {
             cfg.nodes
         );
         assert!(
-            cfg.raft.replicas <= 1 || cfg.raft.replicas <= cfg.nodes,
-            "coordinator replicas ({}) are co-located with storage nodes ({})",
-            cfg.raft.replicas,
+            cfg.control_plane.is_none() || COORDINATOR_REPLICAS <= cfg.nodes,
+            "coordinator replicas ({COORDINATOR_REPLICAS}) are co-located with storage nodes ({})",
             cfg.nodes
         );
         let nodes = (0..cfg.nodes)
@@ -136,8 +135,8 @@ impl Cluster {
 
     /// Rebinds the store onto a shared observability plane, registering
     /// every `rcstore.*` metric there, and `raft.*` and `gossip.*` when
-    /// those planes are on. Call before the first operation: the control
-    /// plane is rebuilt in its initial state on the new plane.
+    /// the control plane is replicated. Call before the first operation:
+    /// the control plane is rebuilt in its initial state on the new plane.
     pub fn bind_telemetry(&mut self, telemetry: &Telemetry) {
         self.telemetry = telemetry.clone();
         self.metrics = ClusterMetrics::new(&self.telemetry);
@@ -318,7 +317,7 @@ impl Cluster {
         }
         // Control-plane gate: the write's tablet assignment must commit on
         // a coordinator quorum reachable from the writer (free and
-        // infallible with a single-replica coordinator).
+        // infallible with the control plane off).
         if !self.membership.gate(Some(home), now) {
             return Timed::new(Err(RcError::Transient), Duration::ZERO);
         }
@@ -341,8 +340,8 @@ impl Cluster {
             return Timed::new(Err(e), Duration::ZERO);
         }
         let backups = self.replicate(key, master, &value, Vec::new());
-        // Commit the assignment through the replicated log (free no-op in
-        // single-replica mode); the gate above guarantees the quorum, so
+        // Commit the assignment through the replicated log (free with the
+        // control plane off); the gate above guarantees the quorum, so
         // this cannot fail between the gate and here.
         let commit = self.membership.commit();
         self.tablet.insert(*key, master);
@@ -523,11 +522,10 @@ impl Cluster {
         }
         self.nodes[node].set_up(false);
         self.membership.observe(now);
-        // Under gossip, failure detection is the membership plane's job:
-        // recovery starts once a quorum-side probe confirms the death (or
-        // the node restarts first), not at the instant of the crash. A
-        // headless control plane parks the recovery for the pump.
-        if self.membership.gossip().enabled() || !self.membership.act_or_park(node, None, now) {
+        // A replicated control plane detects failures by gossip: recovery
+        // starts once a quorum-side probe confirms the death (or the node
+        // restarts first), not at the instant of the crash.
+        if self.membership.coordinator().is_some() {
             return Timed::new(0, Duration::ZERO);
         }
         self.recover_crashed(node, now)
@@ -667,7 +665,7 @@ impl Cluster {
     /// naming it: stale tablet pointers left by a deferred recovery are
     /// rescued from backups, fenced copies it no longer owns are expunged,
     /// and every object below the replication factor is topped back up.
-    /// With a headless replicated coordinator the reconciliation parks
+    /// With a headless coordinator group the reconciliation parks
     /// until a quorum returns (drained by [`Cluster::coordinator_pump`]).
     pub fn restart_node(&mut self, node: NodeId, now: SimTime) {
         if node >= self.nodes.len() {
@@ -850,14 +848,15 @@ impl Cluster {
     /// classic Raft partition drill). Returns the isolated replica, or
     /// `None` when there is no leader to isolate.
     pub fn isolate_leader(&mut self, now: SimTime) -> Option<ReplicaId> {
-        let leader = self.membership.coordinator().leader()?;
+        let leader = self.membership.coordinator()?.leader()?;
         let rest: Vec<NodeId> = (0..self.nodes.len()).filter(|&n| n != leader).collect();
         self.partition_network(&[vec![leader], rest], now);
         Some(leader)
     }
 
-    /// The replicated coordinator group (inspection).
-    pub fn coordinator(&self) -> &ReplicatedCoordinator {
+    /// The replicated coordinator group (inspection); `None` with the
+    /// control plane off.
+    pub fn coordinator(&self) -> Option<&ReplicatedCoordinator> {
         self.membership.coordinator()
     }
 
@@ -866,10 +865,12 @@ impl Cluster {
         &self.membership
     }
 
-    /// Observed membership state of `node` (always `Alive` when gossip is
-    /// disabled: the control plane is omniscient).
+    /// Observed membership state of `node` (always `Alive` with the
+    /// control plane off: the coordinator is omniscient).
     pub fn member_state(&self, node: NodeId) -> MemberState {
-        self.membership.gossip().state(node)
+        self.membership
+            .gossip()
+            .map_or(MemberState::Alive, |g| g.state(node))
     }
 
     /// Number of node recoveries deferred until the control plane regains
@@ -1308,8 +1309,8 @@ mod tests {
 #[cfg(test)]
 mod failover_tests {
     use super::*;
-    use crate::gossip::GossipConfig;
-    use crate::raft::RaftConfig;
+    use crate::gossip::PROBE_PERIOD;
+    use crate::raft::{ELECTION_SEED, HEARTBEAT_INTERVAL};
 
     fn key(s: &str) -> Key {
         Key::from(s)
@@ -1327,29 +1328,56 @@ mod failover_tests {
 
     fn replicated() -> Cluster {
         Cluster::new(ClusterConfig {
-            raft: RaftConfig {
-                replicas: 3,
-                ..RaftConfig::default()
-            },
+            control_plane: Some(ELECTION_SEED),
             ..base_config()
         })
     }
 
-    fn gossiped() -> Cluster {
-        Cluster::new(ClusterConfig {
-            gossip: GossipConfig { enabled: true },
-            ..base_config()
-        })
+    fn coord(c: &Cluster) -> &ReplicatedCoordinator {
+        c.coordinator().expect("replicated control plane")
     }
 
-    /// Enough pump rounds, spaced past the election timeout ceiling, to
-    /// elect a leader whenever one side can form a quorum.
-    fn settle(c: &mut Cluster, from: SimTime) -> SimTime {
-        let mut t = from;
-        for _ in 0..4 {
-            t += Duration::from_millis(400);
-            c.coordinator_pump(t);
+    /// Runs both control-plane loops over `(from, from + span]` on the
+    /// runtime's grid: the coordinator pump at every multiple of
+    /// `HEARTBEAT_INTERVAL`, then a gossip round at every multiple of
+    /// `PROBE_PERIOD`. Returns the end instant and the gossip events.
+    fn pump(c: &mut Cluster, from: SimTime, span: Duration) -> (SimTime, Vec<GossipEvent>) {
+        // The first multiple of `period` after `from`, in nanoseconds.
+        let next = |period: Duration| {
+            let period = period.as_nanos() as u64;
+            (from.as_nanos() / period + 1) * period
+        };
+        let end = (from + span).as_nanos();
+        let mut events = Vec::new();
+        let (mut t, mut probe_at) = (next(HEARTBEAT_INTERVAL), next(PROBE_PERIOD));
+        while t <= end {
+            let now = SimTime::ZERO + Duration::from_nanos(t);
+            c.coordinator_pump(now);
+            if t == probe_at {
+                events.extend(c.gossip_round(now));
+                probe_at += PROBE_PERIOD.as_nanos() as u64;
+            }
+            t += HEARTBEAT_INTERVAL.as_nanos() as u64;
         }
+        (SimTime::ZERO + Duration::from_nanos(end), events)
+    }
+
+    /// Pumps past the election timeout ceiling: a leader exists afterwards
+    /// whenever one side can form a quorum.
+    fn settle(c: &mut Cluster, from: SimTime) -> SimTime {
+        pump(c, from, Duration::from_millis(1600)).0
+    }
+
+    /// Pumps until gossip confirms `node` dead: long enough for a probe to
+    /// suspect it and for the suspicion to outlive `CONFIRM_AFTER`.
+    fn confirm_dead(c: &mut Cluster, node: NodeId, from: SimTime) -> SimTime {
+        let (t, events) = pump(c, from, Duration::from_secs(15));
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, GossipEvent::Confirmed { node: n, .. } if *n == node)),
+            "gossip confirmed node {node} dead"
+        );
         t
     }
 
@@ -1405,13 +1433,13 @@ mod failover_tests {
         c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO)
             .result
             .unwrap();
-        assert_eq!(c.coordinator().leader(), Some(0));
-        let term_before = c.coordinator().term();
+        assert_eq!(coord(&c).leader(), Some(0));
+        let term_before = coord(&c).term();
         c.crash_coordinator(0, SimTime::from_secs(1));
         let t = settle(&mut c, SimTime::from_secs(1));
-        let leader = c.coordinator().leader().expect("new leader elected");
+        let leader = coord(&c).leader().expect("new leader elected");
         assert_ne!(leader, 0);
-        assert!(c.coordinator().term() > term_before);
+        assert!(coord(&c).term() > term_before);
         // Service resumes: control-plane mutations commit again.
         c.write(2, &key("b"), Value::synthetic(100), t)
             .result
@@ -1424,7 +1452,7 @@ mod failover_tests {
             .result
             .unwrap();
         assert_eq!(
-            c.coordinator().leader(),
+            coord(&c).leader(),
             Some(leader),
             "a healthy leader is not deposed by a rejoin"
         );
@@ -1440,16 +1468,19 @@ mod failover_tests {
         c.crash_coordinator(0, SimTime::from_secs(1));
         c.crash_coordinator(1, SimTime::from_secs(1));
         settle(&mut c, SimTime::from_secs(1));
-        assert_eq!(c.coordinator().leader(), None);
-        // A data-node crash while headless cannot be acted on: recovery is
-        // parked, and writes bounce with a typed transient error.
+        assert_eq!(coord(&c).leader(), None);
+        // A data-node crash while headless cannot be acted on: gossip
+        // confirms it, recovery is parked, and writes bounce with a typed
+        // transient error.
         c.crash_node(1, SimTime::from_secs(2));
+        let t = confirm_dead(&mut c, 1, SimTime::from_secs(2));
         assert_eq!(c.deferred_recoveries(), 1);
-        let w = c.write(2, &key("b"), Value::synthetic(100), SimTime::from_secs(2));
+        assert_eq!(c.master_of(&key("a")), Some(1), "not re-mastered yet");
+        let w = c.write(2, &key("b"), Value::synthetic(100), t);
         assert!(matches!(w.result, Err(RcError::Transient)));
         // Quorum returns: the pump drains the parked recovery.
-        c.restart_coordinator(0, SimTime::from_secs(3));
-        let t = settle(&mut c, SimTime::from_secs(3));
+        c.restart_coordinator(0, t);
+        let t = settle(&mut c, t);
         assert_eq!(c.deferred_recoveries(), 0);
         assert!(c.read(0, &key("a"), t).result.is_ok(), "re-mastered");
         assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
@@ -1493,7 +1524,7 @@ mod failover_tests {
         let old = c.isolate_leader(SimTime::from_secs(1)).unwrap();
         assert_eq!(old, 0);
         let t = settle(&mut c, SimTime::from_secs(1));
-        let new = c.coordinator().leader().expect("majority re-elected");
+        let new = coord(&c).leader().expect("majority re-elected");
         assert_ne!(new, old);
         // The old leader's side cannot commit; the majority side can.
         let w = c.write(old, &key("x"), Value::synthetic(100), t);
@@ -1510,32 +1541,18 @@ mod failover_tests {
 
     #[test]
     fn gossip_confirms_dead_node_then_recovers_it() {
-        let mut c = gossiped();
+        let mut c = replicated();
         c.write(1, &key("a"), Value::synthetic(1000), SimTime::ZERO)
             .result
             .unwrap();
         let master = c.master_of(&key("a")).unwrap();
         assert_eq!(master, 1);
         // A crash under gossip is *not* recovered omnisciently: the tablet
-        // map still points at the dead node until membership confirms it.
+        // map still points at the dead node until membership confirms it
+        // (period 1 s, confirm_after 3 s).
         c.crash_node(1, SimTime::from_secs(1));
         assert_eq!(c.master_of(&key("a")), Some(1));
-        // Drive probe rounds until suspicion matures into confirmation
-        // (period 1 s, confirm_after 3 s).
-        let mut t = SimTime::from_secs(1);
-        let mut confirmed = false;
-        for _ in 0..20 {
-            t += crate::gossip::PROBE_PERIOD;
-            let events = c.gossip_round(t);
-            if events
-                .iter()
-                .any(|e| matches!(e, GossipEvent::Confirmed { node: 1, .. }))
-            {
-                confirmed = true;
-                break;
-            }
-        }
-        assert!(confirmed, "gossip confirmed the dead node");
+        let t = confirm_dead(&mut c, 1, SimTime::from_secs(1));
         assert_eq!(c.member_state(1), MemberState::Dead);
         // Confirmation triggered re-mastering off the dead node.
         let m = c.master_of(&key("a")).unwrap();
@@ -1543,26 +1560,20 @@ mod failover_tests {
         assert!(c.read(0, &key("a"), t).result.is_ok());
         // The node comes back: probes refute the verdict and reconcile.
         c.restart_node(1, t);
-        let mut rejoined = false;
-        for _ in 0..20 {
-            t += crate::gossip::PROBE_PERIOD;
-            let events = c.gossip_round(t);
-            if events
+        let (_, events) = pump(&mut c, t, Duration::from_secs(15));
+        assert!(
+            events
                 .iter()
-                .any(|e| matches!(e, GossipEvent::Rejoined { node: 1, .. }))
-            {
-                rejoined = true;
-                break;
-            }
-        }
-        assert!(rejoined, "gossip observed the rejoin");
+                .any(|e| matches!(e, GossipEvent::Rejoined { node: 1, .. })),
+            "gossip observed the rejoin"
+        );
         assert_eq!(c.member_state(1), MemberState::Alive);
         assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
     }
 
     #[test]
     fn partition_fences_stale_masters_on_heal() {
-        let mut c = gossiped();
+        let mut c = replicated();
         c.write(3, &key("a"), Value::synthetic(1000), SimTime::ZERO)
             .result
             .unwrap();
@@ -1572,20 +1583,7 @@ mod failover_tests {
         // its keys from reachable backups — fencing the copy it still
         // holds (the node is alive, just unreachable).
         c.partition_network(&[vec![0, 1, 2], vec![3]], SimTime::from_secs(1));
-        let mut t = SimTime::from_secs(1);
-        let mut confirmed = false;
-        for _ in 0..20 {
-            t += crate::gossip::PROBE_PERIOD;
-            let events = c.gossip_round(t);
-            if events
-                .iter()
-                .any(|e| matches!(e, GossipEvent::Confirmed { node: 3, .. }))
-            {
-                confirmed = true;
-                break;
-            }
-        }
-        assert!(confirmed, "membership confirmed the unreachable node");
+        let t = confirm_dead(&mut c, 3, SimTime::from_secs(1));
         let m = c.master_of(&key("a")).unwrap();
         assert_ne!(m, 3, "re-mastered off the unreachable node");
         assert!(c.read(1, &key("a"), t).result.is_ok());
@@ -1621,29 +1619,15 @@ mod failover_tests {
             c.write(2, &key("c"), Value::synthetic(500), t3)
                 .result
                 .unwrap();
+            let m = c.telemetry().metrics();
             (
-                c.coordinator().leader(),
-                c.coordinator().term(),
-                c.coordinator().last_index(),
-                c.telemetry().metrics().counter("raft.commits"),
+                coord(&c).leader(),
+                coord(&c).term(),
+                coord(&c).last_index(),
+                m.counter("raft.commits"),
+                m.counter("gossip.suspects"),
             )
         };
         assert_eq!(run(), run(), "same seed, same trajectory");
-    }
-
-    #[test]
-    fn single_replica_coordinator_charges_no_commit_latency() {
-        let mut c = Cluster::new(base_config());
-        assert!(!c.coordinator().is_replicated());
-        let t = c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO);
-        t.result.unwrap();
-        // Raft metrics are absent entirely in the default layout: lazily
-        // registered only for replicated control planes.
-        assert_eq!(c.telemetry().metrics().counter("raft.commits"), 0);
-        let mut r = replicated();
-        let rt = r.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO);
-        rt.result.unwrap();
-        assert!(rt.latency > t.latency, "replication charges commit latency");
-        assert_eq!(r.telemetry().metrics().counter("raft.commits"), 1);
     }
 }

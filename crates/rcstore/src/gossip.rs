@@ -1,14 +1,15 @@
 //! SWIM-style gossip membership — observed node liveness for the control
 //! plane.
 //!
-//! With gossip enabled the coordinator learns of node failures by
-//! observation rather than omnisciently from the `crash_node` caller: each
-//! probe round, every live node pings one seeded-random peer; an
-//! unreachable or dead peer becomes **Suspect**, a suspect that survives
-//! the confirmation window without a successful probe is **Confirmed
-//! dead** (triggering the leader's re-replication walk), and a later
-//! successful probe refutes the suspicion — or readmits a previously
-//! confirmed node.
+//! With the replicated control plane on
+//! ([`crate::ClusterConfig::control_plane`]) the coordinator learns of
+//! node failures by observation rather than omnisciently from the
+//! `crash_node` caller: each probe round, every live node pings one
+//! seeded-random peer; an unreachable or dead peer becomes **Suspect**,
+//! a suspect that survives the confirmation window without a successful
+//! probe is **Confirmed dead** (triggering the leader's re-replication
+//! walk), and a later successful probe refutes the suspicion — or
+//! readmits a previously confirmed node.
 //!
 //! Dissemination is modeled as instantaneous within a reachability group
 //! (one shared membership table): SWIM's infection-style propagation delay
@@ -21,8 +22,9 @@
 //!
 //! All timing runs on the virtual clock and the probe-target stream is
 //! seeded, so rounds are byte-reproducible per seed (ofc-lint D1).
-//! With `enabled = false` (the default) the plane registers no telemetry
-//! and draws no randomness.
+//! With the control plane off no plane exists: the coordinator learns of
+//! crashes from the `crash_node` caller, and no `gossip.*` metric is
+//! registered.
 
 use crate::membership::Partition;
 use crate::NodeId;
@@ -42,13 +44,6 @@ pub const PROBE_PERIOD: Duration = Duration::from_secs(1);
 /// How long a suspicion must survive unrefuted before the member is
 /// confirmed dead.
 pub const CONFIRM_AFTER: Duration = Duration::from_secs(3);
-
-/// Gossip-membership configuration.
-#[derive(Debug, Clone, Default)]
-pub struct GossipConfig {
-    /// Whether observed membership replaces coordinator omniscience.
-    pub enabled: bool,
-}
 
 /// Observed liveness of a member.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,21 +120,15 @@ struct Member {
 /// The gossip membership plane. See the module docs.
 #[derive(Debug)]
 pub struct GossipPlane {
-    cfg: GossipConfig,
     members: Vec<Member>,
     rng: ChaCha8Rng,
-    /// Registered only when enabled, so default configurations leave the
-    /// telemetry registry untouched.
-    metrics: Option<GossipMetrics>,
+    metrics: GossipMetrics,
 }
 
 impl GossipPlane {
     /// Builds the membership plane for `nodes` members.
-    pub fn new(cfg: GossipConfig, nodes: usize, telemetry: &Telemetry) -> Self {
-        let rng = ChaCha8Rng::seed_from_u64(PROBE_SEED);
-        let metrics = cfg.enabled.then(|| GossipMetrics::new(telemetry));
+    pub fn new(nodes: usize, telemetry: &Telemetry) -> Self {
         GossipPlane {
-            cfg,
             members: vec![
                 Member {
                     state: MemberState::Alive,
@@ -147,14 +136,9 @@ impl GossipPlane {
                 };
                 nodes
             ],
-            rng,
-            metrics,
+            rng: ChaCha8Rng::seed_from_u64(PROBE_SEED),
+            metrics: GossipMetrics::new(telemetry),
         }
-    }
-
-    /// Whether observed membership is active.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled
     }
 
     /// Observed state of a member.
@@ -175,12 +159,10 @@ impl GossipPlane {
         up: impl Fn(NodeId) -> bool,
         partition: &Partition,
     ) -> Vec<GossipEvent> {
-        if !self.cfg.enabled || self.members.len() < 2 {
+        if self.members.len() < 2 {
             return Vec::new();
         }
-        if let Some(m) = &self.metrics {
-            m.rounds.inc();
-        }
+        self.metrics.rounds.inc();
         let n = self.members.len();
         let mut events = Vec::new();
         for observer in 0..n {
@@ -197,9 +179,7 @@ impl GossipPlane {
                     MemberState::Alive => {}
                     MemberState::Suspect => {
                         member.state = MemberState::Alive;
-                        if let Some(m) = &self.metrics {
-                            m.refutes.inc();
-                        }
+                        self.metrics.refutes.inc();
                         events.push(GossipEvent::Refuted {
                             node: target,
                             observer,
@@ -218,9 +198,7 @@ impl GossipPlane {
                     MemberState::Alive => {
                         member.state = MemberState::Suspect;
                         member.suspected_at = now;
-                        if let Some(m) = &self.metrics {
-                            m.suspects.inc();
-                        }
+                        self.metrics.suspects.inc();
                         events.push(GossipEvent::Suspected {
                             node: target,
                             observer,
@@ -229,9 +207,7 @@ impl GossipPlane {
                     MemberState::Suspect => {
                         if now >= member.suspected_at + CONFIRM_AFTER {
                             member.state = MemberState::Dead;
-                            if let Some(m) = &self.metrics {
-                                m.confirms.inc();
-                            }
+                            self.metrics.confirms.inc();
                             events.push(GossipEvent::Confirmed {
                                 node: target,
                                 observer,
@@ -251,8 +227,7 @@ mod tests {
     use super::*;
 
     fn plane(nodes: usize) -> GossipPlane {
-        let t = Telemetry::new();
-        GossipPlane::new(GossipConfig { enabled: true }, nodes, &t)
+        GossipPlane::new(nodes, &Telemetry::new())
     }
 
     /// Drives rounds at the configured period until `node` reaches
@@ -274,16 +249,6 @@ mod tests {
             }
         }
         panic!("node {node} never reached {want:?} in {max_rounds} rounds");
-    }
-
-    #[test]
-    fn disabled_plane_is_inert() {
-        let t = Telemetry::new();
-        let mut g = GossipPlane::new(GossipConfig::default(), 4, &t);
-        assert!(!g.enabled());
-        let events = g.round(SimTime::ZERO, |_| true, &Partition::CONNECTED);
-        assert!(events.is_empty());
-        assert_eq!(t.metrics().counter("gossip.rounds"), 0);
     }
 
     #[test]

@@ -216,12 +216,12 @@ pub struct ClusterConfig {
     /// Read by nothing: the model keeps no segment layout. A field only
     /// because the frozen `benchmark/` package sets it (DESIGN.md §5).
     pub segment_bytes: u64,
-    /// Replicated-coordinator knobs (the default single replica is a free,
-    /// infallible in-memory authority).
-    pub raft: raft::RaftConfig,
-    /// Gossip-membership knobs (disabled by default: the coordinator
-    /// keeps its omniscient crash/restart view).
-    pub gossip: gossip::GossipConfig,
+    /// The replicated control plane (DESIGN.md §16), carrying its
+    /// election seed ([`raft::ELECTION_SEED`] in production): a Raft group
+    /// of [`raft::COORDINATOR_REPLICAS`] coordinators and SWIM gossip
+    /// membership. `None` (the default) keeps the single omniscient
+    /// coordinator, which commits for free and sees crashes as they happen.
+    pub control_plane: Option<u64>,
 }
 
 impl Default for ClusterConfig {
@@ -232,8 +232,7 @@ impl Default for ClusterConfig {
             node_pool_bytes: 256 << 20,
             max_object_bytes: MAX_OBJECT_BYTES,
             segment_bytes: 16 << 20,
-            raft: raft::RaftConfig::default(),
-            gossip: gossip::GossipConfig::default(),
+            control_plane: None,
         }
     }
 }

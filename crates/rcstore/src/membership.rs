@@ -1,9 +1,13 @@
 //! The coordinator's view of the cluster: who leads, who is alive, who
 //! can reach whom, and which node events wait for a quorum. [`Membership`]
-//! holds the coordinator group, the gossip plane, the [`Partition`], the
-//! parked nodes and the control-plane clock, and no node storage: the
-//! [`crate::cluster::Cluster`] driver asks it whether the control plane
-//! may act, and commits tablet-map mutations through it.
+//! holds the replicated control plane (the coordinator group and the
+//! gossip plane, when [`ClusterConfig::control_plane`] is on), the
+//! [`Partition`], the parked nodes and the control-plane clock, and no
+//! node storage: the [`crate::cluster::Cluster`] driver asks it whether
+//! the control plane may act, and commits tablet-map mutations through
+//! it. With the control plane off the single coordinator is omniscient:
+//! it may always act, commits for free and observes crashes as they
+//! happen.
 
 use crate::gossip::{GossipEvent, GossipPlane};
 use crate::raft::{ReplicaId, ReplicatedCoordinator};
@@ -50,14 +54,27 @@ impl Partition {
     }
 }
 
+/// The replicated control plane: the coordinator group (replica `r` is
+/// co-located with storage node `r`) and the gossip plane that observes
+/// node liveness for it.
+#[derive(Debug)]
+struct Replicated {
+    coord: ReplicatedCoordinator,
+    gossip: GossipPlane,
+}
+
+impl Replicated {
+    /// The leader's node, or node 0 while headless.
+    fn origin(&self) -> NodeId {
+        self.coord.leader().unwrap_or(0)
+    }
+}
+
 /// The control plane's membership core. See the module docs.
 #[derive(Debug)]
 pub struct Membership {
-    /// The coordinator group (an inert single authority by default);
-    /// replica `r` is co-located with storage node `r`.
-    coord: ReplicatedCoordinator,
-    /// Observed liveness (inert unless gossip is enabled).
-    gossip: GossipPlane,
+    /// `None` with the control plane off.
+    replicated: Option<Replicated>,
     partition: Partition,
     /// Nodes whose recovery or rejoin waits for a quorum.
     parked: BTreeSet<NodeId>,
@@ -67,25 +84,29 @@ pub struct Membership {
 }
 
 impl Membership {
-    /// Builds the coordinator group and gossip plane of `cfg`.
+    /// Builds the coordinator group and gossip plane of `cfg`, if its
+    /// control plane is replicated.
     pub(crate) fn new(cfg: &ClusterConfig, telemetry: &Telemetry) -> Self {
         Membership {
-            coord: ReplicatedCoordinator::new(cfg.raft.clone(), telemetry),
-            gossip: GossipPlane::new(cfg.gossip.clone(), cfg.nodes, telemetry),
+            replicated: cfg.control_plane.map(|seed| Replicated {
+                coord: ReplicatedCoordinator::new(seed, telemetry),
+                gossip: GossipPlane::new(cfg.nodes, telemetry),
+            }),
             partition: Partition::CONNECTED,
             parked: BTreeSet::new(),
             clock: SimTime::ZERO,
         }
     }
 
-    /// The coordinator group (inspection).
-    pub fn coordinator(&self) -> &ReplicatedCoordinator {
-        &self.coord
+    /// The coordinator group (inspection); `None` with the control plane
+    /// off.
+    pub fn coordinator(&self) -> Option<&ReplicatedCoordinator> {
+        self.replicated.as_ref().map(|r| &r.coord)
     }
 
-    /// The gossip plane (inspection).
-    pub fn gossip(&self) -> &GossipPlane {
-        &self.gossip
+    /// The gossip plane (inspection); `None` with the control plane off.
+    pub fn gossip(&self) -> Option<&GossipPlane> {
+        self.replicated.as_ref().map(|r| &r.gossip)
     }
 
     /// The current reachability.
@@ -101,7 +122,7 @@ impl Membership {
     /// The node coordinator-internal operations originate from: the
     /// leader's, or node 0 while headless.
     pub fn origin(&self) -> NodeId {
-        self.coord.leader().unwrap_or(0)
+        self.replicated.as_ref().map_or(0, Replicated::origin)
     }
 
     /// Advances the control-plane clock to `now`.
@@ -118,27 +139,31 @@ impl Membership {
     /// Crashes coordinator replica `r` at `now`.
     pub(crate) fn crash_coordinator(&mut self, r: ReplicaId, now: SimTime) {
         self.observe(now);
-        self.coord.crash_replica(r, now);
+        if let Some(rep) = &mut self.replicated {
+            rep.coord.crash_replica(r, now);
+        }
     }
 
     /// Restarts coordinator replica `r` at `now`.
     pub(crate) fn restart_coordinator(&mut self, r: ReplicaId, now: SimTime) {
         self.observe(now);
-        self.coord.restart_replica(r, now);
+        if let Some(rep) = &mut self.replicated {
+            rep.coord.restart_replica(r, now);
+        }
     }
 
     /// May the control plane act from `origin` now? Ticks the group to
     /// `now`, then asks for a leader holding a quorum reachable from
     /// `origin` — or, with `None`, for any such leader (the coordinator
-    /// acting on its own). Free and always true with one replica.
+    /// acting on its own). Always true with the control plane off.
     pub(crate) fn gate(&mut self, origin: Option<NodeId>, now: SimTime) -> bool {
         self.observe(now);
-        if !self.coord.is_replicated() {
+        let Some(rep) = &mut self.replicated else {
             return true;
-        }
-        self.coord.tick(now, &self.partition);
-        let origin = origin.unwrap_or_else(|| self.origin());
-        self.coord.can_serve(origin, &self.partition)
+        };
+        rep.coord.tick(now, &self.partition);
+        let origin = origin.unwrap_or_else(|| rep.origin());
+        rep.coord.can_serve(origin, &self.partition)
     }
 
     /// [`Membership::gate`] for a coordinator-internal mutation: from the
@@ -157,9 +182,9 @@ impl Membership {
         observer: Option<NodeId>,
         now: SimTime,
     ) -> bool {
-        let act = match observer {
-            Some(o) => self.coord.can_serve(o, &self.partition),
-            None => self.gate(None, now),
+        let act = match (observer, &self.replicated) {
+            (Some(o), Some(rep)) => rep.coord.can_serve(o, &self.partition),
+            _ => self.gate(None, now),
         };
         if !act {
             self.park(node);
@@ -198,39 +223,42 @@ impl Membership {
     }
 
     /// Commits one tablet-map mutation from the origin at the control-plane
-    /// clock; returns the latency to charge (zero with one replica).
-    /// Callers gate first, so a quorum lost in between is the only, benign,
-    /// failure.
+    /// clock; returns the latency to charge (zero with the control plane
+    /// off). Callers gate first, so a quorum lost in between is the only,
+    /// benign, failure.
     pub(crate) fn commit(&mut self) -> Duration {
-        self.coord
-            .propose(self.origin(), self.clock, &self.partition)
+        let Some(rep) = &mut self.replicated else {
+            return Duration::ZERO;
+        };
+        rep.coord
+            .propose(rep.origin(), self.clock, &self.partition)
             .unwrap_or(Duration::ZERO)
     }
 
     /// Runs one gossip probe round at `now`; `up(n)` is ground-truth
-    /// process liveness.
+    /// process liveness. No events with the control plane off.
     pub(crate) fn gossip_round(
         &mut self,
         now: SimTime,
         up: impl Fn(NodeId) -> bool,
     ) -> Vec<GossipEvent> {
         self.observe(now);
-        self.gossip.round(now, up, &self.partition)
+        match &mut self.replicated {
+            Some(rep) => rep.gossip.round(now, up, &self.partition),
+            None => Vec::new(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::raft::RaftConfig;
+    use crate::raft::ELECTION_SEED;
 
-    fn membership(replicas: usize) -> (Membership, Telemetry) {
+    fn membership(control_plane: Option<u64>) -> (Membership, Telemetry) {
         let t = Telemetry::new();
         let cfg = ClusterConfig {
-            raft: RaftConfig {
-                replicas,
-                ..RaftConfig::default()
-            },
+            control_plane,
             ..ClusterConfig::default()
         };
         (Membership::new(&cfg, &t), t)
@@ -251,7 +279,7 @@ mod tests {
 
     #[test]
     fn single_replica_gate_is_always_true_and_free() {
-        let (mut m, t) = membership(1);
+        let (mut m, t) = membership(None);
         m.set_partition(
             Partition::split(&[vec![0], vec![1, 2, 3]], 4),
             SimTime::ZERO,
@@ -262,14 +290,14 @@ mod tests {
         assert!(m.act_or_park(2, Some(3), SimTime::from_secs(1)));
         assert_eq!(m.commit(), Duration::ZERO);
         assert_eq!(m.parked(), 0);
-        // Nothing was ticked, proposed or registered.
-        assert_eq!(m.coordinator().last_index(), 0);
+        // No group exists and nothing was registered.
+        assert!(m.coordinator().is_none() && m.gossip().is_none());
         assert!(t.metrics().counters.is_empty());
     }
 
     #[test]
     fn parked_node_drains_exactly_once_when_quorum_returns() {
-        let (mut m, _t) = membership(3);
+        let (mut m, _t) = membership(Some(ELECTION_SEED));
         let t0 = SimTime::from_secs(1);
         m.crash_coordinator(1, t0);
         m.crash_coordinator(2, t0);

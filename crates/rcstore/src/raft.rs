@@ -1,8 +1,10 @@
 //! Raft-style replicated coordinator — the control plane's consensus core.
 //!
-//! The RAMCloud-model coordinator (tablet map, replica placement) runs as
-//! a small fixed group of replicas, co-located with the first `replicas`
-//! storage nodes. The group carries every tablet-map mutation through a
+//! With the replicated control plane on
+//! ([`crate::ClusterConfig::control_plane`]), the RAMCloud-model
+//! coordinator (tablet map, replica placement) runs as a group of
+//! [`COORDINATOR_REPLICAS`] replicas, co-located with the first storage
+//! nodes. The group carries every tablet-map mutation through a
 //! replicated log, commits on majority acknowledgement, elects a
 //! leader with per-seed randomized timeouts when the current one dies or
 //! is partitioned away, and catches restarted replicas up by log replay —
@@ -16,12 +18,9 @@
 //! may commit it, and *what happens* to lagging or minority replicas —
 //! and it is bounded by construction. All timing runs on the virtual
 //! clock and all randomness comes from one seeded stream, so every run is
-//! byte-reproducible per seed (ofc-lint D1).
-//!
-//! **Default path:** with `replicas <= 1` the coordinator is a single
-//! authority — [`ReplicatedCoordinator::propose`] returns
-//! `Ok(Duration::ZERO)` without touching the log, the RNG, or the
-//! telemetry registry.
+//! byte-reproducible per seed (ofc-lint D1). With the control plane off
+//! no group exists: the cluster's single coordinator commits for free and
+//! registers no `raft.*` metric.
 
 use crate::membership::Partition;
 use crate::NodeId;
@@ -37,6 +36,15 @@ use std::time::Duration;
 /// coordinator group the same way.
 pub type ReplicaId = usize;
 
+/// Replicas in the coordinator group: the smallest group that survives
+/// one replica failure.
+pub const COORDINATOR_REPLICAS: usize = 3;
+
+/// Seed of the election-timeout stream the runtime's control plane uses
+/// ([`crate::ClusterConfig::control_plane`] carries the seed, so tests
+/// can draw other election orders).
+pub const ELECTION_SEED: u64 = 0x0fc_c09d;
+
 /// Lower bound of the randomized election timeout.
 pub const ELECTION_TIMEOUT_MIN: Duration = Duration::from_millis(150);
 
@@ -48,31 +56,12 @@ pub const ELECTION_TIMEOUT_MAX: Duration = Duration::from_millis(300);
 pub const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Latency charged to a client operation for the majority-ack round trip
-/// of each committed command (only when `replicas > 1`).
+/// of each committed command.
 pub const COMMIT_LATENCY: Duration = Duration::from_micros(120);
 
 /// A rejoining replica lagging more than this many log entries behind the
 /// commit index catches up by snapshot install instead of replay.
 pub const SNAPSHOT_LAG: u64 = 256;
-
-/// Replicated-coordinator configuration.
-#[derive(Debug, Clone)]
-pub struct RaftConfig {
-    /// Number of coordinator replicas. `1` (the default) is a single
-    /// in-memory authority: no log, no elections, zero overhead.
-    pub replicas: usize,
-    /// Seed of the election-timeout randomization stream.
-    pub seed: u64,
-}
-
-impl Default for RaftConfig {
-    fn default() -> Self {
-        RaftConfig {
-            replicas: 1,
-            seed: 0x0fc_c09d,
-        }
-    }
-}
 
 /// Proposal failure: no leader backed by a reachable replica majority.
 /// The cluster surfaces this to clients as [`crate::RcError::Transient`].
@@ -126,17 +115,13 @@ pub struct ReplicatedCoordinator {
     /// Index of the last majority-committed entry.
     commit_index: u64,
     rng: ChaCha8Rng,
-    /// Registered only in replicated mode, so single-replica
-    /// configurations leave the telemetry registry untouched.
-    metrics: Option<RaftMetrics>,
+    metrics: RaftMetrics,
 }
 
 impl ReplicatedCoordinator {
-    /// Builds the coordinator group. With `cfg.replicas <= 1` the group is
-    /// inert (see the module docs).
-    pub fn new(cfg: RaftConfig, telemetry: &Telemetry) -> Self {
-        let n = cfg.replicas.max(1);
-        let rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    /// Builds the coordinator group, drawing election timeouts from the
+    /// `seed` stream, with replica 0 leading term 1.
+    pub fn new(seed: u64, telemetry: &Telemetry) -> Self {
         let replicas = vec![
             Replica {
                 up: true,
@@ -144,7 +129,7 @@ impl ReplicatedCoordinator {
                 snapshot_index: 0,
                 timeout: ELECTION_TIMEOUT_MIN,
             };
-            n
+            COORDINATOR_REPLICAS
         ];
         let mut coord = ReplicatedCoordinator {
             replicas,
@@ -153,19 +138,11 @@ impl ReplicatedCoordinator {
             leader_lost_at: None,
             last_index: 0,
             commit_index: 0,
-            rng,
-            metrics: None,
+            rng: ChaCha8Rng::seed_from_u64(seed),
+            metrics: RaftMetrics::new(telemetry),
         };
-        if coord.is_replicated() {
-            coord.randomize_timeouts();
-            coord.metrics = Some(RaftMetrics::new(telemetry));
-        }
+        coord.randomize_timeouts();
         coord
-    }
-
-    /// Whether consensus is actually in play (`replicas > 1`).
-    pub fn is_replicated(&self) -> bool {
-        self.replicas.len() > 1
     }
 
     /// The current leader, if one holds a reachable majority.
@@ -197,9 +174,6 @@ impl ReplicatedCoordinator {
     /// the surviving majority; a crashed leader triggers an election after
     /// the (seeded) timeout.
     pub fn crash_replica(&mut self, r: ReplicaId, now: SimTime) {
-        if !self.is_replicated() {
-            return;
-        }
         let Some(rep) = self.replicas.get_mut(r) else {
             return;
         };
@@ -217,9 +191,6 @@ impl ReplicatedCoordinator {
     /// replay when it lags at most [`SNAPSHOT_LAG`] entries, by snapshot
     /// install otherwise.
     pub fn restart_replica(&mut self, r: ReplicaId, _now: SimTime) {
-        if !self.is_replicated() {
-            return;
-        }
         if let Some(rep) = self.replicas.get_mut(r) {
             rep.up = true;
         }
@@ -247,12 +218,8 @@ impl ReplicatedCoordinator {
     }
 
     /// Drives elections and follower catch-up. Called by the runtime's
-    /// coordinator tick and as a prelude to every proposal; a no-op in
-    /// single-replica mode.
+    /// coordinator tick and as a prelude to every proposal.
     pub fn tick(&mut self, now: SimTime, partition: &Partition) {
-        if !self.is_replicated() {
-            return;
-        }
         if self.leader_valid(partition) {
             self.leader_lost_at = None;
             self.catch_up_followers(partition);
@@ -282,10 +249,8 @@ impl ReplicatedCoordinator {
         self.leader = Some(winner);
         self.leader_lost_at = None;
         self.randomize_timeouts();
-        if let Some(m) = &self.metrics {
-            m.elections.inc();
-            m.term.set(now, self.term as f64);
-        }
+        self.metrics.elections.inc();
+        self.metrics.term.set(now, self.term as f64);
         self.catch_up_followers(partition);
     }
 
@@ -309,19 +274,14 @@ impl ReplicatedCoordinator {
             rep.match_index = commit;
         }
         if installs > 0 {
-            if let Some(m) = &self.metrics {
-                m.snapshot_installs.add(installs);
-            }
+            self.metrics.snapshot_installs.add(installs);
         }
     }
 
     /// Whether a client on node `origin` can currently commit control-
     /// plane mutations: a valid leader exists and is reachable from
-    /// `origin`. Always true in single-replica mode.
+    /// `origin`.
     pub fn can_serve(&self, origin: NodeId, partition: &Partition) -> bool {
-        if !self.is_replicated() {
-            return true;
-        }
         match self.leader {
             Some(l) => self.leader_valid(partition) && partition.reachable(origin, l),
             None => false,
@@ -333,22 +293,16 @@ impl ReplicatedCoordinator {
     ///
     /// Returns the commit latency to charge to the client operation, or
     /// [`NoQuorum`] when no reachable leader holds a majority (the caller
-    /// surfaces this as a transient error). In single-replica mode this is
-    /// free and infallible.
+    /// surfaces this as a transient error).
     pub fn propose(
         &mut self,
         origin: NodeId,
         now: SimTime,
         partition: &Partition,
     ) -> Result<Duration, NoQuorum> {
-        if !self.is_replicated() {
-            return Ok(Duration::ZERO);
-        }
         self.tick(now, partition);
         if !self.can_serve(origin, partition) {
-            if let Some(m) = &self.metrics {
-                m.no_quorum_rejects.inc();
-            }
+            self.metrics.no_quorum_rejects.inc();
             return Err(NoQuorum);
         }
         // ofc-lint: allow(panic) reason=can_serve above guarantees a leader
@@ -362,16 +316,13 @@ impl ReplicatedCoordinator {
             }
         }
         self.commit_index = self.last_index;
-        if let Some(m) = &self.metrics {
-            m.commits.inc();
-            m.log_len.set(now, self.last_index as f64);
-        }
+        self.metrics.commits.inc();
+        self.metrics.log_len.set(now, self.last_index as f64);
         Ok(COMMIT_LATENCY)
     }
 
-    /// Draws a fresh randomized election timeout for every replica. The
-    /// only RNG consumer in the module — and it runs only in replicated
-    /// mode, so default-path runs never touch the stream.
+    /// Draws a fresh randomized election timeout for every replica: the
+    /// module's only RNG consumer.
     fn randomize_timeouts(&mut self) {
         let lo = ELECTION_TIMEOUT_MIN.as_nanos() as u64;
         let hi = (ELECTION_TIMEOUT_MAX.as_nanos() as u64).max(lo + 1);
@@ -394,30 +345,13 @@ impl ReplicatedCoordinator {
 mod tests {
     use super::*;
 
-    fn replicated(n: usize) -> ReplicatedCoordinator {
-        let t = Telemetry::new();
-        ReplicatedCoordinator::new(
-            RaftConfig {
-                replicas: n,
-                ..RaftConfig::default()
-            },
-            &t,
-        )
-    }
-
-    #[test]
-    fn single_replica_is_inert() {
-        let mut c = replicated(1);
-        assert!(!c.is_replicated());
-        let lat = c.propose(0, SimTime::ZERO, &Partition::CONNECTED).unwrap();
-        assert_eq!(lat, Duration::ZERO);
-        assert_eq!(c.last_index(), 0, "inert mode appends nothing");
-        assert_eq!(c.leader(), Some(0));
+    fn replicated() -> ReplicatedCoordinator {
+        ReplicatedCoordinator::new(ELECTION_SEED, &Telemetry::new())
     }
 
     #[test]
     fn replicated_commit_charges_latency_and_appends() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         let lat = c.propose(0, SimTime::ZERO, &Partition::CONNECTED).unwrap();
         assert_eq!(lat, COMMIT_LATENCY);
         assert_eq!(c.last_index(), 1);
@@ -426,7 +360,7 @@ mod tests {
 
     #[test]
     fn leader_crash_triggers_timed_election() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         let t0 = SimTime::from_millis(10);
         c.crash_replica(0, t0);
         assert_eq!(c.leader(), None);
@@ -443,7 +377,7 @@ mod tests {
 
     #[test]
     fn minority_side_cannot_commit() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         // Nodes 0 and 1 on one side, node 2 alone.
         let partition = Partition::split(&[vec![0, 1], vec![2]], 3);
         let t = SimTime::from_millis(5);
@@ -456,7 +390,7 @@ mod tests {
 
     #[test]
     fn isolated_leader_steps_down_and_majority_reelects() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         // Leader 0 cut off from 1 and 2.
         let partition = Partition::split(&[vec![0], vec![1, 2]], 3);
         let t0 = SimTime::from_millis(1);
@@ -476,7 +410,7 @@ mod tests {
 
     #[test]
     fn no_quorum_when_majority_down() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         let t = SimTime::from_millis(2);
         c.crash_replica(1, t);
         c.crash_replica(2, t);
@@ -493,7 +427,7 @@ mod tests {
 
     #[test]
     fn lagging_replica_catches_up_by_replay_then_snapshot() {
-        let mut c = replicated(3);
+        let mut c = replicated();
         let t0 = SimTime::from_millis(1);
         c.crash_replica(2, t0);
         // Small lag: replay.
@@ -521,16 +455,17 @@ mod tests {
     fn elections_are_deterministic_per_seed() {
         let run = |seed: u64| -> (u64, Vec<Option<ReplicaId>>) {
             let t = Telemetry::new();
-            let mut c = ReplicatedCoordinator::new(RaftConfig { replicas: 5, seed }, &t);
+            let mut c = ReplicatedCoordinator::new(seed, &t);
             let mut leaders = Vec::new();
             let mut now = SimTime::ZERO;
             for step in 0..6 {
+                let r = step % COORDINATOR_REPLICAS;
                 now += Duration::from_millis(400);
-                c.crash_replica(step % 5, now);
+                c.crash_replica(r, now);
                 now += Duration::from_millis(400);
                 c.tick(now, &Partition::CONNECTED);
                 leaders.push(c.leader());
-                c.restart_replica(step % 5, now);
+                c.restart_replica(r, now);
                 c.tick(now, &Partition::CONNECTED);
             }
             (c.term(), leaders)

@@ -8,8 +8,8 @@
 //! this test sees every intermediate state of the recovery decisions.
 
 use ofc_rcstore::cluster::Cluster;
-use ofc_rcstore::gossip::{GossipConfig, GossipEvent, MemberState, PROBE_PERIOD};
-use ofc_rcstore::raft::RaftConfig;
+use ofc_rcstore::gossip::{GossipEvent, MemberState, PROBE_PERIOD};
+use ofc_rcstore::raft::ELECTION_SEED;
 use ofc_rcstore::{ClusterConfig, Key, RcError, Value};
 use ofc_simtime::SimTime;
 use std::fmt::Write;
@@ -21,11 +21,7 @@ fn cluster() -> Cluster {
         replication_factor: 2,
         node_pool_bytes: 4 << 20,
         max_object_bytes: 1 << 20,
-        raft: RaftConfig {
-            replicas: 3,
-            ..RaftConfig::default()
-        },
-        gossip: GossipConfig { enabled: true },
+        control_plane: Some(ELECTION_SEED),
         ..ClusterConfig::default()
     })
 }
@@ -43,7 +39,7 @@ fn state(c: &Cluster, keys: &[Key]) -> String {
             None => s.push_str("- "),
         }
     }
-    let coord = c.coordinator();
+    let coord = c.coordinator().expect("replicated control plane");
     let m = c.telemetry().metrics();
     write!(
         s,

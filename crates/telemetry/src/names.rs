@@ -5,7 +5,9 @@
 //! constant or repeat the literal, but either way `ofc-lint` (rule
 //! `D3-TELEMETRY`) cross-checks each name used in `crates/{core,faas,
 //! rcstore,bench}` against this module, so a typo'd or undeclared name
-//! fails CI instead of silently splitting a time series.
+//! fails CI instead of silently splitting a time series. D3 also checks
+//! this module itself: no two constants share a value, and every value
+//! has the `<subsystem>.<snake_case_metric>` shape.
 //!
 //! Conventions:
 //! * names are `<subsystem>.<snake_case_metric>`,
@@ -241,137 +243,3 @@ pub const RCSTORE_RECOVERY_NANOS: &str = "rcstore.recovery_nanos";
 /// Synthetic ticks recorded by the telemetry overhead driver
 /// (`benchmark/src/drivers.rs`).
 pub const BENCH_TICKS: &str = "bench.ticks";
-
-/// Every registered metric name, sorted ascending.
-///
-/// `ofc-lint` parses the constants above; this slice is the runtime view
-/// of the same set.
-pub const ALL: &[&str] = &[
-    AGENT_CACHE_SIZE_BYTES,
-    AGENT_EVICT_SCAN_VISITED,
-    AGENT_PERIODIC_EVICTIONS,
-    AGENT_SCALE_DOWN_NANOS,
-    AGENT_SCALE_DOWNS_EVICTION,
-    AGENT_SCALE_DOWNS_MIGRATION,
-    AGENT_SCALE_DOWNS_PLAIN,
-    AGENT_SCALE_UP_NANOS,
-    AGENT_SCALE_UPS,
-    AGENT_WRITEBACKS,
-    BENCH_TICKS,
-    CHAOS_COORDINATOR_CRASHES,
-    CHAOS_COORDINATOR_RESTARTS,
-    CHAOS_FAULTS_INJECTED,
-    CHAOS_LEADER_ISOLATIONS,
-    CHAOS_NODE_CRASHES,
-    CHAOS_NODE_RESTARTS,
-    CHAOS_PARTITIONS,
-    CHAOS_PERSISTOR_FAILURES,
-    CHAOS_SLOWDOWNS,
-    CHAOS_TRANSIENT_BURSTS,
-    FAAS_COLD_STARTS,
-    FAAS_COMPLETED,
-    FAAS_OOM_KILLS,
-    FAAS_RESIZES,
-    FAAS_RETRIES,
-    FAAS_SUBMITTED,
-    FAAS_UNSCHEDULABLE,
-    FAAS_WARM_STARTS,
-    GOSSIP_CONFIRMS,
-    GOSSIP_REFUTES,
-    GOSSIP_ROUNDS,
-    GOSSIP_SUSPECTS,
-    ML_BAD_PREDICTIONS,
-    ML_GOOD_PREDICTIONS,
-    ML_RETRAINS,
-    MONITOR_KILLS,
-    MONITOR_RAISES,
-    PERSIST_DEAD_LETTERS,
-    PERSIST_RETRIES,
-    PLANE_BREAKER_STATE,
-    PLANE_BYPASSES,
-    PLANE_CHUNKED_HITS,
-    PLANE_CHUNKED_OBJECTS,
-    PLANE_DEGRADED_BYPASSES,
-    PLANE_EPHEMERAL_BYTES,
-    PLANE_FILLS,
-    PLANE_INTERMEDIATES_DROPPED,
-    PLANE_INVALIDATIONS,
-    PLANE_LOCAL_HITS,
-    PLANE_MISSES,
-    PLANE_PERSISTS,
-    PLANE_QUOTA_BYPASSES,
-    PLANE_QUOTA_EVICTIONS,
-    PLANE_QUOTA_FAIRNESS_BPS,
-    PLANE_QUOTA_OVERSHOOTS,
-    PLANE_REMOTE_HITS,
-    PLANE_SHADOWS,
-    POLICY_COLD_EXPIRIES,
-    POLICY_COLD_HITS,
-    POLICY_PARKED_BYTES,
-    POLICY_PREFETCH_WANTED,
-    POLICY_PREFETCHES,
-    POLICY_RENTAL_COST,
-    RAFT_COMMITS,
-    RAFT_ELECTIONS,
-    RAFT_LOG_LEN,
-    RAFT_NO_QUORUM_REJECTS,
-    RAFT_SNAPSHOT_INSTALLS,
-    RAFT_TERM,
-    RCSTORE_BATCH_FLUSHES,
-    RCSTORE_BATCHED_APPENDS,
-    RCSTORE_EVICTIONS,
-    RCSTORE_LOCAL_HITS,
-    RCSTORE_MIGRATE_NANOS,
-    RCSTORE_MISSES,
-    RCSTORE_OBJECTS_LOST,
-    RCSTORE_PROMOTIONS,
-    RCSTORE_RECOVERY_NANOS,
-    RCSTORE_REMOTE_HITS,
-    RCSTORE_SCALE_DOWNS,
-    RCSTORE_SCALE_UPS,
-    RCSTORE_TRANSIENT_ERRORS,
-    RCSTORE_WRITES,
-    SCHED_BOOKED_FALLBACKS,
-    SCHED_COLD_ROUTES,
-    SCHED_PREDICTED_SIZES,
-    SCHED_WARM_ROUTES,
-];
-
-/// Whether `name` is declared in the registry.
-pub fn is_registered(name: &str) -> bool {
-    ALL.binary_search(&name).is_ok()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn all_is_sorted_and_unique() {
-        assert!(
-            ALL.windows(2).all(|w| w[0] < w[1]),
-            "names::ALL must be sorted ascending with no duplicates"
-        );
-    }
-
-    #[test]
-    fn names_follow_conventions() {
-        for name in ALL {
-            let (subsystem, metric) = name.split_once('.').expect("subsystem.metric shape");
-            assert!(!subsystem.is_empty() && !metric.is_empty(), "{name}");
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_lowercase() || c == '.' || c == '_'),
-                "{name}: snake_case, single dot"
-            );
-        }
-    }
-
-    #[test]
-    fn lookup_hits_and_misses() {
-        assert!(is_registered(PLANE_LOCAL_HITS));
-        assert!(is_registered(RCSTORE_RECOVERY_NANOS));
-        assert!(!is_registered("plane.local_hit")); // typo'd singular
-        assert!(!is_registered(""));
-    }
-}

@@ -13,6 +13,10 @@ use ofc::objstore::latency::LatencyModel;
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::ObjectId;
 use ofc::rcstore::cluster::Cluster;
+use ofc::rcstore::gossip::PROBE_PERIOD;
+use ofc::rcstore::raft::{
+    ReplicatedCoordinator, COORDINATOR_REPLICAS, ELECTION_SEED, HEARTBEAT_INTERVAL,
+};
 use ofc::rcstore::{ClusterConfig, Key, Value as RcValue};
 use ofc::simtime::{Sim, SimTime};
 use proptest::prelude::*;
@@ -52,6 +56,24 @@ fn cluster_sink(cluster: Rc<RefCell<Cluster>>) -> ofc::chaos::FaultSink {
             FaultKind::HealPartition => c.heal_partition(now),
         }
     })
+}
+
+/// The control-plane loops `Ofc::start` schedules for a replicated
+/// control plane: the coordinator pump every `HEARTBEAT_INTERVAL` and a
+/// gossip round every `PROBE_PERIOD`.
+fn pump_control_plane(sim: &mut Sim, cluster: &Rc<RefCell<Cluster>>) {
+    let c = Rc::clone(cluster);
+    sim.every(HEARTBEAT_INTERVAL, move |sim| {
+        c.borrow_mut().coordinator_pump(sim.now());
+    });
+    let c = Rc::clone(cluster);
+    sim.every(PROBE_PERIOD, move |sim| {
+        c.borrow_mut().gossip_round(sim.now());
+    });
+}
+
+fn coordinator(c: &Cluster) -> &ReplicatedCoordinator {
+    c.coordinator().expect("replicated control plane")
 }
 
 proptest! {
@@ -240,10 +262,7 @@ fn failover_durability_case(
         replication_factor: 2,
         node_pool_bytes: 256 * MB,
         max_object_bytes: 10 * MB,
-        raft: ofc::rcstore::raft::RaftConfig {
-            replicas: 3,
-            ..ofc::rcstore::raft::RaftConfig::default()
-        },
+        control_plane: Some(ELECTION_SEED),
         ..ClusterConfig::default()
     });
     cluster.bind_telemetry(&telemetry);
@@ -296,17 +315,7 @@ fn failover_durability_case(
         &telemetry,
         cluster_sink(Rc::clone(&cluster)),
     );
-    // The control-plane heartbeat the runtime would provide: elections
-    // fire and deferred recoveries drain between fault events.
-    for tick in 1..7000u64 {
-        let cluster = Rc::clone(&cluster);
-        sim.schedule_at(
-            SimTime::ZERO + Duration::from_millis(tick * 100),
-            move |sim| {
-                cluster.borrow_mut().coordinator_pump(sim.now());
-            },
-        );
-    }
+    pump_control_plane(&mut sim, &cluster);
 
     let accepted: Rc<RefCell<BTreeMap<Key, u64>>> = Rc::new(RefCell::new(BTreeMap::new()));
     for i in 0..40u64 {
@@ -336,8 +345,8 @@ fn failover_durability_case(
     {
         let mut c = cluster.borrow_mut();
         c.heal_partition(SimTime::from_secs(700));
-        for r in 0..3 {
-            if !c.coordinator().replica_up(r) {
+        for r in 0..COORDINATOR_REPLICAS {
+            if !coordinator(&c).replica_up(r) {
                 c.restart_coordinator(r, SimTime::from_secs(701));
             }
         }
@@ -347,10 +356,11 @@ fn failover_durability_case(
             }
         }
         c.clear_faults();
-        for s in 0..5u64 {
-            c.coordinator_pump(SimTime::from_secs(703 + s));
-        }
-        prop_assert!(c.coordinator().leader().is_some(), "quorum settled");
+    }
+    sim.run_until(SimTime::from_secs(710));
+    {
+        let c = cluster.borrow();
+        prop_assert!(coordinator(&c).leader().is_some(), "quorum settled");
         prop_assert_eq!(c.deferred_recoveries(), 0, "recoveries drained");
     }
     let now = SimTime::from_secs(10_000);
@@ -369,7 +379,8 @@ fn failover_durability_case(
 /// Shared body of the minority-partition property and its pinned seeds:
 /// while a partition isolates a minority from the coordinator quorum,
 /// minority-side writes must bounce with the *typed* transient error —
-/// never be silently dropped, never ack-then-lose.
+/// never be silently dropped, never ack-then-lose. `seed` draws the
+/// election order; both control-plane loops run between the steps.
 fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCaseError> {
     let telemetry = Telemetry::new();
     let mut cluster = Cluster::new(ClusterConfig {
@@ -377,18 +388,27 @@ fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCa
         replication_factor: 2,
         node_pool_bytes: 256 * MB,
         max_object_bytes: 10 * MB,
-        raft: ofc::rcstore::raft::RaftConfig { replicas: 3, seed },
+        control_plane: Some(seed),
         ..ClusterConfig::default()
     });
     cluster.bind_telemetry(&telemetry);
+    let cluster = Rc::new(RefCell::new(cluster));
+    let mut sim = Sim::new(seed);
+    pump_control_plane(&mut sim, &cluster);
+    // Runs the loops up to `at`, then hands the cluster over for a step.
+    let mut at = |at: SimTime| {
+        sim.run_until(at);
+        cluster.borrow_mut()
+    };
 
     // Pre-partition writes from every node succeed.
     for i in 0..8u64 {
-        let r = cluster.write(
+        let t = SimTime::from_secs(i);
+        let r = at(t).write(
             (i % NODES as u64) as usize,
             &Key::from(format!("pre{i}")),
             RcValue::synthetic(32 * 1024),
-            SimTime::from_secs(i),
+            t,
         );
         prop_assert!(r.result.is_ok());
     }
@@ -396,20 +416,18 @@ fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCa
     // Coordinator replicas live on nodes 0-2: isolating any single node
     // leaves a 2-of-3 quorum on the other side.
     let rest: Vec<usize> = (0..NODES).filter(|&n| n != minority_node).collect();
-    cluster.partition_network(&[vec![minority_node], rest.clone()], SimTime::from_secs(60));
-    let mut t = SimTime::from_secs(60);
-    for _ in 0..4 {
-        t += Duration::from_millis(400);
-        cluster.coordinator_pump(t);
-    }
+    let t = SimTime::from_secs(60);
+    at(t).partition_network(&[vec![minority_node], rest.clone()], t);
+    let t = t + Duration::from_millis(1600);
 
     // Minority side: every write bounces with the typed transient error.
     for i in 0..6u64 {
-        let r = cluster.write(
+        let ti = t + Duration::from_secs(i);
+        let r = at(ti).write(
             minority_node,
             &Key::from(format!("min{i}")),
             RcValue::synthetic(16 * 1024),
-            t + Duration::from_secs(i),
+            ti,
         );
         match r.result {
             Err(ofc::rcstore::RcError::Transient) => {}
@@ -421,31 +439,31 @@ fn minority_partition_case(seed: u64, minority_node: usize) -> Result<(), TestCa
         }
     }
     // Majority side keeps serving.
-    let q = cluster.write(
+    let tq = t + Duration::from_secs(10);
+    let q = at(tq).write(
         rest[0],
         &Key::from("maj"),
         RcValue::synthetic(16 * 1024),
-        t + Duration::from_secs(10),
+        tq,
     );
     prop_assert!(q.result.is_ok(), "majority side must keep serving");
 
     // Heal: everyone serves again and nothing was lost.
-    cluster.heal_partition(t + Duration::from_secs(20));
+    let th = t + Duration::from_secs(20);
+    at(th).heal_partition(th);
     let t2 = t + Duration::from_secs(21);
-    let r = cluster.write(
+    let r = at(t2).write(
         minority_node,
         &Key::from("after"),
         RcValue::synthetic(16 * 1024),
         t2,
     );
     prop_assert!(r.result.is_ok(), "minority serves after heal");
+    let t3 = t2 + Duration::from_secs(1);
     for i in 0..8u64 {
         let key = Key::from(format!("pre{i}"));
         prop_assert!(
-            cluster
-                .read(0, &key, t2 + Duration::from_secs(1))
-                .result
-                .is_ok(),
+            at(t3).read(0, &key, t3).result.is_ok(),
             "pre-partition write {} lost",
             i
         );

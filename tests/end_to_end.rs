@@ -1,7 +1,7 @@
 //! End-to-end integration tests across all crates: the full OFC stack vs
 //! baselines, pipelines, OOM handling, fault injection, maturation gating.
 
-use ofc::core::ofc::Ofc;
+use ofc::core::ofc::{Ofc, OfcConfig};
 use ofc::faas::baselines::{DirectPlane, NoopPlane};
 use ofc::faas::platform::{Platform, PlatformHandle};
 use ofc::faas::registry::{FunctionSpec, Registry};
@@ -10,6 +10,8 @@ use ofc::faas::{
 };
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::{ObjectId, Payload};
+use ofc::rcstore::raft::COMMIT_LATENCY;
+use ofc::rcstore::{latency, Key, Value};
 use ofc::simtime::{Sim, SimTime};
 use ofc::workloads::catalog::{gen_image_with_bytes, Catalog};
 use ofc::workloads::multimedia::{profile, MultimediaModel, Profile};
@@ -344,4 +346,65 @@ fn dropping_every_handle_frees_the_whole_stack() {
     assert!(store.upgrade().is_none(), "ObjectStore leaked");
     assert!(cluster.upgrade().is_none(), "Cluster leaked");
     assert!(persistence.upgrade().is_none(), "Persistence leaked");
+}
+
+/// The control plane is off by default, and off is inert: a default `Ofc`
+/// registers no `raft.*` or `gossip.*` metric, schedules no control-plane
+/// loop and charges a cache write no commit latency. The replicated
+/// configuration does all three.
+#[test]
+fn default_control_plane_is_inert() {
+    let build = |replicated_control_plane: bool| {
+        let platform = Platform::build(
+            PlatformConfig::default(),
+            Registry::new(),
+            Box::new(NoopPlane),
+        );
+        let ofc = Ofc::builder(&platform)
+            .store(Rc::new(RefCell::new(ObjectStore::swift())))
+            .features(features_for(&Catalog::new()))
+            .config(OfcConfig {
+                replicated_control_plane,
+                ..OfcConfig::default()
+            })
+            .build();
+        let mut sim = Sim::new(1);
+        ofc.start(&mut sim);
+        (ofc, sim.events_pending())
+    };
+    let control_plane_names = |ofc: &Ofc| {
+        let m = ofc.metrics();
+        let names = m.counters.iter().map(|c| &c.name);
+        let names = names.chain(m.gauges.iter().map(|g| &g.name));
+        let names = names.chain(m.histograms.iter().map(|h| &h.name));
+        names
+            .filter(|n| n.starts_with("raft.") || n.starts_with("gossip."))
+            .count()
+    };
+    let write = |ofc: &Ofc| {
+        let key = Key::from("inert/k");
+        let w = ofc
+            .cluster
+            .borrow_mut()
+            .write(0, &key, Value::synthetic(4096), SimTime::ZERO);
+        assert_eq!(w.result, Ok(0), "a local write");
+        w.latency
+    };
+
+    let (off, off_events) = build(false);
+    assert!(off.cluster.borrow().coordinator().is_none());
+    assert_eq!(control_plane_names(&off), 0);
+    assert_eq!(write(&off), latency::write(4096, false));
+
+    let (on, on_events) = build(true);
+    assert_eq!(
+        on_events,
+        off_events + 2,
+        "the coordinator pump and the gossip round"
+    );
+    assert!(control_plane_names(&on) > 0);
+    assert_eq!(write(&on), latency::write(4096, false) + COMMIT_LATENCY);
+    // The write is the one committed log entry.
+    assert_eq!(on.metrics().counter("raft.commits"), 1);
+    assert_eq!(off.metrics().counter("raft.commits"), 0);
 }
