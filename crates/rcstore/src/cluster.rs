@@ -1630,4 +1630,20 @@ mod failover_tests {
         };
         assert_eq!(run(), run(), "same seed, same trajectory");
     }
+
+    #[test]
+    fn single_replica_coordinator_charges_no_commit_latency() {
+        let mut c = Cluster::new(base_config());
+        assert!(c.coordinator().is_none());
+        let t = c.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO);
+        t.result.unwrap();
+        // Raft metrics are absent entirely in the default layout: they are
+        // registered only for replicated control planes.
+        assert_eq!(c.telemetry().metrics().counter("raft.commits"), 0);
+        let mut r = replicated();
+        let rt = r.write(0, &key("a"), Value::synthetic(100), SimTime::ZERO);
+        rt.result.unwrap();
+        assert!(rt.latency > t.latency, "replication charges commit latency");
+        assert_eq!(r.telemetry().metrics().counter("raft.commits"), 1);
+    }
 }

@@ -252,6 +252,21 @@ mod tests {
     }
 
     #[test]
+    fn disabled_plane_is_inert() {
+        // With the control plane off the cluster owns no gossip plane: a
+        // round observes nothing, even with a node down, and registers
+        // no gossip metric.
+        let mut c = crate::cluster::Cluster::new(crate::ClusterConfig::default());
+        assert!(c.membership().gossip().is_none());
+        c.crash_node(1, SimTime::ZERO);
+        for i in 1..=10u32 {
+            assert!(c.gossip_round(SimTime::ZERO + PROBE_PERIOD * i).is_empty());
+        }
+        assert_eq!(c.member_state(1), MemberState::Alive);
+        assert_eq!(c.telemetry().metrics().counter("gossip.rounds"), 0);
+    }
+
+    #[test]
     fn dead_node_is_suspected_then_confirmed() {
         let mut g = plane(5);
         let up = |n: NodeId| n != 2;

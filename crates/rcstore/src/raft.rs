@@ -350,6 +350,22 @@ mod tests {
     }
 
     #[test]
+    fn single_replica_is_inert() {
+        // With the control plane off no group exists: the single
+        // coordinator is the origin of every mutation and commits for
+        // free, without a log, an RNG or a raft metric.
+        let t = Telemetry::new();
+        let mut m = crate::membership::Membership::new(&crate::ClusterConfig::default(), &t);
+        assert!(m.coordinator().is_none());
+        assert_eq!(m.origin(), 0);
+        for _ in 0..3 {
+            assert_eq!(m.commit(), Duration::ZERO);
+        }
+        assert_eq!(t.metrics().counter("raft.commits"), 0);
+        assert!(t.metrics().counters.is_empty());
+    }
+
+    #[test]
     fn replicated_commit_charges_latency_and_appends() {
         let mut c = replicated();
         let lat = c.propose(0, SimTime::ZERO, &Partition::CONNECTED).unwrap();
