@@ -30,8 +30,10 @@ use std::time::Duration;
 /// One injectable fault.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
-    /// Fail-stop crash of a storage node; recovery (promotion +
-    /// re-replication) runs immediately, as in RAMCloud.
+    /// Fail-stop crash of a storage node. With the store's control plane
+    /// off, recovery (promotion + re-replication) runs immediately, as in
+    /// RAMCloud; with it on (`ClusterConfig::control_plane`), recovery
+    /// waits until gossip confirms the death.
     NodeCrash(usize),
     /// A crashed node rejoins empty.
     NodeRestart(usize),

@@ -14,21 +14,20 @@
 //!   abort, unless a site documents its invariant with
 //!   `// ofc-lint: allow(panic) reason=...`;
 //! * **D5 hot-loop allocations** — allocation sites inside loops in the
-//!   configured hot paths, found over a lightweight statement parser
-//!   ([`parser`]) and exported as a machine-readable inventory
+//!   configured hot paths, at the loop depth one token pass per function
+//!   gives them, exported as a machine-readable inventory
 //!   (`--emit-hotspots`);
 //! * **D7 dead telemetry** — D3 made bidirectional: registry consts no
 //!   analyzed call site ever emits are reported.
 //!
 //! The crate is dependency-free and offline-safe: a hand-rolled Rust
 //! tokenizer (no syn, no proc-macro machinery) and plain `std::fs`
-//! workspace walking. Rules pattern-match over token streams and the
-//! statement tree — deliberately approximate, tuned to this workspace's
-//! idioms, with a pragma escape hatch for the rest. The rule scopes are
+//! workspace walking. Rules pattern-match over token streams —
+//! deliberately approximate, tuned to this workspace's idioms, with a
+//! pragma escape hatch for the rest. The rule scopes are
 //! [`Config::default`].
 
 pub mod config;
-pub mod parser;
 pub mod report;
 pub mod rules;
 pub mod source;

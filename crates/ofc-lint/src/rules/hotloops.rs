@@ -6,9 +6,10 @@
 //! into owned containers, and `String`-keyed map types — *inside loops*
 //! in the configured hot paths ([`crate::config::Config::hotloop_paths`]).
 //!
-//! Built on the statement parser: every statement gets a loop depth from
-//! [`crate::parser::walk_with_loop_depth`], and closures passed to the
-//! common in-place iterator methods (`for_each`, `retain`,
+//! One pass over the tokens of each function body gives every token its
+//! loop depth. On a `for`, `while` or `loop` keyword, the first `{`
+//! outside parentheses and brackets opens the loop body; closures passed
+//! to the common in-place iterator methods (`for_each`, `retain`,
 //! `sort_by_key`, `sort_unstable_by_key`) count as one more loop level —
 //! an allocation in a `retain` predicate runs exactly as often as one in
 //! a `for` body. Plain `map`/`filter` chains are deliberately *not*
@@ -21,9 +22,8 @@
 //! site from the committed campaign work-list.
 
 use crate::config::Config;
-use crate::parser::{parse_body, walk_with_loop_depth, Stmt, StmtKind};
 use crate::report::{Finding, Hotspot};
-use crate::source::SourceFile;
+use crate::source::{match_brace, Function, SourceFile};
 use crate::tokenizer::TokKind;
 use crate::workspace::matches_prefix;
 
@@ -55,83 +55,80 @@ pub fn check(
         return;
     }
     for func in &file.functions {
-        if func.in_test {
-            continue;
+        if !func.in_test {
+            scan_fn(file, func, findings, hotspots);
         }
-        let stmts = parse_body(&file.tokens, func.body.0, func.body.1);
-        scan_fn(file, func.name.as_str(), &stmts, findings, hotspots);
     }
 }
 
+/// Walks one function body, recording every allocation at loop depth
+/// ≥ 1. A token's depth is the number of open loop bodies plus the
+/// number of open `ITER_METHODS` closures. The bodies of nested `fn`
+/// items are skipped: each is scanned as a function of its own.
 fn scan_fn(
     file: &SourceFile,
-    fn_name: &str,
-    stmts: &[Stmt],
-    findings: &mut Vec<Finding>,
-    hotspots: &mut Vec<Hotspot>,
-) {
-    // Scan only the *direct* token span of each statement: compound
-    // statements (if/loop/match) contain their bodies in their span, but
-    // those inner statements are walked separately at the right depth, so
-    // the compound's own scan must stop at its body brace.
-    walk_with_loop_depth(stmts, 0, &mut |s, depth| {
-        let (lo, hi) = direct_span(s);
-        scan_span(file, fn_name, lo, hi, depth, findings, hotspots);
-    });
-}
-
-/// The token range a statement owns directly (header only, for compound
-/// statements whose bodies are walked as their own statements).
-fn direct_span(s: &Stmt) -> (usize, usize) {
-    match &s.kind {
-        StmtKind::If { cond, .. } => (s.span.0, cond.1),
-        StmtKind::Loop { header, .. } => (s.span.0, header.1),
-        StmtKind::Match { scrutinee, .. } => (s.span.0, scrutinee.1),
-        StmtKind::Block(_) => (s.span.0, s.span.0),
-        _ => s.span,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn scan_span(
-    file: &SourceFile,
-    fn_name: &str,
-    lo: usize,
-    hi: usize,
-    base_depth: u32,
+    func: &Function,
     findings: &mut Vec<Finding>,
     hotspots: &mut Vec<Hotspot>,
 ) {
     let toks = &file.tokens;
-    // Closure args of in-place iterator methods add a loop level for the
-    // rest of their parenthesized call; track the paren index at which
-    // each synthetic level ends.
-    let mut iter_ends: Vec<usize> = Vec::new();
-    let mut i = lo;
-    while i <= hi.min(toks.len().saturating_sub(1)) {
-        while iter_ends.last().is_some_and(|&e| i > e) {
-            iter_ends.pop();
+    let name = func.name.as_str();
+    let (open, close) = func.body;
+    // The first and last token index of each open loop level, innermost
+    // last. A loop level is pushed at its keyword, so a header's tokens
+    // (before the first index) stay at the outer depth.
+    let mut levels: Vec<(usize, usize)> = Vec::new();
+    let mut i = open + 1;
+    while i < close {
+        if let Some(nested) = file.functions.iter().find(|g| g.body.0 == i) {
+            i = nested.body.1 + 1;
+            continue;
         }
-        let depth = base_depth + iter_ends.len() as u32;
+        while levels.last().is_some_and(|&(_, last)| last < i) {
+            levels.pop();
+        }
         if let TokKind::Ident(id) = &toks[i].kind {
             let after_dot = i > 0 && toks[i - 1].kind.is_punct('.');
             let callish = toks.get(i + 1).is_some_and(|t| t.kind.is_punct('('));
-            if after_dot && callish && ITER_METHODS.contains(&id.as_str()) {
-                if let Some(close) = match_paren(toks, i + 1) {
-                    iter_ends.push(close);
-                    i += 2; // skip past the `(` so it isn't rescanned
-                    continue;
-                }
-            }
-            if depth > 0 {
-                let kind = classify(toks, i, after_dot, callish);
-                if let Some(kind) = kind {
-                    record(file, fn_name, toks[i].line, depth, kind, findings, hotspots);
+            let level = if after_dot && callish && ITER_METHODS.contains(&id.as_str()) {
+                match_paren(toks, i + 1).map(|end| (i + 2, end))
+            } else {
+                loop_body(toks, i, close)
+            };
+            if let Some(level) = level {
+                levels.push(level);
+            } else if let Some(kind) = classify(toks, i, after_dot, callish) {
+                let depth = levels.iter().filter(|&&(first, _)| first <= i).count() as u32;
+                if depth > 0 {
+                    record(file, name, toks[i].line, depth, kind, findings, hotspots);
                 }
             }
         }
         i += 1;
     }
+}
+
+/// The body of the loop whose keyword sits at `kw`, as its first and last
+/// token index. `while`, `loop` and `for` open a loop, except a `for<'a>`
+/// bound; the body is the first `{` outside parentheses and brackets
+/// before `end`.
+fn loop_body(toks: &[crate::tokenizer::Token], kw: usize, end: usize) -> Option<(usize, usize)> {
+    let bound = toks.get(kw + 1).is_some_and(|t| t.kind.is_punct('<'));
+    match toks[kw].kind.ident() {
+        Some("while" | "loop") => {}
+        Some("for") if !bound => {}
+        _ => return None,
+    }
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().take(end).skip(kw + 1) {
+        match t.kind {
+            TokKind::Punct('(' | '[') => depth += 1,
+            TokKind::Punct(')' | ']') => depth -= 1,
+            TokKind::Punct('{') if depth == 0 => return Some((j + 1, match_brace(toks, j)?)),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Classifies the allocation at token `i`, if any.
@@ -171,7 +168,6 @@ fn classify(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn record(
     file: &SourceFile,
     fn_name: &str,
@@ -258,6 +254,61 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(h[0].loop_depth, 2, "for + retain closure");
         assert_eq!(h[0].kind, "to_string");
+    }
+
+    /// Each case holds exactly one allocation; depth 0 means no hotspot.
+    const DEPTH_CASES: [(&str, u32); 15] = [
+        ("fn f() { for a in xs { a.clone(); } }", 1),
+        ("fn f() { for a in xs { while b { a.clone(); } } }", 2),
+        ("fn f() { for a in xs { while b { loop { a.clone(); } } } }", 3),
+        (
+            "fn f() { for a in xs { while let Some(x) = a.clone().pop() { use_it(x); } } }",
+            1,
+        ),
+        (
+            "fn f() { for a in xs { if b { c(); } else if d { e(); } else { a.clone(); } } }",
+            1,
+        ),
+        (
+            "fn f() { for a in xs { match a { 0 => b(), n if n > 3 => { c(); } _ => a.to_string(), } } }",
+            1,
+        ),
+        ("fn f() { xs.iter().for_each(|a| { b(a.clone()); }); }", 1),
+        ("fn f() { for s in m { s.retain(|k, _| k.to_string() != gone); } }", 2),
+        ("fn f() { fn helper() { c(); } for a in xs { a.clone(); } }", 1),
+        ("fn f() { let v = loop { break k.clone(); }; }", 1),
+        (
+            "fn f() { sim.every(p, move |_| { for a in xs { a.clone(); } }); }",
+            1,
+        ),
+        ("fn f() { 'scan: for a in xs { a.clone(); } }", 1),
+        (
+            "fn f() { impl T for U { fn m(&self) -> V { self.v.clone() } } }",
+            0,
+        ),
+        (
+            "fn f() { let g: &dyn for<'a> Fn(&'a str) -> S = &h; if c { g(x).clone(); } }",
+            0,
+        ),
+        ("fn f() { fn helper() { for a in xs { a.clone(); } } }", 1),
+    ];
+
+    #[test]
+    fn allocations_get_the_loop_depth_they_run_at() {
+        let wrong: Vec<(&str, u32, Vec<u32>)> = DEPTH_CASES
+            .iter()
+            .filter_map(|&(src, want)| {
+                let (_, h) = run(src);
+                let got: Vec<u32> = h.iter().map(|x| x.loop_depth).collect();
+                let ok = if want == 0 {
+                    got.is_empty()
+                } else {
+                    got == [want]
+                };
+                (!ok).then_some((src, want, got))
+            })
+            .collect();
+        assert!(wrong.is_empty(), "(case, want, got): {wrong:#?}");
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!   FaaSLoad injector of the paper's evaluation,
 //! * [`core`] — OFC itself: Predictor/ModelTrainer, CacheAgent,
 //!   Proxy/rclib, Monitor, and the assembly,
-//! * [`chaos`] — deterministic fault injection (seeded chaos schedules,
-//!   retry/backoff policies) for robustness testing.
+//! * [`chaos`] — deterministic fault injection (seeded chaos schedules
+//!   and their driver) for robustness testing.
 //!
 //! See `examples/quickstart.rs` for a walk-through and `DESIGN.md` for the
 //! experiment index.
