@@ -165,3 +165,114 @@ mod tests {
         assert_eq!(rules, vec!["D3-TELEMETRY", "D4-PANIC"]);
     }
 }
+
+/// The shapes the removed statement parser was tested on, held against
+/// D5's token pass: each allocation must get the loop depth it runs at,
+/// whatever statement, branch, closure or item surrounds it. Test-only;
+/// no statement parser exists.
+#[cfg(test)]
+mod parser {
+    #[cfg(test)]
+    mod tests {
+        use crate::rules::hotloops;
+        use crate::source::SourceFile;
+        use crate::{Config, Hotspot};
+
+        /// D5's inventory for `src`, every file path counted as hot.
+        fn hotspots(src: &str) -> Vec<Hotspot> {
+            let file = SourceFile::parse("t.rs".into(), src);
+            let cfg = Config {
+                hotloop_paths: vec!["t.rs".into()],
+                ..Config::default()
+            };
+            let (mut findings, mut hotspots) = (Vec::new(), Vec::new());
+            hotloops::check(&file, &cfg, &mut findings, &mut hotspots);
+            hotspots
+        }
+
+        fn depths(src: &str) -> Vec<u32> {
+            hotspots(src).iter().map(|h| h.loop_depth).collect()
+        }
+
+        #[test]
+        fn lets_and_exprs_split_on_semicolons() {
+            let h = hotspots(
+                "fn f() { for a in xs { let x = g(1, a.clone()); x.h(); let y = x.to_string(); } }",
+            );
+            let kinds: Vec<(&str, u32)> = h.iter().map(|h| (h.kind, h.loop_depth)).collect();
+            assert_eq!(kinds, vec![("clone", 1), ("to_string", 1)]);
+        }
+
+        #[test]
+        fn nested_loops_nest_in_the_tree() {
+            // Each header sits at the depth of the loop around it.
+            let d = depths(
+                "fn f() { for a in xs.to_vec() { while b.clone().go() { loop { c.clone(); } } } }",
+            );
+            assert_eq!(d, vec![1, 3]);
+        }
+
+        #[test]
+        fn loop_depth_walk_counts_nesting() {
+            let d = depths(
+                "fn f() { a.clone(); for x in xs { b.clone(); for y in ys { c.clone(); } } }",
+            );
+            assert_eq!(d, vec![1, 2], "depth 0 is no hotspot");
+        }
+
+        #[test]
+        fn if_else_chains_parse_with_both_branches() {
+            let d = depths(
+                "fn f() { for a in xs { if a { b.clone(); } else if c { d.clone(); } else { e.clone(); } } }",
+            );
+            assert_eq!(d, vec![1, 1, 1]);
+        }
+
+        #[test]
+        fn match_arms_and_guards_are_extracted() {
+            let d = depths(
+                "fn f(x: u64) { for a in xs { match x { 0 => a.clone(), n if n.to_string() > s => { b.clone(); c.clone(); } _ => d.clone(), } } }",
+            );
+            assert_eq!(d, vec![1; 5]);
+        }
+
+        #[test]
+        fn early_return_and_break_terminate_statements() {
+            let d = depths(
+                "fn f() { for a in xs { if a { return k.clone(); } break; } loop { break m.clone(); } g.clone(); }",
+            );
+            assert_eq!(d, vec![1, 1], "the loops close before g");
+        }
+
+        #[test]
+        fn closures_and_nested_braces_do_not_split_statements() {
+            let d = depths(
+                "fn f() { xs.iter().for_each(|x| { a(x.clone()); b(x.clone()); }); c.clone(); }",
+            );
+            assert_eq!(d, vec![1, 1], "the closure closes before c");
+        }
+
+        #[test]
+        fn while_let_headers_parse() {
+            let d = depths(
+                "fn f() { for a in xs { while let Some(x) = it.next().clone() { use_it(x.clone()); } } }",
+            );
+            assert_eq!(d, vec![1, 2]);
+        }
+
+        #[test]
+        fn nested_fn_items_do_not_swallow_following_statements() {
+            let h =
+                hotspots("fn f() { for a in xs { fn helper() { x.clone(); } after.clone(); } }");
+            let sites: Vec<(&str, u32)> = h
+                .iter()
+                .map(|h| (h.function.as_str(), h.loop_depth))
+                .collect();
+            assert_eq!(
+                sites,
+                vec![("f", 1)],
+                "helper's clone runs at its own depth 0"
+            );
+        }
+    }
+}
