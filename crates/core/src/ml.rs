@@ -18,16 +18,41 @@
 //! * the retained **training set** — after maturation, only
 //!   underpredictions and extreme overpredictions (`k − k* > 6`) are
 //!   added, with underpredictions weighted higher (§5.3.3).
+//!
+//! # One fit per distinct training set
+//!
+//! A C4.5 fit is a pure function of its training set, and a platform
+//! repeats training sets: copies of a function pretrained from one seeded
+//! stream, or the stages of a pipeline fed one stream, fit the same sets
+//! in the same order. The engine's fit memo answers a repeated fit with
+//! the model of the first. A set only ever changes by rows pushed at its
+//! newest end and rows dropped at its oldest, so a fit's key is
+//!
+//! * the memo id of the set's last fit (for the benefit set, its last
+//!   *paid* fit),
+//! * how many of that fit's rows are still kept: its newest ones,
+//! * the rows pushed since, value for value (`f64` bits, label, weight),
+//!
+//! beside the dataset's schema and class handles, compared by pointer.
+//! Each fit that misses gets a new id, and ids are never reused, so an id
+//! names one training set for the engine's life. Equal keys therefore
+//! name equal training sets, even when the parent fit has left the memo.
+//! The key's hash only picks the candidates; a hit compares whole keys.
+//! The memo is the engine's own, so two engines pay their fits
+//! separately. It keeps the last [`FIT_MEMO_ENTRIES`] fits, oldest out
+//! first, each as a [`CompiledTree`] shared by every function it answers
+//! (an `Arc`): only what prediction reads, a few dozen bytes a node.
+//! `ml.retrains` counts retrain points, hits and misses alike.
 
 use ofc_dtree::c45::{C45Params, C45};
 use ofc_dtree::data::{Attribute, Dataset, Value};
-use ofc_dtree::tree::DecisionTree;
-use ofc_dtree::Classifier;
+use ofc_dtree::tree::CompiledTree;
 use ofc_faas::{FunctionId, TenantId};
-use ofc_intern::IdHashMap;
+use ofc_intern::{IdHashMap, IdHasher};
 use ofc_telemetry::{Counter, Telemetry};
 use std::collections::hash_map::Entry;
 use std::collections::{HashSet, VecDeque};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// Key identifying a function's models.
@@ -62,6 +87,14 @@ pub const UNDER_WEIGHT: u32 = 5;
 /// Overpredictions farther than this many intervals are retained for
 /// retraining (§5.3.3's `k − k* > 6`).
 pub const EXTREME_OVER_K: u32 = 6;
+
+/// Fits the memo keeps, evicted oldest first (a calibration constant).
+/// The memo must span the distinct fits between two fits of one training
+/// set: the seed-1 benchmark measured 193 distinct fits per copy of the
+/// §7.2.2 mix on `paper_macro`, 62 on `pipeline_etl` and 195 on the
+/// `macro24` smoke anchor. At 128 entries `paper_macro`'s pretraining
+/// paid 3 088 of its 4 080 fits instead of 193.
+pub const FIT_MEMO_ENTRIES: usize = 256;
 
 /// Interval index of a memory amount (clamped to the top class).
 pub fn interval_of(mem_bytes: u64) -> u32 {
@@ -163,9 +196,13 @@ struct FunctionMl {
     /// most one retrain interval of them. Their features are the newest
     /// rows of `mem_dataset`, which keeps the same rows.
     benefit_backlog: Vec<u32>,
-    mem_model: Option<DecisionTree>,
+    mem_model: Option<Arc<CompiledTree>>,
+    /// `mem_dataset` against its last fit.
+    mem_lineage: Lineage,
     /// The last benefit tree fitted; stale while `benefit_owed`.
-    benefit_model: Option<DecisionTree>,
+    benefit_model: Option<Arc<CompiledTree>>,
+    /// `benefit_dataset` against its last paid fit.
+    benefit_lineage: Lineage,
     /// Whether `benefit_model` is due a refit on `benefit_dataset`.
     benefit_owed: bool,
     /// `(raw_predicted, truth)` pairs for the maturation window.
@@ -183,7 +220,7 @@ impl FunctionMl {
     /// the result if it holds both classes. A set left single-class keeps
     /// the tree of the last two-class set, so a fit still owed on that set
     /// is paid before the rows change.
-    fn flush_benefit_rows(&mut self, max: usize) {
+    fn flush_benefit_rows(&mut self, max: usize, memo: &mut FitMemo) {
         // Taken, not drained: a function that stops keeping rows holds no
         // backlog buffer.
         let labels = std::mem::take(&mut self.benefit_backlog);
@@ -197,7 +234,7 @@ impl FunctionMl {
         }
         let both_classes = seen == [true; 2];
         if !both_classes {
-            self.pay_benefit_fit();
+            self.pay_benefit_fit(memo);
         }
         let rows = self.mem_dataset.rows();
         let new_rows = &rows[rows.len() - labels.len() + new_dropped..];
@@ -205,16 +242,104 @@ impl FunctionMl {
             // ofc-lint: allow(hotloop) reason=a kept row's features are copied into the benefit set once, at the first retrain point after it
             self.benefit_dataset.push(row.values.clone(), label);
         }
+        self.benefit_lineage.pushed += new_rows.len();
         self.benefit_dataset.truncate_oldest(max);
         self.benefit_owed = both_classes;
     }
 
     /// Fits the benefit model on `benefit_dataset` if a retrain point
     /// owes that fit.
-    fn pay_benefit_fit(&mut self) {
+    fn pay_benefit_fit(&mut self, memo: &mut FitMemo) {
         if std::mem::take(&mut self.benefit_owed) {
-            self.benefit_model = Some(C45::train(&self.benefit_dataset, &C45Params));
+            self.benefit_model = Some(memo.fit(&self.benefit_dataset, &mut self.benefit_lineage));
         }
+    }
+}
+
+/// Where a dataset stands against its last fit.
+#[derive(Default)]
+struct Lineage {
+    /// The memo id of that fit; `None` before the first.
+    fit: Option<u64>,
+    /// Rows pushed since that fit (or ever, before the first).
+    pushed: usize,
+}
+
+/// The engine's fit memo (see the module docs).
+#[derive(Default)]
+struct FitMemo {
+    /// Oldest first.
+    entries: VecDeque<MemoEntry>,
+    next_id: u64,
+    /// Scratch space for the key being looked up.
+    key: Vec<u64>,
+}
+
+struct MemoEntry {
+    hash: u64,
+    id: u64,
+    attrs: Arc<[Attribute]>,
+    classes: Arc<[String]>,
+    /// The parent id (`u64::MAX` for none), the rows still kept from it,
+    /// then each pushed row's values, label and weight, as bits.
+    key: Box<[u64]>,
+    model: Arc<CompiledTree>,
+}
+
+impl FitMemo {
+    /// The model of `data`'s C4.5 fit, `lineage` telling how `data` came
+    /// from its last fit; `lineage` then names this fit.
+    fn fit(&mut self, data: &Dataset, lineage: &mut Lineage) -> Arc<CompiledTree> {
+        let rows = data.rows();
+        let pushed = &rows[rows.len() - lineage.pushed.min(rows.len())..];
+        self.key.clear();
+        self.key.push(lineage.fit.unwrap_or(u64::MAX));
+        self.key.push((rows.len() - pushed.len()) as u64);
+        for row in pushed {
+            self.key.extend(row.values.iter().map(|v| match *v {
+                Value::Num(x) => x.to_bits(),
+                Value::Nom(i) => u64::from(i),
+            }));
+            self.key.push(u64::from(row.label));
+            self.key.push(row.weight.to_bits());
+        }
+        let mut hasher = IdHasher::default();
+        for &word in &self.key {
+            hasher.write_u64(word);
+        }
+        let hash = hasher.finish();
+        let (attrs, classes) = data.shared_schema();
+        let hit = self.entries.iter().find(|e| {
+            e.hash == hash
+                && *e.key == *self.key
+                && Arc::ptr_eq(&e.attrs, attrs)
+                && Arc::ptr_eq(&e.classes, classes)
+        });
+        let (id, model) = match hit {
+            Some(e) => (e.id, Arc::clone(&e.model)),
+            None => {
+                let model = Arc::new(C45::train(data, &C45Params).compile());
+                let id = self.next_id;
+                self.next_id += 1;
+                if self.entries.len() == FIT_MEMO_ENTRIES {
+                    self.entries.pop_front();
+                }
+                self.entries.push_back(MemoEntry {
+                    hash,
+                    id,
+                    attrs: Arc::clone(attrs),
+                    classes: Arc::clone(classes),
+                    key: self.key.as_slice().into(),
+                    model: Arc::clone(&model),
+                });
+                (id, model)
+            }
+        };
+        *lineage = Lineage {
+            fit: Some(id),
+            pushed: 0,
+        };
+        model
     }
 }
 
@@ -230,6 +355,7 @@ pub struct MlEngine {
     interval_labels: Arc<[String]>,
     /// The two cache-benefit class names, shared likewise.
     benefit_labels: Arc<[String]>,
+    memo: FitMemo,
     telemetry: Telemetry,
     metrics: MlMetrics,
 }
@@ -248,6 +374,7 @@ impl MlEngine {
             schemas: HashSet::new(),
             interval_labels: (0..N_INTERVALS).map(|k| format!("I{k}")).collect(),
             benefit_labels: ["not_beneficial", "beneficial"].map(String::from).into(),
+            memo: FitMemo::default(),
             telemetry: telemetry.clone(),
             metrics: MlMetrics::new(telemetry),
         }
@@ -321,7 +448,7 @@ impl MlEngine {
                 should_cache: true,
             };
         };
-        f.pay_benefit_fit();
+        f.pay_benefit_fit(&mut self.memo);
         let raw_interval = f.mem_model.as_ref().map(|m| m.predict(features));
         let mem_bytes = match (f.mature, raw_interval) {
             (true, Some(raw)) => Some(self.cfg.allocation_for(raw)),
@@ -353,7 +480,9 @@ impl MlEngine {
                 benefit_dataset: Dataset::over(schema.clone(), self.benefit_labels.clone()),
                 benefit_backlog: Vec::new(),
                 mem_model: None,
+                mem_lineage: Lineage::default(),
                 benefit_model: None,
+                benefit_lineage: Lineage::default(),
                 benefit_owed: false,
                 window: VecDeque::new(),
                 observations: 0,
@@ -393,6 +522,7 @@ impl MlEngine {
         };
         if let Some(weight) = keep {
             f.mem_dataset.push_weighted(obs.features, truth, weight);
+            f.mem_lineage.pushed += 1;
             f.mem_dataset.truncate_oldest(cfg.max_training_set);
             f.benefit_backlog.push(u32::from(obs.el_ratio > 0.5));
             if f.benefit_backlog.len() > cfg.max_training_set {
@@ -406,8 +536,8 @@ impl MlEngine {
         // Periodic full retraining (J48 is not incremental, §5.3.3).
         let due = f.mem_model.is_none() || f.new_since_retrain >= RETRAIN_EVERY;
         if due && f.mem_dataset.len() >= 10 {
-            f.mem_model = Some(C45::train(&f.mem_dataset, &C45Params));
-            f.flush_benefit_rows(cfg.max_training_set);
+            f.mem_model = Some(self.memo.fit(&f.mem_dataset, &mut f.mem_lineage));
+            f.flush_benefit_rows(cfg.max_training_set, &mut self.memo);
             f.new_since_retrain = 0;
             self.metrics.retrains.inc();
         }
@@ -729,6 +859,166 @@ mod tests {
             "training set ballooned: {}",
             ml.training_set_size(&key())
         );
+    }
+
+    fn models(ml: &MlEngine, key: &FnKey) -> [Option<Arc<CompiledTree>>; 2] {
+        let f = ml.live(key).expect("observed");
+        [f.mem_model.clone(), f.benefit_model.clone()]
+    }
+
+    fn same_models(a: &[Option<Arc<CompiledTree>>; 2], b: &[Option<Arc<CompiledTree>>; 2]) -> bool {
+        a.iter().zip(b).all(|pair| match pair {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        })
+    }
+
+    /// `learnable_obs` with a benefit label that alternates every other
+    /// observation, so that both models get fitted.
+    fn two_class_obs(i: u64) -> Observation {
+        Observation {
+            el_ratio: if i % 4 < 2 { 0.9 } else { 0.1 },
+            ..learnable_obs(i)
+        }
+    }
+
+    #[test]
+    fn identical_histories_share_one_fit() {
+        let cfg = MlConfig {
+            max_training_set: 60,
+            ..MlConfig::default()
+        };
+        let tenant = TenantId::from("t");
+        let (a, b) = (
+            (tenant, FunctionId::from("a")),
+            (tenant, FunctionId::from("b")),
+        );
+        let run = |keys: &[FnKey]| {
+            let mut ml = MlEngine::new(cfg);
+            for key in keys {
+                ml.register(*key, schema());
+            }
+            for i in 0..300 {
+                for key in keys {
+                    ml.observe(key, two_class_obs(i));
+                    if i % 40 == 39 {
+                        ml.predict(key, &[Value::Num(3.0)]);
+                    }
+                }
+                let first = models(&ml, &keys[0]);
+                for key in keys {
+                    assert!(same_models(&models(&ml, key), &first), "op {i}");
+                }
+            }
+            ml
+        };
+        let (alone, pair) = (run(&[a]), run(&[a, b]));
+        // `b` pays no fit of its own, yet each of its retrain points counts.
+        assert!(alone.memo.next_id > 0);
+        assert_eq!(pair.memo.next_id, alone.memo.next_id);
+        let retrains = |ml: &MlEngine| ml.telemetry().metrics().counter("ml.retrains");
+        assert_eq!(retrains(&pair), 2 * retrains(&alone));
+    }
+
+    #[test]
+    fn one_differing_bit_forces_a_new_fit() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        let tenant = TenantId::from("t");
+        let (a, b) = (
+            (tenant, FunctionId::from("a")),
+            (tenant, FunctionId::from("b")),
+        );
+        ml.register(a, schema());
+        ml.register(b, schema());
+        for i in 0..60 {
+            ml.observe(&a, two_class_obs(i));
+            let mut obs = two_class_obs(i);
+            if i == 37 {
+                let Value::Num(x) = obs.features[0] else {
+                    unreachable!()
+                };
+                obs.features[0] = Value::Num(f64::from_bits(x.to_bits() ^ 1));
+            }
+            ml.observe(&b, obs);
+        }
+        for key in [&a, &b] {
+            ml.predict(key, &[Value::Num(3.0)]);
+        }
+        let [(mem_a, ben_a), (mem_b, ben_b)] = [&a, &b].map(|key| {
+            let [mem, benefit] = models(&ml, key);
+            (mem.expect("fitted"), benefit.expect("fitted"))
+        });
+        // Rows 0–36 are common: the fits at 10, 35 and 36 rows are shared.
+        // Row 37 differs, so every later fit is `b`'s own.
+        assert!(!Arc::ptr_eq(&mem_a, &mem_b));
+        assert!(!Arc::ptr_eq(&ben_a, &ben_b));
+        let retrains = ml.telemetry().metrics().counter("ml.retrains");
+        assert_eq!(retrains, 2 * 3);
+        // Mem fits at 10 and 35 rows shared, at 60 rows each; the benefit
+        // fits are paid once each at the prediction, on different sets.
+        assert_eq!(ml.memo.entries.len(), 2 + 2 + 2);
+    }
+
+    #[test]
+    fn the_memo_key_holds_the_kept_count_and_each_weight() {
+        let mut memo = FitMemo::default();
+        let classes: Arc<[String]> = ["a", "b"].map(String::from).into();
+        let base = Dataset::over(schema().into(), classes);
+        let fill = |ds: &mut Dataset, weights: &[u32]| {
+            for (i, &w) in weights.iter().enumerate() {
+                ds.push_weighted(vec![Value::Num(i as f64)], (i % 2) as u32, w);
+            }
+        };
+        let mut parent = base.empty_like();
+        fill(&mut parent, &[1; 12]);
+        let mut lineage = Lineage::default();
+        memo.fit(&parent, &mut lineage);
+        let from_parent = lineage.fit;
+        // Three rows pushed since the parent fit, over 12 or 10 kept rows,
+        // or with one weight changed: three distinct sets, three fits.
+        let mut ids = Vec::new();
+        for (kept, weights) in [(12, [1, 1, 1]), (10, [1, 1, 1]), (12, [1, 5, 1])] {
+            let mut ds = parent.clone();
+            fill(&mut ds, &weights);
+            ds.truncate_oldest(kept + 3);
+            let mut lineage = Lineage {
+                fit: from_parent,
+                pushed: 3,
+            };
+            let model = memo.fit(&ds, &mut lineage);
+            ids.push(lineage.fit);
+            // The same set again is a hit, on the same model.
+            let mut again = Lineage {
+                fit: from_parent,
+                pushed: 3,
+            };
+            assert!(Arc::ptr_eq(&memo.fit(&ds, &mut again), &model));
+            assert_eq!(again.fit, lineage.fit);
+        }
+        assert_eq!(ids, [Some(1), Some(2), Some(3)]);
+        assert_eq!(memo.entries.len(), 4);
+    }
+
+    #[test]
+    fn the_memo_holds_its_bound() {
+        let mut ml = MlEngine::new(MlConfig::default());
+        let tenant = TenantId::from("t");
+        let fits = FIT_MEMO_ENTRIES + 50;
+        for f in 0..fits {
+            let key = (tenant, FunctionId::from(format!("f{f}")));
+            ml.register(key, schema());
+            // Ten rows make the first retrain point, over a set no other
+            // function has.
+            for i in 0..10 {
+                let mut obs = learnable_obs(i);
+                obs.features[0] = Value::Num(f as f64 + i as f64 / 10.0);
+                ml.observe(&key, obs);
+            }
+        }
+        assert_eq!(ml.memo.next_id, fits as u64);
+        assert_eq!(ml.memo.entries.len(), FIT_MEMO_ENTRIES);
+        // Oldest out first.
+        assert_eq!(ml.memo.entries.front().map(|e| e.id), Some(50));
     }
 
     #[test]

@@ -1613,6 +1613,29 @@ mod tests {
         order
     }
 
+    /// Appends the `(attr, threshold)` of every numeric test under `node`.
+    fn thresholds(node: &Node, out: &mut Vec<(usize, f64)>) {
+        match node {
+            Node::Leaf { .. } => {}
+            Node::SplitNum {
+                attr,
+                threshold,
+                le,
+                gt,
+                ..
+            } => {
+                out.push((*attr, *threshold));
+                thresholds(le, out);
+                thresholds(gt, out);
+            }
+            Node::SplitNom { children, .. } => {
+                for child in children {
+                    thresholds(child, out);
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "finite values")]
     fn presort_rejects_nan() {
@@ -1691,6 +1714,61 @@ mod tests {
             let columnar = grow_tree(&ds, min_leaf, &mut random());
             let reference = reference::grow(&ds, &idx, min_leaf, &mut random());
             proptest::prop_assert_eq!(format!("{columnar:?}"), format!("{reference:?}"));
+        }
+
+        /// A compiled tree predicts what its tree predicts, on the cases
+        /// above under either selection, pruned or not: on every training
+        /// row, on each row with one value moved to a threshold or past
+        /// the trained range, and on random instances of the schema.
+        #[test]
+        fn compiled_tree_predicts_as_the_tree(seed in proptest::any::<u64>()) {
+            let (ds, min_leaf, pruned) = random_case(seed);
+            let k = 1 + seed as usize % ds.n_attrs();
+            let mut random = Selection::Random {
+                k,
+                rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed),
+            };
+            let trees = [
+                columnar_tree(&ds, min_leaf, pruned),
+                DecisionTree::new(grow_tree(&ds, min_leaf, &mut random), ds.n_classes()),
+            ];
+            // Every numeric test of either tree, and values past the
+            // trained range on either side.
+            let mut moves = Vec::new();
+            for tree in &trees {
+                thresholds(tree.root(), &mut moves);
+            }
+            for attr in 0..ds.n_attrs() {
+                moves.extend([(attr, -1.0), (attr, 101.0)]);
+            }
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(!seed);
+            let mut instances: Vec<Vec<Value>> = ds.rows().iter().map(|r| r.values.clone()).collect();
+            for row in ds.rows() {
+                let mut values = row.values.clone();
+                let (attr, v) = moves[rng.gen_range(0..moves.len())];
+                if let Value::Num(_) = values[attr] {
+                    values[attr] = Value::Num(v);
+                }
+                instances.push(values);
+            }
+            for _ in 0..64 {
+                instances.push(
+                    ds.attrs()
+                        .iter()
+                        .map(|attr| match attr.kind.cardinality() {
+                            Some(card) => Value::Nom(rng.gen_range(0..card as u32)),
+                            None => Value::Num(rng.gen_range(-10.0..110.0)),
+                        })
+                        .collect(),
+                );
+            }
+            for tree in &trees {
+                let compiled = tree.compile();
+                proptest::prop_assert_eq!(compiled.size(), tree.size());
+                for values in &instances {
+                    proptest::prop_assert_eq!(compiled.predict(values), tree.predict(values));
+                }
+            }
         }
     }
 }

@@ -117,6 +117,13 @@ impl Dataset {
         &self.attrs
     }
 
+    /// The attribute schema and the class names as the shared handles
+    /// [`Dataset::over`] took: datasets whose handles point at the same
+    /// allocations have one schema.
+    pub fn shared_schema(&self) -> (&Arc<[Attribute]>, &Arc<[String]>) {
+        (&self.attrs, &self.classes)
+    }
+
     /// The class names.
     pub fn classes(&self) -> &[String] {
         &self.classes

@@ -4,7 +4,8 @@
 //! A tree is a recursive [`Node`]; every node carries the weighted class
 //! distribution of the training instances that reached it, which answers
 //! [`Classifier::distribution`] at a leaf and is what the pruning pass
-//! replaces a subtree by.
+//! replaces a subtree by. [`DecisionTree::compile`] drops the
+//! distributions for a caller that only predicts: a [`CompiledTree`].
 
 use crate::data::{majority, Value};
 use crate::Classifier;
@@ -174,6 +175,119 @@ impl DecisionTree {
     pub fn depth(&self) -> usize {
         self.root.depth()
     }
+
+    /// The prediction-only copy of this tree: see [`CompiledTree`].
+    pub fn compile(&self) -> CompiledTree {
+        let mut nodes = vec![Compiled::Leaf(0)];
+        compile_into(&self.root, 0, &mut nodes);
+        CompiledTree { nodes }
+    }
+}
+
+/// A [`DecisionTree`] reduced to what [`Classifier::predict`] reads: one
+/// flat array of tests and leaf classes, about 24 bytes a node where the
+/// tree's nodes carry a class distribution each (1 KB over 128 classes).
+/// Each leaf holds the majority class of its distribution, taken once, so
+/// [`CompiledTree::predict`] answers as the tree does by construction.
+#[derive(Debug, Clone)]
+pub struct CompiledTree {
+    /// The root at index 0; a split's children sit side by side.
+    nodes: Vec<Compiled>,
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Compiled {
+    /// The predicted class.
+    Leaf(u32),
+    /// `value <= threshold` goes to `children`, the rest to `children + 1`.
+    Num {
+        attr: u32,
+        threshold: f64,
+        children: u32,
+    },
+    /// Nominal index `v` goes to `children + v`, for `v < arity`.
+    Nom {
+        attr: u32,
+        children: u32,
+        arity: u32,
+    },
+}
+
+/// Writes `node` at `at`, appending its subtree's nodes to `nodes`.
+fn compile_into(node: &Node, at: usize, nodes: &mut Vec<Compiled>) {
+    let first = nodes.len();
+    let index = |n: usize| u32::try_from(n).expect("tree fits u32 indices");
+    nodes[at] = match node {
+        Node::Leaf { dist } => Compiled::Leaf(majority(dist)),
+        Node::SplitNum {
+            attr, threshold, ..
+        } => Compiled::Num {
+            attr: index(*attr),
+            threshold: *threshold,
+            children: index(first),
+        },
+        Node::SplitNom { attr, children, .. } => Compiled::Nom {
+            attr: index(*attr),
+            children: index(first),
+            arity: index(children.len()),
+        },
+    };
+    match node {
+        Node::Leaf { .. } => {}
+        Node::SplitNum { le, gt, .. } => {
+            nodes.resize(first + 2, Compiled::Leaf(0));
+            compile_into(le, first, nodes);
+            compile_into(gt, first + 1, nodes);
+        }
+        Node::SplitNom { children, .. } => {
+            nodes.resize(first + children.len(), Compiled::Leaf(0));
+            for (i, child) in children.iter().enumerate() {
+                compile_into(child, first + i, nodes);
+            }
+        }
+    }
+}
+
+impl CompiledTree {
+    /// The class [`DecisionTree::predict`] gives `instance`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Node::classify`]: if `instance` does not fit the training
+    /// schema — too short, a value of the wrong kind, or a nominal index
+    /// outside the ensemble.
+    pub fn predict(&self, instance: &[Value]) -> u32 {
+        let mut at = 0;
+        loop {
+            at = match self.nodes[at] {
+                Compiled::Leaf(class) => return class,
+                Compiled::Num {
+                    attr,
+                    threshold,
+                    children,
+                } => match instance[attr as usize] {
+                    Value::Num(v) if v <= threshold => children as usize,
+                    Value::Num(_) => children as usize + 1,
+                    Value::Nom(_) => panic!("value kind mismatch for attribute {attr}"),
+                },
+                Compiled::Nom {
+                    attr,
+                    children,
+                    arity,
+                } => match instance[attr as usize] {
+                    Value::Nom(v) if v < arity => (children + v) as usize,
+                    Value::Nom(v) => panic!("nominal index {v} out of range for attribute {attr}"),
+                    Value::Num(_) => panic!("value kind mismatch for attribute {attr}"),
+                },
+            };
+        }
+    }
+
+    /// Node count: the tree's [`DecisionTree::size`].
+    #[cfg(test)]
+    pub(crate) fn size(&self) -> usize {
+        self.nodes.len()
+    }
 }
 
 impl Classifier for DecisionTree {
@@ -245,6 +359,43 @@ mod tests {
     #[should_panic(expected = "kind mismatch")]
     fn classify_kind_mismatch_panics() {
         sample_tree().predict(&[Value::Nom(0), Value::Nom(0)]);
+    }
+
+    #[test]
+    fn compiled_tree_predicts_as_the_tree() {
+        let (t, c) = (sample_tree(), sample_tree().compile());
+        assert_eq!(c.size(), t.size());
+        assert_eq!(std::mem::size_of::<Compiled>(), 24);
+        for x in [2.0, 5.0, 9.0, f64::NAN] {
+            for v in 0..2 {
+                let instance = [Value::Num(x), Value::Nom(v)];
+                assert_eq!(c.predict(&instance), t.predict(&instance));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kind mismatch for attribute 0")]
+    fn compiled_numeric_test_kind_mismatch_panics() {
+        sample_tree()
+            .compile()
+            .predict(&[Value::Nom(0), Value::Nom(0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "kind mismatch for attribute 1")]
+    fn compiled_nominal_test_kind_mismatch_panics() {
+        sample_tree()
+            .compile()
+            .predict(&[Value::Num(2.0), Value::Num(0.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "nominal index 2 out of range for attribute 1")]
+    fn compiled_out_of_range_nominal_panics() {
+        sample_tree()
+            .compile()
+            .predict(&[Value::Num(2.0), Value::Nom(2)]);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::config::Config;
 use crate::report::{Finding, Hotspot};
-use crate::source::{match_brace, Function, SourceFile};
+use crate::source::{match_delim, Function, SourceFile};
 use crate::tokenizer::TokKind;
 use crate::workspace::matches_prefix;
 
@@ -91,7 +91,7 @@ fn scan_fn(
             let after_dot = i > 0 && toks[i - 1].kind.is_punct('.');
             let callish = toks.get(i + 1).is_some_and(|t| t.kind.is_punct('('));
             let level = if after_dot && callish && ITER_METHODS.contains(&id.as_str()) {
-                match_paren(toks, i + 1).map(|end| (i + 2, end))
+                match_delim(toks, i + 1).map(|end| (i + 2, end))
             } else {
                 loop_body(toks, i, close)
             };
@@ -124,7 +124,7 @@ fn loop_body(toks: &[crate::tokenizer::Token], kw: usize, end: usize) -> Option<
         match t.kind {
             TokKind::Punct('(' | '[') => depth += 1,
             TokKind::Punct(')' | ']') => depth -= 1,
-            TokKind::Punct('{') if depth == 0 => return Some((j + 1, match_brace(toks, j)?)),
+            TokKind::Punct('{') if depth == 0 => return Some((j + 1, match_delim(toks, j)?)),
             _ => {}
         }
     }
@@ -196,22 +196,6 @@ fn record(
             ),
         });
     }
-}
-
-/// Index of the `)` matching the `(` at `open`.
-fn match_paren(toks: &[crate::tokenizer::Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        if t.kind.is_punct('(') {
-            depth += 1;
-        } else if t.kind.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 #[cfg(test)]

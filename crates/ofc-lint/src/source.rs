@@ -5,7 +5,7 @@
 //! which token ranges belong to `#[cfg(test)]` / `#[test]` code (the
 //! panic and hot-loop rules skip those — tests are allowed to unwrap).
 
-use crate::tokenizer::{tokenize, Pragma, Token};
+use crate::tokenizer::{tokenize, Pragma, TokKind, Token};
 
 /// One analyzed function.
 #[derive(Debug, Clone)]
@@ -69,29 +69,20 @@ impl SourceFile {
     }
 }
 
-/// Finds the token index of the `}` matching the `{` at `open`.
-pub fn match_brace(tokens: &[Token], open: usize) -> Option<usize> {
+/// Finds the token index of the delimiter closing the `{`, `[` or `(` at
+/// `open`; `None` if the stream ends first or `open` is no opener.
+pub fn match_delim(tokens: &[Token], open: usize) -> Option<usize> {
+    let (opener, closer) = match tokens.get(open)?.kind {
+        TokKind::Punct('{') => ('{', '}'),
+        TokKind::Punct('[') => ('[', ']'),
+        TokKind::Punct('(') => ('(', ')'),
+        _ => return None,
+    };
     let mut depth = 0usize;
     for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind.is_punct('{') {
+        if t.kind.is_punct(opener) {
             depth += 1;
-        } else if t.kind.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
-}
-
-/// Finds the token index of the `]` matching the `[` at `open`.
-fn match_bracket(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0usize;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.kind.is_punct('[') {
-            depth += 1;
-        } else if t.kind.is_punct(']') {
+        } else if t.kind.is_punct(closer) {
             depth -= 1;
             if depth == 0 {
                 return Some(i);
@@ -119,7 +110,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut i = 0usize;
     while i < tokens.len() {
         if tokens[i].kind.is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.kind.is_punct('[')) {
-            let Some(close) = match_bracket(tokens, i + 1) else {
+            let Some(close) = match_delim(tokens, i + 1) else {
                 break;
             };
             if is_test_attr(tokens, i + 2, close.saturating_sub(1)) {
@@ -129,7 +120,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                     && tokens[j].kind.is_punct('#')
                     && tokens.get(j + 1).is_some_and(|t| t.kind.is_punct('['))
                 {
-                    match match_bracket(tokens, j + 1) {
+                    match match_delim(tokens, j + 1) {
                         Some(c) => j = c + 1,
                         None => break,
                     }
@@ -139,7 +130,7 @@ fn find_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
                 let mut end = None;
                 while k < tokens.len() {
                     if tokens[k].kind.is_punct('{') {
-                        end = match_brace(tokens, k);
+                        end = match_delim(tokens, k);
                         break;
                     }
                     if tokens[k].kind.is_punct(';') {
@@ -189,7 +180,7 @@ fn find_functions(tokens: &[Token], test_ranges: &[(usize, usize)]) -> Vec<Funct
             j += 1;
         }
         let Some(open) = open else { continue };
-        let Some(close) = match_brace(tokens, open) else {
+        let Some(close) = match_delim(tokens, open) else {
             continue;
         };
         let in_test = test_ranges.iter().any(|&(s, e)| i >= s && i <= e);

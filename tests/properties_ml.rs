@@ -290,6 +290,99 @@ proptest! {
         );
     }
 
+    /// The fit memo changes no answer. Up to six functions under one
+    /// engine replay one random history, each diverging from it at one
+    /// row (or never) by a feature value, by the memory label (and so,
+    /// when that row turns into an underprediction, by its weight) or by
+    /// the benefit label; the training-set cap is small enough that
+    /// truncation drops the divergent row again. Observes and predicts
+    /// interleave across the functions at random. Each function gives
+    /// its own eager reference's every prediction, and the engine's
+    /// counters are the references' sums.
+    #[test]
+    fn memo_fits_answer_as_each_functions_own_fits(
+        max_training_set in 12usize..=40,
+        min_invocations in 20u64..150,
+        predict_pct in prop_oneof![Just(0u32), 0u32..3, 0u32..40],
+        history in prop::collection::vec((0u32..8, 0u32..8, 0u32..4, 0u32..8), 1..150),
+        // Per function: where it diverges, in quarters of the history
+        // (4: never), and how.
+        divergences in prop::collection::vec((0usize..=4, 0u32..3), 2..7),
+        ops in prop::collection::vec((0u32..100, 0usize..6, 0u32..8, 0u32..8), 1..700),
+    ) {
+        let cfg = MlConfig {
+            min_invocations,
+            max_training_set,
+            ..MlConfig::default()
+        };
+        let schema: Vec<Attribute> = ["x", "y"]
+            .map(|name| Attribute {
+                name: name.into(),
+                kind: AttrKind::Numeric,
+            })
+            .into();
+        let mut ml = MlEngine::new(cfg);
+        let tenant = TenantId::from("t");
+        let keys: Vec<_> = (0..divergences.len())
+            .map(|f| (tenant, FunctionId::from(format!("f{f}"))))
+            .collect();
+        let mut eager: Vec<EagerMl> = keys
+            .iter()
+            .map(|key| {
+                ml.register(*key, schema.clone());
+                EagerMl::new(cfg, &schema)
+            })
+            .collect();
+        let mut next = vec![0usize; keys.len()];
+        for (i, &(roll, f, px, py)) in ops.iter().enumerate() {
+            let f = f % keys.len();
+            if roll < predict_pct {
+                let features = [Value::Num(f64::from(px)), Value::Num(f64::from(py))];
+                let p = ml.predict(&keys[f], &features);
+                prop_assert_eq!(fields(p), eager[f].predict(&features), "op {} fn {}", i, f);
+                continue;
+            }
+            let Some(&(x, mut y, noise, flip)) = history.get(next[f]) else {
+                continue;
+            };
+            let (quarter, how) = divergences[f];
+            let divergent = next[f] == history.len() * quarter / 4 && quarter < 4;
+            next[f] += 1;
+            let mut extra_mb = 0;
+            let mut beneficial = (x < 4) != (flip == 0);
+            if divergent {
+                match how {
+                    0 => y = (y + 1) % 8,
+                    1 => extra_mb = 16,
+                    _ => beneficial = !beneficial,
+                }
+            }
+            let obs = Observation {
+                features: vec![Value::Num(f64::from(x)), Value::Num(f64::from(y))],
+                actual_mem: (64 + 16 * u64::from(x) + 16 * u64::from(noise / 3 * y) + extra_mb) * MB,
+                el_ratio: if beneficial { 0.9 } else { 0.1 },
+            };
+            ml.observe(&keys[f], obs.clone());
+            eager[f].observe(obs);
+        }
+        for (f, key) in keys.iter().enumerate() {
+            for x in 0..8 {
+                let features = [Value::Num(f64::from(x)), Value::Num(f64::from(7 - x))];
+                prop_assert_eq!(fields(ml.predict(key, &features)), eager[f].predict(&features));
+            }
+        }
+        let m = ml.telemetry().metrics();
+        let sum = |count: fn(&EagerMl) -> u64| eager.iter().map(count).sum::<u64>();
+        prop_assert_eq!(
+            [
+                m.counter("ml.retrains"),
+                m.counter("ml.good_predictions"),
+                m.counter("ml.bad_predictions"),
+            ],
+            [sum(|e| e.retrains), sum(|e| e.good), sum(|e| e.bad)]
+        );
+    }
+
     /// Memory conservation at the broker: after any sequence of reserves
     /// and releases, `committed + cache pool <= node memory` on the touched
     /// node, and a granted reserve is never beyond capacity.
