@@ -243,7 +243,12 @@ pub fn pipeline(
         App::MapReduce => {
             let meta = gen_text(Some(input_bytes), &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(ScatterGather::word_count(tenant, input, fanout))
+            Rc::new(ScatterGather::word_count(
+                tenant,
+                input,
+                fanout,
+                &tb.catalog,
+            ))
         }
         App::This => {
             // Large video inputs are stored pre-split into <=10 MB chunk
@@ -256,17 +261,22 @@ pub fn pipeline(
                     stage_input(&mut tb, scenario, v, &format!("pipe-in{i}"))
                 })
                 .collect();
-            Rc::new(ScatterGather::this_video_chunks(tenant, chunks, fanout))
+            Rc::new(ScatterGather::this_video_chunks(
+                tenant,
+                chunks,
+                fanout,
+                &tb.catalog,
+            ))
         }
         App::Imad => {
             let meta = gen_text(Some(input_bytes), &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(Sequence::imad(tenant, input))
+            Rc::new(Sequence::imad(tenant, input, &tb.catalog))
         }
         App::ImageProcessing => {
             let meta = gen_image_with_bytes(input_bytes, &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(Sequence::image_processing(tenant, input))
+            Rc::new(Sequence::image_processing(tenant, input, &tb.catalog))
         }
     };
     tb.platform.submit_pipeline(&mut tb.sim, driver, seed);

@@ -32,6 +32,12 @@ pub trait PipelineDriver {
         prev_outputs: &[crate::ObjectRef],
         seed: u64,
     ) -> Option<Vec<InvocationRequest>>;
+
+    /// Called once when the pipeline ends, completed or failed, with every
+    /// object id its members' behaviours named, each once: the outputs
+    /// written, and those of attempts that died before writing them.
+    /// Nothing of the run reads them after this.
+    fn pipeline_ended(&self, _named: &[ObjectId]) {}
 }
 
 /// Completion record of one pipeline run.
@@ -119,6 +125,9 @@ struct PipelineRun {
     outstanding: usize,
     stage_outputs: Vec<crate::ObjectRef>,
     intermediates: Vec<ObjectId>,
+    /// Every output id a member's behaviour named, per attempt (an OOM
+    /// retry names its ids again).
+    named: Vec<ObjectId>,
     started: SimTime,
     invocations: usize,
     seed: u64,
@@ -319,6 +328,7 @@ impl PlatformHandle {
                     outstanding: 0,
                     stage_outputs: Vec::new(),
                     intermediates: Vec::new(),
+                    named: Vec::new(),
                     started: sim.now(),
                     invocations: 0,
                     seed,
@@ -364,7 +374,7 @@ impl PlatformHandle {
     }
 
     fn finish_pipeline(&self, sim: &mut Sim, pipe_id: PipelineId, stages: usize) {
-        let (intermediates, record) = {
+        let (driver, mut named, intermediates, record) = {
             let mut p = self.0.borrow_mut();
             // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
             let run = p.pipelines.remove(&pipe_id).expect("pipeline exists");
@@ -376,13 +386,18 @@ impl PlatformHandle {
                 invocations: run.invocations,
                 failed: run.failed,
             };
-            (run.intermediates, record)
+            (run.driver, run.named, run.intermediates, record)
         };
-        let mut p = self.0.borrow_mut();
-        p.pipeline_records.push(record);
-        // Intermediate outputs are dropped from the cache, unpersisted,
-        // once the pipeline ends (§6.3).
-        p.dataplane.pipeline_ended(&intermediates);
+        {
+            let mut p = self.0.borrow_mut();
+            p.pipeline_records.push(record);
+            // Intermediate outputs are dropped from the cache, unpersisted,
+            // once the pipeline ends (§6.3).
+            p.dataplane.pipeline_ended(&intermediates);
+        }
+        named.sort_unstable();
+        named.dedup();
+        driver.pipeline_ended(&named);
     }
 
     fn submit_attempt(
@@ -529,6 +544,11 @@ impl PlatformHandle {
                 // ofc-lint: allow(panic) reason=submit_attempt resolved this spec from the registry; specs are never unregistered mid-run
                 .expect("registered");
             fl.behavior = spec.model.behavior(&fl.record.args, fl.seed);
+            if let Some(pipe) = fl.record.pipeline {
+                // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
+                let run = p.pipelines.get_mut(&pipe).expect("pipeline exists");
+                run.named.extend(fl.behavior.writes.iter().map(|w| w.id));
+            }
             fl.record.exec_start = now;
             fl.record.sched_time = now.saturating_since(fl.record.arrival);
             fl.record.mem_actual = fl.behavior.mem_bytes;

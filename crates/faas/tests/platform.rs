@@ -380,3 +380,137 @@ fn records_expose_ml_ground_truth() {
     assert_eq!(r.args.len(), 2);
     assert_eq!(r.reads_served.len(), 1, "one object argument was read");
 }
+
+/// A stage function that names `outputs` objects after its seed.
+struct Naming {
+    mem: u64,
+    outputs: usize,
+    is_final: bool,
+}
+
+impl FunctionModel for Naming {
+    fn behavior(&self, _args: &Args, seed: u64) -> Behavior {
+        Behavior {
+            mem_bytes: self.mem,
+            compute: Duration::from_millis(20),
+            reads: Vec::new(),
+            writes: (0..self.outputs)
+                .map(|i| ObjectWrite {
+                    id: ObjectId::from_fmt("mid", format_args!("{seed}-{i}")),
+                    size: 512,
+                    is_final: self.is_final,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Split → one map per split output → reduce; `map` names the mapper
+/// function. Records every end notification.
+struct ScatterGather {
+    map: &'static str,
+    ended: std::cell::RefCell<Vec<Vec<ObjectId>>>,
+}
+
+fn call(function: &str, seed: u64) -> InvocationRequest {
+    InvocationRequest {
+        function: FunctionId::from(function),
+        tenant: TenantId::from("t"),
+        args: Args::new(),
+        seed,
+        pipeline: None,
+    }
+}
+
+impl PipelineDriver for ScatterGather {
+    fn stage(&self, stage: usize, prev: &[ObjectRef], seed: u64) -> Option<Vec<InvocationRequest>> {
+        match stage {
+            0 => Some(vec![call("split", seed)]),
+            1 => Some(
+                (0..prev.len() as u64)
+                    .map(|i| call(if i == 0 { self.map } else { "map" }, seed * 10 + i))
+                    .collect(),
+            ),
+            2 => Some(vec![call("reduce", seed + 100)]),
+            _ => None,
+        }
+    }
+
+    fn pipeline_ended(&self, named: &[ObjectId]) {
+        self.ended.borrow_mut().push(named.to_vec());
+    }
+}
+
+/// Runs one scatter-gather whose first mapper is `map`, returns its
+/// record and its end notifications.
+fn scatter_gather(map: &'static str) -> (ofc_faas::platform::PipelineRecord, Vec<Vec<ObjectId>>) {
+    let mut reg = Registry::new();
+    for (name, mem, outputs, is_final) in [
+        ("split", 100 * MB, 3, false),
+        ("map", 100 * MB, 1, false),
+        // Needs more than the 512 MB booking: killed on every attempt.
+        ("map_huge", 800 * MB, 2, false),
+        ("reduce", 100 * MB, 1, true),
+    ] {
+        reg.register(FunctionSpec {
+            id: FunctionId::from(name),
+            tenant: TenantId::from("t"),
+            booked_mem: 512 * MB,
+            model: Rc::new(Naming {
+                mem,
+                outputs,
+                is_final,
+            }),
+        });
+    }
+    let p = Platform::build(PlatformConfig::default(), reg, Box::new(NoopPlane));
+    p.set_monitor(Box::new(ofc_faas::StockMonitor));
+    let driver = Rc::new(ScatterGather {
+        map,
+        ended: Default::default(),
+    });
+    let mut sim = Sim::new(0);
+    p.submit_pipeline(&mut sim, driver.clone(), 1);
+    sim.run_until(SimTime::from_secs(60));
+    let pipes = p.drain_pipeline_records();
+    assert_eq!(pipes.len(), 1);
+    assert_eq!(p.audit(), Ok(()));
+    let ended = driver.ended.take();
+    (pipes[0].clone(), ended)
+}
+
+fn ids(names: &[&str]) -> Vec<ObjectId> {
+    let mut ids: Vec<ObjectId> = names.iter().map(|n| ObjectId::new("mid", n)).collect();
+    ids.sort();
+    ids
+}
+
+#[test]
+fn pipeline_end_names_every_output_once() {
+    let (record, ended) = scatter_gather("map");
+    assert!(!record.failed);
+    assert_eq!(ended.len(), 1, "one notification per pipeline");
+    let mut named = ended[0].clone();
+    named.sort();
+    // Split (seed 1) names three chunks, each mapper (seeds 20..=22) one,
+    // the reducer (seed 103) the final output.
+    assert_eq!(
+        named,
+        ids(&["1-0", "1-1", "1-2", "20-0", "21-0", "22-0", "103-0"])
+    );
+}
+
+#[test]
+fn pipeline_end_names_the_outputs_of_a_member_killed_for_good() {
+    let (record, ended) = scatter_gather("map_huge");
+    assert!(record.failed);
+    assert_eq!(ended.len(), 1, "one notification per pipeline");
+    let mut named = ended[0].clone();
+    named.sort();
+    // The killed mapper (seed 20, two attempts) never wrote "20-0" and
+    // "20-1", but its behaviour named them, once per attempt: listed once.
+    assert_eq!(
+        named,
+        ids(&["1-0", "1-1", "1-2", "20-0", "20-1", "21-0", "22-0", "103-0"])
+    );
+}

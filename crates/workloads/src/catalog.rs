@@ -115,10 +115,13 @@ impl MediaMeta {
 
 /// Shared map from object ids to their truth.
 ///
-/// Grows by one entry per catalogued object and never shrinks: stage
-/// models register every output they name and nothing tells the catalog
-/// when the pipeline's intermediates are dropped (ROADMAP item 4's
-/// boundedness gate).
+/// Holds the prepared inputs plus the outputs of live pipelines: a stage
+/// model registers every output it names, and the pipeline's driver
+/// removes them when the platform reports the pipeline ended
+/// ([`PipelineDriver::pipeline_ended`]). Its size follows the pipelines in
+/// flight, not the event count.
+///
+/// [`PipelineDriver::pipeline_ended`]: ofc_faas::platform::PipelineDriver::pipeline_ended
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     inner: Rc<RefCell<IdHashMap<ObjectId, MediaMeta>>>,
@@ -133,6 +136,15 @@ impl Catalog {
     /// Registers an object's truth.
     pub fn insert(&self, id: ObjectId, meta: MediaMeta) {
         self.inner.borrow_mut().insert(id, meta);
+    }
+
+    /// Forgets the truth of every object in `ids`; unknown ids are
+    /// skipped.
+    pub fn remove(&self, ids: &[ObjectId]) {
+        let mut map = self.inner.borrow_mut();
+        for id in ids {
+            map.remove(id);
+        }
     }
 
     /// Looks up an object's truth.
@@ -364,6 +376,8 @@ mod tests {
         assert_eq!(cat.len(), 1);
         assert!(cat.get(&id).is_some());
         assert!(cat.get(&ObjectId::new("in", "y")).is_none());
+        cat.remove(&[id, id]);
+        assert!(cat.is_empty());
     }
 
     #[test]

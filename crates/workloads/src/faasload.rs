@@ -156,6 +156,7 @@ pub struct PreparedTenant {
 /// prepared the tenant's inputs and booking.
 struct TenantStream {
     platform: PlatformHandle,
+    catalog: Catalog,
     tenant: TenantId,
     workload: Workload,
     arrival: Arrival,
@@ -182,12 +183,12 @@ impl Stream for TenantStream {
                 self.platform.submit(sim, req);
             }
             Workload::WordCount { fanout, .. } => {
-                let driver = ScatterGather::word_count(self.tenant, input, fanout);
+                let driver = ScatterGather::word_count(self.tenant, input, fanout, &self.catalog);
                 self.platform
                     .submit_pipeline(sim, Rc::new(driver), inv_seed);
             }
             Workload::ThisVideo { fanout, .. } => {
-                let driver = ScatterGather::this_video(self.tenant, input, fanout);
+                let driver = ScatterGather::this_video(self.tenant, input, fanout, &self.catalog);
                 self.platform
                     .submit_pipeline(sim, Rc::new(driver), inv_seed);
             }
@@ -290,6 +291,7 @@ impl FaasLoad {
             if first <= end {
                 let st = TenantStream {
                     platform: platform.clone(),
+                    catalog: catalog.clone(),
                     tenant: prepared.tenant,
                     workload: spec.workload,
                     arrival: spec.arrival,
@@ -489,13 +491,13 @@ mod tests {
                         });
                     }
                     Workload::WordCount { fanout, .. } => {
-                        let driver = ScatterGather::word_count(tenant, input, fanout);
+                        let driver = ScatterGather::word_count(tenant, input, fanout, catalog);
                         sim.schedule_at(at, move |sim| {
                             platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
                         });
                     }
                     Workload::ThisVideo { fanout, .. } => {
-                        let driver = ScatterGather::this_video(tenant, input, fanout);
+                        let driver = ScatterGather::this_video(tenant, input, fanout, catalog);
                         sim.schedule_at(at, move |sim| {
                             platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
                         });
@@ -641,6 +643,51 @@ mod tests {
             let mut sim = Sim::new(4);
             load.install(&mut sim, &platform, &store, &catalog);
             assert_eq!(sim.events_pending(), 3, "{window_h} h window");
+        }
+    }
+
+    #[test]
+    fn catalog_holds_only_the_prepared_inputs_after_drain() {
+        let minute = Duration::from_secs(60);
+        for window_s in [900, 1800] {
+            let store = Rc::new(RefCell::new(ObjectStore::swift()));
+            let catalog = Catalog::new();
+            let platform = direct_platform(&store);
+            let load = FaasLoad::new(
+                FaasLoadConfig {
+                    duration: Duration::from_secs(window_s),
+                    inputs_per_tenant: 3,
+                    seed: 5,
+                },
+                vec![
+                    tenant(
+                        "t-wc",
+                        Workload::WordCount {
+                            fanout: 4,
+                            input_bytes: 4 << 20,
+                        },
+                        Arrival::Exponential(minute),
+                    ),
+                    tenant(
+                        "t-this",
+                        Workload::ThisVideo {
+                            fanout: 4,
+                            input_bytes: 4 << 20,
+                        },
+                        Arrival::Exponential(minute),
+                    ),
+                ],
+            );
+            let mut sim = Sim::new(5);
+            let prepared = load.install(&mut sim, &platform, &store, &catalog);
+            sim.run();
+            let pipes = platform.drain_pipeline_records();
+            assert!(pipes.len() > 10, "{window_s} s window: too little load");
+            let inputs: usize = prepared.iter().map(|t| t.inputs.len()).sum();
+            assert_eq!(catalog.len(), inputs, "{window_s} s window");
+            for t in &prepared {
+                assert!(t.inputs.iter().all(|r| catalog.get(&r.id).is_some()));
+            }
         }
     }
 

@@ -12,7 +12,7 @@
 //! Stage functions are generic data processors: their memory and compute
 //! scale with input bytes (analytics functions have no hidden bitmap
 //! truth), and their outputs register in the catalog so downstream stages
-//! can resolve them.
+//! can resolve them; the drivers remove them again when the pipeline ends.
 
 use crate::catalog::{gen_text, Catalog};
 use ofc_faas::platform::PipelineDriver;
@@ -344,7 +344,11 @@ fn obj_args(inputs: &[ObjectRef]) -> Args {
 
 /// Generic three-stage split/map/reduce driver used by `map_reduce` and
 /// `THIS` (which share the scatter-gather shape with different profiles).
+///
+/// Holds the catalog its stage models register outputs in, and removes
+/// them from it when the pipeline ends.
 pub struct ScatterGather {
+    catalog: Catalog,
     tenant: TenantId,
     inputs: Vec<ObjectRef>,
     fanout: usize,
@@ -355,8 +359,14 @@ pub struct ScatterGather {
 
 impl ScatterGather {
     /// The MapReduce word-count application over `input` text.
-    pub fn word_count(tenant: TenantId, input: ObjectRef, fanout: usize) -> Self {
+    pub fn word_count(
+        tenant: TenantId,
+        input: ObjectRef,
+        fanout: usize,
+        catalog: &Catalog,
+    ) -> Self {
         ScatterGather {
+            catalog: catalog.clone(),
             tenant,
             inputs: vec![input],
             fanout,
@@ -367,14 +377,25 @@ impl ScatterGather {
     }
 
     /// The THIS video-processing application over `input` video.
-    pub fn this_video(tenant: TenantId, input: ObjectRef, fanout: usize) -> Self {
-        Self::this_video_chunks(tenant, vec![input], fanout)
+    pub fn this_video(
+        tenant: TenantId,
+        input: ObjectRef,
+        fanout: usize,
+        catalog: &Catalog,
+    ) -> Self {
+        Self::this_video_chunks(tenant, vec![input], fanout, catalog)
     }
 
     /// THIS over an input already split into small chunk objects, the way
     /// large data sets are actually stored (§3).
-    pub fn this_video_chunks(tenant: TenantId, inputs: Vec<ObjectRef>, fanout: usize) -> Self {
+    pub fn this_video_chunks(
+        tenant: TenantId,
+        inputs: Vec<ObjectRef>,
+        fanout: usize,
+        catalog: &Catalog,
+    ) -> Self {
         ScatterGather {
+            catalog: catalog.clone(),
             tenant,
             inputs,
             fanout,
@@ -415,11 +436,18 @@ impl PipelineDriver for ScatterGather {
             _ => None,
         }
     }
+
+    fn pipeline_ended(&self, named: &[ObjectId]) {
+        self.catalog.remove(named);
+    }
 }
 
 /// A linear sequence of stage functions, each consuming the previous
-/// stage's outputs (IMAD and the ServerlessBench image pipeline).
+/// stage's outputs (IMAD and the ServerlessBench image pipeline). Like
+/// [`ScatterGather`], it removes its outputs from the catalog when the
+/// pipeline ends.
 pub struct Sequence {
+    catalog: Catalog,
     tenant: TenantId,
     input: ObjectRef,
     stages: Vec<FunctionId>,
@@ -427,8 +455,9 @@ pub struct Sequence {
 
 impl Sequence {
     /// The IMAD application (fetch → extract → classify).
-    pub fn imad(tenant: TenantId, app_package: ObjectRef) -> Self {
+    pub fn imad(tenant: TenantId, app_package: ObjectRef, catalog: &Catalog) -> Self {
         Sequence {
+            catalog: catalog.clone(),
             tenant,
             input: app_package,
             stages: ["imad_fetch", "imad_extract", "imad_classify"]
@@ -438,8 +467,9 @@ impl Sequence {
     }
 
     /// The ServerlessBench image-processing pipeline.
-    pub fn image_processing(tenant: TenantId, image: ObjectRef) -> Self {
+    pub fn image_processing(tenant: TenantId, image: ObjectRef, catalog: &Catalog) -> Self {
         Sequence {
+            catalog: catalog.clone(),
             tenant,
             input: image,
             stages: ["img_meta", "img_transform", "img_thumbnail", "img_upload"]
@@ -463,6 +493,10 @@ impl PipelineDriver for Sequence {
             obj_args(inputs),
             seed.wrapping_add(stage as u64),
         )])
+    }
+
+    fn pipeline_ended(&self, named: &[ObjectId]) {
+        self.catalog.remove(named);
     }
 }
 
@@ -499,11 +533,11 @@ mod tests {
 
     #[test]
     fn word_count_runs_three_stages_with_fanout() {
-        let (platform, _catalog, tenant, input) = setup();
+        let (platform, catalog, tenant, input) = setup();
         let mut sim = Sim::new(0);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(ScatterGather::word_count(tenant, input, 8)),
+            Rc::new(ScatterGather::word_count(tenant, input, 8, &catalog)),
             42,
         );
         sim.run_until(SimTime::from_secs(600));
@@ -533,7 +567,12 @@ mod tests {
         let mut sim = Sim::new(0);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(ScatterGather::this_video(tenant, ObjectRef { id, size }, 4)),
+            Rc::new(ScatterGather::this_video(
+                tenant,
+                ObjectRef { id, size },
+                4,
+                &catalog,
+            )),
             7,
         );
         sim.run_until(SimTime::from_secs(3600));
@@ -543,12 +582,16 @@ mod tests {
 
     #[test]
     fn imad_and_image_processing_are_sequences() {
-        let (platform, _catalog, tenant, input) = setup();
+        let (platform, catalog, tenant, input) = setup();
         let mut sim = Sim::new(0);
-        platform.submit_pipeline(&mut sim, Rc::new(Sequence::imad(tenant, input.clone())), 1);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(Sequence::image_processing(tenant, input)),
+            Rc::new(Sequence::imad(tenant, input.clone(), &catalog)),
+            1,
+        );
+        platform.submit_pipeline(
+            &mut sim,
+            Rc::new(Sequence::image_processing(tenant, input, &catalog)),
             2,
         );
         sim.run_until(SimTime::from_secs(3600));

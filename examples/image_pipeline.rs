@@ -127,6 +127,7 @@ fn main() {
         Rc::new(Sequence::image_processing(
             TenantId::from("pipelines"),
             input,
+            &s.catalog,
         ))
     });
 
@@ -138,6 +139,7 @@ fn main() {
             TenantId::from("pipelines"),
             input,
             8,
+            &s.catalog,
         ))
     });
 }
