@@ -174,7 +174,7 @@ fn locality_case(label: &str, disable: bool) -> Row {
     {
         let p = ofc_workloads::multimedia::profile(name).expect("known");
         let mut args = ofc_faas::Args::new();
-        args.insert("input".into(), ofc_faas::ArgValue::Obj(input.id));
+        args.insert("input".into(), ofc_faas::ArgValue::Obj(input));
         if let Some(spec) = p.arg {
             args.insert(
                 spec.name.into(),
@@ -218,7 +218,7 @@ fn write_policy_case(label: &str, policy: WritePolicy) -> Row {
     let meta = gen_image_with_bytes(64 << 10, &mut rng);
     let input = stage_input(&mut tb, Scenario::LocalHit, meta, "in");
     let mut args = ofc_faas::Args::new();
-    args.insert("input".into(), ofc_faas::ArgValue::Obj(input.id));
+    args.insert("input".into(), ofc_faas::ArgValue::Obj(input));
     args.insert("radius".into(), ofc_faas::ArgValue::Num(3.0));
     tb.platform.submit(
         &mut tb.sim,

@@ -166,7 +166,7 @@ pub fn single_stage(fn_name: &str, input_bytes: u64, scenario: Scenario, seed: u
     let meta = gen_image_with_bytes(input_bytes, &mut rng);
     let input = stage_input(&mut tb, scenario, meta, "img");
     let mut args = Args::new();
-    args.insert("input".into(), ArgValue::Obj(input.id));
+    args.insert("input".into(), ArgValue::Obj(input));
     if let Some(spec) = p.arg {
         args.insert(spec.name.into(), ArgValue::Num((spec.lo + spec.hi) / 2.0));
     }
@@ -243,12 +243,7 @@ pub fn pipeline(
         App::MapReduce => {
             let meta = gen_text(Some(input_bytes), &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(ScatterGather::word_count(
-                tenant,
-                input,
-                fanout,
-                &tb.catalog,
-            ))
+            Rc::new(ScatterGather::word_count(tenant, input, fanout))
         }
         App::This => {
             // Large video inputs are stored pre-split into <=10 MB chunk
@@ -261,22 +256,17 @@ pub fn pipeline(
                     stage_input(&mut tb, scenario, v, &format!("pipe-in{i}"))
                 })
                 .collect();
-            Rc::new(ScatterGather::this_video_chunks(
-                tenant,
-                chunks,
-                fanout,
-                &tb.catalog,
-            ))
+            Rc::new(ScatterGather::this_video_chunks(tenant, chunks, fanout))
         }
         App::Imad => {
             let meta = gen_text(Some(input_bytes), &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(Sequence::imad(tenant, input, &tb.catalog))
+            Rc::new(Sequence::imad(tenant, input))
         }
         App::ImageProcessing => {
             let meta = gen_image_with_bytes(input_bytes, &mut rng);
             let input = stage_input(&mut tb, scenario, meta, "pipe-in");
-            Rc::new(Sequence::image_processing(tenant, input, &tb.catalog))
+            Rc::new(Sequence::image_processing(tenant, input))
         }
     };
     tb.platform.submit_pipeline(&mut tb.sim, driver, seed);
@@ -336,7 +326,7 @@ pub fn cache_scaling(scenario: ScalingScenario, input_bytes: u64, seed: u64) -> 
     let warm_meta = gen_image_with_bytes(512, &mut rng);
     let warm_input = stage_input(&mut tb, Scenario::Miss, warm_meta, "warm");
     let mut warm_args = Args::new();
-    warm_args.insert("input".into(), ArgValue::Obj(warm_input.id));
+    warm_args.insert("input".into(), ArgValue::Obj(warm_input));
     warm_args.insert("threshold".into(), ArgValue::Num(0.5));
     tb.platform.submit(
         &mut tb.sim,
@@ -405,7 +395,7 @@ pub fn cache_scaling(scenario: ScalingScenario, input_bytes: u64, seed: u64) -> 
     pin(&tb, needed);
     let input = stage_input(&mut tb, Scenario::Miss, meta, "measured");
     let mut args = Args::new();
-    args.insert("input".into(), ArgValue::Obj(input.id));
+    args.insert("input".into(), ArgValue::Obj(input));
     args.insert("threshold".into(), ArgValue::Num(0.5));
     tb.platform.submit(
         &mut tb.sim,

@@ -142,7 +142,7 @@ pub fn feature_fn(catalog: Catalog) -> FeatureFn {
         let name: &str = function.as_ref();
         if let Some(p) = ofc_workloads::mega::profile_of_function(name) {
             let input = args.values().find_map(|v| match v {
-                ofc_faas::ArgValue::Obj(id) => Some(*id),
+                ofc_faas::ArgValue::Obj(r) => Some(r.id),
                 _ => None,
             })?;
             let meta = catalog.get(&input)?;
@@ -172,7 +172,7 @@ pub fn register_stages(tb: &Testbed, tenant: &TenantId, booked: u64) {
             id: FunctionId::from(sp.name),
             tenant: *tenant,
             booked_mem: booked,
-            model: Rc::new(StageModel::new(sp, tb.catalog.clone())),
+            model: Rc::new(StageModel::new(sp)),
         });
         if let Some(ofc) = &tb.ofc {
             ofc.register_function(tenant.as_ref(), sp.name, sp.feature_schema());
@@ -295,9 +295,13 @@ mod tests {
             meta.tags(),
             false,
         );
+        let input = ofc_faas::ObjectRef {
+            id,
+            size: meta.bytes,
+        };
         tb.catalog.insert(id, meta);
         let mut args = Args::new();
-        args.insert("input".into(), ArgValue::Obj(id));
+        args.insert("input".into(), ArgValue::Obj(input));
         if let Some(spec) = profile.arg {
             args.insert(spec.name.into(), ArgValue::Num((spec.lo + spec.hi) / 2.0));
         }

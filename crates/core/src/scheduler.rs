@@ -93,7 +93,7 @@ impl OfcScheduler {
     fn input_master(&self, args: &Args) -> Option<NodeId> {
         let cluster = self.cluster.borrow();
         args.values().find_map(|v| match v {
-            ArgValue::Obj(id) => cluster.master_of(&rc_key(id)),
+            ArgValue::Obj(r) => cluster.master_of(&rc_key(&r.id)),
             _ => None,
         })
     }
@@ -250,7 +250,10 @@ mod tests {
                     .result;
                 assert_eq!(placed, Ok(node));
             }
-            args.insert(name.into(), ofc_faas::ArgValue::Obj(id));
+            args.insert(
+                name.into(),
+                ofc_faas::ArgValue::Obj(ofc_faas::ObjectRef { id, size: 1024 }),
+            );
         }
         args
     }

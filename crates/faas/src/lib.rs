@@ -56,20 +56,27 @@ pub enum ArgValue {
     Num(f64),
     /// An opaque string argument (nominal feature for the ML layer).
     Str(String),
-    /// A reference to an object in the RSDS (the function's input data).
-    Obj(ObjectId),
+    /// A reference to an object in the RSDS (the function's input data),
+    /// with its size: a pipeline stage's input volume (§5.1.2).
+    Obj(ObjectRef),
 }
 
 /// Named invocation arguments, ordered and deterministic.
 pub type Args = BTreeMap<String, ArgValue>;
 
 /// A reference to an object together with its (announced) size.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectRef {
     /// Object identity.
     pub id: ObjectId,
     /// Size in bytes.
     pub size: u64,
+}
+
+impl AsRef<ObjectId> for ObjectRef {
+    fn as_ref(&self) -> &ObjectId {
+        &self.id
+    }
 }
 
 /// One output produced by an invocation.

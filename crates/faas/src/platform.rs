@@ -23,21 +23,21 @@ use std::rc::Rc;
 use std::time::Duration;
 
 /// Drives a multi-stage application (sequence/workflow, §2.1).
+///
+/// The platform asks for stage `n + 1` once every member of stage `n`
+/// has completed. A run in which a member failed for good ends after that
+/// stage without asking the driver again.
 pub trait PipelineDriver {
     /// Returns the invocations of stage `stage`, given the outputs of the
-    /// previous stage; `None` when the pipeline is complete.
+    /// previous stage with their sizes (in completion order), which a
+    /// driver passes on as object arguments; `None` when the pipeline is
+    /// complete.
     fn stage(
         &self,
         stage: usize,
         prev_outputs: &[crate::ObjectRef],
         seed: u64,
     ) -> Option<Vec<InvocationRequest>>;
-
-    /// Called once when the pipeline ends, completed or failed, with every
-    /// object id its members' behaviours named, each once: the outputs
-    /// written, and those of attempts that died before writing them.
-    /// Nothing of the run reads them after this.
-    fn pipeline_ended(&self, _named: &[ObjectId]) {}
 }
 
 /// Completion record of one pipeline run.
@@ -125,9 +125,6 @@ struct PipelineRun {
     outstanding: usize,
     stage_outputs: Vec<crate::ObjectRef>,
     intermediates: Vec<ObjectId>,
-    /// Every output id a member's behaviour named, per attempt (an OOM
-    /// retry names its ids again).
-    named: Vec<ObjectId>,
     started: SimTime,
     invocations: usize,
     seed: u64,
@@ -328,7 +325,6 @@ impl PlatformHandle {
                     outstanding: 0,
                     stage_outputs: Vec::new(),
                     intermediates: Vec::new(),
-                    named: Vec::new(),
                     started: sim.now(),
                     invocations: 0,
                     seed,
@@ -362,7 +358,6 @@ impl PlatformHandle {
                     run.stage = stage;
                     run.outstanding = reqs.len();
                     run.invocations += reqs.len();
-                    run.stage_outputs.clear();
                 }
                 for mut req in reqs {
                     req.pipeline = Some(pipe_id);
@@ -374,30 +369,28 @@ impl PlatformHandle {
     }
 
     fn finish_pipeline(&self, sim: &mut Sim, pipe_id: PipelineId, stages: usize) {
-        let (driver, mut named, intermediates, record) = {
-            let mut p = self.0.borrow_mut();
-            // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
-            let run = p.pipelines.remove(&pipe_id).expect("pipeline exists");
-            let record = PipelineRecord {
-                id: pipe_id,
-                start: run.started,
-                end: sim.now(),
-                stages,
-                invocations: run.invocations,
-                failed: run.failed,
-            };
-            (run.driver, run.named, run.intermediates, record)
-        };
-        {
-            let mut p = self.0.borrow_mut();
-            p.pipeline_records.push(record);
-            // Intermediate outputs are dropped from the cache, unpersisted,
-            // once the pipeline ends (§6.3).
-            p.dataplane.pipeline_ended(&intermediates);
+        let mut p = self.0.borrow_mut();
+        // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
+        let run = p.pipelines.remove(&pipe_id).expect("pipeline exists");
+        p.pipeline_records.push(PipelineRecord {
+            id: pipe_id,
+            start: run.started,
+            end: sim.now(),
+            stages,
+            invocations: run.invocations,
+            failed: run.failed,
+        });
+        // Intermediate outputs are dropped from the cache, unpersisted,
+        // once the pipeline ends (§6.3).
+        p.dataplane.pipeline_ended(&run.intermediates);
+    }
+
+    /// Takes the step a member's completion left its pipeline with.
+    fn advance(&self, sim: &mut Sim, pipe_id: PipelineId, step: Step) {
+        match step {
+            Step::Launch(stage, outputs) => self.launch_stage(sim, pipe_id, stage, &outputs),
+            Step::End(stages) => self.finish_pipeline(sim, pipe_id, stages),
         }
-        named.sort_unstable();
-        named.dedup();
-        driver.pipeline_ended(&named);
     }
 
     fn submit_attempt(
@@ -544,11 +537,6 @@ impl PlatformHandle {
                 // ofc-lint: allow(panic) reason=submit_attempt resolved this spec from the registry; specs are never unregistered mid-run
                 .expect("registered");
             fl.behavior = spec.model.behavior(&fl.record.args, fl.seed);
-            if let Some(pipe) = fl.record.pipeline {
-                // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
-                let run = p.pipelines.get_mut(&pipe).expect("pipeline exists");
-                run.named.extend(fl.behavior.writes.iter().map(|w| w.id));
-            }
             fl.record.exec_start = now;
             fl.record.sched_time = now.saturating_since(fl.record.arrival);
             fl.record.mem_actual = fl.behavior.mem_bytes;
@@ -743,7 +731,7 @@ impl PlatformHandle {
             let pipeline = fl.record.pipeline;
             p.records.push(fl.record);
 
-            pipeline.map(|pipe| {
+            pipeline.and_then(|pipe| {
                 // ofc-lint: allow(panic) reason=pipeline runs outlive their stage callbacks; ids are platform-issued
                 let run = p.pipelines.get_mut(&pipe).expect("pipeline exists");
                 let writes = &fl.behavior.writes;
@@ -754,19 +742,11 @@ impl PlatformHandle {
                     }));
                 run.intermediates
                     .extend(writes.iter().filter(|w| !w.is_final).map(|w| w.id));
-                run.outstanding -= 1;
-                (
-                    pipe,
-                    run.outstanding == 0,
-                    run.stage,
-                    run.stage_outputs.clone(),
-                )
+                run.member_done().map(|step| (pipe, step))
             })
         };
-        if let Some((pipe, stage_done, stage, outputs)) = pipeline_step {
-            if stage_done {
-                self.launch_stage(sim, pipe, stage + 1, &outputs);
-            }
+        if let Some((pipe, step)) = pipeline_step {
+            self.advance(sim, pipe, step);
         }
     }
 
@@ -781,27 +761,47 @@ impl PlatformHandle {
     }
 }
 
-/// A pipeline member died permanently: mark the run failed and advance.
+/// What a pipeline does once the last member of its stage has ended.
+enum Step {
+    /// Launch stage `.0` over the ended stage's outputs.
+    Launch(usize, Vec<crate::ObjectRef>),
+    /// A member failed for good: end the run after `.0` stages.
+    End(usize),
+}
+
+impl PipelineRun {
+    /// Counts one member of the current stage out. The last one moves the
+    /// stage's outputs into the next stage, or ends a failed run.
+    fn member_done(&mut self) -> Option<Step> {
+        self.outstanding = self.outstanding.saturating_sub(1);
+        if self.outstanding > 0 {
+            return None;
+        }
+        let next = self.stage + 1;
+        Some(if self.failed {
+            Step::End(next)
+        } else {
+            Step::Launch(next, std::mem::take(&mut self.stage_outputs))
+        })
+    }
+}
+
+/// A pipeline member died permanently: mark the run failed, and end it
+/// once the rest of its stage has ended.
 fn drop_pipeline_member(
     p: &mut Platform,
     sim: &mut Sim,
     handle: &PlatformHandle,
     pipe: PipelineId,
 ) {
-    let step = p.pipelines.get_mut(&pipe).map(|run| {
+    let step = p.pipelines.get_mut(&pipe).and_then(|run| {
         run.failed = true;
-        run.outstanding = run.outstanding.saturating_sub(1);
-        (run.outstanding == 0, run.stage, run.stage_outputs.clone())
+        run.member_done()
     });
-    if let Some((stage_done, stage, outputs)) = step {
-        if stage_done {
-            // Continue the pipeline with whatever outputs exist; drivers may
-            // return None to abort.
-            let handle = handle.clone();
-            sim.schedule_in(Duration::ZERO, move |sim| {
-                handle.launch_stage(sim, pipe, stage + 1, &outputs);
-            });
-        }
+    if let Some(step) = step {
+        // Inside the platform borrow: take the step as its own event.
+        let handle = handle.clone();
+        sim.schedule_in(Duration::ZERO, move |sim| handle.advance(sim, pipe, step));
     }
 }
 

@@ -26,10 +26,7 @@ impl FunctionModel for ScaledModel {
         let reads = args
             .values()
             .filter_map(|v| match v {
-                ArgValue::Obj(id) => Some(ObjectRef {
-                    id: *id,
-                    size: 1024,
-                }),
+                ArgValue::Obj(r) => Some(*r),
                 _ => None,
             })
             .collect();
@@ -369,7 +366,10 @@ fn records_expose_ml_ground_truth() {
     let mut req = request();
     req.args.insert(
         "input".into(),
-        ArgValue::Obj(ObjectId::new("imgs", "a.png")),
+        ArgValue::Obj(ObjectRef {
+            id: ObjectId::new("imgs", "a.png"),
+            size: 1024,
+        }),
     );
     req.args.insert("sigma".into(), ArgValue::Num(2.5));
     p.submit(&mut sim, req);
@@ -381,11 +381,10 @@ fn records_expose_ml_ground_truth() {
     assert_eq!(r.reads_served.len(), 1, "one object argument was read");
 }
 
-/// A stage function that names `outputs` objects after its seed.
+/// A stage function that writes `outputs` objects named after its seed.
 struct Naming {
     mem: u64,
     outputs: usize,
-    is_final: bool,
 }
 
 impl FunctionModel for Naming {
@@ -398,19 +397,16 @@ impl FunctionModel for Naming {
                 .map(|i| ObjectWrite {
                     id: ObjectId::from_fmt("mid", format_args!("{seed}-{i}")),
                     size: 512,
-                    is_final: self.is_final,
+                    is_final: false,
                 })
                 .collect(),
         }
     }
 }
 
-/// Split → one map per split output → reduce; `map` names the mapper
-/// function. Records every end notification.
-struct ScatterGather {
-    map: &'static str,
-    ended: std::cell::RefCell<Vec<Vec<ObjectId>>>,
-}
+/// Split → one map per split output → reduce; the first mapper runs
+/// `map_huge`, which no attempt survives.
+struct ScatterGather;
 
 fn call(function: &str, seed: u64) -> InvocationRequest {
     InvocationRequest {
@@ -428,89 +424,49 @@ impl PipelineDriver for ScatterGather {
             0 => Some(vec![call("split", seed)]),
             1 => Some(
                 (0..prev.len() as u64)
-                    .map(|i| call(if i == 0 { self.map } else { "map" }, seed * 10 + i))
+                    .map(|i| call(if i == 0 { "map_huge" } else { "map" }, seed * 10 + i))
                     .collect(),
             ),
             2 => Some(vec![call("reduce", seed + 100)]),
             _ => None,
         }
     }
-
-    fn pipeline_ended(&self, named: &[ObjectId]) {
-        self.ended.borrow_mut().push(named.to_vec());
-    }
 }
 
-/// Runs one scatter-gather whose first mapper is `map`, returns its
-/// record and its end notifications.
-fn scatter_gather(map: &'static str) -> (ofc_faas::platform::PipelineRecord, Vec<Vec<ObjectId>>) {
+#[test]
+fn pipeline_stops_after_a_member_fails_for_good() {
     let mut reg = Registry::new();
-    for (name, mem, outputs, is_final) in [
-        ("split", 100 * MB, 3, false),
-        ("map", 100 * MB, 1, false),
+    for (name, mem, outputs) in [
+        ("split", 100 * MB, 3),
+        ("map", 100 * MB, 1),
         // Needs more than the 512 MB booking: killed on every attempt.
-        ("map_huge", 800 * MB, 2, false),
-        ("reduce", 100 * MB, 1, true),
+        ("map_huge", 800 * MB, 2),
+        ("reduce", 100 * MB, 1),
     ] {
         reg.register(FunctionSpec {
             id: FunctionId::from(name),
             tenant: TenantId::from("t"),
             booked_mem: 512 * MB,
-            model: Rc::new(Naming {
-                mem,
-                outputs,
-                is_final,
-            }),
+            model: Rc::new(Naming { mem, outputs }),
         });
     }
     let p = Platform::build(PlatformConfig::default(), reg, Box::new(NoopPlane));
-    p.set_monitor(Box::new(ofc_faas::StockMonitor));
-    let driver = Rc::new(ScatterGather {
-        map,
-        ended: Default::default(),
-    });
     let mut sim = Sim::new(0);
-    p.submit_pipeline(&mut sim, driver.clone(), 1);
+    p.submit_pipeline(&mut sim, Rc::new(ScatterGather), 1);
     sim.run_until(SimTime::from_secs(60));
     let pipes = p.drain_pipeline_records();
     assert_eq!(pipes.len(), 1);
+    assert!(pipes[0].failed);
+    // The split and its three mappers ran; the reduce stage was never
+    // asked for.
+    assert_eq!((pipes[0].stages, pipes[0].invocations), (2, 4));
+    let recs = p.drain_records();
+    assert!(recs.iter().all(|r| r.function.as_ref() != "reduce"));
+    let killed = recs
+        .iter()
+        .filter(|r| r.completion == Completion::OomKilled)
+        .count();
+    assert_eq!(killed, 2, "map_huge and its one retry");
+    assert_eq!(p.counters().completed, 3);
     assert_eq!(p.audit(), Ok(()));
-    let ended = driver.ended.take();
-    (pipes[0].clone(), ended)
-}
-
-fn ids(names: &[&str]) -> Vec<ObjectId> {
-    let mut ids: Vec<ObjectId> = names.iter().map(|n| ObjectId::new("mid", n)).collect();
-    ids.sort();
-    ids
-}
-
-#[test]
-fn pipeline_end_names_every_output_once() {
-    let (record, ended) = scatter_gather("map");
-    assert!(!record.failed);
-    assert_eq!(ended.len(), 1, "one notification per pipeline");
-    let mut named = ended[0].clone();
-    named.sort();
-    // Split (seed 1) names three chunks, each mapper (seeds 20..=22) one,
-    // the reducer (seed 103) the final output.
-    assert_eq!(
-        named,
-        ids(&["1-0", "1-1", "1-2", "20-0", "21-0", "22-0", "103-0"])
-    );
-}
-
-#[test]
-fn pipeline_end_names_the_outputs_of_a_member_killed_for_good() {
-    let (record, ended) = scatter_gather("map_huge");
-    assert!(record.failed);
-    assert_eq!(ended.len(), 1, "one notification per pipeline");
-    let mut named = ended[0].clone();
-    named.sort();
-    // The killed mapper (seed 20, two attempts) never wrote "20-0" and
-    // "20-1", but its behaviour named them, once per attempt: listed once.
-    assert_eq!(
-        named,
-        ids(&["1-0", "1-1", "1-2", "20-0", "20-1", "21-0", "22-0", "103-0"])
-    );
 }

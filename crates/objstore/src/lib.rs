@@ -108,6 +108,12 @@ impl PartialOrd for ObjectId {
     }
 }
 
+impl AsRef<ObjectId> for ObjectId {
+    fn as_ref(&self) -> &ObjectId {
+        self
+    }
+}
+
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.path.as_str())

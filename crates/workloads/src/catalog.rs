@@ -1,5 +1,7 @@
 //! The data catalog: hidden ground truth of generated media objects, plus
-//! generators for each media kind.
+//! generators for each media kind. It holds the prepared inputs, written
+//! at install and only read during a run; pipeline outputs never enter
+//! it.
 //!
 //! Observable features (byte size, pixel dimensions, duration, format) are
 //! what the ML layer may see; hidden ones (compression ratio, content
@@ -115,13 +117,11 @@ impl MediaMeta {
 
 /// Shared map from object ids to their truth.
 ///
-/// Holds the prepared inputs plus the outputs of live pipelines: a stage
-/// model registers every output it names, and the pipeline's driver
-/// removes them when the platform reports the pipeline ended
-/// ([`PipelineDriver::pipeline_ended`]). Its size follows the pipelines in
-/// flight, not the event count.
-///
-/// [`PipelineDriver::pipeline_ended`]: ofc_faas::platform::PipelineDriver::pipeline_ended
+/// Holds the prepared inputs only: they are written at install and only
+/// read during a run. Pipeline outputs never enter it; a stage learns its
+/// inputs' sizes from its object arguments
+/// ([`ofc_faas::ArgValue::Obj`]). So it does not grow with the event
+/// count.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     inner: Rc<RefCell<IdHashMap<ObjectId, MediaMeta>>>,
@@ -138,18 +138,9 @@ impl Catalog {
         self.inner.borrow_mut().insert(id, meta);
     }
 
-    /// Forgets the truth of every object in `ids`; unknown ids are
-    /// skipped.
-    pub fn remove(&self, ids: &[ObjectId]) {
-        let mut map = self.inner.borrow_mut();
-        for id in ids {
-            map.remove(id);
-        }
-    }
-
-    /// Looks up an object's truth.
-    pub fn get(&self, id: &ObjectId) -> Option<MediaMeta> {
-        self.inner.borrow().get(id).cloned()
+    /// Looks up an object's truth, by its id or by a reference to it.
+    pub fn get(&self, id: &impl AsRef<ObjectId>) -> Option<MediaMeta> {
+        self.inner.borrow().get(id.as_ref()).cloned()
     }
 
     /// Number of catalogued objects.
@@ -376,8 +367,10 @@ mod tests {
         assert_eq!(cat.len(), 1);
         assert!(cat.get(&id).is_some());
         assert!(cat.get(&ObjectId::new("in", "y")).is_none());
-        cat.remove(&[id, id]);
-        assert!(cat.is_empty());
+        // A reference finds the truth by its id; its announced size is not
+        // consulted.
+        let r = ofc_faas::ObjectRef { id, size: 0 };
+        assert_eq!(cat.get(&r).map(|m| m.bytes), cat.get(&id).map(|m| m.bytes));
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::catalog::{gen_audio, gen_image, gen_text, gen_video, MediaKind, MediaMeta};
 use crate::multimedia::Profile;
 use ofc_dtree::data::{Dataset, DatasetBuilder, Value};
+use ofc_faas::ObjectRef;
 use ofc_objstore::latency::LatencyModel;
 use ofc_objstore::ObjectId;
 use rand::SeedableRng;
@@ -59,7 +60,11 @@ pub fn invocation_stream(profile: &Profile, n: usize, seed: u64) -> Vec<Invocati
     (0..n)
         .map(|i| {
             let meta = sample_media(profile, &mut rng);
-            let args = profile.sample_args(&ObjectId::new("ds", format!("o{i}")), &mut rng);
+            let input = ObjectRef {
+                id: ObjectId::new("ds", format!("o{i}")),
+                size: meta.bytes,
+            };
+            let args = profile.sample_args(&input, &mut rng);
             let arg_value = profile.arg.and_then(|spec| match args.get(spec.name) {
                 Some(ofc_faas::ArgValue::Num(x)) => Some(*x),
                 _ => None,

@@ -156,7 +156,6 @@ pub struct PreparedTenant {
 /// prepared the tenant's inputs and booking.
 struct TenantStream {
     platform: PlatformHandle,
-    catalog: Catalog,
     tenant: TenantId,
     workload: Workload,
     arrival: Arrival,
@@ -168,11 +167,11 @@ struct TenantStream {
 
 impl Stream for TenantStream {
     fn fire(&mut self, sim: &mut Sim) -> Option<SimTime> {
-        let input = self.inputs[self.rng.gen_range(0..self.inputs.len())].clone();
+        let input = self.inputs[self.rng.gen_range(0..self.inputs.len())];
         let inv_seed = self.rng.gen::<u64>();
         match self.workload {
             Workload::Single(p) => {
-                let args = p.sample_args(&input.id, &mut self.rng);
+                let args = p.sample_args(&input, &mut self.rng);
                 let req = InvocationRequest {
                     function: FunctionId::from(p.name),
                     tenant: self.tenant,
@@ -183,12 +182,12 @@ impl Stream for TenantStream {
                 self.platform.submit(sim, req);
             }
             Workload::WordCount { fanout, .. } => {
-                let driver = ScatterGather::word_count(self.tenant, input, fanout, &self.catalog);
+                let driver = ScatterGather::word_count(self.tenant, input, fanout);
                 self.platform
                     .submit_pipeline(sim, Rc::new(driver), inv_seed);
             }
             Workload::ThisVideo { fanout, .. } => {
-                let driver = ScatterGather::this_video(self.tenant, input, fanout, &self.catalog);
+                let driver = ScatterGather::this_video(self.tenant, input, fanout);
                 self.platform
                     .submit_pipeline(sim, Rc::new(driver), inv_seed);
             }
@@ -291,7 +290,6 @@ impl FaasLoad {
             if first <= end {
                 let st = TenantStream {
                     platform: platform.clone(),
-                    catalog: catalog.clone(),
                     tenant: prepared.tenant,
                     workload: spec.workload,
                     arrival: spec.arrival,
@@ -344,11 +342,11 @@ impl FaasLoad {
                 p.name.to_string()
             }
             Workload::WordCount { .. } => {
-                register_stage_functions(platform, catalog, &tenant, booked);
+                register_stage_functions(platform, &tenant, booked);
                 "map_reduce".to_string()
             }
             Workload::ThisVideo { .. } => {
-                register_stage_functions(platform, catalog, &tenant, booked);
+                register_stage_functions(platform, &tenant, booked);
                 "THIS".to_string()
             }
         };
@@ -474,7 +472,7 @@ mod tests {
                 if at.as_duration() > load.cfg.duration {
                     break;
                 }
-                let input = prepared.inputs[rng.gen_range(0..prepared.inputs.len())].clone();
+                let input = prepared.inputs[rng.gen_range(0..prepared.inputs.len())];
                 let inv_seed = rng.gen::<u64>();
                 let platform = platform.clone();
                 match spec.workload {
@@ -482,7 +480,7 @@ mod tests {
                         let req = InvocationRequest {
                             function: FunctionId::from(p.name),
                             tenant,
-                            args: p.sample_args(&input.id, &mut rng),
+                            args: p.sample_args(&input, &mut rng),
                             seed: inv_seed,
                             pipeline: None,
                         };
@@ -491,13 +489,13 @@ mod tests {
                         });
                     }
                     Workload::WordCount { fanout, .. } => {
-                        let driver = ScatterGather::word_count(tenant, input, fanout, catalog);
+                        let driver = ScatterGather::word_count(tenant, input, fanout);
                         sim.schedule_at(at, move |sim| {
                             platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
                         });
                     }
                     Workload::ThisVideo { fanout, .. } => {
-                        let driver = ScatterGather::this_video(tenant, input, fanout, catalog);
+                        let driver = ScatterGather::this_video(tenant, input, fanout);
                         sim.schedule_at(at, move |sim| {
                             platform.submit_pipeline(sim, Rc::new(driver), inv_seed);
                         });
@@ -648,6 +646,8 @@ mod tests {
 
     #[test]
     fn catalog_holds_only_the_prepared_inputs_after_drain() {
+        // Probed every minute of the run as well as after it: no pipeline
+        // output ever enters the catalog.
         let minute = Duration::from_secs(60);
         for window_s in [900, 1800] {
             let store = Rc::new(RefCell::new(ObjectStore::swift()));
@@ -680,10 +680,23 @@ mod tests {
             );
             let mut sim = Sim::new(5);
             let prepared = load.install(&mut sim, &platform, &store, &catalog);
-            sim.run();
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            {
+                let (catalog, seen) = (catalog.clone(), Rc::clone(&seen));
+                sim.every(minute, move |_| seen.borrow_mut().push(catalog.len()));
+            }
+            // The probe re-arms forever: run an hour past the window, long
+            // enough for every pipeline to end.
+            sim.run_until(SimTime::from_secs(window_s + 3600));
             let pipes = platform.drain_pipeline_records();
             assert!(pipes.len() > 10, "{window_s} s window: too little load");
             let inputs: usize = prepared.iter().map(|t| t.inputs.len()).sum();
+            let seen = seen.take();
+            assert_eq!(seen.len() as u64, window_s / 60 + 60);
+            assert!(
+                seen.iter().all(|&n| n == inputs),
+                "{window_s} s window: catalog sizes {seen:?}, {inputs} inputs"
+            );
             assert_eq!(catalog.len(), inputs, "{window_s} s window");
             for t in &prepared {
                 assert!(t.inputs.iter().all(|r| catalog.get(&r.id).is_some()));

@@ -203,7 +203,7 @@ pub struct MegaModel {
 impl FunctionModel for MegaModel {
     fn behavior(&self, args: &Args, seed: u64) -> Behavior {
         let input = args.values().find_map(|v| match v {
-            ArgValue::Obj(id) => Some(*id),
+            ArgValue::Obj(r) => Some(*r),
             _ => None,
         });
         let Some(input) = input else {
@@ -217,20 +217,17 @@ impl FunctionModel for MegaModel {
         let meta = self
             .catalog
             .get(&input)
-            .unwrap_or_else(|| panic!("object {input} not in the mega catalog"));
+            .unwrap_or_else(|| panic!("object {} not in the mega catalog", input.id));
         let arg_value = self.profile.arg.and_then(|spec| match args.get(spec.name) {
             Some(ArgValue::Num(x)) => Some(*x),
             _ => None,
         });
         let slot = seed % u64::from(self.output_slots.max(1));
-        let out_id = ObjectId::from_fmt(input.bucket(), format_args!("out{slot:02}"));
+        let out_id = ObjectId::from_fmt(input.id.bucket(), format_args!("out{slot:02}"));
         Behavior {
             mem_bytes: self.profile.memory(&meta, arg_value, seed),
             compute: self.profile.compute(&meta, arg_value, seed),
-            reads: vec![ObjectRef {
-                id: input,
-                size: meta.bytes,
-            }],
+            reads: vec![input],
             writes: vec![ObjectWrite {
                 id: out_id,
                 size: self.profile.output_size(&meta),
@@ -293,8 +290,8 @@ impl TenantStream {
         let u: f64 = self.rng.gen();
         let k = ((u.powf(FN_SKEW) * n as f64) as usize).min(n - 1);
         let pool = &self.shared.inputs[self.index][kind_idx(self.shared.profiles[k].kind)];
-        let input = pool[self.rng.gen_range(0..pool.len())].clone();
-        let args = self.shared.profiles[k].sample_args(&input.id, &mut self.rng);
+        let input = pool[self.rng.gen_range(0..pool.len())];
+        let args = self.shared.profiles[k].sample_args(&input, &mut self.rng);
         InvocationRequest {
             function: self.shared.fn_ids[k],
             tenant: self.tenant,
@@ -633,8 +630,11 @@ mod tests {
         let catalog = Catalog::new();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
         let meta = crate::catalog::gen_image_with_bytes(32 << 10, &mut rng);
-        let input = ObjectId::new("m0007", "in00");
-        catalog.insert(input, meta);
+        let input = ObjectRef {
+            id: ObjectId::new("m0007", "in00"),
+            size: meta.bytes,
+        };
+        catalog.insert(input.id, meta);
         let model = MegaModel {
             profile: &PROFILES[0],
             catalog,

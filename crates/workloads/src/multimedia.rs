@@ -522,7 +522,7 @@ impl Profile {
     }
 
     /// Samples request arguments for a given input object.
-    pub fn sample_args(&self, input: &ObjectId, rng: &mut ChaCha8Rng) -> Args {
+    pub fn sample_args(&self, input: &ObjectRef, rng: &mut ChaCha8Rng) -> Args {
         let mut args = Args::new();
         args.insert("input".into(), ArgValue::Obj(*input));
         if let Some(spec) = self.arg {
@@ -553,7 +553,7 @@ impl MultimediaModel {
 impl FunctionModel for MultimediaModel {
     fn behavior(&self, args: &Args, seed: u64) -> Behavior {
         let input = args.values().find_map(|v| match v {
-            ArgValue::Obj(id) => Some(*id),
+            ArgValue::Obj(r) => Some(*r),
             _ => None,
         });
         let Some(input) = input else {
@@ -568,22 +568,19 @@ impl FunctionModel for MultimediaModel {
         let meta = self
             .catalog
             .get(&input)
-            .unwrap_or_else(|| panic!("object {input} not in the workload catalog"));
+            .unwrap_or_else(|| panic!("object {} not in the workload catalog", input.id));
         let arg_value = self.profile.arg.and_then(|spec| match args.get(spec.name) {
             Some(ArgValue::Num(x)) => Some(*x),
             _ => None,
         });
         let out_id = ObjectId::from_fmt(
             "outputs",
-            format_args!("{}-{}-{}", self.profile.name, input.key(), seed),
+            format_args!("{}-{}-{}", self.profile.name, input.id.key(), seed),
         );
         Behavior {
             mem_bytes: self.profile.memory(&meta, arg_value, seed),
             compute: self.profile.compute(&meta, arg_value, seed),
-            reads: vec![ObjectRef {
-                id: input,
-                size: meta.bytes,
-            }],
+            reads: vec![input],
             writes: vec![ObjectWrite {
                 id: out_id,
                 size: self.profile.output_size(&meta),
@@ -697,7 +694,11 @@ mod tests {
                 MediaKind::Video => crate::catalog::gen_video(&mut r),
                 MediaKind::Text => crate::catalog::gen_text(None, &mut r),
             };
-            let args = p.sample_args(&ObjectId::new("in", "x"), &mut r);
+            let input = ObjectRef {
+                id: ObjectId::new("in", "x"),
+                size: meta.bytes,
+            };
+            let args = p.sample_args(&input, &mut r);
             let features = p.features(&meta, &args);
             assert_eq!(
                 features.len(),
@@ -732,7 +733,8 @@ mod tests {
         let stored = img.bytes;
         catalog.insert(id, img);
         let model = MultimediaModel::new(profile("wand_resize").unwrap(), catalog);
-        let args = profile("wand_resize").unwrap().sample_args(&id, &mut r);
+        let input = ObjectRef { id, size: stored };
+        let args = profile("wand_resize").unwrap().sample_args(&input, &mut r);
         let b = model.behavior(&args, 3);
         assert_eq!(b.reads.len(), 1);
         assert_eq!(b.reads[0].size, stored);

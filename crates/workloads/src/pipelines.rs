@@ -11,10 +11,11 @@
 //!
 //! Stage functions are generic data processors: their memory and compute
 //! scale with input bytes (analytics functions have no hidden bitmap
-//! truth), and their outputs register in the catalog so downstream stages
-//! can resolve them; the drivers remove them again when the pipeline ends.
+//! truth). A stage's inputs are object arguments that carry their size:
+//! the drivers pass the platform's references to the previous stage's
+//! outputs straight through, so no output enters the workload catalog.
 
-use crate::catalog::{gen_text, Catalog};
+use crate::catalog::Catalog;
 use ofc_faas::platform::PipelineDriver;
 use ofc_faas::registry::FunctionSpec;
 use ofc_faas::{
@@ -22,8 +23,6 @@ use ofc_faas::{
     TenantId,
 };
 use ofc_objstore::ObjectId;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -216,61 +215,56 @@ impl StageProfile {
             .collect()
     }
 
-    /// Extracts the feature vector of a stage invocation.
-    pub fn features(&self, args: &Args, catalog: &Catalog) -> Vec<ofc_dtree::data::Value> {
+    /// Extracts the feature vector of a stage invocation. The input sizes
+    /// come from the object arguments; the catalog is not read, and the
+    /// parameter stays for callers that name it.
+    pub fn features(&self, args: &Args, _catalog: &Catalog) -> Vec<ofc_dtree::data::Value> {
         use ofc_dtree::data::Value;
-        let mut total = 0u64;
-        let mut n_inputs = 0u64;
-        for v in args.values() {
-            if let ArgValue::Obj(id) = v {
-                n_inputs += 1;
-                total += catalog.get(id).map(|m| m.bytes).unwrap_or(0);
-            }
-        }
-        let fanout = match args.get("fanout") {
-            Some(ArgValue::Num(n)) => *n,
-            _ => 0.0,
-        };
+        let inputs = inputs(args);
+        let total: u64 = inputs.iter().map(|r| r.size).sum();
         vec![
             Value::Num(total as f64),
-            Value::Num(n_inputs as f64),
-            Value::Num(fanout),
+            Value::Num(inputs.len() as f64),
+            Value::Num(fanout(args)),
         ]
+    }
+}
+
+/// A stage's inputs: its object arguments, in argument-name order.
+fn inputs(args: &Args) -> Vec<ObjectRef> {
+    args.values()
+        .filter_map(|v| match v {
+            ArgValue::Obj(r) => Some(*r),
+            _ => None,
+        })
+        .collect()
+}
+
+/// A splitter's `fanout` argument; 0 when unset.
+fn fanout(args: &Args) -> f64 {
+    match args.get("fanout") {
+        Some(ArgValue::Num(n)) => *n,
+        _ => 0.0,
     }
 }
 
 /// [`FunctionModel`] for a stage function.
 pub struct StageModel {
     profile: &'static StageProfile,
-    catalog: Catalog,
 }
 
 impl StageModel {
-    /// Wraps a stage profile over the shared catalog.
-    pub fn new(profile: &'static StageProfile, catalog: Catalog) -> Self {
-        StageModel { profile, catalog }
+    /// Wraps a stage profile.
+    pub fn new(profile: &'static StageProfile) -> Self {
+        StageModel { profile }
     }
 }
 
 impl FunctionModel for StageModel {
     fn behavior(&self, args: &Args, seed: u64) -> Behavior {
-        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x57A6E);
-        // All object arguments are inputs, in argument-name order.
-        let inputs: Vec<ObjectRef> = args
-            .values()
-            .filter_map(|v| match v {
-                ArgValue::Obj(id) => {
-                    let size = self.catalog.get(id).map(|m| m.bytes).unwrap_or(0);
-                    Some(ObjectRef { id: *id, size })
-                }
-                _ => None,
-            })
-            .collect();
+        let inputs = inputs(args);
         let total_in: u64 = inputs.iter().map(|r| r.size).sum();
-        let fanout = match args.get("fanout") {
-            Some(ArgValue::Num(n)) => *n as usize,
-            _ => 0,
-        };
+        let fanout = fanout(args) as usize;
         let n_outputs = match self.profile.outputs {
             OutputCount::Fixed(0) => fanout.max(1),
             OutputCount::Fixed(n) => n,
@@ -279,19 +273,13 @@ impl FunctionModel for StageModel {
         let total_out = ((total_in as f64) * self.profile.output_ratio) as u64;
         let per_output = (total_out / n_outputs as u64).max(128);
         let writes: Vec<ObjectWrite> = (0..n_outputs)
-            .map(|i| {
-                let id = ObjectId::from_fmt(
+            .map(|i| ObjectWrite {
+                id: ObjectId::from_fmt(
                     "intermediate",
                     format_args!("{}-{}-{}", self.profile.name, seed, i),
-                );
-                // Register the output so downstream stages can resolve it.
-                self.catalog
-                    .insert(id, gen_text(Some(per_output), &mut rng));
-                ObjectWrite {
-                    id,
-                    size: per_output,
-                    is_final: self.profile.is_final,
-                }
+                ),
+                size: per_output,
+                is_final: self.profile.is_final,
             })
             .collect();
         let in_mb = total_in as f64 / (1 << 20) as f64;
@@ -308,7 +296,6 @@ impl FunctionModel for StageModel {
 /// Registers every stage function for `tenant` on a platform.
 pub fn register_stage_functions(
     platform: &ofc_faas::platform::PlatformHandle,
-    catalog: &Catalog,
     tenant: &TenantId,
     booked_mem: u64,
 ) {
@@ -317,8 +304,7 @@ pub fn register_stage_functions(
             id: FunctionId::from(p.name),
             tenant: *tenant,
             booked_mem,
-            // ofc-lint: allow(hotloop) reason=registration runs once per tenant and each model shares the catalog; an Rc bump
-            model: Rc::new(StageModel::new(p, catalog.clone())),
+            model: Rc::new(StageModel::new(p)),
         });
     }
 }
@@ -337,18 +323,14 @@ fn obj_args(inputs: &[ObjectRef]) -> Args {
     let mut args = Args::new();
     for (i, r) in inputs.iter().enumerate() {
         // ofc-lint: allow(hotloop) reason=`Args` is a `BTreeMap<String, _>`: each argument owns its name
-        args.insert(format!("input{i:03}"), ArgValue::Obj(r.id));
+        args.insert(format!("input{i:03}"), ArgValue::Obj(*r));
     }
     args
 }
 
 /// Generic three-stage split/map/reduce driver used by `map_reduce` and
 /// `THIS` (which share the scatter-gather shape with different profiles).
-///
-/// Holds the catalog its stage models register outputs in, and removes
-/// them from it when the pipeline ends.
 pub struct ScatterGather {
-    catalog: Catalog,
     tenant: TenantId,
     inputs: Vec<ObjectRef>,
     fanout: usize,
@@ -359,14 +341,8 @@ pub struct ScatterGather {
 
 impl ScatterGather {
     /// The MapReduce word-count application over `input` text.
-    pub fn word_count(
-        tenant: TenantId,
-        input: ObjectRef,
-        fanout: usize,
-        catalog: &Catalog,
-    ) -> Self {
+    pub fn word_count(tenant: TenantId, input: ObjectRef, fanout: usize) -> Self {
         ScatterGather {
-            catalog: catalog.clone(),
             tenant,
             inputs: vec![input],
             fanout,
@@ -377,25 +353,14 @@ impl ScatterGather {
     }
 
     /// The THIS video-processing application over `input` video.
-    pub fn this_video(
-        tenant: TenantId,
-        input: ObjectRef,
-        fanout: usize,
-        catalog: &Catalog,
-    ) -> Self {
-        Self::this_video_chunks(tenant, vec![input], fanout, catalog)
+    pub fn this_video(tenant: TenantId, input: ObjectRef, fanout: usize) -> Self {
+        Self::this_video_chunks(tenant, vec![input], fanout)
     }
 
     /// THIS over an input already split into small chunk objects, the way
     /// large data sets are actually stored (§3).
-    pub fn this_video_chunks(
-        tenant: TenantId,
-        inputs: Vec<ObjectRef>,
-        fanout: usize,
-        catalog: &Catalog,
-    ) -> Self {
+    pub fn this_video_chunks(tenant: TenantId, inputs: Vec<ObjectRef>, fanout: usize) -> Self {
         ScatterGather {
-            catalog: catalog.clone(),
             tenant,
             inputs,
             fanout,
@@ -436,18 +401,11 @@ impl PipelineDriver for ScatterGather {
             _ => None,
         }
     }
-
-    fn pipeline_ended(&self, named: &[ObjectId]) {
-        self.catalog.remove(named);
-    }
 }
 
 /// A linear sequence of stage functions, each consuming the previous
-/// stage's outputs (IMAD and the ServerlessBench image pipeline). Like
-/// [`ScatterGather`], it removes its outputs from the catalog when the
-/// pipeline ends.
+/// stage's outputs (IMAD and the ServerlessBench image pipeline).
 pub struct Sequence {
-    catalog: Catalog,
     tenant: TenantId,
     input: ObjectRef,
     stages: Vec<FunctionId>,
@@ -455,9 +413,8 @@ pub struct Sequence {
 
 impl Sequence {
     /// The IMAD application (fetch → extract → classify).
-    pub fn imad(tenant: TenantId, app_package: ObjectRef, catalog: &Catalog) -> Self {
+    pub fn imad(tenant: TenantId, app_package: ObjectRef) -> Self {
         Sequence {
-            catalog: catalog.clone(),
             tenant,
             input: app_package,
             stages: ["imad_fetch", "imad_extract", "imad_classify"]
@@ -467,9 +424,8 @@ impl Sequence {
     }
 
     /// The ServerlessBench image-processing pipeline.
-    pub fn image_processing(tenant: TenantId, image: ObjectRef, catalog: &Catalog) -> Self {
+    pub fn image_processing(tenant: TenantId, image: ObjectRef) -> Self {
         Sequence {
-            catalog: catalog.clone(),
             tenant,
             input: image,
             stages: ["img_meta", "img_transform", "img_thumbnail", "img_upload"]
@@ -494,20 +450,37 @@ impl PipelineDriver for Sequence {
             seed.wrapping_add(stage as u64),
         )])
     }
-
-    fn pipeline_ended(&self, named: &[ObjectId]) {
-        self.catalog.remove(named);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::gen_text;
     use ofc_faas::baselines::NoopPlane;
     use ofc_faas::platform::Platform;
     use ofc_faas::registry::Registry;
     use ofc_faas::PlatformConfig;
     use ofc_simtime::{Sim, SimTime};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
+    use std::cell::RefCell;
+
+    fn platform() -> ofc_faas::platform::PlatformHandle {
+        Platform::build(
+            PlatformConfig::default(),
+            Registry::new(),
+            Box::new(NoopPlane),
+        )
+    }
+
+    /// A catalogued input of `bytes` stored bytes.
+    fn text_input(catalog: &Catalog, key: &str, bytes: u64) -> ObjectRef {
+        let id = ObjectId::new("in", key);
+        let meta = gen_text(Some(bytes), &mut ChaCha8Rng::seed_from_u64(1));
+        let size = meta.bytes;
+        catalog.insert(id, meta);
+        ObjectRef { id, size }
+    }
 
     fn setup() -> (
         ofc_faas::platform::PlatformHandle,
@@ -517,27 +490,19 @@ mod tests {
     ) {
         let catalog = Catalog::new();
         let tenant = TenantId::from("t");
-        let platform = Platform::build(
-            PlatformConfig::default(),
-            Registry::new(),
-            Box::new(NoopPlane),
-        );
-        register_stage_functions(&platform, &catalog, &tenant, 1 << 30);
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let id = ObjectId::new("in", "big.txt");
-        let meta = gen_text(Some(30 << 20), &mut rng);
-        let size = meta.bytes;
-        catalog.insert(id, meta);
-        (platform, catalog, tenant, ObjectRef { id, size })
+        let platform = platform();
+        register_stage_functions(&platform, &tenant, 1 << 30);
+        let input = text_input(&catalog, "big.txt", 30 << 20);
+        (platform, catalog, tenant, input)
     }
 
     #[test]
     fn word_count_runs_three_stages_with_fanout() {
-        let (platform, catalog, tenant, input) = setup();
+        let (platform, _catalog, tenant, input) = setup();
         let mut sim = Sim::new(0);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(ScatterGather::word_count(tenant, input, 8, &catalog)),
+            Rc::new(ScatterGather::word_count(tenant, input, 8)),
             42,
         );
         sim.run_until(SimTime::from_secs(600));
@@ -567,12 +532,7 @@ mod tests {
         let mut sim = Sim::new(0);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(ScatterGather::this_video(
-                tenant,
-                ObjectRef { id, size },
-                4,
-                &catalog,
-            )),
+            Rc::new(ScatterGather::this_video(tenant, ObjectRef { id, size }, 4)),
             7,
         );
         sim.run_until(SimTime::from_secs(3600));
@@ -582,16 +542,12 @@ mod tests {
 
     #[test]
     fn imad_and_image_processing_are_sequences() {
-        let (platform, catalog, tenant, input) = setup();
+        let (platform, _catalog, tenant, input) = setup();
         let mut sim = Sim::new(0);
+        platform.submit_pipeline(&mut sim, Rc::new(Sequence::imad(tenant, input)), 1);
         platform.submit_pipeline(
             &mut sim,
-            Rc::new(Sequence::imad(tenant, input.clone(), &catalog)),
-            1,
-        );
-        platform.submit_pipeline(
-            &mut sim,
-            Rc::new(Sequence::image_processing(tenant, input, &catalog)),
+            Rc::new(Sequence::image_processing(tenant, input)),
             2,
         );
         sim.run_until(SimTime::from_secs(3600));
@@ -603,39 +559,107 @@ mod tests {
         assert_eq!(pipes[1].invocations, 4);
     }
 
+    /// One logged invocation: function name, arguments, behaviour.
+    type Entry = (&'static str, Args, Behavior);
+
+    /// A stage model that logs every invocation.
+    struct Logged {
+        model: StageModel,
+        log: Rc<RefCell<Vec<Entry>>>,
+    }
+
+    impl FunctionModel for Logged {
+        fn behavior(&self, args: &Args, seed: u64) -> Behavior {
+            let b = self.model.behavior(args, seed);
+            let name = self.model.profile.name;
+            self.log.borrow_mut().push((name, args.clone(), b.clone()));
+            b
+        }
+    }
+
     #[test]
-    fn stage_outputs_register_in_catalog() {
+    fn stage_inputs_are_the_previous_stage_outputs() {
         let catalog = Catalog::new();
-        let model = StageModel::new(stage_profile("wc_split").unwrap(), catalog.clone());
-        let input = ObjectId::new("in", "t.txt");
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        catalog.insert(input, gen_text(Some(1 << 20), &mut rng));
-        let mut args = Args::new();
-        args.insert("input000".into(), ArgValue::Obj(input));
-        args.insert("fanout".into(), ArgValue::Num(4.0));
-        let b = model.behavior(&args, 9);
-        assert_eq!(b.writes.len(), 4);
-        for w in &b.writes {
-            assert!(catalog.get(&w.id).is_some(), "chunk not catalogued");
-            assert!(!w.is_final);
+        let tenant = TenantId::from("t");
+        let platform = platform();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for p in &STAGE_PROFILES {
+            platform.register(FunctionSpec {
+                id: FunctionId::from(p.name),
+                tenant,
+                booked_mem: 1 << 30,
+                model: Rc::new(Logged {
+                    model: StageModel::new(p),
+                    log: Rc::clone(&log),
+                }),
+            });
+        }
+        let input = text_input(&catalog, "t.txt", 6 << 20);
+        let mut sim = Sim::new(0);
+        platform.submit_pipeline(
+            &mut sim,
+            Rc::new(ScatterGather::word_count(tenant, input, 4)),
+            9,
+        );
+        sim.run_until(SimTime::from_secs(600));
+        let pipes = platform.drain_pipeline_records();
+        assert_eq!((pipes.len(), pipes[0].stages), (1, 3));
+        assert!(!pipes[0].failed);
+        assert_eq!(catalog.len(), 1, "only the prepared input is catalogued");
+
+        let log = log.take();
+        let stage =
+            |name: &str| -> Vec<&Entry> { log.iter().filter(|(n, ..)| *n == name).collect() };
+        let sorted = |mut v: Vec<(ObjectId, u64)>| {
+            v.sort();
+            v
+        };
+        let reads = |s: &[&Entry]| {
+            sorted(
+                s.iter()
+                    .flat_map(|(_, _, b)| b.reads.iter().map(|r| (r.id, r.size)))
+                    .collect(),
+            )
+        };
+        let writes = |s: &[&Entry]| {
+            sorted(
+                s.iter()
+                    .flat_map(|(_, _, b)| b.writes.iter().map(|w| (w.id, w.size)))
+                    .collect(),
+            )
+        };
+        // The feature extractor's byte total over a stage's invocations.
+        let feature_bytes = |s: &[&Entry]| -> f64 {
+            s.iter()
+                .map(|(n, args, _)| {
+                    let sp = stage_profile(n).unwrap();
+                    sp.features(args, &catalog)[0].as_num().unwrap()
+                })
+                .sum()
+        };
+        let total = |v: &[(ObjectId, u64)]| v.iter().map(|&(_, size)| size).sum::<u64>() as f64;
+        let (split, map, reduce) = (stage("wc_split"), stage("wc_map"), stage("wc_reduce"));
+        assert_eq!((split.len(), map.len(), reduce.len()), (1, 4, 1));
+        assert_eq!(reads(&split), vec![(input.id, input.size)]);
+        assert_eq!(feature_bytes(&split), input.size as f64);
+        for (prev, next) in [(&split, &map), (&map, &reduce)] {
+            let written = writes(prev);
+            assert_eq!(reads(next), written);
+            assert_eq!(feature_bytes(next), total(&written));
         }
         // Chunks partition the input.
-        let total: u64 = b.writes.iter().map(|w| w.size).sum();
-        assert!((total as f64 / (1 << 20) as f64 - 1.0).abs() < 0.01);
+        assert!((total(&writes(&split)) / input.size as f64 - 1.0).abs() < 0.01);
     }
 
     #[test]
     fn memory_scales_with_input_size() {
-        let catalog = Catalog::new();
-        let model = StageModel::new(stage_profile("wc_map").unwrap(), catalog.clone());
-        let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let mut mk = |bytes: u64, key: &str| {
-            let id = ObjectId::new("in", key);
-            catalog.insert(id, gen_text(Some(bytes), &mut rng));
+        let model = StageModel::new(stage_profile("wc_map").unwrap());
+        let mem = |size: u64| {
             let mut args = Args::new();
-            args.insert("input000".into(), ArgValue::Obj(id));
+            let id = ObjectId::new("in", "x");
+            args.insert("input000".into(), ArgValue::Obj(ObjectRef { id, size }));
             model.behavior(&args, 0).mem_bytes
         };
-        assert!(mk(10 << 20, "big") > mk(1 << 20, "small"));
+        assert!(mem(10 << 20) > mem(1 << 20));
     }
 }

@@ -88,7 +88,7 @@ fn run_both(
     for with_ofc in [false, true] {
         let mut s = build(with_ofc);
         let tenant = TenantId::from("pipelines");
-        register_stage_functions(&s.platform, &s.catalog, &tenant, 512 << 20);
+        register_stage_functions(&s.platform, &tenant, 512 << 20);
         if let Some(ofc) = &s.ofc {
             for sp in &ofc::workloads::pipelines::STAGE_PROFILES {
                 ofc.register_function("pipelines", sp.name, sp.feature_schema());
@@ -127,7 +127,6 @@ fn main() {
         Rc::new(Sequence::image_processing(
             TenantId::from("pipelines"),
             input,
-            &s.catalog,
         ))
     });
 
@@ -139,7 +138,6 @@ fn main() {
             TenantId::from("pipelines"),
             input,
             8,
-            &s.catalog,
         ))
     });
 }

@@ -35,7 +35,7 @@ fn main() {
         Rc::new(move |_t: &TenantId, f: &FunctionId, args: &Args| {
             if let Some(p) = ofc::workloads::multimedia::profile(f.as_ref()) {
                 let input = args.values().find_map(|v| match v {
-                    ArgValue::Obj(id) => Some(*id),
+                    ArgValue::Obj(r) => Some(r.id),
                     _ => None,
                 })?;
                 return Some(p.features(&catalog.get(&input)?, args));

@@ -8,7 +8,9 @@ use ofc::core::ofc::Ofc;
 use ofc::faas::baselines::NoopPlane;
 use ofc::faas::platform::Platform;
 use ofc::faas::registry::{FunctionSpec, Registry};
-use ofc::faas::{ArgValue, Args, FunctionId, InvocationRequest, PlatformConfig, TenantId};
+use ofc::faas::{
+    ArgValue, Args, FunctionId, InvocationRequest, ObjectRef, PlatformConfig, TenantId,
+};
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::{ObjectId, Payload};
 use ofc::simtime::{Sim, SimTime};
@@ -36,7 +38,7 @@ fn main() {
         let p = profile("wand_edge").expect("known function");
         Rc::new(move |_t: &TenantId, _f: &FunctionId, args: &Args| {
             let input = args.values().find_map(|v| match v {
-                ArgValue::Obj(id) => Some(*id),
+                ArgValue::Obj(r) => Some(r.id),
                 _ => None,
             })?;
             Some(p.features(&catalog.get(&input)?, args))
@@ -64,11 +66,14 @@ fn main() {
     //    are extracted at creation time.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     let img = gen_image_with_bytes(16 << 10, &mut rng);
-    let input = ObjectId::new("alice-images", "photo.jpg");
+    let input = ObjectRef {
+        id: ObjectId::new("alice-images", "photo.jpg"),
+        size: img.bytes,
+    };
     store
         .borrow_mut()
-        .put(&input, Payload::Synthetic(img.bytes), img.tags(), false);
-    catalog.insert(input, img);
+        .put(&input.id, Payload::Synthetic(img.bytes), img.tags(), false);
+    catalog.insert(input.id, img);
 
     // 5. Invoke twice: the first read misses (and fills the cache); the
     //    second hits locally.

@@ -6,7 +6,8 @@ use ofc::faas::baselines::{DirectPlane, NoopPlane};
 use ofc::faas::platform::{Platform, PlatformHandle};
 use ofc::faas::registry::{FunctionSpec, Registry};
 use ofc::faas::{
-    ArgValue, Args, Completion, FunctionId, InvocationRequest, PlatformConfig, Served, TenantId,
+    ArgValue, Args, Completion, FunctionId, InvocationRequest, ObjectRef, PlatformConfig, Served,
+    TenantId,
 };
 use ofc::objstore::store::ObjectStore;
 use ofc::objstore::{ObjectId, Payload};
@@ -34,7 +35,7 @@ fn features_for(catalog: &Catalog) -> ofc::core::scheduler::FeatureFn {
     Rc::new(move |_t, f, args| {
         let p = profile(f.as_ref())?;
         let input = args.values().find_map(|v| match v {
-            ArgValue::Obj(id) => Some(*id),
+            ArgValue::Obj(r) => Some(r.id),
             _ => None,
         })?;
         Some(p.features(&catalog.get(&input)?, args))
@@ -87,18 +88,19 @@ fn register(s: &Stack, p: &'static Profile, booked: u64) {
     }
 }
 
-fn upload(s: &Stack, key: &str, bytes: u64, seed: u64) -> ObjectId {
+fn upload(s: &Stack, key: &str, bytes: u64, seed: u64) -> ObjectRef {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let meta = gen_image_with_bytes(bytes, &mut rng);
     let id = ObjectId::new("it-in", key);
     s.store
         .borrow_mut()
         .put(&id, Payload::Synthetic(meta.bytes), meta.tags(), false);
+    let size = meta.bytes;
     s.catalog.insert(id, meta);
-    id
+    ObjectRef { id, size }
 }
 
-fn submit(s: &mut Stack, p: &'static Profile, input: &ObjectId, seed: u64) {
+fn submit(s: &mut Stack, p: &'static Profile, input: &ObjectRef, seed: u64) {
     let mut args = Args::new();
     args.insert("input".into(), ArgValue::Obj(*input));
     if let Some(spec) = p.arg {
@@ -223,7 +225,7 @@ fn cache_node_crash_preserves_cached_data() {
     submit(&mut s, p, &input, 5);
     s.sim.run_until(SimTime::from_secs(60));
     let ofc = s.ofc.as_ref().unwrap();
-    let key = ofc::core::cache::rc_key(&input);
+    let key = ofc::core::cache::rc_key(&input.id);
     let master = ofc.cluster.borrow().master_of(&key).expect("cached");
     // Crash the master's node: replication recovers the object.
     let lost = ofc
@@ -301,7 +303,7 @@ fn memory_conservation_on_every_node() {
     let p = profile("wand_sepia").unwrap();
     let mut s = stack(true, 7);
     register(&s, p, 1 << 30);
-    let inputs: Vec<ObjectId> = (0..6)
+    let inputs: Vec<ObjectRef> = (0..6)
         .map(|i| upload(&s, &format!("i{i}"), 64 << 10, i))
         .collect();
     for (i, input) in inputs.iter().enumerate() {
