@@ -232,12 +232,10 @@ impl CacheAgent {
                 };
                 if dirty {
                     // Parallel write-back (does not block the reclamation);
-                    // afterwards the object is clean and evictable.
-                    if let Some(wb) = self.writeback.as_mut() {
-                        wb(&key);
-                    }
-                    self.cluster.borrow_mut().mark_clean(&key).ok();
-                    self.metrics.writebacks.inc();
+                    // afterwards the object is clean and evictable. An
+                    // object the write-back dropped is not yet counted as
+                    // freed (ROADMAP item 2).
+                    self.write_back(&key);
                 }
                 if n_access >= self.cfg.hot_access_threshold {
                     let t = self
@@ -370,16 +368,23 @@ impl CacheAgent {
         for key in keys {
             let dirty = self.cluster.borrow().is_dirty(&key).unwrap_or(false);
             if dirty {
-                if let Some(wb) = self.writeback.as_mut() {
-                    wb(&key);
-                }
-                self.cluster.borrow_mut().mark_clean(&key).ok();
-                self.metrics.writebacks.inc();
+                self.write_back(&key);
             }
             if self.cluster.borrow_mut().evict(&key).result.is_ok() {
                 self.metrics.periodic_evictions.inc();
             }
         }
+    }
+
+    /// Writes the dirty object `key` back through the installed hook and
+    /// marks it clean. The hook may persist a final output and drop it
+    /// from the cache (§6.3).
+    fn write_back(&mut self, key: &Key) {
+        if let Some(wb) = self.writeback.as_mut() {
+            wb(key);
+        }
+        self.cluster.borrow_mut().mark_clean(key).ok();
+        self.metrics.writebacks.inc();
     }
 }
 

@@ -268,7 +268,7 @@ impl Ofc {
                 cluster.borrow_mut().coordinator_pump(sim.now());
             });
             // SWIM probe cycle: the cluster applies the membership
-            // verdicts (recovery, fencing, rejoin) inside the round.
+            // verdicts (recovery, fencing) inside the round.
             let cluster = Rc::clone(&self.cluster);
             sim.every(PROBE_PERIOD, move |sim| {
                 cluster.borrow_mut().gossip_round(sim.now());

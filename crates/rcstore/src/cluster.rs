@@ -81,9 +81,9 @@ pub struct Cluster {
     /// storage node `r`; coordinator and storage processes fail
     /// independently (`crash_coordinator` vs `crash_node`).
     membership: Membership,
-    /// Master keys re-owned away from an unreachable-but-alive node
-    /// (fencing); their stale physical copies are expunged once the node
-    /// is reachable again.
+    /// Unreachable-but-alive nodes the coordinator recovered (fencing):
+    /// their backups stop counting, and the stale copies of the master
+    /// keys re-owned away from them are expunged once reachable again.
     fenced: BTreeMap<NodeId, Vec<Key>>,
 }
 
@@ -528,16 +528,16 @@ impl Cluster {
         if self.membership.coordinator().is_some() {
             return Timed::new(0, Duration::ZERO);
         }
-        self.recover_crashed(node, now)
+        let recovered = self.recover_crashed(node, now);
+        self.top_up();
+        recovered
     }
 
     /// The coordinator-driven recovery of a failed (or fenced) node:
-    /// re-masters its tablets onto reachable surviving backups and
-    /// restores the replication factor of every object that replicated
-    /// through it.
+    /// re-masters its tablets onto reachable surviving backups. The
+    /// caller restores the replication factor with one [`Cluster::top_up`].
     fn recover_crashed(&mut self, node: NodeId, now: SimTime) -> Timed<usize> {
         let (lost, latency) = self.recover_tablets_of(node, now);
-        self.top_up_where(|c, k| c.backups_of(k).contains(&node), |_, b, _| b != node);
         self.metrics.objects_lost.add(lost as u64);
         self.metrics.recovery_nanos.record_duration(latency);
         Timed::new(lost, latency)
@@ -545,13 +545,19 @@ impl Cluster {
 
     /// Re-masters every tablet pinned to `node` that the cluster can no
     /// longer serve from it: the node is down, rejoined empty, or sits on
-    /// the far side of a partition — in which case its still-live master
-    /// copies are *fenced* (left in place, expunged once reachable again)
-    /// rather than declared lost. Returns `(objects lost, latency)`.
+    /// the far side of a partition — in which case the node is *fenced*:
+    /// its backups stop counting, and its still-live master copies are
+    /// left in place (expunged once reachable again) rather than declared
+    /// lost. A tablet with no reachable survivor that may still have a
+    /// copy across the partition parks the node instead. Returns
+    /// `(objects lost, latency)`.
     fn recover_tablets_of(&mut self, node: NodeId, now: SimTime) -> (usize, Duration) {
         let origin = self.membership.origin();
         let node_alive = self.nodes[node].is_up();
         let node_reachable = self.membership.partition().reachable(origin, node);
+        if node_alive && !node_reachable {
+            self.fenced.entry(node).or_default();
+        }
         let mut latency = Duration::ZERO;
         let mut lost = 0usize;
         let mut orphaned: Vec<Key> = self
@@ -579,16 +585,16 @@ impl Cluster {
                     .promote_backup(&key, now, false)
                     .is_ok()
                     .then_some(m),
-                // The only copy lives across the partition: leave the
-                // tablet pointed there (reads fail transiently) rather
-                // than declare an acked write lost.
-                None if node_alive && !node_reachable => continue,
-                // A live backup across the partition still holds a copy:
-                // park the node so the pump re-walks it once the
-                // partition heals, instead of declaring the write lost.
-                None if self.backups_of(&key).iter().any(|&b| {
-                    self.holds_backup(b, &key) && !self.membership.partition().reachable(origin, b)
-                }) =>
+                // A copy may live across the partition, on a live backup or
+                // on the node itself (it may have restarted empty, unseen):
+                // leave the tablet (reads fail transiently) and park the node
+                // for the pump's re-walk, rather than declare a write lost.
+                None if (node_alive && !node_reachable)
+                    || self.backups_of(&key).iter().any(|&b| {
+                        self.nodes[b].is_up()
+                            && self.nodes[b].has_backup(&key)
+                            && !self.membership.partition().reachable(origin, b)
+                    }) =>
                 {
                     self.membership.park(node);
                     continue;
@@ -624,20 +630,15 @@ impl Cluster {
         (lost, latency)
     }
 
-    /// Restores the replication factor of every object `weakened` selects,
-    /// in key order: its backups that `keep` accepts stay, and ring
-    /// successors of its master fill the rest. The crash walk selects the
-    /// objects that replicated through the dead node; the rejoin and heal
-    /// walk, every object short of live backup copies.
-    fn top_up_where(
-        &mut self,
-        weakened: impl Fn(&Self, &Key) -> bool,
-        keep: impl Fn(&Self, NodeId, &Key) -> bool,
-    ) {
+    /// The one re-replication walk: restores the replication factor of
+    /// every object short of backups that [`Cluster::holds_backup`]
+    /// accepts, in key order. Those backups stay, and ring successors of
+    /// its master fill the rest.
+    fn top_up(&mut self) {
         let mut keys: Vec<Key> = self
             .replicas
             .keys()
-            .filter(|k| weakened(self, k))
+            .filter(|k| self.live_replicas(k) < self.cfg.replication_factor)
             .copied()
             .collect();
         keys.sort();
@@ -652,7 +653,7 @@ impl Cluster {
             let backups: Vec<NodeId> = self.replicas[&key]
                 .iter()
                 .copied()
-                .filter(|&b| keep(self, b, &key))
+                .filter(|&b| self.holds_backup(b, &key))
                 // ofc-lint: allow(hotloop) reason=recovery snapshots the kept backup set before mutating nodes
                 .collect();
             let backups = self.replicate(&key, master, &value, backups);
@@ -667,6 +668,8 @@ impl Cluster {
     /// and every object below the replication factor is topped back up.
     /// With a headless coordinator group the reconciliation parks
     /// until a quorum returns (drained by [`Cluster::coordinator_pump`]).
+    /// This is the one rejoin path: gossip's `Rejoined` verdict only
+    /// updates membership.
     pub fn restart_node(&mut self, node: NodeId, now: SimTime) {
         if node >= self.nodes.len() {
             return;
@@ -674,13 +677,13 @@ impl Cluster {
         self.nodes[node].set_up(true);
         if self.membership.act_or_park(node, None, now) {
             self.reconcile_rejoin(node, now);
+            self.top_up();
         }
     }
 
     /// A node's rejoin reconciliation: release it from the parked set,
-    /// rescue tablets still pinned to it (it rejoined empty), drop fenced
-    /// copies it no longer owns, and top up every under-replicated object
-    /// now that it hosts backups again.
+    /// rescue tablets still pinned to it (it rejoined empty) and drop
+    /// fenced copies it no longer owns. The caller tops up replication.
     fn reconcile_rejoin(&mut self, node: NodeId, now: SimTime) {
         self.membership.unpark(node);
         self.expunge_fenced(node);
@@ -689,10 +692,10 @@ impl Cluster {
             self.metrics.objects_lost.add(lost as u64);
             self.metrics.recovery_nanos.record_duration(latency);
         }
-        self.top_up_where(Self::under_replicated, Self::holds_backup);
     }
 
-    /// Current replication factor of `key` (backup copies actually present).
+    /// Current replication factor of `key`: backup copies on live nodes
+    /// the coordinator has not fenced.
     pub fn live_replicas(&self, key: &Key) -> usize {
         self.backups_of(key)
             .iter()
@@ -700,15 +703,12 @@ impl Cluster {
             .count()
     }
 
-    /// Whether `key` has fewer live backup copies than the replication
-    /// factor (the rejoin and heal walks' selection).
-    fn under_replicated(&self, key: &Key) -> bool {
-        self.live_replicas(key) < self.cfg.replication_factor
-    }
-
-    /// Whether `node` is up and holds a backup copy of `key`.
+    /// Whether `node` is up, not fenced and holds a backup copy of `key`:
+    /// the one backup rule, which the top-up walk keeps (across a
+    /// partition too) and recovery promotes from once it can reach it.
     fn holds_backup(&self, node: NodeId, key: &Key) -> bool {
-        self.nodes[node].is_up() && self.nodes[node].has_backup(key)
+        let n = &self.nodes[node];
+        n.is_up() && !self.fenced.contains_key(&node) && n.has_backup(key)
     }
 
     /// The cached value of `key`, without touching access stats.
@@ -772,21 +772,21 @@ impl Cluster {
         for node in fenced {
             self.expunge_fenced(node);
         }
-        self.coordinator_pump(now);
         // The pump already ticked the group at `now`: this gate only asks.
-        if self.membership.gate(None, now) {
-            self.top_up_where(Self::under_replicated, Self::holds_backup);
+        if !self.coordinator_pump(now) && self.membership.gate(None, now) {
+            self.top_up();
         }
     }
 
     /// Drives the control plane at `now`: elections/catch-up tick, then —
     /// once a reachable leader with a quorum exists — drains every
-    /// deferred recovery and tops up replication weakened while headless.
-    /// The runtime schedules this at the raft heartbeat interval; fault
-    /// and heal paths call it inline.
-    pub fn coordinator_pump(&mut self, now: SimTime) {
+    /// deferred recovery and tops up replication weakened while headless,
+    /// in one walk after all of them. Returns whether it walked. The
+    /// runtime schedules this at the raft heartbeat interval; fault and
+    /// heal paths call it inline.
+    pub fn coordinator_pump(&mut self, now: SimTime) -> bool {
         let Some(ready) = self.membership.drain(now, |n| self.nodes[n].is_up()) else {
-            return;
+            return false;
         };
         for &node in &ready {
             if self.in_reach(node) {
@@ -795,37 +795,31 @@ impl Cluster {
                 self.recover_crashed(node, now);
             }
         }
-        if !ready.is_empty() {
-            self.top_up_where(Self::under_replicated, Self::holds_backup);
+        if ready.is_empty() {
+            return false;
         }
+        self.top_up();
+        true
     }
 
     /// Runs one gossip probe round at `now` and applies its membership
-    /// transitions: quorum-side confirmations trigger recovery (or fencing
-    /// of unreachable-but-alive nodes), quorum-side rejoins reconcile, and
-    /// minority-side observations park for the pump, which re-checks
-    /// liveness before acting. Returns the round's events (inspection).
+    /// confirmations: a quorum-side one triggers recovery (or fencing of
+    /// an unreachable-but-alive node), a minority-side one parks the node
+    /// for the pump. A rejoin needs no action: `restart_node` reconciled
+    /// or parked the node. Returns the round's events (inspection).
     pub fn gossip_round(&mut self, now: SimTime) -> Vec<GossipEvent> {
         let events = self
             .membership
             .gossip_round(now, |n| self.nodes.get(n).is_some_and(StorageNode::is_up));
         for &event in &events {
-            match event {
-                GossipEvent::Confirmed { node, observer } => {
-                    // A node that is in fact up and reachable is a gossip
-                    // false positive: a later probe will refute it.
-                    if self.membership.act_or_park(node, Some(observer), now)
-                        && !self.in_reach(node)
-                    {
-                        self.recover_crashed(node, now);
-                    }
-                }
-                GossipEvent::Rejoined { node, observer } => {
-                    if self.membership.act_or_park(node, Some(observer), now) {
-                        self.reconcile_rejoin(node, now);
-                    }
-                }
-                GossipEvent::Suspected { .. } | GossipEvent::Refuted { .. } => {}
+            let GossipEvent::Confirmed { node, observer } = event else {
+                continue;
+            };
+            // A node that is in fact up and reachable is a gossip false
+            // positive: a later probe will refute it.
+            if self.membership.act_or_park(node, Some(observer), now) && !self.in_reach(node) {
+                self.recover_crashed(node, now);
+                self.top_up();
             }
         }
         events
@@ -1425,6 +1419,93 @@ mod failover_tests {
         c.restart_node(3, SimTime::from_secs(5));
         assert_eq!(c.live_replicas(&key("a")), 2);
         assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 0);
+    }
+
+    #[test]
+    fn backup_across_a_partition_parks_the_masters_recovery() {
+        let mut c = Cluster::new(base_config());
+        c.write(1, &key("k"), Value::synthetic(1000), SimTime::ZERO)
+            .result
+            .unwrap();
+        assert_eq!(c.backups_of(&key("k")), &[2, 3]);
+        // The coordinator (node 0) keeps the master's side; both backups
+        // land across the partition, alive.
+        c.partition_network(&[vec![0, 1], vec![2, 3]], SimTime::from_secs(1));
+        c.crash_node(1, SimTime::from_secs(2));
+        let lost = |c: &Cluster| c.telemetry().metrics().counter("rcstore.objects_lost");
+        assert_eq!(lost(&c), 0, "a live copy exists across the partition");
+        assert_eq!(c.deferred_recoveries(), 1);
+        assert_eq!(c.master_of(&key("k")), Some(1), "not re-mastered yet");
+        // A down node stays parked while the partition lasts.
+        c.coordinator_pump(SimTime::from_secs(3));
+        assert_eq!(c.deferred_recoveries(), 1);
+        assert_eq!(lost(&c), 0);
+        // Heal: the pump re-walks the node and promotes the backup.
+        c.heal_partition(SimTime::from_secs(4));
+        assert_eq!(c.deferred_recoveries(), 0);
+        assert_eq!(c.master_of(&key("k")), Some(2));
+        assert!(c.read(0, &key("k"), SimTime::from_secs(4)).result.is_ok());
+        assert_eq!(lost(&c), 0);
+    }
+
+    #[test]
+    fn walk_during_a_partition_keeps_live_backups_across_it() {
+        let mut c = Cluster::new(base_config());
+        c.write(1, &key("k"), Value::synthetic(1000), SimTime::ZERO)
+            .result
+            .unwrap();
+        assert_eq!(c.backups_of(&key("k")), &[2, 3]);
+        c.partition_network(&[vec![0, 1], vec![2, 3]], SimTime::from_secs(1));
+        // The crash walk must not drop the live copies across the split.
+        c.crash_node(0, SimTime::from_secs(2));
+        assert_eq!(c.backups_of(&key("k")), &[2, 3]);
+        // So the master's crash parks instead of losing `k`.
+        c.crash_node(1, SimTime::from_secs(3));
+        let lost = |c: &Cluster| c.telemetry().metrics().counter("rcstore.objects_lost");
+        assert_eq!(lost(&c), 0);
+        assert_eq!(c.deferred_recoveries(), 1);
+        c.heal_partition(SimTime::from_secs(4));
+        assert_eq!(c.deferred_recoveries(), 0);
+        assert_eq!(c.master_of(&key("k")), Some(2));
+        assert_eq!(lost(&c), 0);
+    }
+
+    #[test]
+    fn node_restarted_empty_behind_a_partition_parks_until_heal() {
+        let mut c = replicated();
+        c.write(3, &key("k"), Value::synthetic(1000), SimTime::ZERO)
+            .result
+            .unwrap();
+        assert_eq!(c.backups_of(&key("k")), &[0, 1]);
+        c.partition_network(&[vec![0, 1, 2], vec![3]], SimTime::from_secs(1));
+        for n in [0, 1, 3] {
+            c.crash_node(n, SimTime::from_secs(2));
+        }
+        // Every copy of `k` was on a crashed node, but the coordinator
+        // cannot reach node 3 to see that it restarted empty: it parks.
+        c.restart_node(3, SimTime::from_secs(3));
+        assert_eq!(c.master_of(&key("k")), Some(3));
+        assert_eq!(c.deferred_recoveries(), 1);
+        // A parked node out of reach stays parked while the partition
+        // lasts: a second of pumps neither walks nor records a recovery.
+        let samples = |c: &Cluster| {
+            let m = c.telemetry().metrics();
+            m.histogram("rcstore.recovery_nanos").map_or(0, |h| h.count)
+        };
+        let before = samples(&c);
+        let mut t = SimTime::from_secs(3);
+        while t < SimTime::from_secs(4) {
+            t += HEARTBEAT_INTERVAL;
+            assert!(!c.coordinator_pump(t), "no walk behind the partition");
+        }
+        assert_eq!(c.deferred_recoveries(), 1);
+        assert_eq!(samples(&c), before);
+        // Heal: the pump re-walks node 3 and counts the loss instead of
+        // leaving the tablet pinned to an empty node.
+        c.heal_partition(SimTime::from_secs(5));
+        assert_eq!(c.deferred_recoveries(), 0);
+        assert_eq!(c.master_of(&key("k")), None);
+        assert_eq!(c.telemetry().metrics().counter("rcstore.objects_lost"), 1);
     }
 
     #[test]

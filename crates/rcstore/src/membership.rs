@@ -204,8 +204,9 @@ impl Membership {
 
     /// The pump's step at `now`: once [`Membership::gate`] passes, releases
     /// every parked node ready to be acted on (`None` while the gate is
-    /// shut). A down node stays parked while a partition is active: its
-    /// re-walk only pays once the partition changes.
+    /// shut). A node out of reach (down, or across the split) stays parked
+    /// while a partition is active: its re-walk only pays once the split
+    /// changes.
     pub(crate) fn drain(
         &mut self,
         now: SimTime,
@@ -215,9 +216,10 @@ impl Membership {
             return None;
         }
         let split = self.partition.is_split();
+        let origin = self.origin();
         let (ready, kept) = std::mem::take(&mut self.parked)
             .into_iter()
-            .partition(|&n| up(n) || !split);
+            .partition(|&n| !split || (up(n) && self.partition.reachable(origin, n)));
         self.parked = kept;
         Some(ready)
     }

@@ -31,14 +31,11 @@
 //! 10⁷⁺ events.
 
 use crate::catalog::{Catalog, MediaKind};
-use crate::multimedia::{profile, Profile, PROFILES};
+use crate::multimedia::{profile, MultimediaModel, Profile, PROFILES};
 use crate::stream::{self, Stream};
 use ofc_faas::platform::PlatformHandle;
 use ofc_faas::registry::FunctionSpec;
-use ofc_faas::{
-    ArgValue, Args, Behavior, FunctionId, FunctionModel, InvocationRequest, ObjectRef, ObjectWrite,
-    TenantId,
-};
+use ofc_faas::{FunctionId, FunctionModel, InvocationRequest, ObjectRef, TenantId};
 use ofc_objstore::store::ObjectStore;
 use ofc_objstore::{ObjectId, Payload};
 use ofc_simtime::{Sim, SimTime};
@@ -189,54 +186,6 @@ fn kind_idx(kind: MediaKind) -> usize {
 /// Input key prefixes per pool, aligned with [`kind_idx`].
 const KIND_PREFIX: [&str; 4] = ["im", "au", "vi", "tx"];
 
-/// The [`FunctionModel`] of every mega function: identical physics to
-/// [`crate::multimedia::MultimediaModel`], but the output goes to a
-/// bounded slot in the *tenant's own bucket* (derived from the input's
-/// bucket), so one shared model per profile serves every tenant and the
-/// quota plane can attribute the write.
-pub struct MegaModel {
-    profile: &'static Profile,
-    catalog: Catalog,
-    output_slots: u32,
-}
-
-impl FunctionModel for MegaModel {
-    fn behavior(&self, args: &Args, seed: u64) -> Behavior {
-        let input = args.values().find_map(|v| match v {
-            ArgValue::Obj(r) => Some(*r),
-            _ => None,
-        });
-        let Some(input) = input else {
-            return Behavior {
-                mem_bytes: self.profile.mem_base,
-                compute: self.profile.compute_base,
-                reads: vec![],
-                writes: vec![],
-            };
-        };
-        let meta = self
-            .catalog
-            .get(&input)
-            .unwrap_or_else(|| panic!("object {} not in the mega catalog", input.id));
-        let arg_value = self.profile.arg.and_then(|spec| match args.get(spec.name) {
-            Some(ArgValue::Num(x)) => Some(*x),
-            _ => None,
-        });
-        let slot = seed % u64::from(self.output_slots.max(1));
-        let out_id = ObjectId::from_fmt(input.id.bucket(), format_args!("out{slot:02}"));
-        Behavior {
-            mem_bytes: self.profile.memory(&meta, arg_value, seed),
-            compute: self.profile.compute(&meta, arg_value, seed),
-            reads: vec![input],
-            writes: vec![ObjectWrite {
-                id: out_id,
-                size: self.profile.output_size(&meta),
-                is_final: true,
-            }],
-        }
-    }
-}
-
 /// Install-time facts the bench reports on.
 #[derive(Debug, Clone)]
 pub struct MegaPrepared {
@@ -386,13 +335,13 @@ impl MegaLoad {
             .collect();
         // One shared model per distinct profile (the output bucket comes
         // from the input, so models are tenant-agnostic).
-        let models: Vec<Rc<MegaModel>> = (0..PROFILES.len().min(cfg.fns_per_tenant))
+        let models: Vec<Rc<MultimediaModel>> = (0..PROFILES.len().min(cfg.fns_per_tenant))
             .map(|p| {
-                Rc::new(MegaModel {
-                    profile: &PROFILES[p],
-                    catalog: catalog.clone(),
-                    output_slots: cfg.output_slots,
-                })
+                Rc::new(MultimediaModel::slotted(
+                    &PROFILES[p],
+                    catalog.clone(),
+                    cfg.output_slots,
+                ))
             })
             .collect();
 
@@ -448,7 +397,7 @@ impl MegaLoad {
                     id: fn_ids[k],
                     tenant,
                     booked_mem: (p.mem_base.saturating_mul(3)).clamp(64 << 20, 2 << 30),
-                    model: Rc::<MegaModel>::clone(&models[k % models.len()])
+                    model: Rc::<MultimediaModel>::clone(&models[k % models.len()])
                         as Rc<dyn FunctionModel>,
                 });
             }
@@ -635,11 +584,7 @@ mod tests {
             size: meta.bytes,
         };
         catalog.insert(input.id, meta);
-        let model = MegaModel {
-            profile: &PROFILES[0],
-            catalog,
-            output_slots: 16,
-        };
+        let model = MultimediaModel::slotted(&PROFILES[0], catalog, 16);
         for seed in 0..64u64 {
             let args = PROFILES[0].sample_args(&input, &mut rng);
             let b = model.behavior(&args, seed);

@@ -536,12 +536,30 @@ impl Profile {
 pub struct MultimediaModel {
     profile: &'static Profile,
     catalog: Catalog,
+    /// `None`: one output per invocation; `Some(n)`: one of `n` slots.
+    output_slots: Option<u32>,
 }
 
 impl MultimediaModel {
-    /// Wraps a profile with the catalog it resolves inputs from.
+    /// Wraps a profile with the catalog it resolves inputs from. Each
+    /// invocation writes its own output, `outputs/{profile}-{input}-{seed}`.
     pub fn new(profile: &'static Profile, catalog: Catalog) -> Self {
-        MultimediaModel { profile, catalog }
+        MultimediaModel {
+            profile,
+            catalog,
+            output_slots: None,
+        }
+    }
+
+    /// [`MultimediaModel::new`] whose output goes to one of `slots`
+    /// bounded slots in the *input's bucket*, `{bucket}/out{seed % slots}`:
+    /// one shared model per profile serves every mega tenant, and the
+    /// quota plane can attribute the write to the tenant.
+    pub fn slotted(profile: &'static Profile, catalog: Catalog, slots: u32) -> Self {
+        MultimediaModel {
+            output_slots: Some(slots.max(1)),
+            ..Self::new(profile, catalog)
+        }
     }
 
     /// The wrapped profile.
@@ -573,10 +591,16 @@ impl FunctionModel for MultimediaModel {
             Some(ArgValue::Num(x)) => Some(*x),
             _ => None,
         });
-        let out_id = ObjectId::from_fmt(
-            "outputs",
-            format_args!("{}-{}-{}", self.profile.name, input.id.key(), seed),
-        );
+        let out_id = match self.output_slots {
+            None => ObjectId::from_fmt(
+                "outputs",
+                format_args!("{}-{}-{}", self.profile.name, input.id.key(), seed),
+            ),
+            Some(slots) => ObjectId::from_fmt(
+                input.id.bucket(),
+                format_args!("out{:02}", seed % u64::from(slots)),
+            ),
+        };
         Behavior {
             mem_bytes: self.profile.memory(&meta, arg_value, seed),
             compute: self.profile.compute(&meta, arg_value, seed),
