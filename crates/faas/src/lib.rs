@@ -616,6 +616,17 @@ mod tests {
 
     static NO_ARGS: Args = Args::new();
 
+    #[test]
+    fn object_references_stay_small() {
+        use std::mem::size_of;
+        // A path is a pointer-and-length text, a `u64` tail and two `u32`s:
+        // as wide as the interned path and bucket length it replaced.
+        assert_eq!(size_of::<ofc_intern::Name>(), 32);
+        assert_eq!(size_of::<ObjectId>(), 32);
+        assert_eq!(size_of::<ObjectRef>(), 40);
+        assert_eq!(size_of::<ArgValue>(), 48);
+    }
+
     fn ctx(warm: Vec<SandboxView>) -> RoutingContext<'static> {
         RoutingContext {
             function: FunctionId::from("f"),

@@ -14,11 +14,11 @@ use crate::{
     InvocationRecord, InvocationRequest, Limit, MemoryBroker, NodeId, PipelineId, PlatformConfig,
     PressureAction, RoutingContext, Scheduler, StockBroker, StockMonitor, StockScheduler, TenantId,
 };
+use ofc_intern::IdHashMap;
 use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
 use ofc_telemetry::{Counter, Telemetry};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -141,8 +141,10 @@ pub struct Platform {
     broker: Box<dyn MemoryBroker>,
     dataplane: Box<dyn DataPlane>,
     monitor: Box<dyn ExecutionMonitor>,
-    inflight: HashMap<InvocationId, Inflight>,
-    pipelines: HashMap<PipelineId, PipelineRun>,
+    /// Keyed by platform-issued ids, probed on every submit, transform
+    /// and finish, and never iterated.
+    inflight: IdHashMap<InvocationId, Inflight>,
+    pipelines: IdHashMap<PipelineId, PipelineRun>,
     records: Vec<InvocationRecord>,
     pipeline_records: Vec<PipelineRecord>,
     telemetry: Telemetry,
@@ -176,8 +178,8 @@ impl Platform {
             broker: Box::new(StockBroker),
             dataplane,
             monitor: Box::new(StockMonitor),
-            inflight: HashMap::new(),
-            pipelines: HashMap::new(),
+            inflight: IdHashMap::default(),
+            pipelines: IdHashMap::default(),
             records: Vec::new(),
             pipeline_records: Vec::new(),
             telemetry,

@@ -10,7 +10,6 @@ use crate::{FunctionId, Limit, NodeId, SandboxView, TenantId};
 use ofc_intern::IdHashMap;
 use ofc_simtime::SimTime;
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 /// Sandbox lifecycle state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,7 +62,9 @@ type IdleIndex = IdHashMap<(TenantId, FunctionId), Vec<u64>>;
 pub struct Invoker {
     node: NodeId,
     total_mem: u64,
-    sandboxes: HashMap<u64, Sandbox>,
+    /// Probed by id; iterated only where order cannot show (sums, and
+    /// collections sorted before use).
+    sandboxes: IdHashMap<u64, Sandbox>,
     idle: IdleIndex,
     committed: u64,
     booked: u64,
@@ -76,7 +77,7 @@ impl Invoker {
         Invoker {
             node,
             total_mem,
-            sandboxes: HashMap::new(),
+            sandboxes: IdHashMap::default(),
             idle: IdHashMap::default(),
             committed: 0,
             booked: 0,

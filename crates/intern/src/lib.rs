@@ -25,11 +25,12 @@
 //!   keep working unchanged on the resolved string.
 //!
 //! Interned strings are bump-allocated into leaked 1 MB chunks and live
-//! for the process lifetime; nothing is ever un-interned. Tenant, function
-//! and input-object names are a small, re-used universe, but every pipeline
-//! stage output and single-stage output is a fresh name, so the arena grows
-//! by one string per fresh output — see DESIGN.md §17 for the table and the
-//! lifecycle discussion.
+//! for the process lifetime; nothing is ever un-interned. So only a
+//! universe the workload definition bounds is interned: tenant, function,
+//! bucket and input-object names, and output stems. A fresh output is a
+//! [`Name`] made of an interned stem and a numeric tail that never enters
+//! the arena — see DESIGN.md §17 for the table and the lifecycle
+//! discussion.
 
 use std::borrow::Cow;
 use std::cell::Cell;
@@ -38,6 +39,9 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{OnceLock, RwLock};
+
+mod name;
+pub use name::{Name, Suffix};
 
 /// An interned, copyable string handle.
 ///
@@ -61,8 +65,13 @@ pub struct Istr {
 /// FNV-1a over the string bytes — the deterministic hash identity of an
 /// interned string.
 fn str_hash(s: &str) -> u32 {
-    let mut h: u32 = 0x811c_9dc5;
-    for &b in s.as_bytes() {
+    str_hash_from(0x811c_9dc5, s.as_bytes())
+}
+
+/// FNV-1a continued from state `h` over `bytes`: the hash of a text from
+/// the hash of its head, without reading the head again.
+fn str_hash_from(mut h: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
         h ^= u32::from(b);
         h = h.wrapping_mul(0x0100_0193);
     }
@@ -103,6 +112,11 @@ impl Istr {
         let k = Istr::intern(&buf);
         SCRATCH.set(buf);
         k
+    }
+
+    /// Reassembles a handle from the fields a plain [`Name`] keeps.
+    fn from_parts(id: u32, shash: u32, s: &'static str) -> Istr {
+        Istr { id, shash, s }
     }
 
     /// The slab id. Stable for the process lifetime, but **not**
@@ -386,18 +400,17 @@ pub fn interned_count() -> usize {
 
 /// Memoised `"{key}#chunk{i}"` composition (chunked payload sub-keys): the
 /// cache layer derives a chunk's key on every access to a striped object,
-/// so the handle is kept under the `(key id, i)` pair and steady-state
-/// derivation is one u64-keyed map probe.
-pub fn compose_chunk(key: Istr, i: u32) -> Istr {
-    static CHUNKS: OnceLock<RwLock<IdHashMap<u64, Istr>>> = OnceLock::new();
+/// so the plain name is kept under the `(key, i)` pair and steady-state
+/// derivation is one map probe.
+pub fn compose_chunk(key: Name, i: u32) -> Name {
+    static CHUNKS: OnceLock<RwLock<IdHashMap<(Name, u32), Name>>> = OnceLock::new();
     let chunks = CHUNKS.get_or_init(Default::default);
-    let pair = (u64::from(key.id) << 32) | u64::from(i);
-    let found = chunks.read().expect(POISONED).get(&pair).copied();
+    let found = chunks.read().expect(POISONED).get(&(key, i)).copied();
     if let Some(k) = found {
         return k;
     }
-    let composed = Istr::intern_fmt(format_args!("{key}#chunk{i}"));
-    chunks.write().expect(POISONED).insert(pair, composed);
+    let composed = Name::from_fmt(format_args!("{key}#chunk{i}"));
+    chunks.write().expect(POISONED).insert((key, i), composed);
     composed
 }
 
@@ -508,9 +521,9 @@ mod tests {
 
     #[test]
     fn compose_tables_memoise() {
-        let first = Istr::intern("bucket/object");
+        let first = Name::new("bucket/object");
         let c0 = compose_chunk(first, 0);
-        assert_eq!(c0.as_str(), "bucket/object#chunk0");
+        assert_eq!(c0, "bucket/object#chunk0");
         assert_eq!(compose_chunk(first, 0), c0);
         assert_ne!(compose_chunk(first, 1), c0);
     }

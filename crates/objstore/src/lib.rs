@@ -25,34 +25,41 @@ mod tags;
 
 pub use tags::{Tags, TagsBuilder};
 
-use ofc_intern::Istr;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-/// Identifier of an object: `(bucket, key)`, held as the interned
-/// `bucket/key` path plus where the bucket ends.
+/// Identifier of an object: `(bucket, key)`, held as its `bucket/key`
+/// path.
 ///
 /// The path is what every layer below keys on — the cache plane's
-/// RAMCloud key, the store's and the catalog's map key — so an id is
-/// formatted and interned once, when it is made, and everything after is
-/// a field read. `Copy`, 32 bytes. Equality and hashing go through the
-/// path handle; ordering is *bucket string, then key string* (see `Ord`).
+/// RAMCloud key, the store's and the catalog's map key — so an id is made
+/// once and everything after is a field read. The path is a [`Name`]: an
+/// input's is interned whole, a fresh output's is an interned stem
+/// (`intermediate/wc_map-`) plus its numeric tail, which is never
+/// formatted or interned. `Copy`, 32 bytes. A bucket name holds no `/`
+/// (as in Swift and S3), so the bucket is the path up to its first `/`,
+/// which always lies inside the interned text. Equality and hashing go
+/// through the path; ordering is *bucket string, then key string* (see
+/// `Ord`).
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct ObjectId {
-    path: Istr,
-    /// Byte length of the bucket name: `path[bucket_len]` is the `/`
-    /// between bucket and key. Compared by `Eq` too, so `("a/b", "c")`
-    /// and `("a", "b/c")` stay distinct ids over the same path.
-    bucket_len: u32,
+    path: Name,
 }
 
 /// `HashMap` for [`ObjectId`] keys: one multiply over the path's
 /// precomputed string hash in place of SipHash. Probe it, never iterate it
 /// where order can be observed.
 pub use ofc_intern::IdHashMap;
+/// The name types an object path is made of: [`Name`] (the path),
+/// [`Istr`] (a stem) and [`Suffix`] (the key behind the bucket).
+pub use ofc_intern::{Istr, Name, Suffix};
 
 impl ObjectId {
     /// Creates an id from bucket and key names.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` contains a `/`.
     pub fn new(bucket: impl AsRef<str>, key: impl AsRef<str>) -> Self {
         ObjectId::from_fmt(bucket, format_args!("{}", key.as_ref()))
     }
@@ -60,26 +67,55 @@ impl ObjectId {
     /// Creates an id whose key is formatted from `key`, straight behind
     /// the bucket: one formatting pass, one interner probe, and no heap
     /// allocation when the path is already interned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bucket` contains a `/`.
     pub fn from_fmt(bucket: impl AsRef<str>, key: fmt::Arguments<'_>) -> Self {
         let bucket = bucket.as_ref();
+        assert!(
+            !bucket.contains('/'),
+            "bucket name {bucket:?} contains a `/`"
+        );
         ObjectId {
-            path: Istr::intern_fmt(format_args!("{bucket}/{key}")),
-            bucket_len: u32::try_from(bucket.len()).expect("bucket name longer than 4 GB"),
+            path: Name::from_fmt(format_args!("{bucket}/{key}")),
         }
+    }
+
+    /// A fresh output's id, `{stem}{seed}` or `{stem}{seed}-{index}`: no
+    /// formatting, no interning and no heap allocation. `stem` starts with
+    /// the bucket and its `/` (`intermediate/wc_map-`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stem` contains no `/`.
+    pub fn with_tail(stem: Istr, seed: u64, index: Option<u32>) -> Self {
+        assert!(stem.contains('/'), "stem {stem:?} names no bucket");
+        ObjectId {
+            path: Name::with_tail(stem, seed, index),
+        }
+    }
+
+    /// Byte length of the bucket name: the path's first `/`.
+    fn bucket_len(&self) -> usize {
+        self.path
+            .text()
+            .find('/')
+            .expect("an object path holds a `/` in its interned text")
     }
 
     /// Bucket (Swift container) name.
     pub fn bucket(&self) -> &'static str {
-        &self.path.as_str()[..self.bucket_len as usize]
+        &self.path.text()[..self.bucket_len()]
     }
 
-    /// Object key within the bucket.
-    pub fn key(&self) -> &'static str {
-        &self.path.as_str()[self.bucket_len as usize + 1..]
+    /// Object key within the bucket: the path behind the bucket's `/`.
+    pub fn key(&self) -> Suffix {
+        self.path.suffix(self.bucket_len() + 1)
     }
 
-    /// The interned `bucket/key` path — the RAMCloud-layer cache key.
-    pub fn path(&self) -> Istr {
+    /// The `bucket/key` path — the RAMCloud-layer cache key.
+    pub fn path(&self) -> Name {
         self.path
     }
 }
@@ -98,7 +134,7 @@ impl Ord for ObjectId {
     fn cmp(&self, other: &ObjectId) -> std::cmp::Ordering {
         self.bucket()
             .cmp(other.bucket())
-            .then_with(|| self.key().cmp(other.key()))
+            .then_with(|| self.key().cmp(&other.key()))
     }
 }
 
@@ -116,7 +152,7 @@ impl AsRef<ObjectId> for ObjectId {
 
 impl fmt::Display for ObjectId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.path.as_str())
+        fmt::Display::fmt(&self.path, f)
     }
 }
 

@@ -43,7 +43,7 @@ proptest! {
         prop_assert_eq!(ia.bucket(), a.0.as_str());
         prop_assert_eq!(ia.key(), a.1.as_str());
         let path = format!("{}/{}", a.0, a.1);
-        prop_assert_eq!(ia.path().as_str(), path.as_str());
+        prop_assert_eq!(ia.path().to_string(), path.as_str());
         prop_assert_eq!(ia.to_string(), path);
         // Both constructors name the same object.
         prop_assert_eq!(ObjectId::from_fmt(&a.0, format_args!("{}", a.1)), ia);

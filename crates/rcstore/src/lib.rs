@@ -57,11 +57,11 @@ use std::time::Duration;
 
 /// A cache key (OFC uses `bucket/key` object paths).
 ///
-/// Interned: `Key` is a 24-byte `Copy` handle whose equality resolves
-/// through a `u32` slab id and whose hash is a precomputed hash of the
-/// string, while comparison still follows the resolved string (see
-/// `ofc_intern::Istr` and DESIGN.md §17).
-pub type Key = ofc_intern::Istr;
+/// A 32-byte `Copy` [`ofc_intern::Name`]: an interned string, or a fresh
+/// output's interned stem plus its numeric tail. Equality, hashing
+/// (a precomputed hash of the rendering) and ordering all follow the
+/// rendered string, whichever form a key takes (DESIGN.md §17).
+pub type Key = ofc_intern::Name;
 
 /// Identifier of a storage node (co-located with a FaaS invoker).
 pub type NodeId = usize;
@@ -72,13 +72,15 @@ pub type NodeId = usize;
 /// Tenant attribution is by bucket: workloads wanting per-tenant quota
 /// accounting place each tenant's objects in tenant-named buckets (the
 /// mega scenario does; the paper-mix buckets like `outputs` simply act as
-/// one shared pseudo-tenant). The substring is interned, so repeat
-/// resolutions of the same bucket are a hash probe, not an allocation.
+/// one shared pseudo-tenant). The owner is always a plain interned name:
+/// the bucket lies inside the key's interned text (a fresh output's stem
+/// holds it), so only that prefix is interned, and repeat resolutions of
+/// the same bucket are a hash probe, not an allocation.
 pub fn owner_of(key: &Key) -> Key {
-    let s = key.as_str();
-    match s.find('/') {
-        Some(i) => Key::from(&s[..i]),
-        None => *key,
+    let text = key.text();
+    match text.find('/') {
+        Some(i) => Key::new(&text[..i]),
+        None => Key::from_fmt(format_args!("{key}")),
     }
 }
 

@@ -24,6 +24,13 @@ pub struct MasterObject {
     pub owner: Key,
 }
 
+/// The slice of `owner_idle` that holds `owner`'s masters: the owner's
+/// slab id. Owners are plain names ([`crate::owner_of`]); a structural
+/// name owns nothing and maps to an id no string has.
+fn owner_group(owner: &Key) -> u32 {
+    owner.as_istr().map_or(u32::MAX, |s| s.id())
+}
+
 /// Access count at or above which an object can never become a periodic
 /// eviction victim through the cold rule (§6.3: `n_access < 5`).
 pub const COLD_ACCESS_THRESHOLD: u64 = 5;
@@ -50,7 +57,7 @@ pub struct StorageNode {
     /// good once its access count crosses the threshold (`n_access` only
     /// grows), so the index shrinks as the working set warms up.
     cold_index: BTreeSet<(SimTime, Key)>,
-    /// Per-tenant LRU sub-index: every master keyed `(owner.id(),
+    /// Per-tenant LRU sub-index: every master keyed `(owner_group(owner),
     /// t_access, key)`, so one tenant's coldest objects are a prefix range
     /// scan of its own slice (quota reclamation never sweeps other
     /// tenants' objects). The owner's slab id only groups the entries —
@@ -182,7 +189,7 @@ impl StorageNode {
         let owner = crate::owner_of(&key);
         self.idle_index.insert((now, key));
         self.cold_index.insert((now, key));
-        self.owner_idle.insert((owner.id(), now, key));
+        self.owner_idle.insert((owner_group(&owner), now, key));
         *self.owner_usage.entry(owner).or_insert(0) += charge;
         self.used += charge;
         self.master.insert(
@@ -216,8 +223,9 @@ impl StorageNode {
         if prev_access != now {
             self.idle_index.remove(&(prev_access, *key));
             self.idle_index.insert((now, *key));
-            self.owner_idle.remove(&(owner.id(), prev_access, *key));
-            self.owner_idle.insert((owner.id(), now, *key));
+            let group = owner_group(&owner);
+            self.owner_idle.remove(&(group, prev_access, *key));
+            self.owner_idle.insert((group, now, *key));
         }
         if n_after == COLD_ACCESS_THRESHOLD {
             // Crossed the §6.3 access bound: permanently out of the cold set.
@@ -250,7 +258,8 @@ impl StorageNode {
     /// Reverses one key's charge to `used` and the per-owner structures.
     fn uncharge(&mut self, owner: Key, t_access: SimTime, key: &Key, charge: u64) {
         self.used -= charge;
-        self.owner_idle.remove(&(owner.id(), t_access, *key));
+        self.owner_idle
+            .remove(&(owner_group(&owner), t_access, *key));
         if let Some(used) = self.owner_usage.get_mut(&owner) {
             *used = used.saturating_sub(charge);
             if *used == 0 {
@@ -275,9 +284,10 @@ impl StorageNode {
     /// the per-tenant sub-index (O(log n + max)).
     pub fn owner_victims(&self, owner: &Key, max: usize) -> Vec<(Key, bool, u64, SimTime)> {
         let mut out = Vec::new();
-        let from = (owner.id(), SimTime::ZERO, Key::from(""));
+        let group = owner_group(owner);
+        let from = (group, SimTime::ZERO, Key::from(""));
         for &(o, t_access, key) in self.owner_idle.range(from..) {
-            if o != owner.id() || out.len() >= max {
+            if o != group || out.len() >= max {
                 break;
             }
             let Some(obj) = self.master.get(&key) else {

@@ -170,7 +170,7 @@ fn check_conserved(cluster: &Cluster) -> Result<(), TestCaseError> {
             }
             merged.extend(reference);
         }
-        merged.sort_by(|a, b| (a.3, a.0.as_str()).cmp(&(b.3, b.0.as_str())));
+        merged.sort_by_key(|a| (a.3, a.0.to_string()));
         for max in [1, 3, KEY_POOL as usize] {
             let victims = cluster.owner_victims(owner, max);
             let expect: Vec<(Key, bool, u64)> = merged
@@ -194,7 +194,7 @@ fn lru_reference<'a>(
         .filter(|(key, _)| owner_of(key) == *owner)
         .map(|(key, o)| (*key, o.dirty, o.value.size().max(1), o.stats.t_access))
         .collect();
-    out.sort_by(|a, b| (a.3, a.0.as_str()).cmp(&(b.3, b.0.as_str())));
+    out.sort_by_key(|a| (a.3, a.0.to_string()));
     out
 }
 
@@ -351,13 +351,13 @@ fn regression_victims_keep_string_order_when_owner_ids_run_backwards() {
         }
     }
     assert!(
-        Key::from("rev4").id() < Key::from("rev0").id(),
+        ofc_intern::Istr::intern("rev4").id() < ofc_intern::Istr::intern("rev0").id(),
         "owners must be interned against string order"
     );
-    let order = |c: &Cluster, owner: &str| -> Vec<&'static str> {
+    let order = |c: &Cluster, owner: &str| -> Vec<String> {
         c.owner_victims(&Key::from(owner), 8)
             .iter()
-            .map(|(k, _, _)| k.as_str())
+            .map(|(k, _, _)| k.to_string())
             .collect()
     };
     for owner in owners {

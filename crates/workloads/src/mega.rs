@@ -591,7 +591,12 @@ mod tests {
             assert_eq!(b.writes.len(), 1);
             let out = &b.writes[0].id;
             assert_eq!(out.bucket(), "m0007", "output in tenant bucket");
-            let n: u32 = out.key().trim_start_matches("out").parse().unwrap();
+            let n: u32 = out
+                .key()
+                .to_string()
+                .trim_start_matches("out")
+                .parse()
+                .unwrap();
             assert!(n < 16, "slot pool bounded");
         }
     }

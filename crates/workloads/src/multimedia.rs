@@ -11,7 +11,7 @@
 use crate::catalog::{Catalog, MediaKind, MediaMeta};
 use ofc_dtree::data::{AttrKind, Attribute, Value};
 use ofc_faas::{ArgValue, Args, Behavior, FunctionModel, ObjectRef, ObjectWrite};
-use ofc_objstore::ObjectId;
+use ofc_objstore::{Istr, ObjectId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -592,9 +592,14 @@ impl FunctionModel for MultimediaModel {
             _ => None,
         });
         let out_id = match self.output_slots {
-            None => ObjectId::from_fmt(
-                "outputs",
-                format_args!("{}-{}-{}", self.profile.name, input.id.key(), seed),
+            None => ObjectId::with_tail(
+                Istr::intern_fmt(format_args!(
+                    "outputs/{}-{}-",
+                    self.profile.name,
+                    input.id.key()
+                )),
+                seed,
+                None,
             ),
             Some(slots) => ObjectId::from_fmt(
                 input.id.bucket(),

@@ -22,7 +22,7 @@ use ofc_faas::{
     ArgValue, Args, Behavior, FunctionId, FunctionModel, InvocationRequest, ObjectRef, ObjectWrite,
     TenantId,
 };
-use ofc_objstore::ObjectId;
+use ofc_objstore::{Istr, ObjectId};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -251,12 +251,18 @@ fn fanout(args: &Args) -> f64 {
 /// [`FunctionModel`] for a stage function.
 pub struct StageModel {
     profile: &'static StageProfile,
+    /// `intermediate/{stage}-`: output `i` of the run seeded `seed` is
+    /// `intermediate/{stage}-{seed}-{i}`, this stem plus a numeric tail.
+    stem: Istr,
 }
 
 impl StageModel {
     /// Wraps a stage profile.
     pub fn new(profile: &'static StageProfile) -> Self {
-        StageModel { profile }
+        StageModel {
+            profile,
+            stem: Istr::intern_fmt(format_args!("intermediate/{}-", profile.name)),
+        }
     }
 }
 
@@ -274,9 +280,10 @@ impl FunctionModel for StageModel {
         let per_output = (total_out / n_outputs as u64).max(128);
         let writes: Vec<ObjectWrite> = (0..n_outputs)
             .map(|i| ObjectWrite {
-                id: ObjectId::from_fmt(
-                    "intermediate",
-                    format_args!("{}-{}-{}", self.profile.name, seed, i),
+                id: ObjectId::with_tail(
+                    self.stem,
+                    seed,
+                    Some(u32::try_from(i).expect("fewer than 2^32 outputs")),
                 ),
                 size: per_output,
                 is_final: self.profile.is_final,

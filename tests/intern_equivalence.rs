@@ -19,9 +19,16 @@
 //!   out **sorted by resolved string** (the `Ord` the eviction sweep
 //!   promises), never by interner id.
 //!
+//! The proptest names each op's key in a form drawn beside it: the plain
+//! interned string, or a structural name (an interned stem plus a numeric
+//! tail, as fresh outputs are named) over one of two stems. Every form
+//! renders the same string, so twins, reference and victim order must
+//! not tell them apart.
+//!
 //! Shrunken failures worth keeping are pinned as named replays in
 //! `regressions` below, so they survive independent of the proptest RNG.
 
+use ofc::objstore::Istr;
 use ofc::rcstore::cluster::Cluster;
 use ofc::rcstore::{ClusterConfig, Key, RcError, Value as RcValue};
 use ofc::simtime::SimTime;
@@ -99,6 +106,23 @@ fn key_string(k: u8) -> String {
     format!("t{}/obj{k}", k % 3)
 }
 
+/// Key `k` in one of its three forms, all rendering [`key_string`]: the
+/// plain interned name (form 0), the stem `t<i>/obj` plus the tail `k`
+/// (form 1), or for a two-digit `k` the stem `t<i>/obj<k / 10>` plus the
+/// tail `k % 10` (form 2). The clusters and the string reference must not
+/// tell the forms apart.
+fn key(k: u8, form: u8) -> Key {
+    let t = k % 3;
+    match form {
+        0 => Key::from(key_string(k).as_str()),
+        2 if k >= 10 => {
+            let stem = Istr::intern(&format!("t{t}/obj{}", k / 10));
+            Key::with_tail(stem, u64::from(k % 10), None)
+        }
+        _ => Key::with_tail(Istr::intern(&format!("t{t}/obj")), u64::from(k), None),
+    }
+}
+
 fn fresh_cluster() -> Cluster {
     Cluster::new(ClusterConfig {
         nodes: 4,
@@ -169,7 +193,7 @@ fn check_state(
     prop_assert_eq!(&va, &vb, "victim inventories diverged");
     for w in va.windows(2) {
         prop_assert!(
-            w[0].0.as_str() <= w[1].0.as_str(),
+            w[0].0.to_string() <= w[1].0.to_string(),
             "victims not in resolved-string order: {} then {}",
             w[0].0,
             w[1].0
@@ -182,16 +206,23 @@ fn check_state(
     Ok(())
 }
 
-/// Drives one schedule through both twins and the reference model,
-/// checking equivalence after every op. Shared by the proptest and the
-/// pinned replays.
+/// Drives one schedule of plain-keyed ops through both twins and the
+/// reference model (the pinned replays).
 fn run_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
+    let plain: Vec<(Op, u8)> = ops.iter().map(|op| (op.clone(), 0)).collect();
+    run_mixed(&plain)
+}
+
+/// Drives one schedule through both twins and the reference model,
+/// checking equivalence after every op; each op names its key in the
+/// form drawn beside it (see [`key`]).
+fn run_mixed(ops: &[(Op, u8)]) -> Result<(), TestCaseError> {
     let mut a = fresh_cluster();
     let mut b = fresh_cluster();
     let mut model: Model = BTreeMap::new();
     let mut now = SimTime::ZERO;
 
-    for op in ops {
+    for &(ref op, form) in ops {
         now += std::time::Duration::from_millis(10);
         match *op {
             Op::Write {
@@ -201,7 +232,7 @@ fn run_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
                 dirty,
             } => {
                 let s = key_string(key);
-                let key = Key::from(s.as_str());
+                let key = self::key(key, form);
                 let size = u64::from(size_kb) * 1024;
                 let ra = a
                     .write_with_dirty(
@@ -232,7 +263,7 @@ fn run_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
             }
             Op::Read { key, node } => {
                 let s = key_string(key);
-                let key = Key::from(s.as_str());
+                let key = self::key(key, form);
                 let ra = a.read(usize::from(node), &key, now).result;
                 let rb = b.read(usize::from(node), &key, now).result;
                 match (&ra, &rb) {
@@ -251,14 +282,14 @@ fn run_equivalence(ops: &[Op]) -> Result<(), TestCaseError> {
                 }
             }
             Op::MarkClean { key } => {
-                let key = Key::from(key_string(key).as_str());
+                let key = self::key(key, form);
                 let ra = a.mark_clean(&key);
                 let rb = b.mark_clean(&key);
                 prop_assert_eq!(ra.is_ok(), rb.is_ok(), "twin mark_clean diverged");
             }
             Op::Evict { key } => {
                 let s = key_string(key);
-                let key = Key::from(s.as_str());
+                let key = self::key(key, form);
                 let ra = a.evict(&key).result;
                 let rb = b.evict(&key).result;
                 prop_assert_eq!(ra.is_ok(), rb.is_ok(), "twin evict outcomes diverged");
@@ -311,9 +342,9 @@ proptest! {
     /// observable state after every single op.
     #[test]
     fn interned_cluster_matches_string_reference(
-        ops in prop::collection::vec(op_strategy(), 1..60)
+        ops in prop::collection::vec((op_strategy(), 0..3u8), 1..60)
     ) {
-        run_equivalence(&ops)?;
+        run_mixed(&ops)?;
     }
 }
 

@@ -1,6 +1,8 @@
 //! Naming an object that is already interned costs no heap allocation:
 //! `ObjectId::new` and `ObjectId::from_fmt` format the path into a
-//! per-thread scratch buffer and probe the interner with it. Reading a
+//! per-thread scratch buffer and probe the interner with it. Naming a
+//! fresh output costs none either: `ObjectId::with_tail` puts a numeric
+//! tail behind an interned stem and interns nothing. Reading a
 //! tagged object back (`ObjectStore::get` / `head`) allocates nothing
 //! either: the metadata shares the stored tag block. Tagging an input
 //! costs two allocations: the tags are written straight into one block.
@@ -11,7 +13,7 @@
 //! `ofc-objstore` stay free of the keyword altogether.
 
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload, Tags};
+use ofc::objstore::{Istr, ObjectId, Payload, Tags};
 use ofc::workloads::catalog::{gen_audio, gen_image, gen_text, gen_video};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -76,7 +78,7 @@ fn naming_an_interned_object_allocates_nothing() {
                 ObjectId::from_fmt("intermediate", format_args!("wc_map-{seed}-{}", 7)),
                 made
             );
-            assert_eq!(made.path().as_str(), "intermediate/wc_map-1234567890123-7");
+            assert_eq!(made.path(), "intermediate/wc_map-1234567890123-7");
             assert_eq!(made.bucket(), "intermediate");
         }
     });
@@ -84,6 +86,25 @@ fn naming_an_interned_object_allocates_nothing() {
 
     // The counter does count.
     assert!(allocations(|| drop(std::hint::black_box(String::from("x")))) > 0);
+}
+
+#[test]
+fn naming_fresh_outputs_allocates_nothing() {
+    // A stage model interns its stem once, when it is made.
+    let stem = Istr::intern("intermediate/wc_map-");
+    let seed_of = |n: u64| n.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut last = None;
+    let count = allocations(|| {
+        for n in 0..100_000u64 {
+            let id = ObjectId::with_tail(stem, seed_of(n), Some((n % 8) as u32));
+            last = Some(std::hint::black_box(id));
+        }
+    });
+    assert_eq!(count, 0, "allocations while naming 100 000 fresh outputs");
+    let n = 99_999u64;
+    let whole = ObjectId::new("intermediate", format!("wc_map-{}-{}", seed_of(n), n % 8));
+    assert_eq!(last, Some(whole));
+    assert_eq!(whole.bucket(), "intermediate");
 }
 
 #[test]
