@@ -102,11 +102,8 @@ const REMOTE_NODE: usize = 1;
 /// according to the scenario.
 pub fn stage_input(tb: &mut Testbed, scenario: Scenario, meta: MediaMeta, key: &str) -> ObjectRef {
     let id = ObjectId::new("inputs", key);
-    tb.store
-        .borrow_mut()
-        .put(&id, Payload::Synthetic(meta.bytes), meta.tags(), false);
-    let size = meta.bytes;
-    tb.catalog.insert(id, meta);
+    let input = tb.catalog.stage(&mut tb.store.borrow_mut(), id, meta);
+    let size = input.size;
     match scenario {
         Scenario::Redis => {
             let imoc = tb.imoc.as_ref().expect("redis testbed");
@@ -142,7 +139,7 @@ pub fn stage_input(tb: &mut Testbed, scenario: Scenario, meta: MediaMeta, key: &
         }
         Scenario::Swift | Scenario::Miss => {}
     }
-    ObjectRef { id, size }
+    input
 }
 
 /// Pins all scheduling to the measurement node (scenario isolation).

@@ -136,7 +136,8 @@ impl Testbed {
 /// The feature extractor used by OFC's Predictor: resolves single-stage
 /// profiles (a mega function's `.k` variant suffix stripped) and pipeline
 /// stage profiles by function name, reading metadata through the catalog
-/// (which mirrors the RSDS feature tags, §5.1.2).
+/// (OFC's RSDS holds it as object metadata, §5.1.2; the store here does
+/// not model it).
 pub fn feature_fn(catalog: Catalog) -> FeatureFn {
     Rc::new(move |_tenant, function, args| {
         let name: &str = function.as_ref();
@@ -289,17 +290,7 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
         let meta = gen_image_with_bytes(64 << 10, &mut rng);
         let id = ofc_objstore::ObjectId::new("in", "img");
-        tb.store.borrow_mut().put(
-            &id,
-            ofc_objstore::Payload::Synthetic(meta.bytes),
-            meta.tags(),
-            false,
-        );
-        let input = ofc_faas::ObjectRef {
-            id,
-            size: meta.bytes,
-        };
-        tb.catalog.insert(id, meta);
+        let input = tb.catalog.stage(&mut tb.store.borrow_mut(), id, meta);
         let mut args = Args::new();
         args.insert("input".into(), ArgValue::Obj(input));
         if let Some(spec) = profile.arg {

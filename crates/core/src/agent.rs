@@ -91,6 +91,10 @@ struct AgentMetrics {
     scale_up_nanos: Histogram,
     scale_down_nanos: Histogram,
     cache_size: Gauge,
+    /// The plane's read outcomes, which the slack policy reads.
+    local_hits: Counter,
+    remote_hits: Counter,
+    misses: Counter,
 }
 
 impl AgentMetrics {
@@ -106,6 +110,9 @@ impl AgentMetrics {
             scale_up_nanos: t.histogram("agent.scale_up_nanos"),
             scale_down_nanos: t.histogram("agent.scale_down_nanos"),
             cache_size: t.gauge("agent.cache_size_bytes"),
+            local_hits: t.counter("plane.local_hits"),
+            remote_hits: t.counter("plane.remote_hits"),
+            misses: t.counter("plane.misses"),
         }
     }
 }
@@ -324,11 +331,10 @@ impl CacheAgent {
     /// the churn window plus plane hit-rate telemetry into a per-node
     /// slack target.
     fn adjust_slack(&mut self) {
-        let m = self.telemetry.metrics();
         let (local_hits, remote_hits, misses) = (
-            m.counter("plane.local_hits"),
-            m.counter("plane.remote_hits"),
-            m.counter("plane.misses"),
+            self.metrics.local_hits.get(),
+            self.metrics.remote_hits.get(),
+            self.metrics.misses.get(),
         );
         for node in 0..self.slack.len() {
             let churn_mean = if self.churn[node].is_empty() {

@@ -18,7 +18,7 @@ pub struct LatencyModel {
     /// Write bandwidth in bytes per second.
     write_bw: f64,
     /// Latency of a metadata-only operation: HEAD, empty-payload PUT
-    /// (shadow creation — measured at ~11 ms on Swift, §7.2.1), tag update.
+    /// (shadow creation — measured at ~11 ms on Swift, §7.2.1), LIST.
     meta_base: Duration,
     /// Latency of a DELETE.
     delete_base: Duration,
@@ -42,7 +42,8 @@ impl LatencyModel {
         }
     }
 
-    /// Latency of a metadata operation (HEAD / tag read / tag write).
+    /// Latency of a metadata operation (HEAD, LIST, or a request refused
+    /// before any payload moves).
     pub fn meta(&self) -> Duration {
         self.meta_base
     }

@@ -5,10 +5,9 @@
 //! remote object store (§1); OFC interposes a cache between the two. This
 //! crate provides the storage side:
 //!
-//! * [`store::ObjectStore`] — buckets, versioned objects, metadata
-//!   [`Tags`] (where extracted ML features live, §5.1.2), **shadow objects**
-//!   (empty-payload placeholders carrying two version numbers, §6.2), and
-//!   read/write **webhooks** for external-client consistency,
+//! * [`store::ObjectStore`] — buckets, versioned objects, **shadow
+//!   objects** (empty-payload placeholders carrying two version numbers,
+//!   §6.2), and read/write **webhooks** for external-client consistency,
 //! * [`imoc::Imoc`] — the Redis-like cache used by the `OWK-Redis` baseline
 //!   of §7.2,
 //! * [`latency::LatencyModel`] — first-order per-operation cost models with
@@ -21,9 +20,6 @@
 pub mod imoc;
 pub mod latency;
 pub mod store;
-mod tags;
-
-pub use tags::{Tags, TagsBuilder};
 
 use std::fmt;
 use std::hash::{Hash, Hasher};

@@ -11,22 +11,25 @@
 //! * **in-order fulfillment** — persistors may only fill version
 //!   `persisted_version + 1`, which enforces the paper's requirement that
 //!   successive updates propagate in the correct order,
-//! * **metadata tags** — extracted ML features are stored alongside objects
-//!   at creation time (§5.1.2),
 //! * **write observers** — the interposition hook the paper assumes from the
 //!   storage system (§3): OFC registers a webhook that invalidates cached
 //!   copies when an external client writes directly to the store.
+//!
+//! OFC keeps an input's extracted ML features beside the object (§5.1.2).
+//! No decision here reads them from the store: the Predictor reads the
+//! workload catalog, so the store models no metadata.
 //!
 //! Operations return `(result, Duration)`; the caller charges the duration
 //! to virtual time.
 
 use crate::latency::LatencyModel;
-use crate::{IdHashMap, ObjectId, Payload, StoreError, Tags};
+use crate::{IdHashMap, ObjectId, Payload, StoreError};
 use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// Metadata of a stored object.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct ObjectMeta {
     /// Latest logical version (bumped by every write, shadow or full).
     pub version: u64,
@@ -34,9 +37,6 @@ pub struct ObjectMeta {
     pub persisted_version: u64,
     /// Size in bytes of the *latest* version (announced by shadows).
     pub size: u64,
-    /// Free-form metadata tags (feature vectors, content type, …), shared
-    /// with the store: a read copies a pointer, never the pairs.
-    pub tags: Tags,
 }
 
 impl ObjectMeta {
@@ -146,17 +146,18 @@ impl ObjectStore {
 
     /// Writes a full object (create or update), bumping both versions.
     ///
-    /// An update merges `tags` into the object's: a key of both takes the
-    /// new value. `external` marks writes from non-FaaS clients, which
-    /// trigger cache invalidation through the write observers.
+    /// `external` marks writes from non-FaaS clients, which trigger cache
+    /// invalidation through the write observers. `_metadata` is not read:
+    /// the store models no metadata (see the module docs). The argument
+    /// stays only because the benchmark's store driver passes
+    /// `HashMap::new()`, which does not allocate.
     pub fn put(
         &mut self,
         id: &ObjectId,
         payload: Payload,
-        tags: impl Into<Tags>,
+        _metadata: HashMap<String, String>,
         external: bool,
     ) -> (u64, Duration) {
-        let tags = tags.into();
         let size = payload.len();
         let latency = self.latency.write(size.max(1));
         let version = match self.objects.entry(*id) {
@@ -165,7 +166,6 @@ impl ObjectStore {
                 obj.meta.version += 1;
                 obj.meta.persisted_version = obj.meta.version;
                 obj.meta.size = size;
-                obj.meta.tags = obj.meta.tags.merged(tags);
                 obj.payload = Some(payload);
                 obj.meta.version
             }
@@ -175,7 +175,6 @@ impl ObjectStore {
                         version: 1,
                         persisted_version: 1,
                         size,
-                        tags,
                     },
                     payload: Some(payload),
                 });
@@ -208,7 +207,6 @@ impl ObjectStore {
                         version: 1,
                         persisted_version: 0,
                         size: announced_size,
-                        tags: Tags::default(),
                     },
                     payload: None,
                 });
@@ -268,7 +266,7 @@ impl ObjectStore {
             }
             Some(obj) => {
                 let payload = obj.payload.expect("checked above");
-                let meta = obj.meta.clone();
+                let meta = obj.meta;
                 self.counters.gets += 1;
                 self.counters.bytes_read += payload.len();
                 let latency = self.latency.read(payload.len());
@@ -282,7 +280,7 @@ impl ObjectStore {
         let res = self
             .objects
             .get(id)
-            .map(|o| o.meta.clone())
+            .map(|o| o.meta)
             .ok_or(StoreError::NotFound(*id));
         (res, self.latency.meta())
     }
@@ -319,7 +317,6 @@ impl ObjectStore {
 mod tests {
     use super::*;
     use std::cell::RefCell;
-    use std::collections::HashMap;
     use std::rc::Rc;
 
     fn store() -> ObjectStore {
@@ -422,48 +419,6 @@ mod tests {
         assert_eq!(seen[0], ("bkt/a".to_string(), 1, false));
         assert_eq!(seen[1], ("bkt/a".to_string(), 2, true));
         assert_eq!(seen[2], ("bkt/a".to_string(), 3, false));
-    }
-
-    fn tags(pairs: &[(&str, &str)]) -> HashMap<String, String> {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect()
-    }
-
-    #[test]
-    fn tags_merge() {
-        let mut s = store();
-        let width = tags(&[("width", "640")]);
-        s.put(&oid("a"), Payload::Synthetic(1), width, false);
-        let update = tags(&[("height", "480")]);
-        let (v, _) = s.put(&oid("a"), Payload::Synthetic(2), update, false);
-        assert_eq!(v, 2);
-        let meta = s.head(&oid("a")).0.unwrap();
-        assert_eq!(meta.tags.get("width"), Some("640"));
-        assert_eq!(meta.tags.get("height"), Some("480"));
-        // An untagged update keeps the tags.
-        s.put(&oid("a"), Payload::Synthetic(3), HashMap::new(), false);
-        assert_eq!(s.head(&oid("a")).0.unwrap().tags.len(), 2);
-    }
-
-    #[test]
-    fn reads_share_tags_and_keep_them_across_merges() {
-        let mut s = store();
-        let width = tags(&[("width", "640")]);
-        s.put(&oid("a"), Payload::Synthetic(1), width, false);
-        let before = s.head(&oid("a")).0.unwrap();
-        let (got, _) = s.get(&oid("a")).0.unwrap();
-        assert!(Tags::ptr_eq(&before.tags, &got.tags));
-        let update = tags(&[("width", "320")]);
-        s.put(&oid("a"), Payload::Synthetic(1), update, false);
-        assert_eq!(before.tags.get("width"), Some("640"));
-        assert_eq!(s.head(&oid("a")).0.unwrap().tags.get("width"), Some("320"));
-        // Untagged objects share the one empty value.
-        s.put(&oid("b"), Payload::Synthetic(1), Tags::default(), false);
-        s.put_shadow(&oid("c"), 1);
-        let (b, c) = (s.head(&oid("b")).0.unwrap(), s.head(&oid("c")).0.unwrap());
-        assert!(b.tags.is_empty() && Tags::ptr_eq(&b.tags, &c.tags));
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! The data catalog: hidden ground truth of generated media objects, plus
 //! generators for each media kind. It holds the prepared inputs, written
-//! at install and only read during a run; pipeline outputs never enter
-//! it.
+//! at install by [`Catalog::stage`] (which also puts each one in the RSDS)
+//! and only read during a run; pipeline outputs never enter it.
 //!
 //! Observable features (byte size, pixel dimensions, duration, format) are
 //! what the ML layer may see; hidden ones (compression ratio, content
 //! entropy) only influence behaviour — that gap is why byte size alone
-//! cannot predict memory (Figure 2, top).
+//! cannot predict memory (Figure 2, top). OFC extracts the observable ones
+//! into the RSDS's object metadata at creation (§5.1.2); here the
+//! Predictor reads them from the catalog, and the store holds no copy.
 
-use ofc_objstore::{IdHashMap, ObjectId, Tags, TagsBuilder};
+use ofc_faas::ObjectRef;
+use ofc_objstore::store::ObjectStore;
+use ofc_objstore::{IdHashMap, ObjectId, Payload};
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 /// Media kind of an object.
@@ -81,38 +86,6 @@ impl MediaMeta {
     pub fn megapixels(&self) -> f64 {
         f64::from(self.width) * f64::from(self.height) / 1e6
     }
-
-    /// Observable metadata tags, as stored in the RSDS at creation
-    /// (§5.1.2): byte size and format, then the kind's dimensions. Hidden
-    /// truth (compression ratio, entropy) is never tagged.
-    ///
-    /// Writes the pairs straight into the object's one tag block: two
-    /// allocations, the builder's buffer and the block. Nothing reads them
-    /// during a run (the Predictor's features come from the [`Catalog`]);
-    /// they are what the store would hold.
-    pub fn tags(&self) -> Tags {
-        // Room for five pairs with a 20-digit byte count and 10-digit
-        // dimensions (an image's or a video's), so the buffer never grows.
-        let mut t = TagsBuilder::with_capacity(96);
-        t.push("bytes", self.bytes).push("format", self.format);
-        match self.kind {
-            MediaKind::Image => {
-                t.push("width", self.width)
-                    .push("height", self.height)
-                    .push("channels", self.channels);
-            }
-            MediaKind::Audio | MediaKind::Video => {
-                t.push("duration", format_args!("{:.3}", self.duration_s));
-                if self.kind == MediaKind::Video {
-                    t.push("width", self.width).push("height", self.height);
-                }
-            }
-            MediaKind::Text => {
-                t.push("words", self.words);
-            }
-        }
-        t.finish()
-    }
 }
 
 /// Shared map from object ids to their truth.
@@ -136,6 +109,16 @@ impl Catalog {
     /// Registers an object's truth.
     pub fn insert(&self, id: ObjectId, meta: MediaMeta) {
         self.inner.borrow_mut().insert(id, meta);
+    }
+
+    /// Stages a prepared input: puts its payload in the RSDS (not an
+    /// external write), then registers its truth. Returns the reference an
+    /// invocation passes as its argument.
+    pub fn stage(&self, store: &mut ObjectStore, id: ObjectId, meta: MediaMeta) -> ObjectRef {
+        let size = meta.bytes;
+        store.put(&id, Payload::Synthetic(size), HashMap::new(), false);
+        self.insert(id, meta);
+        ObjectRef { id, size }
     }
 
     /// Looks up an object's truth, by its id or by a reference to it.
@@ -213,6 +196,21 @@ pub fn gen_image_with_bytes(target_bytes: u64, rng: &mut ChaCha8Rng) -> MediaMet
         format,
         ratio,
         entropy: rng.gen_range(0.5..1.5),
+    }
+}
+
+/// Samples a macro-experiment input of `kind` (§7.2.2). An image's stored
+/// size is log-uniform over Figure 7's sweep range, 1 kB – 128 kB; audio,
+/// video and text come from their own generators.
+pub fn gen_input(kind: MediaKind, rng: &mut ChaCha8Rng) -> MediaMeta {
+    match kind {
+        MediaKind::Image => {
+            let bytes = (1024.0 * 128f64.powf(rng.gen::<f64>())) as u64;
+            gen_image_with_bytes(bytes, rng)
+        }
+        MediaKind::Audio => gen_audio(rng),
+        MediaKind::Video => gen_video(rng),
+        MediaKind::Text => gen_text(None, rng),
     }
 }
 
@@ -339,23 +337,6 @@ mod tests {
                 img.bytes
             );
         }
-    }
-
-    #[test]
-    fn tags_expose_observable_features_only() {
-        let mut r = rng(4);
-        let img = gen_image(&mut r);
-        let tags = img.tags();
-        assert_eq!(tags.get("width"), Some(img.width.to_string().as_str()));
-        assert_eq!(tags.get("bytes"), Some(img.bytes.to_string().as_str()));
-        assert_eq!(tags.len(), 5);
-        assert!(tags.get("ratio").is_none(), "hidden truth must not leak");
-        assert!(tags.get("entropy").is_none());
-        let audio = gen_audio(&mut r);
-        let duration = format!("{:.3}", audio.duration_s);
-        assert_eq!(audio.tags().get("duration"), Some(duration.as_str()));
-        let text = gen_text(None, &mut r);
-        assert!(text.tags().get("words").is_some());
     }
 
     #[test]

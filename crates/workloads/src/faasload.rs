@@ -18,7 +18,7 @@
 //! event. Exponential gaps practically never tie, so materializing the
 //! window at install would order the same events the same way.
 
-use crate::catalog::{Catalog, MediaKind};
+use crate::catalog::Catalog;
 use crate::multimedia::{MultimediaModel, Profile};
 use crate::pipelines::{register_stage_functions, ScatterGather};
 use crate::stream::{self, Stream};
@@ -26,7 +26,7 @@ use ofc_faas::platform::PlatformHandle;
 use ofc_faas::registry::FunctionSpec;
 use ofc_faas::{FunctionId, InvocationRequest, ObjectRef, TenantId};
 use ofc_objstore::store::ObjectStore;
-use ofc_objstore::{ObjectId, Payload};
+use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
 use rand::Rng;
 use rand::SeedableRng;
@@ -322,8 +322,7 @@ impl FaasLoad {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let tenant = TenantId::from(spec.name.as_str());
 
-        // Prepare the input pool in the RSDS (with feature tags) and the
-        // catalog.
+        // Prepare the input pool in the RSDS and the catalog.
         let inputs = self.prepare_inputs(spec, &tenant, store, catalog, &mut rng);
 
         // Size the booking from ground truth over the pool.
@@ -372,17 +371,7 @@ impl FaasLoad {
         (0..self.cfg.inputs_per_tenant)
             .map(|i| {
                 let meta = match spec.workload {
-                    Workload::Single(p) => match p.kind {
-                        // The paper's macro inputs are in the Figure 7
-                        // sweep range (1 kB - 128 kB stored), log-uniform.
-                        MediaKind::Image => {
-                            let bytes = (1024.0 * 128f64.powf(rng.gen::<f64>())) as u64;
-                            crate::catalog::gen_image_with_bytes(bytes, rng)
-                        }
-                        MediaKind::Audio => crate::catalog::gen_audio(rng),
-                        MediaKind::Video => crate::catalog::gen_video(rng),
-                        MediaKind::Text => crate::catalog::gen_text(None, rng),
-                    },
+                    Workload::Single(p) => crate::catalog::gen_input(p.kind, rng),
                     Workload::WordCount { input_bytes, .. } => {
                         crate::catalog::gen_text(Some(input_bytes), rng)
                     }
@@ -393,13 +382,7 @@ impl FaasLoad {
                     }
                 };
                 let id = ObjectId::new(format!("{tenant}-inputs"), format!("in{i:04}"));
-                // Feature tags are extracted at creation time (§5.1.2).
-                store
-                    .borrow_mut()
-                    .put(&id, Payload::Synthetic(meta.bytes), meta.tags(), false);
-                let size = meta.bytes;
-                catalog.insert(id, meta);
-                ObjectRef { id, size }
+                catalog.stage(&mut store.borrow_mut(), id, meta)
             })
             .collect()
     }
@@ -815,10 +798,14 @@ mod tests {
         );
         let mut sim = Sim::new(0);
         let prepared = load.install(&mut sim, &platform, &store, &catalog);
-        let input = &prepared[0].inputs[0];
-        let meta = store.borrow().head(&input.id).0.unwrap();
-        assert!(meta.tags.get("width").is_some());
-        assert!(meta.tags.get("bytes").is_some());
+        assert_eq!(prepared[0].inputs.len(), 3);
+        // The store holds each input at the size the catalog, where its
+        // features live, records for it.
+        for input in &prepared[0].inputs {
+            let head = store.borrow().head(&input.id).0.unwrap();
+            let meta = catalog.get(&input.id).unwrap();
+            assert_eq!((head.size, input.size), (meta.bytes, meta.bytes));
+        }
         assert_eq!(prepared[0].booked_mem, 2 << 30, "naive books the max");
     }
 }

@@ -12,9 +12,10 @@
 //! with the observable features (byte size alone does not predict it —
 //! compression ratio hides the bitmap size; arguments modulate it further).
 //!
-//! The [`catalog::Catalog`] maps object ids to their hidden truth; the
-//! observable features live as metadata tags in the RSDS, mirroring OFC's
-//! background feature extraction at object-creation time (§5.1.2).
+//! The [`catalog::Catalog`] maps object ids to their truth, hidden and
+//! observable. The Predictor reads the observable features from it; OFC
+//! extracts them into the RSDS's object metadata at object-creation time
+//! (§5.1.2), which the store here does not model.
 
 pub mod catalog;
 pub mod datasets;

@@ -37,7 +37,7 @@ use ofc_faas::platform::PlatformHandle;
 use ofc_faas::registry::FunctionSpec;
 use ofc_faas::{FunctionId, FunctionModel, InvocationRequest, ObjectRef, TenantId};
 use ofc_objstore::store::ObjectStore;
-use ofc_objstore::{ObjectId, Payload};
+use ofc_objstore::ObjectId;
 use ofc_simtime::{Sim, SimTime};
 use rand::Rng;
 use rand::SeedableRng;
@@ -183,8 +183,14 @@ fn kind_idx(kind: MediaKind) -> usize {
     }
 }
 
-/// Input key prefixes per pool, aligned with [`kind_idx`].
-const KIND_PREFIX: [&str; 4] = ["im", "au", "vi", "tx"];
+/// Each pool's media kind and input key prefix, aligned with
+/// [`kind_idx`].
+const POOLS: [(MediaKind, &str); 4] = [
+    (MediaKind::Image, "im"),
+    (MediaKind::Audio, "au"),
+    (MediaKind::Video, "vi"),
+    (MediaKind::Text, "tx"),
+];
 
 /// Install-time facts the bench reports on.
 #[derive(Debug, Clone)]
@@ -359,31 +365,13 @@ impl MegaLoad {
             // Inputs in the tenant's own bucket (quota attribution): one
             // pool per media kind, so every profile's feature schema sees
             // matching metadata.
-            let pools: [Vec<ObjectRef>; 4] = std::array::from_fn(|kind| {
+            let pools: [Vec<ObjectRef>; 4] = std::array::from_fn(|pool| {
+                let (kind, prefix) = POOLS[pool];
                 (0..cfg.inputs_per_tenant)
                     .map(|i| {
-                        let meta = match kind {
-                            0 => {
-                                let bytes = (1024.0 * 128f64.powf(rng.gen::<f64>())) as u64;
-                                crate::catalog::gen_image_with_bytes(bytes, &mut rng)
-                            }
-                            1 => crate::catalog::gen_audio(&mut rng),
-                            2 => crate::catalog::gen_video(&mut rng),
-                            _ => crate::catalog::gen_text(None, &mut rng),
-                        };
-                        let id = ObjectId::from_fmt(
-                            name.as_str(),
-                            format_args!("{}{i:02}", KIND_PREFIX[kind]),
-                        );
-                        store.borrow_mut().put(
-                            &id,
-                            Payload::Synthetic(meta.bytes),
-                            meta.tags(),
-                            false,
-                        );
-                        let size = meta.bytes;
-                        catalog.insert(id, meta);
-                        ObjectRef { id, size }
+                        let meta = crate::catalog::gen_input(kind, &mut rng);
+                        let id = ObjectId::from_fmt(name.as_str(), format_args!("{prefix}{i:02}"));
+                        catalog.stage(&mut store.borrow_mut(), id, meta)
                     })
                     // ofc-lint: allow(hotloop) reason=install builds each tenant's input pool once; the pool is the product
                     .collect()

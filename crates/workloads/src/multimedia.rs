@@ -11,10 +11,11 @@
 use crate::catalog::{Catalog, MediaKind, MediaMeta};
 use ofc_dtree::data::{AttrKind, Attribute, Value};
 use ofc_faas::{ArgValue, Args, Behavior, FunctionModel, ObjectRef, ObjectWrite};
-use ofc_objstore::{Istr, ObjectId};
+use ofc_objstore::{IdHashMap, Istr, ObjectId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::cell::RefCell;
 use std::time::Duration;
 
 /// One mebibyte as `f64` (noise arithmetic).
@@ -477,8 +478,8 @@ impl Profile {
 
     /// Extracts the feature vector of an invocation, in schema order.
     ///
-    /// Only observable information is used: the catalogued metadata (which
-    /// mirrors the RSDS tags) and the request arguments.
+    /// Only observable information is used: the catalogued observable
+    /// metadata and the request arguments.
     ///
     /// # Panics
     ///
@@ -538,6 +539,10 @@ pub struct MultimediaModel {
     catalog: Catalog,
     /// `None`: one output per invocation; `Some(n)`: one of `n` slots.
     output_slots: Option<u32>,
+    /// Output stem per input, `outputs/{profile}-{input key}-`, made on
+    /// the input's first read (unslotted models only). It holds at most the
+    /// prepared inputs the model reads.
+    stems: RefCell<IdHashMap<ObjectId, Istr>>,
 }
 
 impl MultimediaModel {
@@ -548,6 +553,7 @@ impl MultimediaModel {
             profile,
             catalog,
             output_slots: None,
+            stems: RefCell::default(),
         }
     }
 
@@ -592,15 +598,16 @@ impl FunctionModel for MultimediaModel {
             _ => None,
         });
         let out_id = match self.output_slots {
-            None => ObjectId::with_tail(
-                Istr::intern_fmt(format_args!(
-                    "outputs/{}-{}-",
-                    self.profile.name,
-                    input.id.key()
-                )),
-                seed,
-                None,
-            ),
+            None => {
+                let stem = *self.stems.borrow_mut().entry(input.id).or_insert_with(|| {
+                    Istr::intern_fmt(format_args!(
+                        "outputs/{}-{}-",
+                        self.profile.name,
+                        input.id.key()
+                    ))
+                });
+                ObjectId::with_tail(stem, seed, None)
+            }
             Some(slots) => ObjectId::from_fmt(
                 input.id.bucket(),
                 format_args!("out{:02}", seed % u64::from(slots)),
@@ -623,6 +630,7 @@ impl FunctionModel for MultimediaModel {
 mod tests {
     use super::*;
     use crate::catalog::{gen_image, gen_image_with_bytes};
+    use ofc_objstore::store::ObjectStore;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
@@ -771,6 +779,31 @@ mod tests {
         assert!(b.writes[0].is_final);
         assert!(b.mem_bytes > 28 << 20);
         assert!(b.compute > Duration::ZERO);
+    }
+
+    #[test]
+    fn outputs_are_named_by_input_and_seed_from_one_stem_per_input() {
+        let catalog = Catalog::new();
+        let mut r = rng(9);
+        let p = profile("wand_blur").unwrap();
+        let inputs: Vec<ObjectRef> = ["in0001", "in0002"]
+            .iter()
+            .map(|key| {
+                catalog.stage(
+                    &mut ObjectStore::swift(),
+                    ObjectId::new("t-inputs", key),
+                    gen_image(&mut r),
+                )
+            })
+            .collect();
+        let model = MultimediaModel::new(p, catalog);
+        for (input, seed) in inputs.iter().cycle().zip([1u64, 2, 3, 4, 5]) {
+            let args = p.sample_args(input, &mut r);
+            let out = model.behavior(&args, seed).writes[0].id;
+            let name = format!("wand_blur-{}-{seed}", input.id.key());
+            assert_eq!(out, ObjectId::new("outputs", name));
+        }
+        assert_eq!(model.stems.borrow().len(), 2, "one stem per input read");
     }
 
     #[test]

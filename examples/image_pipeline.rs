@@ -11,7 +11,7 @@ use ofc::faas::platform::{Platform, PlatformHandle};
 use ofc::faas::registry::Registry;
 use ofc::faas::{ObjectRef, PlatformConfig, TenantId};
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload};
+use ofc::objstore::ObjectId;
 use ofc::simtime::{Sim, SimTime};
 use ofc::workloads::catalog::{gen_image_with_bytes, gen_text, Catalog};
 use ofc::workloads::pipelines::{register_stage_functions, ScatterGather, Sequence};
@@ -72,12 +72,7 @@ fn build(with_ofc: bool) -> Setup {
 
 fn upload(s: &Setup, key: &str, meta: ofc::workloads::catalog::MediaMeta) -> ObjectRef {
     let id = ObjectId::new("inputs", key);
-    s.store
-        .borrow_mut()
-        .put(&id, Payload::Synthetic(meta.bytes), meta.tags(), false);
-    let size = meta.bytes;
-    s.catalog.insert(id, meta);
-    ObjectRef { id, size }
+    s.catalog.stage(&mut s.store.borrow_mut(), id, meta)
 }
 
 fn run_both(

@@ -8,11 +8,9 @@ use ofc::core::ofc::Ofc;
 use ofc::faas::baselines::NoopPlane;
 use ofc::faas::platform::Platform;
 use ofc::faas::registry::{FunctionSpec, Registry};
-use ofc::faas::{
-    ArgValue, Args, FunctionId, InvocationRequest, ObjectRef, PlatformConfig, TenantId,
-};
+use ofc::faas::{ArgValue, Args, FunctionId, InvocationRequest, PlatformConfig, TenantId};
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload};
+use ofc::objstore::ObjectId;
 use ofc::simtime::{Sim, SimTime};
 use ofc::workloads::catalog::{gen_image_with_bytes, Catalog};
 use ofc::workloads::multimedia::{profile, MultimediaModel};
@@ -62,18 +60,12 @@ fn main() {
     });
     ofc.register_function("alice", edge.name, edge.feature_schema());
 
-    // 4. Upload an input image (16 kB) to the object store; feature tags
-    //    are extracted at creation time.
+    // 4. Upload an input image (16 kB) to the object store; the catalog
+    //    keeps its features, which the Predictor reads.
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1);
     let img = gen_image_with_bytes(16 << 10, &mut rng);
-    let input = ObjectRef {
-        id: ObjectId::new("alice-images", "photo.jpg"),
-        size: img.bytes,
-    };
-    store
-        .borrow_mut()
-        .put(&input.id, Payload::Synthetic(img.bytes), img.tags(), false);
-    catalog.insert(input.id, img);
+    let id = ObjectId::new("alice-images", "photo.jpg");
+    let input = catalog.stage(&mut store.borrow_mut(), id, img);
 
     // 5. Invoke twice: the first read misses (and fills the cache); the
     //    second hits locally.

@@ -7,11 +7,12 @@ use ofc::core::policy::{build_policy, PolicyKind};
 use ofc::core::telemetry::Telemetry;
 use ofc::faas::{DataPlane, ObjectWrite};
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload, Tags};
+use ofc::objstore::{ObjectId, Payload};
 use ofc::rcstore::cluster::Cluster;
 use ofc::rcstore::ClusterConfig;
 use ofc::simtime::{Sim, SimTime};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 
 const MB: u64 = 1 << 20;
@@ -93,7 +94,7 @@ fn external_write_invalidates_and_next_function_read_refetches() {
     let id = ObjectId::new("in", "shared");
     store
         .borrow_mut()
-        .put(&id, Payload::Synthetic(64 * 1024), Tags::default(), false);
+        .put(&id, Payload::Synthetic(64 * 1024), HashMap::new(), false);
     plane.read(
         &mut sim,
         0,

@@ -10,7 +10,7 @@ use ofc::faas::{
     TenantId,
 };
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload};
+use ofc::objstore::ObjectId;
 use ofc::rcstore::raft::COMMIT_LATENCY;
 use ofc::rcstore::{latency, Key, Value};
 use ofc::simtime::{Sim, SimTime};
@@ -92,12 +92,7 @@ fn upload(s: &Stack, key: &str, bytes: u64, seed: u64) -> ObjectRef {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let meta = gen_image_with_bytes(bytes, &mut rng);
     let id = ObjectId::new("it-in", key);
-    s.store
-        .borrow_mut()
-        .put(&id, Payload::Synthetic(meta.bytes), meta.tags(), false);
-    let size = meta.bytes;
-    s.catalog.insert(id, meta);
-    ObjectRef { id, size }
+    s.catalog.stage(&mut s.store.borrow_mut(), id, meta)
 }
 
 fn submit(s: &mut Stack, p: &'static Profile, input: &ObjectRef, seed: u64) {

@@ -2,10 +2,10 @@
 //! `ObjectId::new` and `ObjectId::from_fmt` format the path into a
 //! per-thread scratch buffer and probe the interner with it. Naming a
 //! fresh output costs none either: `ObjectId::with_tail` puts a numeric
-//! tail behind an interned stem and interns nothing. Reading a
-//! tagged object back (`ObjectStore::get` / `head`) allocates nothing
-//! either: the metadata shares the stored tag block. Tagging an input
-//! costs two allocations: the tags are written straight into one block.
+//! tail behind an interned stem and interns nothing. Reading an object
+//! back (`ObjectStore::get` / `head`) allocates nothing either: its
+//! metadata is `Copy`. Staging a prepared input (`Catalog::stage`: a put,
+//! then a catalog insert) allocates nothing when both maps have room.
 //!
 //! This file is the only `unsafe` in the workspace outside `benchmark/`: a
 //! counting `#[global_allocator]` cannot be written without it. It lives
@@ -13,8 +13,8 @@
 //! `ofc-objstore` stay free of the keyword altogether.
 
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{Istr, ObjectId, Payload, Tags};
-use ofc::workloads::catalog::{gen_audio, gen_image, gen_text, gen_video};
+use ofc::objstore::{Istr, ObjectId, Payload};
+use ofc::workloads::catalog::{gen_audio, gen_image, gen_text, gen_video, Catalog};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -108,39 +108,37 @@ fn naming_fresh_outputs_allocates_nothing() {
 }
 
 #[test]
-fn reading_a_tagged_object_allocates_nothing() {
+fn reading_an_object_allocates_nothing() {
     let mut store = ObjectStore::swift();
     let id = ObjectId::new("images", "cat.png");
-    let tags: HashMap<String, String> = ["width", "height", "channels", "format", "bytes"]
-        .iter()
-        .map(|k| (k.to_string(), "1".to_string()))
-        .collect();
-    store.put(&id, Payload::Synthetic(640 * 1024), tags, false);
+    store.put(&id, Payload::Synthetic(640 * 1024), HashMap::new(), false);
 
     let count = allocations(|| {
         for _ in 0..100 {
             let (meta, payload) = store.get(&id).0.expect("stored");
-            assert_eq!(meta.tags.len(), 5);
+            assert_eq!(meta.version, 1);
             assert_eq!(payload.len(), 640 * 1024);
             let meta = store.head(&id).0.expect("stored");
-            assert_eq!(meta.tags.get("width"), Some("1"));
+            assert_eq!(meta.size, 640 * 1024);
         }
     });
-    assert_eq!(count, 0, "allocations while reading a tagged object");
+    assert_eq!(count, 0, "allocations while reading an object");
 }
 
 #[test]
-fn tagging_an_input_costs_two_allocations() {
+fn staging_an_input_allocates_nothing() {
     let mut store = ObjectStore::swift();
-    // 100 objects grow the map to 128 slots, room for 112: the puts below
-    // do not grow it.
-    let ids: Vec<ObjectId> = (0..110)
+    let catalog = Catalog::new();
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    // 100 objects grow both maps to 128 slots, room for 112: the stagings
+    // below do not grow them.
+    let ids: Vec<ObjectId> = (0..104)
         .map(|i| ObjectId::from_fmt("inputs", format_args!("in{i:03}")))
         .collect();
+    let filler = gen_image(&mut rng);
     for id in &ids[..100] {
-        store.put(id, Payload::Synthetic(1), Tags::default(), false);
+        catalog.stage(&mut store, *id, filler.clone());
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(7);
     let inputs = [
         gen_image(&mut rng),
         gen_audio(&mut rng),
@@ -148,19 +146,14 @@ fn tagging_an_input_costs_two_allocations() {
         gen_text(None, &mut rng),
     ];
 
-    let untagged = allocations(|| {
-        store.put(&ids[100], Payload::Synthetic(1), Tags::default(), false);
-    });
-    for (id, meta) in ids[101..].iter().zip(&inputs) {
-        let tagged = allocations(|| {
-            store.put(id, Payload::Synthetic(meta.bytes), meta.tags(), false);
-        });
-        assert!(
-            tagged <= untagged + 2,
-            "{:?} input: {tagged} allocations against {untagged} untagged",
-            meta.kind
-        );
-        let stored = store.head(id).0.expect("stored").tags;
-        assert_eq!(stored.get("bytes"), Some(meta.bytes.to_string().as_str()));
+    for (id, meta) in ids[100..].iter().zip(inputs) {
+        let (kind, bytes) = (meta.kind, meta.bytes);
+        let mut staged = None;
+        let count = allocations(|| staged = Some(catalog.stage(&mut store, *id, meta)));
+        assert_eq!(count, 0, "allocations while staging a {kind:?} input");
+        let staged = staged.expect("staged");
+        assert_eq!((staged.id, staged.size), (*id, bytes));
+        assert_eq!(store.head(id).0.expect("stored").size, bytes);
+        assert_eq!(catalog.get(id).map(|m| m.bytes), Some(bytes));
     }
 }

@@ -8,7 +8,7 @@ use ofc::dtree::data::{Dataset, Value};
 use ofc::dtree::Classifier;
 use ofc::faas::{Args, Booked, FunctionId, RoutingContext, TenantId};
 use ofc::objstore::store::ObjectStore;
-use ofc::objstore::{ObjectId, Payload, Tags};
+use ofc::objstore::{ObjectId, Payload};
 use ofc::rcstore::cluster::Cluster;
 use ofc::rcstore::{ClusterConfig, Key, RcError, Value as RcValue};
 use ofc::simtime::SimTime;
@@ -193,7 +193,7 @@ proptest! {
             let size = u64::from(size) * 1024;
             match kind {
                 0 => {
-                    let (v, _) = store.put(&id, Payload::Synthetic(size), Tags::default(), false);
+                    let (v, _) = store.put(&id, Payload::Synthetic(size), Default::default(), false);
                     let prev = last_version.insert(key, v).unwrap_or(0);
                     prop_assert!(v > prev, "version must grow");
                 }

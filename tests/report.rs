@@ -1,8 +1,9 @@
-//! EXPERIMENTS.md §7.1 quotes the committed results: every measured number
-//! in Table 1, Figure 5, §7.1.1 and §7.1.3, and every conclusion drawn
-//! from them, must hold for its `results/` source at the printed
-//! precision. A re-bless that moves a number fails here until the report
-//! moves too. Figure 6 times the wall clock, so it is not checked.
+//! EXPERIMENTS.md quotes the committed results: every measured number in
+//! Table 1, Figure 5, §7.1.1 and §7.1.3, Figure 8 and the migration sweep,
+//! the numeric headline rows of Figure 7, and every conclusion drawn from
+//! them, must hold for its `results/` source at the printed precision. A
+//! re-bless that moves a number fails here until the report moves too.
+//! Figure 6 times the wall clock, so it is not checked.
 
 use std::path::Path;
 
@@ -250,4 +251,162 @@ fn maturation_quotes_maturation_json() {
         tail.len(),
         rest.join(", ")
     )));
+}
+
+/// `value` printed with as many decimals as `printed` has.
+fn at_precision_of(printed: &str, value: f64) -> String {
+    let decimals = printed.split_once('.').map_or(0, |(_, frac)| frac.len());
+    format!("{value:.decimals$}")
+}
+
+/// Whether `cell`'s leading number (`"0.289"`) or range (`"0.785–2.2"`)
+/// is the span of `values`, each end at its printed precision.
+fn quotes_span(cell: &str, values: &[f64]) -> bool {
+    let quoted = cell.split_whitespace().next().unwrap();
+    let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    match quoted.split_once('–') {
+        Some((a, b)) => at_precision_of(a, lo) == a && at_precision_of(b, hi) == b,
+        None => at_precision_of(quoted, lo) == quoted && at_precision_of(quoted, hi) == quoted,
+    }
+}
+
+#[test]
+fn fig8_quotes_fig8_json() {
+    let json = read("results/fig8.json");
+    let text = section("### Figure 8");
+    let scenarios = strings(&json, "scenario");
+    let scaling = numbers(&json, "scaling_ms");
+    let of = |name: &str| -> Vec<f64> {
+        (0..scenarios.len())
+            .filter(|&i| scenarios[i] == name)
+            .map(|i| scaling[i])
+            .collect()
+    };
+    for (label, scenario) in [
+        ("Sc1 (plain rescale)", "Sc1"),
+        ("Sc3 (eviction)", "Sc3"),
+        ("Sc2 (migration)", "Sc2"),
+    ] {
+        let cell = &row(&text, &[label])[1];
+        assert!(quotes_span(cell, &of(scenario)), "{label}: {cell}");
+    }
+    let cell = &row(&text, &["cgroup + docker update"])[1];
+    assert!(cell.ends_with(" ms (constant)"), "{cell}");
+    assert!(quotes_span(cell, &numbers(&json, "cgroup_ms")), "{cell}");
+
+    // The worst case is the largest overhead, on the smallest input.
+    let overhead = numbers(&json, "overhead_pct");
+    let exec = numbers(&json, "exec_ms");
+    let worst = (0..overhead.len())
+        .max_by(|&a, &b| overhead[a].total_cmp(&overhead[b]))
+        .unwrap();
+    assert_eq!(strings(&json, "input")[worst], "1KB");
+    let cell = &row(&text, &["Worst-case overhead on tiny inputs"])[1];
+    let (pct, ms) = cell
+        .strip_suffix(" ms exec")
+        .and_then(|c| c.split_once(" % on "))
+        .unwrap_or_else(|| panic!("{cell}"));
+    assert_eq!(at_precision_of(pct, overhead[worst]), pct);
+    assert_eq!(at_precision_of(ms, exec[worst]), ms);
+}
+
+#[test]
+fn migration_quotes_migration_json() {
+    let json = read("results/migration.json");
+    let text = section("### Migration sweep");
+    let volumes = numbers(&json, "volume_mb");
+    let times = numbers(&json, "time_ms");
+    assert_eq!(volumes.len(), 5);
+    let mut high = Vec::new();
+    for (&mb, &ms) in volumes.iter().zip(&times) {
+        let label = if mb >= 1024.0 {
+            format!("{} GB", mb / 1024.0)
+        } else {
+            format!("{mb} MB")
+        };
+        let cells = row(&text, &[&label]);
+        let measured = cells[1].strip_suffix(" ms").unwrap();
+        assert_eq!(at_precision_of(measured, ms), measured, "{label}");
+        if mb >= 256.0 {
+            high.push(ms / leading_number(&cells[0]));
+        }
+    }
+    let lo = high.iter().copied().fold(f64::INFINITY, f64::min);
+    let hi = high.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    assert!(prose(&text).contains(&format!(
+        "our points from 256 MB up run {lo:.1}–{hi:.1}× high"
+    )));
+}
+
+#[test]
+fn fig7_headlines_quote_fig7_json() {
+    let json = read("results/fig7.json");
+    let text = section("### Figure 7");
+    let (workloads, inputs, scenarios) = (
+        strings(&json, "workload"),
+        strings(&json, "input"),
+        strings(&json, "scenario"),
+    );
+    let (totals, loads) = (numbers(&json, "total_s"), numbers(&json, "l_s"));
+    let at = |w: &str, i: &str, s: &str| {
+        (0..totals.len())
+            .find(|&k| workloads[k] == w && inputs[k] == i && scenarios[k] == s)
+            .unwrap_or_else(|| panic!("no {w} {i} {s}"))
+    };
+    let speedup = |w: &str, i: &str| {
+        let (swift, lh) = (totals[at(w, i, "Swift")], totals[at(w, i, "LH")]);
+        (swift, lh, 100.0 * (1.0 - lh / swift))
+    };
+
+    let (swift, lh, cut) = speedup("wand_edge", "16KB");
+    assert_eq!(
+        row(&text, &["wand_edge @16 kB, Swift → LH"])[1],
+        format!("{:.0} ms → {:.0} ms (−{cut:.0} %)", swift * 1e3, lh * 1e3)
+    );
+    let (swift, lh, cut) = speedup("THIS", "125MB");
+    assert_eq!(
+        row(&text, &["THIS @125 MB, Swift → LH"])[1],
+        format!("{swift:.1} s → {lh:.1} s (−{cut:.0} %)")
+    );
+
+    // Single-stage functions are the `wand_*` ones; the rest are
+    // pipelines.
+    let single = |k: usize| workloads[k].starts_with("wand_");
+    let lh_rows: Vec<usize> = (0..totals.len())
+        .filter(|&k| scenarios[k] == "LH")
+        .collect();
+    let persist: Vec<f64> = lh_rows
+        .iter()
+        .filter(|&&k| single(k))
+        .map(|&k| loads[k] * 1e3)
+        .collect();
+    let cell = &row(&text, &["Shadow persist in L phase"])[1];
+    let quoted = cell.strip_prefix("constant ").unwrap();
+    assert!(
+        quoted.ends_with(" ms") && quotes_span(quoted, &persist),
+        "{cell}"
+    );
+
+    let penalty = |k: usize| {
+        let rh = totals[at(&workloads[k], &inputs[k], "RH")];
+        (rh - totals[k], rh / totals[k] - 1.0)
+    };
+    let small: Vec<f64> = lh_rows
+        .iter()
+        .filter(|&&k| single(k) && inputs[k] == "1KB")
+        .map(|&k| penalty(k).0 * 1e3)
+        .collect();
+    let cell = &row(&text, &["RH vs LH penalty"])[1];
+    let (reads, pipelines) = cell.split_once("; ").unwrap();
+    let quoted = reads.strip_prefix('+').unwrap();
+    assert!(
+        quoted.ends_with(" ms per small read") && quotes_span(quoted, &small),
+        "{cell}"
+    );
+    assert_eq!(pipelines, "<1 % on pipelines");
+    assert!(lh_rows
+        .iter()
+        .filter(|&&k| !single(k))
+        .all(|&k| penalty(k).1 < 0.01));
 }
